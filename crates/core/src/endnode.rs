@@ -102,6 +102,88 @@ pub struct AdapterCfg {
     pub data_overhead_bytes: u16,
 }
 
+/// Word-bitset over destinations: which AdVOQs hold a packet. The
+/// arbiters walk its members instead of all `num_nodes` queues, so a
+/// blocked adapter pays per backlogged destination, not per destination.
+#[derive(Debug, Clone)]
+struct DstSet {
+    words: Vec<u64>,
+}
+
+impl DstSet {
+    fn new(num_dests: usize) -> Self {
+        Self {
+            words: vec![0; num_dests.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, d: usize) {
+        self.words[d / 64] |= 1 << (d % 64);
+    }
+
+    fn remove(&mut self, d: usize) {
+        self.words[d / 64] &= !(1 << (d % 64));
+    }
+
+    fn contains(&self, d: usize) -> bool {
+        self.words[d / 64] & (1 << (d % 64)) != 0
+    }
+
+    /// Smallest member in `from..to`.
+    fn next_in(&self, from: usize, to: usize) -> Option<usize> {
+        if from >= to {
+            return None;
+        }
+        let mut w = from / 64;
+        let mut bits = self.words[w] & (!0 << (from % 64));
+        loop {
+            if bits != 0 {
+                let d = w * 64 + bits.trailing_zeros() as usize;
+                return (d < to).then_some(d);
+            }
+            w += 1;
+            if w * 64 >= to {
+                return None;
+            }
+            bits = self.words[w];
+        }
+    }
+}
+
+/// Cursor over a [`DstSet`] in round-robin order from `start`: the
+/// members in `start..n` ascending, then those in `0..start` — the
+/// order `(start + step) % n` visits them in. It borrows nothing, so the
+/// arbiter can mutate the adapter (and the set) between steps.
+struct RoundRobin {
+    pos: usize,
+    end: usize,
+    start: usize,
+}
+
+impl RoundRobin {
+    fn new(start: usize, n: usize) -> Self {
+        Self {
+            pos: start,
+            end: n,
+            start,
+        }
+    }
+
+    fn next(&mut self, set: &DstSet) -> Option<usize> {
+        loop {
+            if let Some(d) = set.next_in(self.pos, self.end) {
+                self.pos = d + 1;
+                return Some(d);
+            }
+            if self.end == self.start {
+                return None; // second leg (or an empty first one) done
+            }
+            self.pos = 0;
+            self.end = self.start;
+        }
+    }
+}
+
 /// The injection side of one end node.
 #[derive(Debug, Clone)]
 pub struct Adapter {
@@ -110,6 +192,8 @@ pub struct Adapter {
     inject_link: LinkId,
     inject_bw: u32,
     advoqs: Vec<PacketQueue>,
+    /// `d` is a member ⇔ `advoqs[d]` is non-empty.
+    backlogged: DstSet,
     rr: usize,
     nfq: PacketQueue,
     cfqs: Vec<CfqSlot>,
@@ -123,6 +207,10 @@ pub struct Adapter {
     // ---- throttling state, one entry per destination ----
     ccti: Vec<u16>,
     timer_deadline: Vec<Cycle>,
+    /// Lower bound of every `timer_deadline` entry: no timer can expire
+    /// before it, so [`Self::expire_timers`] skips its scan until then.
+    /// Exact after each scan; BECNs re-arming a timer only lower it.
+    earliest_deadline: Cycle,
     /// Earliest next injection per destination: LTI + packet time + IRD.
     next_allowed: Vec<Cycle>,
     // ---- modern-CC state, one entry per destination (empty vectors
@@ -190,6 +278,7 @@ impl Adapter {
             inject_link,
             inject_bw,
             advoqs: (0..num_nodes).map(|_| PacketQueue::new()).collect(),
+            backlogged: DstSet::new(num_nodes),
             rr: 0,
             nfq: PacketQueue::new(),
             cfqs: (0..num_cfqs).map(|_| CfqSlot::default()).collect(),
@@ -197,6 +286,7 @@ impl Adapter {
             becn_out: std::collections::VecDeque::new(),
             ccti: vec![0; num_nodes],
             timer_deadline: vec![Cycle::MAX; num_nodes],
+            earliest_deadline: Cycle::MAX,
             next_allowed: vec![0; num_nodes],
             dcqcn_flows,
             cnp_gate,
@@ -216,7 +306,8 @@ impl Adapter {
     /// Admit a generated packet into its AdVOQ; `false` = admittance
     /// queue full (the generator keeps its budget and retries).
     pub fn try_inject(&mut self, now: Cycle, gp: GenPacket, id: PacketId) -> bool {
-        let q = &mut self.advoqs[gp.dst.index()];
+        let d = gp.dst.index();
+        let q = &mut self.advoqs[d];
         if q.occupancy_flits() + gp.size_flits > self.cfg.advoq_cap_flits {
             return false;
         }
@@ -231,6 +322,7 @@ impl Adapter {
         );
         pkt.overhead_bytes = self.cfg.data_overhead_bytes;
         q.push(pkt, now, now);
+        self.backlogged.insert(d);
         self.resident += 1;
         true
     }
@@ -342,6 +434,7 @@ impl Adapter {
             self.armed_timers += 1;
         }
         self.timer_deadline[d] = now + thr.ccti_timer_cycles;
+        self.earliest_deadline = self.earliest_deadline.min(self.timer_deadline[d]);
         metrics.count("becn_received", 1);
         if metrics.wants_events(EventClass::BECN) {
             metrics.cc_event(CcEvent {
@@ -538,8 +631,8 @@ impl Adapter {
             }
         }
         let n = self.advoqs.len();
-        for step in 0..n {
-            let d = (self.rr + step) % n;
+        let mut walk = RoundRobin::new(self.rr, n);
+        while let Some(d) = walk.next(&self.backlogged) {
             let Some(head) = self.advoqs[d].head_visible(now) else {
                 continue;
             };
@@ -550,7 +643,7 @@ impl Adapter {
             {
                 continue;
             }
-            let entry = self.advoqs[d].pop().expect("head exists");
+            let entry = self.pop_advoq(d);
             self.resident -= 1;
             if let Some(vn) = voqnet {
                 vn.sub(self.inject_link.0, entry.packet.dst.0, size);
@@ -567,9 +660,10 @@ impl Adapter {
     /// nonzero.
     fn expire_timers<M: MetricsSink>(&mut self, now: Cycle, metrics: &mut M) {
         let Some(thr) = &self.cfg.thr else { return };
-        if self.armed_timers == 0 {
-            return; // every deadline is Cycle::MAX
+        if now < self.earliest_deadline {
+            return; // no deadline reached (all Cycle::MAX when none is armed)
         }
+        let mut earliest = Cycle::MAX;
         for d in 0..self.ccti.len() {
             if now >= self.timer_deadline[d] {
                 if self.ccti[d] > 0 {
@@ -594,7 +688,9 @@ impl Adapter {
                     Cycle::MAX
                 };
             }
+            earliest = earliest.min(self.timer_deadline[d]);
         }
+        self.earliest_deadline = earliest;
     }
 
     /// Round-robin AdVOQ arbitration gated by the IRD (§III-D event #8):
@@ -603,8 +699,8 @@ impl Adapter {
         let n = self.advoqs.len();
         let iso = self.cfg.iso;
         let stop_flits = iso.map_or(0, |i| i.stop_mtus * self.cfg.mtu_flits);
-        for step in 0..n {
-            let d = (self.rr + step) % n;
+        let mut walk = RoundRobin::new(self.rr, n);
+        while let Some(d) = walk.next(&self.backlogged) {
             let Some(head) = self.advoqs[d].head_visible(now) else {
                 continue;
             };
@@ -684,7 +780,7 @@ impl Adapter {
                 None => continue,
             };
             // Commit the move.
-            let entry = self.advoqs[d].pop().expect("head exists");
+            let entry = self.pop_advoq(d);
             let dst = entry.packet.dst;
             let wire = entry.packet.wire_bytes();
             self.out_ram.reserve(size).expect("checked above");
@@ -849,6 +945,15 @@ impl Adapter {
         })
     }
 
+    /// Pop the head of the non-empty AdVOQ `d`.
+    fn pop_advoq(&mut self, d: usize) -> QueuedPacket {
+        let entry = self.advoqs[d].pop().expect("backlogged AdVOQ has a head");
+        if self.advoqs[d].is_empty() {
+            self.backlogged.remove(d);
+        }
+        entry
+    }
+
     fn voqnet_ok(voqnet: Option<&VoqNetCredits>, link: LinkId, dst: NodeId, size: u32) -> bool {
         match voqnet {
             Some(vn) => vn.has(link.0, dst.0, size),
@@ -873,6 +978,12 @@ impl Adapter {
         debug_assert_eq!(
             self.cfq_count,
             self.cfqs.iter().filter(|c| c.state.is_some()).count()
+        );
+        debug_assert!(
+            (0..self.advoqs.len())
+                .all(|d| self.backlogged.contains(d) != self.advoqs[d].is_empty()),
+            "backlogged set out of step with the AdVOQs at {}",
+            self.node
         );
         self.resident == 0 && self.becn_out.is_empty() && self.cfq_count == 0
     }
@@ -924,6 +1035,7 @@ impl Adapter {
         for d in 0..self.advoqs.len() {
             if unreachable(NodeId(d as u32)) {
                 self.advoqs[d].drain_all_into(scratch);
+                self.backlogged.remove(d);
             }
         }
         let advoq_purged = scratch.len();
@@ -1288,6 +1400,230 @@ mod voqnet_tests {
         // Round robin: first three are 1,2,3 in some rotation, then repeat.
         assert_eq!(&dsts[0..3], &[1, 2, 3]);
         assert_eq!(&dsts[3..6], &[1, 2, 3]);
+    }
+}
+
+/// The backlogged-set walk and the deadline-gated timer scan against
+/// the exhaustive ones they replaced.
+#[cfg(test)]
+mod walk_tests {
+    use super::*;
+    use ccfit_engine::ids::FlowId;
+    use ccfit_engine::link::LinkConfig;
+    use ccfit_metrics::MetricsCollector;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Sizes around the word boundary of the bitset.
+    const SIZES: [usize; 6] = [1, 7, 64, 65, 100, 128];
+
+    proptest! {
+        /// The cursor yields exactly the members the `(start + step) % n`
+        /// walk meets, in the order it meets them.
+        #[test]
+        fn round_robin_cursor_matches_the_modular_walk(
+            size in 0usize..SIZES.len(),
+            members in prop::collection::vec(any::<u32>(), 0..40),
+            start in any::<u32>(),
+        ) {
+            let n = SIZES[size];
+            let start = start as usize % n;
+            let mut set = DstSet::new(n);
+            for m in members {
+                set.insert(m as usize % n);
+            }
+            let expect: Vec<usize> = (0..n)
+                .map(|step| (start + step) % n)
+                .filter(|&d| set.contains(d))
+                .collect();
+            let mut walk = RoundRobin::new(start, n);
+            let mut got = Vec::new();
+            while let Some(d) = walk.next(&set) {
+                got.push(d);
+            }
+            prop_assert_eq!(got, expect);
+        }
+    }
+
+    /// An adapter with its injection link, a sink that returns credits,
+    /// and the release bookkeeping the simulator would do.
+    struct Rig {
+        a: Adapter,
+        links: Vec<Link>,
+        vn: Option<VoqNetCredits>,
+        m: MetricsCollector,
+        releases: Vec<AdapterRelease>,
+        /// Packet ids in the order they reached the far end of the link.
+        out: Vec<u64>,
+    }
+
+    /// Per-destination VOQnet credits: two MTU packets.
+    const VN_CREDITS: u32 = 64;
+
+    impl Rig {
+        fn new(n: usize, thr: bool, iso: bool, direct: bool) -> Self {
+            let units = UnitModel::default();
+            let cfg = AdapterCfg {
+                iso: iso.then(IsolationParams::default),
+                thr: thr.then(|| AdapterThrottle::from_params(&ThrottleParams::default(), &units)),
+                mtu_flits: 32,
+                out_ram_flits: 512,
+                advoq_cap_flits: 128,
+                nfq_gate_flits: 128,
+                per_dest_output: direct,
+                dcqcn: None,
+                hpcc: None,
+                data_overhead_bytes: 0,
+            };
+            let vn = direct.then(|| {
+                let vn = VoqNetCredits::new(1, n);
+                for d in 0..n {
+                    vn.set(0, d as u32, VN_CREDITS);
+                }
+                vn
+            });
+            Self {
+                a: Adapter::new(NodeId(0), cfg, LinkId(0), 1, n),
+                links: vec![Link::new(LinkConfig::default(), 256)],
+                vn,
+                m: MetricsCollector::new(units, 1000.0),
+                releases: Vec::new(),
+                out: Vec::new(),
+            }
+        }
+
+        /// One cycle. With `exhaustive` the arbiters walk every AdVOQ in
+        /// `(rr + step) % n` order and the timers are scanned, as before
+        /// the backlogged set and the cached deadline existed.
+        fn tick(&mut self, now: Cycle, exhaustive: bool) {
+            let a = &mut self.a;
+            self.releases.retain(|r| {
+                if r.at <= now {
+                    a.release_ram(r.flits);
+                }
+                r.at > now
+            });
+            self.links[0].poll_credits(now);
+            a.poll_ctrl(now, &mut self.links, &mut self.m);
+            if exhaustive {
+                for d in 0..a.advoqs.len() {
+                    a.backlogged.insert(d);
+                }
+                a.earliest_deadline = 0;
+            }
+            let rel = a.tick(now, &mut self.links, self.vn.as_ref(), &mut self.m);
+            self.releases.extend(rel);
+            if exhaustive {
+                for d in 0..a.advoqs.len() {
+                    if a.advoqs[d].is_empty() {
+                        a.backlogged.remove(d);
+                    }
+                }
+            }
+            let mut arrived = Vec::new();
+            self.links[0].deliver_into(now, &mut arrived);
+            for d in arrived {
+                self.out.push(d.packet.id.0);
+                self.links[0].return_credits(now, d.packet.size_flits);
+                // Every fifth destination never drains: its VOQnet
+                // credits run out and its AdVOQ stays blocked.
+                if let Some(vn) = &self.vn {
+                    if d.packet.dst.0 % 5 != 0 {
+                        vn.add(0, d.packet.dst.0, d.packet.size_flits);
+                    }
+                }
+            }
+        }
+
+        fn backlogged_matches_the_advoqs(&self) -> bool {
+            (0..self.a.advoqs.len())
+                .all(|d| self.a.backlogged.contains(d) != self.a.advoqs[d].is_empty())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random inject / tick / purge / BECN / Stop-Go sequences drive
+        /// two adapters in lock step, one arbitrating over the
+        /// backlogged set, the other exhaustively: same packets out in
+        /// the same order, same `rr`, same throttling state, same
+        /// counters.
+        #[test]
+        fn backlogged_walk_matches_the_exhaustive_walk(
+            size in 0usize..3,
+            shape in 0usize..5,
+            ops in prop::collection::vec((0u8..14, any::<u32>(), 0u64..48), 1..400),
+        ) {
+            let n = [7, 64, 100][size];
+            // (thr, iso, per_dest_output)
+            let (thr, iso, direct) = [
+                (false, false, false),
+                (true, false, false),
+                (false, true, false),
+                (true, true, false),
+                (false, false, true),
+            ][shape];
+            let mut new = Rig::new(n, thr, iso, direct);
+            let mut old = Rig::new(n, thr, iso, direct);
+            let mut now: Cycle = 0;
+            let mut next_id = 0u64;
+            for (op, a, b) in ops {
+                let dst = a % n as u32;
+                match op {
+                    0..=5 => {
+                        let gp = GenPacket {
+                            flow: FlowId(0),
+                            dst: NodeId(dst),
+                            size_flits: 32,
+                            size_bytes: 2048,
+                        };
+                        let admitted = new.a.try_inject(now, gp, PacketId(next_id));
+                        prop_assert_eq!(admitted, old.a.try_inject(now, gp, PacketId(next_id)));
+                        next_id += 1;
+                    }
+                    6..=9 => {
+                        now += 1 + b;
+                        new.tick(now, false);
+                        old.tick(now, true);
+                    }
+                    10 => {
+                        let dead = |d: NodeId| d.0 % 3 == a % 3;
+                        let mut scratch = Vec::new();
+                        let purged = new.a.purge_unreachable(&dead, &mut scratch);
+                        prop_assert_eq!(purged, old.a.purge_unreachable(&dead, &mut scratch));
+                    }
+                    11 => {
+                        new.a.on_becn(now, NodeId(dst), &mut new.m);
+                        old.a.on_becn(now, NodeId(dst), &mut old.m);
+                    }
+                    _ => {
+                        let d = NodeId(dst);
+                        let ev = match b % 4 {
+                            0 => CtrlEvent::CfqAlloc { dst: d },
+                            1 => CtrlEvent::Stop { dst: d },
+                            2 => CtrlEvent::Go { dst: d },
+                            _ => CtrlEvent::CfqDealloc { dst: d },
+                        };
+                        new.links[0].send_ctrl(now, ev);
+                        old.links[0].send_ctrl(now, ev);
+                    }
+                }
+                prop_assert!(new.backlogged_matches_the_advoqs());
+                prop_assert_eq!(new.a.is_quiet(), old.a.is_quiet());
+                prop_assert_eq!(new.a.rr, old.a.rr);
+                prop_assert_eq!(&new.out, &old.out);
+                prop_assert_eq!(&new.a.ccti, &old.a.ccti);
+                prop_assert_eq!(&new.a.timer_deadline, &old.a.timer_deadline);
+                prop_assert_eq!(&new.a.next_allowed, &old.a.next_allowed);
+                prop_assert_eq!(new.a.resident_packets(), old.a.resident_packets());
+            }
+            let labels = BTreeMap::new();
+            prop_assert_eq!(
+                new.m.finish("t", 1000.0, 1.0, &labels).to_json(),
+                old.m.finish("t", 1000.0, 1.0, &labels).to_json()
+            );
+        }
     }
 }
 

@@ -356,12 +356,31 @@ pub struct Switch {
     arb: ArbScratch,
     /// Per-call control-event scratch.
     ctrl_scratch: Vec<CtrlEvent>,
+    /// Per-input-port memo of the congestion-detection scan (`None` =
+    /// stale). Dropped by every event that can change the scan's inputs
+    /// — the port's NFQ contents, its CFQ destinations, any output CAM's
+    /// key set, the routing table — see [`Self::detection_scan`].
+    detect_memo: Vec<Option<DetectScan>>,
+    /// Per-call tally scratch of the detection scan.
+    detect_tally: Vec<(NodeId, u32)>,
+    /// Per-call packet scratch of the fault purges.
+    purge_scratch: Vec<QueuedPacket>,
     /// When set, every link this switch sends on (ctrl or data) is noted
     /// in `touched_links` so the sparse scheduler can activate it
     /// (DESIGN.md §12). Off on the dense paths: zero hot-path cost.
     record_touched: bool,
     /// Links sent on since the last [`Self::drain_touched_links`].
     touched_links: Vec<u32>,
+}
+
+/// Result of the congestion-detection scan over one input port's NFQ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DetectScan {
+    /// Flits of data packets matched by neither a CFQ of the port nor an
+    /// output-CAM line.
+    unmatched_total: u32,
+    /// The destination dominating that backlog (`None` when it is empty).
+    dominant: Option<NodeId>,
 }
 
 /// Reusable buffers for `arbitrate_and_transmit` so the per-cycle hot
@@ -441,6 +460,9 @@ impl Switch {
                 matches: Vec::new(),
             },
             ctrl_scratch: Vec::new(),
+            detect_memo: vec![None; num_ports],
+            detect_tally: Vec::new(),
+            purge_scratch: Vec::new(),
             record_touched: false,
             touched_links: Vec::new(),
         }
@@ -485,7 +507,10 @@ impl Switch {
                 let q = d.packet.dst.index() % qs.len();
                 qs[q].push(d.packet, d.visible_at, d.ready_at)
             }
-            InputQueues::Isolating { nfq, .. } => nfq.push(d.packet, d.visible_at, d.ready_at),
+            InputQueues::Isolating { nfq, .. } => {
+                nfq.push(d.packet, d.visible_at, d.ready_at);
+                self.detect_memo[port] = None;
+            }
         }
     }
 
@@ -510,6 +535,9 @@ impl Switch {
     ) {
         let sw = self.id.0;
         let scratch = &mut self.ctrl_scratch;
+        // An output CAM gained or lost a key: every input port's
+        // detection scan consults these CAMs.
+        let mut cam_keys_changed = false;
         for (o, out) in self.outputs.iter_mut().enumerate() {
             let Some(link) = out.out_link else { continue };
             if !links[link.index()].has_ctrl(now) {
@@ -520,38 +548,40 @@ impl Switch {
             for &ev in scratch.iter() {
                 match ev {
                     CtrlEvent::CfqAlloc { dst } => {
-                        if out.cam.lookup(dst).is_none()
-                            && out
+                        if out.cam.lookup(dst).is_none() {
+                            if out
                                 .cam
                                 .allocate(dst, OutCamState { stopped: false })
-                                .is_err()
-                        {
-                            metrics.count("out_cam_exhausted", 1);
-                            if metrics.wants_events(EventClass::CAM) {
-                                metrics.cc_event(CcEvent {
-                                    at: now,
-                                    kind: CcEventKind::CamExhausted {
-                                        sw,
-                                        port: o as u32,
-                                        dst: dst.0,
-                                    },
-                                });
+                                .is_ok()
+                            {
+                                cam_keys_changed = true;
+                            } else {
+                                metrics.count("out_cam_exhausted", 1);
+                                if metrics.wants_events(EventClass::CAM) {
+                                    metrics.cc_event(CcEvent {
+                                        at: now,
+                                        kind: CcEventKind::CamExhausted {
+                                            sw,
+                                            port: o as u32,
+                                            dst: dst.0,
+                                        },
+                                    });
+                                }
                             }
                         }
                     }
                     CtrlEvent::CfqDealloc { dst } => {
                         if let Some(idx) = out.cam.lookup(dst) {
                             out.cam.free(idx);
+                            cam_keys_changed = true;
                         }
                     }
                     CtrlEvent::Stop { dst } => {
                         if let Some(idx) = out.cam.lookup(dst) {
                             out.cam.get_mut(idx).unwrap().value.stopped = true;
-                        } else if out
-                            .cam
-                            .allocate(dst, OutCamState { stopped: true })
-                            .is_err()
-                        {
+                        } else if out.cam.allocate(dst, OutCamState { stopped: true }).is_ok() {
+                            cam_keys_changed = true;
+                        } else {
                             metrics.count("out_cam_exhausted", 1);
                             if metrics.wants_events(EventClass::CAM) {
                                 metrics.cc_event(CcEvent {
@@ -595,6 +625,80 @@ impl Switch {
                 }
             }
         }
+        if cam_keys_changed {
+            self.detect_memo.fill(None);
+        }
+    }
+
+    /// Tally the NFQ backlog of input `port` that nothing isolates yet.
+    /// Packets that already match a CFQ or a propagated output-CAM line
+    /// are about to be isolated anyway, so only *unisolated* traffic
+    /// counts — otherwise the residue of an already-detected hotspot gets
+    /// mis-attributed to whatever victim packet sits at the head
+    /// (allocating a CFQ for a non-congested destination and, in CCFIT,
+    /// marking and throttling the victim). The NFQ holds at most RAM/MTU
+    /// packets, so the scan is small, but see [`Self::detection_scan`].
+    fn scan_unisolated(
+        &self,
+        port: usize,
+        routing: &RoutingTable,
+        tally: &mut Vec<(NodeId, u32)>,
+    ) -> DetectScan {
+        let InputQueues::Isolating { nfq, cfqs } = &self.inputs[port].queues else {
+            unreachable!("detection scan on non-isolating scheme")
+        };
+        tally.clear();
+        let mut unmatched_total = 0u32;
+        for e in nfq.iter() {
+            if !e.packet.is_data() {
+                continue;
+            }
+            let dst = e.packet.dst;
+            if cfqs
+                .iter()
+                .any(|c| matches!(c.state, Some(s) if s.dst == dst))
+            {
+                continue;
+            }
+            let out = routing.route(self.id, dst).index();
+            if self.outputs[out].cam.lookup(dst).is_some() {
+                continue;
+            }
+            unmatched_total += e.packet.size_flits;
+            match tally.iter_mut().find(|(d, _)| *d == dst) {
+                Some((_, f)) => *f += e.packet.size_flits,
+                None => tally.push((dst, e.packet.size_flits)),
+            }
+        }
+        DetectScan {
+            unmatched_total,
+            // The congested destination is the one dominating the
+            // unisolated backlog.
+            dominant: tally.iter().max_by_key(|(_, f)| *f).map(|&(d, _)| d),
+        }
+    }
+
+    /// [`Self::scan_unisolated`], memoised per input port. A port blocked
+    /// above the detection threshold with no CFQ left asks the same
+    /// question every cycle; the answer only changes when the port's NFQ
+    /// contents, its CFQ destinations, an output CAM's key set or the
+    /// routing table do, and each of those events drops the memo
+    /// (DESIGN.md §12).
+    fn detection_scan(&mut self, port: usize, routing: &RoutingTable) -> DetectScan {
+        if let Some(hit) = self.detect_memo[port] {
+            debug_assert_eq!(
+                hit,
+                self.scan_unisolated(port, routing, &mut Vec::new()),
+                "stale detection memo at {} in{port}",
+                self.id
+            );
+            return hit;
+        }
+        let mut tally = std::mem::take(&mut self.detect_tally);
+        let scan = self.scan_unisolated(port, routing, &mut tally);
+        self.detect_tally = tally;
+        self.detect_memo[port] = Some(scan);
+        scan
     }
 
     /// Is the congested flow `dst` draining through `out` currently
@@ -644,13 +748,7 @@ impl Switch {
             //
             // When the NFQ fill level crosses the detection threshold,
             // identify the congested destination and allocate a CFQ + CAM
-            // line for it. Packets that already match a CFQ or a
-            // propagated output-CAM line are about to be isolated anyway,
-            // so only *unisolated* traffic counts — otherwise the residue
-            // of an already-detected hotspot gets mis-attributed to
-            // whatever victim packet sits at the head (allocating a CFQ
-            // for a non-congested destination and, in CCFIT, marking and
-            // throttling the victim).
+            // line for it.
             let nfq_occ = {
                 let InputQueues::Isolating { nfq, .. } = &self.inputs[port].queues else {
                     unreachable!("isolation_tick on non-isolating scheme")
@@ -658,42 +756,10 @@ impl Switch {
                 nfq.occupancy_flits()
             };
             if nfq_occ >= detect_flits {
-                // Tally unisolated flits per destination (the NFQ holds at
-                // most RAM/MTU packets, so this scan is tiny).
-                let mut tally: Vec<(NodeId, u32)> = Vec::new();
-                let mut unmatched_total = 0u32;
-                {
-                    let InputQueues::Isolating { nfq, cfqs } = &self.inputs[port].queues else {
-                        unreachable!()
-                    };
-                    for e in nfq.iter() {
-                        if !e.packet.is_data() {
-                            continue;
-                        }
-                        let dst = e.packet.dst;
-                        if cfqs
-                            .iter()
-                            .any(|c| matches!(c.state, Some(s) if s.dst == dst))
-                        {
-                            continue;
-                        }
-                        let out = routing.route(self.id, dst).index();
-                        if self.outputs[out].cam.lookup(dst).is_some() {
-                            continue;
-                        }
-                        unmatched_total += e.packet.size_flits;
-                        match tally.iter_mut().find(|(d, _)| *d == dst) {
-                            Some((_, f)) => *f += e.packet.size_flits,
-                            None => tally.push((dst, e.packet.size_flits)),
-                        }
-                    }
-                }
-                if unmatched_total >= detect_flits {
-                    // The congested destination is the one dominating the
-                    // unisolated backlog.
-                    let (dst, _) = *tally
-                        .iter()
-                        .max_by_key(|(_, f)| *f)
+                let scan = self.detection_scan(port, routing);
+                if scan.unmatched_total >= detect_flits {
+                    let dst = scan
+                        .dominant
                         .expect("unmatched_total > 0 implies a tally entry");
                     let out = routing.route(self.id, dst).index();
                     match self.inputs[port].queues.cfq_free_slot() {
@@ -706,6 +772,7 @@ impl Switch {
                             // the congestion point: a root CFQ.
                             cfqs[free].state = Some(CfqState::new(dst, out, true));
                             self.cfq_count += 1;
+                            self.detect_memo[port] = None;
                             metrics.count("cfq_allocated", 1);
                             metrics.count("congestion_detected", 1);
                             metrics.count(
@@ -722,12 +789,6 @@ impl Switch {
                                         root: true,
                                     },
                                 });
-                            }
-                            if std::env::var_os("CCFIT_TRACE_DETECT").is_some() {
-                                eprintln!(
-                                    "[{} cyc] detect sw{} in{} dst{} unmatched={} nfq_occ={}",
-                                    now, self.id.0, port, dst.0, unmatched_total, nfq_occ
-                                );
                             }
                         }
                         None => {
@@ -823,6 +884,9 @@ impl Switch {
                         cfqs[s]
                             .queue
                             .push(entry.packet, entry.visible_at, entry.ready_at);
+                        // The NFQ changed (and so did the CFQ set, if the
+                        // slot was allocated just above).
+                        self.detect_memo[port] = None;
                         metrics.count("packets_isolated", 1);
                     }
                     None => break, // head is non-congested (or unisolatable)
@@ -978,6 +1042,7 @@ impl Switch {
                         };
                         cfqs[c].state = None;
                         self.cfq_count -= 1;
+                        self.detect_memo[port] = None;
                         metrics.count("cfq_deallocated", 1);
                         if metrics.wants_events(EventClass::CFQ) {
                             metrics.cc_event(CcEvent {
@@ -1263,7 +1328,10 @@ impl Switch {
             (InputQueues::PerOutput(qs), QueueKey::PerOutput(o)) => qs[o].pop(),
             (InputQueues::PerDest(qs), QueueKey::PerDest(d)) => qs[d].pop(),
             (InputQueues::DstMod(qs), QueueKey::PerDest(q)) => qs[q].pop(),
-            (InputQueues::Isolating { nfq, .. }, QueueKey::Nfq) => nfq.pop(),
+            (InputQueues::Isolating { nfq, .. }, QueueKey::Nfq) => {
+                self.detect_memo[port] = None;
+                nfq.pop()
+            }
             (InputQueues::Isolating { cfqs, .. }, QueueKey::Cfq(c)) => cfqs[c].queue.pop(),
             _ => unreachable!("queue key does not match the scheme"),
         };
@@ -1563,7 +1631,7 @@ impl Switch {
     /// Returns what was destroyed.
     pub fn purge_all(&mut self) -> PurgeStats {
         let mut stats = PurgeStats::default();
-        let mut drained: Vec<QueuedPacket> = Vec::new();
+        let mut drained = std::mem::take(&mut self.purge_scratch);
         for inp in &mut self.inputs {
             match &mut inp.queues {
                 InputQueues::Single(q) => q.drain_all_into(&mut drained),
@@ -1594,9 +1662,12 @@ impl Switch {
             out.int_tx_flits = 0;
             out.int_tx_last = 0;
         }
+        drained.clear();
+        self.purge_scratch = drained;
         self.buffered = 0;
         self.cfq_count = 0;
         self.congested_count = 0;
+        self.detect_memo.fill(None);
         stats
     }
 
@@ -1609,7 +1680,7 @@ impl Switch {
         unreachable: &dyn Fn(NodeId) -> bool,
         out: &mut Vec<(usize, QueuedPacket)>,
     ) {
-        let mut scratch: Vec<QueuedPacket> = Vec::new();
+        let mut scratch = std::mem::take(&mut self.purge_scratch);
         for port in 0..self.inputs.len() {
             scratch.clear();
             {
@@ -1642,12 +1713,15 @@ impl Switch {
                 out.push((port, e));
             }
         }
+        self.purge_scratch = scratch;
+        self.detect_memo.fill(None);
     }
 
     /// Fault subsystem: forget the downstream congestion state mirrored
     /// at output `port` — it died with the cable (fail-stop quiesce).
     pub fn clear_output_cam(&mut self, port: usize) {
         self.outputs[port].cam.clear();
+        self.detect_memo.fill(None);
     }
 
     /// Fault subsystem: forget that alloc/Stop notifications were sent
@@ -1663,6 +1737,7 @@ impl Switch {
                 }
             }
         }
+        self.detect_memo[port] = None;
     }
 
     /// Occupancy (flits) of the VOQnet per-destination queue `dst` at
@@ -1711,6 +1786,7 @@ impl Switch {
                 _ => {}
             }
         }
+        self.detect_memo.fill(None);
     }
 
     /// Whether any packet is buffered in this switch (O(1); incremental
@@ -2490,6 +2566,249 @@ mod tests {
             "no new exhaustion"
         );
         assert!(fx.sw.outputs[2].cam.lookup(NodeId(7)).is_some());
+    }
+
+    // ---- invalidation contract of the detection-scan memo ----
+    //
+    // One case per event that drops the memo. Where a stale memo would
+    // change the verdict the case asserts the verdict (and, in debug
+    // builds, `detection_scan`'s own hit check would fire first); where
+    // the event provably cannot move the scan result it asserts that the
+    // memo is dropped all the same.
+
+    /// Isolating fixture with `num_cfqs` CFQs per port and the default
+    /// 8-MTU detection threshold. With no CFQ every detection ends in
+    /// `CfqExhausted { dst: dominant }`, which makes the verdict of each
+    /// cycle observable.
+    fn memo_fixture(num_cfqs: usize) -> Fixture {
+        let iso = IsolationParams {
+            num_cfqs,
+            ..IsolationParams::default()
+        };
+        fixture(QueueingScheme::Isolating, Some(iso), None)
+    }
+
+    fn deliver_n(fx: &mut Fixture, id: &mut u64, n: usize, dst: u32) {
+        for _ in 0..n {
+            deliver(fx, 0, pkt(*id, dst));
+            *id += 1;
+        }
+    }
+
+    /// Run one post-processing cycle and return the destinations the
+    /// detection stage named this cycle (root `CfqAlloc` or
+    /// `CfqExhausted`).
+    fn verdicts(fx: &mut Fixture, now: Cycle) -> Vec<u32> {
+        let mut m = MetricsCollector::new(UnitModel::default(), 100_000.0);
+        m.enable_events(ccfit_metrics::EventConfig::default());
+        fx.sw
+            .isolation_tick(now, &fx.routing, &mut fx.links, &mut m);
+        let named = m
+            .events()
+            .expect("log enabled")
+            .iter()
+            .filter_map(|e| match e.kind {
+                CcEventKind::CfqExhausted { dst, .. }
+                | CcEventKind::CfqAlloc {
+                    dst, root: true, ..
+                } => Some(dst),
+                _ => None,
+            })
+            .collect();
+        named
+    }
+
+    #[test]
+    fn memo_hit_repeats_the_verdict_every_cycle() {
+        let mut fx = memo_fixture(0);
+        let mut id = 0;
+        deliver_n(&mut fx, &mut id, 6, 6);
+        deliver_n(&mut fx, &mut id, 3, 2);
+        for now in 0..5 {
+            assert_eq!(verdicts(&mut fx, now), vec![6], "cycle {now}");
+            assert!(fx.sw.detect_memo[0].is_some());
+        }
+    }
+
+    #[test]
+    fn nfq_push_drops_the_memo() {
+        let mut fx = memo_fixture(0);
+        let mut id = 0;
+        deliver_n(&mut fx, &mut id, 5, 6);
+        deliver_n(&mut fx, &mut id, 3, 2);
+        assert_eq!(verdicts(&mut fx, 0), vec![6]);
+        // Three more for dst 2: it now dominates 6 MTUs to 5.
+        deliver_n(&mut fx, &mut id, 3, 2);
+        assert_eq!(verdicts(&mut fx, 1), vec![2]);
+    }
+
+    #[test]
+    fn nfq_pop_by_arbitration_drops_the_memo() {
+        let mut fx = memo_fixture(0);
+        let mut id = 0;
+        deliver_n(&mut fx, &mut id, 6, 6);
+        deliver_n(&mut fx, &mut id, 5, 2);
+        assert_eq!(verdicts(&mut fx, 0), vec![6]);
+        // Two dst-6 heads leave through the crossbar: 4 MTUs to 5.
+        let mut now = 0;
+        for _ in 0..2 {
+            let rel = fx.sw.arbitrate_and_transmit(
+                now,
+                &fx.routing,
+                &mut fx.links,
+                None,
+                &mut fx.metrics,
+            );
+            assert_eq!(rel[0].dst, NodeId(6));
+            now = rel[0].at;
+        }
+        assert_eq!(verdicts(&mut fx, now), vec![2]);
+    }
+
+    #[test]
+    fn root_cfq_allocation_drops_the_memo() {
+        let mut fx = memo_fixture(1);
+        let mut id = 0;
+        // A dst-2 head keeps post-processing from moving anything, so
+        // the NFQ stays at 12 MTUs across the allocation.
+        deliver_n(&mut fx, &mut id, 1, 2);
+        deliver_n(&mut fx, &mut id, 9, 6);
+        deliver_n(&mut fx, &mut id, 2, 2);
+        assert_eq!(verdicts(&mut fx, 0), vec![6]);
+        assert_eq!(fx.sw.cfqs_allocated(), 1);
+        // dst 6 is isolated now; the 3 unisolated MTUs are below the
+        // threshold, so nothing is detected (a stale memo would report
+        // dst 6 again and count a CFQ exhaustion).
+        assert_eq!(verdicts(&mut fx, 1), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn cfq_deallocation_drops_the_memo() {
+        let iso = IsolationParams {
+            num_cfqs: 1,
+            dealloc_linger_cycles: 2,
+            ..IsolationParams::default()
+        };
+        let mut fx = fixture(QueueingScheme::Isolating, Some(iso), None);
+        let mut id = 0;
+        deliver_n(&mut fx, &mut id, 1, 2); // head: nothing is ever moved
+        deliver_n(&mut fx, &mut id, 9, 6);
+        assert_eq!(verdicts(&mut fx, 0), vec![6]);
+        // The CFQ stays empty, lingers two cycles and is released ...
+        assert_eq!(verdicts(&mut fx, 1), Vec::<u32>::new());
+        assert_eq!(verdicts(&mut fx, 2), Vec::<u32>::new());
+        assert_eq!(fx.sw.cfqs_allocated(), 0);
+        // ... which puts the nine dst-6 MTUs back among the unisolated.
+        assert_eq!(verdicts(&mut fx, 3), vec![6]);
+    }
+
+    /// 1 × dst 2 (head), 6 × dst 6, 5 × dst 5: dst 6 dominates unless an
+    /// output-CAM line isolates it, in which case the 6 remaining MTUs
+    /// are below the threshold.
+    fn cam_memo_fixture() -> Fixture {
+        let mut fx = memo_fixture(0);
+        let mut id = 0;
+        deliver_n(&mut fx, &mut id, 1, 2);
+        deliver_n(&mut fx, &mut id, 6, 6);
+        deliver_n(&mut fx, &mut id, 5, 5);
+        fx
+    }
+
+    #[test]
+    fn output_cam_alloc_and_free_drop_every_memo() {
+        for announce in [
+            CtrlEvent::CfqAlloc { dst: NodeId(6) },
+            CtrlEvent::Stop { dst: NodeId(6) }, // allocates the line too
+        ] {
+            let mut fx = cam_memo_fixture();
+            assert_eq!(verdicts(&mut fx, 0), vec![6]);
+            fx.links[2].send_ctrl(0, announce);
+            fx.sw.poll_output_ctrl(10, &mut fx.links, &mut fx.metrics);
+            assert_eq!(verdicts(&mut fx, 10), Vec::<u32>::new(), "{announce:?}");
+            fx.links[2].send_ctrl(10, CtrlEvent::CfqDealloc { dst: NodeId(6) });
+            fx.sw.poll_output_ctrl(20, &mut fx.links, &mut fx.metrics);
+            assert_eq!(verdicts(&mut fx, 20), vec![6], "{announce:?}");
+        }
+    }
+
+    #[test]
+    fn clear_output_cam_drops_every_memo() {
+        let mut fx = cam_memo_fixture();
+        fx.links[2].send_ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+        fx.sw.poll_output_ctrl(10, &mut fx.links, &mut fx.metrics);
+        assert_eq!(verdicts(&mut fx, 10), Vec::<u32>::new());
+        fx.sw.clear_output_cam(2);
+        assert_eq!(verdicts(&mut fx, 11), vec![6]);
+    }
+
+    #[test]
+    fn routing_change_drops_every_memo() {
+        let mut fx = cam_memo_fixture();
+        fx.links[2].send_ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+        fx.sw.poll_output_ctrl(10, &mut fx.links, &mut fx.metrics);
+        assert_eq!(verdicts(&mut fx, 10), Vec::<u32>::new());
+        // dst 6 moves to output 1, whose CAM knows nothing about it.
+        fx.routing = RoutingTable::from_tables(vec![(0..8)
+            .map(|d| {
+                if d < 4 || d == 6 {
+                    PortId(1)
+                } else {
+                    PortId(2)
+                }
+            })
+            .collect()]);
+        fx.sw.on_routing_changed(&fx.routing);
+        assert_eq!(verdicts(&mut fx, 11), vec![6]);
+    }
+
+    #[test]
+    fn purge_unreachable_drops_every_memo() {
+        let mut fx = memo_fixture(0);
+        let mut id = 0;
+        deliver_n(&mut fx, &mut id, 10, 6);
+        deliver_n(&mut fx, &mut id, 9, 5);
+        assert_eq!(verdicts(&mut fx, 0), vec![6]);
+        let mut purged = Vec::new();
+        fx.sw.purge_unreachable(&|d| d == NodeId(6), &mut purged);
+        assert_eq!(purged.len(), 10);
+        assert_eq!(verdicts(&mut fx, 1), vec![5]);
+    }
+
+    #[test]
+    fn writers_that_cannot_move_the_verdict_still_drop_the_memo() {
+        // Post-processing: the non-root CFQ allocation and the NFQ→CFQ
+        // moves only touch packets the scan already skipped.
+        let mut fx = memo_fixture(1);
+        fx.links[2].send_ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+        fx.sw.poll_output_ctrl(10, &mut fx.links, &mut fx.metrics);
+        let mut id = 0;
+        deliver_n(&mut fx, &mut id, 12, 6);
+        assert_eq!(verdicts(&mut fx, 10), Vec::<u32>::new());
+        assert_eq!(fx.sw.cfqs_allocated(), 1, "non-root CFQ via the CAM hit");
+        assert_eq!(fx.sw.detect_memo[0], None, "allocation + moves");
+        assert_eq!(verdicts(&mut fx, 11), Vec::<u32>::new());
+        assert_eq!(fx.sw.detect_memo[0], None, "moves alone");
+        // One more cycle empties the NFQ; refill it behind a dst-2 head,
+        // which stops the moves, so the next scans leave a memo behind.
+        verdicts(&mut fx, 12);
+        deliver_n(&mut fx, &mut id, 1, 2);
+        deliver_n(&mut fx, &mut id, 8, 6);
+        let prime = |fx: &mut Fixture, now| {
+            verdicts(fx, now);
+            assert!(fx.sw.detect_memo[0].is_some(), "primed at {now}");
+        };
+        // Fault path: upstream-notification flags are not a scan input.
+        prime(&mut fx, 13);
+        fx.sw.reset_upstream_ctrl_flags(0);
+        assert_eq!(fx.sw.detect_memo[0], None);
+        // A purge of nothing, and the whole-switch purge (which empties
+        // the NFQ, so the memo cannot be consulted before the next push).
+        prime(&mut fx, 14);
+        fx.sw.purge_unreachable(&|_| false, &mut Vec::new());
+        assert_eq!(fx.sw.detect_memo[0], None);
+        prime(&mut fx, 15);
+        fx.sw.purge_all();
+        assert_eq!(fx.sw.detect_memo[0], None);
     }
 }
 

@@ -24,6 +24,8 @@ pub struct MetricsCollector {
     latency_hist: LatencyHistogram,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, TimeSeries>,
+    /// Reused buffer for the `<name>_samples` key of [`Self::gauge`].
+    samples_key: String,
     delivered_packets: u64,
     delivered_bytes: u64,
     faults: Option<FaultSummary>,
@@ -44,6 +46,7 @@ impl MetricsCollector {
             latency_hist: LatencyHistogram::new(),
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
+            samples_key: String::new(),
             delivered_packets: 0,
             delivered_bytes: 0,
             faults: None,
@@ -122,8 +125,17 @@ impl MetricsCollector {
 
     /// Increment a named event counter (CFQ allocations, FECN marks,
     /// BECNs received, …).
+    ///
+    /// Hot: a congested run bumps the same few names hundreds of
+    /// thousands of times, so an existing name is found by `&str` and
+    /// only a new one allocates its key.
     pub fn count(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Current value of a counter.
@@ -137,14 +149,26 @@ impl MetricsCollector {
     /// per-bin mean is needed — [`SimReport::gauge_mean_per_bin`] does
     /// this automatically.
     pub fn gauge(&mut self, name: &str, at_ns: f64, value: f64) {
-        self.gauges
-            .entry(name.to_string())
-            .or_insert_with(|| TimeSeries::new(self.bin_ns))
-            .add(at_ns, value);
-        self.gauges
-            .entry(format!("{name}_samples"))
-            .or_insert_with(|| TimeSeries::new(self.bin_ns))
-            .add(at_ns, 1.0);
+        self.gauge_add(name, at_ns, value);
+        let mut key = std::mem::take(&mut self.samples_key);
+        key.clear();
+        key.push_str(name);
+        key.push_str("_samples");
+        self.gauge_add(&key, at_ns, 1.0);
+        self.samples_key = key;
+    }
+
+    /// Add to the series of gauge `name`, creating it on first use (the
+    /// only time the key is allocated).
+    fn gauge_add(&mut self, name: &str, at_ns: f64, value: f64) {
+        match self.gauges.get_mut(name) {
+            Some(series) => series.add(at_ns, value),
+            None => {
+                let mut series = TimeSeries::new(self.bin_ns);
+                series.add(at_ns, value);
+                self.gauges.insert(name.to_string(), series);
+            }
+        }
     }
 
     /// Total delivered data packets so far.
@@ -259,6 +283,58 @@ mod tests {
         c.count("fecn_marked", 2);
         assert_eq!(c.counter("fecn_marked"), 5);
         assert_eq!(c.counter("missing"), 0);
+    }
+
+    /// `count` / `gauge` as they were before the lookup-first rewrite:
+    /// `entry(name.to_string())` on every call.
+    fn entry_count(map: &mut BTreeMap<String, u64>, name: &str, delta: u64) {
+        *map.entry(name.to_string()).or_insert(0) += delta;
+    }
+
+    fn entry_gauge(map: &mut BTreeMap<String, TimeSeries>, name: &str, at_ns: f64, value: f64) {
+        map.entry(name.to_string())
+            .or_insert_with(|| TimeSeries::new(1000.0))
+            .add(at_ns, value);
+        map.entry(format!("{name}_samples"))
+            .or_insert_with(|| TimeSeries::new(1000.0))
+            .add(at_ns, 1.0);
+    }
+
+    #[test]
+    fn lookup_first_count_and_gauge_build_the_same_maps_as_entry() {
+        // New names, repeated names, a name that is a prefix of another,
+        // and a gauge whose own name ends in `_samples`.
+        let counts = [("b", 1), ("a", 2), ("b", 3), ("ab", 4), ("a", 0), ("b", 5)];
+        let gauges = [
+            ("g", 100.0, 1.5),
+            ("g", 1500.0, 2.5),
+            ("g_samples", 100.0, 7.0),
+            ("f", 2500.0, -1.0),
+            ("g", 120.0, 4.0),
+        ];
+        let mut c = MetricsCollector::new(UnitModel::default(), 1000.0);
+        let mut want_counters = BTreeMap::new();
+        let mut want_gauges = BTreeMap::new();
+        for (name, delta) in counts {
+            c.count(name, delta);
+            entry_count(&mut want_counters, name, delta);
+        }
+        for (name, at_ns, value) in gauges {
+            c.gauge(name, at_ns, value);
+            entry_gauge(&mut want_gauges, name, at_ns, value);
+        }
+        assert_eq!(c.counters, want_counters);
+        assert_eq!(c.gauges, want_gauges);
+
+        // Same report JSON as a collector fed the reference maps.
+        let mut reference = MetricsCollector::new(UnitModel::default(), 1000.0);
+        reference.counters = want_counters;
+        reference.gauges = want_gauges;
+        let labels = BTreeMap::new();
+        assert_eq!(
+            c.finish("t", 3000.0, 1.0, &labels).to_json(),
+            reference.finish("t", 3000.0, 1.0, &labels).to_json()
+        );
     }
 
     #[test]

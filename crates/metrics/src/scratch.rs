@@ -259,6 +259,37 @@ mod tests {
     }
 
     #[test]
+    fn replayed_counts_hit_existing_names_like_direct_ones() {
+        let mut direct = MetricsCollector::new(UnitModel::default(), 1000.0);
+        let mut via = MetricsCollector::new(UnitModel::default(), 1000.0);
+        // First use of each name, directly and through a drained log.
+        direct.count("cfq_exhausted", 1);
+        direct.gauge("buffered", 10.0, 2.0);
+        let mut s = MetricsScratch::new();
+        MetricsSink::count(&mut s, "cfq_exhausted", 1);
+        MetricsSink::gauge(&mut s, "buffered", 10.0, 2.0);
+        via.apply_scratch(&mut s);
+        // Repeats: drained replay and ranged replay both land on the
+        // existing entries, like the direct calls.
+        for i in 0..10u64 {
+            direct.count("cfq_exhausted", i);
+            direct.gauge("buffered", 20.0, 1.0);
+            MetricsSink::count(&mut s, "cfq_exhausted", i);
+            MetricsSink::gauge(&mut s, "buffered", 20.0, 1.0);
+            if i % 2 == 0 {
+                via.apply_scratch(&mut s);
+            } else {
+                via.apply_scratch_range(&s, s.segment(0));
+                s.clear();
+            }
+        }
+        assert_eq!(via.counter("cfq_exhausted"), 1 + 45);
+        let a = direct.finish("t", 2000.0, 1.0, &BTreeMap::new());
+        let b = via.finish("t", 2000.0, 1.0, &BTreeMap::new());
+        assert_eq!(a.to_json(), b.to_json());
+    }
+
+    #[test]
     fn apply_clears_and_preserves_capacity() {
         let mut c = MetricsCollector::new(UnitModel::default(), 1000.0);
         let mut s = MetricsScratch::new();

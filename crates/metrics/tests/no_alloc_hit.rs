@@ -1,0 +1,75 @@
+//! `MetricsCollector::count` / `gauge` on a name the collector already
+//! holds must not touch the allocator — a congested run bumps the same
+//! few counters hundreds of thousands of times — and neither may the
+//! replay of a shard's op log. This file holds one test so nothing else
+//! allocates on its thread while it counts.
+
+use ccfit_engine::units::UnitModel;
+use ccfit_metrics::{MetricsCollector, MetricsScratch, MetricsSink};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only addition is a
+// thread-local counter bump, which neither allocates nor unwinds
+// (`try_with` ignores a thread-local that is already destroyed).
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`, and `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn hits_on_existing_names_do_not_allocate() {
+    let mut c = MetricsCollector::new(UnitModel::default(), 1000.0);
+    // First use allocates the keys (and the gauge's `_samples` buffer).
+    assert!(allocs_during(|| c.count("cfq_exhausted", 1)) > 0);
+    assert!(allocs_during(|| c.gauge("buffered_flits", 10.0, 1.0)) > 0);
+
+    let direct = allocs_during(|| {
+        for i in 0..1000u64 {
+            c.count("cfq_exhausted", i);
+            c.gauge("buffered_flits", 10.0, 2.0); // same bin: no series growth
+        }
+    });
+    assert_eq!(direct, 0, "count/gauge on existing names allocated");
+
+    // A shard's op log owns one `String` per op; replaying it into the
+    // collector goes through the same lookups and adds none.
+    let mut log = MetricsScratch::new();
+    for i in 0..100u64 {
+        MetricsSink::count(&mut log, "cfq_exhausted", i);
+        MetricsSink::gauge(&mut log, "buffered_flits", 10.0, 2.0);
+    }
+    let ranged = allocs_during(|| c.apply_scratch_range(&log, log.segment(0)));
+    assert_eq!(ranged, 0, "ranged replay allocated");
+    let drained = allocs_during(|| c.apply_scratch(&mut log));
+    assert_eq!(drained, 0, "draining replay allocated");
+    assert_eq!(c.counter("cfq_exhausted"), 1 + 499_500 + 2 * 4950);
+}
