@@ -17,6 +17,7 @@
 //! an AdVOQ (round-robin, IRD-gated) into the output buffer, and offers
 //! the output buffer's eligible head to the injection link.
 
+use crate::bitset::{BitSet, RoundRobin};
 use crate::params::{IsolationParams, ThrottleParams};
 
 use crate::port::{CfqSlot, CfqState};
@@ -102,88 +103,6 @@ pub struct AdapterCfg {
     pub data_overhead_bytes: u16,
 }
 
-/// Word-bitset over destinations: which AdVOQs hold a packet. The
-/// arbiters walk its members instead of all `num_nodes` queues, so a
-/// blocked adapter pays per backlogged destination, not per destination.
-#[derive(Debug, Clone)]
-struct DstSet {
-    words: Vec<u64>,
-}
-
-impl DstSet {
-    fn new(num_dests: usize) -> Self {
-        Self {
-            words: vec![0; num_dests.div_ceil(64)],
-        }
-    }
-
-    fn insert(&mut self, d: usize) {
-        self.words[d / 64] |= 1 << (d % 64);
-    }
-
-    fn remove(&mut self, d: usize) {
-        self.words[d / 64] &= !(1 << (d % 64));
-    }
-
-    fn contains(&self, d: usize) -> bool {
-        self.words[d / 64] & (1 << (d % 64)) != 0
-    }
-
-    /// Smallest member in `from..to`.
-    fn next_in(&self, from: usize, to: usize) -> Option<usize> {
-        if from >= to {
-            return None;
-        }
-        let mut w = from / 64;
-        let mut bits = self.words[w] & (!0 << (from % 64));
-        loop {
-            if bits != 0 {
-                let d = w * 64 + bits.trailing_zeros() as usize;
-                return (d < to).then_some(d);
-            }
-            w += 1;
-            if w * 64 >= to {
-                return None;
-            }
-            bits = self.words[w];
-        }
-    }
-}
-
-/// Cursor over a [`DstSet`] in round-robin order from `start`: the
-/// members in `start..n` ascending, then those in `0..start` — the
-/// order `(start + step) % n` visits them in. It borrows nothing, so the
-/// arbiter can mutate the adapter (and the set) between steps.
-struct RoundRobin {
-    pos: usize,
-    end: usize,
-    start: usize,
-}
-
-impl RoundRobin {
-    fn new(start: usize, n: usize) -> Self {
-        Self {
-            pos: start,
-            end: n,
-            start,
-        }
-    }
-
-    fn next(&mut self, set: &DstSet) -> Option<usize> {
-        loop {
-            if let Some(d) = set.next_in(self.pos, self.end) {
-                self.pos = d + 1;
-                return Some(d);
-            }
-            if self.end == self.start {
-                return None; // second leg (or an empty first one) done
-            }
-            self.pos = 0;
-            self.end = self.start;
-        }
-    }
-}
-
 /// The injection side of one end node.
 #[derive(Debug, Clone)]
 pub struct Adapter {
@@ -192,8 +111,10 @@ pub struct Adapter {
     inject_link: LinkId,
     inject_bw: u32,
     advoqs: Vec<PacketQueue>,
-    /// `d` is a member ⇔ `advoqs[d]` is non-empty.
-    backlogged: DstSet,
+    /// `d` is a member ⇔ `advoqs[d]` is non-empty. The arbiters walk its
+    /// members instead of all `num_nodes` queues, so a blocked adapter
+    /// pays per backlogged destination, not per destination.
+    backlogged: BitSet,
     rr: usize,
     nfq: PacketQueue,
     cfqs: Vec<CfqSlot>,
@@ -278,7 +199,7 @@ impl Adapter {
             inject_link,
             inject_bw,
             advoqs: (0..num_nodes).map(|_| PacketQueue::new()).collect(),
-            backlogged: DstSet::new(num_nodes),
+            backlogged: BitSet::new(num_nodes),
             rr: 0,
             nfq: PacketQueue::new(),
             cfqs: (0..num_cfqs).map(|_| CfqSlot::default()).collect(),
@@ -1428,7 +1349,7 @@ mod walk_tests {
         ) {
             let n = SIZES[size];
             let start = start as usize % n;
-            let mut set = DstSet::new(n);
+            let mut set = BitSet::new(n);
             for m in members {
                 set.insert(m as usize % n);
             }

@@ -39,6 +39,7 @@
 //! binaries.
 
 pub mod arbiter;
+pub mod bitset;
 pub mod endnode;
 pub mod experiment;
 pub mod parallel;

@@ -18,18 +18,20 @@
 //! [`SwitchCfg`].
 
 use crate::arbiter::Islip;
+use crate::bitset::BitSet;
 use crate::params::{IsolationParams, QueueingScheme};
 use crate::port::{CfqState, InputQueues};
 use ccfit_engine::cam::Cam;
 use ccfit_engine::ids::{LinkId, NodeId, SwitchId};
 use ccfit_engine::link::{CtrlEvent, Delivery, Link, LinkSlice};
-use ccfit_engine::queue::QueuedPacket;
+use ccfit_engine::queue::{PacketQueue, QueuedPacket};
 use ccfit_engine::ram::PortRam;
 use ccfit_engine::units::Cycle;
 use ccfit_metrics::{CcEvent, CcEventKind, EventClass, MetricsSink};
 use ccfit_topology::RoutingTable;
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Where the congestion state of an output port comes from.
@@ -352,8 +354,29 @@ pub struct Switch {
     cfq_count: usize,
     /// Output ports currently in the congestion state.
     congested_count: usize,
-    /// Per-call arbitration scratch (no state between calls).
+    /// Packets buffered at each input port (sums to `buffered`).
+    port_packets: Vec<u32>,
+    /// Input ports holding at least one packet: the only ports the
+    /// arbitration gather visits (DESIGN.md §12).
+    occupied: BitSet,
+    /// Input ports holding a packet or an allocated CFQ: the only ports
+    /// the isolation stage has work at.
+    iso_live: BitSet,
+    /// An `over_high_count` changed since the last congestion-state
+    /// update (RootCfq marking): the only cycles that update has to
+    /// compare the counts with the `congested` flags.
+    over_high_dirty: bool,
+    /// Flits queued for each output across the input ports' VOQs
+    /// (`PerOutput` scheme; all zero otherwise).
+    voq_occ: Vec<u32>,
+    /// Bumped by every event that can make a queue head eligible without
+    /// the clock or a credit return doing it — see [`IdleBound`].
+    epoch: u64,
+    /// Arbitration scratch; between calls it keeps the idle bound of the
+    /// last gather.
     arb: ArbScratch,
+    /// Reused buffer for per-site counter names.
+    name_buf: String,
     /// Per-call control-event scratch.
     ctrl_scratch: Vec<CtrlEvent>,
     /// Per-input-port memo of the congestion-detection scan (`None` =
@@ -388,11 +411,111 @@ struct DetectScan {
 /// the duration of a call (borrow-splitting) and put back after.
 #[derive(Debug, Clone, Default)]
 struct ArbScratch {
+    /// Eligible heads per input port; non-empty exactly for the members
+    /// of `in_free`.
     all_candidates: Vec<Vec<Candidate>>,
-    requests: Vec<Vec<usize>>,
-    in_free: Vec<bool>,
-    out_free: Vec<bool>,
+    /// Per output, the inputs with a candidate for it; non-empty exactly
+    /// for the members of `out_free`.
+    requesters: Vec<BitSet>,
+    /// Inputs with a candidate. A busy input has none, so these are the
+    /// free inputs iSLIP has to consider.
+    in_free: BitSet,
+    /// Outputs with a requester. A head only requests an output whose
+    /// transmitter is idle, so these are the free outputs iSLIP has to
+    /// consider.
+    out_free: BitSet,
     matches: Vec<(usize, usize)>,
+    idle: IdleBound,
+}
+
+impl ArbScratch {
+    fn new(num_ports: usize) -> Self {
+        Self {
+            all_candidates: vec![Vec::new(); num_ports],
+            requesters: vec![BitSet::new(num_ports); num_ports],
+            in_free: BitSet::new(num_ports),
+            out_free: BitSet::new(num_ports),
+            matches: Vec::new(),
+            idle: IdleBound {
+                until: 0,
+                epoch: 0,
+                watched: BitSet::new(num_ports),
+                credits_seen: vec![0; num_ports],
+            },
+        }
+    }
+
+    /// Empty the gather results (only what the last gather filled).
+    fn reset(&mut self) {
+        for port in self.in_free.iter() {
+            self.all_candidates[port].clear();
+        }
+        for out in self.out_free.iter() {
+            self.requesters[out].clear();
+        }
+        self.in_free.clear();
+        self.out_free.clear();
+        self.matches.clear();
+        self.idle.until = Cycle::MAX;
+        self.idle.watched.clear();
+    }
+
+    fn push(&mut self, port: usize, cand: Candidate) {
+        self.all_candidates[port].push(cand);
+        self.requesters[cand.out].insert(port);
+        self.in_free.insert(port);
+        self.out_free.insert(cand.out);
+    }
+}
+
+/// Why a gather that found no candidate will keep finding none: every
+/// buffered head was blocked, and the bound records what each blocker
+/// waits for (DESIGN.md §12). Until one of those things happens a further
+/// gather is skipped — it would find nothing again, and iSLIP over an
+/// empty request set makes no match and moves no pointer.
+#[derive(Debug, Clone, Default)]
+struct IdleBound {
+    /// Earliest cycle a time-only blocker clears: an input's
+    /// `busy_until`, a head's `visible_at`, an output link's
+    /// `tx_free_at`. `0` = no bound: the last gather found a candidate,
+    /// or a head blocked on something this record cannot watch (VOQnet
+    /// per-destination credits, a downed link).
+    until: Cycle,
+    /// [`Switch::epoch`] at the gather. Heads blocked on switch state —
+    /// a stopped CFQ, an NFQ head awaiting its move — wait for an event
+    /// that bumps it.
+    epoch: u64,
+    /// Outputs some head was blocked on for credits alone, with the
+    /// credits the link held then.
+    watched: BitSet,
+    credits_seen: Vec<u32>,
+}
+
+impl IdleBound {
+    /// A blocker clears at `at` by the clock alone.
+    fn wake_at(&mut self, at: Cycle) {
+        self.until = self.until.min(at);
+    }
+
+    /// A head is blocked on something the bound cannot watch.
+    fn unbounded(&mut self) {
+        self.until = 0;
+    }
+}
+
+/// The head of `q` once its header has arrived; until then, a time-only
+/// blocker noted in `idle`.
+fn visible_head<'q>(
+    q: &'q PacketQueue,
+    now: Cycle,
+    idle: &mut IdleBound,
+) -> Option<&'q QueuedPacket> {
+    let head = q.head()?;
+    if head.visible_at > now {
+        idle.wake_at(head.visible_at);
+        return None;
+    }
+    Some(head)
 }
 
 impl Switch {
@@ -452,13 +575,14 @@ impl Switch {
             buffered: 0,
             cfq_count: 0,
             congested_count: 0,
-            arb: ArbScratch {
-                all_candidates: vec![Vec::new(); num_ports],
-                requests: vec![Vec::new(); num_ports],
-                in_free: vec![false; num_ports],
-                out_free: vec![false; num_ports],
-                matches: Vec::new(),
-            },
+            port_packets: vec![0; num_ports],
+            occupied: BitSet::new(num_ports),
+            iso_live: BitSet::new(num_ports),
+            over_high_dirty: false,
+            voq_occ: vec![0; num_ports],
+            epoch: 0,
+            arb: ArbScratch::new(num_ports),
+            name_buf: String::new(),
             ctrl_scratch: Vec::new(),
             detect_memo: vec![None; num_ports],
             detect_tally: Vec::new(),
@@ -489,6 +613,10 @@ impl Switch {
     /// (§III-B).
     pub fn accept_delivery(&mut self, port: usize, d: Delivery, routing: &RoutingTable) {
         self.buffered += 1;
+        self.port_packets[port] += 1;
+        self.occupied.insert(port);
+        self.iso_live.insert(port);
+        self.epoch += 1;
         let input = &mut self.inputs[port];
         input
             .ram
@@ -499,6 +627,7 @@ impl Switch {
             InputQueues::PerOutput(qs) => {
                 let out = routing.route(self.id, d.packet.dst).index();
                 qs[out].push(d.packet, d.visible_at, d.ready_at);
+                self.voq_occ[out] += d.packet.size_flits;
             }
             InputQueues::PerDest(qs) => {
                 qs[d.packet.dst.index()].push(d.packet, d.visible_at, d.ready_at)
@@ -545,6 +674,8 @@ impl Switch {
             }
             scratch.clear();
             links[link.index()].poll_ctrl_into(now, scratch);
+            // Stop/Go pause and resume CFQs.
+            self.epoch += 1;
             for &ev in scratch.iter() {
                 match ev {
                     CtrlEvent::CfqAlloc { dst } => {
@@ -740,7 +871,12 @@ impl Switch {
         let go_flits = iso.go_mtus * mtu;
         let high_low = self.cfg.thr.filter(|t| t.source == MarkingSource::RootCfq);
 
-        for port in 0..self.inputs.len() {
+        // A port outside `iso_live` has an empty NFQ and no CFQ: nothing
+        // to detect, move, propagate or deallocate.
+        let num_ports = self.inputs.len();
+        let mut next = 0;
+        while let Some(port) = self.iso_live.next_in(next, num_ports) {
+            next = port + 1;
             if !self.inputs[port].connected {
                 continue;
             }
@@ -773,12 +909,17 @@ impl Switch {
                             cfqs[free].state = Some(CfqState::new(dst, out, true));
                             self.cfq_count += 1;
                             self.detect_memo[port] = None;
+                            self.epoch += 1;
                             metrics.count("cfq_allocated", 1);
                             metrics.count("congestion_detected", 1);
-                            metrics.count(
-                                &format!("detected_sw{}_in{}_dst{}", self.id.0, port, dst.0),
-                                1,
-                            );
+                            self.name_buf.clear();
+                            write!(
+                                self.name_buf,
+                                "detected_sw{}_in{}_dst{}",
+                                self.id.0, port, dst.0
+                            )
+                            .expect("writing to a String cannot fail");
+                            metrics.count(&self.name_buf, 1);
                             if metrics.wants_events(EventClass::CFQ) {
                                 metrics.cc_event(CcEvent {
                                     at: now,
@@ -885,8 +1026,10 @@ impl Switch {
                             .queue
                             .push(entry.packet, entry.visible_at, entry.ready_at);
                         // The NFQ changed (and so did the CFQ set, if the
-                        // slot was allocated just above).
+                        // slot was allocated just above): drop the memo,
+                        // and let the arbiter see the new heads.
                         self.detect_memo[port] = None;
+                        self.epoch += 1;
                         metrics.count("packets_isolated", 1);
                     }
                     None => break, // head is non-congested (or unisolatable)
@@ -992,12 +1135,14 @@ impl Switch {
                             if !st.over_high && now - since >= thr.entry_delay_cycles {
                                 st.over_high = true;
                                 self.outputs[st.out_port].over_high_count += 1;
+                                self.over_high_dirty = true;
                             }
                         } else if occ < thr.low_flits || !st.starved {
                             st.over_high_since = None;
                             if st.over_high && occ < thr.low_flits {
                                 st.over_high = false;
                                 self.outputs[st.out_port].over_high_count -= 1;
+                                self.over_high_dirty = true;
                             }
                         }
                     }
@@ -1035,6 +1180,7 @@ impl Switch {
                         }
                         if st.over_high {
                             self.outputs[st.out_port].over_high_count -= 1;
+                            self.over_high_dirty = true;
                         }
                         let InputQueues::Isolating { cfqs, .. } = &mut self.inputs[port].queues
                         else {
@@ -1043,6 +1189,8 @@ impl Switch {
                         cfqs[c].state = None;
                         self.cfq_count -= 1;
                         self.detect_memo[port] = None;
+                        self.epoch += 1;
+                        self.sync_live(port);
                         metrics.count("cfq_deallocated", 1);
                         if metrics.wants_events(EventClass::CFQ) {
                             metrics.cc_event(CcEvent {
@@ -1117,6 +1265,16 @@ impl Switch {
         let Some(thr) = self.cfg.thr else { return };
         match thr.source {
             MarkingSource::RootCfq => {
+                // `congested` tracks `over_high_count > 0`, and this arm
+                // is its only writer besides the purge: nothing to do
+                // unless a count moved since the last update.
+                if !std::mem::take(&mut self.over_high_dirty) {
+                    debug_assert!(self
+                        .outputs
+                        .iter()
+                        .all(|o| o.congested == (o.over_high_count > 0)));
+                    return;
+                }
                 for o in 0..self.outputs.len() {
                     let congested = self.outputs[o].over_high_count > 0;
                     if congested != self.outputs[o].congested {
@@ -1151,14 +1309,7 @@ impl Switch {
                     if !self.outputs[o].connected {
                         continue;
                     }
-                    let occ: u32 = self
-                        .inputs
-                        .iter()
-                        .map(|inp| match &inp.queues {
-                            InputQueues::PerOutput(qs) => qs[o].occupancy_flits(),
-                            _ => 0,
-                        })
-                        .sum();
+                    let occ = self.output_voq_occupancy_flits(o);
                     let out = &mut self.outputs[o];
                     if !out.congested {
                         // Root condition: the port can still forward
@@ -1201,11 +1352,17 @@ impl Switch {
     }
 
     /// Aggregate VOQ backlog for output `out` across the input ports —
-    /// the same on-demand sum the ITh congestion detector uses. Both
-    /// modern CC schemes run on [`QueueingScheme::PerOutput`], so other
-    /// queue organisations contribute zero; computing it stateless keeps
-    /// purge/fault paths free of marking bookkeeping.
+    /// what the ITh congestion detector, DCQCN's ECN marker and HPCC's
+    /// INT stamp read. All three run on [`QueueingScheme::PerOutput`], so
+    /// other queue organisations contribute zero. Kept as a counter per
+    /// output, moved by every VOQ push, pop and purge.
     fn output_voq_occupancy_flits(&self, out: usize) -> u32 {
+        debug_assert_eq!(self.voq_occ[out], self.summed_voq_occupancy_flits(out));
+        self.voq_occ[out]
+    }
+
+    /// The sum [`Self::output_voq_occupancy_flits`] mirrors.
+    fn summed_voq_occupancy_flits(&self, out: usize) -> u32 {
         self.inputs
             .iter()
             .map(|inp| match &inp.queues {
@@ -1215,7 +1372,35 @@ impl Switch {
             .sum()
     }
 
-    /// Gather eligible queue heads at one input port into `out`.
+    /// Re-derive input `port`'s membership of the live-port sets after
+    /// its packet count or its CFQ set shrank. (Growth needs no call: a
+    /// delivery inserts the port, and a CFQ is only allocated at a port
+    /// holding the NFQ packet that triggered it.)
+    fn sync_live(&mut self, port: usize) {
+        let held = self.port_packets[port] > 0;
+        self.occupied.set(port, held);
+        self.iso_live
+            .set(port, held || self.inputs[port].queues.cfqs_allocated() > 0);
+    }
+
+    /// Gather the eligible queue heads of every occupied input port into
+    /// `arb`, noting for each blocked head what it waits for in
+    /// `arb.idle`.
+    fn gather(
+        &self,
+        now: Cycle,
+        routing: &RoutingTable,
+        links: &LinkSlice<'_>,
+        voqnet: Option<&VoqNetCredits>,
+        arb: &mut ArbScratch,
+    ) {
+        arb.reset();
+        for port in self.occupied.iter() {
+            self.candidates_into(port, now, routing, links, voqnet, arb);
+        }
+    }
+
+    /// Gather eligible queue heads at one input port into `arb`.
     fn candidates_into(
         &self,
         port: usize,
@@ -1223,72 +1408,86 @@ impl Switch {
         routing: &RoutingTable,
         links: &LinkSlice<'_>,
         voqnet: Option<&VoqNetCredits>,
-        out: &mut Vec<Candidate>,
+        arb: &mut ArbScratch,
     ) {
         let input = &self.inputs[port];
         if input.busy_until > now {
+            arb.idle.wake_at(input.busy_until);
             return;
         }
         let consider =
-            |queue: QueueKey, head: &QueuedPacket, out_port: usize, acc: &mut Vec<Candidate>| {
+            |queue: QueueKey, head: &QueuedPacket, out_port: usize, arb: &mut ArbScratch| {
                 let output = &self.outputs[out_port];
-                let Some(link) = output.out_link else { return };
-                let link = &links[link.index()];
-                if !link.can_send(now, head.packet.size_flits) {
+                // An uncabled output stays uncabled until a re-route
+                // (an epoch bump) points the head elsewhere.
+                let Some(link_id) = output.out_link else {
+                    return;
+                };
+                let link = &links[link_id.index()];
+                let size = head.packet.size_flits;
+                if !link.can_send(now, size) {
+                    if !link.is_up() {
+                        arb.idle.unbounded();
+                    } else if !link.tx_idle(now) {
+                        arb.idle.wake_at(link.tx_free_at());
+                    } else {
+                        arb.idle.watched.insert(out_port);
+                        arb.idle.credits_seen[out_port] = link.credits();
+                    }
                     return;
                 }
                 if let Some(vn) = voqnet {
                     // Per-destination reserved space downstream (switch hops
                     // only; node sinks consume at line rate).
-                    if !vn.has(
-                        output.out_link.unwrap().0,
-                        head.packet.dst.0,
-                        head.packet.size_flits,
-                    ) {
+                    if !vn.has(link_id.0, head.packet.dst.0, size) {
+                        arb.idle.unbounded();
                         return;
                     }
                 }
-                acc.push(Candidate {
-                    queue,
-                    out: out_port,
-                    // CNPs and ACKs inherit the BECN transmission
-                    // priority: all three are 1-flit feedback packets
-                    // whose latency is the control loop's delay.
-                    becn: head.packet.is_ctrl(),
-                });
+                arb.push(
+                    port,
+                    Candidate {
+                        queue,
+                        out: out_port,
+                        // CNPs and ACKs inherit the BECN transmission
+                        // priority: all three are 1-flit feedback packets
+                        // whose latency is the control loop's delay.
+                        becn: head.packet.is_ctrl(),
+                    },
+                );
             };
         match &input.queues {
             InputQueues::Single(q) => {
-                if let Some(h) = q.head_visible(now) {
+                if let Some(h) = visible_head(q, now, &mut arb.idle) {
                     let o = routing.route(self.id, h.packet.dst).index();
-                    consider(QueueKey::Single, h, o, out);
+                    consider(QueueKey::Single, h, o, arb);
                 }
             }
             InputQueues::PerOutput(qs) => {
                 for (o, q) in qs.iter().enumerate() {
-                    if let Some(h) = q.head_visible(now) {
-                        consider(QueueKey::PerOutput(o), h, o, out);
+                    if let Some(h) = visible_head(q, now, &mut arb.idle) {
+                        consider(QueueKey::PerOutput(o), h, o, arb);
                     }
                 }
             }
             InputQueues::PerDest(qs) => {
                 for (d, q) in qs.iter().enumerate() {
-                    if let Some(h) = q.head_visible(now) {
+                    if let Some(h) = visible_head(q, now, &mut arb.idle) {
                         let o = routing.route(self.id, NodeId::from(d)).index();
-                        consider(QueueKey::PerDest(d), h, o, out);
+                        consider(QueueKey::PerDest(d), h, o, arb);
                     }
                 }
             }
             InputQueues::DstMod(qs) => {
                 for (qi, q) in qs.iter().enumerate() {
-                    if let Some(h) = q.head_visible(now) {
+                    if let Some(h) = visible_head(q, now, &mut arb.idle) {
                         let o = routing.route(self.id, h.packet.dst).index();
-                        consider(QueueKey::PerDest(qi), h, o, out);
+                        consider(QueueKey::PerDest(qi), h, o, arb);
                     }
                 }
             }
             InputQueues::Isolating { nfq, cfqs } => {
-                if let Some(h) = nfq.head_visible(now) {
+                if let Some(h) = visible_head(nfq, now, &mut arb.idle) {
                     // Post-processing guarantees only non-congested heads
                     // compete from the NFQ (§III-C): a head matching an
                     // allocated CFQ is awaiting its move and must not
@@ -1303,7 +1502,7 @@ impl Switch {
                             .any(|c| matches!(c.state, Some(s) if s.dst == h.packet.dst));
                     if !awaiting_move {
                         let o = routing.route(self.id, h.packet.dst).index();
-                        consider(QueueKey::Nfq, h, o, out);
+                        consider(QueueKey::Nfq, h, o, arb);
                     }
                 }
                 for (c, slot) in cfqs.iter().enumerate() {
@@ -1311,21 +1510,42 @@ impl Switch {
                     if self.downstream_stopped(st.out_port, st.dst) {
                         continue; // Stop/Go flow control pauses this CFQ.
                     }
-                    if let Some(h) = slot.queue.head_visible(now) {
-                        consider(QueueKey::Cfq(c), h, st.out_port, out);
+                    if let Some(h) = visible_head(&slot.queue, now, &mut arb.idle) {
+                        consider(QueueKey::Cfq(c), h, st.out_port, arb);
                     }
                 }
             }
         }
     }
 
+    /// Whether the idle bound of the last gather still stands at `now`:
+    /// no time-only blocker has cleared, no event has bumped the epoch,
+    /// and every watched output link holds the credits it held then.
+    fn idle_bound_holds(&self, now: Cycle, links: &LinkSlice<'_>) -> bool {
+        let idle = &self.arb.idle;
+        if now >= idle.until || idle.epoch != self.epoch {
+            return false;
+        }
+        idle.watched.iter().all(|out| {
+            let link = self.outputs[out]
+                .out_link
+                .expect("a watched output is cabled");
+            links[link.index()].credits() == idle.credits_seen[out]
+        })
+    }
+
     /// Pop the head of a queue.
     fn pop_queue(&mut self, port: usize, key: QueueKey) -> QueuedPacket {
         self.buffered -= 1;
+        self.port_packets[port] -= 1;
         let input = &mut self.inputs[port];
         let entry = match (&mut input.queues, key) {
             (InputQueues::Single(q), QueueKey::Single) => q.pop(),
-            (InputQueues::PerOutput(qs), QueueKey::PerOutput(o)) => qs[o].pop(),
+            (InputQueues::PerOutput(qs), QueueKey::PerOutput(o)) => {
+                let entry = qs[o].pop();
+                self.voq_occ[o] -= entry.map_or(0, |e| e.packet.size_flits);
+                entry
+            }
             (InputQueues::PerDest(qs), QueueKey::PerDest(d)) => qs[d].pop(),
             (InputQueues::DstMod(qs), QueueKey::PerDest(q)) => qs[q].pop(),
             (InputQueues::Isolating { nfq, .. }, QueueKey::Nfq) => {
@@ -1335,6 +1555,7 @@ impl Switch {
             (InputQueues::Isolating { cfqs, .. }, QueueKey::Cfq(c)) => cfqs[c].queue.pop(),
             _ => unreachable!("queue key does not match the scheme"),
         };
+        self.sync_live(port);
         entry.expect("candidate queue cannot be empty")
     }
 
@@ -1393,35 +1614,37 @@ impl Switch {
             debug_assert_eq!(self.resident_packets(), 0);
             return;
         }
-        let num_ports = self.inputs.len();
-        // Borrow-split: take the scratch out of `self` so `self` stays
-        // free for `candidates_into` / `islip` below; put it back at the
-        // end.
-        let mut arb = std::mem::take(&mut self.arb);
-        for port in 0..num_ports {
-            let cands = &mut arb.all_candidates[port];
-            cands.clear();
-            self.candidates_into(port, now, routing, links, voqnet, cands);
-            let req = &mut arb.requests[port];
-            req.clear();
-            req.extend(cands.iter().map(|c| c.out));
-            req.sort_unstable();
-            req.dedup();
+        if self.idle_bound_holds(now, links) {
+            debug_assert!(
+                {
+                    let mut fresh = ArbScratch::new(self.inputs.len());
+                    self.gather(now, routing, links, voqnet, &mut fresh);
+                    fresh.in_free.is_empty()
+                },
+                "stale arbitration idle bound at {} cycle {now}",
+                self.id
+            );
+            return;
         }
-        arb.in_free.clear();
-        arb.in_free.extend(
-            (0..num_ports)
-                .map(|p| self.inputs[p].busy_until <= now && !arb.all_candidates[p].is_empty()),
+        // Borrow-split: take the scratch out of `self` so `self` stays
+        // free for `gather` / `islip` below; put it back at the end.
+        let mut arb = std::mem::take(&mut self.arb);
+        self.gather(now, routing, links, voqnet, &mut arb);
+        if arb.in_free.is_empty() {
+            // Nothing to schedule: iSLIP over an empty request set makes
+            // no match and moves no pointer. Keep what the gather learnt
+            // about the blockers as the bound for the next calls.
+            arb.idle.epoch = self.epoch;
+            self.arb = arb;
+            return;
+        }
+        arb.idle.until = 0;
+        self.islip.schedule_into(
+            &arb.requesters,
+            &arb.in_free,
+            &arb.out_free,
+            &mut arb.matches,
         );
-        arb.out_free.clear();
-        arb.out_free.extend((0..num_ports).map(|o| {
-            self.outputs[o]
-                .out_link
-                .is_some_and(|l| links[l.index()].tx_idle(now))
-        }));
-        arb.matches.clear();
-        self.islip
-            .schedule_into(&arb.requests, &arb.in_free, &arb.out_free, &mut arb.matches);
 
         for &(port, out) in &arb.matches {
             // Choose which of the port's queues serves this output:
@@ -1464,13 +1687,14 @@ impl Switch {
                 {
                     entry.packet.fecn = true;
                     metrics.count("fecn_marked", 1);
-                    metrics.count(
-                        &format!(
-                            "fecn_marked_sw{}_out{}_dst{}",
-                            self.id.0, out, entry.packet.dst.0
-                        ),
-                        1,
-                    );
+                    self.name_buf.clear();
+                    write!(
+                        self.name_buf,
+                        "fecn_marked_sw{}_out{}_dst{}",
+                        self.id.0, out, entry.packet.dst.0
+                    )
+                    .expect("writing to a String cannot fail");
+                    metrics.count(&self.name_buf, 1);
                     if metrics.wants_events(EventClass::FECN) {
                         metrics.cc_event(CcEvent {
                             at: now,
@@ -1667,7 +1891,12 @@ impl Switch {
         self.buffered = 0;
         self.cfq_count = 0;
         self.congested_count = 0;
+        self.port_packets.fill(0);
+        self.occupied.clear();
+        self.iso_live.clear();
+        self.voq_occ.fill(0);
         self.detect_memo.fill(None);
+        self.epoch += 1;
         stats
     }
 
@@ -1689,9 +1918,14 @@ impl Switch {
                     InputQueues::Single(q) => {
                         q.drain_where_into(|e| unreachable(e.packet.dst), &mut scratch)
                     }
-                    InputQueues::PerOutput(qs)
-                    | InputQueues::PerDest(qs)
-                    | InputQueues::DstMod(qs) => {
+                    InputQueues::PerOutput(qs) => {
+                        for (o, q) in qs.iter_mut().enumerate() {
+                            let before = q.occupancy_flits();
+                            q.drain_where_into(|e| unreachable(e.packet.dst), &mut scratch);
+                            self.voq_occ[o] -= before - q.occupancy_flits();
+                        }
+                    }
+                    InputQueues::PerDest(qs) | InputQueues::DstMod(qs) => {
                         for q in qs {
                             q.drain_where_into(|e| unreachable(e.packet.dst), &mut scratch);
                         }
@@ -1709,12 +1943,15 @@ impl Switch {
                 }
             }
             self.buffered -= scratch.len();
+            self.port_packets[port] -= scratch.len() as u32;
+            self.sync_live(port);
             for e in scratch.drain(..) {
                 out.push((port, e));
             }
         }
         self.purge_scratch = scratch;
         self.detect_memo.fill(None);
+        self.epoch += 1;
     }
 
     /// Fault subsystem: forget the downstream congestion state mirrored
@@ -1722,6 +1959,7 @@ impl Switch {
     pub fn clear_output_cam(&mut self, port: usize) {
         self.outputs[port].cam.clear();
         self.detect_memo.fill(None);
+        self.epoch += 1;
     }
 
     /// Fault subsystem: forget that alloc/Stop notifications were sent
@@ -1738,6 +1976,7 @@ impl Switch {
             }
         }
         self.detect_memo[port] = None;
+        self.epoch += 1;
     }
 
     /// Occupancy (flits) of the VOQnet per-destination queue `dst` at
@@ -1762,12 +2001,14 @@ impl Switch {
             match &mut self.inputs[port].queues {
                 InputQueues::PerOutput(qs) => {
                     rebin.clear();
-                    for q in qs.iter_mut() {
+                    for (o, q) in qs.iter_mut().enumerate() {
+                        self.voq_occ[o] -= q.occupancy_flits();
                         q.drain_all_into(&mut rebin);
                     }
                     for e in rebin.drain(..) {
                         let o = routing.route(self.id, e.packet.dst).index();
                         qs[o].push(e.packet, e.visible_at, e.ready_at);
+                        self.voq_occ[o] += e.packet.size_flits;
                     }
                 }
                 InputQueues::Isolating { cfqs, .. } => {
@@ -1778,6 +2019,7 @@ impl Switch {
                             if st.over_high {
                                 self.outputs[st.out_port].over_high_count -= 1;
                                 self.outputs[new_out].over_high_count += 1;
+                                self.over_high_dirty = true;
                             }
                             st.out_port = new_out;
                         }
@@ -1787,6 +2029,7 @@ impl Switch {
             }
         }
         self.detect_memo.fill(None);
+        self.epoch += 1;
     }
 
     /// Whether any packet is buffered in this switch (O(1); incremental
@@ -1794,7 +2037,19 @@ impl Switch {
     /// the active-set scheduler.
     pub fn has_buffered(&self) -> bool {
         debug_assert_eq!(self.buffered, self.resident_packets());
+        debug_assert!(self.live_state_matches_a_recount());
         self.buffered > 0
+    }
+
+    /// Recount everything the live-port sets and the VOQ occupancy
+    /// counters mirror.
+    fn live_state_matches_a_recount(&self) -> bool {
+        self.inputs.iter().enumerate().all(|(p, inp)| {
+            let packets = inp.queues.total_packets();
+            self.port_packets[p] as usize == packets
+                && self.occupied.contains(p) == (packets > 0)
+                && self.iso_live.contains(p) == (packets > 0 || inp.queues.cfqs_allocated() > 0)
+        }) && (0..self.outputs.len()).all(|o| self.voq_occ[o] == self.summed_voq_occupancy_flits(o))
     }
 
     /// Whether the switch's congestion machinery provably does nothing
@@ -1811,6 +2066,7 @@ impl Switch {
             self.congested_count,
             self.outputs.iter().filter(|o| o.congested).count()
         );
+        debug_assert!(self.live_state_matches_a_recount());
         self.buffered == 0
             && self.cfq_count == 0
             && self.congested_count == 0
@@ -2503,6 +2759,50 @@ mod tests {
     }
 
     #[test]
+    fn releasing_a_cfq_still_over_high_ends_the_congestion_state() {
+        // Low = 0: a CFQ is never "below Low", so it still counts toward
+        // its output's over-High total when it is released.
+        let thr = SwitchThrottle {
+            low_flits: 0,
+            ..default_thr(MarkingSource::RootCfq)
+        };
+        let iso = IsolationParams {
+            dealloc_linger_cycles: 16,
+            ..IsolationParams::default()
+        };
+        let mut fx = fixture(QueueingScheme::Isolating, Some(iso), Some(thr));
+        for id in 0..9 {
+            deliver(&mut fx, 0, pkt(id, 6));
+        }
+        // Output 2 blocked: the root CFQ is starved and goes over High.
+        fx.links[2] = Link::new(LinkConfig::default(), 0);
+        let mut scratch = ccfit_metrics::MetricsScratch::new();
+        let mut now = 0;
+        while now < 200 {
+            fx.sw
+                .isolation_tick(now, &fx.routing, &mut fx.links, &mut fx.metrics);
+            fx.sw.congestion_state_tick(now, &fx.links, &mut scratch);
+            now += 1;
+        }
+        assert!(fx.sw.outputs[2].congested);
+        // Unblock it; the CFQ drains, lingers and is released.
+        fx.links[2] = Link::new(LinkConfig::default(), 1024);
+        while fx.sw.cfqs_allocated() > 0 {
+            for r in arbitrate(&mut fx, now) {
+                fx.sw.release_ram(r.port, r.flits);
+            }
+            fx.sw
+                .isolation_tick(now, &fx.routing, &mut fx.links, &mut fx.metrics);
+            fx.sw.congestion_state_tick(now, &fx.links, &mut scratch);
+            now += 1;
+            assert!(now < 2000, "the CFQ must be released");
+        }
+        assert_eq!(fx.sw.outputs[2].over_high_count, 0);
+        assert!(!fx.sw.outputs[2].congested);
+        assert!(fx.sw.is_quiescent());
+    }
+
+    #[test]
     fn cfq_deallocates_after_calm_and_notifies_upstream() {
         let iso = IsolationParams {
             dealloc_linger_cycles: 16,
@@ -2809,6 +3109,690 @@ mod tests {
         prime(&mut fx, 15);
         fx.sw.purge_all();
         assert_eq!(fx.sw.detect_memo[0], None);
+    }
+
+    // ---- the arbitration idle bound and its invalidation contract ----
+    //
+    // A gather that finds no candidate leaves a bound behind; while it
+    // holds, `arbitrate_and_transmit` returns without gathering. One case
+    // per input of the bound and per event that bumps the epoch. Where
+    // the event can make a head eligible the case asserts that the packet
+    // leaves at once (a missed bump would skip the gather; in debug
+    // builds the skip's own check fires first); where it provably cannot,
+    // the case asserts the bump all the same.
+
+    fn arbitrate(fx: &mut Fixture, now: Cycle) -> Vec<PendingRelease> {
+        fx.sw
+            .arbitrate_and_transmit(now, &fx.routing, &mut fx.links, None, &mut fx.metrics)
+    }
+
+    fn idle_holds(fx: &mut Fixture, now: Cycle) -> bool {
+        fx.sw.idle_bound_holds(now, &LinkSlice::new(&mut fx.links))
+    }
+
+    /// Deliver a packet whose header only arrives at `visible_at`.
+    fn deliver_later(fx: &mut Fixture, p: Packet, visible_at: Cycle) {
+        fx.sw.accept_delivery(
+            0,
+            Delivery {
+                packet: p,
+                visible_at,
+                ready_at: visible_at + Cycle::from(p.size_flits),
+            },
+            &fx.routing,
+        );
+    }
+
+    /// An isolating switch holding one dst-6 packet in a CFQ that the
+    /// downstream hop has stopped: nothing can leave until a Go arrives
+    /// or the CAM line is dropped.
+    fn stopped_cfq_fixture() -> Fixture {
+        let mut fx = memo_fixture(2);
+        fx.links[2].send_ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+        fx.links[2].send_ctrl(0, CtrlEvent::Stop { dst: NodeId(6) });
+        fx.sw.poll_output_ctrl(10, &mut fx.links, &mut fx.metrics);
+        deliver(&mut fx, 10, pkt(1, 6));
+        fx.sw
+            .isolation_tick(10, &fx.routing, &mut fx.links, &mut fx.metrics);
+        assert!(arbitrate(&mut fx, 10).is_empty());
+        assert_eq!(fx.sw.arb.idle.until, Cycle::MAX, "nothing the clock clears");
+        assert!(idle_holds(&mut fx, 1 << 40));
+        fx
+    }
+
+    #[test]
+    fn idle_bound_is_the_earliest_time_blocker() {
+        let mut fx = fixture(QueueingScheme::PerOutput, None, None);
+        fx.sw.cfg.crossbar_bw_flits_per_cycle = 2;
+        // Head visibility.
+        deliver_later(&mut fx, pkt(1, 2), 50);
+        deliver_later(&mut fx, pkt(2, 2), 50);
+        deliver_later(&mut fx, pkt(3, 6), 90);
+        assert!(arbitrate(&mut fx, 0).is_empty());
+        assert_eq!(fx.sw.arb.idle.until, 50);
+        assert!(idle_holds(&mut fx, 49));
+        assert!(!idle_holds(&mut fx, 50));
+        assert_eq!(arbitrate(&mut fx, 50).len(), 1);
+        assert!(
+            !idle_holds(&mut fx, 50),
+            "a gather with a candidate leaves no bound"
+        );
+        // Input busy: the tail of packet 1 lands at 82.
+        assert!(arbitrate(&mut fx, 51).is_empty());
+        assert_eq!(fx.sw.arb.idle.until, 82);
+        // Input free again, output 1 still serializing packet 1 (sent at
+        // 50, 32 flits at 1 flit/cycle).
+        fx.sw.inputs[0].busy_until = 60;
+        assert!(arbitrate(&mut fx, 60).is_empty());
+        assert_eq!(fx.sw.arb.idle.until, 82, "tx_free_at of output 1");
+        assert!(idle_holds(&mut fx, 81));
+        assert_eq!(arbitrate(&mut fx, 82).len(), 1);
+    }
+
+    #[test]
+    fn a_delivery_wakes_the_arbiter() {
+        let mut fx = fixture(QueueingScheme::PerOutput, None, None);
+        deliver_later(&mut fx, pkt(1, 2), 1000);
+        assert!(arbitrate(&mut fx, 0).is_empty());
+        assert!(idle_holds(&mut fx, 1));
+        deliver(&mut fx, 1, pkt(2, 6));
+        let rel = arbitrate(&mut fx, 1);
+        assert_eq!(rel.len(), 1);
+        assert_eq!(rel[0].dst, NodeId(6));
+    }
+
+    #[test]
+    fn a_go_wakes_a_stopped_cfq_and_every_ctrl_event_bumps_the_epoch() {
+        let mut fx = stopped_cfq_fixture();
+        fx.links[2].send_ctrl(50, CtrlEvent::Go { dst: NodeId(6) });
+        fx.sw.poll_output_ctrl(60, &mut fx.links, &mut fx.metrics);
+        assert_eq!(arbitrate(&mut fx, 60).len(), 1);
+        for (i, ev) in [
+            CtrlEvent::CfqAlloc { dst: NodeId(5) },
+            CtrlEvent::Stop { dst: NodeId(5) },
+            CtrlEvent::CfqDealloc { dst: NodeId(5) },
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let before = fx.sw.epoch;
+            let now = 100 + 10 * i as Cycle;
+            fx.links[2].send_ctrl(now, ev);
+            fx.sw
+                .poll_output_ctrl(now + 5, &mut fx.links, &mut fx.metrics);
+            assert_ne!(fx.sw.epoch, before, "{ev:?}");
+        }
+    }
+
+    #[test]
+    fn clearing_the_output_cam_wakes_a_stopped_cfq() {
+        let mut fx = stopped_cfq_fixture();
+        fx.sw.clear_output_cam(2);
+        assert_eq!(arbitrate(&mut fx, 11).len(), 1);
+    }
+
+    #[test]
+    fn the_isolation_move_wakes_the_arbiter() {
+        let mut fx = memo_fixture(2);
+        fx.links[2].send_ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+        fx.sw.poll_output_ctrl(10, &mut fx.links, &mut fx.metrics);
+        deliver(&mut fx, 10, pkt(1, 6));
+        fx.sw
+            .isolation_tick(10, &fx.routing, &mut fx.links, &mut fx.metrics);
+        assert_eq!(arbitrate(&mut fx, 10).len(), 1, "the CFQ drains");
+        // The CFQ lingers, empty; the next dst-6 packet waits in the NFQ
+        // for its move and must not bypass it.
+        deliver(&mut fx, 50, pkt(2, 6));
+        assert!(arbitrate(&mut fx, 50).is_empty());
+        assert!(idle_holds(&mut fx, 51));
+        fx.sw
+            .isolation_tick(51, &fx.routing, &mut fx.links, &mut fx.metrics);
+        assert_eq!(arbitrate(&mut fx, 51).len(), 1);
+    }
+
+    #[test]
+    fn root_cfq_allocation_bumps_the_epoch() {
+        // An allocation only ever parks NFQ heads, so it cannot make one
+        // eligible; without moves it is the only writer in this cycle.
+        let mut fx = memo_fixture(1);
+        fx.sw.cfg.move_budget = 0;
+        let mut id = 0;
+        deliver_n(&mut fx, &mut id, 9, 6);
+        let before = fx.sw.epoch;
+        fx.sw
+            .isolation_tick(0, &fx.routing, &mut fx.links, &mut fx.metrics);
+        assert_eq!(fx.sw.cfqs_allocated(), 1);
+        assert_ne!(fx.sw.epoch, before);
+    }
+
+    #[test]
+    fn cfq_deallocation_wakes_the_nfq_head_it_parked() {
+        let iso = IsolationParams {
+            num_cfqs: 1,
+            dealloc_linger_cycles: 2,
+            ..IsolationParams::default()
+        };
+        let mut fx = fixture(QueueingScheme::Isolating, Some(iso), None);
+        fx.sw.cfg.move_budget = 0; // the head is never moved
+        let mut id = 0;
+        deliver_n(&mut fx, &mut id, 9, 6);
+        fx.sw
+            .isolation_tick(0, &fx.routing, &mut fx.links, &mut fx.metrics);
+        assert_eq!(fx.sw.cfqs_allocated(), 1);
+        assert!(arbitrate(&mut fx, 0).is_empty(), "head awaits its move");
+        assert!(idle_holds(&mut fx, 1));
+        for now in 1..=2 {
+            fx.sw
+                .isolation_tick(now, &fx.routing, &mut fx.links, &mut fx.metrics);
+        }
+        assert_eq!(fx.sw.cfqs_allocated(), 0, "empty CFQ released");
+        assert_eq!(arbitrate(&mut fx, 2).len(), 1);
+    }
+
+    #[test]
+    fn purge_unreachable_wakes_the_arbiter() {
+        let mut fx = fixture(QueueingScheme::Single, None, None);
+        deliver_later(&mut fx, pkt(1, 2), 1000);
+        deliver(&mut fx, 0, pkt(2, 6));
+        assert!(arbitrate(&mut fx, 0).is_empty(), "invisible head blocks");
+        assert!(idle_holds(&mut fx, 1));
+        fx.sw
+            .purge_unreachable(&|d| d == NodeId(2), &mut Vec::new());
+        let rel = arbitrate(&mut fx, 1);
+        assert_eq!(rel.len(), 1);
+        assert_eq!(rel[0].dst, NodeId(6));
+    }
+
+    #[test]
+    fn a_reroute_wakes_the_arbiter() {
+        let mut fx = fixture(QueueingScheme::Single, None, None);
+        fx.links[1] = Link::new(LinkConfig::default(), 0);
+        deliver(&mut fx, 0, pkt(1, 2));
+        assert!(arbitrate(&mut fx, 0).is_empty(), "no credits on output 1");
+        assert!(idle_holds(&mut fx, 1));
+        fx.routing = RoutingTable::from_tables(vec![vec![PortId(2); 8]]);
+        fx.sw.on_routing_changed(&fx.routing);
+        assert_eq!(arbitrate(&mut fx, 1).len(), 1);
+    }
+
+    #[test]
+    fn events_that_cannot_free_a_head_still_bump_the_epoch() {
+        let mut fx = memo_fixture(1);
+        deliver(&mut fx, 0, pkt(1, 6));
+        // Upstream-notification flags are not read by the gather.
+        let before = fx.sw.epoch;
+        fx.sw.reset_upstream_ctrl_flags(0);
+        assert_ne!(fx.sw.epoch, before);
+        // The whole-switch purge leaves nothing to gather from.
+        let before = fx.sw.epoch;
+        fx.sw.purge_all();
+        assert_ne!(fx.sw.epoch, before);
+    }
+
+    #[test]
+    fn a_credit_return_wakes_a_credit_blocked_head() {
+        let mut fx = fixture(QueueingScheme::PerOutput, None, None);
+        fx.links[1] = Link::new(LinkConfig::default(), 0);
+        deliver(&mut fx, 0, pkt(1, 2));
+        assert!(arbitrate(&mut fx, 0).is_empty());
+        assert_eq!(fx.sw.arb.idle.until, Cycle::MAX);
+        assert!(fx.sw.arb.idle.watched.contains(1));
+        assert!(idle_holds(&mut fx, 1 << 40), "only credits can wake it");
+        fx.links[1].return_credits(5, MTU);
+        assert!(idle_holds(&mut fx, 6), "credits still on the wire");
+        fx.links[1].poll_credits(6);
+        assert!(!idle_holds(&mut fx, 6));
+        assert_eq!(arbitrate(&mut fx, 6).len(), 1);
+    }
+
+    #[test]
+    fn voqnet_credits_and_downed_links_leave_no_bound() {
+        let mut fx = fixture(QueueingScheme::PerDest, None, None);
+        let vn = VoqNetCredits::new(3, 8);
+        vn.set(1, 2, 0);
+        deliver(&mut fx, 0, pkt(1, 2));
+        let arb = |fx: &mut Fixture, now| {
+            fx.sw.arbitrate_and_transmit(
+                now,
+                &fx.routing,
+                &mut fx.links,
+                Some(&vn),
+                &mut fx.metrics,
+            )
+        };
+        assert!(arb(&mut fx, 0).is_empty());
+        assert!(!idle_holds(&mut fx, 1), "per-destination credits: re-scan");
+        vn.add(1, 2, MTU);
+        assert_eq!(arb(&mut fx, 1).len(), 1);
+
+        let mut fx = fixture(QueueingScheme::PerDest, None, None);
+        fx.links[1].close();
+        deliver(&mut fx, 0, pkt(1, 2));
+        assert!(arbitrate(&mut fx, 0).is_empty());
+        assert!(!idle_holds(&mut fx, 1), "downed link: re-scan");
+        fx.links[1].restore(1024);
+        assert_eq!(arbitrate(&mut fx, 1).len(), 1);
+    }
+}
+
+/// The occupancy-driven tick against the exhaustive one it replaced.
+#[cfg(test)]
+mod twin_tests {
+    use super::*;
+    use ccfit_engine::ids::{FlowId, PacketId, PortId};
+    use ccfit_engine::link::LinkConfig;
+    use ccfit_engine::packet::Packet;
+    use ccfit_engine::rng::SeedSplitter;
+    use ccfit_engine::units::UnitModel;
+    use ccfit_metrics::MetricsCollector;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    const PORTS: usize = 5;
+    const DESTS: usize = 10;
+    const MTU: u32 = 8;
+    /// Credits an output link starts with (and regains on a restore).
+    const OUT_CREDITS: u32 = 3 * MTU;
+    /// Per-destination VOQnet credits: two MTU packets.
+    const VN_CREDITS: u32 = 2 * MTU;
+
+    /// The switch shapes under test: every queueing scheme, the marking
+    /// sources and modern-CC modes that read the VOQ occupancy counters,
+    /// with and without VOQnet per-destination credits.
+    fn shape(i: usize) -> (SwitchCfg, bool) {
+        let thr = |source| SwitchThrottle {
+            marking_rate: 0.5,
+            packet_size_threshold_bytes: 0,
+            high_flits: 2 * MTU,
+            low_flits: MTU,
+            entry_delay_cycles: 2,
+            starvation_window_cycles: 16,
+            source,
+        };
+        let iso = IsolationParams {
+            detect_threshold_mtus: 3,
+            propagate_threshold_mtus: 1,
+            stop_mtus: 3,
+            go_mtus: 1,
+            dealloc_linger_cycles: 12,
+            out_cam_lines: 2,
+            ..IsolationParams::default()
+        };
+        let ecn = SwitchCcMode::Ecn {
+            kmin_flits: MTU,
+            kmax_flits: 4 * MTU,
+            pmax: 0.5,
+        };
+        let (scheme, iso, thr, cc, voqnet) = [
+            (QueueingScheme::Single, None, None, None, false),
+            (
+                QueueingScheme::PerOutput,
+                None,
+                Some(thr(MarkingSource::VoqOccupancy)),
+                None,
+                false,
+            ),
+            (QueueingScheme::PerOutput, None, None, Some(ecn), true),
+            (
+                QueueingScheme::PerOutput,
+                None,
+                None,
+                Some(SwitchCcMode::Int { window_cycles: 16 }),
+                false,
+            ),
+            (QueueingScheme::PerDest, None, None, None, false),
+            (QueueingScheme::PerDest, None, None, None, true),
+            (QueueingScheme::DstMod, None, None, None, false),
+            (QueueingScheme::Isolating, Some(iso), None, None, false),
+            (
+                QueueingScheme::Isolating,
+                Some(iso),
+                Some(thr(MarkingSource::RootCfq)),
+                None,
+                false,
+            ),
+            (
+                QueueingScheme::Isolating,
+                Some(iso),
+                Some(thr(MarkingSource::RootCfq)),
+                None,
+                true,
+            ),
+        ][i];
+        let cfg = SwitchCfg {
+            scheme,
+            iso,
+            thr,
+            mtu_flits: MTU,
+            ram_flits: 24 * MTU,
+            per_dest_queue_flits: 3 * MTU,
+            dbbm_queues: 3,
+            crossbar_bw_flits_per_cycle: 2,
+            islip_iterations: 2,
+            move_budget: 2,
+            cc,
+        };
+        (cfg, voqnet)
+    }
+    const SHAPES: usize = 10;
+
+    /// Everything a cycle of the switch shows the outside world.
+    #[derive(Debug, Default, PartialEq)]
+    struct Observed {
+        /// `(output, packet id, fecn, ecn, int_u bits, int_hops)` in the
+        /// order the packets reached the far end of the output links.
+        sent: Vec<(usize, u64, bool, bool, u32, u8)>,
+        /// `(at, port, flits, dst)` of every `PendingRelease`.
+        releases: Vec<(Cycle, usize, u32, u32)>,
+        /// Control events sent upstream, per input port.
+        upstream: Vec<(usize, CtrlEvent)>,
+    }
+
+    /// A 5-port switch (input link `p` and output link `PORTS + p` at
+    /// port `p`), the far ends of its links, and the release bookkeeping
+    /// the simulator would do.
+    struct Rig {
+        sw: Switch,
+        links: Vec<Link>,
+        routes: [RoutingTable; 2],
+        route: usize,
+        vn: Option<VoqNetCredits>,
+        m: MetricsCollector,
+        pending: Vec<PendingRelease>,
+        /// Credits the far end of each output link holds back.
+        withheld: Vec<u32>,
+        seen: Observed,
+    }
+
+    impl Rig {
+        fn new(shape_idx: usize) -> Self {
+            let (cfg, voqnet) = shape(shape_idx);
+            let wiring: Vec<_> = (0..PORTS)
+                .map(|p| (Some(LinkId(p as u32)), Some(LinkId((PORTS + p) as u32))))
+                .collect();
+            let sw = Switch::new(
+                SwitchId(0),
+                cfg,
+                &wiring,
+                DESTS,
+                SeedSplitter::new(1).rng("m", 0),
+            );
+            let links = (0..2 * PORTS)
+                .map(|_| Link::new(LinkConfig::default(), OUT_CREDITS))
+                .collect();
+            let table = |shift: usize| {
+                RoutingTable::from_tables(vec![(0..DESTS)
+                    .map(|d| PortId(((d + shift) % PORTS) as u16))
+                    .collect()])
+            };
+            let vn = voqnet.then(|| {
+                let vn = VoqNetCredits::new(2 * PORTS, DESTS);
+                for l in PORTS..2 * PORTS {
+                    for d in 0..DESTS {
+                        vn.set(l as u32, d as u32, VN_CREDITS);
+                    }
+                }
+                vn
+            });
+            Self {
+                sw,
+                links,
+                routes: [table(0), table(2)],
+                route: 0,
+                vn,
+                m: MetricsCollector::new(UnitModel::default(), 1000.0),
+                pending: Vec::new(),
+                withheld: vec![0; PORTS],
+                seen: Observed::default(),
+            }
+        }
+
+        fn deliver(&mut self, port: usize, p: Packet, visible_at: Cycle) {
+            let fits = match &self.sw.inputs[port].queues {
+                InputQueues::PerDest(qs) => {
+                    qs[p.dst.index()].occupancy_flits() + p.size_flits
+                        <= self.sw.cfg.per_dest_queue_flits
+                }
+                _ => self.sw.inputs[port].ram.can_reserve(p.size_flits),
+            };
+            if fits {
+                let d = Delivery {
+                    packet: p,
+                    visible_at,
+                    ready_at: visible_at + Cycle::from(p.size_flits) - 1,
+                };
+                self.sw.accept_delivery(port, d, &self.routes[self.route]);
+            }
+        }
+
+        /// Put every port in the live sets and drop what the last cycle
+        /// memoised: the switch then walks `0..ports` everywhere, gathers
+        /// on every call and compares every output's congestion state,
+        /// as it did before the sets existed.
+        fn force_exhaustive(&mut self) {
+            for p in 0..PORTS {
+                self.sw.occupied.insert(p);
+                self.sw.iso_live.insert(p);
+            }
+            self.sw.over_high_dirty = true;
+            self.sw.arb.idle.until = 0;
+        }
+
+        fn resync(&mut self) {
+            for p in 0..PORTS {
+                self.sw.sync_live(p);
+            }
+        }
+
+        /// One cycle, in the simulator's phase order.
+        fn tick(&mut self, now: Cycle, exhaustive: bool) {
+            let sw = &mut self.sw;
+            self.pending.retain(|r| {
+                if r.at <= now {
+                    sw.release_ram(r.port, r.flits);
+                }
+                r.at > now
+            });
+            for l in &mut self.links[PORTS..] {
+                l.poll_credits(now);
+            }
+            self.sw.poll_output_ctrl(now, &mut self.links, &mut self.m);
+            if exhaustive {
+                self.force_exhaustive();
+            }
+            let routing = &self.routes[self.route];
+            self.sw
+                .isolation_tick(now, routing, &mut self.links, &mut self.m);
+            self.sw.congestion_state_tick(now, &self.links, &mut self.m);
+            if self.sw.buffered > 0 {
+                let rel = self.sw.arbitrate_and_transmit(
+                    now,
+                    routing,
+                    &mut self.links,
+                    self.vn.as_ref(),
+                    &mut self.m,
+                );
+                for r in rel {
+                    self.seen.releases.push((r.at, r.port, r.flits, r.dst.0));
+                    self.pending.push(r);
+                }
+            }
+            if exhaustive {
+                self.resync();
+            }
+            // The far ends: sinks that return credits (some held back),
+            // and the upstream hops hearing the isolation protocol.
+            let mut arrived = Vec::new();
+            for out in 0..PORTS {
+                arrived.clear();
+                self.links[PORTS + out].deliver_into(now, &mut arrived);
+                for d in &arrived {
+                    let p = d.packet;
+                    self.seen.sent.push((
+                        out,
+                        p.id.0,
+                        p.fecn,
+                        p.ecn,
+                        p.int_u.to_bits(),
+                        p.int_hops,
+                    ));
+                    // Every fifth destination drains slowly: its credits
+                    // are held back until an explicit release.
+                    if p.dst.0 % 5 == 0 {
+                        self.withheld[out] += p.size_flits;
+                    } else {
+                        self.links[PORTS + out].return_credits(now, p.size_flits);
+                        if let Some(vn) = &self.vn {
+                            vn.add((PORTS + out) as u32, p.dst.0, p.size_flits);
+                        }
+                    }
+                }
+            }
+            let mut evs = Vec::new();
+            for port in 0..PORTS {
+                evs.clear();
+                self.links[port].poll_ctrl_into(now, &mut evs);
+                self.seen.upstream.extend(evs.iter().map(|&e| (port, e)));
+            }
+        }
+
+        /// The arbitration state that must evolve identically.
+        fn arbiter_state(&self) -> (Vec<usize>, Vec<usize>, Vec<usize>, u64, Vec<Cycle>) {
+            let (grant, accept) = self.sw.islip.pointers();
+            (
+                self.sw.queue_rr.clone(),
+                grant.to_vec(),
+                accept.to_vec(),
+                self.sw.marking_rng.clone().random::<u64>(),
+                self.sw.inputs.iter().map(|i| i.busy_until).collect(),
+            )
+        }
+
+        fn congestion_state(&self) -> (usize, usize, usize, Vec<(bool, u32)>) {
+            (
+                self.sw.buffered,
+                self.sw.cfq_count,
+                self.sw.congested_count,
+                self.sw
+                    .outputs
+                    .iter()
+                    .map(|o| (o.congested, o.over_high_count))
+                    .collect(),
+            )
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Random deliver / tick / ctrl / credit / purge / re-route /
+        /// link-fault sequences drive two switches in lock step, one
+        /// ticking over its live-port sets with the idle bound, the
+        /// other forced into the exhaustive walk on every call: same
+        /// packets out in the same order with the same marks, same
+        /// releases, same upstream control events, same pointers, RNG
+        /// position and counters.
+        #[test]
+        fn occupancy_driven_tick_matches_the_exhaustive_tick(
+            shape_idx in 0usize..SHAPES,
+            ops in prop::collection::vec((0u8..32, any::<u32>(), 0u64..24), 1..500),
+        ) {
+            let mut new = Rig::new(shape_idx);
+            let mut old = Rig::new(shape_idx);
+            let mut now: Cycle = 0;
+            let mut next_id = 0u64;
+            for (op, a, b) in ops {
+                let port = a as usize % PORTS;
+                // Half the traffic goes to the two slow-draining
+                // destinations, so trees form behind output 0.
+                let dst = match a >> 30 {
+                    0 => NodeId(0),
+                    1 => NodeId(5),
+                    _ => NodeId((a >> 8) % DESTS as u32),
+                };
+                for (rig, exhaustive) in [(&mut new, false), (&mut old, true)] {
+                    match op {
+                        0..=11 => {
+                            let flits = [MTU, MTU, MTU / 2, 1][(a >> 16) as usize % 4];
+                            let p = Packet::data(
+                                PacketId(next_id),
+                                NodeId(0),
+                                dst,
+                                flits,
+                                flits * 64,
+                                FlowId(0),
+                                now,
+                            );
+                            rig.deliver(port, p, now + b % 4);
+                        }
+                        12 => {
+                            let p = Packet::becn(PacketId(next_id), NodeId(1), dst, now);
+                            rig.deliver(port, p, now);
+                        }
+                        13..=19 => {
+                            for step in 1..=1 + b % 8 {
+                                rig.tick(now + step, exhaustive);
+                            }
+                        }
+                        20..=22 => rig.tick(now + 1 + b, exhaustive),
+                        23 | 24 => {
+                            let ev = match b % 4 {
+                                0 => CtrlEvent::CfqAlloc { dst },
+                                1 => CtrlEvent::Stop { dst },
+                                2 => CtrlEvent::Go { dst },
+                                _ => CtrlEvent::CfqDealloc { dst },
+                            };
+                            rig.links[PORTS + port].send_ctrl(now, ev);
+                        }
+                        25 => {
+                            let flits = std::mem::take(&mut rig.withheld[port]);
+                            rig.links[PORTS + port].return_credits(now, flits);
+                        }
+                        26 => {
+                            let dead = |d: NodeId| d.0 % 4 == a % 4;
+                            let mut purged = Vec::new();
+                            rig.sw.purge_unreachable(&dead, &mut purged);
+                        }
+                        27 => {
+                            if b == 0 {
+                                rig.sw.purge_all();
+                                rig.pending.clear();
+                            }
+                        }
+                        28 => rig.sw.clear_output_cam(port),
+                        29 => rig.sw.reset_upstream_ctrl_flags(port),
+                        30 => {
+                            rig.route ^= 1;
+                            rig.sw.on_routing_changed(&rig.routes[rig.route]);
+                        }
+                        _ => {
+                            let link = &mut rig.links[PORTS + port];
+                            if link.is_up() {
+                                link.close();
+                            } else {
+                                link.restore(OUT_CREDITS);
+                                rig.withheld[port] = 0;
+                            }
+                        }
+                    }
+                }
+                match op {
+                    0..=12 => next_id += 1,
+                    13..=19 => now += 1 + b % 8,
+                    20..=22 => now += 1 + b,
+                    _ => {}
+                }
+                prop_assert!(new.sw.live_state_matches_a_recount());
+                prop_assert_eq!(&new.seen, &old.seen);
+                prop_assert_eq!(new.arbiter_state(), old.arbiter_state());
+                prop_assert_eq!(new.congestion_state(), old.congestion_state());
+            }
+            let labels = BTreeMap::new();
+            prop_assert_eq!(
+                new.m.finish("t", 1000.0, 1.0, &labels).to_json(),
+                old.m.finish("t", 1000.0, 1.0, &labels).to_json()
+            );
+        }
     }
 }
 

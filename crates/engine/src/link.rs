@@ -264,6 +264,12 @@ impl Link {
         self.tx_free_at <= now
     }
 
+    /// First cycle at which the transmitter is idle again (a cycle in the
+    /// past when it already is).
+    pub fn tx_free_at(&self) -> Cycle {
+        self.tx_free_at
+    }
+
     /// Whether a packet of `size_flits` can start transmission at `now`
     /// (link up, transmitter idle *and* enough credits for the whole
     /// packet — virtual cut-through buffer reservation).
