@@ -1,7 +1,7 @@
 //! Microbenchmarks for the engine substrate: the per-cycle hot-path
 //! operations (queue handling, CAM lookups, link transfers).
 
-use ccfit::{Mechanism, SimBuilder, SimConfig, Simulator};
+use ccfit::{Mechanism, SimBuilder, Simulator};
 use ccfit_engine::cam::Cam;
 use ccfit_engine::ids::{FlowId, NodeId, PacketId};
 use ccfit_engine::link::{Link, LinkConfig};
@@ -97,16 +97,11 @@ fn bench_ram_and_units(c: &mut Criterion) {
 /// permanently idle network; never-ending hotspot flows give permanent
 /// congestion. The duration is irrelevant — the bench ticks the live
 /// simulator directly.
-fn steady_sim(flows: Vec<FlowSpec>, force_slow_path: bool) -> Simulator {
-    let cfg = SimConfig {
-        force_slow_path,
-        ..SimConfig::default()
-    };
+fn steady_sim(flows: Vec<FlowSpec>) -> Simulator {
     let mut sim = SimBuilder::new(config1_topology())
         .mechanism(Mechanism::ccfit())
         .traffic(TrafficPattern::new("steady", flows))
         .duration_ns(1e6)
-        .config(cfg)
         .seed(1)
         .build();
     sim.run_cycles(20_000); // settle into the steady state
@@ -121,26 +116,26 @@ fn congested_flows() -> Vec<FlowSpec> {
     ]
 }
 
-/// Whole-engine tick cost: an idle network (where the active-set
-/// scheduler skips everything and the fast-forward jumps the clock) and
-/// a congested one (where the win is allocation-free hot paths), each
-/// against the exhaustive `force_slow_path` baseline.
+/// Whole-engine tick cost: an idle network (where the work-lists are
+/// empty and the clock jumps) and a congested one (where the win is
+/// allocation-free hot paths), each against one cycle of the exhaustive
+/// reference walk (`Simulator::tick_reference`).
 fn bench_engine_tick(c: &mut Criterion) {
     c.bench_function("engine_tick_idle_fast", |b| {
-        let mut sim = steady_sim(vec![], false);
+        let mut sim = steady_sim(vec![]);
         b.iter(|| sim.tick());
     });
     c.bench_function("engine_tick_idle_slow", |b| {
-        let mut sim = steady_sim(vec![], true);
-        b.iter(|| sim.tick());
+        let mut sim = steady_sim(vec![]);
+        b.iter(|| sim.tick_reference());
     });
     c.bench_function("engine_tick_congested_fast", |b| {
-        let mut sim = steady_sim(congested_flows(), false);
+        let mut sim = steady_sim(congested_flows());
         b.iter(|| sim.tick());
     });
     c.bench_function("engine_tick_congested_slow", |b| {
-        let mut sim = steady_sim(congested_flows(), true);
-        b.iter(|| sim.tick());
+        let mut sim = steady_sim(congested_flows());
+        b.iter(|| sim.tick_reference());
     });
 }
 

@@ -76,10 +76,7 @@ impl RunCtx {
             .unwrap_or(1);
         RunCtx {
             cache: cache_from_args(args),
-            engine: EngineKnobs {
-                threads,
-                batch_cycles: 0,
-            },
+            engine: EngineKnobs { threads },
         }
     }
 
@@ -118,7 +115,6 @@ pub fn run_specs(specs: &[RunSpec], ctx: &RunCtx) -> Vec<RunOutput> {
                 let cfg = SimConfig {
                     parallel: ParallelConfig {
                         threads: ctx.engine.threads,
-                        batch_cycles: ctx.engine.batch_cycles,
                         ..ParallelConfig::default()
                     },
                     ..SimConfig::default()

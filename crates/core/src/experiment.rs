@@ -62,7 +62,31 @@ impl ExperimentSpec {
     /// mid-run access — the bench harness's per-phase profiler and
     /// active-set occupancy counters — can drive the tick loop
     /// themselves.
-    pub fn build_sim(&self, mech: Mechanism, seed: u64, mut cfg: SimConfig) -> crate::Simulator {
+    pub fn build_sim(&self, mech: Mechanism, seed: u64, cfg: SimConfig) -> crate::Simulator {
+        self.builder(mech, seed, cfg).build()
+    }
+
+    /// [`Self::build_sim`] with a dynamic network-event schedule on top
+    /// of the workload (mid-run link/switch failures; see
+    /// `ccfit_faults`).
+    pub fn build_sim_with_faults(
+        &self,
+        mech: Mechanism,
+        seed: u64,
+        cfg: SimConfig,
+        schedule: ccfit_faults::FaultSchedule,
+        fault_cfg: ccfit_faults::FaultConfig,
+    ) -> crate::Simulator {
+        self.builder(mech, seed, cfg)
+            .faults(schedule)
+            .fault_config(fault_cfg)
+            .build()
+    }
+
+    /// The one way a spec becomes a [`SimBuilder`]: the spec owns the
+    /// duration and the crossbar bandwidth, the caller everything else
+    /// in `cfg`.
+    fn builder(&self, mech: Mechanism, seed: u64, mut cfg: SimConfig) -> SimBuilder {
         cfg.duration_ns = self.duration_ns;
         cfg.crossbar_bw_flits_per_cycle = self.crossbar_bw_flits_per_cycle;
         SimBuilder::new(self.topology.clone())
@@ -71,7 +95,6 @@ impl ExperimentSpec {
             .traffic(self.pattern.clone())
             .config(cfg)
             .seed(seed)
-            .build()
     }
 
     /// Compress the whole schedule (flow activations, deactivations and
@@ -106,26 +129,16 @@ impl ExperimentSpec {
     }
 
     /// Run with a dynamic network-event schedule on top of the workload
-    /// (mid-run link/switch failures; see `ccfit_faults`).
+    /// (see [`Self::build_sim_with_faults`]).
     pub fn run_with_faults(
         &self,
         mech: Mechanism,
         seed: u64,
-        mut cfg: SimConfig,
+        cfg: SimConfig,
         schedule: ccfit_faults::FaultSchedule,
         fault_cfg: ccfit_faults::FaultConfig,
     ) -> SimReport {
-        cfg.duration_ns = self.duration_ns;
-        cfg.crossbar_bw_flits_per_cycle = self.crossbar_bw_flits_per_cycle;
-        SimBuilder::new(self.topology.clone())
-            .routing(self.routing.clone())
-            .mechanism(mech)
-            .traffic(self.pattern.clone())
-            .config(cfg)
-            .seed(seed)
-            .faults(schedule)
-            .fault_config(fault_cfg)
-            .build()
+        self.build_sim_with_faults(mech, seed, cfg, schedule, fault_cfg)
             .run()
     }
 }

@@ -1,11 +1,13 @@
-//! The deterministic sharded parallel tick engine (DESIGN.md §9).
+//! The sharded side of the tick pipeline's fan-out points (DESIGN.md §9).
 //!
-//! [`crate::Simulator`] partitions switches and adapters into `threads`
-//! contiguous shards and runs the intra-component phases of the cycle
-//! loop — link deliveries into switches, control polling, isolation,
-//! congestion-state + arbitration, and adapter ticks — on a persistent
-//! worker pool. Everything a shard does to state it does not own (RAM
-//! releases, metric updates, fault-purge tallies) is recorded into a
+//! The phase pipeline is written once, in `Simulator::cycle`; with
+//! `threads > 1` its coordinator partitions switches and adapters into
+//! `threads` contiguous shards and dispatches the per-component phases
+//! — link deliveries into switches, control polling, isolation,
+//! congestion-state + arbitration, and adapter ticks — to a persistent
+//! worker pool, each shard walking its slice of the sorted work-lists.
+//! Everything a shard does to state it does not own (RAM releases,
+//! metric updates, fault-purge tallies) is recorded into a
 //! per-shard [`ShardOutbox`] and replayed by the coordinator in the
 //! canonical order *(shard index, component index, emission order)*.
 //! Because shards are contiguous component ranges, that replay order is
@@ -49,13 +51,12 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Cycles per worker-pool dispatch when [`ParallelConfig::batch_cycles`]
-/// is left at `0` (auto). Inside a batch the workers stay hot and cross
-/// cheap spin-biased barriers; only the batch boundary is a park-capable
-/// rendezvous, so a larger batch amortizes wakeup latency. Output is
-/// byte-identical for every batch size (the determinism suite pins
-/// `k ∈ {1, 4, 16}`), so the knob is purely about scheduling overhead.
-pub const DEFAULT_BATCH_CYCLES: usize = 16;
+/// Simulated cycles per worker-pool dispatch. Inside a batch the workers
+/// stay hot and cross cheap spin-biased barriers; only the batch boundary
+/// is a park-capable rendezvous, so a batch amortizes wakeup latency.
+/// Per-cycle phase and merge order do not depend on it, so it cannot
+/// affect results.
+pub(crate) const BATCH_CYCLES: usize = 16;
 
 /// Minimum per-shard work estimate (in [`network_weight`] units —
 /// roughly "connected ports plus adapters, scaled by mechanism cost")
@@ -74,9 +75,6 @@ pub struct ParallelConfig {
     /// (the calling thread works shard 0). Results are byte-identical
     /// for every value.
     pub threads: usize,
-    /// Simulated cycles per pool dispatch (`0` = auto, currently
-    /// [`DEFAULT_BATCH_CYCLES`]). Does not affect results.
-    pub batch_cycles: usize,
     /// Whether the engine may overrule `threads` when parallelism cannot
     /// pay for its synchronization (see [`EngineDecision`]).
     pub fallback: ParallelFallback,
@@ -86,7 +84,6 @@ impl Default for ParallelConfig {
     fn default() -> Self {
         Self {
             threads: 1,
-            batch_cycles: 0,
             fallback: ParallelFallback::Auto,
         }
     }
@@ -146,8 +143,6 @@ pub struct EngineDecision {
     pub effective_threads: usize,
     /// Host CPUs visible to the process.
     pub host_cpus: usize,
-    /// Cycles per pool dispatch (resolved from `batch_cycles`).
-    pub batch_cycles: usize,
     /// Estimated per-shard work at `effective_threads.max(1)` shards,
     /// in [`network_weight`] units.
     pub shard_weight: u64,
@@ -191,17 +186,11 @@ impl EngineDecision {
 /// decision the engine makes.
 pub fn decide(cfg: &ParallelConfig, host_cpus: usize, total_weight: u64) -> EngineDecision {
     let requested = cfg.threads.max(1);
-    let batch = if cfg.batch_cycles == 0 {
-        DEFAULT_BATCH_CYCLES
-    } else {
-        cfg.batch_cycles
-    };
     let host_cpus = host_cpus.max(1);
     let mut d = EngineDecision {
         requested_threads: requested,
         effective_threads: requested,
         host_cpus,
-        batch_cycles: batch,
         shard_weight: total_weight / requested.max(1) as u64,
         fallback: None,
     };
@@ -263,19 +252,16 @@ pub(crate) enum PhaseKind {
 }
 
 /// The static shard layout: contiguous switch/adapter ranges plus the
-/// per-shard list of links delivering into that shard's switches.
+/// shard owning each switch-bound link.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardPlan {
     pub(crate) shards: usize,
     pub(crate) switch_ranges: Vec<Range<usize>>,
     pub(crate) adapter_ranges: Vec<Range<usize>>,
-    /// Per shard: `(link, switch, port)` for every link whose receiver
-    /// is one of the shard's switches, ascending by link index — the
-    /// serial engine's per-switch delivery order.
-    pub(crate) deliver_links: Vec<Vec<(u32, u32, u32)>>,
     /// Shard owning each link's receiving switch (`u32::MAX` for
-    /// node-bound links, which stay serial). The sparse `Deliver` walks
-    /// the active-link list and keeps only its own links.
+    /// node-bound links, which stay serial). `Deliver` walks the sorted
+    /// active-link list and keeps only its own links, so every switch
+    /// sees its deliveries in ascending link order.
     pub(crate) link_owner: Vec<u32>,
     /// `(switch, port)` each switch-bound link delivers into (zeros for
     /// node-bound links; never read for them).
@@ -345,14 +331,11 @@ impl ShardPlan {
                 .position(|r| r.contains(&s))
                 .expect("every switch is in exactly one shard")
         };
-        let mut deliver_links = vec![Vec::new(); shards];
         let mut link_owner = vec![u32::MAX; link_sw_dst.len()];
         let mut link_sw_port = vec![(0u32, 0u32); link_sw_dst.len()];
         for (li, dst) in link_sw_dst.iter().enumerate() {
             if let Some((s, p)) = *dst {
-                let shard = shard_of_switch(s as usize);
-                deliver_links[shard].push((li as u32, s, p));
-                link_owner[li] = shard as u32;
+                link_owner[li] = shard_of_switch(s as usize) as u32;
                 link_sw_port[li] = (s, p);
             }
         }
@@ -360,7 +343,6 @@ impl ShardPlan {
             shards,
             switch_ranges,
             adapter_ranges,
-            deliver_links,
             link_owner,
             link_sw_port,
         }
@@ -388,8 +370,8 @@ pub(crate) struct ShardOutbox {
     /// order (a packet makes at most one hop per cycle, so per-packet
     /// hop order is cycle order regardless of the shard layout).
     pub(crate) trace_hops: Vec<(PacketId, SwitchId, Cycle)>,
-    /// Sparse engine: switches this shard's `Deliver` drained a link
-    /// into, for the coordinator to fold into the active-switch set.
+    /// Switches this shard's `Deliver` drained a link into, for the
+    /// coordinator to fold into the active-switch set.
     pub(crate) activated: Vec<u32>,
     /// Per-shard delivery drain scratch (no cross-tick state).
     deliveries: Vec<Delivery>,
@@ -413,7 +395,6 @@ pub(crate) struct FaultView {
 /// interlude.
 pub(crate) struct TickCtx {
     pub(crate) now: Cycle,
-    pub(crate) fast: bool,
     pub(crate) switches: *mut Switch,
     pub(crate) adapters: *mut Adapter,
     pub(crate) links: *mut Link,
@@ -425,8 +406,8 @@ pub(crate) struct TickCtx {
     /// adapter-side.
     pub(crate) outboxes: *mut ShardOutbox,
     /// Phase-5 activity gate, one flag per switch, written by `Iso` and
-    /// read by `CstArb` (the serial engine evaluates the gate once for
-    /// both halves, and isolation can change quiescence).
+    /// read by `CstArb` (the gate is evaluated once for both halves, and
+    /// isolation can change quiescence).
     pub(crate) p5_ran: *mut bool,
     pub(crate) plan: *const ShardPlan,
     pub(crate) faults: Option<FaultView>,
@@ -434,12 +415,10 @@ pub(crate) struct TickCtx {
     /// — lets the Deliver phase apply the serial engine's sampling
     /// filter without touching the central `TraceLog`.
     pub(crate) trace_sample: u64,
-    /// Sparse scheduler in force: workers iterate their subrange of the
-    /// sorted member lists below instead of their whole shard range.
-    pub(crate) sparse: bool,
     /// Sorted members of the simulator's active/ctrl sets, as
     /// `(ptr, len)` (stable for the section: the coordinator rebuilds
-    /// the ctx after any mutation of a set).
+    /// the ctx after any mutation of a set). Workers iterate their
+    /// shard's subrange of each list.
     pub(crate) act_links: (*const u32, usize),
     pub(crate) act_sw: (*const u32, usize),
     pub(crate) ctrl_sw: (*const u32, usize),
@@ -491,8 +470,7 @@ fn range_members<'a>(m: &'a [u32], r: &Range<usize>) -> &'a [u32] {
     &m[lo..hi]
 }
 
-/// Drain one switch-bound link into its receiving switch — the shared
-/// body of the dense and sparse `Deliver` iterations.
+/// Drain one switch-bound link into its receiving switch.
 ///
 /// # Safety
 /// Same contract as [`run_shard`]; the switch in `sp` must belong to
@@ -552,92 +530,47 @@ pub(crate) unsafe fn run_shard(phase: PhaseKind, ctx: &TickCtx, w: usize) {
         PhaseKind::Deliver => {
             let ob = &mut *ctx.outboxes.add(w);
             let mut scratch = std::mem::take(&mut ob.deliveries);
-            if ctx.sparse {
-                // Walk the active links, keeping this shard's. Receiving
-                // switches are reported for the coordinator to activate.
-                for &li32 in members(ctx.act_links) {
-                    let li = li32 as usize;
-                    if plan.link_owner[li] != w as u32 || !links[li].has_delivery(now) {
-                        continue;
-                    }
-                    let (s, p) = plan.link_sw_port[li];
-                    ob.activated.push(s);
-                    deliver_link(ctx, &mut links, ob, &mut scratch, voqnet, li, (s, p));
+            // Walk the active links, keeping this shard's. Receiving
+            // switches are reported for the coordinator to activate.
+            for &li32 in members(ctx.act_links) {
+                let li = li32 as usize;
+                if plan.link_owner[li] != w as u32 || !links[li].has_delivery(now) {
+                    continue;
                 }
-            } else {
-                for &(li, s, p) in &plan.deliver_links[w] {
-                    let li = li as usize;
-                    if !links[li].has_delivery(now) {
-                        continue;
-                    }
-                    deliver_link(ctx, &mut links, ob, &mut scratch, voqnet, li, (s, p));
-                }
+                let (s, p) = plan.link_sw_port[li];
+                ob.activated.push(s);
+                deliver_link(ctx, &mut links, ob, &mut scratch, voqnet, li, (s, p));
             }
             ob.deliveries = scratch;
         }
         PhaseKind::Ctrl => {
-            {
-                let ob = &mut *ctx.outboxes.add(w);
-                if ctx.sparse {
-                    for &s in range_members(members(ctx.ctrl_sw), &plan.switch_ranges[w]) {
-                        (*ctx.switches.add(s as usize)).poll_output_ctrl_ls(
-                            now,
-                            &mut links,
-                            &mut ob.metrics,
-                        );
-                    }
-                } else {
-                    for s in plan.switch_ranges[w].clone() {
-                        (*ctx.switches.add(s)).poll_output_ctrl_ls(
-                            now,
-                            &mut links,
-                            &mut ob.metrics,
-                        );
-                    }
-                }
-                // Segment boundary: Ctrl/Iso/CstArb run back-to-back with
-                // no merge in between, so the coordinator replays this
-                // log in marked segments (all shards' ctrl ops before any
-                // shard's iso ops — the serial emission order).
-                ob.metrics.mark();
+            let ob = &mut *ctx.outboxes.add(w);
+            for &s in range_members(members(ctx.ctrl_sw), &plan.switch_ranges[w]) {
+                (*ctx.switches.add(s as usize)).poll_output_ctrl_ls(
+                    now,
+                    &mut links,
+                    &mut ob.metrics,
+                );
             }
-            {
-                let ob = &mut *ctx.outboxes.add(plan.shards + w);
-                if ctx.sparse {
-                    for &a in range_members(members(ctx.ctrl_nodes), &plan.adapter_ranges[w]) {
-                        (*ctx.adapters.add(a as usize)).poll_ctrl_ls(
-                            now,
-                            &mut links,
-                            &mut ob.metrics,
-                        );
-                    }
-                } else {
-                    for a in plan.adapter_ranges[w].clone() {
-                        (*ctx.adapters.add(a)).poll_ctrl_ls(now, &mut links, &mut ob.metrics);
-                    }
-                }
+            // Segment boundary: Ctrl/Iso/CstArb run back-to-back with no
+            // merge in between, so the coordinator replays this log in
+            // marked segments (all shards' ctrl ops before any shard's
+            // iso ops — the serial emission order).
+            ob.metrics.mark();
+            let ob = &mut *ctx.outboxes.add(plan.shards + w);
+            for &a in range_members(members(ctx.ctrl_nodes), &plan.adapter_ranges[w]) {
+                (*ctx.adapters.add(a as usize)).poll_ctrl_ls(now, &mut links, &mut ob.metrics);
             }
         }
         PhaseKind::Iso => {
             let ob = &mut *ctx.outboxes.add(w);
-            if ctx.sparse {
-                for &s in range_members(members(ctx.act_sw), &plan.switch_ranges[w]) {
-                    let s = s as usize;
-                    let sw = &mut *ctx.switches.add(s);
-                    let run = !sw.is_quiescent();
-                    *ctx.p5_ran.add(s) = run;
-                    if run {
-                        sw.isolation_tick_ls(now, &*ctx.routing, &mut links, &mut ob.metrics);
-                    }
-                }
-            } else {
-                for s in plan.switch_ranges[w].clone() {
-                    let sw = &mut *ctx.switches.add(s);
-                    let run = !ctx.fast || !sw.is_quiescent();
-                    *ctx.p5_ran.add(s) = run;
-                    if run {
-                        sw.isolation_tick_ls(now, &*ctx.routing, &mut links, &mut ob.metrics);
-                    }
+            for &s in range_members(members(ctx.act_sw), &plan.switch_ranges[w]) {
+                let s = s as usize;
+                let sw = &mut *ctx.switches.add(s);
+                let run = !sw.is_quiescent();
+                *ctx.p5_ran.add(s) = run;
+                if run {
+                    sw.isolation_tick_ls(now, &*ctx.routing, &mut links, &mut ob.metrics);
                 }
             }
             ob.metrics.mark();
@@ -645,84 +578,39 @@ pub(crate) unsafe fn run_shard(phase: PhaseKind, ctx: &TickCtx, w: usize) {
         PhaseKind::CstArb => {
             let ob = &mut *ctx.outboxes.add(w);
             let mut rel = std::mem::take(&mut ob.rel_scratch);
-            if ctx.sparse {
-                for &s in range_members(members(ctx.act_sw), &plan.switch_ranges[w]) {
-                    cst_arb_one(ctx, &mut links, ob, &mut rel, voqnet, s as usize, true);
+            for &s in range_members(members(ctx.act_sw), &plan.switch_ranges[w]) {
+                let sw = &mut *ctx.switches.add(s as usize);
+                if *ctx.p5_ran.add(s as usize) {
+                    sw.congestion_state_tick_ls(now, &links, &mut ob.metrics);
                 }
-            } else {
-                for s in plan.switch_ranges[w].clone() {
-                    cst_arb_one(ctx, &mut links, ob, &mut rel, voqnet, s, ctx.fast);
+                if !sw.has_buffered() {
+                    continue;
                 }
+                rel.clear();
+                sw.arbitrate_and_transmit_ls(
+                    now,
+                    &*ctx.routing,
+                    &mut links,
+                    voqnet,
+                    &mut ob.metrics,
+                    &mut rel,
+                );
+                ob.releases.extend(rel.drain(..).map(|r| (s, r)));
             }
             ob.rel_scratch = rel;
         }
         PhaseKind::AdapterTick => {
             let ob = &mut *ctx.outboxes.add(plan.shards + w);
-            if ctx.sparse {
-                for &a in range_members(members(ctx.act_nodes), &plan.adapter_ranges[w]) {
-                    adapter_tick_one(ctx, &mut links, ob, voqnet, a as usize, true);
+            for &a in range_members(members(ctx.act_nodes), &plan.adapter_ranges[w]) {
+                let ad = &mut *ctx.adapters.add(a as usize);
+                if ad.is_quiet() && ad.armed_timer_count() == 0 {
+                    continue;
                 }
-            } else {
-                for a in plan.adapter_ranges[w].clone() {
-                    adapter_tick_one(ctx, &mut links, ob, voqnet, a, ctx.fast);
+                if let Some(r) = ad.tick_ls(now, &mut links, voqnet, &mut ob.metrics) {
+                    ob.adapter_releases.push((a, r));
                 }
             }
         }
-    }
-}
-
-/// Congestion-state refresh + arbitration for one switch (shared body of
-/// the dense and sparse `CstArb` iterations). `arb_gate` applies the
-/// has-buffered skip (always on for sparse members, `ctx.fast` dense).
-///
-/// # Safety
-/// Same contract as [`run_shard`]; `s` must belong to the calling
-/// shard's switch range.
-unsafe fn cst_arb_one(
-    ctx: &TickCtx,
-    links: &mut LinkSlice<'_>,
-    ob: &mut ShardOutbox,
-    rel: &mut Vec<PendingRelease>,
-    voqnet: Option<&VoqNetCredits>,
-    s: usize,
-    arb_gate: bool,
-) {
-    let now = ctx.now;
-    let sw = &mut *ctx.switches.add(s);
-    if *ctx.p5_ran.add(s) {
-        sw.congestion_state_tick_ls(now, links, &mut ob.metrics);
-    }
-    if arb_gate && !sw.has_buffered() {
-        return;
-    }
-    rel.clear();
-    sw.arbitrate_and_transmit_ls(now, &*ctx.routing, links, voqnet, &mut ob.metrics, rel);
-    for r in rel.drain(..) {
-        ob.releases.push((s as u32, r));
-    }
-}
-
-/// Output work for one adapter (shared body of the dense and sparse
-/// `AdapterTick` iterations). `gate` applies the quiet-and-unarmed skip
-/// (always on for sparse members, `ctx.fast` dense).
-///
-/// # Safety
-/// Same contract as [`run_shard`]; `a` must belong to the calling
-/// shard's adapter range.
-unsafe fn adapter_tick_one(
-    ctx: &TickCtx,
-    links: &mut LinkSlice<'_>,
-    ob: &mut ShardOutbox,
-    voqnet: Option<&VoqNetCredits>,
-    a: usize,
-    gate: bool,
-) {
-    let ad = &mut *ctx.adapters.add(a);
-    if gate && ad.is_quiet() && ad.armed_timer_count() == 0 {
-        return;
-    }
-    if let Some(r) = ad.tick_ls(ctx.now, links, voqnet, &mut ob.metrics) {
-        ob.adapter_releases.push((a as u32, r));
     }
 }
 
@@ -831,7 +719,7 @@ struct PoolShared {
     /// Batch-boundary rendezvous: workers park here between batches (and
     /// during serial-only stretches), so it spins only briefly.
     go: AdaptiveBarrier,
-    /// Intra-batch step barrier: crossed up to `4 × batch_cycles` times
+    /// Intra-batch step barrier: crossed up to `4 × BATCH_CYCLES` times
     /// per dispatch with live work on both sides, so it spins longer
     /// before parking.
     step: AdaptiveBarrier,
@@ -940,6 +828,41 @@ impl Drop for Pool {
     }
 }
 
+/// Everything one sharded run owns besides the simulator itself: the
+/// worker pool, the static shard layout, and the per-shard outboxes
+/// (`[0, shards)` switch-side, `[shards, 2·shards)` adapter-side).
+pub(crate) struct ShardRun {
+    pub(crate) pool: Pool,
+    pub(crate) plan: ShardPlan,
+    pub(crate) outboxes: Vec<ShardOutbox>,
+}
+
+impl ShardRun {
+    /// Spawn `threads` workers over `plan`. Shard workers filter events
+    /// against a copy of the collector's `event_mask` so the off-path
+    /// cost stays a predicted branch; sampling and capacity are applied
+    /// only when the op-logs replay into the collector (per-shard
+    /// sampling would break byte-identity across thread counts).
+    pub(crate) fn new(
+        threads: usize,
+        oversubscribed: bool,
+        plan: ShardPlan,
+        event_mask: ccfit_metrics::EventClass,
+    ) -> Self {
+        let mut outboxes: Vec<ShardOutbox> = (0..2 * plan.shards)
+            .map(|_| ShardOutbox::default())
+            .collect();
+        for ob in outboxes.iter_mut() {
+            ob.metrics.set_event_mask(event_mask);
+        }
+        Self {
+            pool: Pool::new(threads, oversubscribed),
+            plan,
+            outboxes,
+        }
+    }
+}
+
 fn worker_loop(shared: Arc<PoolShared>, w: usize) {
     loop {
         shared.go.wait();
@@ -986,15 +909,17 @@ mod tests {
         assert_eq!(plan.switch_ranges[0].end, plan.switch_ranges[1].start);
         assert_eq!(plan.switch_ranges[1].end, 3);
         assert_eq!(plan.adapter_ranges[1].end, 5);
-        // Every switch-bound link lands in its receiver's shard, sorted.
-        let all: Vec<_> = plan.deliver_links.concat();
-        assert_eq!(all.len(), 4);
-        for w in 0..2 {
-            for &(li, s, _) in &plan.deliver_links[w] {
-                assert!(plan.switch_ranges[w].contains(&(s as usize)));
-                assert_eq!(link_sw_dst[li as usize].unwrap().0, s);
+        // Every switch-bound link is owned by its receiver's shard;
+        // node-bound links by none.
+        for (li, dst) in link_sw_dst.iter().enumerate() {
+            match dst {
+                Some((s, p)) => {
+                    let w = plan.link_owner[li] as usize;
+                    assert!(plan.switch_ranges[w].contains(&(*s as usize)));
+                    assert_eq!(plan.link_sw_port[li], (*s, *p));
+                }
+                None => assert_eq!(plan.link_owner[li], u32::MAX),
             }
-            assert!(plan.deliver_links[w].windows(2).all(|x| x[0].0 < x[1].0));
         }
     }
 
@@ -1005,7 +930,7 @@ mod tests {
         assert_eq!(covered, 2);
         let covered: usize = plan.adapter_ranges.iter().map(|r| r.len()).sum();
         assert_eq!(covered, 3);
-        assert_eq!(plan.deliver_links.iter().flatten().count(), 2);
+        assert!(plan.link_owner.iter().all(|&w| (w as usize) < 4));
     }
 
     #[test]
@@ -1060,17 +985,12 @@ mod tests {
     fn default_parallel_config_is_serial_with_auto_fallback() {
         let c = ParallelConfig::default();
         assert_eq!(c.threads, 1);
-        assert_eq!(c.batch_cycles, 0);
         assert_eq!(c.fallback, ParallelFallback::Auto);
     }
 
     #[test]
     fn decision_table() {
-        let cfg = |threads, fallback| ParallelConfig {
-            threads,
-            batch_cycles: 0,
-            fallback,
-        };
+        let cfg = |threads, fallback| ParallelConfig { threads, fallback };
         let auto = |threads| cfg(threads, ParallelFallback::Auto);
 
         // threads == 1 is a request for the serial engine, not a fallback.
@@ -1101,7 +1021,6 @@ mod tests {
         // Big network, enough CPUs: run as requested.
         let d = decide(&auto(4), 8, 1_000_000);
         assert_eq!((d.effective_threads, d.fallback), (4, None));
-        assert_eq!(d.batch_cycles, DEFAULT_BATCH_CYCLES);
 
         // Never: the request is law, even on one CPU.
         let d = decide(&cfg(4, ParallelFallback::Never), 1, 10);

@@ -389,8 +389,9 @@ pub struct Switch {
     /// Per-call packet scratch of the fault purges.
     purge_scratch: Vec<QueuedPacket>,
     /// When set, every link this switch sends on (ctrl or data) is noted
-    /// in `touched_links` so the sparse scheduler can activate it
-    /// (DESIGN.md §12). Off on the dense paths: zero hot-path cost.
+    /// in `touched_links` so the simulator's work-list scheduler can
+    /// activate it (DESIGN.md §12). Off for a switch driven on its own
+    /// (unit tests, micro-benches), where nothing would drain the list.
     record_touched: bool,
     /// Links sent on since the last [`Self::drain_touched_links`].
     touched_links: Vec<u32>,
@@ -1810,7 +1811,7 @@ impl Switch {
         self.inputs[port].ram.release(flits);
     }
 
-    /// Send a control event, noting the link as touched when the sparse
+    /// Send a control event, noting the link as touched when the
     /// scheduler is recording, so the event's consumer gets activated
     /// (DESIGN.md §12).
     fn send_ctrl_noting(
@@ -1826,7 +1827,7 @@ impl Switch {
         }
     }
 
-    /// Toggle touched-link recording (on for sparse-scheduled runs).
+    /// Toggle touched-link recording (on inside a [`crate::Simulator`]).
     pub fn set_record_touched(&mut self, on: bool) {
         self.record_touched = on;
         if !on {
@@ -1835,7 +1836,7 @@ impl Switch {
     }
 
     /// Move the links sent on since the last drain into `set`,
-    /// activating them for the sparse scheduler's link phases.
+    /// activating them for the scheduler's link phases.
     pub fn drain_touched_links(&mut self, set: &mut ccfit_engine::ActiveSet) {
         for l in self.touched_links.drain(..) {
             set.insert(l);

@@ -13,7 +13,6 @@
 //!
 //! [matrix.engine]        # optional, result-neutral
 //! threads = 2
-//! batch_cycles = 0
 //!
 //! [[matrix.config]]
 //! kind = "config1/case1" # ConfigId::kind() strings
@@ -122,7 +121,6 @@ impl ExperimentMatrix {
         let engine = match m.get("engine") {
             Some(e) => EngineKnobs {
                 threads: opt_usize(e, "threads")?.unwrap_or(1),
-                batch_cycles: opt_usize(e, "batch_cycles")?.unwrap_or(0),
             },
             None => EngineKnobs::default(),
         };

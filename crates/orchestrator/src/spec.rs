@@ -44,16 +44,11 @@ pub const ENGINE_SALT: &str = "ccfit-engine/v10";
 pub struct EngineKnobs {
     /// OS threads for the sharded tick engine (1 = serial).
     pub threads: usize,
-    /// Cycles per pool dispatch (0 = engine default).
-    pub batch_cycles: usize,
 }
 
 impl Default for EngineKnobs {
     fn default() -> Self {
-        EngineKnobs {
-            threads: 1,
-            batch_cycles: 0,
-        }
+        EngineKnobs { threads: 1 }
     }
 }
 
@@ -152,7 +147,6 @@ impl RunSpec {
             metrics_bin_ns: self.metrics_bin_ns,
             parallel: ParallelConfig {
                 threads: knobs.threads,
-                batch_cycles: knobs.batch_cycles,
                 ..ParallelConfig::default()
             },
             ..SimConfig::default()

@@ -231,7 +231,7 @@ impl NodeGenerator {
     /// activates, or `None` if every flow has already started. Flows are
     /// active over one contiguous `[start, end)` window, so this is the
     /// only future cycle at which an inactive generator can come alive —
-    /// the quiet-cycle fast-forward jumps straight to it.
+    /// the parked-gap replay leapfrogs straight to it.
     pub fn next_activation(&self, now: Cycle) -> Option<Cycle> {
         self.flows
             .iter()
@@ -299,8 +299,8 @@ impl NodeGenerator {
     /// the same arithmetic a real tick would have. Parking guarantees
     /// no emission or ON/OFF boundary falls inside a gap
     /// (debug-asserted); stretches where no flow is active are
-    /// leapfrogged, matching the engine's dense gate which skips the
-    /// tick outright on those cycles.
+    /// leapfrogged, matching the engine's `any_active` gate, which skips
+    /// the tick outright on those cycles.
     fn replay_to(&mut self, now: Cycle) {
         let flit_bytes = self.flit_bytes;
         let mut c = match self.last_tick {

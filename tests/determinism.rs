@@ -1,94 +1,63 @@
-//! The bit-identical-results guard for the active-set scheduler and the
-//! quiet-cycle fast-forward (DESIGN.md §6).
+//! The bit-identical-results guard for the engine (DESIGN.md §6, §9,
+//! §12).
 //!
-//! The optimized engine skips provably-inert components and jumps the
-//! clock over provably-quiet stretches. Those skips are only legal if
-//! the simulation output is *byte-identical* to the exhaustive per-cycle
-//! iteration. This test runs real paper scenarios three ways — fast path
-//! twice (run-to-run determinism) and `force_slow_path` once (fast/slow
-//! equivalence) — and compares the full serialized `SimReport`s, which
-//! capture every counter, histogram, gauge series, and per-flow curve.
+//! The engine runs one phase pipeline over work-lists: it visits only
+//! components that may act, skips provably-inert ones, and jumps the
+//! clock over provably-quiet stretches; with `threads > 1` the
+//! per-component phases fan out over a worker pool. Those shortcuts are
+//! only legal if the simulation output is *byte-identical* to the
+//! **oracle** — the same pipeline in reference mode
+//! (`Simulator::run_reference`), which re-fills every work-list every
+//! cycle, bypasses every gate and never jumps. The tests here run real
+//! paper scenarios on the engine (serial, and sharded over 2 and 4
+//! forced threads) and on the oracle, and compare the full serialized
+//! `SimReport`s, which capture every counter, histogram, gauge series
+//! and per-flow curve. Equal reports cannot show that the oracle is
+//! exhaustive (a bypassed gate is a no-op by construction), so one test
+//! checks that directly from the work-list occupancy counters.
 
 use ccfit::experiment::{config1_case1_scaled, config2_case2_scaled, config3_case4_scaled};
-use ccfit::{FaultConfig, FaultPolicy, FaultSchedule, Mechanism, ParallelFallback, SimConfig};
+use ccfit::{
+    ExperimentSpec, FaultConfig, FaultPolicy, FaultSchedule, Mechanism, ParallelFallback,
+    SimConfig, Simulator,
+};
 use ccfit_engine::ids::NodeId;
 use ccfit_topology::Endpoint;
 
-fn cfg(force_slow_path: bool) -> SimConfig {
+fn cfg() -> SimConfig {
     SimConfig {
         metrics_bin_ns: 20_000.0,
-        force_slow_path,
         ..SimConfig::default()
     }
 }
 
-/// A parallel config that *forces* the sharded engine: the paper-scale
-/// configs are exactly the networks the auto-fallback would (correctly)
-/// run serially, and a fallen-back run would make every assertion here
-/// vacuously true.
-fn cfg_batch(threads: usize, batch_cycles: usize) -> SimConfig {
-    let mut c = cfg(false);
+/// A parallel config that *forces* the requested thread count: the
+/// paper-scale configs are exactly the networks the auto-fallback would
+/// (correctly) run serially, and a fallen-back run would make every
+/// sharded assertion here vacuously true. `threads = 1` is the serial
+/// engine.
+fn cfg_threads(threads: usize) -> SimConfig {
+    let mut c = cfg();
     c.parallel.threads = threads;
-    c.parallel.batch_cycles = batch_cycles;
     c.parallel.fallback = ParallelFallback::Never;
     c
 }
 
-fn cfg_threads(threads: usize) -> SimConfig {
-    cfg_batch(threads, 0)
+/// Run an assembled simulator in reference mode and serialize the report.
+fn oracle_json(mut sim: Simulator) -> String {
+    sim.run_reference();
+    sim.finish().to_json()
 }
 
-/// Fast-path config with the sparse activity-driven scheduler
-/// (DESIGN.md §12) explicitly on or off; `off` is the dense fast path,
-/// which shares the skip gates but iterates whole component arrays.
-fn cfg_sparse(on: bool) -> SimConfig {
-    let mut c = cfg(false);
-    c.sparse = on;
-    c
+/// The oracle's report for a fault-free run of `spec`.
+fn oracle(spec: &ExperimentSpec, mech: Mechanism, seed: u64) -> String {
+    oracle_json(spec.build_sim(mech, seed, cfg()))
 }
 
-/// The sparse activity-driven scheduler must be byte-identical to the
-/// dense fast path across all three paper configurations, serially and
-/// on every sharded thread count (the parallel engine also rides the
-/// active sets; DESIGN.md §12).
-#[test]
-fn sparse_scheduler_is_bit_identical_across_configs_and_thread_counts() {
-    let specs = [
-        config1_case1_scaled(0.02),
-        config2_case2_scaled(0.02),
-        config3_case4_scaled(1, 0.01),
-    ];
-    for spec in &specs {
-        let dense = spec
-            .run_with(Mechanism::ccfit(), 3, cfg_sparse(false))
-            .to_json();
-        let sparse = spec
-            .run_with(Mechanism::ccfit(), 3, cfg_sparse(true))
-            .to_json();
-        assert_eq!(
-            sparse, dense,
-            "{}: serial sparse scheduler diverges from the dense fast path",
-            spec.name
-        );
-        for threads in [1usize, 2, 4] {
-            let par = spec
-                .run_with(Mechanism::ccfit(), 3, cfg_threads(threads))
-                .to_json();
-            assert_eq!(
-                par, dense,
-                "{}: sparse parallel threads={threads} diverges from the dense fast path",
-                spec.name
-            );
-        }
-    }
-}
-
-/// Sparse byte-identity with a dynamic fault schedule in play: fault
-/// events invalidate every activation assumption, so the scheduler
-/// re-seeds all work-lists (and resyncs the SoA occupancy mirror) —
-/// serial and parallel alike must still match the dense fast path.
-#[test]
-fn sparse_scheduler_is_bit_identical_under_faults() {
+/// Case 2 on Config #2 with a leaf up-link of node 7's switch — on the
+/// congested path of the hotspot, so the failure displaces live traffic
+/// — failing at cycle 40 000 and returning at 120 000.
+fn faulty_config2() -> (ExperimentSpec, FaultSchedule) {
     let spec = config2_case2_scaled(0.04);
     let leaf = spec.topology.node_attachment(NodeId(7)).0;
     let trunk = spec
@@ -101,75 +70,37 @@ fn sparse_scheduler_is_bit_identical_under_faults() {
     schedule
         .link_down(40_000, leaf, trunk, FaultPolicy::FailStop)
         .link_up(120_000, leaf, trunk);
-
-    let run = |c: SimConfig| {
-        spec.run_with_faults(
-            Mechanism::ccfit(),
-            9,
-            c,
-            schedule.clone(),
-            FaultConfig::default(),
-        )
-        .to_json()
-    };
-    let dense = run(cfg_sparse(false));
-    assert_eq!(
-        run(cfg_sparse(true)),
-        dense,
-        "serial sparse scheduler diverges from the dense fast path under faults"
-    );
-    for threads in [2usize, 4] {
-        assert_eq!(
-            run(cfg_threads(threads)),
-            dense,
-            "sparse parallel threads={threads} diverges from the dense fast path under faults"
-        );
-    }
+    (spec, schedule)
 }
 
 /// Same guarantee with a dynamic fault schedule in play: the Phase-0
 /// event queue, the purges, and the re-route must be just as
 /// deterministic as the steady-state machinery — same seed + same
-/// schedule ⇒ byte-identical reports, fast path and slow path alike.
+/// schedule ⇒ byte-identical reports, engine and oracle alike.
 #[test]
 fn fault_schedule_runs_are_bit_identical() {
-    let spec = config2_case2_scaled(0.04);
-    // A leaf up-link of node 7's switch: on the congested path of
-    // case 2's hotspot, so the failure displaces live traffic.
-    let leaf = spec.topology.node_attachment(NodeId(7)).0;
-    let trunk = spec
-        .topology
-        .switch(leaf)
-        .connected()
-        .find(|&p| matches!(spec.topology.peer(leaf, p), Some((Endpoint::Switch(..), _))))
-        .expect("leaf has an up-link");
-    let mut schedule = FaultSchedule::new();
-    schedule
-        .link_down(40_000, leaf, trunk, FaultPolicy::FailStop)
-        .link_up(120_000, leaf, trunk);
-
+    let (spec, schedule) = faulty_config2();
     for mech in [Mechanism::ccfit(), Mechanism::VoqSw] {
         let name = mech.name();
-        let run = |slow: bool| {
-            spec.run_with_faults(
+        let build = || {
+            spec.build_sim_with_faults(
                 mech.clone(),
                 9,
-                cfg(slow),
+                cfg(),
                 schedule.clone(),
                 FaultConfig::default(),
             )
-            .to_json()
         };
-        let fast_a = run(false);
-        let fast_b = run(false);
-        let slow = run(true);
+        let engine_a = build().run().to_json();
+        let engine_b = build().run().to_json();
         assert_eq!(
-            fast_a, fast_b,
+            engine_a, engine_b,
             "{name}: fault-schedule run is not run-to-run deterministic"
         );
         assert_eq!(
-            fast_a, slow,
-            "{name}: fault handling diverges between fast and slow paths"
+            engine_a,
+            oracle_json(build()),
+            "{name}: fault handling diverges between the engine and the oracle"
         );
     }
 }
@@ -184,47 +115,44 @@ fn fast_path_is_bit_identical_to_slow_path() {
     for mech in [Mechanism::ccfit(), Mechanism::OneQ] {
         for seed in [1u64, 2] {
             let name = mech.name();
-            let fast_a = spec.run_with(mech.clone(), seed, cfg(false)).to_json();
-            let fast_b = spec.run_with(mech.clone(), seed, cfg(false)).to_json();
-            let slow = spec.run_with(mech.clone(), seed, cfg(true)).to_json();
+            let fast_a = spec.run_with(mech.clone(), seed, cfg()).to_json();
+            let fast_b = spec.run_with(mech.clone(), seed, cfg()).to_json();
+            let slow = oracle(&spec, mech.clone(), seed);
             assert_eq!(
                 fast_a, fast_b,
                 "{name}/seed {seed}: fast path is not run-to-run deterministic"
             );
             assert_eq!(
                 fast_a, slow,
-                "{name}/seed {seed}: fast path diverges from the exhaustive slow path"
+                "{name}/seed {seed}: the engine diverges from the exhaustive oracle walk"
             );
         }
     }
 }
 
-/// The batched sharded parallel tick engine (DESIGN.md §9) must be
-/// byte-identical to the exhaustive serial engine for every thread
-/// count × batch size, across all three paper configurations — single
-/// crossbar switch, 2-ary 3-tree, and the 4-ary 3-tree under hotspot
-/// congestion. Batch size only changes how many cycles ride one worker
-/// dispatch; if it ever leaked into results this matrix catches it.
+/// The engine must be byte-identical to the oracle on every thread
+/// count — serial (`threads = 1`) and sharded over 2 and 4 forced
+/// workers (DESIGN.md §9) — across all three paper configurations:
+/// single crossbar switch, 2-ary 3-tree, and the 4-ary 3-tree under
+/// hotspot congestion.
 #[test]
-fn parallel_tick_is_bit_identical_across_thread_counts_and_batches() {
+fn parallel_tick_is_bit_identical_across_thread_counts() {
     let specs = [
         config1_case1_scaled(0.02),
         config2_case2_scaled(0.02),
         config3_case4_scaled(1, 0.01),
     ];
     for spec in &specs {
-        let serial = spec.run_with(Mechanism::ccfit(), 3, cfg(true)).to_json();
+        let want = oracle(spec, Mechanism::ccfit(), 3);
         for threads in [1usize, 2, 4] {
-            for batch in [1usize, 4, 16] {
-                let par = spec
-                    .run_with(Mechanism::ccfit(), 3, cfg_batch(threads, batch))
-                    .to_json();
-                assert_eq!(
-                    par, serial,
-                    "{}: threads={threads} batch={batch} diverges from the serial engine",
-                    spec.name
-                );
-            }
+            let got = spec
+                .run_with(Mechanism::ccfit(), 3, cfg_threads(threads))
+                .to_json();
+            assert_eq!(
+                got, want,
+                "{}: threads={threads} diverges from the oracle",
+                spec.name
+            );
         }
     }
 }
@@ -233,26 +161,21 @@ fn parallel_tick_is_bit_identical_across_thread_counts_and_batches() {
 /// the paper set: DCQCN's probabilistic ECN marking rides the shard-
 /// owned marking RNGs, HPCC's INT window counters live on switch output
 /// ports, and CNP/ACK generation happens in the serial node-delivery
-/// phase — so serial, fast/slow and every thread count must produce
-/// byte-identical reports.
+/// phase — so the oracle and the engine on every thread count must
+/// produce byte-identical reports.
 #[test]
 fn modern_cc_is_bit_identical_across_engines_and_thread_counts() {
     let spec = config1_case1_scaled(0.02);
     for mech in [Mechanism::dcqcn(), Mechanism::hpcc()] {
         let name = mech.name();
-        let slow = spec.run_with(mech.clone(), 7, cfg(true)).to_json();
-        let fast = spec.run_with(mech.clone(), 7, cfg(false)).to_json();
-        assert_eq!(
-            fast, slow,
-            "{name}: fast path diverges from the exhaustive slow path"
-        );
+        let want = oracle(&spec, mech.clone(), 7);
         for threads in [1usize, 2, 4] {
-            let par = spec
+            let got = spec
                 .run_with(mech.clone(), 7, cfg_threads(threads))
                 .to_json();
             assert_eq!(
-                par, slow,
-                "{name}: threads={threads} diverges from the serial engine"
+                got, want,
+                "{name}: threads={threads} diverges from the oracle"
             );
         }
     }
@@ -268,7 +191,7 @@ fn auto_fallback_degrades_tiny_configs_and_respects_force() {
     use ccfit::SimBuilder;
     let spec = config1_case1_scaled(0.02);
     let build = |force: bool| {
-        let mut c = cfg(false);
+        let mut c = cfg();
         c.duration_ns = spec.duration_ns;
         c.crossbar_bw_flits_per_cycle = spec.crossbar_bw_flits_per_cycle;
         c.parallel.threads = 4;
@@ -299,13 +222,15 @@ fn auto_fallback_degrades_tiny_configs_and_respects_force() {
     // The degraded run still produces byte-identical output.
     let mut auto_sim = build(false);
     auto_sim.run_to_end();
-    let serial = spec.run_with(Mechanism::ccfit(), 3, cfg(true)).to_json();
-    assert_eq!(auto_sim.finish().to_json(), serial);
+    assert_eq!(
+        auto_sim.finish().to_json(),
+        oracle(&spec, Mechanism::ccfit(), 3)
+    );
 }
 
 /// With every observability channel wide open — full event recording,
-/// per-packet tracing, per-port telemetry — the parallel engine must
-/// still match the serial one byte-for-byte: the event log and the
+/// per-packet tracing, per-port telemetry — the engine must still match
+/// the oracle byte-for-byte on every thread count: the event log and the
 /// packet traces ride the per-shard outboxes and are replayed in
 /// canonical shard order (DESIGN.md §10), so thread count may not leak
 /// into any recorded artifact.
@@ -315,8 +240,8 @@ fn parallel_tick_traces_and_events_identical_across_threads() {
     use ccfit::{EventClass, EventConfig, SimBuilder};
 
     let spec = config1_case1_scaled(0.02);
-    let run = |c: SimConfig| {
-        let mut c = c;
+    let run = |threads: Option<usize>| {
+        let mut c = cfg_threads(threads.unwrap_or(1));
         c.duration_ns = spec.duration_ns;
         c.crossbar_bw_flits_per_cycle = spec.crossbar_bw_flits_per_cycle;
         let mut sim = SimBuilder::new(spec.topology.clone())
@@ -333,24 +258,27 @@ fn parallel_tick_traces_and_events_identical_across_threads() {
             .port_telemetry(true)
             .seed(3)
             .build();
-        sim.run_to_end();
+        match threads {
+            Some(_) => sim.run_to_end(),
+            None => sim.run_reference(),
+        }
         let traces: Vec<PacketTrace> = sim.traces().into_iter().cloned().collect();
         (
             serde_json::to_string(&traces).unwrap(),
             sim.finish().to_json(),
         )
     };
-    let (serial_traces, serial_report) = run(cfg(true));
-    assert!(serial_report.contains("\"events\""));
+    let (oracle_traces, oracle_report) = run(None);
+    assert!(oracle_report.contains("\"events\""));
     for threads in [1usize, 2, 4] {
-        let (traces, report) = run(cfg_threads(threads));
+        let (traces, report) = run(Some(threads));
         assert_eq!(
-            traces, serial_traces,
-            "threads={threads}: packet traces diverge from the serial engine"
+            traces, oracle_traces,
+            "threads={threads}: packet traces diverge from the oracle"
         );
         assert_eq!(
-            report, serial_report,
-            "threads={threads}: report/event log diverges from the serial engine"
+            report, oracle_report,
+            "threads={threads}: report/event log diverges from the oracle"
         );
     }
 }
@@ -359,8 +287,8 @@ fn parallel_tick_traces_and_events_identical_across_threads() {
 /// the rate-window patterns: flow completion is detected inside the
 /// serial node-delivery phase (shard outboxes replay deliveries in
 /// canonical order), so the FCT block — completion times, slowdowns,
-/// aggregates — may not depend on engine choice, thread count or batch
-/// size. Covers the generated presets and a trace-file-loaded workload.
+/// aggregates — may not depend on engine mode or thread count. Covers
+/// the generated presets and a trace-file-loaded workload.
 #[test]
 fn sized_flow_workloads_are_bit_identical_across_engines() {
     use ccfit::traffic::{all_to_all, incast, parse_trace, permutation_shift};
@@ -387,67 +315,47 @@ fn sized_flow_workloads_are_bit_identical_across_engines() {
     };
     for w in &workloads {
         let spec = host.resolve().with_workload(w);
-        let serial = spec.run_with(Mechanism::ccfit(), 7, cfg(true)).to_json();
+        let want = oracle(&spec, Mechanism::ccfit(), 7);
         assert!(
-            serial.contains("\"fct\": {"),
+            want.contains("\"fct\": {"),
             "{}: report carries no FCT block",
             w.name()
         );
-        assert_eq!(
-            spec.run_with(Mechanism::ccfit(), 7, cfg_sparse(true))
-                .to_json(),
-            serial,
-            "{}: sparse scheduler diverges from the serial engine",
-            w.name()
-        );
         for threads in [1usize, 2, 4] {
-            for batch in [1usize, 16] {
-                assert_eq!(
-                    spec.run_with(Mechanism::ccfit(), 7, cfg_batch(threads, batch))
-                        .to_json(),
-                    serial,
-                    "{}: threads={threads} batch={batch} diverges from the serial engine",
-                    w.name()
-                );
-            }
+            assert_eq!(
+                spec.run_with(Mechanism::ccfit(), 7, cfg_threads(threads))
+                    .to_json(),
+                want,
+                "{}: threads={threads} diverges from the oracle",
+                w.name()
+            );
         }
     }
 }
 
-/// Parallel byte-identity must also hold with a dynamic fault schedule
-/// in play: purges, re-routes and link-rate changes all cross shard
-/// boundaries.
+/// Byte-identity on every thread count must also hold with a dynamic
+/// fault schedule in play: fault events invalidate every activation
+/// assumption, so the scheduler re-seeds all work-lists (and resyncs the
+/// SoA occupancy mirror), and purges, re-routes and link-rate changes
+/// all cross shard boundaries.
 #[test]
 fn parallel_tick_is_bit_identical_under_faults() {
-    let spec = config2_case2_scaled(0.04);
-    let leaf = spec.topology.node_attachment(NodeId(7)).0;
-    let trunk = spec
-        .topology
-        .switch(leaf)
-        .connected()
-        .find(|&p| matches!(spec.topology.peer(leaf, p), Some((Endpoint::Switch(..), _))))
-        .expect("leaf has an up-link");
-    let mut schedule = FaultSchedule::new();
-    schedule
-        .link_down(40_000, leaf, trunk, FaultPolicy::FailStop)
-        .link_up(120_000, leaf, trunk);
-
-    let run = |c: SimConfig| {
-        spec.run_with_faults(
+    let (spec, schedule) = faulty_config2();
+    let build = |c: SimConfig| {
+        spec.build_sim_with_faults(
             Mechanism::ccfit(),
             9,
             c,
             schedule.clone(),
             FaultConfig::default(),
         )
-        .to_json()
     };
-    let serial = run(cfg(true));
-    for (threads, batch) in [(2usize, 1usize), (2, 16), (4, 4), (4, 16)] {
+    let want = oracle_json(build(cfg()));
+    for threads in [1usize, 2, 4] {
         assert_eq!(
-            run(cfg_batch(threads, batch)),
-            serial,
-            "threads={threads} batch={batch} diverges from the serial engine under faults"
+            build(cfg_threads(threads)).run().to_json(),
+            want,
+            "threads={threads} diverges from the oracle under faults"
         );
     }
 }

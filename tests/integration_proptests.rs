@@ -163,20 +163,20 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The sparse scheduler's activation rules are conservative for any
+    /// The scheduler's activation rules are conservative for any
     /// workload/mechanism/seed: a component never acts in a cycle where
     /// it was off the work-list. Two layers check this — in debug builds
-    /// the sparse tick asserts every non-member is inert (quiescent
-    /// switch / quiet adapter / idle link) at every cycle, and the
-    /// resulting report must still be byte-identical to the dense fast
-    /// path, which iterates everything.
+    /// every engine cycle asserts every non-member is inert (quiescent
+    /// switch / quiet adapter / idle link), and the resulting report
+    /// must still be byte-identical to the oracle's, which visits
+    /// everything every cycle.
     #[test]
     fn sparse_activation_rules_are_conservative(
         mech in mechanism_strategy(),
         pattern in pattern_strategy(8),
         seed in 0u64..1000,
     ) {
-        let run = |sparse: bool| {
+        let build = || {
             let tree = KAryNTree::new(2, 3);
             SimBuilder::new(tree.build(LinkParams::default()))
                 .routing(tree.det_routing())
@@ -188,12 +188,12 @@ proptest! {
                     metrics_bin_ns: 50_000.0,
                     ..SimConfig::default()
                 })
-                .sparse(sparse)
                 .seed(seed)
                 .build()
-                .run()
         };
-        prop_assert_eq!(run(true), run(false));
+        let mut oracle = build();
+        oracle.run_reference();
+        prop_assert_eq!(build().run(), oracle.finish());
     }
 }
 
