@@ -5,9 +5,11 @@
 //! Runs two workloads — one idle-heavy (flows finish early, leaving a
 //! long quiet tail) and one congestion-heavy (config #1 / case #1 with
 //! a sustained hotspot) — each on the engine (`fast`) and on its
-//! exhaustive reference mode (`slow`, `Simulator::run_reference`), and
-//! reports simulated cycles per wall-clock second plus the speedup
-//! ratio. The congestion-heavy scenario is
+//! exhaustive reference mode (`oracle`, `Simulator::run_reference`:
+//! every work-list re-filled and sorted every cycle, no skip, no jump),
+//! and reports simulated cycles per wall-clock second plus the ratio —
+//! what the scheduling shortcuts buy, not a comparison with any earlier
+//! engine. The congestion-heavy scenario is
 //! additionally timed on the parallel engine (`--threads N`, default 4);
 //! `host_cpus` is recorded so a reader can tell whether the parallel
 //! numbers were taken on a machine that can actually run the shards
@@ -22,7 +24,10 @@
 //! uniform traffic, timed serial and parallel (reps interleaved, bests
 //! compared), recording cycles/sec, peak RSS and bytes-per-node. On a
 //! multi-core host the parallel leg must not lose to serial. `--smoke`
-//! shrinks it to a few thousand cycles for CI.
+//! shrinks it to a few thousand cycles for CI. A fourth,
+//! `scale-32ary3` (32 768 nodes, 3072 × 64-port switches, one serial
+//! run of 0.02 ms), records that the next size up builds and runs at
+//! all, and in how much memory.
 //!
 //! With `--trace`, the congestion-heavy scenario is additionally timed
 //! with the full observability layer on (every event class, per-packet
@@ -43,19 +48,19 @@ use ccfit_traffic::{uniform_all, FlowSpec, TrafficPattern};
 use serde::Serialize;
 use std::time::Instant;
 
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct ScenarioResult {
     scenario: String,
     simulated_cycles: u64,
-    /// Wall time of the reference walk (single rep for the scale
-    /// scenario, where visiting everything every cycle is expensive).
+    /// Wall time of the oracle walk (single rep for the scale scenario,
+    /// where visiting everything every cycle is expensive).
     #[serde(skip_serializing_if = "Option::is_none")]
-    slow_wall_s: Option<f64>,
+    oracle_wall_s: Option<f64>,
     fast_wall_s: f64,
     #[serde(skip_serializing_if = "Option::is_none")]
-    slow_cycles_per_sec: Option<f64>,
+    oracle_cycles_per_sec: Option<f64>,
     fast_cycles_per_sec: f64,
-    /// Fast-serial throughput over slow-serial throughput.
+    /// Engine (serial) throughput over oracle throughput.
     #[serde(skip_serializing_if = "Option::is_none")]
     speedup: Option<f64>,
     /// Worker threads used for the parallel engine run (null when the
@@ -79,11 +84,11 @@ struct ScenarioResult {
     #[serde(skip_serializing_if = "Option::is_none")]
     parallel_speedup: Option<f64>,
     /// Peak resident set (`VmHWM`) after the scenario finished, bytes
-    /// (scale scenario only).
+    /// (scale scenarios only).
     #[serde(skip_serializing_if = "Option::is_none")]
     peak_rss_bytes: Option<u64>,
     /// Peak RSS divided by the node count — the engine's memory
-    /// footprint per simulated node (scale scenario only).
+    /// footprint per simulated node (scale scenarios only).
     #[serde(skip_serializing_if = "Option::is_none")]
     mem_per_node_bytes: Option<u64>,
     /// Wall time with the full observability layer on (`--trace` only).
@@ -248,16 +253,33 @@ fn proc_status_bytes(key: &str) -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// The 4096-node scale scenario: a 16-ary 3-tree (768 switches of 32
-/// ports) under light uniform traffic from every node — per-cycle work
-/// two orders of magnitude above the paper configs, which is the regime
-/// the sharded engine exists for. Duration is set by the caller.
-fn scale_16ary3(duration_ns: f64) -> ExperimentSpec {
-    let tree = KAryNTree::new(16, 3);
+/// Peak resident set of the process so far (`VmHWM`) and its share per
+/// node of `spec`, printed and returned; `None`s off Linux.
+fn peak_memory(spec: &ExperimentSpec) -> (Option<u64>, Option<u64>) {
+    let peak_rss = proc_status_bytes("VmHWM:");
+    let per_node = peak_rss.map(|b| b / spec.topology.num_nodes() as u64);
+    if let (Some(rss), Some(per_node)) = (peak_rss, per_node) {
+        println!(
+            "{:<17} peak RSS {:.1} MiB | {:.1} KiB per node",
+            spec.name,
+            rss as f64 / (1 << 20) as f64,
+            per_node as f64 / 1024.0,
+        );
+    }
+    (peak_rss, per_node)
+}
+
+/// A scale scenario: a `k`-ary 3-tree under light uniform traffic from
+/// every node. `k` = 16 is the 4096-node one (768 switches of 32 ports)
+/// — per-cycle work two orders of magnitude above the paper configs,
+/// which is the regime the sharded engine exists for. Duration is set
+/// by the caller.
+fn scale_tree(k: u32, duration_ns: f64) -> ExperimentSpec {
+    let tree = KAryNTree::new(k, 3);
     let topology = tree.build(LinkParams::default());
     let routing = tree.det_routing();
     ExperimentSpec {
-        name: "scale-16ary3".into(),
+        name: format!("scale-{k}ary3"),
         pattern: uniform_all(topology.num_nodes(), 0.1),
         routing,
         topology,
@@ -340,19 +362,19 @@ fn main() {
 
     let mut entries = Vec::new();
     for (spec, bench_parallel) in [(idle_heavy(), false), (congestion_heavy(), true)] {
-        let (slow_s, slow_cycles, _) = time_run(&spec, mech, Leg::Reference);
+        let (oracle_s, oracle_cycles, _) = time_run(&spec, mech, Leg::Reference);
         let (fast_s, fast_cycles, act) = time_run(&spec, mech, Leg::Engine { threads: 1 });
         assert_eq!(
-            slow_cycles, fast_cycles,
+            oracle_cycles, fast_cycles,
             "{}: the engine and its reference mode simulated different cycle counts",
             spec.name
         );
-        let slow_cps = slow_cycles as f64 / slow_s.max(1e-12);
+        let oracle_cps = oracle_cycles as f64 / oracle_s.max(1e-12);
         let fast_cps = fast_cycles as f64 / fast_s.max(1e-12);
-        let speedup = fast_cps / slow_cps;
+        let speedup = fast_cps / oracle_cps;
         println!(
-            "{:<17} {:>9} cycles | slow {:>12.0} cyc/s | fast {:>12.0} cyc/s | {:.2}x",
-            spec.name, slow_cycles, slow_cps, fast_cps, speedup
+            "{:<17} {:>9} cycles | oracle {:>10.0} cyc/s | fast {:>12.0} cyc/s | {:.2}x",
+            spec.name, oracle_cycles, oracle_cps, fast_cps, speedup
         );
         if profile {
             profile_run(&spec, mech);
@@ -403,10 +425,10 @@ fn main() {
         }
         entries.push(ScenarioResult {
             scenario: spec.name.clone(),
-            simulated_cycles: slow_cycles,
-            slow_wall_s: Some(slow_s),
+            simulated_cycles: oracle_cycles,
+            oracle_wall_s: Some(oracle_s),
             fast_wall_s: fast_s,
-            slow_cycles_per_sec: Some(slow_cps),
+            oracle_cycles_per_sec: Some(oracle_cps),
             fast_cycles_per_sec: fast_cps,
             speedup: Some(speedup),
             threads: par_s.map(|_| threads),
@@ -417,8 +439,6 @@ fn main() {
             parallel_wall_s: par_s,
             parallel_cycles_per_sec: par_cps,
             parallel_speedup: par_cps.map(|cps| cps / fast_cps),
-            peak_rss_bytes: None,
-            mem_per_node_bytes: None,
             traced_wall_s: traced_s,
             traced_cycles_per_sec: traced_cps,
             tracing_overhead_pct: traced_s.map(|s| (1.0 - fast_s.min(s) / s.max(1e-12)) * 100.0),
@@ -428,6 +448,7 @@ fn main() {
             active_max_adapters: act.node_max,
             active_avg_links: act.avg_links(),
             active_max_links: act.link_max,
+            ..Default::default()
         });
     }
 
@@ -437,7 +458,7 @@ fn main() {
     // parallel-vs-serial gate below has a 5 % allowance, which a single
     // rep per leg cannot resolve on a shared runner.
     const SCALE_REPS: usize = 3;
-    let spec = scale_16ary3(if smoke { 0.1e6 } else { 0.5e6 });
+    let spec = scale_tree(16, if smoke { 0.1e6 } else { 0.5e6 });
     let mut serial = time_once(&spec, mech, Leg::Engine { threads: 1 });
     let mut parallel = time_once(&spec, mech, Leg::Engine { threads });
     for _ in 1..SCALE_REPS {
@@ -452,13 +473,13 @@ fn main() {
     // slower, and cycles/sec is a rate, so a few hundred cycles anchor
     // the speedup without a half-hour bench leg. One rep for the same
     // reason.
-    let slow_spec = scale_16ary3(if smoke { 0.005e6 } else { 0.02e6 });
-    let (slow_s, slow_cycles, _) = time_run_n(&slow_spec, mech, Leg::Reference, 1);
-    let slow_cps = slow_cycles as f64 / slow_s.max(1e-12);
-    let speedup = serial_cps / slow_cps;
+    let oracle_spec = scale_tree(16, if smoke { 0.005e6 } else { 0.02e6 });
+    let (oracle_s, oracle_cycles, _) = time_run_n(&oracle_spec, mech, Leg::Reference, 1);
+    let oracle_cps = oracle_cycles as f64 / oracle_s.max(1e-12);
+    let speedup = serial_cps / oracle_cps;
     println!(
-        "{:<17} {:>9} cycles | slow {:>12.0} cyc/s | fast {:>12.0} cyc/s | {:.2}x",
-        spec.name, slow_cycles, slow_cps, serial_cps, speedup
+        "{:<17} {:>9} cycles | oracle {:>10.0} cyc/s | fast {:>12.0} cyc/s | {:.2}x",
+        spec.name, oracle_cycles, oracle_cps, serial_cps, speedup
     );
     if profile {
         profile_run(&spec, mech);
@@ -470,8 +491,7 @@ fn main() {
     );
     let par_cps = par_cycles as f64 / par_s.max(1e-12);
     let parallel_speedup = par_cps / serial_cps;
-    let peak_rss = proc_status_bytes("VmHWM:");
-    let mem_per_node = peak_rss.map(|b| b / spec.topology.num_nodes() as u64);
+    let (peak_rss, mem_per_node) = peak_memory(&spec);
     println!(
         "{:<17} {:>9} cycles | serial {:>10.0} cyc/s | par({}) {:>10.0} cyc/s | {:.2}x{}",
         spec.name,
@@ -485,14 +505,6 @@ fn main() {
             .map(|r| format!(" (fell back: {})", r.as_str()))
             .unwrap_or_default(),
     );
-    if let (Some(rss), Some(per_node)) = (peak_rss, mem_per_node) {
-        println!(
-            "{:<17} peak RSS {:.1} MiB | {:.1} KiB per node",
-            spec.name,
-            rss as f64 / (1 << 20) as f64,
-            per_node as f64 / 1024.0,
-        );
-    }
     // On a host that can actually run the shards concurrently the
     // parallel engine must not lose to serial (5 % noise allowance).
     // When the auto-fallback degraded the leg to serial the comparison
@@ -522,9 +534,9 @@ fn main() {
     entries.push(ScenarioResult {
         scenario: spec.name.clone(),
         simulated_cycles: serial_cycles,
-        slow_wall_s: Some(slow_s),
+        oracle_wall_s: Some(oracle_s),
         fast_wall_s: serial_s,
-        slow_cycles_per_sec: Some(slow_cps),
+        oracle_cycles_per_sec: Some(oracle_cps),
         fast_cycles_per_sec: serial_cps,
         speedup: Some(speedup),
         threads: Some(threads),
@@ -535,15 +547,40 @@ fn main() {
         parallel_speedup: Some(parallel_speedup),
         peak_rss_bytes: peak_rss,
         mem_per_node_bytes: mem_per_node,
-        traced_wall_s: None,
-        traced_cycles_per_sec: None,
-        tracing_overhead_pct: None,
         active_avg_switches: act.avg_switches(),
         active_max_switches: act.sw_max,
         active_avg_adapters: act.avg_adapters(),
         active_max_adapters: act.node_max,
         active_avg_links: act.avg_links(),
         active_max_links: act.link_max,
+        ..Default::default()
+    });
+
+    // --- scale-32ary3: the next size up builds and runs ---------------
+    // One serial run; set-up dominates its wall time. It runs last, so
+    // the process-wide `VmHWM` it reads is its own peak.
+    let spec = scale_tree(32, if smoke { 0.005e6 } else { 0.02e6 });
+    let (wall_s, cycles, act) = time_once(&spec, mech, Leg::Engine { threads: 1 });
+    let cps = cycles as f64 / wall_s.max(1e-12);
+    println!(
+        "{:<17} {:>9} cycles | serial {:>10.0} cyc/s | {:.2} s including set-up",
+        spec.name, cycles, cps, wall_s
+    );
+    let (peak_rss, mem_per_node) = peak_memory(&spec);
+    entries.push(ScenarioResult {
+        scenario: spec.name.clone(),
+        simulated_cycles: cycles,
+        fast_wall_s: wall_s,
+        fast_cycles_per_sec: cps,
+        peak_rss_bytes: peak_rss,
+        mem_per_node_bytes: mem_per_node,
+        active_avg_switches: act.avg_switches(),
+        active_max_switches: act.sw_max,
+        active_avg_adapters: act.avg_adapters(),
+        active_max_adapters: act.node_max,
+        active_avg_links: act.avg_links(),
+        active_max_links: act.link_max,
+        ..Default::default()
     });
     let doc = BenchDoc {
         bench: "engine".into(),

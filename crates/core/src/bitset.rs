@@ -1,11 +1,14 @@
-//! A word-bitset over a small dense index range, and a borrow-free
-//! round-robin cursor over it.
+//! A word-bitset over a small dense index range, a borrow-free
+//! round-robin cursor over it, and a sparse map keyed by such an index.
 //!
 //! One structure serves every "which of my N things hold something"
 //! question on the hot paths: the adapter's backlogged AdVOQs, the
 //! switch's occupied / isolation-live input ports, the arbitration
 //! request sets and the iSLIP grant walk (DESIGN.md §12). Any length
-//! works — a set spans `len.div_ceil(64)` words.
+//! works — a set spans `len.div_ceil(64)` words. [`DestMap`] answers the
+//! companion question "what do I hold *for* thing `k`" when only a few
+//! of the N things ever get an answer (the adapter's per-destination
+//! state).
 
 /// Word-bitset over the indices `0..len`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -60,6 +63,27 @@ impl BitSet {
         self.words.copy_from_slice(&other.words);
     }
 
+    /// Renumber for an index inserted at `at`: every member `i >= at`
+    /// becomes `i + 1` and `at` itself is not a member. `len` is the
+    /// index range after the insertion; the set grows to span it.
+    pub fn insert_gap(&mut self, at: usize, len: usize) {
+        debug_assert!(at < len);
+        self.words.resize(len.div_ceil(64), 0);
+        let below = (1u64 << (at % 64)) - 1;
+        let first = &mut self.words[at / 64];
+        let mut carry = *first >> 63;
+        *first = (*first & below) | ((*first & !below) << 1);
+        for w in &mut self.words[at / 64 + 1..] {
+            let out = *w >> 63;
+            *w = (*w << 1) | carry;
+            carry = out;
+        }
+        debug_assert_eq!(
+            carry, 0,
+            "a member at or above `len - 1` before the insertion"
+        );
+    }
+
     /// Smallest member in `from..to`.
     pub fn next_in(&self, from: usize, to: usize) -> Option<usize> {
         if from >= to {
@@ -106,8 +130,10 @@ pub struct RoundRobin {
 }
 
 impl RoundRobin {
-    /// A cursor over `0..n` starting at `start`.
+    /// A cursor over `0..n` starting at `start`; `start == n` (one past
+    /// the last index) wraps to 0.
     pub fn new(start: usize, n: usize) -> Self {
+        let start = if start == n { 0 } else { start };
         Self {
             pos: start,
             end: n,
@@ -127,6 +153,196 @@ impl RoundRobin {
             }
             self.pos = 0;
             self.end = self.start;
+        }
+    }
+}
+
+/// Keys per [`DestMap`] rank block: two membership words.
+const RANK_BLOCK: usize = 128;
+
+/// A sparse map from an index in `0..universe` to a `T`, for the case
+/// where few of the indices ever hold a value: the values live in a slab
+/// sorted by key, so a *slot* (position in the slab) orders like its key
+/// and walking the slab visits keys ascending.
+///
+/// A point lookup is O(1) and search-free: membership is a word-bitset
+/// over the universe, and the slot of a member is its rank — a prefix
+/// count stored per 128 keys plus at most two popcounts. Cost per map:
+/// `universe / 8 + universe / 32` bytes of index, then one `T` and one
+/// `u32` per key actually inserted. Entries are never removed, so a slot
+/// only ever moves up (when a smaller key is inserted below it).
+#[derive(Debug, Clone)]
+pub struct DestMap<T> {
+    /// Bit `k` set ⇔ key `k` has a slot.
+    member: Vec<u64>,
+    /// `rank[b]` = members below key `b * RANK_BLOCK`.
+    rank: Vec<u32>,
+    /// Slot → key, ascending.
+    keys: Vec<u32>,
+    /// Slot → value.
+    vals: Vec<T>,
+}
+
+impl<T> DestMap<T> {
+    /// An empty map over the keys `0..universe`.
+    pub fn new(universe: usize) -> Self {
+        Self {
+            member: vec![0; universe.div_ceil(64)],
+            rank: vec![0; universe.div_ceil(RANK_BLOCK)],
+            keys: Vec::new(),
+            vals: Vec::new(),
+        }
+    }
+
+    /// Number of keys that hold a value (= number of slots).
+    pub fn len(&self) -> usize {
+        self.vals.len()
+    }
+
+    /// Whether no key holds a value.
+    pub fn is_empty(&self) -> bool {
+        self.vals.is_empty()
+    }
+
+    /// Members below `key` — the slot `key` has, or would be inserted at.
+    #[inline]
+    fn rank_of(&self, key: usize) -> usize {
+        let w = key / 64;
+        let mut below = (self.member[w] & ((1u64 << (key % 64)) - 1)).count_ones();
+        if w % 2 == 1 {
+            below += self.member[w - 1].count_ones();
+        }
+        self.rank[key / RANK_BLOCK] as usize + below as usize
+    }
+
+    /// The slot of `key`, if it holds a value.
+    #[inline]
+    pub fn slot(&self, key: usize) -> Option<usize> {
+        (self.member[key / 64] & (1 << (key % 64)) != 0).then(|| self.rank_of(key))
+    }
+
+    /// Give the absent `key` a value and return its slot. Every slot at
+    /// or above the returned one has moved up by one.
+    pub fn insert(&mut self, key: usize, val: T) -> usize {
+        debug_assert!(self.slot(key).is_none(), "key {key} inserted twice");
+        let slot = self.rank_of(key);
+        self.member[key / 64] |= 1 << (key % 64);
+        for r in &mut self.rank[key / RANK_BLOCK + 1..] {
+            *r += 1;
+        }
+        self.keys.insert(slot, key as u32);
+        self.vals.insert(slot, val);
+        slot
+    }
+
+    /// The key held in `slot`.
+    #[inline]
+    pub fn key(&self, slot: usize) -> usize {
+        self.keys[slot] as usize
+    }
+
+    /// The value of `key`, if it holds one.
+    pub fn get(&self, key: usize) -> Option<&T> {
+        self.slot(key).map(|s| &self.vals[s])
+    }
+
+    /// The values in slot (= ascending key) order.
+    pub fn values(&self) -> &[T] {
+        &self.vals
+    }
+
+    /// `(key, value)` in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+        self.keys.iter().map(|&k| k as usize).zip(&self.vals)
+    }
+}
+
+/// By slot, not by key.
+impl<T> std::ops::Index<usize> for DestMap<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, slot: usize) -> &T {
+        &self.vals[slot]
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for DestMap<T> {
+    #[inline]
+    fn index_mut(&mut self, slot: usize) -> &mut T {
+        &mut self.vals[slot]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Universes around the membership-word and rank-block boundaries.
+    const UNIVERSES: [usize; 8] = [1, 63, 64, 65, 127, 128, 129, 300];
+
+    proptest! {
+        /// Random insert / find sequences against a dense
+        /// `Vec<Option<T>>`: same answers, slots in key order, and a
+        /// slot-indexed side set that follows `insert_gap` names the
+        /// same keys before and after every insertion.
+        #[test]
+        fn dest_map_matches_a_dense_vector(
+            universe in 0usize..UNIVERSES.len(),
+            ops in prop::collection::vec((any::<bool>(), any::<u32>(), any::<bool>()), 1..200),
+        ) {
+            let n = UNIVERSES[universe];
+            let mut map = DestMap::new(n);
+            let mut dense: Vec<Option<u32>> = vec![None; n];
+            // A set over slots (the adapter's `backlogged`) and the set
+            // of keys it is meant to name.
+            let mut marked_slots = BitSet::new(0);
+            let mut marked_keys = BitSet::new(n);
+            for (insert, k, mark) in ops {
+                let key = k as usize % n;
+                if insert && dense[key].is_none() {
+                    let slot = map.insert(key, k);
+                    dense[key] = Some(k);
+                    marked_slots.insert_gap(slot, map.len());
+                    prop_assert_eq!(map.key(slot), key);
+                    prop_assert!(!marked_slots.contains(slot));
+                    if mark {
+                        marked_slots.insert(slot);
+                        marked_keys.insert(key);
+                    }
+                }
+                prop_assert_eq!(map.get(key), dense[key].as_ref());
+                prop_assert_eq!(map.slot(key).map(|s| map[s]), dense[key]);
+                let walked: Vec<(usize, u32)> = map.iter().map(|(k, &v)| (k, v)).collect();
+                let expect: Vec<(usize, u32)> = dense
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(k, v)| v.map(|v| (k, v)))
+                    .collect();
+                prop_assert_eq!(map.len(), expect.len());
+                prop_assert_eq!(walked, expect);
+                let named: Vec<usize> = marked_slots.iter().map(|s| map.key(s)).collect();
+                prop_assert_eq!(named, marked_keys.iter().collect::<Vec<_>>());
+            }
+            for (key, v) in dense.iter().enumerate() {
+                prop_assert_eq!(map.get(key), v.as_ref());
+            }
+        }
+    }
+
+    /// The gap shift carries across words: members at 62..=65 around an
+    /// insertion at each of 63, 64 and 65.
+    #[test]
+    fn insert_gap_shifts_across_the_word_boundary() {
+        for at in [63, 64, 65] {
+            let mut set = BitSet::new(66);
+            for i in 62..66 {
+                set.insert(i);
+            }
+            set.insert_gap(at, 67);
+            let expect: Vec<usize> = (62..66).map(|i| if i >= at { i + 1 } else { i }).collect();
+            assert_eq!(set.iter().collect::<Vec<_>>(), expect, "gap at {at}");
         }
     }
 }

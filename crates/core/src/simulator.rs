@@ -502,57 +502,6 @@ impl SimBuilder {
     }
 }
 
-/// Flat-array memo of BECN transit delays for small networks; above
-/// [`BECN_CACHE_FLAT_MAX`] nodes the dense `from × to` table is replaced
-/// by a hash map — at 4096 nodes the table would burn 128 MB to memoize
-/// a handful of hot (destination, source) pairs. Lookups are keyed only
-/// (never iterated), so the map cannot leak iteration order into
-/// results.
-const BECN_CACHE_FLAT_MAX: usize = 1024;
-
-#[derive(Debug)]
-enum BecnDelayCache {
-    Flat(Vec<Cycle>),
-    Sparse(std::collections::HashMap<(u32, u32), Cycle>),
-}
-
-impl BecnDelayCache {
-    fn new(num_nodes: usize) -> Self {
-        if num_nodes <= BECN_CACHE_FLAT_MAX {
-            BecnDelayCache::Flat(vec![Cycle::MAX; num_nodes * num_nodes])
-        } else {
-            BecnDelayCache::Sparse(std::collections::HashMap::new())
-        }
-    }
-
-    fn get(&self, from: NodeId, to: NodeId, num_nodes: usize) -> Option<Cycle> {
-        match self {
-            BecnDelayCache::Flat(v) => {
-                let d = v[from.index() * num_nodes + to.index()];
-                (d != Cycle::MAX).then_some(d)
-            }
-            BecnDelayCache::Sparse(m) => m.get(&(from.0, to.0)).copied(),
-        }
-    }
-
-    fn insert(&mut self, from: NodeId, to: NodeId, num_nodes: usize, d: Cycle) {
-        match self {
-            BecnDelayCache::Flat(v) => v[from.index() * num_nodes + to.index()] = d,
-            BecnDelayCache::Sparse(m) => {
-                m.insert((from.0, to.0), d);
-            }
-        }
-    }
-
-    /// Drop every memoized delay (paths changed after a re-route).
-    fn invalidate(&mut self) {
-        match self {
-            BecnDelayCache::Flat(v) => v.fill(Cycle::MAX),
-            BecnDelayCache::Sparse(m) => m.clear(),
-        }
-    }
-}
-
 /// One-line stderr advisory, emitted once per process, when the
 /// auto-fallback overrules or clamps a parallel request — the visible
 /// fix for the silent 0.008×-speedup trap. Suppressed for
@@ -690,8 +639,6 @@ pub struct Simulator {
     /// order, so FIFO == seq order.
     release_q: CalendarQueue<Release>,
     becn_q: BinaryHeap<Reverse<(Cycle, u64, u32, u32)>>, // (at, seq, congested_dst, throttle_node)
-    /// BECN-delay memo (flat for small networks, sparse for large ones).
-    becn_delay_cache: BecnDelayCache,
     num_nodes: usize,
     /// Per-tick delivery scratch (no state across ticks).
     delivery_scratch: Vec<ccfit_engine::link::Delivery>,
@@ -1117,7 +1064,6 @@ impl Simulator {
             metrics,
             release_q: CalendarQueue::new(),
             becn_q: BinaryHeap::new(),
-            becn_delay_cache: BecnDelayCache::new(num_nodes),
             num_nodes,
             delivery_scratch: Vec::new(),
             release_scratch: Vec::new(),
@@ -1209,19 +1155,14 @@ impl Simulator {
 
     /// BECN transit time from `from` to `to`: one propagation delay plus
     /// one flit serialization per hop (CNPs are single-flit priority
-    /// packets riding the NFQ path; see DESIGN.md §3).
+    /// packets riding the NFQ path; see DESIGN.md §3). Memoised in the
+    /// sending adapter's entry for `to` until the next re-route.
     fn becn_delay(&mut self, from: NodeId, to: NodeId) -> Cycle {
-        if let Some(d) = self.becn_delay_cache.get(from, to, self.num_nodes) {
-            return d;
-        }
-        let hops = self
-            .routing
-            .trace(&self.topo, from, to)
-            .map(|p| p.len())
-            .unwrap_or(1) as Cycle;
-        let d = hops * 2 + 1;
-        self.becn_delay_cache.insert(from, to, self.num_nodes, d);
-        d
+        let (routing, topo) = (&self.routing, &self.topo);
+        self.adapters[from.index()].becn_delay(to, || {
+            let hops = routing.trace(topo, from, to).map_or(1, |p| p.len());
+            hops as Cycle * 2 + 1
+        })
     }
 
     /// Advance the clock through one pass of the phase pipeline: one
@@ -2246,7 +2187,9 @@ impl Simulator {
     fn complete_reroute(&mut self, now: Cycle, frt: &mut FaultRuntime) {
         self.routing = RoutingTable::shortest_path(&self.topo);
         // BECN transit times follow the new paths.
-        self.becn_delay_cache.invalidate();
+        for a in &mut self.adapters {
+            a.forget_becn_delays();
+        }
         let (comp, node_comp) = compute_components(&self.topo, &frt.down_switches);
         frt.comp = comp;
         frt.node_comp = node_comp;

@@ -1,0 +1,83 @@
+//! Network size: an adapter's memory follows the traffic it carries, not
+//! the number of nodes it could talk to (DESIGN.md §12, "Per-destination
+//! state on demand"), so a tree of 32 768 nodes — 62 GB when every
+//! adapter held a queue and a throttle entry per destination — builds
+//! and runs on a workstation.
+
+use ccfit::{Mechanism, SimBuilder, Simulator};
+use ccfit_engine::ids::NodeId;
+use ccfit_topology::{KAryNTree, LinkParams};
+use ccfit_traffic::uniform_all;
+
+/// A `k`-ary 3-tree under uniform 0.1 load and CCFIT, run to the end.
+fn run_tree(k: u32, duration_ns: f64) -> Simulator {
+    let tree = KAryNTree::new(k, 3);
+    let topology = tree.build(LinkParams::default());
+    let num_nodes = topology.num_nodes();
+    let mut sim = SimBuilder::new(topology)
+        .routing(tree.det_routing())
+        .mechanism(Mechanism::ccfit())
+        .traffic(uniform_all(num_nodes, 0.1))
+        .duration_ns(duration_ns)
+        .seed(1)
+        .build();
+    sim.run_to_end();
+    sim
+}
+
+fn peer_entries(sim: &Simulator, num_nodes: usize) -> u64 {
+    (0..num_nodes)
+        .map(|n| sim.adapter(NodeId::from(n)).peer_count() as u64)
+        .sum()
+}
+
+/// Peak resident set of this process in bytes (`None` off Linux).
+fn vm_hwm_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
+#[test]
+fn adapter_state_follows_traffic_at_4096_nodes() {
+    let sim = run_tree(16, 50_000.0);
+    assert!(sim.delivered() > 0, "traffic flowed");
+    assert_eq!(
+        sim.injected(),
+        sim.delivered() + sim.resident_packets() as u64,
+        "packet conservation"
+    );
+    // Under in-band BECNs only an admitted packet creates an entry, at
+    // its source, for its destination.
+    let entries = peer_entries(&sim, 4096);
+    assert!(entries > 0);
+    assert!(
+        entries <= sim.injected(),
+        "{entries} peer entries for {} injected packets",
+        sim.injected()
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release only: building 3072 64-port switches takes minutes unoptimised"
+)]
+fn tree_of_32768_nodes_builds_runs_and_conserves() {
+    let sim = run_tree(32, 20_000.0);
+    assert!(sim.delivered() > 0, "traffic flowed");
+    assert_eq!(
+        sim.injected(),
+        sim.delivered() + sim.resident_packets() as u64,
+        "packet conservation"
+    );
+    assert!(peer_entries(&sim, 32_768) <= sim.injected());
+    if let Some(peak) = vm_hwm_bytes() {
+        assert!(
+            peak <= 2 << 30,
+            "peak resident set {:.0} MB exceeds 2 GB",
+            peak as f64 / 1e6
+        );
+    }
+}
