@@ -139,6 +139,52 @@ impl Throttle {
     };
 }
 
+/// Where the AdVOQ arbiter puts a packet in the output buffer.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    Nfq,
+    /// The CFQ already allocated to the packet's destination.
+    Cfq(usize),
+    /// A free CFQ slot, allocated to the destination by the move.
+    NewCfq(usize),
+}
+
+/// What the AdVOQ arbiter makes of the head of one AdVOQ at one cycle.
+/// Computing it reads the adapter and writes nothing.
+#[derive(Debug, Clone, Copy)]
+enum Fate {
+    /// Held by the clock alone, until this cycle: its header is not
+    /// visible yet, or the IRD / rate gap of the last injection runs.
+    NotBefore(Cycle),
+    /// Held by adapter state — the HPCC window, the output RAM, a CFQ
+    /// past its Stop threshold, the NFQ gate — or there is no head at
+    /// all. Only an event that bumps [`Adapter::epoch`] changes that.
+    Held,
+    /// It moves.
+    Move(Target),
+    /// Its destination is congested, has no CFQ and none is free: the
+    /// arbiter counts that every cycle it meets it, then falls back to
+    /// the NFQ if the gate lets it (`moves`).
+    CfqExhausted { moves: bool },
+}
+
+/// Why an AdVOQ walk that moved nothing will keep moving nothing
+/// (DESIGN.md §12, "Adapter idle bound"): every backlogged head was
+/// held, and until the clock or an event frees one a further walk is
+/// skipped — it would find the same, and a fruitless walk writes
+/// nothing, counts nothing and moves no pointer.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdleBound {
+    /// Earliest cycle a [`Fate::NotBefore`] head is free; `Cycle::MAX`
+    /// when the walk met none. `0` = no bound: the last walk moved a
+    /// packet, or counted a [`Fate::CfqExhausted`] head, which the next
+    /// one has to count again.
+    until: Cycle,
+    /// [`Adapter::epoch`] at the walk; the [`Fate::Held`] heads wait for
+    /// an event that bumps it.
+    epoch: u64,
+}
+
 /// The injection side of one end node.
 #[derive(Debug, Clone)]
 pub struct Adapter {
@@ -194,6 +240,11 @@ pub struct Adapter {
     cfq_count: usize,
     /// Per-call control-event scratch.
     ctrl_scratch: Vec<CtrlEvent>,
+    /// Bumped by every event that can free a [`Fate::Held`] AdVOQ head
+    /// — see [`IdleBound`].
+    epoch: u64,
+    /// The idle bound of the last AdVOQ walk.
+    idle: IdleBound,
 }
 
 /// A completed injection: the simulator releases `flits` of the output
@@ -241,6 +292,8 @@ impl Adapter {
             armed_timers: 0,
             cfq_count: 0,
             ctrl_scratch: Vec::new(),
+            epoch: 0,
+            idle: IdleBound::default(),
         }
     }
 
@@ -308,6 +361,11 @@ impl Adapter {
             now,
         );
         pkt.overhead_bytes = self.cfg.data_overhead_bytes;
+        if q.is_empty() {
+            // A new head. A push behind one changes nothing the arbiter
+            // reads, and a saturated source pushes every cycle it can.
+            self.epoch += 1;
+        }
         q.push(pkt, now, now);
         self.backlogged.insert(slot);
         self.resident += 1;
@@ -339,6 +397,8 @@ impl Adapter {
             // Non-isolating adapters ignore (and never receive) these.
             return;
         }
+        // CAM lines come and go, and with them where a head is headed.
+        self.epoch += 1;
         let scratch = std::mem::take(&mut self.ctrl_scratch);
         for &ev in scratch.iter() {
             match ev {
@@ -527,6 +587,7 @@ impl Adapter {
         let f = &mut self.hpcc_flows[slot];
         let before = f.w;
         f.on_ack(f64::from(u_ack), u64::from(acked_bytes), hc);
+        self.epoch += 1; // the window opened (or moved)
         metrics.count("ack_received", 1);
         if metrics.wants_events(EventClass::INT) {
             metrics.cc_event(CcEvent {
@@ -732,173 +793,228 @@ impl Adapter {
         self.earliest_deadline = earliest;
     }
 
+    /// What the arbiter makes of the head of the AdVOQ in `slot` at `now`.
+    fn head_fate(&self, slot: usize, now: Cycle) -> Fate {
+        let p = &self.peers[slot];
+        let Some(head) = p.queue.head() else {
+            return Fate::Held;
+        };
+        if head.visible_at > now {
+            return Fate::NotBefore(head.visible_at);
+        }
+        if now < p.next_allowed {
+            return Fate::NotBefore(p.next_allowed); // IRD throttling gates this destination.
+        }
+        if self.cfg.hpcc.is_some() && !self.hpcc_flows[slot].may_send(head.packet.wire_bytes()) {
+            return Fate::Held; // HPCC window full for this destination.
+        }
+        let size = head.packet.size_flits;
+        if !self.out_ram.can_reserve(size) {
+            return Fate::Held;
+        }
+        // NFQ gate: keep backlog in the AdVOQs.
+        let nfq_open = self.nfq.occupancy_flits() + size <= self.cfg.nfq_gate_flits.max(size);
+        let dst = head.packet.dst;
+        match self.cfg.iso {
+            // Congested destination: goes to (or allocates) its CFQ,
+            // honouring the Stop threshold as per-destination
+            // backpressure into the AdVOQ.
+            Some(iso) if self.cam.lookup(dst).is_some() => match self.cfq_lookup(dst) {
+                Some(c) => {
+                    let stop_flits = iso.stop_mtus * self.cfg.mtu_flits;
+                    if self.cfqs[c].queue.occupancy_flits() + size <= stop_flits {
+                        Fate::Move(Target::Cfq(c))
+                    } else {
+                        Fate::Held // CFQ full past Stop: hold in AdVOQ
+                    }
+                }
+                None => match self.cfqs.iter().position(|c| c.state.is_none()) {
+                    Some(c) => Fate::Move(Target::NewCfq(c)),
+                    // No CFQ left: fall back to the NFQ (the HoL risk the
+                    // paper accepts when isolation resources run out).
+                    None => Fate::CfqExhausted { moves: nfq_open },
+                },
+            },
+            _ if nfq_open => Fate::Move(Target::Nfq),
+            _ => Fate::Held,
+        }
+    }
+
+    /// Whether the idle bound of the last AdVOQ walk still stands at
+    /// `now`: no time-only blocker has cleared and no event has bumped
+    /// the epoch.
+    fn idle_bound_holds(&self, now: Cycle) -> bool {
+        now < self.idle.until && self.idle.epoch == self.epoch
+    }
+
     /// Round-robin AdVOQ arbitration gated by the IRD (§III-D event #8):
     /// move at most one packet per cycle into the output buffer.
     fn advoq_arbitration<M: MetricsSink>(&mut self, now: Cycle, metrics: &mut M) {
-        let iso = self.cfg.iso;
-        let stop_flits = iso.map_or(0, |i| i.stop_mtus * self.cfg.mtu_flits);
+        if self.idle_bound_holds(now) {
+            debug_assert!(
+                self.backlogged
+                    .iter()
+                    .all(|s| matches!(self.head_fate(s, now), Fate::NotBefore(_) | Fate::Held)),
+                "stale AdVOQ idle bound at {} cycle {now}",
+                self.node
+            );
+        } else {
+            self.advoq_walk(now, metrics);
+        }
+        self.cfq_linger(now, metrics);
+    }
+
+    /// The walk of [`Self::advoq_arbitration`]: commit the first head
+    /// that moves, or leave an idle bound saying why none did.
+    fn advoq_walk<M: MetricsSink>(&mut self, now: Cycle, metrics: &mut M) {
+        let mut until = Cycle::MAX;
         let mut walk = RoundRobin::new(self.rr_slot, self.peers.len());
         while let Some(s) = walk.next(&self.backlogged) {
-            let p = &self.peers[s];
-            let Some(head) = p.queue.head_visible(now) else {
-                continue;
-            };
-            if now < p.next_allowed {
-                continue; // IRD throttling gates this destination.
-            }
-            if self.cfg.hpcc.is_some() && !self.hpcc_flows[s].may_send(head.packet.wire_bytes()) {
-                continue; // HPCC window full for this destination.
-            }
-            let size = head.packet.size_flits;
-            if !self.out_ram.can_reserve(size) {
-                continue;
-            }
-            // Decide where the packet would go in the output buffer.
-            enum Target {
-                Nfq,
-                Cfq(usize),
-            }
-            let target = if iso.is_some() && self.cam.lookup(head.packet.dst).is_some() {
-                // Congested destination: goes to (or allocates) its CFQ,
-                // honouring the Stop threshold as per-destination
-                // backpressure into the AdVOQ.
-                match self.cfq_lookup(head.packet.dst) {
-                    Some(c) if self.cfqs[c].queue.occupancy_flits() + size <= stop_flits => {
-                        Some(Target::Cfq(c))
+            let target = match self.head_fate(s, now) {
+                Fate::NotBefore(at) => {
+                    until = until.min(at);
+                    continue;
+                }
+                Fate::Held => continue,
+                Fate::Move(target) => target,
+                Fate::CfqExhausted { moves } => {
+                    metrics.count("ia_cfq_exhausted", 1);
+                    if metrics.wants_events(EventClass::CFQ) {
+                        metrics.cc_event(CcEvent {
+                            at: now,
+                            kind: CcEventKind::IaCfqExhausted {
+                                node: self.node.0,
+                                dst: self.peers.key(s) as u32,
+                            },
+                        });
                     }
-                    Some(_) => None, // CFQ full past Stop: hold in AdVOQ
-                    None => {
-                        let free = self.cfqs.iter().position(|c| c.state.is_none());
-                        match free {
-                            Some(c) => {
-                                let dst = head.packet.dst;
-                                self.cfqs[c].state = Some(CfqState::new(dst, 0, false));
-                                self.cfq_count += 1;
-                                metrics.count("ia_cfq_allocated", 1);
-                                if metrics.wants_events(EventClass::CFQ) {
-                                    metrics.cc_event(CcEvent {
-                                        at: now,
-                                        kind: CcEventKind::IaCfqAlloc {
-                                            node: self.node.0,
-                                            dst: dst.0,
-                                        },
-                                    });
-                                }
-                                Some(Target::Cfq(c))
-                            }
-                            None => {
-                                metrics.count("ia_cfq_exhausted", 1);
-                                if metrics.wants_events(EventClass::CFQ) {
-                                    metrics.cc_event(CcEvent {
-                                        at: now,
-                                        kind: CcEventKind::IaCfqExhausted {
-                                            node: self.node.0,
-                                            dst: head.packet.dst.0,
-                                        },
-                                    });
-                                }
-                                // No CFQ left: fall back to the NFQ (the
-                                // HoL risk the paper accepts when
-                                // isolation resources run out).
-                                Some(Target::Nfq)
-                            }
-                        }
+                    if !moves {
+                        until = 0; // counted again next cycle: no bound
+                        continue;
                     }
+                    Target::Nfq
                 }
-            } else {
-                Some(Target::Nfq)
             };
-            let target = match target {
-                Some(Target::Nfq)
-                    if self.nfq.occupancy_flits() + size > self.cfg.nfq_gate_flits.max(size) =>
-                {
-                    continue; // NFQ gate: keep backlog in the AdVOQs.
-                }
-                Some(t) => t,
-                None => continue,
-            };
-            // Commit the move.
-            let entry = self.pop_advoq(s);
-            let dst = entry.packet.dst;
-            let wire = entry.packet.wire_bytes();
-            self.out_ram.reserve(size).expect("checked above");
-            match target {
-                Target::Nfq => self.nfq.push(entry.packet, now, now),
-                Target::Cfq(c) => self.cfqs[c].queue.push(entry.packet, now, now),
-            }
-            // LTI + IRD: earliest next injection for this destination.
-            let packet_time = size.div_ceil(self.inject_bw).max(1) as Cycle;
-            let ccti = self.throttle[s].ccti;
-            let ird = self.cfg.thr.as_ref().map_or(0, |t| t.cct[ccti as usize]);
-            // Modern-CC source reactions: DCQCN stretches the inter-
-            // packet gap by 1/rc; HPCC charges the in-flight window.
-            let mut gap = 0;
-            if let Some(dc) = &self.cfg.dcqcn {
-                let f = &mut self.dcqcn_flows[s];
-                f.advance_to(now, dc);
-                f.on_sent(wire, dc);
-                gap = f.gap_cycles(packet_time);
-                if gap > 0 {
-                    metrics.count("dcqcn_throttled_injections", 1);
-                }
-            }
-            if self.cfg.hpcc.is_some() {
-                self.hpcc_flows[s].on_sent(wire);
-            }
-            self.peers[s].next_allowed = now + packet_time + ird + gap;
-            if ird > 0 {
-                metrics.count("throttled_injections", 1);
-                if metrics.wants_events(EventClass::THROTTLE) {
+            self.idle.until = 0;
+            self.move_to_output(s, target, now, metrics);
+            return; // one move per cycle
+        }
+        self.idle = IdleBound {
+            until,
+            epoch: self.epoch,
+        };
+    }
+
+    /// Move the head of the AdVOQ in `slot` into the output buffer and
+    /// charge its destination the gap to the next injection.
+    fn move_to_output<M: MetricsSink>(
+        &mut self,
+        slot: usize,
+        target: Target,
+        now: Cycle,
+        metrics: &mut M,
+    ) {
+        let entry = self.pop_advoq(slot);
+        let dst = entry.packet.dst;
+        let size = entry.packet.size_flits;
+        let wire = entry.packet.wire_bytes();
+        self.out_ram.reserve(size).expect("the head's fate checked");
+        match target {
+            Target::Nfq => self.nfq.push(entry.packet, now, now),
+            Target::Cfq(c) => self.cfqs[c].queue.push(entry.packet, now, now),
+            Target::NewCfq(c) => {
+                self.cfqs[c].state = Some(CfqState::new(dst, 0, false));
+                self.cfq_count += 1;
+                metrics.count("ia_cfq_allocated", 1);
+                if metrics.wants_events(EventClass::CFQ) {
                     metrics.cc_event(CcEvent {
                         at: now,
-                        kind: CcEventKind::ThrottledInjection {
+                        kind: CcEventKind::IaCfqAlloc {
                             node: self.node.0,
                             dst: dst.0,
-                            ird_cycles: ird,
                         },
                     });
                 }
+                self.cfqs[c].queue.push(entry.packet, now, now);
             }
-            self.advance_rr(s);
-            break; // one move per cycle
         }
-        // CFQ deallocation at the adapter: calm for the linger period,
-        // momentarily empty, and the switch has released the congestion
-        // tree (our CAM line was removed by its CfqDealloc).
-        if let Some(iso) = iso {
-            let calm_flits = iso.propagate_threshold_mtus * self.cfg.mtu_flits;
-            for c in 0..self.cfqs.len() {
-                let Some(mut st) = self.cfqs[c].state else {
-                    continue;
-                };
-                let occ = self.cfqs[c].queue.occupancy_flits();
-                if occ < calm_flits {
-                    if st.calm_since.is_none() {
-                        st.calm_since = Some(now);
-                    }
-                    let lingered = st
-                        .calm_since
-                        .is_some_and(|s| now.saturating_sub(s) >= iso.dealloc_linger_cycles);
-                    if occ == 0 && lingered && self.cam.lookup(st.dst).is_none() {
-                        self.cfqs[c].state = None;
-                        self.cfq_count -= 1;
-                        metrics.count("ia_cfq_deallocated", 1);
-                        if metrics.wants_events(EventClass::CFQ) {
-                            metrics.cc_event(CcEvent {
-                                at: now,
-                                kind: CcEventKind::IaCfqDealloc {
-                                    node: self.node.0,
-                                    dst: st.dst.0,
-                                },
-                            });
-                        }
-                        continue;
-                    }
-                } else {
-                    st.calm_since = None;
-                }
-                self.cfqs[c].state = Some(st);
+        // LTI + IRD: earliest next injection for this destination.
+        let packet_time = size.div_ceil(self.inject_bw).max(1) as Cycle;
+        let ccti = self.throttle[slot].ccti;
+        let ird = self.cfg.thr.as_ref().map_or(0, |t| t.cct[ccti as usize]);
+        // Modern-CC source reactions: DCQCN stretches the inter-
+        // packet gap by 1/rc; HPCC charges the in-flight window.
+        let mut gap = 0;
+        if let Some(dc) = &self.cfg.dcqcn {
+            let f = &mut self.dcqcn_flows[slot];
+            f.advance_to(now, dc);
+            f.on_sent(wire, dc);
+            gap = f.gap_cycles(packet_time);
+            if gap > 0 {
+                metrics.count("dcqcn_throttled_injections", 1);
             }
+        }
+        if self.cfg.hpcc.is_some() {
+            self.hpcc_flows[slot].on_sent(wire);
+        }
+        self.peers[slot].next_allowed = now + packet_time + ird + gap;
+        if ird > 0 {
+            metrics.count("throttled_injections", 1);
+            if metrics.wants_events(EventClass::THROTTLE) {
+                metrics.cc_event(CcEvent {
+                    at: now,
+                    kind: CcEventKind::ThrottledInjection {
+                        node: self.node.0,
+                        dst: dst.0,
+                        ird_cycles: ird,
+                    },
+                });
+            }
+        }
+        self.advance_rr(slot);
+    }
+
+    /// CFQ deallocation at the adapter: calm for the linger period,
+    /// momentarily empty, and the switch has released the congestion
+    /// tree (our CAM line was removed by its CfqDealloc).
+    fn cfq_linger<M: MetricsSink>(&mut self, now: Cycle, metrics: &mut M) {
+        let Some(iso) = self.cfg.iso else { return };
+        if self.cfq_count == 0 {
+            return;
+        }
+        let calm_flits = iso.propagate_threshold_mtus * self.cfg.mtu_flits;
+        for c in 0..self.cfqs.len() {
+            let Some(mut st) = self.cfqs[c].state else {
+                continue;
+            };
+            let occ = self.cfqs[c].queue.occupancy_flits();
+            if occ < calm_flits {
+                if st.calm_since.is_none() {
+                    st.calm_since = Some(now);
+                }
+                let lingered = st
+                    .calm_since
+                    .is_some_and(|s| now.saturating_sub(s) >= iso.dealloc_linger_cycles);
+                if occ == 0 && lingered && self.cam.lookup(st.dst).is_none() {
+                    self.cfqs[c].state = None;
+                    self.cfq_count -= 1;
+                    self.epoch += 1; // a free CFQ slot
+                    metrics.count("ia_cfq_deallocated", 1);
+                    if metrics.wants_events(EventClass::CFQ) {
+                        metrics.cc_event(CcEvent {
+                            at: now,
+                            kind: CcEventKind::IaCfqDealloc {
+                                node: self.node.0,
+                                dst: st.dst.0,
+                            },
+                        });
+                    }
+                    continue;
+                }
+            } else {
+                st.calm_since = None;
+            }
+            self.cfqs[c].state = Some(st);
         }
     }
 
@@ -965,6 +1081,8 @@ impl Adapter {
             None => self.nfq.pop().expect("candidate head"),
             Some(c) => self.cfqs[c].queue.pop().expect("candidate head"),
         };
+        // Room below the NFQ gate, or below a CFQ's Stop threshold.
+        self.epoch += 1;
         self.resident -= 1;
         if let Some(vn) = voqnet {
             vn.sub(
@@ -1001,6 +1119,7 @@ impl Adapter {
     /// (scheduled by the simulator at the completion cycle).
     pub fn release_ram(&mut self, flits: u32) {
         self.out_ram.release(flits);
+        self.epoch += 1;
     }
 
     /// O(1) idleness check for the active-set scheduler: no packet
@@ -1086,6 +1205,7 @@ impl Adapter {
         scratch: &mut Vec<QueuedPacket>,
     ) -> PurgeStats {
         let mut stats = PurgeStats::default();
+        self.epoch += 1;
         scratch.clear();
         for s in 0..self.peers.len() {
             if unreachable(NodeId(self.peers.key(s) as u32)) {
@@ -1122,7 +1242,7 @@ mod tests {
     use ccfit_engine::units::UnitModel;
     use ccfit_metrics::MetricsCollector;
 
-    fn cfg(thr: bool, iso: bool) -> AdapterCfg {
+    pub(super) fn cfg(thr: bool, iso: bool) -> AdapterCfg {
         let units = UnitModel::default();
         AdapterCfg {
             iso: iso.then(IsolationParams::default),
@@ -1146,7 +1266,7 @@ mod tests {
         )
     }
 
-    fn gp(dst: u32) -> GenPacket {
+    pub(super) fn gp(dst: u32) -> GenPacket {
         GenPacket {
             flow: ccfit_engine::ids::FlowId(0),
             dst: NodeId(dst),
@@ -1426,6 +1546,348 @@ mod tests {
         assert_eq!(a.becn_delay(NodeId(5), || 7), 7);
         assert_eq!(a.becn_delay(NodeId(5), || 8), 8, "nothing remembered");
         assert_eq!(a.peer_count(), 0);
+    }
+}
+
+/// The AdVOQ idle bound (DESIGN.md §12, "Adapter idle bound"): one test
+/// per event that bumps the epoch — a head held on exactly the state the
+/// event writes, a fruitless walk that leaves a bound, the event, and the
+/// head moving on the next call — and one per thing that must *not*
+/// disturb a bound. In debug builds every skipped walk is also checked
+/// against a fresh read of every head; these hold in `--release` too.
+#[cfg(test)]
+mod idle_bound_tests {
+    use super::tests::{cfg, gp};
+    use super::*;
+    use ccfit_engine::link::LinkConfig;
+    use ccfit_metrics::MetricsCollector;
+
+    /// An 8-node adapter over a link with `credits` flits of credit; with
+    /// none, nothing ever leaves the output buffer.
+    struct Fx {
+        a: Adapter,
+        links: Vec<Link>,
+        m: MetricsCollector,
+        next_id: u64,
+    }
+
+    fn fx(cfg: AdapterCfg, credits: u32) -> Fx {
+        Fx {
+            a: Adapter::new(NodeId(0), cfg, LinkId(0), 1, 8),
+            links: vec![Link::new(LinkConfig::default(), credits)],
+            m: MetricsCollector::new(UnitModel::default(), 1000.0),
+            next_id: 0,
+        }
+    }
+
+    impl Fx {
+        /// Offer one MTU packet for `dst`.
+        fn inject(&mut self, now: Cycle, dst: u32) -> bool {
+            self.next_id += 1;
+            self.a.try_inject(now, gp(dst), PacketId(self.next_id))
+        }
+
+        fn tick(&mut self, now: Cycle) -> Option<AdapterRelease> {
+            self.links[0].poll_credits(now);
+            self.a.tick(now, &mut self.links, None, &mut self.m)
+        }
+
+        fn ctrl(&mut self, now: Cycle, ev: CtrlEvent) {
+            self.links[0].send_ctrl(now, ev);
+            let due = now + LinkConfig::default().delay_cycles;
+            self.a.poll_ctrl(due, &mut self.links, &mut self.m);
+        }
+
+        fn backlog(&self, dst: u32) -> u32 {
+            self.a.advoq_occupancy(NodeId(dst)) / 32
+        }
+
+        /// Fill the NFQ to its gate with one packet for each of
+        /// destinations 1–4, over a link without credits; returns the
+        /// next cycle.
+        fn gate_the_nfq(&mut self) -> Cycle {
+            for dst in 1..=4 {
+                assert!(self.inject(0, dst));
+            }
+            for now in 0..4 {
+                self.tick(now);
+            }
+            assert_eq!(self.a.nfq.occupancy_flits(), self.a.cfg.nfq_gate_flits);
+            4
+        }
+    }
+
+    #[test]
+    fn a_new_head_wakes_the_walk_and_a_push_behind_it_does_not() {
+        let mut f = fx(cfg(false, false), 1024);
+        f.tick(0);
+        assert!(f.a.idle_bound_holds(1), "nothing backlogged: bounded");
+        assert_eq!(f.a.idle.until, Cycle::MAX);
+        assert!(f.inject(1, 3));
+        assert!(!f.a.idle_bound_holds(1));
+        assert!(f.tick(1).is_some(), "AdVOQ -> NFQ -> link in the tick");
+
+        let mut f = fx(cfg(false, false), 0);
+        let now = f.gate_the_nfq();
+        assert!(f.inject(now, 5));
+        f.tick(now);
+        assert!(f.a.idle_bound_holds(now + 1), "held at the NFQ gate");
+        let epoch = f.a.epoch;
+        while f.inject(now, 5) {}
+        assert_eq!(f.backlog(5), 8, "admitted up to the AdVOQ cap");
+        assert_eq!(f.a.epoch, epoch, "pushes behind a head, and a refusal");
+        assert!(f.a.idle_bound_holds(now + 1));
+        assert!(f.inject(now, 6));
+        assert_ne!(f.a.epoch, epoch, "a push onto an empty AdVOQ");
+    }
+
+    #[test]
+    fn absorbed_ctrl_bumps_the_epoch_and_a_freed_cam_line_frees_the_head() {
+        let mut f = fx(cfg(false, true), 0);
+        f.ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(4) });
+        // Ten packets fill the CFQ to its Stop threshold; the eleventh
+        // is held in the AdVOQ, also once its injection gap has run.
+        let mut now = 1;
+        while f.a.cfqs[0].queue.len() < 10 || f.backlog(4) == 0 {
+            f.inject(now, 4);
+            f.tick(now);
+            now += 1;
+            assert!(now < 1000, "the CFQ must fill");
+        }
+        now += 32;
+        f.tick(now);
+        assert!(f.a.idle_bound_holds(now + 1), "held: CFQ past Stop");
+        assert_eq!(f.a.idle.until, Cycle::MAX, "by state alone");
+        let held = f.backlog(4);
+        f.ctrl(now, CtrlEvent::CfqDealloc { dst: NodeId(4) });
+        now += 2;
+        f.tick(now);
+        assert_eq!(
+            f.backlog(4),
+            held - 1,
+            "no CAM line: the head takes the NFQ"
+        );
+        assert_eq!(f.a.nfq.len(), 1);
+
+        for ev in [
+            CtrlEvent::CfqAlloc { dst: NodeId(5) },
+            CtrlEvent::Stop { dst: NodeId(5) },
+            CtrlEvent::Go { dst: NodeId(5) },
+            CtrlEvent::CfqDealloc { dst: NodeId(5) },
+        ] {
+            let epoch = f.a.epoch;
+            now += 2;
+            f.ctrl(now, ev);
+            assert_ne!(f.a.epoch, epoch, "{ev:?}");
+        }
+    }
+
+    #[test]
+    fn an_ack_reopens_the_hpcc_window() {
+        let cycles_per_ns = 1.0 / UnitModel::default().cycle_ns;
+        let hc = HpccCfg {
+            w_init: 4096.0,
+            ..HpccCfg::materialise(&Default::default(), cycles_per_ns)
+        };
+        let mut f = fx(
+            AdapterCfg {
+                hpcc: Some(hc),
+                ..cfg(false, false)
+            },
+            1024,
+        );
+        for _ in 0..4 {
+            assert!(f.inject(0, 3));
+        }
+        f.tick(0);
+        f.tick(32);
+        assert_eq!(f.backlog(3), 2, "two packets fill the window");
+        f.tick(64);
+        assert_eq!(f.backlog(3), 2);
+        assert!(f.a.idle_bound_holds(65), "held: window full");
+        f.a.on_ack(64, NodeId(3), 0.0, 3, 2048, &mut f.m);
+        f.tick(65);
+        assert_eq!(f.backlog(3), 1);
+    }
+
+    #[test]
+    fn a_ram_release_frees_a_head_held_on_the_output_ram() {
+        let mut f = fx(
+            AdapterCfg {
+                out_ram_flits: 64,
+                ..cfg(false, false)
+            },
+            1024,
+        );
+        for _ in 0..3 {
+            assert!(f.inject(0, 3));
+        }
+        let first = f.tick(0).expect("first packet injected");
+        assert!(f.tick(32).is_some(), "second packet injected");
+        f.tick(64);
+        assert_eq!(f.backlog(3), 1, "RAM of both still reserved");
+        assert!(f.a.idle_bound_holds(65));
+        f.a.release_ram(first.flits);
+        assert!(f.tick(65).is_some());
+        assert_eq!(f.backlog(3), 0);
+    }
+
+    #[test]
+    fn an_output_pop_reopens_the_nfq_gate() {
+        let mut f = fx(cfg(false, false), 1024);
+        for dst in 1..=6 {
+            assert!(f.inject(0, dst));
+        }
+        // Cycle 0 sends the first packet (32 cycles on the wire), cycles
+        // 1–4 fill the NFQ to its gate, and from cycle 5 on the last
+        // head waits for the pop at cycle 32.
+        for now in 0..=32 {
+            f.tick(now);
+            assert_eq!(f.backlog(6), 1, "cycle {now}");
+            assert_eq!(f.a.idle_bound_holds(now + 1), (5..32).contains(&now));
+        }
+        f.tick(33);
+        assert_eq!(f.backlog(6), 0);
+    }
+
+    #[test]
+    fn cfq_deallocation_bumps_the_epoch() {
+        let mut f = fx(cfg(false, true), 1024);
+        f.ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(4) });
+        assert!(f.inject(1, 4));
+        f.tick(1);
+        assert_eq!((f.a.cfq_count, f.a.resident), (1, 0), "isolated and sent");
+        f.ctrl(2, CtrlEvent::CfqDealloc { dst: NodeId(4) });
+        // Calm since cycle 1: one packet is below the calm threshold.
+        let linger = IsolationParams::default().dealloc_linger_cycles;
+        f.tick(linger);
+        assert_eq!(f.a.cfq_count, 1);
+        let epoch = f.a.epoch;
+        f.tick(1 + linger);
+        assert_eq!(f.a.cfq_count, 0);
+        assert_eq!(f.a.epoch, epoch + 1);
+    }
+
+    #[test]
+    fn a_purge_reopens_the_nfq_gate() {
+        let mut f = fx(cfg(false, false), 0);
+        let now = f.gate_the_nfq();
+        assert!(f.inject(now, 5));
+        f.tick(now);
+        assert!(f.a.idle_bound_holds(now + 1));
+        let stats = f.a.purge_unreachable(&|d| d.0 < 5, &mut Vec::new());
+        assert_eq!(stats.data_packets, 4);
+        f.tick(now + 1);
+        assert_eq!((f.backlog(5), f.a.nfq.len()), (0, 1));
+    }
+
+    #[test]
+    fn until_is_the_earliest_next_allowed() {
+        let mut f = fx(cfg(true, false), 1024);
+        // Destination 3 is throttled lightly and met first by the walk,
+        // destination 4 heavily.
+        for _ in 0..2 {
+            f.a.on_becn(0, NodeId(3), &mut f.m);
+        }
+        for _ in 0..5 {
+            f.a.on_becn(0, NodeId(4), &mut f.m);
+        }
+        for dst in [3, 4, 3, 4] {
+            assert!(f.inject(0, dst));
+        }
+        f.tick(0);
+        f.tick(1);
+        assert_eq!((f.backlog(3), f.backlog(4)), (1, 1));
+        f.tick(2);
+        let cct = &f.a.cfg.thr.as_ref().unwrap().cct;
+        let (free3, free4) = (32 + cct[2], 1 + 32 + cct[5]);
+        assert!(free3 < free4);
+        assert_eq!(f.a.idle.until, free3);
+        assert!(f.a.idle_bound_holds(3));
+        // The output pop at cycle 32 costs the bound; the walk after it
+        // records the same one.
+        for now in 3..free3 {
+            f.tick(now);
+            assert_eq!(f.a.idle.until, free3, "cycle {now}");
+        }
+        assert_eq!((f.backlog(3), f.backlog(4)), (1, 1));
+        f.tick(free3);
+        assert_eq!((f.backlog(3), f.backlog(4)), (0, 1));
+        f.tick(free3 + 1);
+        assert_eq!(f.a.idle.until, free4, "re-recorded by the next walk");
+    }
+
+    #[test]
+    fn a_cfq_exhausted_walk_counts_every_cycle() {
+        let mut f = fx(cfg(false, true), 0);
+        for dst in [5, 6, 7] {
+            f.ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(dst) });
+        }
+        // Destinations 5 and 6 take the two CFQs, 1–4 gate the NFQ, and
+        // the head for 7 is left with neither.
+        for dst in [5, 6, 1, 2, 3, 4, 7] {
+            assert!(f.inject(1, dst));
+        }
+        for now in 1..=6 {
+            f.tick(now);
+        }
+        assert_eq!((f.a.cfq_count, f.a.nfq.len(), f.backlog(7)), (2, 4, 1));
+        let counted = f.m.counter("ia_cfq_exhausted");
+        for now in 7..17 {
+            f.tick(now);
+            assert_eq!(f.a.idle.until, 0, "no bound");
+        }
+        assert_eq!(f.m.counter("ia_cfq_exhausted"), counted + 10);
+    }
+
+    /// BECNs, CNPs and timer expiries change the gap charged at the next
+    /// move, never whether a head may move: a bound survives them, and
+    /// the move that follows pays the new price.
+    #[test]
+    fn throttle_feedback_leaves_the_bound_in_place() {
+        let mut f = fx(cfg(true, false), 0);
+        let now = f.gate_the_nfq();
+        assert!(f.inject(now, 5));
+        assert!(f.inject(now, 5));
+        f.tick(now);
+        assert!(f.a.idle_bound_holds(now + 1));
+        let epoch = f.a.epoch;
+        f.a.on_becn(now, NodeId(5), &mut f.m);
+        f.a.on_becn(now, NodeId(5), &mut f.m);
+        let timer = f.a.cfg.thr.as_ref().unwrap().ccti_timer_cycles;
+        f.tick(now + timer);
+        assert_eq!(f.a.ccti(NodeId(5)), 1, "the timer expired once");
+        assert_eq!(f.a.epoch, epoch);
+        assert!(f.a.idle_bound_holds(now + timer + 1));
+        assert_eq!(f.backlog(5), 2);
+        // The gate opens; the move is charged the IRD of CCTI 1.
+        f.a.purge_unreachable(&|d| d.0 < 5, &mut Vec::new());
+        let at = now + timer + 1;
+        f.tick(at);
+        assert_eq!(f.backlog(5), 1);
+        let ird = f.a.cfg.thr.as_ref().unwrap().cct[1];
+        assert_eq!(f.a.idle.until, 0, "a move leaves no bound");
+        f.tick(at + 1);
+        assert_eq!(f.a.idle.until, at + 32 + ird);
+
+        let cycles_per_ns = 1.0 / UnitModel::default().cycle_ns;
+        let mut f = fx(
+            AdapterCfg {
+                dcqcn: Some(DcqcnCfg::materialise(&Default::default(), cycles_per_ns)),
+                ..cfg(false, false)
+            },
+            0,
+        );
+        let now = f.gate_the_nfq();
+        assert!(f.inject(now, 5));
+        f.tick(now);
+        let epoch = f.a.epoch;
+        f.a.on_cnp(now, NodeId(5), &mut f.m);
+        assert!(f.a.dcqcn_rate(NodeId(5)).unwrap() < 1.0);
+        assert_eq!(f.a.epoch, epoch);
+        assert!(f.a.idle_bound_holds(now + 1));
+        f.tick(now + 1);
+        assert_eq!(f.backlog(5), 1);
     }
 }
 
@@ -1728,8 +2190,9 @@ mod walk_tests {
         }
 
         /// One cycle. With `exhaustive` the arbiters walk every slot in
-        /// round-robin order and the timers are scanned, as before the
-        /// backlogged set and the cached deadline existed.
+        /// round-robin order on every call and the timers are scanned, as
+        /// before the backlogged set, the idle bound and the cached
+        /// deadline existed.
         fn tick(&mut self, now: Cycle, exhaustive: bool) {
             let a = &mut self.a;
             self.releases.retain(|r| {
@@ -1745,6 +2208,7 @@ mod walk_tests {
                     a.backlogged.insert(s);
                 }
                 a.earliest_deadline = 0;
+                a.idle.until = 0;
             }
             let rel = a.tick(now, &mut self.links, self.vn.as_ref(), &mut self.m);
             self.releases.extend(rel);
@@ -1775,10 +2239,12 @@ mod walk_tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Random inject / tick / purge / BECN / BECN-delay memo / CNP /
-        /// ACK / Stop-Go sequences drive two adapters in lock step — one creating peer
-        /// entries as destinations come up and arbitrating over the
-        /// backlogged slots, the other holding an entry for every
-        /// destination from the start and arbitrating exhaustively:
+        /// ACK / Stop-Go / RAM-release sequences drive two adapters in
+        /// lock step — one creating peer entries as destinations come up,
+        /// arbitrating over the backlogged slots and skipping the walk
+        /// under its idle bound, the other holding an entry for every
+        /// destination from the start and arbitrating exhaustively on
+        /// every call:
         /// same packets out in the same order, same `rr`, same
         /// per-destination state, same counters. The order in which the
         /// first adapter met its destinations therefore shows nowhere.
@@ -1786,7 +2252,7 @@ mod walk_tests {
         fn backlogged_walk_matches_the_exhaustive_walk(
             size in 0usize..3,
             shape in 0usize..SHAPES.len(),
-            ops in prop::collection::vec((0u8..19, any::<u32>(), 0u64..48), 1..400),
+            ops in prop::collection::vec((0u8..22, any::<u32>(), 0u64..48), 1..400),
         ) {
             let n = [7, 64, 100][size];
             let mut new = Rig::new(n, SHAPES[shape], false);
@@ -1850,6 +2316,27 @@ mod walk_tests {
                         routes += 1;
                         new.a.forget_becn_delays();
                         old.a.forget_becn_delays();
+                    }
+                    17..=19 => {
+                        // Back-to-back cycles on state no op touched in
+                        // between: where a bound gets used.
+                        for _ in 0..1 + b % 8 {
+                            now += 1;
+                            new.tick(now, false);
+                            old.tick(now, true);
+                        }
+                    }
+                    20 => {
+                        // The earliest pending RAM release lands now.
+                        prop_assert_eq!(new.releases.len(), old.releases.len());
+                        if !new.releases.is_empty() {
+                            let at = new.releases.iter().map(|r| r.at).min();
+                            for rig in [&mut new, &mut old] {
+                                let i = rig.releases.iter().position(|r| Some(r.at) == at);
+                                let r = rig.releases.swap_remove(i.expect("same releases"));
+                                rig.a.release_ram(r.flits);
+                            }
+                        }
                     }
                     _ => {
                         let d = NodeId(dst);

@@ -72,10 +72,13 @@ impl FlowState {
     /// Active = inside the time window and, for sized flows, not yet
     /// drained.
     fn is_active(&self, now: Cycle) -> bool {
-        if self.remaining == Some(0) {
-            return false;
-        }
-        now >= self.start && self.end.is_none_or(|e| now < e)
+        now >= self.start && !self.is_spent(now)
+    }
+
+    /// Can never act again: drained, or past the end of its window (the
+    /// clock only moves forward).
+    fn is_spent(&self, now: Cycle) -> bool {
+        self.remaining == Some(0) || self.end.is_some_and(|e| now >= e)
     }
 
     /// `(flits, bytes)` of the next packet this flow would emit: the
@@ -106,7 +109,16 @@ pub struct NodeGenerator {
     node: NodeId,
     num_nodes: usize,
     flit_bytes: u32,
+    /// The flows that can still act, in declaration order. [`Self::tick`]
+    /// drops a flow once it is spent, so the per-cycle scans
+    /// (`any_active`, `next_park_wake`, the tick and its replay) cost
+    /// what is live, not what was configured: an all-to-all's sized
+    /// flows drain in the first cycles of a run and would otherwise be
+    /// polled for the rest of it. A spent flow contributed nothing to any
+    /// of those scans, so dropping it changes no result.
     flows: Vec<FlowState>,
+    /// Flows configured at this node, spent ones included.
+    configured: usize,
     /// Last cycle [`Self::tick`] ran, `Cycle::MAX` before the first
     /// tick. The sparse engine parks emission-idle nodes and skips
     /// their ticks; the gap is replayed cycle-by-cycle on the next
@@ -207,6 +219,7 @@ impl NodeGenerator {
             node,
             num_nodes,
             flit_bytes: units.flit_bytes,
+            configured: flows.len(),
             flows,
             last_tick: Cycle::MAX,
         }
@@ -217,9 +230,10 @@ impl NodeGenerator {
         self.node
     }
 
-    /// Number of flows sourced at this node.
+    /// Number of flows configured at this node — a property of the
+    /// workload, so flows that have drained or expired since still count.
     pub fn num_flows(&self) -> usize {
-        self.flows.len()
+        self.configured
     }
 
     /// True if any flow is active at `now`.
@@ -260,7 +274,7 @@ impl NodeGenerator {
     pub fn next_park_wake(&self, now: Cycle) -> Option<Cycle> {
         let mut wake = Cycle::MAX;
         for f in &self.flows {
-            if f.end.is_some_and(|e| now >= e) || f.remaining == Some(0) {
+            if f.is_spent(now) {
                 continue;
             }
             if f.start > now {
@@ -347,17 +361,26 @@ impl NodeGenerator {
     /// source faster than its flows' combined budget anyway; the cap
     /// bounds worst-case work per cycle).
     pub fn tick(&mut self, now: Cycle, sink: &mut impl InjectSink) {
+        if self.accrue_and_offer(now, sink) {
+            self.flows.retain(|f| !f.is_spent(now));
+        }
+    }
+
+    /// The cycle itself; `true` when it met (or made) a spent flow.
+    fn accrue_and_offer(&mut self, now: Cycle, sink: &mut impl InjectSink) -> bool {
         if self.last_tick == Cycle::MAX || now > self.last_tick + 1 {
             self.replay_to(now);
         }
         self.last_tick = now;
         let flit_bytes = self.flit_bytes;
+        let mut spent = false;
         for f in &mut self.flows {
             if !f.is_active(now) {
                 // Budget does not accumulate while inactive; leftover
                 // tokens are discarded so a reactivated flow starts
                 // cleanly.
                 f.tokens = 0.0;
+                spent |= f.is_spent(now);
                 continue;
             }
             // ON/OFF flows accrue at line rate during ON phases and not
@@ -407,12 +430,14 @@ impl NodeGenerator {
                     f.tokens -= next_flits as f64;
                     if let Some(rem) = &mut f.remaining {
                         *rem -= next_bytes as u64;
+                        spent |= *rem == 0;
                     }
                 }
                 // On refusal the tokens stay (capped), modelling a
                 // saturated source that retries immediately.
             }
         }
+        spent
     }
 }
 
@@ -558,32 +583,55 @@ mod tests {
         assert_eq!(g.num_flows(), 1);
     }
 
-    /// Drive a generator the way the sparse engine does — tick only at
-    /// `next_park_wake` cycles (replaying gaps internally) — and
-    /// compare every emission (cycle + packet) against a densely
-    /// ticked twin. Byte-identity of the parking contract in a bottle.
-    fn assert_parked_matches_dense(specs: &[FlowSpec], cycles: u64) {
-        let mut dense = gen_for(specs, 0);
-        let mut dense_got = Vec::new();
+    /// Drive three generators built by `make` against a sink that
+    /// refuses every seventh cycle: one ticked every cycle that never
+    /// drops a spent flow (the reference), one ticked every cycle, and
+    /// one ticked the way the engine does — only at `next_park_wake`
+    /// cycles, replaying the gaps. Every emission (cycle + packet) must
+    /// agree, and wherever the first two stand side by side, so must
+    /// `any_active` and `next_park_wake`. Byte-identity of the parking
+    /// contract and of live-flow scanning in a bottle. Returns the
+    /// densely ticked generator as the run left it.
+    pub(super) fn assert_parked_matches_dense_with(
+        make: impl Fn() -> NodeGenerator,
+        cycles: u64,
+    ) -> NodeGenerator {
+        let accepts = |now: Cycle| now % 7 != 3;
+        let (mut keep, mut dense) = (make(), make());
+        let (mut keep_got, mut dense_got) = (Vec::new(), Vec::new());
         for now in 0..cycles {
+            assert_eq!(dense.any_active(now), keep.any_active(now), "cycle {now}");
             if dense.any_active(now) {
-                let mut sink = |p: GenPacket| {
+                let _ = keep.accrue_and_offer(now, &mut |p: GenPacket| {
+                    keep_got.push((now, p));
+                    accepts(now)
+                });
+                dense.tick(now, &mut |p: GenPacket| {
                     dense_got.push((now, p));
-                    true
-                };
-                dense.tick(now, &mut sink);
+                    accepts(now)
+                });
             }
+            assert_eq!(
+                dense.next_park_wake(now),
+                keep.next_park_wake(now),
+                "cycle {now}"
+            );
         }
-        let mut parked = gen_for(specs, 0);
+        assert_eq!(
+            keep.flows.len(),
+            keep.num_flows(),
+            "the reference drops none"
+        );
+        assert_eq!(dense_got, keep_got);
+        let mut parked = make();
         let mut parked_got = Vec::new();
         let mut now = 0u64;
         while now < cycles {
             if parked.any_active(now) {
-                let mut sink = |p: GenPacket| {
+                parked.tick(now, &mut |p: GenPacket| {
                     parked_got.push((now, p));
-                    true
-                };
-                parked.tick(now, &mut sink);
+                    accepts(now)
+                });
             }
             now = match parked.next_park_wake(now) {
                 None => now + 1,
@@ -593,6 +641,11 @@ mod tests {
         }
         assert_eq!(dense_got, parked_got);
         assert!(!dense_got.is_empty(), "vacuous: no emissions at all");
+        dense
+    }
+
+    fn assert_parked_matches_dense(specs: &[FlowSpec], cycles: u64) {
+        assert_parked_matches_dense_with(|| gen_for(specs, 0), cycles);
     }
 
     #[test]
@@ -723,36 +776,54 @@ mod sized_tests {
                 2000.0 * UnitModel::default().cycle_ns,
             ),
         ];
-        let mut dense = gen_sized(&specs, 0);
-        let mut dense_got = Vec::new();
-        for now in 0..20_000u64 {
-            if dense.any_active(now) {
-                let mut sink = |p: GenPacket| {
-                    dense_got.push((now, p));
-                    true
-                };
-                dense.tick(now, &mut sink);
-            }
-        }
-        let mut parked = gen_sized(&specs, 0);
-        let mut parked_got = Vec::new();
-        let mut now = 0u64;
-        while now < 20_000 {
-            if parked.any_active(now) {
-                let mut sink = |p: GenPacket| {
-                    parked_got.push((now, p));
-                    true
-                };
-                parked.tick(now, &mut sink);
-            }
-            now = match parked.next_park_wake(now) {
-                None => now + 1,
-                Some(Cycle::MAX) => break,
-                Some(at) => at.max(now + 1),
-            };
-        }
-        assert_eq!(dense_got, parked_got);
-        assert!(!dense_got.is_empty());
+        let g = super::tests::assert_parked_matches_dense_with(|| gen_sized(&specs, 0), 20_000);
+        assert!(g.flows.is_empty(), "both drained, both dropped");
+    }
+
+    /// Rate flows whose windows open and close at different times beside
+    /// sized flows that start and drain mid-run: a flow is dropped from
+    /// the scans once it is spent, later ones keep their declaration
+    /// order, and none of it shows — same packets in the same order on
+    /// the same cycles as a generator that keeps every flow, and the
+    /// same `any_active` / `next_park_wake` after every cycle.
+    #[test]
+    fn spent_flows_are_dropped_without_a_trace() {
+        let ns = |cycles: f64| cycles * UnitModel::default().cycle_ns;
+        let mut slow = FlowSpec::uniform(0, NodeId(0), ns(200.0), None);
+        slow.rate = 0.13;
+        let early = FlowSpec::hotspot(1, NodeId(0), NodeId(4), 0.0, Some(ns(1500.0)));
+        let mut late = FlowSpec::hotspot(2, NodeId(0), NodeId(5), ns(4000.0), Some(ns(9000.0)));
+        late.rate = 0.4;
+        let bursty = FlowSpec::bursty_uniform(3, NodeId(0), 0.3, ns(300.0));
+        let rate = [slow, early, late, bursty];
+        let sized = [
+            SizedFlow::new(4, NodeId(0), NodeId(6), 3 * 2048 + 100, 0.0),
+            SizedFlow::new(5, NodeId(0), NodeId(7), 40 * 2048, ns(2500.0)),
+            SizedFlow::new(6, NodeId(0), NodeId(1), 1, ns(2500.0)),
+            SizedFlow::new(7, NodeId(0), NodeId(2), 2048, ns(12_000.0)),
+        ];
+        let make = |rate: &[FlowSpec]| {
+            let seeds = SeedSplitter::new(42);
+            NodeGenerator::new_with_sized(
+                NodeId(0),
+                rate,
+                &sized,
+                &UnitModel::default(),
+                1,
+                8,
+                &seeds,
+            )
+        };
+        let g = super::tests::assert_parked_matches_dense_with(|| make(&rate), 30_000);
+        assert_eq!(g.num_flows(), 8, "the configured count");
+        let live: Vec<u32> = g.flows.iter().map(|f| f.id.0).collect();
+        assert_eq!(live, [0, 3], "the open-ended flows, in declaration order");
+
+        // Every flow spent: the generator ends up scanning nothing.
+        let g = super::tests::assert_parked_matches_dense_with(|| make(&rate[1..3]), 30_000);
+        assert_eq!((g.flows.len(), g.num_flows()), (0, 6));
+        assert!(!g.any_active(30_000));
+        assert_eq!(g.next_park_wake(30_000), Some(Cycle::MAX));
     }
 
     #[test]
@@ -773,6 +844,7 @@ mod sized_tests {
         let sized_pkts: Vec<_> = got.iter().filter(|p| p.flow == FlowId(1)).collect();
         assert_eq!(sized_pkts.len(), 1);
         assert!(got.iter().filter(|p| p.flow == FlowId(0)).count() > 50);
+        assert_eq!(g.num_flows(), 2, "the drained flow still counts");
     }
 }
 
