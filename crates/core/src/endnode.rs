@@ -2383,14 +2383,16 @@ mod cct_tests {
         assert_eq!(a.cct[0], 0);
         // IRD(i) = i * 400 ns; one cycle = 25.6 ns.
         let one = a.cct[1];
-        assert!(one >= 15 && one <= 16, "400 ns ~ 15.6 cycles: {one}");
+        assert!((15..=16).contains(&one), "400 ns ~ 15.6 cycles: {one}");
         assert!(a.cct[10] >= 10 * one - 10 && a.cct[10] <= 10 * one + 10);
     }
 
     #[test]
     fn exponential_cct_doubles() {
-        let mut t = ThrottleParams::default();
-        t.cct_profile = CctProfile::Exponential { period: 8 };
+        let t = ThrottleParams {
+            cct_profile: CctProfile::Exponential { period: 8 },
+            ..ThrottleParams::default()
+        };
         let a = AdapterThrottle::from_params(&t, &UnitModel::default());
         assert_eq!(a.cct[0], 0);
         // IRD(8) = unit*(2-1) = 400 ns; IRD(16) = unit*3 = 1200 ns;
@@ -2407,8 +2409,10 @@ mod cct_tests {
     fn exponential_outgrows_linear_at_high_ccti() {
         let u = UnitModel::default();
         let lin = AdapterThrottle::from_params(&ThrottleParams::default(), &u);
-        let mut t = ThrottleParams::default();
-        t.cct_profile = CctProfile::Exponential { period: 8 };
+        let t = ThrottleParams {
+            cct_profile: CctProfile::Exponential { period: 8 },
+            ..ThrottleParams::default()
+        };
         let exp = AdapterThrottle::from_params(&t, &u);
         assert!(exp.cct[64] > lin.cct[64]);
         assert!(exp.cct[8] < lin.cct[8], "gentler at small CCTI");

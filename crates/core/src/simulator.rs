@@ -1185,8 +1185,9 @@ impl Simulator {
     /// same pipeline as [`Self::tick`] with every scheduling shortcut
     /// switched off — all three work-lists are re-filled at the top of
     /// the cycle, every switch and adapter polls its control channel,
-    /// no per-component skip gate applies, generators never park and
-    /// the clock never jumps. The engine is only allowed shortcuts that
+    /// no per-component skip gate applies, every switch forgets what it
+    /// memoised last cycle (`Switch::drop_memos`), generators never park
+    /// and the clock never jumps. The engine is only allowed shortcuts that
     /// are provably no-ops, so reports must be byte-identical to this
     /// walk; the determinism suite and the perf harness's baseline leg
     /// compare against it. Serial only, and deliberately not reachable
@@ -1389,9 +1390,15 @@ impl Simulator {
             // Phase 5a: post-processing (detection, isolation, Stop/Go,
             // deallocation). Quiescent switches provably do nothing in
             // phase 5 (see `Switch::is_quiescent`); the gate is
-            // evaluated once, before isolation can change it.
+            // evaluated once, before isolation can change it. The oracle
+            // also has every switch forget what it memoised last cycle,
+            // so the shortcuts *inside* a switch are compared against a
+            // re-derivation here, not only by their `debug_assert!`s.
             for i in 0..n_sw_act {
                 let si = self.act_sw.member(i) as usize;
+                if ORACLE {
+                    self.switches[si].drop_memos();
+                }
                 let run = ORACLE || !self.switches[si].is_quiescent();
                 self.p5_ran[si] = run;
                 if run {
@@ -2784,8 +2791,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "mechanism parameters are invalid")]
     fn builder_validates_mechanism() {
-        let mut iso = crate::params::IsolationParams::default();
-        iso.num_cfqs = 0;
+        let iso = crate::params::IsolationParams {
+            num_cfqs: 0,
+            ..Default::default()
+        };
         let _ = SimBuilder::new(config1_topology())
             .mechanism(Mechanism::Fbicm(iso))
             .traffic(tiny_pattern())

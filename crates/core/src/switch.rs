@@ -379,11 +379,12 @@ pub struct Switch {
     name_buf: String,
     /// Per-call control-event scratch.
     ctrl_scratch: Vec<CtrlEvent>,
-    /// Per-input-port memo of the congestion-detection scan (`None` =
-    /// stale). Dropped by every event that can change the scan's inputs
-    /// — the port's NFQ contents, its CFQ destinations, any output CAM's
-    /// key set, the routing table — see [`Self::detection_scan`].
-    detect_memo: Vec<Option<DetectScan>>,
+    /// Per-input-port memo of the isolation stage's last visit. Made
+    /// stale by every event that can change what a visit reads — the
+    /// port's NFQ contents, its CFQ set, any output CAM's key set, the
+    /// routing table — through [`Self::port_changed`] and
+    /// [`Self::lookups_changed`], its only two writers-to-stale.
+    iso_memo: Vec<IsoMemo>,
     /// Per-call tally scratch of the detection scan.
     detect_tally: Vec<(NodeId, u32)>,
     /// Per-call packet scratch of the fault purges.
@@ -395,6 +396,19 @@ pub struct Switch {
     record_touched: bool,
     /// Links sent on since the last [`Self::drain_touched_links`].
     touched_links: Vec<u32>,
+}
+
+/// What the isolation stage remembers of its last visit to an input
+/// port (DESIGN.md §12 "Isolation fixed points").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IsoMemo {
+    /// Nothing: the next visit runs in full.
+    Stale,
+    /// The detection scan's answer; the rest of the visit still runs.
+    Scanned(DetectScan),
+    /// The visit proved a fixed point — see [`Switch::is_settled`] — so
+    /// the walk passes the port by until one of its inputs changes.
+    Settled,
 }
 
 /// Result of the congestion-detection scan over one input port's NFQ.
@@ -585,7 +599,7 @@ impl Switch {
             arb: ArbScratch::new(num_ports),
             name_buf: String::new(),
             ctrl_scratch: Vec::new(),
-            detect_memo: vec![None; num_ports],
+            iso_memo: vec![IsoMemo::Stale; num_ports],
             detect_tally: Vec::new(),
             purge_scratch: Vec::new(),
             record_touched: false,
@@ -639,7 +653,7 @@ impl Switch {
             }
             InputQueues::Isolating { nfq, .. } => {
                 nfq.push(d.packet, d.visible_at, d.ready_at);
-                self.detect_memo[port] = None;
+                self.port_changed(port);
             }
         }
     }
@@ -758,7 +772,7 @@ impl Switch {
             }
         }
         if cam_keys_changed {
-            self.detect_memo.fill(None);
+            self.lookups_changed();
         }
     }
 
@@ -817,7 +831,7 @@ impl Switch {
     /// routing table do, and each of those events drops the memo
     /// (DESIGN.md §12).
     fn detection_scan(&mut self, port: usize, routing: &RoutingTable) -> DetectScan {
-        if let Some(hit) = self.detect_memo[port] {
+        if let IsoMemo::Scanned(hit) = self.iso_memo[port] {
             debug_assert_eq!(
                 hit,
                 self.scan_unisolated(port, routing, &mut Vec::new()),
@@ -829,8 +843,66 @@ impl Switch {
         let mut tally = std::mem::take(&mut self.detect_tally);
         let scan = self.scan_unisolated(port, routing, &mut tally);
         self.detect_tally = tally;
-        self.detect_memo[port] = Some(scan);
+        self.iso_memo[port] = IsoMemo::Scanned(scan);
         scan
+    }
+
+    /// Input `port`'s NFQ contents or CFQ set changed.
+    fn port_changed(&mut self, port: usize) {
+        self.iso_memo[port] = IsoMemo::Stale;
+    }
+
+    /// An output CAM's key set or the routing table changed: every
+    /// port's visit looks its packets up in those.
+    fn lookups_changed(&mut self) {
+        self.iso_memo.fill(IsoMemo::Stale);
+    }
+
+    /// Oracle mode: forget everything the last cycle memoised, so this
+    /// one re-derives it — every isolation visit runs in full, the
+    /// arbiter gathers, the congestion-state update compares every
+    /// output. What [`crate::Simulator::run_reference`] compares the
+    /// engine with, in release builds too (DESIGN.md §12).
+    pub(crate) fn drop_memos(&mut self) {
+        self.lookups_changed();
+        self.arb.idle.until = 0;
+        self.over_high_dirty = true;
+    }
+
+    /// Whether a visit of input `port` by the isolation stage does
+    /// nothing, now and on every later cycle until [`Self::port_changed`]
+    /// or [`Self::lookups_changed`] fires: no CFQ is allocated at the
+    /// port (so no propagation, Stop/Go, High/Low or linger clock runs),
+    /// detection stays below its threshold, and the NFQ head has arrived
+    /// and is not one post-processing moves. A pure re-evaluation of what
+    /// the visit itself concludes; the walk checks each skip against it.
+    fn is_settled(&self, port: usize, now: Cycle, routing: &RoutingTable) -> bool {
+        let Some(iso) = self.cfg.iso else {
+            return false;
+        };
+        let InputQueues::Isolating { nfq, cfqs } = &self.inputs[port].queues else {
+            return false;
+        };
+        let detect_flits = iso.detect_threshold_mtus * self.cfg.mtu_flits;
+        if cfqs.iter().any(|c| c.state.is_some())
+            || (nfq.occupancy_flits() >= detect_flits
+                && self
+                    .scan_unisolated(port, routing, &mut Vec::new())
+                    .unmatched_total
+                    >= detect_flits)
+        {
+            return false;
+        }
+        // An invisible head is a time-only blocker: the visit that sees
+        // it arrive may move it.
+        nfq.head_visible(now).is_some_and(|head| {
+            let dst = head.packet.dst;
+            !head.packet.is_data()
+                || self.outputs[routing.route(self.id, dst).index()]
+                    .cam
+                    .lookup(dst)
+                    .is_none()
+        })
     }
 
     /// Is the congested flow `dst` draining through `out` currently
@@ -878,9 +950,21 @@ impl Switch {
         let mut next = 0;
         while let Some(port) = self.iso_live.next_in(next, num_ports) {
             next = port + 1;
+            if self.iso_memo[port] == IsoMemo::Settled {
+                debug_assert!(
+                    self.is_settled(port, now, routing),
+                    "stale settled memo at {} in{port} cycle {now}",
+                    self.id
+                );
+                continue;
+            }
             if !self.inputs[port].connected {
                 continue;
             }
+            // The two halves of the fixed-point verdict the visit gathers
+            // on its way (the third, "no CFQ here", is read at the end).
+            let mut detected = false;
+            let mut head_stays = false;
             // ------- congestion detection (§III-C event #2) -------
             //
             // When the NFQ fill level crosses the detection threshold,
@@ -895,6 +979,7 @@ impl Switch {
             if nfq_occ >= detect_flits {
                 let scan = self.detection_scan(port, routing);
                 if scan.unmatched_total >= detect_flits {
+                    detected = true; // allocates, or counts an exhaustion every cycle
                     let dst = scan
                         .dominant
                         .expect("unmatched_total > 0 implies a tally entry");
@@ -909,7 +994,7 @@ impl Switch {
                             // the congestion point: a root CFQ.
                             cfqs[free].state = Some(CfqState::new(dst, out, true));
                             self.cfq_count += 1;
-                            self.detect_memo[port] = None;
+                            self.port_changed(port);
                             self.epoch += 1;
                             metrics.count("cfq_allocated", 1);
                             metrics.count("congestion_detected", 1);
@@ -963,6 +1048,7 @@ impl Switch {
                         break;
                     };
                     if !head.packet.is_data() {
+                        head_stays = true;
                         break; // BECNs only use NFQs (§III-B), never CFQs
                     }
                     head.packet.dst
@@ -1029,12 +1115,21 @@ impl Switch {
                         // The NFQ changed (and so did the CFQ set, if the
                         // slot was allocated just above): drop the memo,
                         // and let the arbiter see the new heads.
-                        self.detect_memo[port] = None;
+                        self.port_changed(port);
                         self.epoch += 1;
                         metrics.count("packets_isolated", 1);
                     }
-                    None => break, // head is non-congested (or unisolatable)
+                    None => {
+                        // Head is non-congested, or unisolatable — which
+                        // counts an exhaustion every cycle.
+                        head_stays = !out_cam_hit;
+                        break;
+                    }
                 }
+            }
+            if head_stays && !detected && self.inputs[port].queues.cfqs_allocated() == 0 {
+                self.iso_memo[port] = IsoMemo::Settled;
+                continue; // and no CFQ for the protocol below to serve
             }
 
             // ------- per-CFQ protocol: propagate / stop / go / high-low /
@@ -1189,7 +1284,7 @@ impl Switch {
                         };
                         cfqs[c].state = None;
                         self.cfq_count -= 1;
-                        self.detect_memo[port] = None;
+                        self.port_changed(port);
                         self.epoch += 1;
                         self.sync_live(port);
                         metrics.count("cfq_deallocated", 1);
@@ -1550,8 +1645,9 @@ impl Switch {
             (InputQueues::PerDest(qs), QueueKey::PerDest(d)) => qs[d].pop(),
             (InputQueues::DstMod(qs), QueueKey::PerDest(q)) => qs[q].pop(),
             (InputQueues::Isolating { nfq, .. }, QueueKey::Nfq) => {
-                self.detect_memo[port] = None;
-                nfq.pop()
+                let entry = nfq.pop();
+                self.port_changed(port);
+                entry
             }
             (InputQueues::Isolating { cfqs, .. }, QueueKey::Cfq(c)) => cfqs[c].queue.pop(),
             _ => unreachable!("queue key does not match the scheme"),
@@ -1896,7 +1992,7 @@ impl Switch {
         self.occupied.clear();
         self.iso_live.clear();
         self.voq_occ.fill(0);
-        self.detect_memo.fill(None);
+        self.lookups_changed();
         self.epoch += 1;
         stats
     }
@@ -1946,12 +2042,12 @@ impl Switch {
             self.buffered -= scratch.len();
             self.port_packets[port] -= scratch.len() as u32;
             self.sync_live(port);
+            self.port_changed(port);
             for e in scratch.drain(..) {
                 out.push((port, e));
             }
         }
         self.purge_scratch = scratch;
-        self.detect_memo.fill(None);
         self.epoch += 1;
     }
 
@@ -1959,7 +2055,7 @@ impl Switch {
     /// at output `port` — it died with the cable (fail-stop quiesce).
     pub fn clear_output_cam(&mut self, port: usize) {
         self.outputs[port].cam.clear();
-        self.detect_memo.fill(None);
+        self.lookups_changed();
         self.epoch += 1;
     }
 
@@ -1976,7 +2072,7 @@ impl Switch {
                 }
             }
         }
-        self.detect_memo[port] = None;
+        self.port_changed(port);
         self.epoch += 1;
     }
 
@@ -2029,7 +2125,7 @@ impl Switch {
                 _ => {}
             }
         }
-        self.detect_memo.fill(None);
+        self.lookups_changed();
         self.epoch += 1;
     }
 
@@ -2728,8 +2824,7 @@ mod tests {
             deliver(&mut fx2, 0, pkt(id, 6));
         }
         let mut now = 0u64;
-        let mut next_id = 100u64;
-        for _ in 0..20 {
+        for next_id in 100..120 {
             fx2.sw
                 .isolation_tick(now, &fx2.routing, &mut fx2.links, &mut fx2.metrics);
             fx2.sw.congestion_state_tick(
@@ -2751,7 +2846,6 @@ mod tests {
             fx2.links[2].poll_credits(now);
             // Refill one packet per departure: steady full-rate stream.
             deliver(&mut fx2, now, pkt(next_id, 6));
-            next_id += 1;
             now += 32;
             for d in drain(&mut fx2.links[2], now) {
                 fx2.links[2].return_credits(now, d.packet.size_flits);
@@ -2890,8 +2984,12 @@ mod tests {
     }
 
     fn deliver_n(fx: &mut Fixture, id: &mut u64, n: usize, dst: u32) {
+        deliver_n_at(fx, 0, id, n, dst)
+    }
+
+    fn deliver_n_at(fx: &mut Fixture, now: Cycle, id: &mut u64, n: usize, dst: u32) {
         for _ in 0..n {
-            deliver(fx, 0, pkt(*id, dst));
+            deliver(fx, now, pkt(*id, dst));
             *id += 1;
         }
     }
@@ -2927,7 +3025,7 @@ mod tests {
         deliver_n(&mut fx, &mut id, 3, 2);
         for now in 0..5 {
             assert_eq!(verdicts(&mut fx, now), vec![6], "cycle {now}");
-            assert!(fx.sw.detect_memo[0].is_some());
+            assert!(matches!(fx.sw.iso_memo[0], IsoMemo::Scanned(_)));
         }
     }
 
@@ -3086,9 +3184,9 @@ mod tests {
         deliver_n(&mut fx, &mut id, 12, 6);
         assert_eq!(verdicts(&mut fx, 10), Vec::<u32>::new());
         assert_eq!(fx.sw.cfqs_allocated(), 1, "non-root CFQ via the CAM hit");
-        assert_eq!(fx.sw.detect_memo[0], None, "allocation + moves");
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale, "allocation + moves");
         assert_eq!(verdicts(&mut fx, 11), Vec::<u32>::new());
-        assert_eq!(fx.sw.detect_memo[0], None, "moves alone");
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale, "moves alone");
         // One more cycle empties the NFQ; refill it behind a dst-2 head,
         // which stops the moves, so the next scans leave a memo behind.
         verdicts(&mut fx, 12);
@@ -3096,20 +3194,268 @@ mod tests {
         deliver_n(&mut fx, &mut id, 8, 6);
         let prime = |fx: &mut Fixture, now| {
             verdicts(fx, now);
-            assert!(fx.sw.detect_memo[0].is_some(), "primed at {now}");
+            assert!(
+                matches!(fx.sw.iso_memo[0], IsoMemo::Scanned(_)),
+                "primed at {now}"
+            );
         };
         // Fault path: upstream-notification flags are not a scan input.
         prime(&mut fx, 13);
         fx.sw.reset_upstream_ctrl_flags(0);
-        assert_eq!(fx.sw.detect_memo[0], None);
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale);
         // A purge of nothing, and the whole-switch purge (which empties
         // the NFQ, so the memo cannot be consulted before the next push).
         prime(&mut fx, 14);
         fx.sw.purge_unreachable(&|_| false, &mut Vec::new());
-        assert_eq!(fx.sw.detect_memo[0], None);
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale);
         prime(&mut fx, 15);
         fx.sw.purge_all();
-        assert_eq!(fx.sw.detect_memo[0], None);
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale);
+    }
+
+    // ---- isolation fixed points and their invalidation contract ----
+    //
+    // A visit that proves input 0 a fixed point marks it settled, and the
+    // walk then passes it by. One case per event that drops the mark.
+    // Where a stale mark would lose an action the case asserts the action
+    // (all that stands guard in a release build; in a debug build the
+    // skip's own re-evaluation fires first); where the event cannot meet
+    // a settled port, or cannot move its verdict, it asserts the memo.
+
+    fn iso_tick(fx: &mut Fixture, now: Cycle) {
+        fx.sw
+            .isolation_tick(now, &fx.routing, &mut fx.links, &mut fx.metrics);
+    }
+
+    fn settled(fx: &Fixture) -> bool {
+        fx.sw.iso_memo[0] == IsoMemo::Settled
+    }
+
+    /// The hop downstream of output `out` sends `ev` at `now`; it is
+    /// absorbed ten cycles later.
+    fn downstream_says(fx: &mut Fixture, out: usize, now: Cycle, ev: CtrlEvent) {
+        fx.links[out].send_ctrl(now, ev);
+        fx.sw
+            .poll_output_ctrl(now + 10, &mut fx.links, &mut fx.metrics);
+    }
+
+    /// Two CFQs per port; `(count, dst)` runs of MTU packets delivered at
+    /// `now`, then one visit, which must settle the port.
+    fn settle(fx: &mut Fixture, now: Cycle, runs: &[(usize, u32)]) {
+        let mut id = 1000 * now;
+        for &(n, dst) in runs {
+            deliver_n_at(fx, now, &mut id, n, dst);
+        }
+        iso_tick(fx, now);
+        assert!(settled(fx), "fixture: the visit at {now} settles the port");
+        assert!(fx.sw.is_settled(0, now, &fx.routing));
+    }
+
+    #[test]
+    fn a_settled_port_is_passed_by_until_an_input_changes() {
+        let mut fx = memo_fixture(2);
+        settle(&mut fx, 0, &[(1, 2)]);
+        for now in 1..50 {
+            iso_tick(&mut fx, now);
+            assert!(settled(&fx), "cycle {now}");
+        }
+        assert_eq!(fx.metrics.counter("congestion_detected"), 0);
+        assert_eq!(fx.metrics.counter("packets_isolated"), 0);
+        // A BECN head never moves either (§III-B).
+        let mut fx = memo_fixture(2);
+        let becn = Packet::becn(PacketId(1), NodeId(1), NodeId(6), 0);
+        downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+        deliver(&mut fx, 10, becn);
+        iso_tick(&mut fx, 10);
+        assert!(settled(&fx), "a control head, CAM line or not");
+    }
+
+    #[test]
+    fn nfq_push_unsettles_the_port() {
+        let mut fx = memo_fixture(2);
+        settle(&mut fx, 0, &[(1, 2)]);
+        // Eight MTUs for dst 6 behind the settled head: detection fires.
+        deliver_n_at(&mut fx, 1, &mut 1, 8, 6);
+        assert!(!settled(&fx));
+        iso_tick(&mut fx, 1);
+        assert_eq!(fx.metrics.counter("congestion_detected"), 1);
+    }
+
+    #[test]
+    fn nfq_pop_by_arbitration_unsettles_the_port() {
+        let mut fx = memo_fixture(2);
+        downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+        settle(&mut fx, 10, &[(1, 2), (1, 6)]);
+        // The dst-2 head leaves; the dst-6 packet behind it belongs to
+        // the propagated tree and has to be moved.
+        let rel = arbitrate(&mut fx, 10);
+        assert_eq!(rel[0].dst, NodeId(2));
+        assert!(!settled(&fx));
+        iso_tick(&mut fx, rel[0].at);
+        assert_eq!(fx.metrics.counter("packets_isolated"), 1);
+    }
+
+    #[test]
+    fn output_cam_alloc_unsettles_every_port() {
+        for announce in [
+            CtrlEvent::CfqAlloc { dst: NodeId(6) },
+            CtrlEvent::Stop { dst: NodeId(6) }, // allocates the line too
+        ] {
+            let mut fx = memo_fixture(2);
+            settle(&mut fx, 0, &[(1, 6)]);
+            // The head's destination turns out to be a congestion tree.
+            downstream_says(&mut fx, 2, 0, announce);
+            assert!(!settled(&fx), "{announce:?}");
+            iso_tick(&mut fx, 10);
+            assert_eq!(fx.metrics.counter("packets_isolated"), 1, "{announce:?}");
+        }
+    }
+
+    #[test]
+    fn output_cam_free_and_clear_unsettle_every_port() {
+        for clear in [false, true] {
+            let mut fx = memo_fixture(2);
+            downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+            // Nine MTUs, eight of them matched by the CAM line: below the
+            // detection threshold while the line stands.
+            settle(&mut fx, 10, &[(1, 2), (8, 6)]);
+            if clear {
+                fx.sw.clear_output_cam(2);
+            } else {
+                downstream_says(&mut fx, 2, 10, CtrlEvent::CfqDealloc { dst: NodeId(6) });
+            }
+            assert!(!settled(&fx), "clear = {clear}");
+            iso_tick(&mut fx, 20);
+            assert_eq!(
+                fx.metrics.counter("congestion_detected"),
+                1,
+                "clear = {clear}"
+            );
+        }
+    }
+
+    #[test]
+    fn routing_change_unsettles_every_port() {
+        let mut fx = memo_fixture(2);
+        // Output 1 knows a tree for dst 6, but dst 6 leaves by output 2.
+        downstream_says(&mut fx, 1, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+        settle(&mut fx, 10, &[(1, 6)]);
+        fx.routing = RoutingTable::from_tables(vec![(0..8)
+            .map(|d| {
+                if d < 4 || d == 6 {
+                    PortId(1)
+                } else {
+                    PortId(2)
+                }
+            })
+            .collect()]);
+        fx.sw.on_routing_changed(&fx.routing);
+        assert!(!settled(&fx));
+        iso_tick(&mut fx, 11);
+        assert_eq!(fx.metrics.counter("packets_isolated"), 1);
+    }
+
+    #[test]
+    fn purge_unreachable_unsettles_the_port() {
+        let mut fx = memo_fixture(2);
+        downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+        settle(&mut fx, 10, &[(1, 2), (1, 6)]);
+        let mut purged = Vec::new();
+        fx.sw.purge_unreachable(&|d| d == NodeId(2), &mut purged);
+        assert_eq!(purged.len(), 1);
+        assert!(!settled(&fx));
+        iso_tick(&mut fx, 11);
+        assert_eq!(fx.metrics.counter("packets_isolated"), 1);
+    }
+
+    #[test]
+    fn events_that_cannot_move_a_settled_verdict_still_unsettle() {
+        let mut fx = memo_fixture(2);
+        // Fault path: a settled port has no CFQ whose flags could reset.
+        settle(&mut fx, 0, &[(1, 2)]);
+        fx.sw.reset_upstream_ctrl_flags(0);
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale);
+        // A purge of nothing, and the whole-switch purge (which empties
+        // the port, so the mark cannot be read before the next push).
+        settle(&mut fx, 1, &[]);
+        fx.sw.purge_unreachable(&|_| false, &mut Vec::new());
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale);
+        settle(&mut fx, 2, &[]);
+        fx.sw.purge_all();
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale);
+    }
+
+    #[test]
+    fn an_invisible_head_is_not_settled() {
+        let mut fx = memo_fixture(2);
+        downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+        // Its header lands at 50; only then can post-processing see that
+        // it belongs to the tree. No event marks that cycle.
+        deliver_later(&mut fx, pkt(1, 6), 50);
+        for now in 10..50 {
+            iso_tick(&mut fx, now);
+            assert!(!settled(&fx), "cycle {now}");
+            assert!(!fx.sw.is_settled(0, now, &fx.routing));
+        }
+        iso_tick(&mut fx, 50);
+        assert_eq!(fx.metrics.counter("packets_isolated"), 1);
+    }
+
+    #[test]
+    fn an_exhausted_port_is_not_settled_and_counts_every_cycle() {
+        // Detection with no CFQ to allocate ...
+        let mut fx = memo_fixture(0);
+        deliver_n_at(&mut fx, 0, &mut 0, 9, 6);
+        for now in 0..5 {
+            iso_tick(&mut fx, now);
+            assert!(!settled(&fx), "cycle {now}");
+            assert_eq!(fx.metrics.counter("cfq_exhausted"), now + 1);
+        }
+        // ... and a head of a propagated tree with no CFQ to move it to.
+        let mut fx = memo_fixture(0);
+        downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+        deliver(&mut fx, 10, pkt(1, 6));
+        for now in 10..15 {
+            iso_tick(&mut fx, now);
+            assert!(!settled(&fx), "cycle {now}");
+            assert_eq!(fx.metrics.counter("cfq_exhausted"), now - 9);
+        }
+    }
+
+    #[test]
+    fn a_port_with_a_cfq_is_never_settled() {
+        let iso = IsolationParams {
+            dealloc_linger_cycles: 16,
+            ..IsolationParams::default()
+        };
+        let mut fx = fixture(QueueingScheme::Isolating, Some(iso), None);
+        let mut id = 0;
+        deliver_n_at(&mut fx, 0, &mut id, 1, 2);
+        deliver_n_at(&mut fx, 0, &mut id, 8, 6);
+        // Root allocation, the moves once the dst-2 head has left, the
+        // drain, the linger and the release: at every step the CFQ's
+        // protocol has clocks running that no event announces.
+        let mut now = 0;
+        let mut with_cfq = 0;
+        loop {
+            for r in arbitrate(&mut fx, now) {
+                fx.sw.release_ram(r.port, r.flits);
+            }
+            fx.links[2].poll_credits(now);
+            iso_tick(&mut fx, now);
+            if fx.sw.cfqs_allocated() > 0 {
+                with_cfq += 1;
+                assert!(!settled(&fx), "cycle {now}");
+            } else if with_cfq > 0 {
+                break;
+            }
+            now += 1;
+            assert!(now < 2000, "the CFQ must be released");
+        }
+        assert_eq!(fx.metrics.counter("packets_isolated"), 8);
+        assert_eq!(fx.metrics.counter("cfq_deallocated"), 1);
+        // With the tree gone the port settles like any other.
+        settle(&mut fx, now + 1, &[(1, 2)]);
     }
 
     // ---- the arbitration idle bound and its invalidation contract ----
@@ -3567,22 +3913,33 @@ mod twin_tests {
         }
 
         /// Put every port in the live sets and drop what the last cycle
-        /// memoised: the switch then walks `0..ports` everywhere, gathers
-        /// on every call and compares every output's congestion state,
-        /// as it did before the sets existed.
+        /// memoised: the switch then walks `0..ports` everywhere, visits
+        /// every port in full, gathers on every call and compares every
+        /// output's congestion state, as it did before the sets existed.
         fn force_exhaustive(&mut self) {
             for p in 0..PORTS {
                 self.sw.occupied.insert(p);
                 self.sw.iso_live.insert(p);
             }
-            self.sw.over_high_dirty = true;
-            self.sw.arb.idle.until = 0;
+            self.sw.drop_memos();
         }
 
         fn resync(&mut self) {
             for p in 0..PORTS {
                 self.sw.sync_live(p);
             }
+        }
+
+        /// The first settled input port and its NFQ head's destination.
+        fn settled_head(&self) -> Option<(usize, NodeId)> {
+            let port = (0..PORTS).find(|&p| self.sw.iso_memo[p] == IsoMemo::Settled)?;
+            let InputQueues::Isolating { nfq, .. } = &self.sw.inputs[port].queues else {
+                unreachable!("only an isolating port settles")
+            };
+            Some((
+                port,
+                nfq.head().expect("a settled port has a head").packet.dst,
+            ))
         }
 
         /// One cycle, in the simulator's phase order.
@@ -3688,15 +4045,17 @@ mod twin_tests {
 
         /// Random deliver / tick / ctrl / credit / purge / re-route /
         /// link-fault sequences drive two switches in lock step, one
-        /// ticking over its live-port sets with the idle bound, the
-        /// other forced into the exhaustive walk on every call: same
+        /// ticking over its live-port sets with the idle bound and the
+        /// isolation memo, the other forced into the exhaustive walk on
+        /// every call; three of the ops aim at a port the first switch
+        /// has settled, if it has one: same
         /// packets out in the same order with the same marks, same
         /// releases, same upstream control events, same pointers, RNG
         /// position and counters.
         #[test]
         fn occupancy_driven_tick_matches_the_exhaustive_tick(
             shape_idx in 0usize..SHAPES,
-            ops in prop::collection::vec((0u8..32, any::<u32>(), 0u64..24), 1..500),
+            ops in prop::collection::vec((0u8..35, any::<u32>(), 0u64..24), 1..500),
         ) {
             let mut new = Rig::new(shape_idx);
             let mut old = Rig::new(shape_idx);
@@ -3711,10 +4070,20 @@ mod twin_tests {
                     1 => NodeId(5),
                     _ => NodeId((a >> 8) % DESTS as u32),
                 };
+                // A settled port and its head's destination (the random
+                // pair when the switch has settled none).
+                let (s_port, s_dst) = new.settled_head().unwrap_or((port, dst));
+                let s_out = new.routes[new.route].route(SwitchId(0), s_dst).index();
                 for (rig, exhaustive) in [(&mut new, false), (&mut old, true)] {
                     match op {
-                        0..=11 => {
-                            let flits = [MTU, MTU, MTU / 2, 1][(a >> 16) as usize % 4];
+                        // 32: a full packet behind a settled head.
+                        0..=11 | 32 => {
+                            let (to, flits, visible_at) = if op == 32 {
+                                (s_port, MTU, now)
+                            } else {
+                                let flits = [MTU, MTU, MTU / 2, 1][(a >> 16) as usize % 4];
+                                (port, flits, now + b % 4)
+                            };
                             let p = Packet::data(
                                 PacketId(next_id),
                                 NodeId(0),
@@ -3724,7 +4093,7 @@ mod twin_tests {
                                 FlowId(0),
                                 now,
                             );
-                            rig.deliver(port, p, now + b % 4);
+                            rig.deliver(to, p, visible_at);
                         }
                         12 => {
                             let p = Packet::becn(PacketId(next_id), NodeId(1), dst, now);
@@ -3766,6 +4135,10 @@ mod twin_tests {
                             rig.route ^= 1;
                             rig.sw.on_routing_changed(&rig.routes[rig.route]);
                         }
+                        // A tree announced / withdrawn for a settled head's
+                        // destination, on the output it leaves by.
+                        33 => rig.links[PORTS + s_out].send_ctrl(now, CtrlEvent::CfqAlloc { dst: s_dst }),
+                        34 => rig.links[PORTS + s_out].send_ctrl(now, CtrlEvent::CfqDealloc { dst: s_dst }),
                         _ => {
                             let link = &mut rig.links[PORTS + port];
                             if link.is_up() {
@@ -3778,7 +4151,7 @@ mod twin_tests {
                     }
                 }
                 match op {
-                    0..=12 => next_id += 1,
+                    0..=12 | 32 => next_id += 1,
                     13..=19 => now += 1 + b % 8,
                     20..=22 => now += 1 + b,
                     _ => {}

@@ -675,7 +675,6 @@ mod tests {
         assert_eq!(ls[1].credits(), 16);
         ls[0].return_credits(0, 4);
         ls[0].poll_credits(10);
-        drop(ls);
         assert_eq!(links[0].credits(), 12);
     }
 

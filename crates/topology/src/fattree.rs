@@ -295,7 +295,7 @@ mod tests {
                         descending = true;
                     }
                 }
-                assert!(path.len() <= 2 * t.n as usize - 1);
+                assert!(path.len() < 2 * t.n as usize);
             }
         }
     }

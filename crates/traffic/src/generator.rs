@@ -930,7 +930,7 @@ mod onoff_tests {
         let spec = FlowSpec::bursty_uniform(0, NodeId(0), 1.0, 5_000.0);
         let got = run_count(spec, 32_000, 9);
         assert!(
-            got >= 990 && got <= 1000,
+            (990..=1000).contains(&got),
             "full duty cycle ~ line rate: {got}"
         );
     }

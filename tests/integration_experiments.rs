@@ -194,7 +194,7 @@ fn fig8_essence_small_scale() {
         crossbar_bw_flits_per_cycle: 1,
     };
     let burst = (1.1e6, 2.0e6);
-    let run = |m: Mechanism| spec.run_with(m, 0x51 as u64, cfg());
+    let run = |m: Mechanism| spec.run_with(m, 0x51, cfg());
     let oneq = run(Mechanism::OneQ).mean_normalized_throughput(burst.0, burst.1);
     let fbicm = run(Mechanism::fbicm()).mean_normalized_throughput(burst.0, burst.1);
     let ccfit = run(Mechanism::ccfit()).mean_normalized_throughput(burst.0, burst.1);

@@ -9,18 +9,22 @@ use ccfit_engine::ids::NodeId;
 use ccfit_topology::{KAryNTree, LinkParams};
 use ccfit_traffic::uniform_all;
 
-/// A `k`-ary 3-tree under uniform 0.1 load and CCFIT, run to the end.
-fn run_tree(k: u32, duration_ns: f64) -> Simulator {
+/// A `k`-ary 3-tree under uniform 0.1 load and CCFIT.
+fn build_tree(k: u32, duration_ns: f64) -> Simulator {
     let tree = KAryNTree::new(k, 3);
     let topology = tree.build(LinkParams::default());
     let num_nodes = topology.num_nodes();
-    let mut sim = SimBuilder::new(topology)
+    SimBuilder::new(topology)
         .routing(tree.det_routing())
         .mechanism(Mechanism::ccfit())
         .traffic(uniform_all(num_nodes, 0.1))
         .duration_ns(duration_ns)
         .seed(1)
-        .build();
+        .build()
+}
+
+fn run_tree(k: u32, duration_ns: f64) -> Simulator {
+    let mut sim = build_tree(k, duration_ns);
     sim.run_to_end();
     sim
 }
@@ -57,6 +61,23 @@ fn adapter_state_follows_traffic_at_4096_nodes() {
         "{entries} peer entries for {} injected packets",
         sim.injected()
     );
+}
+
+/// The one network where most input ports hold a packet most cycles and
+/// almost none is in a congestion tree — where the isolation stage's
+/// fixed-point skips (DESIGN.md §12) do nearly all of their work. The
+/// oracle has every switch drop its memos every cycle, so equal reports
+/// mean no skip lost an action on the workload the skips are for. (A
+/// stale mark is rarely *wrong* on an uncongested network; the
+/// invalidation contract itself is pinned by `switch::tests` and the
+/// determinism matrix.)
+#[test]
+fn engine_matches_the_oracle_at_4096_nodes() {
+    let mut oracle = build_tree(16, 16_000.0);
+    oracle.run_reference();
+    let engine = run_tree(16, 16_000.0);
+    assert!(engine.delivered() > 0, "traffic flowed");
+    assert_eq!(engine.finish().to_json(), oracle.finish().to_json());
 }
 
 #[test]
