@@ -27,7 +27,16 @@
 //! shrinks it to a few thousand cycles for CI. A fourth,
 //! `scale-32ary3` (32 768 nodes, 3072 × 64-port switches, one serial
 //! run of 0.02 ms), records that the next size up builds and runs at
-//! all, and in how much memory.
+//! all, and in how much memory. A fifth, `hpcc-bursts64`, is the
+//! uncongested case a window-based back-end used to be slowest at:
+//! shifting-permutation bursts on the 64-node tree under HPCC
+//! (whatever `--mech` says), where every adapter spends most of a burst
+//! held by its window behind a generator the AdVOQ keeps refusing.
+//!
+//! `--before <file>` reads a ledger written by the same bench built on
+//! another commit (the parent's, the same hour) and records its
+//! `fast_cycles_per_sec` and work-list occupancy beside each row as
+//! `before_*`, so a before/after pair sits in one file.
 //!
 //! With `--trace`, the congestion-heavy and `scale-16ary3` scenarios
 //! are additionally timed with the full observability layer on (every
@@ -48,7 +57,7 @@ use ccfit::{
 use ccfit_bench::harness::mechanisms_from_args;
 use ccfit_engine::ids::NodeId;
 use ccfit_topology::{config1_topology, KAryNTree, LinkParams, RoutingTable};
-use ccfit_traffic::{uniform_all, FlowSpec, TrafficPattern};
+use ccfit_traffic::{mpi_phase_bursts, uniform_all, FlowSpec, TrafficPattern};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -117,6 +126,32 @@ struct ScenarioResult {
     active_avg_links: f64,
     /// Peak links on the per-cycle work-list.
     active_max_links: u32,
+    /// The same row of the `--before` ledger: serial engine throughput
+    /// and mean work-list occupancy on the other commit.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    before_fast_cycles_per_sec: Option<f64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    before_active_avg_switches: Option<f64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    before_active_avg_adapters: Option<f64>,
+}
+
+impl ScenarioResult {
+    /// Copy the `before_*` columns from this scenario's row of `ledger`.
+    fn with_before(mut self, ledger: Option<&serde_json::Value>) -> Self {
+        let rows = ledger.and_then(|doc| match doc.get("scenarios") {
+            Some(serde_json::Value::Array(rows)) => Some(rows),
+            _ => None,
+        });
+        let is_this = |row: &&serde_json::Value| matches!(row.get("scenario"), Some(serde_json::Value::Str(s)) if *s == self.scenario);
+        if let Some(row) = rows.and_then(|rows| rows.iter().find(is_this)) {
+            let column = |key: &str| row.get(key).and_then(serde_json::Value::as_f64);
+            self.before_fast_cycles_per_sec = column("fast_cycles_per_sec");
+            self.before_active_avg_switches = column("active_avg_switches");
+            self.before_active_avg_adapters = column("active_avg_adapters");
+        }
+        self
+    }
 }
 
 #[derive(Serialize)]
@@ -297,6 +332,28 @@ fn scale_tree(k: u32, duration_ns: f64) -> ExperimentSpec {
     }
 }
 
+/// Eight shifting-permutation bursts of 256 KB per node on the 64-node
+/// 4-ary 3-tree, 0.6 ms apart: no two flows of a burst share a link end
+/// to end, so nothing congests and the engine's cost is the adapters'
+/// and generators' own.
+fn hpcc_bursts(smoke: bool) -> ExperimentSpec {
+    let tree = KAryNTree::new(4, 3);
+    let topology = tree.build(LinkParams::default());
+    let (phases, bytes, gap_ns, duration_ns) = if smoke {
+        (2, 16 << 10, 0.02e6, 0.06e6)
+    } else {
+        (8, 256 << 10, 0.6e6, 4.8e6)
+    };
+    ExperimentSpec {
+        name: "hpcc-bursts64".into(),
+        pattern: mpi_phase_bursts(phases, bytes, gap_ns).build(topology.num_nodes()),
+        routing: tree.det_routing(),
+        topology,
+        duration_ns,
+        crossbar_bw_flits_per_cycle: 1,
+    }
+}
+
 /// Percent of the traced leg's wall time the fast serial leg did not
 /// need. Signed: the clamp this replaces turned a traced leg that ran
 /// faster into a claim of zero overhead.
@@ -377,6 +434,16 @@ fn main() {
         .and_then(|v| v.parse().ok());
     // `--mech <name>` benches a different registered mechanism; the
     // engine bench measures one engine at a time.
+    let before: Option<serde_json::Value> = args
+        .iter()
+        .position(|a| a == "--before")
+        .and_then(|i| args.get(i + 1))
+        .map(|path| {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| panic!("reading the --before ledger {path}: {e}"));
+            serde_json::from_str(&text)
+                .unwrap_or_else(|e| panic!("parsing the --before ledger {path}: {e}"))
+        });
     let mechs = mechanisms_from_args(&args, vec![Mechanism::ccfit()]);
     if mechs.len() != 1 {
         eprintln!("engine_bench benches one mechanism at a time; got {mechs:?}");
@@ -471,6 +538,47 @@ fn main() {
         });
     }
 
+    // --- hpcc-bursts64: window-held adapters on an uncongested tree ---
+    // Two reps of the oracle leg: it visits 112 components on each of
+    // 187 500 cycles.
+    let spec = hpcc_bursts(smoke);
+    let hpcc = Mechanism::hpcc();
+    let (oracle_s, oracle_cycles, _) = time_run_n(&spec, &hpcc, Leg::Reference, 2);
+    let (fast_s, fast_cycles, act) = time_run(&spec, &hpcc, Leg::Engine { threads: 1 });
+    assert_eq!(
+        oracle_cycles, fast_cycles,
+        "hpcc-bursts64: the engine and its reference mode simulated different cycle counts"
+    );
+    let oracle_cps = oracle_cycles as f64 / oracle_s.max(1e-12);
+    let fast_cps = fast_cycles as f64 / fast_s.max(1e-12);
+    println!(
+        "{:<17} {:>9} cycles | oracle {:>10.0} cyc/s | fast {:>12.0} cyc/s | {:.2}x (HPCC)",
+        spec.name,
+        oracle_cycles,
+        oracle_cps,
+        fast_cps,
+        fast_cps / oracle_cps
+    );
+    if profile {
+        profile_run(&spec, &hpcc);
+    }
+    entries.push(ScenarioResult {
+        scenario: spec.name.clone(),
+        simulated_cycles: fast_cycles,
+        oracle_wall_s: Some(oracle_s),
+        fast_wall_s: fast_s,
+        oracle_cycles_per_sec: Some(oracle_cps),
+        fast_cycles_per_sec: fast_cps,
+        speedup: Some(fast_cps / oracle_cps),
+        active_avg_switches: act.avg_switches(),
+        active_max_switches: act.sw_max,
+        active_avg_adapters: act.avg_adapters(),
+        active_max_adapters: act.node_max,
+        active_avg_links: act.avg_links(),
+        active_max_links: act.link_max,
+        ..Default::default()
+    });
+
     // --- scale-16ary3: prove the engine at 4096 nodes -----------------
     // Three reps per leg, serial and parallel interleaved so a host
     // slowdown lands on both, and the bests compared: the
@@ -553,6 +661,7 @@ fn main() {
         active_max_adapters: act.node_max,
         active_avg_links: act.avg_links(),
         active_max_links: act.link_max,
+        ..Default::default()
     });
 
     // --- scale-32ary3: the next size up builds and runs ---------------
@@ -591,7 +700,10 @@ fn main() {
             .filter(|e| e.tracing_overhead_pct.is_some())
             .max_by(|a, b| a.fast_wall_s.total_cmp(&b.fast_wall_s))
             .and_then(|e| e.tracing_overhead_pct),
-        scenarios: entries,
+        scenarios: entries
+            .into_iter()
+            .map(|row| row.with_before(before.as_ref()))
+            .collect(),
     };
     std::fs::write(&out_path, serde_json::to_string_pretty(&doc).unwrap())
         .unwrap_or_else(|e| panic!("writing {out_path}: {e}"));

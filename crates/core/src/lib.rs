@@ -42,6 +42,7 @@ pub mod arbiter;
 pub mod bitset;
 pub mod endnode;
 pub mod experiment;
+mod idle;
 pub mod parallel;
 pub mod params;
 pub mod port;

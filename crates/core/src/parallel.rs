@@ -546,11 +546,7 @@ pub(crate) unsafe fn run_shard(phase: PhaseKind, ctx: &TickCtx, w: usize) {
         PhaseKind::Ctrl => {
             let ob = &mut *ctx.outboxes.add(w);
             for &s in range_members(members(ctx.ctrl_sw), &plan.switch_ranges[w]) {
-                (*ctx.switches.add(s as usize)).poll_output_ctrl_ls(
-                    now,
-                    &mut links,
-                    &mut ob.metrics,
-                );
+                (*ctx.switches.add(s as usize)).poll_output_ctrl(now, &mut links, &mut ob.metrics);
             }
             // Segment boundary: Ctrl/Iso/CstArb run back-to-back with no
             // merge in between, so the coordinator replays this log in
@@ -559,7 +555,7 @@ pub(crate) unsafe fn run_shard(phase: PhaseKind, ctx: &TickCtx, w: usize) {
             ob.metrics.mark();
             let ob = &mut *ctx.outboxes.add(plan.shards + w);
             for &a in range_members(members(ctx.ctrl_nodes), &plan.adapter_ranges[w]) {
-                (*ctx.adapters.add(a as usize)).poll_ctrl_ls(now, &mut links, &mut ob.metrics);
+                (*ctx.adapters.add(a as usize)).poll_ctrl(now, &mut links, &mut ob.metrics);
             }
         }
         PhaseKind::Iso => {
@@ -570,7 +566,7 @@ pub(crate) unsafe fn run_shard(phase: PhaseKind, ctx: &TickCtx, w: usize) {
                 let run = !sw.is_quiescent();
                 *ctx.p5_ran.add(s) = run;
                 if run {
-                    sw.isolation_tick_ls(now, &*ctx.routing, &mut links, &mut ob.metrics);
+                    sw.isolation_tick(now, &*ctx.routing, &mut links, &mut ob.metrics);
                 }
             }
             ob.metrics.mark();
@@ -581,13 +577,13 @@ pub(crate) unsafe fn run_shard(phase: PhaseKind, ctx: &TickCtx, w: usize) {
             for &s in range_members(members(ctx.act_sw), &plan.switch_ranges[w]) {
                 let sw = &mut *ctx.switches.add(s as usize);
                 if *ctx.p5_ran.add(s as usize) {
-                    sw.congestion_state_tick_ls(now, &links, &mut ob.metrics);
+                    sw.congestion_state_tick(now, &links, &mut ob.metrics);
                 }
                 if !sw.has_buffered() {
                     continue;
                 }
                 rel.clear();
-                sw.arbitrate_and_transmit_ls(
+                sw.arbitrate_and_transmit_into(
                     now,
                     &*ctx.routing,
                     &mut links,
@@ -606,7 +602,7 @@ pub(crate) unsafe fn run_shard(phase: PhaseKind, ctx: &TickCtx, w: usize) {
                 if ad.is_quiet() && ad.armed_timer_count() == 0 {
                     continue;
                 }
-                if let Some(r) = ad.tick_ls(now, &mut links, voqnet, &mut ob.metrics) {
+                if let Some(r) = ad.tick(now, &mut links, voqnet, &mut ob.metrics) {
                     ob.adapter_releases.push((a, r));
                 }
             }

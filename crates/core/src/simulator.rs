@@ -689,10 +689,14 @@ pub struct Simulator {
     /// isolation (which can change quiescence) and reused by the
     /// congestion-state refresh.
     p5_ran: Vec<bool>,
-    /// Parked quiet nodes' future wake-ups: CC-timer deadlines and
-    /// generator activation edges, as `(cycle, node)`. Stale entries are
-    /// harmless (a woken node that turns out quiet is a gated no-op).
+    /// Parked nodes' wake-ups, as `(cycle, node)`: the earlier of the
+    /// adapter's park bound (`Adapter::park_bound`) and the generator's
+    /// next possible action (`NodeGenerator::next_park_wake`). Stale
+    /// entries are harmless (a woken node whose bound still holds ticks
+    /// into a no-op and parks again).
     node_wake: BinaryHeap<Reverse<(Cycle, u32)>>,
+    /// Parked switches' wake-ups (`Switch::park_bound`), likewise.
+    sw_wake: BinaryHeap<Reverse<(Cycle, u32)>>,
     /// Active-set occupancy counters for the bench output.
     act_stats: ActiveSetStats,
 }
@@ -1092,6 +1096,7 @@ impl Simulator {
             ctrl_nodes: ccfit_engine::ActiveSet::new(num_nodes),
             p5_ran: vec![false; num_switches],
             node_wake: BinaryHeap::new(),
+            sw_wake: BinaryHeap::new(),
             act_stats: ActiveSetStats::default(),
         }
     }
@@ -1185,9 +1190,10 @@ impl Simulator {
     /// same pipeline as [`Self::tick`] with every scheduling shortcut
     /// switched off — all three work-lists are re-filled at the top of
     /// the cycle, every switch and adapter polls its control channel,
-    /// no per-component skip gate applies, every switch forgets what it
-    /// memoised last cycle (`Switch::drop_memos`), generators never park
-    /// and the clock never jumps. The engine is only allowed shortcuts that
+    /// no per-component skip gate applies, every switch and adapter
+    /// forgets what it memoised last cycle (`Switch::drop_memos`,
+    /// `Adapter::drop_memos`), nothing ever parks and the clock never
+    /// jumps. The engine is only allowed shortcuts that
     /// are provably no-ops, so reports must be byte-identical to this
     /// walk; the determinism suite and the perf harness's baseline leg
     /// compare against it. Serial only, and deliberately not reachable
@@ -1218,15 +1224,21 @@ impl Simulator {
     ///   leave the set when idle (nothing in flight, no pending
     ///   credits/ctrl).
     /// * `act_sw` — deliveries (phase 3), ctrl consumers (phase 4),
-    ///   plus a carry while `!is_quiescent()`.
-    /// * `act_nodes` — deliveries to the node (phase 3), ctrl on the
-    ///   injection link (phase 4), BECN arrivals (phase 7), CC-timer /
-    ///   generator wake-ups (`node_wake`), plus a carry while the
-    ///   adapter is not quiet or the generator has a full packet of
-    ///   budget banked. A generator merely accruing tokens parks at a
+    ///   expired park bounds (`sw_wake`), plus a carry while the switch
+    ///   cannot bound its own idleness (`carry_switch`).
+    /// * `act_nodes` — feedback delivered to the node or owed by it
+    ///   (phase 3), ctrl on the injection link (phase 4), output-RAM
+    ///   releases (phase 1), BECN arrivals (phase 7), expired park bounds
+    ///   (`node_wake`), plus a carry while the adapter cannot bound its
+    ///   own idleness or the generator has an offer still to make
+    ///   (`park_or_carry`). A generator merely accruing tokens parks at a
     ///   lower bound of its next emission and replays the skipped
     ///   accrual on wake (see `NodeGenerator::next_park_wake`).
     /// * fault events re-activate everything (`activate_all`).
+    ///
+    /// The park rule rests on one invariant: every writer of state a
+    /// park bound depends on runs inside the component's own tick, or
+    /// arrives with one of the activations above.
     ///
     /// `ORACLE` selects the reference mode of [`Self::tick_reference`].
     /// `shards` selects how the three per-component fan-out points
@@ -1246,15 +1258,20 @@ impl Simulator {
         if ORACLE {
             self.activate_all();
         } else {
-            // Wake parked nodes whose CC-timer deadline or generator
-            // activation edge is due. Stale (superseded) entries wake a
-            // quiet node into a gated no-op tick — harmless.
-            while let Some(&Reverse((at, n))) = self.node_wake.peek() {
-                if at > now {
-                    break;
+            // Wake the parked components whose bound expires now. A
+            // stale (superseded) entry wakes its component into a no-op
+            // tick — harmless.
+            for (wake, act) in [
+                (&mut self.sw_wake, &mut self.act_sw),
+                (&mut self.node_wake, &mut self.act_nodes),
+            ] {
+                while let Some(&Reverse((at, id))) = wake.peek() {
+                    if at > now {
+                        break;
+                    }
+                    wake.pop();
+                    act.insert(id);
                 }
-                self.node_wake.pop();
-                self.act_nodes.insert(n);
             }
             #[cfg(debug_assertions)]
             self.assert_work_list_invariants(now);
@@ -1372,8 +1389,8 @@ impl Simulator {
         // reads, which is what lets the sharded side put one barrier
         // between the two. `is_quiescent` implies `!has_buffered`, so
         // one switch list serves phases 5 and 6. Afterwards every
-        // member hands over the links it sent on and carries itself
-        // while non-quiescent (`carry_switch`).
+        // member hands over the links it sent on and stays on the list
+        // or parks (`carry_switch`).
         if let Some(sh) = shards.as_deref_mut() {
             self.sharded_switch_phases(sh, now);
         } else {
@@ -1435,7 +1452,7 @@ impl Simulator {
                         self.push_switch_release(si as u32, r);
                     }
                 }
-                self.carry_switch(si);
+                self.carry_switch::<ORACLE>(si, now);
             }
             self.release_scratch = releases;
         }
@@ -1470,6 +1487,9 @@ impl Simulator {
             }
             if !inline {
                 continue;
+            }
+            if ORACLE {
+                self.adapters[n].drop_memos();
             }
             if ORACLE || !(self.adapters[n].is_quiet() && self.adapters[n].armed_timer_count() == 0)
             {
@@ -1513,39 +1533,54 @@ impl Simulator {
     }
 
     /// End of phase 6 for an active switch: activate the links it sent
-    /// on (ctrl in phase 5 or data in phase 6) and keep it on the
-    /// work-list while non-quiescent.
-    fn carry_switch(&mut self, si: usize) {
+    /// on (ctrl in phase 5 or data in phase 6), then keep it on the
+    /// work-list only if it might act next cycle. A switch that has
+    /// proved every stage of its tick idle until a named cycle
+    /// (`Switch::park_bound`) leaves the list and parks on `sw_wake`
+    /// until then; the events that can end the bound early — a delivery,
+    /// control on an output link, a fault — all activate it. The oracle
+    /// never parks, so `sw_wake` stays empty under it.
+    fn carry_switch<const ORACLE: bool>(&mut self, si: usize, now: Cycle) {
         self.switches[si].drain_touched_links(&mut self.act_links);
-        if !self.switches[si].is_quiescent() {
-            self.act_sw_next.insert(si as u32);
+        match self.switches[si].park_bound() {
+            Some(until) if !ORACLE && until > now + 1 => {
+                if until != Cycle::MAX {
+                    self.sw_wake.push(Reverse((until, si as u32)));
+                }
+            }
+            _ => {
+                self.act_sw_next.insert(si as u32);
+            }
         }
     }
 
     /// End of phase 8 for an active node. It stays on the work-list
-    /// while its adapter has work or its
-    /// generator has a full packet banked (emission / backpressure retry
-    /// next cycle); otherwise it parks its future wake-ups — CC-timer
-    /// deadline, and a conservative lower bound of the generator's next
-    /// emission or ON/OFF boundary, whose skipped accrual cycles are
-    /// replayed on wake (`NodeGenerator::next_park_wake`). The oracle
-    /// never parks: it visits every node every cycle, so `node_wake`
-    /// stays empty.
+    /// only if it might act next cycle: its adapter cannot bound its own
+    /// idleness (`Adapter::park_bound`), or its generator has a full
+    /// packet banked that it has yet to offer. Otherwise it parks until
+    /// the earlier of the adapter's bound — a CC-timer deadline, an
+    /// AdVOQ head's IRD gap, the injection link's transmitter — and a
+    /// conservative lower bound of the generator's next emission or
+    /// ON/OFF boundary, whose skipped accrual cycles are replayed on wake
+    /// (`NodeGenerator::next_park_wake`). A generator whose packet the
+    /// adapter just refused waits for the adapter, so the adapter's bound
+    /// covers it. The oracle never parks: it visits every node every
+    /// cycle, so `node_wake` stays empty.
     fn park_or_carry<const ORACLE: bool>(&mut self, n: usize, now: Cycle) {
-        match self.gens[n].next_park_wake(now) {
-            Some(at) if !ORACLE && self.adapters[n].is_quiet() => {
-                let dl = self.adapters[n].next_timer_deadline();
-                if dl != Cycle::MAX {
-                    self.node_wake.push(Reverse((dl, n as u32)));
-                }
+        if !ORACLE {
+            let link = &self.links[self.inject_link[n].index()];
+            let sink_awaited = self.gens[n].refused_offers(now).next().is_some();
+            let bound = self.adapters[n]
+                .park_bound(now, link, sink_awaited)
+                .and_then(|a| Some(a.min(self.gens[n].next_park_wake(now)?)));
+            if let Some(at) = bound.filter(|&at| at > now + 1) {
                 if at != Cycle::MAX {
                     self.node_wake.push(Reverse((at, n as u32)));
                 }
-            }
-            _ => {
-                self.act_nodes_next.insert(n as u32);
+                return;
             }
         }
+        self.act_nodes_next.insert(n as u32);
     }
 
     fn push_switch_release(&mut self, sw: u32, r: crate::switch::PendingRelease) {
@@ -1599,17 +1634,17 @@ impl Simulator {
     /// Where the clock may jump to after a cycle. Non-empty work-lists
     /// mean `now + 1`. Empty ones mean every component is provably
     /// unable to act before its next pending event (carries keep every
-    /// non-quiescent switch / non-quiet node in the sets, and
-    /// non-members satisfy the debug invariant) — generator parking
-    /// lets the lists drain even mid-flow, between emissions — so
-    /// nothing observable can happen before the earliest of: the next
-    /// gauge-sampling boundary (samples must land on every multiple of
-    /// `gauge_every`), the next scheduled RAM release or out-of-band
-    /// BECN, the next in-flight link event, the next parked wake-up
-    /// (`node_wake` holds a conservative lower bound of every parked
-    /// node's next emission, ON/OFF boundary, CC-timer or activation
-    /// edge; an early landing is a no-op tick that re-jumps), and the
-    /// next fault event or re-route. The jump is clamped to `end` so
+    /// switch and node that might act next cycle in the sets, and
+    /// non-members satisfy the debug invariant) — parking lets the lists
+    /// drain even mid-flow, between emissions and while packets are
+    /// merely in transit — so nothing observable can happen before the
+    /// earliest of: the next gauge-sampling boundary (samples must land
+    /// on every multiple of `gauge_every`), the next scheduled RAM
+    /// release or out-of-band BECN, the next in-flight link event, the
+    /// next parked wake-up (`node_wake` / `sw_wake` hold a conservative
+    /// lower bound of every parked component's next action; an early
+    /// landing is a no-op tick that re-jumps), and the next fault event
+    /// or re-route. The jump is clamped to `end` so
     /// runs terminate on exactly the cycle the oracle does.
     fn jump_target(&self, now: Cycle) -> Cycle {
         let step = now + 1;
@@ -1628,8 +1663,10 @@ impl Simulator {
                 target = target.min(at);
             }
         }
-        if let Some(&Reverse((at, _))) = self.node_wake.peek() {
-            target = target.min(at);
+        for wake in [&self.node_wake, &self.sw_wake] {
+            if let Some(&Reverse((at, _))) = wake.peek() {
+                target = target.min(at);
+            }
         }
         if let Some(frt) = &self.faults {
             if let Some(ev) = frt.schedule.events().get(frt.next) {
@@ -1644,33 +1681,66 @@ impl Simulator {
 
     /// Debug-mode conservativeness cross-check: at the top of a cycle,
     /// every component *not* on its work-list must be provably unable
-    /// to act — the exact predicates the member-loop gates use. A
-    /// violation means an activation rule missed an event.
+    /// to act before something re-inserts it. A violation means an
+    /// activation rule missed an event, or a park bound outlived the
+    /// state it was derived from. The bounds are re-derived here from
+    /// the queues themselves — a fresh arbitration gather and
+    /// `is_settled` per live port for a switch, `head_fate` over the
+    /// backlogged AdVOQs for an adapter — not read back from the memos
+    /// the park decision trusted.
     #[cfg(debug_assertions)]
     fn assert_work_list_invariants(&self, now: Cycle) {
+        let earliest = |wakes: &BinaryHeap<Reverse<(Cycle, u32)>>, n: usize| {
+            let mut first = vec![Cycle::MAX; n];
+            for &Reverse((at, id)) in wakes {
+                first[id as usize] = first[id as usize].min(at);
+            }
+            first
+        };
+        let sw_wake = earliest(&self.sw_wake, self.switches.len());
+        let node_wake = earliest(&self.node_wake, self.adapters.len());
+        let links = &self.links;
         for (i, sw) in self.switches.iter().enumerate() {
+            if self.act_sw.contains(i as u32) || sw.is_quiescent() {
+                continue;
+            }
+            // A parked switch does nothing before its bound, and a wake
+            // entry is pending by the time a finite bound expires.
+            let bound = sw.park_bound_rederived(now, &self.routing, links, self.voqnet.as_ref());
             debug_assert!(
-                self.act_sw.contains(i as u32) || sw.is_quiescent(),
-                "switch {i} is active but not in act_sw at cycle {now}"
+                bound.is_some_and(|until| until > now && sw_wake[i] <= until),
+                "switch {i} is not in act_sw at cycle {now} with bound {bound:?} and wake {}",
+                sw_wake[i]
             );
         }
-        let parked: std::collections::HashSet<u32> =
-            self.node_wake.iter().map(|&Reverse((_, n))| n).collect();
         for (i, a) in self.adapters.iter().enumerate() {
-            // A non-member node must be quiet and its generator either
-            // must-tick-never (`Some`: no banked packet) with a pending
-            // wake entry covering any finite next action, or inert.
-            let gen_ok = match self.gens[i].next_park_wake(now) {
+            if self.act_nodes.contains(i as u32) {
+                continue;
+            }
+            // Likewise a non-member node: the adapter's bound stands, and
+            // the generator is inert, waits for the adapter, or has a
+            // wake entry pending for its next action.
+            let mut refused = self.gens[i].refused_offers(now).peekable();
+            let inject_link = &links[self.inject_link[i].index()];
+            let bound = a.park_bound_rederived(now, inject_link, refused.peek().is_some());
+            let gen_wake = self.gens[i].next_park_wake(now);
+            let gen_ok = match gen_wake {
                 None => false,
                 Some(Cycle::MAX) => true,
-                Some(_) => parked.contains(&(i as u32)),
+                Some(_) => node_wake[i] != Cycle::MAX,
             };
             debug_assert!(
-                self.act_nodes.contains(i as u32) || (a.is_quiet() && gen_ok),
-                "node {i} is active but not in act_nodes at cycle {now}"
+                gen_ok && bound.is_some_and(|until| until > now && node_wake[i] <= until),
+                "node {i} is not in act_nodes at cycle {now} with bound {bound:?}, \
+                 generator wake {gen_wake:?} and wake entry {}",
+                node_wake[i]
+            );
+            debug_assert!(
+                !refused.any(|gp| a.admits(&gp)),
+                "node {i} sits out cycle {now} on a refusal that no longer stands"
             );
         }
-        for (i, l) in self.links.iter().enumerate() {
+        for (i, l) in links.iter().enumerate() {
             debug_assert!(
                 self.act_links.contains(i as u32) || l.is_idle(),
                 "link {i} has events in flight but is not in act_links at cycle {now}"
@@ -1727,7 +1797,13 @@ impl Simulator {
                     }
                 }
                 Release::Node { node, flits } => {
-                    self.adapters[node as usize].release_ram(flits);
+                    // Freed output RAM can release an AdVOQ head a parked
+                    // adapter holds; a quiet adapter holds none.
+                    let adapter = &mut self.adapters[node as usize];
+                    adapter.release_ram(flits);
+                    if !adapter.is_quiet() {
+                        self.act_nodes.insert(node);
+                    }
                 }
             }
         }
@@ -1892,9 +1968,15 @@ impl Simulator {
         if changed {
             // Events and re-route completions purge RAM / reset links /
             // re-route packets outside the phase loops: rebuild the SoA
-            // occupancy mirror and re-activate everything.
+            // occupancy mirror and re-activate everything. A link that
+            // closed under a head turns "transmitter busy until T" into
+            // "down until repaired", so every switch also re-derives what
+            // its bounds rest on.
             self.resync_port_occ();
             self.activate_all();
+            for sw in &mut self.switches {
+                sw.drop_memos();
+            }
         }
     }
 
@@ -2298,19 +2380,22 @@ impl Simulator {
     }
 
     fn deliver_to_node(&mut self, node: NodeId, link_idx: usize, d: ccfit_engine::link::Delivery) {
-        // Any arrival (data completion, BECN/CNP/ACK feedback) can change
-        // the adapter's state: it must run this cycle's phase 8.
-        self.act_nodes.insert(node.0);
         // Ideal sink: space is freed the moment the tail lands.
         self.links[link_idx].return_credits(d.ready_at, d.packet.size_flits);
+        // Feedback that reaches the adapter (BECN/CNP/ACK), or that it has
+        // to send (below), changes its state: it must run this cycle's
+        // phase 8. A data packet that asks for none leaves it as it was.
         match d.packet.kind {
             ccfit_engine::packet::PacketKind::Becn => {
                 // An in-band BECN reached the source it throttles.
+                self.act_nodes.insert(node.0);
                 self.adapters[node.index()].on_becn(d.ready_at, d.packet.src, &mut self.metrics);
                 return;
             }
             ccfit_engine::packet::PacketKind::Cnp => {
-                // DCQCN: a CNP reached the reaction point.
+                // DCQCN: a CNP reached the reaction point. It moves the
+                // rate machine, which only the next move reads — nothing
+                // a parked adapter's bound rests on, so no activation.
                 self.metrics
                     .count("ctrl_wire_bytes_delivered", d.packet.wire_bytes());
                 self.adapters[node.index()].on_cnp(d.ready_at, d.packet.src, &mut self.metrics);
@@ -2318,6 +2403,7 @@ impl Simulator {
             }
             ccfit_engine::packet::PacketKind::Ack => {
                 // HPCC: the INT echo reached the sender's window machine.
+                self.act_nodes.insert(node.0);
                 self.metrics
                     .count("ctrl_wire_bytes_delivered", d.packet.wire_bytes());
                 self.adapters[node.index()].on_ack(
@@ -2382,6 +2468,7 @@ impl Simulator {
                 BecnTransport::InBand => {
                     let id = PacketId(self.next_packet_id);
                     self.next_packet_id += 1;
+                    self.act_nodes.insert(node.0);
                     self.adapters[node.index()].queue_becn(Packet::becn(
                         id,
                         node,
@@ -2420,6 +2507,7 @@ impl Simulator {
                         },
                     });
                 }
+                self.act_nodes.insert(node.0);
                 self.adapters[node.index()].queue_becn(cnp);
             }
         }
@@ -2439,6 +2527,7 @@ impl Simulator {
             );
             self.metrics.count("ack_generated", 1);
             self.metrics.count("ctrl_wire_bytes_sent", ack.wire_bytes());
+            self.act_nodes.insert(node.0);
             self.adapters[node.index()].queue_becn(ack);
         }
     }
@@ -2633,7 +2722,7 @@ impl Simulator {
             }
         }
         for i in 0..self.act_sw.len() {
-            self.carry_switch(self.act_sw.member(i) as usize);
+            self.carry_switch::<false>(self.act_sw.member(i) as usize, now);
         }
     }
 
@@ -2997,6 +3086,7 @@ mod tests {
         assert_eq!(st.node_sum, end * oracle.adapters.len() as u64);
         assert_eq!(st.link_sum, end * oracle.links.len() as u64);
         assert!(oracle.node_wake.is_empty(), "the oracle never parks a node");
+        assert!(oracle.sw_wake.is_empty(), "nor a switch");
 
         let mut engine = build();
         engine.run_to_end();
@@ -3007,6 +3097,415 @@ mod tests {
             st.ticks
         );
         assert!(st.node_sum < st.ticks * engine.adapters.len() as u64);
+        assert_eq!(engine.finish(), oracle.finish());
+    }
+
+    // ---- the park rule's wake sources (DESIGN.md §12) ----
+    //
+    // A parked component sits out every cycle until its bound expires,
+    // so each event that can end the bound early has to put it back on
+    // the work-list the cycle it lands. One case per such event: an
+    // engine and an oracle built alike advance in lock-step, everything
+    // the next cycle can observe is compared after each one (a late wake
+    // shows on the cycle it is late, not only in the final report), and
+    // the case counts how often its event landed on a parked component —
+    // a scenario in which it never does proves nothing.
+
+    /// What the next cycle can observe of `sim`: everything but the memos
+    /// the engine keeps and the oracle drops.
+    fn observable(sim: &Simulator) -> String {
+        use std::fmt::Write;
+        let mut out = sim.debug_state();
+        for a in &sim.adapters {
+            let dsts = (0..sim.num_nodes).map(|d| NodeId(d as u32));
+            let ccti: u32 = dsts.map(|d| u32::from(a.ccti(d))).sum();
+            let (held, becns) = (a.resident_packets(), a.pending_becns());
+            write!(out, "{held} {becns} {} {ccti}|", a.armed_timer_count()).unwrap();
+        }
+        for l in &sim.links {
+            let (flying, free) = (l.in_flight_count(), l.tx_free_at());
+            write!(out, "{flying} {} {free}|", l.credits()).unwrap();
+        }
+        let refused = sim.faults.as_ref().map_or(0, |frt| frt.packets_refused);
+        let ids = sim.next_packet_id;
+        write!(out, "{} {} {ids} {refused}", sim.injected, sim.delivered).unwrap();
+        out
+    }
+
+    /// Advance an engine and an oracle from `build` through `cycles`
+    /// cycles in lock-step. Before each one `lands(&engine)` says whether
+    /// the event under test is about to land on a parked component;
+    /// returns how often it did.
+    fn lockstep(
+        build: impl Fn() -> Simulator,
+        cycles: Cycle,
+        mut lands: impl FnMut(&Simulator) -> bool,
+    ) -> usize {
+        let (mut engine, mut oracle) = (build(), build());
+        let mut landed = 0;
+        for _ in 0..cycles {
+            landed += usize::from(lands(&engine));
+            engine.run_cycles(1);
+            oracle.tick_reference();
+            assert_eq!(engine.now, oracle.now);
+            let cycle = oracle.now - 1;
+            assert_eq!(observable(&engine), observable(&oracle), "cycle {cycle}");
+        }
+        let (visits, all) = (engine.act_stats, oracle.act_stats);
+        assert!(visits.sw_sum < all.sw_sum && visits.node_sum < all.node_sum);
+        assert_eq!(engine.finish(), oracle.finish());
+        landed
+    }
+
+    fn no_wake_due(wake: &BinaryHeap<Reverse<(Cycle, u32)>>, id: u32, now: Cycle) -> bool {
+        !wake.iter().any(|&Reverse((at, i))| i == id && at <= now)
+    }
+
+    /// Off its work-list with packets in hand and no wake entry due: only
+    /// an activation can bring it back this cycle.
+    fn switch_parked(sim: &Simulator, s: u32) -> bool {
+        !sim.act_sw.contains(s)
+            && !sim.switches[s as usize].is_quiescent()
+            && no_wake_due(&sim.sw_wake, s, sim.now)
+    }
+
+    fn node_parked(sim: &Simulator, n: u32) -> bool {
+        !sim.act_nodes.contains(n) && no_wake_due(&sim.node_wake, n, sim.now)
+    }
+
+    fn node_parked_busy(sim: &Simulator, n: u32) -> bool {
+        node_parked(sim, n) && !sim.adapters[n as usize].is_quiet()
+    }
+
+    fn any_node(sim: &Simulator, mut f: impl FnMut(usize) -> bool) -> bool {
+        (0..sim.num_nodes).any(&mut f)
+    }
+
+    /// A 2-ary 3-tree (8 nodes, 12 switches) under `flows`.
+    fn park_sim(mech: Mechanism, cfg: SimConfig, flows: Vec<FlowSpec>) -> SimBuilder {
+        use ccfit_topology::KAryNTree;
+        let tree = KAryNTree::new(2, 3);
+        SimBuilder::new(tree.build(LinkParams::default()))
+            .routing(tree.det_routing())
+            .mechanism(mech)
+            .traffic(TrafficPattern::new("park", flows))
+            .config(SimConfig {
+                duration_ns: 150_000.0,
+                metrics_bin_ns: 20_000.0,
+                seed: 21,
+                ..cfg
+            })
+    }
+
+    /// Two fixed-destination flows per node, crossing in the middle of
+    /// the tree and together offering more than a link carries: switches
+    /// wait for busy outputs, adapters for their transmitter, generators
+    /// for room in a full AdVOQ.
+    fn crossing_flows() -> Vec<FlowSpec> {
+        let flow = |i: u32| {
+            let (src, hop) = (i / 2, [3, 5][i as usize % 2]);
+            let dst = NodeId((src + hop) % 8);
+            let mut f = FlowSpec::hotspot(i, NodeId(src), dst, 0.0, None);
+            f.rate = 0.45 + 0.05 * f64::from(i % 4);
+            f
+        };
+        (0..16).map(flow).collect()
+    }
+
+    /// The crossing flows at half rate, under four 12 µs bursts in which
+    /// every other node saturates node 7: congestion trees grow, are
+    /// throttled and vanish again, among switches and adapters that are
+    /// not all busy with them.
+    fn burst_flows() -> Vec<FlowSpec> {
+        let mut flows = crossing_flows();
+        for f in &mut flows {
+            f.rate *= 0.5;
+        }
+        for burst in 0..4 {
+            let start = f64::from(burst) * 35_000.0;
+            for src in 0..7 {
+                let id = flows.len() as u32;
+                let end = Some(start + 12_000.0);
+                flows.push(FlowSpec::hotspot(id, NodeId(src), NodeId(7), start, end));
+            }
+        }
+        flows
+    }
+
+    fn crossing(mech: Mechanism, cfg: SimConfig) -> impl Fn() -> Simulator {
+        move || park_sim(mech.clone(), cfg.clone(), crossing_flows()).build()
+    }
+
+    fn bursts(mech: Mechanism, cfg: SimConfig) -> impl Fn() -> Simulator {
+        move || park_sim(mech.clone(), cfg.clone(), burst_flows()).build()
+    }
+
+    #[test]
+    fn a_delivery_wakes_a_parked_switch() {
+        let build = crossing(Mechanism::ccfit(), SimConfig::default());
+        let landed = lockstep(build, 4000, |sim| {
+            sim.link_dst.iter().zip(&sim.links).any(|(dst, link)| {
+                matches!(*dst, LinkDst::SwitchIn(s, _) if switch_parked(sim, s.0))
+                    && link.has_delivery(sim.now)
+            })
+        });
+        assert!(landed > 50, "only {landed} deliveries met a parked switch");
+    }
+
+    #[test]
+    fn control_on_a_link_wakes_its_parked_sender() {
+        let build = bursts(Mechanism::ccfit(), SimConfig::default());
+        let (mut switches, mut nodes) = (0, 0);
+        lockstep(build, 5800, |sim| {
+            for (src, link) in sim.link_src.iter().zip(&sim.links) {
+                if link.has_ctrl(sim.now) {
+                    match *src {
+                        LinkSrc::Switch(s) => switches += usize::from(switch_parked(sim, s)),
+                        LinkSrc::Node(n) => nodes += usize::from(node_parked_busy(sim, n)),
+                    }
+                }
+            }
+            false
+        });
+        assert!(switches > 0, "no control event met a parked switch");
+        assert!(nodes > 0, "no control event met a parked node");
+    }
+
+    #[test]
+    fn a_becn_wakes_a_parked_node() {
+        // Six sources keep node 7's link marking; node 6 adds three
+        // packets every 30 µs and falls silent before the BECNs they earn
+        // come back, with every earlier timer long expired: the arrival
+        // arms a timer on a node that has no other reason to wake.
+        // Nothing else is addressed to node 6, so under the in-band
+        // transport every delivery to it is a BECN.
+        let mut flows: Vec<FlowSpec> = (0..6)
+            .map(|src| FlowSpec::hotspot(src, NodeId(src), NodeId(7), 0.0, None))
+            .collect();
+        for blip in 0..5 {
+            let start = 10_000.0 + f64::from(blip) * 30_000.0;
+            let id = flows.len() as u32;
+            let end = Some(start + 2_500.0);
+            flows.push(FlowSpec::hotspot(id, NodeId(6), NodeId(7), start, end));
+        }
+        for becn_transport in [BecnTransport::OutOfBand, BecnTransport::InBand] {
+            let cfg = SimConfig {
+                becn_transport,
+                ..SimConfig::default()
+            };
+            let build = || park_sim(Mechanism::ith(), cfg.clone(), flows.clone()).build();
+            let landed = lockstep(build, 5800, |sim| {
+                let unarmed = sim.adapters[6].armed_timer_count() == 0;
+                let out_of_band = |&Reverse((at, _, _, node)): &Reverse<(Cycle, u64, u32, u32)>| {
+                    at <= sim.now && node == 6
+                };
+                let in_band = sim.links[sim.recv_link[6].index()].has_delivery(sim.now);
+                (in_band || sim.becn_q.iter().any(out_of_band)) && unarmed && node_parked(sim, 6)
+            });
+            assert!(
+                landed > 2,
+                "{becn_transport:?}: {landed} BECNs met a parked node"
+            );
+        }
+    }
+
+    /// Feedback a delivery brings (an in-band BECN, an ACK) or asks the
+    /// receiving adapter to send (a BECN for a FECN mark, a CNP for an ECN
+    /// mark, an ACK for every HPCC data packet).
+    #[test]
+    fn feedback_wakes_a_parked_node() {
+        let small_windows = Mechanism::Hpcc(crate::params::HpccParams {
+            w_init_bytes: 4096.0,
+            w_max_bytes: 8192.0,
+            ..Default::default()
+        });
+        let scenarios = [
+            ("BECN", Mechanism::ccfit(), burst_flows()),
+            ("ACK", small_windows, crossing_flows()),
+            ("CNP", Mechanism::dcqcn(), burst_flows()),
+        ];
+        for (what, mech, flows) in scenarios {
+            let build = || park_sim(mech.clone(), SimConfig::default(), flows.clone()).build();
+            let (mut busy, mut quiet) = (0, 0);
+            lockstep(build, 5800, |sim| {
+                for n in 0..sim.num_nodes {
+                    if sim.links[sim.recv_link[n].index()].has_delivery(sim.now) {
+                        busy += usize::from(node_parked_busy(sim, n as u32));
+                        quiet += usize::from(node_parked(sim, n as u32));
+                    }
+                }
+                false
+            });
+            assert!(busy > 20 && quiet > busy, "{what}: {busy} of {quiet}");
+        }
+    }
+
+    #[test]
+    fn an_output_ram_release_wakes_a_parked_node() {
+        // One MTU of output RAM: the packet on the wire holds all of it,
+        // so the next AdVOQ head waits for the release and nothing else —
+        // a bound with no expiry.
+        let cfg = SimConfig {
+            port_ram_bytes: 2048,
+            ..SimConfig::default()
+        };
+        let landed = lockstep(crossing(Mechanism::ccfit(), cfg), 4000, |sim| {
+            let sent = |n: usize| sim.links[sim.inject_link[n].index()].tx_free_at();
+            sim.release_q.next_at() == Some(sim.now)
+                && any_node(sim, |n| {
+                    node_parked_busy(sim, n as u32) && sent(n) == sim.now
+                })
+        });
+        assert!(landed > 50, "only {landed} releases met a parked node");
+    }
+
+    #[test]
+    fn a_fault_event_wakes_everything_parked() {
+        // A leaf switch dies and comes back, and a trunk cable elsewhere
+        // does the same. Each change is followed by a re-route that
+        // purges what can no longer be delivered: a source stalled behind
+        // a full AdVOQ toward an orphaned node has room again that very
+        // cycle, and from then on every packet it offers is consumed.
+        use ccfit_topology::KAryNTree;
+        let topo = KAryNTree::new(2, 3).build(LinkParams::default());
+        let leaf = topo.node_attachment(NodeId(7)).0;
+        let (s, p) = first_trunk_cable(&topo);
+        let build = || {
+            let mut sched = FaultSchedule::new();
+            sched
+                .switch_down(1003, leaf, FaultPolicy::FailStop)
+                .link_down(1507, s, p, FaultPolicy::Graceful)
+                .switch_up(2011, leaf)
+                .link_up(2601, s, p);
+            park_sim(Mechanism::ccfit(), SimConfig::default(), crossing_flows())
+                .faults(sched)
+                .fault_config(FaultConfig {
+                    reroute_latency_cycles: 60,
+                })
+                .build()
+        };
+        let landed = lockstep(build, 4000, |sim| {
+            let frt = sim.faults.as_ref().expect("schedule installed");
+            let next = frt.schedule.events().get(frt.next).map(|ev| ev.at);
+            (next == Some(sim.now) || frt.routing_update_at == Some(sim.now))
+                && (0..sim.switches.len()).any(|s| switch_parked(sim, s as u32))
+                && any_node(sim, |n| node_parked_busy(sim, n as u32))
+        });
+        assert!(landed > 3, "only {landed} fault events met parked ones");
+    }
+
+    #[test]
+    fn an_expired_bound_wakes_its_component() {
+        let build = crossing(Mechanism::ccfit(), SimConfig::default());
+        let (mut switches, mut nodes) = (0, 0);
+        lockstep(build, 4000, |sim| {
+            let expiring = |wake: &BinaryHeap<Reverse<(Cycle, u32)>>,
+                            act: &ccfit_engine::ActiveSet| {
+                let due = |&&Reverse((at, id)): &&Reverse<(Cycle, u32)>| {
+                    at == sim.now && !act.contains(id)
+                };
+                wake.iter().filter(due).count()
+            };
+            switches += expiring(&sim.sw_wake, &sim.act_sw);
+            nodes += expiring(&sim.node_wake, &sim.act_nodes);
+            false
+        });
+        assert!(
+            switches > 50 && nodes > 50,
+            "{switches} switches, {nodes} nodes"
+        );
+    }
+
+    /// With crossbar speed-up an input port frees (and its RAM release
+    /// falls due) before the output transmitter does, so a switch waiting
+    /// for that transmitter can be the only thing the network has
+    /// pending: the jump must land on its wake, not beyond it.
+    #[test]
+    fn the_jump_lands_on_a_parked_switch() {
+        let build = || {
+            let flow = |id, src, rate| {
+                let mut f = FlowSpec::hotspot(id, NodeId(src), NodeId(3), 0.0, Some(60_000.0));
+                f.rate = rate;
+                f
+            };
+            SimBuilder::new(config1_topology())
+                .crossbar_bw(2)
+                .traffic(TrafficPattern::new(
+                    "pair",
+                    vec![flow(0, 0, 0.4), flow(1, 1, 0.45)],
+                ))
+                .duration_ns(100_000.0)
+                .seed(2)
+                .build()
+        };
+        let (mut engine, mut oracle) = (build(), build());
+        let mut jumped_to_a_switch = 0;
+        while engine.now < engine.end {
+            let before = engine.now;
+            let wake = engine.sw_wake.peek().map(|&Reverse((at, _))| at);
+            engine.tick();
+            if engine.now > before + 1 && wake == Some(engine.now) {
+                jumped_to_a_switch += 1;
+            }
+        }
+        assert!(jumped_to_a_switch > 10, "{jumped_to_a_switch} such jumps");
+        oracle.run_reference();
+        assert_eq!(engine.finish(), oracle.finish());
+    }
+
+    /// A refused retry to a redrawn destination draws from the flow RNG,
+    /// so a node whose uniform source is back-pressured stays on the
+    /// work-list while a fixed-destination source beside it may not. Two
+    /// nodes, so "uniform" always means the other one and its AdVOQ is
+    /// the one the fixed flow keeps full.
+    #[test]
+    fn a_uniform_source_refused_by_a_full_advoq_never_parks() {
+        use ccfit_topology::TopologyBuilder;
+        let build = || {
+            let mut b = TopologyBuilder::new("pair");
+            let s = b.add_switch(2);
+            for p in 0..2 {
+                let n = b.add_node();
+                b.attach(n, s, PortId(p)).expect("free port");
+            }
+            let flows = vec![
+                FlowSpec::hotspot(0, NodeId(0), NodeId(1), 0.0, None),
+                FlowSpec::uniform(1, NodeId(0), 0.0, None),
+            ];
+            SimBuilder::new(b.build().expect("a valid pair"))
+                .traffic(TrafficPattern::new("pair", flows))
+                .duration_ns(60_000.0)
+                .seed(3)
+                .build()
+        };
+        let (mut engine, mut oracle) = (build(), build());
+        let mut refused = 0;
+        while engine.now < 2000 {
+            engine.run_cycles(1);
+            oracle.tick_reference();
+            let cycle = engine.now - 1;
+            if engine.gens[0].next_park_wake(cycle).is_none() {
+                refused += 1;
+                assert!(engine.act_nodes.contains(0), "parked at cycle {cycle}");
+            }
+        }
+        assert!(
+            refused > 500,
+            "the uniform flow was refused {refused} times"
+        );
+        // Same RNG position: both draw the same destinations from here.
+        let offers = |sim: &Simulator| {
+            let mut gen = sim.gens[0].clone();
+            let mut got = Vec::new();
+            for now in 2000..2200 {
+                gen.tick(now, &mut |p: GenPacket| {
+                    got.push((now, p));
+                    true
+                });
+            }
+            got
+        };
+        assert_eq!(offers(&engine), offers(&oracle));
         assert_eq!(engine.finish(), oracle.finish());
     }
 

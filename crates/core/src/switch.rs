@@ -19,11 +19,12 @@
 
 use crate::arbiter::Islip;
 use crate::bitset::BitSet;
+use crate::idle::IdleBound;
 use crate::params::{IsolationParams, QueueingScheme};
 use crate::port::{CfqState, InputQueues};
 use ccfit_engine::cam::Cam;
 use ccfit_engine::ids::{LinkId, NodeId, SwitchId};
-use ccfit_engine::link::{CtrlEvent, Delivery, Link, LinkSlice};
+use ccfit_engine::link::{CtrlEvent, Delivery, Link, Links};
 use ccfit_engine::queue::{PacketQueue, QueuedPacket};
 use ccfit_engine::ram::PortRam;
 use ccfit_engine::units::Cycle;
@@ -440,7 +441,21 @@ struct ArbScratch {
     /// consider.
     out_free: BitSet,
     matches: Vec<(usize, usize)>,
+    /// Why a gather that found no candidate will keep finding none: every
+    /// buffered head was blocked, and the bound records what each blocker
+    /// waits for (DESIGN.md §12) — the clock (an input's `busy_until`, a
+    /// head's `visible_at`, an output link's `tx_free_at`), an event that
+    /// bumps [`Switch::epoch`] (a stopped CFQ, an NFQ head awaiting its
+    /// move), or credits (`watched`). Dropped when a head blocks on
+    /// something none of those watch (VOQnet per-destination credits, a
+    /// downed link). Until one of those things happens a further gather
+    /// is skipped — it would find nothing again, and iSLIP over an empty
+    /// request set makes no match and moves no pointer.
     idle: IdleBound,
+    /// Outputs some head was blocked on for credits alone, with the
+    /// credits the link held then.
+    watched: BitSet,
+    credits_seen: Vec<u32>,
 }
 
 impl ArbScratch {
@@ -451,12 +466,9 @@ impl ArbScratch {
             in_free: BitSet::new(num_ports),
             out_free: BitSet::new(num_ports),
             matches: Vec::new(),
-            idle: IdleBound {
-                until: 0,
-                epoch: 0,
-                watched: BitSet::new(num_ports),
-                credits_seen: vec![0; num_ports],
-            },
+            idle: IdleBound::default(),
+            watched: BitSet::new(num_ports),
+            credits_seen: vec![0; num_ports],
         }
     }
 
@@ -471,8 +483,8 @@ impl ArbScratch {
         self.in_free.clear();
         self.out_free.clear();
         self.matches.clear();
-        self.idle.until = Cycle::MAX;
-        self.idle.watched.clear();
+        self.idle.open();
+        self.watched.clear();
     }
 
     fn push(&mut self, port: usize, cand: Candidate) {
@@ -480,41 +492,6 @@ impl ArbScratch {
         self.requesters[cand.out].insert(port);
         self.in_free.insert(port);
         self.out_free.insert(cand.out);
-    }
-}
-
-/// Why a gather that found no candidate will keep finding none: every
-/// buffered head was blocked, and the bound records what each blocker
-/// waits for (DESIGN.md §12). Until one of those things happens a further
-/// gather is skipped — it would find nothing again, and iSLIP over an
-/// empty request set makes no match and moves no pointer.
-#[derive(Debug, Clone, Default)]
-struct IdleBound {
-    /// Earliest cycle a time-only blocker clears: an input's
-    /// `busy_until`, a head's `visible_at`, an output link's
-    /// `tx_free_at`. `0` = no bound: the last gather found a candidate,
-    /// or a head blocked on something this record cannot watch (VOQnet
-    /// per-destination credits, a downed link).
-    until: Cycle,
-    /// [`Switch::epoch`] at the gather. Heads blocked on switch state —
-    /// a stopped CFQ, an NFQ head awaiting its move — wait for an event
-    /// that bumps it.
-    epoch: u64,
-    /// Outputs some head was blocked on for credits alone, with the
-    /// credits the link held then.
-    watched: BitSet,
-    credits_seen: Vec<u32>,
-}
-
-impl IdleBound {
-    /// A blocker clears at `at` by the clock alone.
-    fn wake_at(&mut self, at: Cycle) {
-        self.until = self.until.min(at);
-    }
-
-    /// A head is blocked on something the bound cannot watch.
-    fn unbounded(&mut self) {
-        self.until = 0;
     }
 }
 
@@ -659,22 +636,12 @@ impl Switch {
     }
 
     /// Drain control events arriving at the output ports (congestion info
-    /// propagated upstream by the downstream switch/adapter).
-    pub fn poll_output_ctrl<M: MetricsSink>(
-        &mut self,
-        now: Cycle,
-        links: &mut [Link],
-        metrics: &mut M,
-    ) {
-        self.poll_output_ctrl_ls(now, &mut LinkSlice::new(links), metrics)
-    }
-
-    /// [`Switch::poll_output_ctrl`] against a [`LinkSlice`] view. Only
+    /// propagated upstream by the downstream switch/adapter). Only
     /// touches this switch's own output links (shard-safe).
-    pub fn poll_output_ctrl_ls<M: MetricsSink>(
+    pub fn poll_output_ctrl<M: MetricsSink, L: Links + ?Sized>(
         &mut self,
         now: Cycle,
-        links: &mut LinkSlice<'_>,
+        links: &mut L,
         metrics: &mut M,
     ) {
         let sw = self.id.0;
@@ -865,7 +832,7 @@ impl Switch {
     /// engine with, in release builds too (DESIGN.md §12).
     pub(crate) fn drop_memos(&mut self) {
         self.lookups_changed();
-        self.arb.idle.until = 0;
+        self.arb.idle.clear();
         self.over_high_dirty = true;
     }
 
@@ -915,25 +882,14 @@ impl Switch {
     }
 
     /// The isolation duties of the post-processing stage (§III-C): runs
-    /// only when the mechanism isolates congested flows.
-    pub fn isolation_tick<M: MetricsSink>(
+    /// only when the mechanism isolates congested flows. Only touches
+    /// this switch's own input links — control propagation goes upstream
+    /// on `in_link` — so it is shard-safe.
+    pub fn isolation_tick<M: MetricsSink, L: Links + ?Sized>(
         &mut self,
         now: Cycle,
         routing: &RoutingTable,
-        links: &mut [Link],
-        metrics: &mut M,
-    ) {
-        self.isolation_tick_ls(now, routing, &mut LinkSlice::new(links), metrics)
-    }
-
-    /// [`Switch::isolation_tick`] against a [`LinkSlice`] view. Only
-    /// touches this switch's own input links — control propagation goes
-    /// upstream on `in_link` — so it is shard-safe.
-    pub fn isolation_tick_ls<M: MetricsSink>(
-        &mut self,
-        now: Cycle,
-        routing: &RoutingTable,
-        links: &mut LinkSlice<'_>,
+        links: &mut L,
         metrics: &mut M,
     ) {
         let Some(iso) = self.cfg.iso else { return };
@@ -1312,28 +1268,6 @@ impl Switch {
         }
     }
 
-    /// Update each output port's congestion state, emitting
-    /// enter/leave events on transitions when the sink asks for them.
-    pub fn congestion_state_tick<M: MetricsSink>(
-        &mut self,
-        now: Cycle,
-        links: &[Link],
-        metrics: &mut M,
-    ) {
-        self.congestion_state_tick_inner(now, |i| links[i].credits(), metrics)
-    }
-
-    /// [`Switch::congestion_state_tick`] against a [`LinkSlice`] view.
-    /// Only reads this switch's own output links (shard-safe).
-    pub fn congestion_state_tick_ls<M: MetricsSink>(
-        &mut self,
-        now: Cycle,
-        links: &LinkSlice<'_>,
-        metrics: &mut M,
-    ) {
-        self.congestion_state_tick_inner(now, |i| links[i].credits(), metrics)
-    }
-
     /// Summed occupancy of the root CFQs draining through output `out`
     /// — the queue backlog behind a RootCfq congestion-state decision.
     /// Only called on state transitions, so the scan stays off the hot
@@ -1352,10 +1286,13 @@ impl Switch {
             .sum()
     }
 
-    fn congestion_state_tick_inner<M: MetricsSink>(
+    /// Update each output port's congestion state, emitting
+    /// enter/leave events on transitions when the sink asks for them.
+    /// Only reads this switch's own output links (shard-safe).
+    pub fn congestion_state_tick<M: MetricsSink, L: Links + ?Sized>(
         &mut self,
         now: Cycle,
-        link_credits: impl Fn(usize) -> u32,
+        links: &L,
         metrics: &mut M,
     ) {
         let Some(thr) = self.cfg.thr else { return };
@@ -1413,7 +1350,7 @@ impl Switch {
                         // than a victim of spreading.
                         let has_credits = out
                             .out_link
-                            .is_some_and(|l| link_credits(l.index()) >= self.cfg.mtu_flits);
+                            .is_some_and(|l| links[l.index()].credits() >= self.cfg.mtu_flits);
                         if occ >= thr.high_flits && has_credits {
                             out.congested = true;
                             self.congested_count += 1;
@@ -1486,7 +1423,7 @@ impl Switch {
         &self,
         now: Cycle,
         routing: &RoutingTable,
-        links: &LinkSlice<'_>,
+        links: &(impl Links + ?Sized),
         voqnet: Option<&VoqNetCredits>,
         arb: &mut ArbScratch,
     ) {
@@ -1502,7 +1439,7 @@ impl Switch {
         port: usize,
         now: Cycle,
         routing: &RoutingTable,
-        links: &LinkSlice<'_>,
+        links: &(impl Links + ?Sized),
         voqnet: Option<&VoqNetCredits>,
         arb: &mut ArbScratch,
     ) {
@@ -1523,12 +1460,12 @@ impl Switch {
                 let size = head.packet.size_flits;
                 if !link.can_send(now, size) {
                     if !link.is_up() {
-                        arb.idle.unbounded();
+                        arb.idle.clear();
                     } else if !link.tx_idle(now) {
                         arb.idle.wake_at(link.tx_free_at());
                     } else {
-                        arb.idle.watched.insert(out_port);
-                        arb.idle.credits_seen[out_port] = link.credits();
+                        arb.watched.insert(out_port);
+                        arb.credits_seen[out_port] = link.credits();
                     }
                     return;
                 }
@@ -1536,7 +1473,7 @@ impl Switch {
                     // Per-destination reserved space downstream (switch hops
                     // only; node sinks consume at line rate).
                     if !vn.has(link_id.0, head.packet.dst.0, size) {
-                        arb.idle.unbounded();
+                        arb.idle.clear();
                         return;
                     }
                 }
@@ -1617,17 +1554,14 @@ impl Switch {
     /// Whether the idle bound of the last gather still stands at `now`:
     /// no time-only blocker has cleared, no event has bumped the epoch,
     /// and every watched output link holds the credits it held then.
-    fn idle_bound_holds(&self, now: Cycle, links: &LinkSlice<'_>) -> bool {
-        let idle = &self.arb.idle;
-        if now >= idle.until || idle.epoch != self.epoch {
-            return false;
-        }
-        idle.watched.iter().all(|out| {
-            let link = self.outputs[out]
-                .out_link
-                .expect("a watched output is cabled");
-            links[link.index()].credits() == idle.credits_seen[out]
-        })
+    fn idle_bound_holds(&self, now: Cycle, links: &(impl Links + ?Sized)) -> bool {
+        self.arb.idle.holds(now, self.epoch)
+            && self.arb.watched.iter().all(|out| {
+                let link = self.outputs[out]
+                    .out_link
+                    .expect("a watched output is cabled");
+                links[link.index()].credits() == self.arb.credits_seen[out]
+            })
     }
 
     /// Pop the head of a queue.
@@ -1659,11 +1593,11 @@ impl Switch {
     /// Run iSLIP and start the winning transmissions. Returns the RAM
     /// releases to schedule. `voqnet` per-destination credits are debited
     /// here for the packets sent.
-    pub fn arbitrate_and_transmit<M: MetricsSink>(
+    pub fn arbitrate_and_transmit<M: MetricsSink, L: Links + ?Sized>(
         &mut self,
         now: Cycle,
         routing: &RoutingTable,
-        links: &mut [Link],
+        links: &mut L,
         voqnet: Option<&VoqNetCredits>,
         metrics: &mut M,
     ) -> Vec<PendingRelease> {
@@ -1673,33 +1607,13 @@ impl Switch {
     }
 
     /// Allocation-free `arbitrate_and_transmit`: append the RAM releases
-    /// to `releases`, reusing scratch kept inside the switch.
-    pub fn arbitrate_and_transmit_into<M: MetricsSink>(
+    /// to `releases`, reusing scratch kept inside the switch. Only
+    /// touches this switch's own output links (shard-safe).
+    pub fn arbitrate_and_transmit_into<M: MetricsSink, L: Links + ?Sized>(
         &mut self,
         now: Cycle,
         routing: &RoutingTable,
-        links: &mut [Link],
-        voqnet: Option<&VoqNetCredits>,
-        metrics: &mut M,
-        releases: &mut Vec<PendingRelease>,
-    ) {
-        self.arbitrate_and_transmit_ls(
-            now,
-            routing,
-            &mut LinkSlice::new(links),
-            voqnet,
-            metrics,
-            releases,
-        )
-    }
-
-    /// [`Switch::arbitrate_and_transmit_into`] against a [`LinkSlice`]
-    /// view. Only touches this switch's own output links (shard-safe).
-    pub fn arbitrate_and_transmit_ls<M: MetricsSink>(
-        &mut self,
-        now: Cycle,
-        routing: &RoutingTable,
-        links: &mut LinkSlice<'_>,
+        links: &mut L,
         voqnet: Option<&VoqNetCredits>,
         metrics: &mut M,
         releases: &mut Vec<PendingRelease>,
@@ -1731,11 +1645,11 @@ impl Switch {
             // Nothing to schedule: iSLIP over an empty request set makes
             // no match and moves no pointer. Keep what the gather learnt
             // about the blockers as the bound for the next calls.
-            arb.idle.epoch = self.epoch;
+            arb.idle.seal(self.epoch);
             self.arb = arb;
             return;
         }
-        arb.idle.until = 0;
+        arb.idle.clear();
         self.islip.schedule_into(
             &arb.requesters,
             &arb.in_free,
@@ -1912,7 +1826,7 @@ impl Switch {
     /// (DESIGN.md §12).
     fn send_ctrl_noting(
         &mut self,
-        links: &mut LinkSlice<'_>,
+        links: &mut (impl Links + ?Sized),
         link: LinkId,
         now: Cycle,
         ev: CtrlEvent,
@@ -2168,6 +2082,71 @@ impl Switch {
             && self.cfq_count == 0
             && self.congested_count == 0
             && self.cfg.thr.is_none_or(|t| t.high_flits > 0)
+    }
+
+    /// The park rule (DESIGN.md §12): `Some(until)` exactly when every
+    /// stage of this switch's tick provably does nothing on any cycle
+    /// before `until` (`Cycle::MAX` = until an activation) unless an event
+    /// that activates the switch lands first — a delivery, control on an
+    /// output link, a fault. Stage by stage: no CFQ holds a clock to run
+    /// (propagation, Stop/Go, High/Low, starvation window, linger); no
+    /// output is in the congestion state or about to enter it (no
+    /// over-High count to compare, VOQ occupancy below High everywhere);
+    /// the isolation walk passes every live port by as settled; and the
+    /// arbiter either has nothing buffered or holds an idle bound no
+    /// credit return can lift.
+    pub(crate) fn park_bound(&self) -> Option<Cycle> {
+        self.park_bound_from(
+            |port| self.iso_memo[port] == IsoMemo::Settled,
+            || (&self.arb.idle, &self.arb.watched),
+        )
+    }
+
+    /// [`Self::park_bound`] with nothing taken from a memo: `is_settled`
+    /// asked of every live port, and a fresh gather into fresh scratch.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn park_bound_rederived(
+        &self,
+        now: Cycle,
+        routing: &RoutingTable,
+        links: &(impl Links + ?Sized),
+        voqnet: Option<&VoqNetCredits>,
+    ) -> Option<Cycle> {
+        let mut fresh = ArbScratch::new(self.inputs.len());
+        self.gather(now, routing, links, voqnet, &mut fresh);
+        if fresh.in_free.is_empty() {
+            fresh.idle.seal(self.epoch);
+        } else {
+            fresh.idle.clear();
+        }
+        self.park_bound_from(
+            |port| self.is_settled(port, now, routing),
+            || (&fresh.idle, &fresh.watched),
+        )
+    }
+
+    fn park_bound_from<'a>(
+        &self,
+        settled: impl Fn(usize) -> bool,
+        arbiter: impl FnOnce() -> (&'a IdleBound, &'a BitSet),
+    ) -> Option<Cycle> {
+        if self.cfq_count > 0 || self.congested_count > 0 || self.over_high_dirty {
+            return None;
+        }
+        if let Some(thr) = self.cfg.thr {
+            let marks_on_voqs = thr.source == MarkingSource::VoqOccupancy;
+            if marks_on_voqs && self.voq_occ.iter().any(|&occ| occ >= thr.high_flits) {
+                return None;
+            }
+        }
+        if self.cfg.iso.is_some() && !self.iso_live.iter().all(settled) {
+            return None;
+        }
+        if self.buffered == 0 {
+            return Some(Cycle::MAX);
+        }
+        let (idle, watched) = arbiter();
+        idle.current(self.epoch).filter(|_| watched.is_empty())
     }
 
     /// Buffered packets across all input ports.
@@ -3474,7 +3453,7 @@ mod tests {
     }
 
     fn idle_holds(fx: &mut Fixture, now: Cycle) -> bool {
-        fx.sw.idle_bound_holds(now, &LinkSlice::new(&mut fx.links))
+        fx.sw.idle_bound_holds(now, &fx.links)
     }
 
     /// Deliver a packet whose header only arrives at `visible_at`.
@@ -3502,7 +3481,11 @@ mod tests {
         fx.sw
             .isolation_tick(10, &fx.routing, &mut fx.links, &mut fx.metrics);
         assert!(arbitrate(&mut fx, 10).is_empty());
-        assert_eq!(fx.sw.arb.idle.until, Cycle::MAX, "nothing the clock clears");
+        assert_eq!(
+            fx.sw.arb.idle.until(),
+            Cycle::MAX,
+            "nothing the clock clears"
+        );
         assert!(idle_holds(&mut fx, 1 << 40));
         fx
     }
@@ -3516,7 +3499,7 @@ mod tests {
         deliver_later(&mut fx, pkt(2, 2), 50);
         deliver_later(&mut fx, pkt(3, 6), 90);
         assert!(arbitrate(&mut fx, 0).is_empty());
-        assert_eq!(fx.sw.arb.idle.until, 50);
+        assert_eq!(fx.sw.arb.idle.until(), 50);
         assert!(idle_holds(&mut fx, 49));
         assert!(!idle_holds(&mut fx, 50));
         assert_eq!(arbitrate(&mut fx, 50).len(), 1);
@@ -3526,12 +3509,12 @@ mod tests {
         );
         // Input busy: the tail of packet 1 lands at 82.
         assert!(arbitrate(&mut fx, 51).is_empty());
-        assert_eq!(fx.sw.arb.idle.until, 82);
+        assert_eq!(fx.sw.arb.idle.until(), 82);
         // Input free again, output 1 still serializing packet 1 (sent at
         // 50, 32 flits at 1 flit/cycle).
         fx.sw.inputs[0].busy_until = 60;
         assert!(arbitrate(&mut fx, 60).is_empty());
-        assert_eq!(fx.sw.arb.idle.until, 82, "tx_free_at of output 1");
+        assert_eq!(fx.sw.arb.idle.until(), 82, "tx_free_at of output 1");
         assert!(idle_holds(&mut fx, 81));
         assert_eq!(arbitrate(&mut fx, 82).len(), 1);
     }
@@ -3682,8 +3665,8 @@ mod tests {
         fx.links[1] = Link::new(LinkConfig::default(), 0);
         deliver(&mut fx, 0, pkt(1, 2));
         assert!(arbitrate(&mut fx, 0).is_empty());
-        assert_eq!(fx.sw.arb.idle.until, Cycle::MAX);
-        assert!(fx.sw.arb.idle.watched.contains(1));
+        assert_eq!(fx.sw.arb.idle.until(), Cycle::MAX);
+        assert!(fx.sw.arb.watched.contains(1));
         assert!(idle_holds(&mut fx, 1 << 40), "only credits can wake it");
         fx.links[1].return_credits(5, MTU);
         assert!(idle_holds(&mut fx, 6), "credits still on the wire");
@@ -3719,6 +3702,173 @@ mod tests {
         assert!(!idle_holds(&mut fx, 1), "downed link: re-scan");
         fx.links[1].restore(1024);
         assert_eq!(arbitrate(&mut fx, 1).len(), 1);
+    }
+
+    // ---- the park rule: one case per clause of `park_bound` ----
+    //
+    // `Some(until)` takes the switch off the work-list until `until`, so
+    // each clause is shown denying on its own: with it deleted, the case
+    // would park a switch that still has a cycle's work to do.
+
+    /// Every stage in turn, the way the engine calls them.
+    fn full_tick(fx: &mut Fixture, now: Cycle) -> usize {
+        iso_tick(fx, now);
+        fx.sw.congestion_state_tick(now, &fx.links, &mut fx.metrics);
+        arbitrate(fx, now).len()
+    }
+
+    #[test]
+    fn a_switch_holding_nothing_parks_until_an_activation() {
+        for mut fx in [
+            fixture(QueueingScheme::PerOutput, None, None),
+            memo_fixture(2),
+        ] {
+            assert_eq!(fx.sw.park_bound(), Some(Cycle::MAX));
+            deliver(&mut fx, 0, pkt(1, 2));
+            assert_eq!(fx.sw.park_bound(), None, "a delivery: nothing proved yet");
+            assert_eq!(full_tick(&mut fx, 0), 1);
+            assert_eq!(fx.sw.park_bound(), Some(Cycle::MAX), "forwarded and empty");
+        }
+    }
+
+    #[test]
+    fn a_blocked_switch_parks_until_its_idle_bound_expires() {
+        for mut fx in [
+            fixture(QueueingScheme::PerOutput, None, None),
+            memo_fixture(2),
+        ] {
+            deliver(&mut fx, 0, pkt(1, 2));
+            deliver(&mut fx, 0, pkt(2, 2));
+            assert_eq!(full_tick(&mut fx, 0), 1);
+            assert_eq!(
+                fx.sw.park_bound(),
+                None,
+                "a gather that sent proves nothing"
+            );
+            assert_eq!(full_tick(&mut fx, 1), 0);
+            assert_eq!(
+                fx.sw.park_bound(),
+                Some(32),
+                "input and output busy until 32"
+            );
+            // The re-derivation the engine's invariant makes agrees, on
+            // every cycle the switch would sit out.
+            for now in [2, 31] {
+                let fresh = fx
+                    .sw
+                    .park_bound_rederived(now, &fx.routing, &fx.links, None);
+                assert_eq!(fresh, Some(32), "cycle {now}");
+            }
+            // An event that can free a head ends the bound early.
+            deliver(&mut fx, 5, pkt(3, 6));
+            assert_eq!(fx.sw.park_bound(), None, "a delivery bumps the epoch");
+            assert_eq!(full_tick(&mut fx, 5), 0, "the input is still busy");
+            assert_eq!(fx.sw.park_bound(), Some(32));
+            assert_eq!(full_tick(&mut fx, 32), 1);
+        }
+    }
+
+    #[test]
+    fn a_credit_watched_output_forbids_parking() {
+        let mut fx = fixture(QueueingScheme::PerOutput, None, None);
+        fx.links[1] = Link::new(LinkConfig::default(), 0);
+        deliver(&mut fx, 0, pkt(1, 2));
+        assert_eq!(full_tick(&mut fx, 0), 0);
+        assert!(idle_holds(&mut fx, 1), "the arbiter itself may skip");
+        assert_eq!(
+            fx.sw.park_bound(),
+            None,
+            "credits return without activating the switch"
+        );
+        let fresh = fx.sw.park_bound_rederived(1, &fx.routing, &fx.links, None);
+        assert_eq!(fresh, None);
+    }
+
+    #[test]
+    fn an_unsettled_port_forbids_parking() {
+        let mut fx = memo_fixture(2);
+        deliver_later(&mut fx, pkt(1, 2), 50);
+        assert_eq!(full_tick(&mut fx, 0), 0);
+        assert!(idle_holds(&mut fx, 49), "the arbiter waits for the header");
+        assert!(!settled(&fx), "the isolation stage has yet to see the head");
+        assert_eq!(fx.sw.park_bound(), None);
+        let fresh = fx.sw.park_bound_rederived(1, &fx.routing, &fx.links, None);
+        assert_eq!(fresh, None);
+    }
+
+    #[test]
+    fn a_cfq_forbids_parking() {
+        // Its clocks (propagation, Stop/Go, linger) run every cycle. A
+        // port with a CFQ is never settled either, so the O(1) count is
+        // the fast way to the same answer.
+        let fx = stopped_cfq_fixture();
+        assert!(fx.sw.arb.idle.current(fx.sw.epoch).is_some());
+        assert_eq!((fx.sw.cfq_count, settled(&fx)), (1, false));
+        assert_eq!(fx.sw.park_bound(), None);
+    }
+
+    #[test]
+    fn voq_marking_forbids_parking_at_high_and_while_congested() {
+        let thr = default_thr(MarkingSource::VoqOccupancy);
+        let mut fx = fixture(QueueingScheme::PerOutput, None, Some(thr));
+        fx.links[2] = Link::new(LinkConfig::default(), MTU + 8);
+        // One packet leaves and takes the credits with it; four more make
+        // 4 MTUs toward output 2 = High. Without credits the output is not
+        // a root yet — it becomes one the cycle credits return, and no
+        // activation comes with them.
+        deliver(&mut fx, 0, pkt(0, 6));
+        assert_eq!(full_tick(&mut fx, 0), 1);
+        for id in 1..5 {
+            deliver(&mut fx, 1, pkt(id, 6));
+        }
+        assert_eq!(full_tick(&mut fx, 1), 0);
+        assert_eq!(fx.sw.voq_occ[2], thr.high_flits);
+        assert!(!fx.sw.outputs[2].congested);
+        assert_eq!(fx.sw.arb.idle.current(fx.sw.epoch), Some(32));
+        assert!(
+            fx.sw.arb.watched.is_empty(),
+            "the input is busy: no head looked at"
+        );
+        assert_eq!(fx.sw.park_bound(), None);
+        fx.links[2].return_credits(4, MTU);
+        fx.links[2].poll_credits(5);
+        assert_eq!(full_tick(&mut fx, 5), 0);
+        assert!(fx.sw.outputs[2].congested, "entered with the credits");
+
+        let mut fx = fixture(QueueingScheme::PerOutput, None, Some(thr));
+        for id in 0..5 {
+            deliver(&mut fx, 0, pkt(id, 6));
+        }
+        assert_eq!(full_tick(&mut fx, 0), 1);
+        assert!(fx.sw.outputs[2].congested);
+        assert_eq!(full_tick(&mut fx, 1), 0);
+        assert_eq!(fx.sw.voq_occ[2], thr.high_flits);
+        assert!(fx.sw.arb.idle.current(fx.sw.epoch).is_some());
+        assert_eq!(fx.sw.park_bound(), None, "at High");
+        assert_eq!(full_tick(&mut fx, 32), 1);
+        assert_eq!(full_tick(&mut fx, 33), 0);
+        assert!(fx.sw.voq_occ[2] < thr.high_flits && fx.sw.voq_occ[2] > thr.low_flits);
+        assert_eq!(fx.sw.park_bound(), None, "below High, still congested");
+        assert_eq!(full_tick(&mut fx, 64), 1);
+        assert_eq!(full_tick(&mut fx, 65), 0);
+        assert!(!fx.sw.outputs[2].congested, "left at Low");
+        assert_eq!(fx.sw.park_bound(), Some(96));
+    }
+
+    #[test]
+    fn a_pending_congestion_state_update_forbids_parking() {
+        let mut fx = fixture(
+            QueueingScheme::Isolating,
+            Some(IsolationParams::default()),
+            Some(default_thr(MarkingSource::RootCfq)),
+        );
+        deliver(&mut fx, 0, pkt(1, 2));
+        deliver(&mut fx, 0, pkt(2, 2));
+        assert_eq!(full_tick(&mut fx, 0), 1);
+        assert_eq!(full_tick(&mut fx, 1), 0);
+        assert_eq!(fx.sw.park_bound(), Some(32));
+        fx.sw.over_high_dirty = true; // an over-High count moved
+        assert_eq!(fx.sw.park_bound(), None);
     }
 }
 

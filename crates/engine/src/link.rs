@@ -448,6 +448,12 @@ impl Link {
     }
 }
 
+/// The simulator's link array as a component's tick sees it: the engine's
+/// own `Vec<Link>` (or a slice of it), or a shard worker's [`LinkSlice`].
+pub trait Links: std::ops::IndexMut<usize, Output = Link> {}
+
+impl<T: std::ops::IndexMut<usize, Output = Link> + ?Sized> Links for T {}
+
 /// A mutable view of the simulator's link array that the sharded parallel
 /// tick can hand to several workers at once.
 ///

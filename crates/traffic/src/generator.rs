@@ -47,6 +47,10 @@ impl<F: FnMut(GenPacket) -> bool> InjectSink for F {
 /// Maximum retained budget, in packets, while backpressured.
 const BURST_CAP_PACKETS: f64 = 2.0;
 
+/// How many accrual cycles short of a full packet `next_park_wake` stops
+/// estimating the emission cycle and steps to it.
+const EXACT_HORIZON: Cycle = 16;
+
 #[derive(Debug, Clone)]
 struct FlowState {
     id: FlowId,
@@ -66,6 +70,13 @@ struct FlowState {
     /// for open-loop rate-window flows; `Some(0)` = drained (the flow
     /// never acts again).
     remaining: Option<u64>,
+    /// The last tick offered this flow's packet to a fixed destination
+    /// and the sink refused it. Every retry offers the same packet to the
+    /// same queue, so until the sink itself moves each one is refused
+    /// again and changes nothing but the (replayable) token accrual. A
+    /// [`Destination::Uniform`] flow redraws its destination on every
+    /// retry and is never marked.
+    refused: bool,
 }
 
 impl FlowState {
@@ -198,6 +209,7 @@ impl NodeGenerator {
                     onoff,
                     link_bw: link_bw_flits_per_cycle as f64,
                     remaining: None,
+                    refused: false,
                 }
             })
             .collect();
@@ -214,6 +226,7 @@ impl NodeGenerator {
             onoff: None,
             link_bw: link_bw_flits_per_cycle as f64,
             remaining: Some(f.bytes),
+            refused: false,
         }));
         Self {
             node,
@@ -263,14 +276,21 @@ impl NodeGenerator {
     /// accrual, which [`Self::tick`] replays on wake-up, so the engine
     /// may park the node and skip its ticks entirely.
     ///
-    /// Returns `None` when the node must tick next cycle (a full
-    /// packet's budget is already banked — an emission or backpressure
-    /// retry is pending), and `Some(Cycle::MAX)` when no flow can ever
-    /// act again. The wake is a conservative *lower* bound: waking
+    /// Returns `None` when the node must tick next cycle (the sink
+    /// refused a packet whose destination is redrawn on every retry), and
+    /// `Some(Cycle::MAX)` when no flow can act again before the sink
+    /// does: each is spent, or holds a packet for a fixed destination
+    /// that the sink refused on the last tick. Such a flow is left out of
+    /// the bound altogether — every retry is refused again until the sink
+    /// itself moves, so the caller wakes the node no later than the sink
+    /// can, and does not park it at all if the sink has moved since the
+    /// refusal ([`Self::refused_offers`]). The wake is a conservative *lower* bound: waking
     /// early is a gated no-op that re-parks, while waking late would
-    /// skip an emission and break byte-identity — so the estimate backs
-    /// off from the closed-form float division far enough to absorb any
-    /// rounding drift versus the replayed per-cycle accrual.
+    /// skip an emission and break byte-identity — so from afar the
+    /// estimate backs off from the closed-form float division far enough
+    /// to absorb any rounding drift versus the replayed per-cycle
+    /// accrual, and within [`EXACT_HORIZON`] cycles it makes those very
+    /// additions and names the emission cycle itself.
     pub fn next_park_wake(&self, now: Cycle) -> Option<Cycle> {
         let mut wake = Cycle::MAX;
         for f in &self.flows {
@@ -282,7 +302,7 @@ impl NodeGenerator {
                 continue;
             }
             let (next_flits, _) = f.next_packet(self.flit_bytes);
-            if f.tokens >= next_flits as f64 {
+            if f.tokens >= next_flits as f64 && !f.refused {
                 return None;
             }
             let accrual = match &f.onoff {
@@ -297,13 +317,46 @@ impl NodeGenerator {
                     }
                 }
             };
-            if accrual > 0.0 {
-                let k = ((next_flits as f64 - f.tokens) / accrual).floor() as Cycle;
-                let margin = 2 + (k >> 16);
-                wake = wake.min(now + k.saturating_sub(margin).max(1));
+            if accrual > 0.0 && !f.refused {
+                let need = next_flits as f64;
+                let k = ((need - f.tokens) / accrual).floor() as Cycle;
+                let ahead = if k > EXACT_HORIZON {
+                    k - (2 + (k >> 16))
+                } else {
+                    // Close enough to step there: the same capped
+                    // additions the ticks (or their replay) will make, so
+                    // this is the emission cycle itself.
+                    let (mut tokens, mut ahead) = (f.tokens, 0);
+                    while tokens < need {
+                        tokens = (tokens + accrual).min(BURST_CAP_PACKETS * need);
+                        ahead += 1;
+                    }
+                    ahead
+                };
+                wake = wake.min(now + ahead);
             }
         }
         Some(wake)
+    }
+
+    /// The packets the last tick offered to a fixed destination and saw
+    /// refused, less those of flows whose window has closed by `now`:
+    /// what every retry offers again until the sink makes room — the
+    /// flows [`Self::next_park_wake`] leaves to the sink's owner.
+    pub fn refused_offers(&self, now: Cycle) -> impl Iterator<Item = GenPacket> + '_ {
+        let retries = move |f: &&FlowState| f.refused && !f.is_spent(now);
+        self.flows.iter().filter(retries).map(|f| {
+            let (size_flits, size_bytes) = f.next_packet(self.flit_bytes);
+            let Destination::Fixed(dst) = f.dst else {
+                unreachable!("only a fixed destination is marked refused")
+            };
+            GenPacket {
+                flow: f.id,
+                dst,
+                size_flits,
+                size_bytes,
+            }
+        })
     }
 
     /// Replay the cycles in `(last_tick, now)` skipped while the node
@@ -311,8 +364,9 @@ impl NodeGenerator {
     /// trajectory (accrual is capped each cycle, so a closed-form
     /// multiply would round differently) — each skipped cycle performs
     /// the same arithmetic a real tick would have. Parking guarantees
-    /// no emission or ON/OFF boundary falls inside a gap
-    /// (debug-asserted); stretches where no flow is active are
+    /// no accepted emission or ON/OFF boundary falls inside a gap
+    /// (debug-asserted; a refused flow's retries are refused throughout
+    /// it); stretches where no flow is active are
     /// leapfrogged, matching the engine's `any_active` gate, which skips
     /// the tick outright on those cycles.
     fn replay_to(&mut self, now: Cycle) {
@@ -350,7 +404,10 @@ impl NodeGenerator {
                 // would have used on every replayed cycle.
                 let (next_flits, _) = f.next_packet(flit_bytes);
                 f.tokens = (f.tokens + accrual).min(BURST_CAP_PACKETS * next_flits as f64);
-                debug_assert!(f.tokens < next_flits as f64, "parked across an emission");
+                debug_assert!(
+                    f.tokens < next_flits as f64 || f.refused,
+                    "parked across an accepted emission"
+                );
             }
             c += 1;
         }
@@ -380,6 +437,7 @@ impl NodeGenerator {
                 // tokens are discarded so a reactivated flow starts
                 // cleanly.
                 f.tokens = 0.0;
+                f.refused = false;
                 spent |= f.is_spent(now);
                 continue;
             }
@@ -410,6 +468,7 @@ impl NodeGenerator {
             };
             let (next_flits, next_bytes) = f.next_packet(flit_bytes);
             f.tokens = (f.tokens + accrual).min(BURST_CAP_PACKETS * next_flits as f64);
+            f.refused = false;
             if f.tokens >= next_flits as f64 {
                 let dst = match f.dst {
                     Destination::Fixed(d) => d,
@@ -435,6 +494,7 @@ impl NodeGenerator {
                 }
                 // On refusal the tokens stay (capped), modelling a
                 // saturated source that retries immediately.
+                f.refused = !accepted && matches!(f.dst, Destination::Fixed(_));
             }
         }
         spent
@@ -583,11 +643,12 @@ mod tests {
         assert_eq!(g.num_flows(), 1);
     }
 
-    /// Drive three generators built by `make` against a sink that
-    /// refuses every seventh cycle: one ticked every cycle that never
+    /// Drive three generators built by `make` against a sink that is
+    /// shut for 30 cycles in every 97: one ticked every cycle that never
     /// drops a spent flow (the reference), one ticked every cycle, and
     /// one ticked the way the engine does — only at `next_park_wake`
-    /// cycles, replaying the gaps. Every emission (cycle + packet) must
+    /// cycles or, after a refusal, when the sink next opens if that is
+    /// sooner, replaying the gaps. Every emission (cycle + packet) must
     /// agree, and wherever the first two stand side by side, so must
     /// `any_active` and `next_park_wake`. Byte-identity of the parking
     /// contract and of live-flow scanning in a bottle. Returns the
@@ -596,7 +657,8 @@ mod tests {
         make: impl Fn() -> NodeGenerator,
         cycles: u64,
     ) -> NodeGenerator {
-        let accepts = |now: Cycle| now % 7 != 3;
+        let accepts = |now: Cycle| now % 97 >= 30;
+        let reopens = |now: Cycle| (now + 1).max(now / 97 * 97 + 30);
         let (mut keep, mut dense) = (make(), make());
         let (mut keep_got, mut dense_got) = (Vec::new(), Vec::new());
         for now in 0..cycles {
@@ -627,18 +689,29 @@ mod tests {
         let mut parked_got = Vec::new();
         let mut now = 0u64;
         while now < cycles {
+            let mut sink_moves = Cycle::MAX;
             if parked.any_active(now) {
                 parked.tick(now, &mut |p: GenPacket| {
                     parked_got.push((now, p));
+                    if !accepts(now) {
+                        sink_moves = reopens(now);
+                    }
                     accepts(now)
                 });
             }
-            now = match parked.next_park_wake(now) {
+            let next = match parked.next_park_wake(now) {
                 None => now + 1,
-                Some(Cycle::MAX) => break,
-                Some(at) => at.max(now + 1),
+                Some(at) => at.min(sink_moves).max(now + 1),
             };
+            if next == Cycle::MAX {
+                break;
+            }
+            now = next;
         }
+        // The parked generator is spared the retries a shut sink refuses
+        // a fixed-destination flow; what the sink accepted must agree.
+        dense_got.retain(|&(at, _)| accepts(at));
+        parked_got.retain(|&(at, _)| accepts(at));
         assert_eq!(dense_got, parked_got);
         assert!(!dense_got.is_empty(), "vacuous: no emissions at all");
         dense
@@ -674,20 +747,49 @@ mod tests {
 
     #[test]
     fn banked_packet_forbids_parking() {
+        // A redrawn destination: every retry draws from the flow RNG and
+        // may land on a queue with room, so each has to be made.
+        let mut g = gen_for(&[FlowSpec::uniform(0, NodeId(0), 0.0, None)], 0);
+        let mut refuse = |_: GenPacket| false;
+        for now in 0..100u64 {
+            g.tick(now, &mut refuse);
+        }
+        assert_eq!(g.next_park_wake(99), None);
+    }
+
+    #[test]
+    fn a_refused_fixed_flow_waits_for_the_sink() {
+        // The same packet meets the same full queue until the sink moves,
+        // and the sink's owner knows when that is.
         let specs = vec![FlowSpec::hotspot(0, NodeId(0), NodeId(4), 0.0, None)];
         let mut g = gen_for(&specs, 0);
         let mut refuse = |_: GenPacket| false;
         for now in 0..100u64 {
             g.tick(now, &mut refuse);
         }
-        // Backpressure banked a full packet: must retry every cycle.
-        assert_eq!(g.next_park_wake(99), None);
+        assert_eq!(g.next_park_wake(99), Some(Cycle::MAX));
+        // The retries it was spared are replayed as accrual alone: woken
+        // late, it offers the same packet an every-cycle twin does.
+        let mut twin = g.clone();
+        for now in 100..150u64 {
+            twin.tick(now, &mut refuse);
+        }
+        let (mut got, mut twin_got) = (Vec::new(), Vec::new());
+        g.tick(150, &mut |p: GenPacket| {
+            got.push(p);
+            true
+        });
+        twin.tick(150, &mut |p: GenPacket| {
+            twin_got.push(p);
+            true
+        });
+        assert_eq!((got.len(), &got), (1, &twin_got));
+        assert_eq!(g.flows[0].tokens, twin.flows[0].tokens);
         // Accepting the retry drains the bank and parking resumes.
         let mut accept = |_: GenPacket| true;
-        g.tick(100, &mut accept);
-        g.tick(101, &mut accept);
-        let wake = g.next_park_wake(101).expect("parkable again");
-        assert!(wake > 101 && wake < Cycle::MAX);
+        g.tick(151, &mut accept);
+        let wake = g.next_park_wake(151).expect("parkable again");
+        assert!(wake > 151 && wake < Cycle::MAX);
     }
 
     #[test]
@@ -752,7 +854,11 @@ mod sized_tests {
         for now in 0..500u64 {
             g.tick(now, &mut refuse);
         }
-        assert_eq!(g.next_park_wake(499), None, "banked packet forbids parking");
+        assert_eq!(
+            g.next_park_wake(499),
+            Some(Cycle::MAX),
+            "a refused sized flow waits for the sink"
+        );
         let mut got = Vec::new();
         let mut accept = |p: GenPacket| {
             got.push(p);

@@ -197,6 +197,113 @@ proptest! {
     }
 }
 
+fn every_mechanism() -> impl Strategy<Value = Mechanism> {
+    prop_oneof![
+        Just(Mechanism::OneQ),
+        Just(Mechanism::VoqSw),
+        Just(Mechanism::voqnet()),
+        Just(Mechanism::dbbm()),
+        Just(Mechanism::fbicm()),
+        Just(Mechanism::ith()),
+        Just(Mechanism::ccfit()),
+        Just(Mechanism::dcqcn()),
+        Just(Mechanism::hpcc()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The park rule (DESIGN.md §12): a switch or adapter that has proved
+    /// it can do nothing before a named cycle leaves the work-list until
+    /// then, so it must sit out only cycles in which it would have done
+    /// nothing. Small trees, all nine mechanisms, rate flows beside sized
+    /// ones, link failures and repairs, and AdVOQs short enough that
+    /// generators are refused: the engine's report equals the oracle's
+    /// byte for byte, and the engine did leave components out — an
+    /// engine that never parked would pass the first half vacuously. In
+    /// debug builds every engine cycle also re-derives the bound of each
+    /// component it left out (`assert_work_list_invariants`).
+    #[test]
+    fn parked_components_sit_out_only_idle_cycles(
+        shape in 0usize..3,
+        mech in every_mechanism(),
+        rate_flows in prop::collection::vec(
+            (0u32..16, 0u32..17, 0.2f64..=1.0, 0u64..40, 0u64..2),
+            1..6,
+        ),
+        sized_flows in prop::collection::vec((0u32..16, 1u32..16, 1u64..40, 0u64..40), 0..4),
+        failures in 0usize..3,
+        advoq_cap_mtus in 1u32..4,
+        seed in 0u64..1000,
+    ) {
+        // The vendored proptest neither shrinks nor echoes its inputs; the
+        // harness shows this line when the case fails.
+        eprintln!(
+            "shape {shape}, {}, rate flows {rate_flows:?}, sized flows {sized_flows:?}, \
+             {failures} failures, AdVOQ cap {advoq_cap_mtus}, seed {seed}",
+            mech.name()
+        );
+        let (k, n) = [(2, 2), (2, 3), (4, 2)][shape];
+        let tree = KAryNTree::new(k, n);
+        let nodes = k.pow(n);
+        let mut flows = Vec::new();
+        for &(src, dst, rate, start_us, open) in &rate_flows {
+            let src = src % nodes;
+            let mut f = FlowSpec::uniform(flows.len() as u32, NodeId(src), start_us as f64 * 1000.0, None);
+            if dst < 16 {
+                // Never the source itself.
+                f.dst = Destination::Fixed(NodeId((src + 1 + dst % (nodes - 1)) % nodes));
+            }
+            f.rate = rate;
+            f.end_ns = (open == 0).then_some(70_000.0);
+            flows.push(f);
+        }
+        let first_sized = flows.len();
+        let sized = sized_flows.iter().enumerate().map(|(i, &(src, hop, kb, start_us))| {
+            let (src, id) = (src % nodes, (first_sized + i) as u32);
+            let dst = NodeId((src + 1 + hop % (nodes - 1)) % nodes);
+            ccfit::SizedFlow::new(id, NodeId(src), dst, kb * 1024, start_us as f64 * 1000.0)
+        });
+        let pattern = TrafficPattern::with_sized("random", flows, sized.collect());
+        let storm = ccfit::RandomFaults {
+            seed,
+            failures,
+            window_start: 400,
+            window_end: 2400,
+            repair_after: Some(700),
+            policy: if seed % 2 == 0 { ccfit::FaultPolicy::FailStop } else { ccfit::FaultPolicy::Graceful },
+        };
+        let build = || {
+            let topo = tree.build(LinkParams::default());
+            let schedule = storm.schedule(&topo);
+            SimBuilder::new(topo)
+                .routing(tree.det_routing())
+                .mechanism(mech.clone())
+                .traffic(pattern.clone())
+                .config(SimConfig {
+                    duration_ns: 100_000.0,
+                    metrics_bin_ns: 20_000.0,
+                    advoq_cap_mtus,
+                    seed,
+                    ..SimConfig::default()
+                })
+                .faults(schedule)
+                .build()
+        };
+        let (mut engine, mut oracle) = (build(), build());
+        engine.run_to_end();
+        oracle.run_reference();
+        let (visits, all) = (engine.active_set_stats(), oracle.active_set_stats());
+        prop_assert!(
+            visits.sw_sum + visits.node_sum < all.sw_sum + all.node_sum,
+            "the engine left nothing out"
+        );
+        let (engine, oracle) = (engine.finish(), oracle.finish());
+        prop_assert_eq!(engine.to_json(), oracle.to_json());
+    }
+}
+
 proptest! {
     /// The parallel engine's weighted shard partition covers the
     /// component index space exactly once: contiguous ranges, in order,
