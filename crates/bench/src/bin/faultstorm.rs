@@ -7,8 +7,6 @@
 //! * `faultstorm` — the full 4 ms run (burst [1, 2] ms, failure at
 //!   1.2 ms, repair at 2.2 ms)
 //! * `faultstorm --smoke` — the same shape compressed 10× (CI-friendly)
-//! * `--threads <n>` — run every simulation on the sharded parallel
-//!   tick engine (DESIGN.md §9); output is byte-identical to serial
 //! * `--csv <dir>` — archive every report as CSV + JSON
 //! * `--mech <name>[,<name>...]` — narrow the mechanism set by registry
 //!   display name
@@ -88,12 +86,6 @@ fn main() {
         repair_ns / 1e6,
         if smoke { " (smoke)" } else { "" },
     );
-    if ctx.engine.threads > 1 {
-        println!(
-            "(parallel tick engine, {} threads per simulation)",
-            ctx.engine.threads
-        );
-    }
 
     let specs: Vec<RunSpec> = mechanisms
         .iter()

@@ -7,11 +7,9 @@
 //! re-simulation. `--no-cache` and `--cache-dir <dir>` (parsed by
 //! [`RunCtx::from_args`]) control the cache from every binary.
 
-use ccfit::{ConfigId, Mechanism, ParallelConfig, SimConfig};
+use ccfit::{ConfigId, Mechanism};
 use ccfit_metrics::SimReport;
-use ccfit_orchestrator::{
-    cache_from_args, run_matrix, Cache, EngineKnobs, ExecMode, RunSpec, RunnerOptions,
-};
+use ccfit_orchestrator::{cache_from_args, run_matrix, Cache, ExecMode, RunSpec, RunnerOptions};
 use std::path::Path;
 
 /// One mechanism's result within a figure.
@@ -25,12 +23,6 @@ pub struct RunOutput {
     pub wall_s: f64,
     /// Engine throughput: simulated cycles per wall-clock second.
     pub sim_cycles_per_sec: f64,
-    /// `Some` when a parallel request was degraded by the engine's
-    /// auto-fallback (e.g. `threads` > host CPUs, or shards too small to
-    /// pay for synchronization) — the wall-clock numbers then measure
-    /// the serial/clamped engine, not the configuration that was asked
-    /// for. `None` for honest-to-request runs.
-    pub parallel_warning: Option<String>,
 }
 
 impl RunOutput {
@@ -43,40 +35,42 @@ impl RunOutput {
             report,
             wall_s,
             sim_cycles_per_sec,
-            parallel_warning: None,
         }
-    }
-
-    /// Attach the engine's fallback advisory (see
-    /// `ccfit::EngineDecision::warning`).
-    pub fn with_parallel_warning(mut self, warning: Option<String>) -> Self {
-        self.parallel_warning = warning;
-        self
     }
 }
 
-/// Shared execution context for the figure binaries: the result cache
-/// and the (result-neutral) engine knobs, both CLI-controlled.
+/// `--threads` selected the in-run sharded engine, which is gone
+/// (DESIGN.md §9): refuse it rather than silently run on one core.
+pub fn reject_threads_flag(args: &[String]) -> Result<(), String> {
+    if args.iter().any(|a| a == "--threads") {
+        return Err("`--threads` was removed with the sharded engine; \
+             use `ccfit-sweep --jobs` to spread a sweep over cores"
+            .to_string());
+    }
+    Ok(())
+}
+
+/// Shared execution context for the figure binaries: the CLI-controlled
+/// result cache.
 #[derive(Debug, Clone)]
 pub struct RunCtx {
     /// The orchestrator's content-hashed result cache.
     pub cache: Cache,
-    /// Engine knobs applied to cache misses (`--threads <n>`).
-    pub engine: EngineKnobs,
 }
 
 impl RunCtx {
-    /// Parse `--no-cache`, `--cache-dir <dir>` and `--threads <n>`.
+    /// Parse `--no-cache` and `--cache-dir <dir>`.
+    ///
+    /// # Panics
+    /// Exits the process with an error message on `--threads` (see
+    /// [`reject_threads_flag`]).
     pub fn from_args(args: &[String]) -> Self {
-        let threads = args
-            .iter()
-            .position(|a| a == "--threads")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
+        if let Err(e) = reject_threads_flag(args) {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
         RunCtx {
             cache: cache_from_args(args),
-            engine: EngineKnobs { threads },
         }
     }
 
@@ -84,7 +78,6 @@ impl RunCtx {
     pub fn uncached() -> Self {
         RunCtx {
             cache: Cache::disabled(),
-            engine: EngineKnobs::default(),
         }
     }
 }
@@ -98,7 +91,6 @@ pub fn run_specs(specs: &[RunSpec], ctx: &RunCtx) -> Vec<RunOutput> {
         jobs: specs.len().max(1),
         mode: ExecMode::Threads,
         cache: ctx.cache.clone(),
-        engine: ctx.engine.clone(),
         quiet: true,
     };
     let run = run_matrix(specs, &opts).unwrap_or_else(|e| {
@@ -107,29 +99,7 @@ pub fn run_specs(specs: &[RunSpec], ctx: &RunCtx) -> Vec<RunOutput> {
     });
     run.outputs
         .into_iter()
-        .map(|o| {
-            // The fallback advisory qualifies *measured* wall time; a
-            // cache hit measured nothing, and a serial request never
-            // warns, so only freshly-simulated parallel runs check.
-            let warning = if !o.cached && ctx.engine.threads > 1 {
-                let cfg = SimConfig {
-                    parallel: ParallelConfig {
-                        threads: ctx.engine.threads,
-                        ..ParallelConfig::default()
-                    },
-                    ..SimConfig::default()
-                };
-                o.spec
-                    .config
-                    .resolve()
-                    .engine_decision(&o.spec.mechanism, &cfg)
-                    .warning()
-            } else {
-                None
-            };
-            RunOutput::new(o.spec.mechanism.name().to_string(), o.report, o.wall_s)
-                .with_parallel_warning(warning)
-        })
+        .map(|o| RunOutput::new(o.spec.mechanism.name().to_string(), o.report, o.wall_s))
         .collect()
 }
 
@@ -207,6 +177,7 @@ pub fn archive(dir: &str, figure: &str, runs: &[RunOutput]) -> std::io::Result<(
 mod tests {
     use super::*;
     use ccfit::experiment::config1_case1_scaled;
+    use ccfit::SimConfig;
 
     fn small_config() -> ConfigId {
         ConfigId::Config1Case1 { scale: 0.02 }
@@ -272,7 +243,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let ctx = RunCtx {
             cache: Cache::new(&dir),
-            engine: EngineKnobs::default(),
         };
         let mechs = vec![Mechanism::OneQ];
         let bin = SimConfig::default().metrics_bin_ns;
@@ -280,6 +250,18 @@ mod tests {
         let warm = run_all(&small_config(), &mechs, 3, bin, &ctx);
         assert_eq!(cold[0].report, warm[0].report);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_removed_threads_flag_is_rejected_not_ignored() {
+        let args: Vec<String> = ["x", "--smoke", "--threads", "2"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = reject_threads_flag(&args).unwrap_err();
+        assert!(err.starts_with("`--threads` was removed"), "{err}");
+        assert!(err.contains("ccfit-sweep --jobs"), "{err}");
+        assert_eq!(reject_threads_flag(&args[..2]), Ok(()));
     }
 
     #[test]

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! # ccfit-bench
 //!
 //! The reproduction harness for the paper's evaluation (§IV): one binary

@@ -152,22 +152,6 @@ impl Mechanism {
         }
     }
 
-    /// Relative per-port tick cost of this mechanism's switch machinery,
-    /// used by the parallel engine's work estimate (shard balancing and
-    /// the serial auto-fallback). Coarse by design: a FIFO port is the
-    /// unit; per-output VOQs scan a queue set; isolation adds CFQ/CAM
-    /// bookkeeping; per-destination VOQs scan a queue per end node. Only
-    /// the *ratio* matters, and a wrong ratio costs balance, never
-    /// correctness.
-    pub fn tick_weight(&self) -> u64 {
-        match self.queueing() {
-            QueueingScheme::Single => 1,
-            QueueingScheme::PerOutput | QueueingScheme::DstMod => 2,
-            QueueingScheme::Isolating => 3,
-            QueueingScheme::PerDest => 4,
-        }
-    }
-
     /// Display name used in reports, figures and CLI parsing.
     pub fn name(&self) -> &'static str {
         match self {

@@ -12,9 +12,8 @@
 //! 2. **marking / feedback** — *how the signal travels to the source*:
 //!    FECN bits turned into BECNs at the destination, ECN-CE bits turned
 //!    into CNPs, or INT records echoed in ACKs. Feedback packets are
-//!    always generated at end nodes during Phase 3b (node-bound
-//!    deliveries), which the parallel engine keeps serial — so feedback
-//!    is byte-identical across thread counts by construction;
+//!    always generated at end nodes during Phase 3 (node-bound
+//!    deliveries);
 //! 3. **source reaction** — *what the injecting end node does about it*:
 //!    CCT-indexed inter-packet delays (IB-style), a DCQCN rate machine,
 //!    or an HPCC window machine, all applied in the adapter's injection

@@ -27,12 +27,12 @@ use crate::switch::{OutCamState, PurgeStats, VoqNetCredits};
 use ccfit_cc::{DcqcnCfg, DcqcnFlow, HpccCfg, HpccFlow};
 use ccfit_engine::cam::Cam;
 use ccfit_engine::ids::{LinkId, NodeId, PacketId};
-use ccfit_engine::link::{CtrlEvent, Link, Links};
+use ccfit_engine::link::{CtrlEvent, Link};
 use ccfit_engine::packet::Packet;
 use ccfit_engine::queue::{PacketQueue, QueuedPacket};
 use ccfit_engine::ram::PortRam;
 use ccfit_engine::units::{Cycle, UnitModel};
-use ccfit_metrics::{CcEvent, CcEventKind, EventClass, MetricsSink};
+use ccfit_metrics::{CcEvent, CcEventKind, EventClass, MetricsCollector};
 use ccfit_traffic::GenPacket;
 
 /// Adapter-side throttling configuration, pre-converted to cycles.
@@ -364,15 +364,8 @@ impl Adapter {
     }
 
     /// Drain the congestion information the attached switch sent up the
-    /// injection link (Stop/Go + CFQ allocation/deallocation hints). Only
-    /// touches the injection link (the parallel engine hands each shard
-    /// an aliased view restricted by convention to its own).
-    pub fn poll_ctrl<M: MetricsSink, L: Links + ?Sized>(
-        &mut self,
-        now: Cycle,
-        links: &mut L,
-        metrics: &mut M,
-    ) {
+    /// injection link (Stop/Go + CFQ allocation/deallocation hints).
+    pub fn poll_ctrl(&mut self, now: Cycle, links: &mut [Link], metrics: &mut MetricsCollector) {
         if !links[self.inject_link.index()].has_ctrl(now) {
             return;
         }
@@ -457,7 +450,7 @@ impl Adapter {
 
     /// React to a BECN for congested destination `dst` (§III-D event #6):
     /// bump the CCTI and arm the recovery timer.
-    pub fn on_becn<M: MetricsSink>(&mut self, now: Cycle, dst: NodeId, metrics: &mut M) {
+    pub fn on_becn(&mut self, now: Cycle, dst: NodeId, metrics: &mut MetricsCollector) {
         if self.cfg.thr.is_none() {
             return;
         }
@@ -521,7 +514,7 @@ impl Adapter {
 
     /// DCQCN reaction point: a CNP arrived for the flow toward `dst` —
     /// bump alpha and (at most once per decrease interval) cut the rate.
-    pub fn on_cnp<M: MetricsSink>(&mut self, now: Cycle, dst: NodeId, metrics: &mut M) {
+    pub fn on_cnp(&mut self, now: Cycle, dst: NodeId, metrics: &mut MetricsCollector) {
         if self.cfg.dcqcn.is_none() {
             return;
         }
@@ -555,14 +548,14 @@ impl Adapter {
 
     /// HPCC sender: an ACK arrived for the flow toward `dst`, echoing
     /// the folded INT utilization `u_ack` over `acked_bytes` wire bytes.
-    pub fn on_ack<M: MetricsSink>(
+    pub fn on_ack(
         &mut self,
         now: Cycle,
         dst: NodeId,
         u_ack: f32,
         hops: u8,
         acked_bytes: u32,
-        metrics: &mut M,
+        metrics: &mut MetricsCollector,
     ) {
         if self.cfg.hpcc.is_none() {
             return;
@@ -660,14 +653,13 @@ impl Adapter {
     }
 
     /// One cycle of adapter work. Returns the RAM release to schedule if
-    /// a packet started injecting. Only ever touches `self.inject_link`,
-    /// which belongs to this adapter's shard.
-    pub fn tick<M: MetricsSink, L: Links + ?Sized>(
+    /// a packet started injecting.
+    pub fn tick(
         &mut self,
         now: Cycle,
-        links: &mut L,
-        voqnet: Option<&VoqNetCredits>,
-        metrics: &mut M,
+        links: &mut [Link],
+        voqnet: Option<&mut VoqNetCredits>,
+        metrics: &mut MetricsCollector,
     ) -> Option<AdapterRelease> {
         self.expire_timers(now, metrics);
         if self.cfg.per_dest_output {
@@ -683,8 +675,8 @@ impl Adapter {
     fn direct_output_arbitration(
         &mut self,
         now: Cycle,
-        links: &mut (impl Links + ?Sized),
-        voqnet: Option<&VoqNetCredits>,
+        links: &mut [Link],
+        mut voqnet: Option<&mut VoqNetCredits>,
     ) {
         let link = &links[self.inject_link.index()];
         if !link.tx_idle(now) {
@@ -692,10 +684,10 @@ impl Adapter {
         }
         if let Some(b) = self.becn_out.front() {
             if link.can_send(now, b.size_flits)
-                && Self::voqnet_ok(voqnet, self.inject_link, b.dst, b.size_flits)
+                && Self::voqnet_ok(voqnet.as_deref(), self.inject_link, b.dst, b.size_flits)
             {
                 let b = self.becn_out.pop_front().expect("front exists");
-                if let Some(vn) = voqnet {
+                if let Some(vn) = voqnet.as_deref_mut() {
                     vn.sub(self.inject_link.0, b.dst.0, b.size_flits);
                 }
                 links[self.inject_link.index()].send(now, b);
@@ -711,13 +703,13 @@ impl Adapter {
             let size = head.packet.size_flits;
             if now < p.next_allowed
                 || !link.can_send(now, size)
-                || !Self::voqnet_ok(voqnet, self.inject_link, head.packet.dst, size)
+                || !Self::voqnet_ok(voqnet.as_deref(), self.inject_link, head.packet.dst, size)
             {
                 continue;
             }
             let entry = self.pop_advoq(s);
             self.resident -= 1;
-            if let Some(vn) = voqnet {
+            if let Some(vn) = voqnet.as_deref_mut() {
                 vn.sub(self.inject_link.0, entry.packet.dst.0, size);
             }
             let packet_time = size.div_ceil(self.inject_bw).max(1) as Cycle;
@@ -730,7 +722,7 @@ impl Adapter {
 
     /// Timer expiry (§III-D event #7): decrement CCTI, re-arm while
     /// nonzero.
-    fn expire_timers<M: MetricsSink>(&mut self, now: Cycle, metrics: &mut M) {
+    fn expire_timers(&mut self, now: Cycle, metrics: &mut MetricsCollector) {
         let Some(thr) = &self.cfg.thr else { return };
         if now < self.earliest_deadline {
             return; // no deadline reached (all Cycle::MAX when none is armed)
@@ -821,7 +813,7 @@ impl Adapter {
 
     /// Round-robin AdVOQ arbitration gated by the IRD (§III-D event #8):
     /// move at most one packet per cycle into the output buffer.
-    fn advoq_arbitration<M: MetricsSink>(&mut self, now: Cycle, metrics: &mut M) {
+    fn advoq_arbitration(&mut self, now: Cycle, metrics: &mut MetricsCollector) {
         if self.idle_bound_holds(now) {
             debug_assert!(
                 self.backlogged
@@ -838,7 +830,7 @@ impl Adapter {
 
     /// The walk of [`Self::advoq_arbitration`]: commit the first head
     /// that moves, or leave an idle bound saying why none did.
-    fn advoq_walk<M: MetricsSink>(&mut self, now: Cycle, metrics: &mut M) {
+    fn advoq_walk(&mut self, now: Cycle, metrics: &mut MetricsCollector) {
         let mut idle = IdleBound::default();
         idle.open();
         let mut walk = RoundRobin::new(self.rr_slot, self.peers.len());
@@ -880,12 +872,12 @@ impl Adapter {
 
     /// Move the head of the AdVOQ in `slot` into the output buffer and
     /// charge its destination the gap to the next injection.
-    fn move_to_output<M: MetricsSink>(
+    fn move_to_output(
         &mut self,
         slot: usize,
         target: Target,
         now: Cycle,
-        metrics: &mut M,
+        metrics: &mut MetricsCollector,
     ) {
         let entry = self.pop_advoq(slot);
         let dst = entry.packet.dst;
@@ -950,7 +942,7 @@ impl Adapter {
     /// CFQ deallocation at the adapter: calm for the linger period,
     /// momentarily empty, and the switch has released the congestion
     /// tree (our CAM line was removed by its CfqDealloc).
-    fn cfq_linger<M: MetricsSink>(&mut self, now: Cycle, metrics: &mut M) {
+    fn cfq_linger(&mut self, now: Cycle, metrics: &mut MetricsCollector) {
         let Some(iso) = self.cfg.iso else { return };
         if self.cfq_count == 0 {
             return;
@@ -995,8 +987,8 @@ impl Adapter {
     fn output_arbitration(
         &mut self,
         now: Cycle,
-        links: &mut (impl Links + ?Sized),
-        voqnet: Option<&VoqNetCredits>,
+        links: &mut [Link],
+        mut voqnet: Option<&mut VoqNetCredits>,
     ) -> Option<AdapterRelease> {
         let link = &links[self.inject_link.index()];
         if !link.tx_idle(now) {
@@ -1005,10 +997,10 @@ impl Adapter {
         // Congestion notifications first: absolute priority (§III-B).
         if let Some(b) = self.becn_out.front() {
             if link.can_send(now, b.size_flits)
-                && Self::voqnet_ok(voqnet, self.inject_link, b.dst, b.size_flits)
+                && Self::voqnet_ok(voqnet.as_deref(), self.inject_link, b.dst, b.size_flits)
             {
                 let b = self.becn_out.pop_front().expect("front exists");
-                if let Some(vn) = voqnet {
+                if let Some(vn) = voqnet.as_deref_mut() {
                     vn.sub(self.inject_link.0, b.dst.0, b.size_flits);
                 }
                 links[self.inject_link.index()].send(now, b);
@@ -1020,7 +1012,12 @@ impl Adapter {
         // free; the candidate list used to be materialized as a Vec.
         let nfq_ok = self.nfq.head_visible(now).is_some_and(|h| {
             link.can_send(now, h.packet.size_flits)
-                && Self::voqnet_ok(voqnet, self.inject_link, h.packet.dst, h.packet.size_flits)
+                && Self::voqnet_ok(
+                    voqnet.as_deref(),
+                    self.inject_link,
+                    h.packet.dst,
+                    h.packet.size_flits,
+                )
         });
         let cfq_ok = |slot: &CfqSlot| {
             let Some(st) = slot.state else { return false };
@@ -1029,7 +1026,12 @@ impl Adapter {
             }
             slot.queue.head_visible(now).is_some_and(|h| {
                 link.can_send(now, h.packet.size_flits)
-                    && Self::voqnet_ok(voqnet, self.inject_link, h.packet.dst, h.packet.size_flits)
+                    && Self::voqnet_ok(
+                        voqnet.as_deref(),
+                        self.inject_link,
+                        h.packet.dst,
+                        h.packet.size_flits,
+                    )
             })
         };
         let count = nfq_ok as usize + self.cfqs.iter().filter(|s| cfq_ok(s)).count();
@@ -2200,7 +2202,7 @@ mod voqnet_tests {
         let (mut a, mut links) = direct_adapter();
         let mut m = MetricsCollector::new(UnitModel::default(), 1000.0);
         // Per-destination credits: dst 4 has none, dst 3 plenty.
-        let vn = VoqNetCredits::new(1, 8);
+        let mut vn = VoqNetCredits::new(1, 8);
         vn.set(0, 4, 0);
         vn.set(0, 3, 256);
         assert!(a.try_inject(0, gp(4), PacketId(0)));
@@ -2208,7 +2210,7 @@ mod voqnet_tests {
         let mut dsts = Vec::new();
         let mut now = 0u64;
         for _ in 0..8 {
-            a.tick(now, &mut links, Some(&vn), &mut m);
+            a.tick(now, &mut links, Some(&mut vn), &mut m);
             links[0].poll_credits(now);
             now += 33;
             for d in drain(&mut links[0], now) {
@@ -2418,7 +2420,7 @@ mod walk_tests {
                 data_overhead_bytes: 0,
             };
             let vn = direct.then(|| {
-                let vn = VoqNetCredits::new(1, n);
+                let mut vn = VoqNetCredits::new(1, n);
                 for d in 0..n {
                     vn.set(0, d as u32, VN_CREDITS);
                 }
@@ -2464,7 +2466,7 @@ mod walk_tests {
                 }
                 a.idle.clear();
             }
-            let rel = a.tick(now, &mut self.links, self.vn.as_ref(), &mut self.m);
+            let rel = a.tick(now, &mut self.links, self.vn.as_mut(), &mut self.m);
             self.releases.extend(rel);
             if exhaustive {
                 for s in 0..a.peers.len() {
@@ -2480,7 +2482,7 @@ mod walk_tests {
                 self.links[0].return_credits(now, d.packet.size_flits);
                 // Every fifth destination never drains: its VOQnet
                 // credits run out and its AdVOQ stays blocked.
-                if let Some(vn) = &self.vn {
+                if let Some(vn) = &mut self.vn {
                     if d.packet.dst.0 % 5 != 0 {
                         vn.add(0, d.packet.dst.0, d.packet.size_flits);
                     }

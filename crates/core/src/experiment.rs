@@ -6,10 +6,8 @@
 //! the `(configuration, case)` pairs so the figure harness and the tests
 //! only pick mechanisms and durations.
 
-use crate::parallel::{decide, network_weight, EngineDecision};
 use crate::params::Mechanism;
 use crate::simulator::{SimBuilder, SimConfig};
-use ccfit_engine::ids::SwitchId;
 use ccfit_metrics::SimReport;
 use ccfit_topology::{config1_topology, KAryNTree, LinkParams, Mesh2D, RoutingTable, Topology};
 use ccfit_traffic::{case1, case2, case3, case4, uniform_all, TrafficPattern, Workload};
@@ -36,21 +34,6 @@ impl ExperimentSpec {
     /// Run the experiment under `mech` with the given seed.
     pub fn run(&self, mech: Mechanism, seed: u64) -> SimReport {
         self.run_with(mech, seed, SimConfig::default())
-    }
-
-    /// How the engine will execute `cfg.parallel` for this spec on this
-    /// host — the same verdict `Simulator::engine_decision` reaches,
-    /// computed without assembling the network (the bench harness
-    /// surfaces it next to wall-clock numbers).
-    pub fn engine_decision(&self, mech: &Mechanism, cfg: &SimConfig) -> EngineDecision {
-        let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let weight = network_weight(
-            (0..self.topology.num_switches())
-                .map(|s| self.topology.switch(SwitchId(s as u32)).connected().count()),
-            self.topology.num_nodes(),
-            mech.tick_weight(),
-        );
-        decide(&cfg.parallel, host_cpus, weight)
     }
 
     /// Run with a custom [`SimConfig`] (tests shrink bins/durations).

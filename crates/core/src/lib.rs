@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # ccfit
 //!
@@ -43,7 +44,6 @@ pub mod bitset;
 pub mod endnode;
 pub mod experiment;
 mod idle;
-pub mod parallel;
 pub mod params;
 pub mod port;
 pub mod simulator;
@@ -56,7 +56,6 @@ pub use ccfit_faults::{
 pub use ccfit_metrics::{CcEvent, CcEventKind, EventClass, EventConfig, FaultKind};
 pub use ccfit_traffic::{SizedFlow, Workload};
 pub use experiment::{ConfigId, ExperimentSpec};
-pub use parallel::{EngineDecision, FallbackReason, ParallelConfig, ParallelFallback};
 pub use params::{
     CongestionControl, DcqcnParams, DetectionPolicy, FeedbackPolicy, HpccParams, IsolationParams,
     Mechanism, QueueingScheme, ReactionPolicy, ThrottleParams,

@@ -3,10 +3,6 @@
 //! per-cycle phase loop (DESIGN.md §6).
 
 use crate::endnode::{Adapter, AdapterCfg, AdapterThrottle};
-use crate::parallel::{
-    decide, network_weight, EngineDecision, FaultView, ParallelConfig, ParallelFallback, PhaseKind,
-    ShardPlan, ShardRun, TickCtx, BATCH_CYCLES,
-};
 use crate::params::{CongestionControl, DetectionPolicy, Mechanism, QueueingScheme};
 use crate::switch::{
     MarkingSource, PurgeStats, Switch, SwitchCcMode, SwitchCfg, SwitchThrottle, VoqNetCredits,
@@ -22,7 +18,7 @@ use ccfit_engine::CalendarQueue;
 use ccfit_faults::{FaultConfig, FaultPolicy, FaultSchedule, NetworkEvent};
 use ccfit_metrics::{
     CcEvent, CcEventKind, EventClass, EventConfig, FaultKind, FaultSummary, FlowGoal,
-    MetricsCollector, MetricsSink, SimReport,
+    MetricsCollector, SimReport,
 };
 use ccfit_topology::{Endpoint, LinkParams, RoutingTable, Topology};
 use ccfit_traffic::{GenPacket, NodeGenerator, TrafficPattern};
@@ -74,11 +70,6 @@ pub struct SimConfig {
     pub becn_transport: BecnTransport,
     /// Trace every Nth injected data packet (None = tracing off).
     pub trace_sample_every: Option<u64>,
-    /// Sharded parallel-tick configuration (DESIGN.md §9). With
-    /// `threads > 1`, [`Simulator::run`] ticks the network on a worker
-    /// pool; results are byte-identical to the serial engine for every
-    /// thread count (packet traces and CC event logs included).
-    pub parallel: ParallelConfig,
     /// Structured congestion-control event recording (DESIGN.md §10).
     /// `None` (the default) compiles the emission sites down to a single
     /// predicted-false branch each; `Some` captures the selected event
@@ -106,7 +97,6 @@ impl Default for SimConfig {
             crossbar_bw_flits_per_cycle: 1,
             becn_transport: BecnTransport::InBand,
             trace_sample_every: None,
-            parallel: ParallelConfig::default(),
             events: None,
             port_telemetry: false,
         }
@@ -392,24 +382,6 @@ impl SimBuilder {
         self
     }
 
-    /// Tick the network on `n` worker threads (byte-identical to the
-    /// serial engine; see [`SimConfig::parallel`]). The engine may
-    /// degrade the request when parallelism cannot pay — see
-    /// [`Simulator::engine_decision`] and [`Self::force_parallel`].
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg.parallel.threads = n.max(1);
-        self
-    }
-
-    /// Disable the automatic serial fallback: run exactly the requested
-    /// thread count even on hosts where that is known to be slower
-    /// (single CPU, tiny shards). The determinism suite uses this to
-    /// exercise the sharded engine on 1-CPU CI runners.
-    pub fn force_parallel(mut self) -> Self {
-        self.cfg.parallel.fallback = ParallelFallback::Never;
-        self
-    }
-
     /// Record structured CC events with the given configuration
     /// (classes, sampling stride, ring capacity). See
     /// [`SimConfig::events`].
@@ -499,18 +471,6 @@ impl SimBuilder {
             (s, self.fault_cfg)
         });
         Simulator::assemble(self.topo, routing, self.mech, pattern, self.cfg, faults)
-    }
-}
-
-/// One-line stderr advisory, emitted once per process, when the
-/// auto-fallback overrules or clamps a parallel request — the visible
-/// fix for the silent 0.008×-speedup trap. Suppressed for
-/// [`ParallelFallback::Never`] (the caller opted out) and for explicit
-/// serial runs.
-fn warn_fallback_once(d: &EngineDecision) {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    if d.fallback.is_some() {
-        ONCE.call_once(|| eprintln!("ccfit: {}", d.summary()));
     }
 }
 
@@ -922,7 +882,7 @@ impl Simulator {
         // ---- VOQnet per-destination reserved credits ----
         let voqnet = match mech.queueing() {
             QueueingScheme::PerDest => {
-                let vn = VoqNetCredits::new(links.len(), num_nodes);
+                let mut vn = VoqNetCredits::new(links.len(), num_nodes);
                 for (li, dst) in link_dst.iter().enumerate() {
                     if matches!(dst, LinkDst::SwitchIn(..)) {
                         for d in 0..num_nodes {
@@ -1174,7 +1134,7 @@ impl Simulator {
     /// cycle, or — when every work-list drained — straight to the next
     /// pending event.
     pub fn tick(&mut self) {
-        self.cycle::<false>(None, None);
+        self.cycle::<false>(None);
     }
 
     /// [`Self::tick`] with a per-phase wall-time breakdown accumulated
@@ -1183,7 +1143,7 @@ impl Simulator {
     /// phase.
     pub fn tick_profiled(&mut self, prof: &mut PhaseProfile) {
         prof.ticks += 1;
-        self.cycle::<false>(None, Some(prof));
+        self.cycle::<false>(Some(prof));
     }
 
     /// Advance exactly one cycle in **reference (oracle) mode**: the
@@ -1196,10 +1156,10 @@ impl Simulator {
     /// jumps. The engine is only allowed shortcuts that
     /// are provably no-ops, so reports must be byte-identical to this
     /// walk; the determinism suite and the perf harness's baseline leg
-    /// compare against it. Serial only, and deliberately not reachable
-    /// from [`SimConfig`], the orchestrator or any CLI.
+    /// compare against it. Deliberately not reachable from
+    /// [`SimConfig`], the orchestrator or any CLI.
     pub fn tick_reference(&mut self) {
-        self.cycle::<true>(None, None);
+        self.cycle::<true>(None);
     }
 
     /// Run to the end of the configured duration in reference mode (see
@@ -1241,17 +1201,7 @@ impl Simulator {
     /// arrives with one of the activations above.
     ///
     /// `ORACLE` selects the reference mode of [`Self::tick_reference`].
-    /// `shards` selects how the three per-component fan-out points
-    /// (switch-bound deliveries; ctrl → isolation → congestion state +
-    /// arbitration; adapter ticks) execute: inline on this thread, or
-    /// dispatched to the worker pool and merged back in canonical order
-    /// (DESIGN.md §9). Everything between them is this one coordinator.
-    fn cycle<const ORACLE: bool>(
-        &mut self,
-        mut shards: Option<&mut ShardRun>,
-        mut prof: Option<&mut PhaseProfile>,
-    ) {
-        debug_assert!(!ORACLE || shards.is_none(), "the oracle is serial");
+    fn cycle<const ORACLE: bool>(&mut self, mut prof: Option<&mut PhaseProfile>) {
         let now = self.now;
         let mut timer = PhaseTimer::start(prof.is_some());
 
@@ -1300,15 +1250,7 @@ impl Simulator {
         }
         timer.lap(&mut prof, 2);
 
-        // Phase 3: link deliveries, in ascending link order. Switch-bound
-        // deliveries are a fan-out point: the sharded side drains those
-        // links on the pool first, which leaves only node-bound ones due
-        // for the loop below. Node-bound deliveries touch the global
-        // delivery metrics, the delivered counter and the BECN
-        // generation sequence, so they stay on the coordinator.
-        if let Some(sh) = shards.as_deref_mut() {
-            self.sharded_deliver(sh, now);
-        }
+        // Phase 3: link deliveries, in ascending link order.
         let mut deliveries = std::mem::take(&mut self.delivery_scratch);
         for i in 0..n_links_act {
             let li = self.act_links.member(i) as usize;
@@ -1319,7 +1261,6 @@ impl Simulator {
             self.links[li].deliver_into(now, &mut deliveries);
             match self.link_dst[li] {
                 LinkDst::SwitchIn(s, p) => {
-                    debug_assert!(shards.is_none(), "the shards drain switch-bound links");
                     // A delivery activates the receiving switch for this
                     // cycle's phases 5/6.
                     self.act_sw.insert(s.0);
@@ -1382,80 +1323,75 @@ impl Simulator {
         self.act_sw.sort();
         let n_sw_act = self.act_sw.len();
 
-        // Phases 4–6 (fan-out): control polling, isolation, then
-        // congestion state + arbitration per switch. Isolation runs for
-        // every member before any congestion-state refresh: it writes
-        // ctrl onto in-links whose credits the far switch's refresh
-        // reads, which is what lets the sharded side put one barrier
-        // between the two. `is_quiescent` implies `!has_buffered`, so
-        // one switch list serves phases 5 and 6. Afterwards every
-        // member hands over the links it sent on and stays on the list
-        // or parks (`carry_switch`).
-        if let Some(sh) = shards.as_deref_mut() {
-            self.sharded_switch_phases(sh, now);
-        } else {
-            for i in 0..self.ctrl_sw.len() {
-                let s = self.ctrl_sw.member(i) as usize;
-                self.switches[s].poll_output_ctrl(now, &mut self.links, &mut self.metrics);
-            }
-            for i in 0..self.ctrl_nodes.len() {
-                let n = self.ctrl_nodes.member(i) as usize;
-                self.adapters[n].poll_ctrl(now, &mut self.links, &mut self.metrics);
-            }
-            timer.lap(&mut prof, 4);
-
-            // Phase 5a: post-processing (detection, isolation, Stop/Go,
-            // deallocation). Quiescent switches provably do nothing in
-            // phase 5 (see `Switch::is_quiescent`); the gate is
-            // evaluated once, before isolation can change it. The oracle
-            // also has every switch forget what it memoised last cycle,
-            // so the shortcuts *inside* a switch are compared against a
-            // re-derivation here, not only by their `debug_assert!`s.
-            for i in 0..n_sw_act {
-                let si = self.act_sw.member(i) as usize;
-                if ORACLE {
-                    self.switches[si].drop_memos();
-                }
-                let run = ORACLE || !self.switches[si].is_quiescent();
-                self.p5_ran[si] = run;
-                if run {
-                    self.switches[si].isolation_tick(
-                        now,
-                        &self.routing,
-                        &mut self.links,
-                        &mut self.metrics,
-                    );
-                }
-            }
-            timer.lap(&mut prof, 5);
-
-            // Phase 5b + 6: congestion-state update, then crossbar
-            // scheduling and transmission. Switches with nothing
-            // buffered cannot match or transmit anything.
-            let mut releases = std::mem::take(&mut self.release_scratch);
-            for i in 0..n_sw_act {
-                let si = self.act_sw.member(i) as usize;
-                if self.p5_ran[si] {
-                    self.switches[si].congestion_state_tick(now, &self.links, &mut self.metrics);
-                }
-                if ORACLE || self.switches[si].has_buffered() {
-                    releases.clear();
-                    self.switches[si].arbitrate_and_transmit_into(
-                        now,
-                        &self.routing,
-                        &mut self.links,
-                        self.voqnet.as_ref(),
-                        &mut self.metrics,
-                        &mut releases,
-                    );
-                    for r in releases.drain(..) {
-                        self.push_switch_release(si as u32, r);
-                    }
-                }
-                self.carry_switch::<ORACLE>(si, now);
-            }
-            self.release_scratch = releases;
+        // Phases 4–6: control polling, isolation, then congestion state
+        // + arbitration per switch. Isolation runs for every member
+        // before any congestion-state refresh: it writes ctrl onto
+        // in-links whose credits the far switch's refresh reads.
+        // `is_quiescent` implies `!has_buffered`, so one switch list
+        // serves phases 5 and 6. Afterwards every member hands over the
+        // links it sent on and stays on the list or parks
+        // (`carry_switch`).
+        for i in 0..self.ctrl_sw.len() {
+            let s = self.ctrl_sw.member(i) as usize;
+            self.switches[s].poll_output_ctrl(now, &mut self.links, &mut self.metrics);
         }
+        for i in 0..self.ctrl_nodes.len() {
+            let n = self.ctrl_nodes.member(i) as usize;
+            self.adapters[n].poll_ctrl(now, &mut self.links, &mut self.metrics);
+        }
+        timer.lap(&mut prof, 4);
+
+        // Phase 5a: post-processing (detection, isolation, Stop/Go,
+        // deallocation). Quiescent switches provably do nothing in
+        // phase 5 (see `Switch::is_quiescent`); the gate is
+        // evaluated once, before isolation can change it. The oracle
+        // also has every switch forget what it memoised last cycle,
+        // so the shortcuts *inside* a switch are compared against a
+        // re-derivation here, not only by their `debug_assert!`s.
+        for i in 0..n_sw_act {
+            let si = self.act_sw.member(i) as usize;
+            if ORACLE {
+                self.switches[si].drop_memos();
+            }
+            let run = ORACLE || !self.switches[si].is_quiescent();
+            self.p5_ran[si] = run;
+            if run {
+                self.switches[si].isolation_tick(
+                    now,
+                    &self.routing,
+                    &mut self.links,
+                    &mut self.metrics,
+                );
+            }
+        }
+        timer.lap(&mut prof, 5);
+
+        // Phase 5b + 6: congestion-state update, then crossbar
+        // scheduling and transmission. Switches with nothing
+        // buffered cannot match or transmit anything.
+        let mut releases = std::mem::take(&mut self.release_scratch);
+        for i in 0..n_sw_act {
+            let si = self.act_sw.member(i) as usize;
+            if self.p5_ran[si] {
+                self.switches[si].congestion_state_tick(now, &self.links, &mut self.metrics);
+            }
+            if ORACLE || self.switches[si].has_buffered() {
+                releases.clear();
+                self.switches[si].arbitrate_and_transmit_into(
+                    now,
+                    &self.routing,
+                    &mut self.links,
+                    self.voqnet.as_mut(),
+                    &mut self.metrics,
+                    &mut releases,
+                );
+                for r in releases.drain(..) {
+                    self.push_switch_release(si as u32, r);
+                }
+            }
+            self.carry_switch::<ORACLE>(si, now);
+        }
+        self.release_scratch = releases;
         timer.lap(&mut prof, 6);
 
         // Phase 7: BECN arrivals throttle their sources (and activate
@@ -1464,29 +1400,21 @@ impl Simulator {
         timer.lap(&mut prof, 7);
 
         // Phase 8: traffic generation, then adapter arbitration and
-        // injection (fan-out). Generation draws seeded randomness and
-        // allocates global packet ids — strictly node order, always on
-        // the coordinator; a generator with no flow in its active window
-        // injects nothing and draws no randomness. An adapter that is
-        // quiet with no armed timer has provably nothing to do (see
-        // `Adapter::is_quiet`). Inline, a node's adapter ticks right
-        // after its own generator, while the node is still in cache
-        // (a separate generator pass measured +7 % or more on this phase); the sharded side
-        // must finish every generator before the ticks fan out. Both
-        // are the same computation: a generator only touches its own
-        // adapter's pre-tick state and the global id counters, which no
-        // adapter tick reads. Afterwards every member stays on the list
+        // injection. Generation draws seeded randomness and allocates
+        // global packet ids — strictly node order; a generator with no
+        // flow in its active window injects nothing and draws no
+        // randomness. An adapter that is quiet with no armed timer has
+        // provably nothing to do (see `Adapter::is_quiet`). A node's
+        // adapter ticks right after its own generator, while the node is
+        // still in cache (a separate generator pass measured +7 % or
+        // more on this phase). Afterwards every member stays on the list
         // or parks (`park_or_carry`).
         self.act_nodes.sort();
         let n_nodes_act = self.act_nodes.len();
-        let inline = shards.is_none();
         for i in 0..n_nodes_act {
             let n = self.act_nodes.member(i) as usize;
             if ORACLE || self.gens[n].any_active(now) {
                 self.gen_node(n, now);
-            }
-            if !inline {
-                continue;
             }
             if ORACLE {
                 self.adapters[n].drop_memos();
@@ -1496,7 +1424,7 @@ impl Simulator {
                 if let Some(rel) = self.adapters[n].tick(
                     now,
                     &mut self.links,
-                    self.voqnet.as_ref(),
+                    self.voqnet.as_mut(),
                     &mut self.metrics,
                 ) {
                     self.push_node_release(n as u32, rel);
@@ -1505,9 +1433,6 @@ impl Simulator {
                 self.act_links.insert(self.inject_link[n].0);
             }
             self.park_or_carry::<ORACLE>(n, now);
-        }
-        if let Some(sh) = shards {
-            self.sharded_adapter_ticks(sh, now);
         }
         timer.lap(&mut prof, 8);
 
@@ -1791,7 +1716,7 @@ impl Simulator {
                         // The credited link must be polled by this
                         // cycle's phase 2 (credits absorb same-cycle).
                         self.act_links.insert(link.0);
-                        if let Some(vn) = self.voqnet.as_ref() {
+                        if let Some(vn) = self.voqnet.as_mut() {
                             vn.add(link.0, dst, flits);
                         }
                     }
@@ -2533,12 +2458,6 @@ impl Simulator {
     }
 
     /// Run to completion and produce the report.
-    ///
-    /// With [`SimConfig::parallel`] requesting more than one thread the
-    /// fan-out points of the pipeline run on the sharded worker pool
-    /// (byte-identical results, packet traces and CC event logs
-    /// included; DESIGN.md §9). [`Self::run_cycles`] always ticks
-    /// serially.
     pub fn run(mut self) -> SimReport {
         self.run_to_end();
         self.finish()
@@ -2548,201 +2467,8 @@ impl Simulator {
     /// consuming the simulator, so callers can still inspect live state
     /// ([`Self::traces`], [`Self::counter`], …) before [`Self::finish`].
     pub fn run_to_end(&mut self) {
-        let decision = self.engine_decision();
-        warn_fallback_once(&decision);
-        if decision.effective_threads > 1 {
-            self.run_sharded(&decision);
-        } else {
-            while self.now < self.end {
-                self.tick();
-            }
-        }
-    }
-
-    /// Per-switch static work weights for shard balancing: connected
-    /// ports scaled by the mechanism's per-port tick cost, plus one unit
-    /// per attached adapter (adapters are ticked by their own shard, but
-    /// their control/BECN load lands on the attachment switch).
-    fn switch_weights(&self) -> Vec<u64> {
-        let factor = self.mech.tick_weight();
-        let mut w: Vec<u64> = (0..self.switches.len())
-            .map(|s| self.topo.switch(SwitchId(s as u32)).connected().count() as u64 * factor)
-            .collect();
-        for n in 0..self.num_nodes {
-            let (sw, _, _) = self.topo.node_attachment(NodeId(n as u32));
-            w[sw.index()] += 1;
-        }
-        w
-    }
-
-    /// How [`Self::run_to_end`] will execute the configured
-    /// [`ParallelConfig`] on this host: the effective thread count and
-    /// the fallback reason when the request was degraded (see
-    /// `crate::parallel::decide`). Deliberately not part of the
-    /// [`SimReport`], which stays byte-identical across hosts.
-    pub fn engine_decision(&self) -> EngineDecision {
-        let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let weight = network_weight(
-            (0..self.switches.len())
-                .map(|s| self.topo.switch(SwitchId(s as u32)).connected().count()),
-            self.adapters.len(),
-            self.mech.tick_weight(),
-        );
-        decide(&self.cfg.parallel, host_cpus, weight)
-    }
-
-    /// Run the pipeline to `end` with its fan-out points on the worker
-    /// pool: one park-capable rendezvous per [`BATCH_CYCLES`] passes,
-    /// everything inside a batch crosses only the spin-biased step
-    /// barrier.
-    fn run_sharded(&mut self, decision: &EngineDecision) {
-        let threads = decision.effective_threads;
-        let link_sw_dst: Vec<Option<(u32, u32)>> = self
-            .link_dst
-            .iter()
-            .map(|d| match d {
-                LinkDst::SwitchIn(s, p) => Some((s.0, p.index() as u32)),
-                LinkDst::NodeRecv(_) => None,
-            })
-            .collect();
-        let plan = ShardPlan::build(
-            threads,
-            &self.switch_weights(),
-            self.adapters.len(),
-            &link_sw_dst,
-        );
-        let mut sh = ShardRun::new(
-            threads,
-            threads > decision.host_cpus,
-            plan,
-            self.metrics.event_mask(),
-        );
         while self.now < self.end {
-            sh.pool.begin_batch();
-            for _ in 0..BATCH_CYCLES {
-                if self.now >= self.end {
-                    break;
-                }
-                self.cycle::<false>(Some(&mut sh), None);
-            }
-            sh.pool.end_batch();
-        }
-    }
-
-    /// Run `phases` as one chained pool step over the current
-    /// work-lists. The raw-pointer context is rebuilt per dispatch so
-    /// the coordinator's own borrows in between stay in the clear.
-    fn dispatch(&mut self, sh: &mut ShardRun, now: Cycle, phases: &[PhaseKind]) {
-        let ctx = TickCtx {
-            now,
-            switches: self.switches.as_mut_ptr(),
-            adapters: self.adapters.as_mut_ptr(),
-            links: self.links.as_mut_ptr(),
-            n_links: self.links.len(),
-            routing: &self.routing,
-            voqnet: self
-                .voqnet
-                .as_ref()
-                .map_or(std::ptr::null(), |v| v as *const VoqNetCredits),
-            outboxes: sh.outboxes.as_mut_ptr(),
-            p5_ran: self.p5_ran.as_mut_ptr(),
-            plan: &sh.plan,
-            trace_sample: self.trace.as_ref().map_or(0, |t| t.sample_every()),
-            act_links: (self.act_links.members().as_ptr(), self.act_links.len()),
-            act_sw: (self.act_sw.members().as_ptr(), self.act_sw.len()),
-            ctrl_sw: (self.ctrl_sw.members().as_ptr(), self.ctrl_sw.len()),
-            ctrl_nodes: (self.ctrl_nodes.members().as_ptr(), self.ctrl_nodes.len()),
-            act_nodes: (self.act_nodes.members().as_ptr(), self.act_nodes.len()),
-            port_base: self.port_base.as_ptr(),
-            port_occ: self.port_occ.as_mut_ptr(),
-            faults: self.faults.as_ref().map(|frt| FaultView {
-                comp: frt.comp.as_ptr(),
-                node_comp: frt.node_comp.as_ptr(),
-                down: frt.down_switches.as_ptr(),
-                n_down: frt.down_switches.len(),
-            }),
-        };
-        sh.pool.run_step(phases, &ctx);
-    }
-
-    /// Sharded phase 3a: each shard drains the active links its
-    /// switches receive on; the switches delivered into, the fault-guard
-    /// tallies and the sampled trace hops merge back in shard order. A
-    /// packet makes at most one hop per cycle, so each trace's hop list
-    /// still accumulates in cycle order.
-    fn sharded_deliver(&mut self, sh: &mut ShardRun, now: Cycle) {
-        self.dispatch(sh, now, &[PhaseKind::Deliver]);
-        for ob in sh.outboxes[..sh.plan.shards].iter_mut() {
-            for s in ob.activated.drain(..) {
-                self.act_sw.insert(s);
-            }
-            if let Some(frt) = self.faults.as_mut() {
-                frt.packets_purged += std::mem::take(&mut ob.purged_data);
-                frt.ctrl_purged += std::mem::take(&mut ob.purged_ctrl);
-            }
-            if let Some(tr) = self.trace.as_mut() {
-                for (id, sw, at) in ob.trace_hops.drain(..) {
-                    tr.switch_hop(id, sw, at);
-                }
-            }
-        }
-    }
-
-    /// Sharded phases 4–6 as one step chain — barriers between the
-    /// phases (their link-ownership sets differ) but no coordinator
-    /// work, so the merge happens once. Workers drop a scratch mark at
-    /// each phase end; replaying segment-major/shard-minor reproduces
-    /// the inline emission order exactly: all switch ctrl ops, all
-    /// adapter ctrl ops, all isolation ops, all congestion-state +
-    /// arbitration ops. RAM releases merge in (shard, switch) order ==
-    /// switch order, the inline push order.
-    fn sharded_switch_phases(&mut self, sh: &mut ShardRun, now: Cycle) {
-        self.dispatch(
-            sh,
-            now,
-            &[PhaseKind::Ctrl, PhaseKind::Iso, PhaseKind::CstArb],
-        );
-        let (switch_obs, adapter_obs) = sh.outboxes.split_at_mut(sh.plan.shards);
-        for seg in 0..3 {
-            for ob in switch_obs.iter() {
-                self.metrics
-                    .apply_scratch_range(&ob.metrics, ob.metrics.segment(seg));
-            }
-            if seg == 0 {
-                // Adapter-side outboxes hold only ctrl ops here.
-                for ob in adapter_obs.iter_mut() {
-                    self.metrics.apply_scratch(&mut ob.metrics);
-                }
-            }
-        }
-        for ob in switch_obs.iter_mut() {
-            ob.metrics.clear();
-            for (sw, r) in ob.releases.drain(..) {
-                self.push_switch_release(sw, r);
-            }
-        }
-        for i in 0..self.act_sw.len() {
-            self.carry_switch::<false>(self.act_sw.member(i) as usize, now);
-        }
-    }
-
-    /// Sharded phase 8b; metric op-logs and RAM releases merge in
-    /// (shard, node) order == node order.
-    fn sharded_adapter_ticks(&mut self, sh: &mut ShardRun, now: Cycle) {
-        self.dispatch(sh, now, &[PhaseKind::AdapterTick]);
-        for ob in sh.outboxes[sh.plan.shards..].iter_mut() {
-            self.metrics.apply_scratch(&mut ob.metrics);
-            for (node, rel) in ob.adapter_releases.drain(..) {
-                self.push_node_release(node, rel);
-            }
-        }
-        // The coordinator cannot see which adapters ticked: activate
-        // every member's injection link (idle ones retire at the end of
-        // the cycle).
-        for i in 0..self.act_nodes.len() {
-            let n = self.act_nodes.member(i) as usize;
-            self.act_links.insert(self.inject_link[n].0);
-            self.park_or_carry::<false>(n, now);
+            self.tick();
         }
     }
 

@@ -24,16 +24,15 @@ use crate::params::{IsolationParams, QueueingScheme};
 use crate::port::{CfqState, InputQueues};
 use ccfit_engine::cam::Cam;
 use ccfit_engine::ids::{LinkId, NodeId, SwitchId};
-use ccfit_engine::link::{CtrlEvent, Delivery, Link, Links};
+use ccfit_engine::link::{CtrlEvent, Delivery, Link};
 use ccfit_engine::queue::{PacketQueue, QueuedPacket};
 use ccfit_engine::ram::PortRam;
 use ccfit_engine::units::Cycle;
-use ccfit_metrics::{CcEvent, CcEventKind, EventClass, MetricsSink};
+use ccfit_metrics::{CcEvent, CcEventKind, EventClass, MetricsCollector};
 use ccfit_topology::RoutingTable;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::fmt::Write;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Where the congestion state of an output port comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,9 +162,9 @@ pub struct OutputPort {
     /// CCFIT: number of root CFQs above High draining through this port.
     pub over_high_count: u32,
     /// Cached bandwidth (flits/cycle) of `out_link`, so the starvation
-    /// test in `isolation_tick` never reads a foreign shard's link. Set
-    /// by the simulator at assembly and refreshed on degrade/restore
-    /// fault events (which run in the serial fault phase).
+    /// test in `isolation_tick` does not touch the link array. Set by
+    /// the simulator at assembly and refreshed on degrade/restore fault
+    /// events.
     pub link_bw: u32,
     /// HPCC INT: index (`now / window_cycles`) of the measurement window
     /// `int_tx_flits` accumulates into. Rolled lazily at transmit time,
@@ -246,29 +245,11 @@ impl PurgeStats {
 /// per-destination reservation and always pass the credit check, matching
 /// the old `HashMap`'s missing-key behaviour.
 ///
-/// Cells are atomics accessed through `&self` so the parallel tick can
-/// share the table across shard workers. All operations use relaxed
-/// plain load/store pairs, *not* read-modify-write: the phase structure
-/// guarantees each `(link, dst)` row is touched by exactly one thread
-/// within a parallel section (the link's owning shard), with barriers
-/// ordering the phases, so there is never a data race to resolve.
-#[derive(Debug)]
+/// Dense on purpose: O(N) per port *is* VOQnet.
+#[derive(Debug, Clone)]
 pub struct VoqNetCredits {
     num_dests: usize,
-    table: Vec<AtomicU32>,
-}
-
-impl Clone for VoqNetCredits {
-    fn clone(&self) -> Self {
-        Self {
-            num_dests: self.num_dests,
-            table: self
-                .table
-                .iter()
-                .map(|c| AtomicU32::new(c.load(Ordering::Relaxed)))
-                .collect(),
-        }
-    }
+    table: Vec<u32>,
 }
 
 impl VoqNetCredits {
@@ -279,9 +260,7 @@ impl VoqNetCredits {
     pub fn new(num_links: usize, num_dests: usize) -> Self {
         Self {
             num_dests,
-            table: (0..num_links * num_dests)
-                .map(|_| AtomicU32::new(Self::UNTRACKED))
-                .collect(),
+            table: vec![Self::UNTRACKED; num_links * num_dests],
         }
     }
 
@@ -290,15 +269,15 @@ impl VoqNetCredits {
     }
 
     /// Start tracking `(link, dst)` with `credits` flits of reserved space.
-    pub fn set(&self, link: u32, dst: u32, credits: u32) {
+    pub fn set(&mut self, link: u32, dst: u32, credits: u32) {
         debug_assert_ne!(credits, Self::UNTRACKED);
         let i = self.idx(link, dst);
-        self.table[i].store(credits, Ordering::Relaxed);
+        self.table[i] = credits;
     }
 
     /// Current credits, or `None` if the pair is untracked.
     pub fn get(&self, link: u32, dst: u32) -> Option<u32> {
-        match self.table[self.idx(link, dst)].load(Ordering::Relaxed) {
+        match self.table[self.idx(link, dst)] {
             Self::UNTRACKED => None,
             c => Some(c),
         }
@@ -307,26 +286,26 @@ impl VoqNetCredits {
     /// Whether a packet of `flits` may be sent (untracked pairs always
     /// pass).
     pub fn has(&self, link: u32, dst: u32, flits: u32) -> bool {
-        let c = self.table[self.idx(link, dst)].load(Ordering::Relaxed);
+        let c = self.table[self.idx(link, dst)];
         c == Self::UNTRACKED || c >= flits
     }
 
     /// Return `flits` credits (no-op when untracked).
-    pub fn add(&self, link: u32, dst: u32, flits: u32) {
-        let cell = &self.table[self.idx(link, dst)];
-        let c = cell.load(Ordering::Relaxed);
-        if c != Self::UNTRACKED {
-            debug_assert_ne!(c + flits, Self::UNTRACKED);
-            cell.store(c + flits, Ordering::Relaxed);
+    pub fn add(&mut self, link: u32, dst: u32, flits: u32) {
+        let i = self.idx(link, dst);
+        let c = &mut self.table[i];
+        if *c != Self::UNTRACKED {
+            debug_assert_ne!(*c + flits, Self::UNTRACKED);
+            *c += flits;
         }
     }
 
     /// Debit `flits` credits (no-op when untracked).
-    pub fn sub(&self, link: u32, dst: u32, flits: u32) {
-        let cell = &self.table[self.idx(link, dst)];
-        let c = cell.load(Ordering::Relaxed);
-        if c != Self::UNTRACKED {
-            cell.store(c - flits, Ordering::Relaxed);
+    pub fn sub(&mut self, link: u32, dst: u32, flits: u32) {
+        let i = self.idx(link, dst);
+        let c = &mut self.table[i];
+        if *c != Self::UNTRACKED {
+            *c -= flits;
         }
     }
 }
@@ -595,7 +574,7 @@ impl Switch {
     }
 
     /// Refresh the cached bandwidth of output `port`'s link (assembly,
-    /// and the serial fault phase after a degrade/restore event).
+    /// and the fault phase after a degrade/restore event).
     pub fn set_output_link_bw(&mut self, port: usize, bw_flits_per_cycle: u32) {
         self.outputs[port].link_bw = bw_flits_per_cycle;
     }
@@ -636,13 +615,12 @@ impl Switch {
     }
 
     /// Drain control events arriving at the output ports (congestion info
-    /// propagated upstream by the downstream switch/adapter). Only
-    /// touches this switch's own output links (shard-safe).
-    pub fn poll_output_ctrl<M: MetricsSink, L: Links + ?Sized>(
+    /// propagated upstream by the downstream switch/adapter).
+    pub fn poll_output_ctrl(
         &mut self,
         now: Cycle,
-        links: &mut L,
-        metrics: &mut M,
+        links: &mut [Link],
+        metrics: &mut MetricsCollector,
     ) {
         let sw = self.id.0;
         let scratch = &mut self.ctrl_scratch;
@@ -882,15 +860,14 @@ impl Switch {
     }
 
     /// The isolation duties of the post-processing stage (§III-C): runs
-    /// only when the mechanism isolates congested flows. Only touches
-    /// this switch's own input links — control propagation goes upstream
-    /// on `in_link` — so it is shard-safe.
-    pub fn isolation_tick<M: MetricsSink, L: Links + ?Sized>(
+    /// only when the mechanism isolates congested flows. Control
+    /// propagation goes upstream on `in_link`.
+    pub fn isolation_tick(
         &mut self,
         now: Cycle,
         routing: &RoutingTable,
-        links: &mut L,
-        metrics: &mut M,
+        links: &mut [Link],
+        metrics: &mut MetricsCollector,
     ) {
         let Some(iso) = self.cfg.iso else { return };
         let mtu = self.cfg.mtu_flits;
@@ -1173,9 +1150,6 @@ impl Switch {
                     if st.root {
                         // Periodic drain-rate evaluation.
                         if now.saturating_sub(st.window_start) >= thr.starvation_window_cycles {
-                            // Cached at assembly / fault-phase: reading the
-                            // out-link's live config here would cross into
-                            // another shard's links.
                             let out_bw = self.outputs[st.out_port].link_bw;
                             let capacity = (now - st.window_start) as f64 * out_bw as f64;
                             st.starved = (st.granted_window as f64) < 0.9 * capacity;
@@ -1287,13 +1261,13 @@ impl Switch {
     }
 
     /// Update each output port's congestion state, emitting
-    /// enter/leave events on transitions when the sink asks for them.
-    /// Only reads this switch's own output links (shard-safe).
-    pub fn congestion_state_tick<M: MetricsSink, L: Links + ?Sized>(
+    /// enter/leave events on transitions when the collector asks for
+    /// them.
+    pub fn congestion_state_tick(
         &mut self,
         now: Cycle,
-        links: &L,
-        metrics: &mut M,
+        links: &[Link],
+        metrics: &mut MetricsCollector,
     ) {
         let Some(thr) = self.cfg.thr else { return };
         match thr.source {
@@ -1423,7 +1397,7 @@ impl Switch {
         &self,
         now: Cycle,
         routing: &RoutingTable,
-        links: &(impl Links + ?Sized),
+        links: &[Link],
         voqnet: Option<&VoqNetCredits>,
         arb: &mut ArbScratch,
     ) {
@@ -1439,7 +1413,7 @@ impl Switch {
         port: usize,
         now: Cycle,
         routing: &RoutingTable,
-        links: &(impl Links + ?Sized),
+        links: &[Link],
         voqnet: Option<&VoqNetCredits>,
         arb: &mut ArbScratch,
     ) {
@@ -1554,7 +1528,7 @@ impl Switch {
     /// Whether the idle bound of the last gather still stands at `now`:
     /// no time-only blocker has cleared, no event has bumped the epoch,
     /// and every watched output link holds the credits it held then.
-    fn idle_bound_holds(&self, now: Cycle, links: &(impl Links + ?Sized)) -> bool {
+    fn idle_bound_holds(&self, now: Cycle, links: &[Link]) -> bool {
         self.arb.idle.holds(now, self.epoch)
             && self.arb.watched.iter().all(|out| {
                 let link = self.outputs[out]
@@ -1593,13 +1567,13 @@ impl Switch {
     /// Run iSLIP and start the winning transmissions. Returns the RAM
     /// releases to schedule. `voqnet` per-destination credits are debited
     /// here for the packets sent.
-    pub fn arbitrate_and_transmit<M: MetricsSink, L: Links + ?Sized>(
+    pub fn arbitrate_and_transmit(
         &mut self,
         now: Cycle,
         routing: &RoutingTable,
-        links: &mut L,
-        voqnet: Option<&VoqNetCredits>,
-        metrics: &mut M,
+        links: &mut [Link],
+        voqnet: Option<&mut VoqNetCredits>,
+        metrics: &mut MetricsCollector,
     ) -> Vec<PendingRelease> {
         let mut releases = Vec::new();
         self.arbitrate_and_transmit_into(now, routing, links, voqnet, metrics, &mut releases);
@@ -1607,15 +1581,14 @@ impl Switch {
     }
 
     /// Allocation-free `arbitrate_and_transmit`: append the RAM releases
-    /// to `releases`, reusing scratch kept inside the switch. Only
-    /// touches this switch's own output links (shard-safe).
-    pub fn arbitrate_and_transmit_into<M: MetricsSink, L: Links + ?Sized>(
+    /// to `releases`, reusing scratch kept inside the switch.
+    pub fn arbitrate_and_transmit_into(
         &mut self,
         now: Cycle,
         routing: &RoutingTable,
-        links: &mut L,
-        voqnet: Option<&VoqNetCredits>,
-        metrics: &mut M,
+        links: &mut [Link],
+        mut voqnet: Option<&mut VoqNetCredits>,
+        metrics: &mut MetricsCollector,
         releases: &mut Vec<PendingRelease>,
     ) {
         if self.buffered == 0 {
@@ -1629,7 +1602,7 @@ impl Switch {
             debug_assert!(
                 {
                     let mut fresh = ArbScratch::new(self.inputs.len());
-                    self.gather(now, routing, links, voqnet, &mut fresh);
+                    self.gather(now, routing, links, voqnet.as_deref(), &mut fresh);
                     fresh.in_free.is_empty()
                 },
                 "stale arbitration idle bound at {} cycle {now}",
@@ -1640,7 +1613,7 @@ impl Switch {
         // Borrow-split: take the scratch out of `self` so `self` stays
         // free for `gather` / `islip` below; put it back at the end.
         let mut arb = std::mem::take(&mut self.arb);
-        self.gather(now, routing, links, voqnet, &mut arb);
+        self.gather(now, routing, links, voqnet.as_deref(), &mut arb);
         if arb.in_free.is_empty() {
             // Nothing to schedule: iSLIP over an empty request set makes
             // no match and moves no pointer. Keep what the gather learnt
@@ -1720,9 +1693,7 @@ impl Switch {
                 }
             }
             // Modern-CC header work at the same adjudication point
-            // (ECN-CE marking / INT stamping). Shard-safe for the same
-            // reason the FECN marker is: only this switch's own state
-            // (queues, RNG, output counters) is touched.
+            // (ECN-CE marking / INT stamping).
             match self.cfg.cc {
                 Some(SwitchCcMode::Ecn {
                     kmin_flits,
@@ -1801,7 +1772,7 @@ impl Switch {
                 .max(entry.ready_at);
             let _ = wire_done; // the output link tracks its own busy time
             self.inputs[port].busy_until = input_done;
-            if let Some(vn) = voqnet {
+            if let Some(vn) = voqnet.as_deref_mut() {
                 vn.sub(link_id.0, entry.packet.dst.0, entry.packet.size_flits);
             }
             releases.push(PendingRelease {
@@ -1824,13 +1795,7 @@ impl Switch {
     /// Send a control event, noting the link as touched when the
     /// scheduler is recording, so the event's consumer gets activated
     /// (DESIGN.md §12).
-    fn send_ctrl_noting(
-        &mut self,
-        links: &mut (impl Links + ?Sized),
-        link: LinkId,
-        now: Cycle,
-        ev: CtrlEvent,
-    ) {
+    fn send_ctrl_noting(&mut self, links: &mut [Link], link: LinkId, now: Cycle, ev: CtrlEvent) {
         links[link.index()].send_ctrl(now, ev);
         if self.record_touched {
             self.touched_links.push(link.0);
@@ -2109,7 +2074,7 @@ impl Switch {
         &self,
         now: Cycle,
         routing: &RoutingTable,
-        links: &(impl Links + ?Sized),
+        links: &[Link],
         voqnet: Option<&VoqNetCredits>,
     ) -> Option<Cycle> {
         let mut fresh = ArbScratch::new(self.inputs.len());
@@ -2639,8 +2604,7 @@ mod tests {
         for id in 0..5 {
             deliver(&mut fx, 0, pkt(id, 6));
         }
-        fx.sw
-            .congestion_state_tick(0, &fx.links, &mut ccfit_metrics::MetricsScratch::new());
+        fx.sw.congestion_state_tick(0, &fx.links, &mut fx.metrics);
         assert!(
             fx.sw.outputs[2].congested,
             "above High with credits => congested"
@@ -2660,8 +2624,7 @@ mod tests {
             now = rel[0].at;
             fx.sw.release_ram(rel[0].port, rel[0].flits);
         }
-        fx.sw
-            .congestion_state_tick(now, &fx.links, &mut ccfit_metrics::MetricsScratch::new());
+        fx.sw.congestion_state_tick(now, &fx.links, &mut fx.metrics);
         assert!(
             !fx.sw.outputs[2].congested,
             "below Low => out of congestion state"
@@ -2683,8 +2646,7 @@ mod tests {
         assert_eq!(fx.metrics.counter("fecn_marked"), 0);
         // Enter congestion state; with marking_rate = 1 every departure
         // through output 2 is marked.
-        fx.sw
-            .congestion_state_tick(32, &fx.links, &mut ccfit_metrics::MetricsScratch::new());
+        fx.sw.congestion_state_tick(32, &fx.links, &mut fx.metrics);
         assert!(fx.sw.outputs[2].congested);
         let rel =
             fx.sw
@@ -2784,8 +2746,7 @@ mod tests {
         for now in 0..200 {
             fx.sw
                 .isolation_tick(now, &fx.routing, &mut fx.links, &mut fx.metrics);
-            fx.sw
-                .congestion_state_tick(now, &fx.links, &mut ccfit_metrics::MetricsScratch::new());
+            fx.sw.congestion_state_tick(now, &fx.links, &mut fx.metrics);
         }
         assert!(
             fx.sw.outputs[2].congested,
@@ -2806,11 +2767,8 @@ mod tests {
         for next_id in 100..120 {
             fx2.sw
                 .isolation_tick(now, &fx2.routing, &mut fx2.links, &mut fx2.metrics);
-            fx2.sw.congestion_state_tick(
-                now,
-                &fx2.links,
-                &mut ccfit_metrics::MetricsScratch::new(),
-            );
+            fx2.sw
+                .congestion_state_tick(now, &fx2.links, &mut fx2.metrics);
             assert!(!fx2.sw.outputs[2].congested, "full-rate CFQ never congests");
             let rel = fx2.sw.arbitrate_and_transmit(
                 now,
@@ -2850,12 +2808,11 @@ mod tests {
         }
         // Output 2 blocked: the root CFQ is starved and goes over High.
         fx.links[2] = Link::new(LinkConfig::default(), 0);
-        let mut scratch = ccfit_metrics::MetricsScratch::new();
         let mut now = 0;
         while now < 200 {
             fx.sw
                 .isolation_tick(now, &fx.routing, &mut fx.links, &mut fx.metrics);
-            fx.sw.congestion_state_tick(now, &fx.links, &mut scratch);
+            fx.sw.congestion_state_tick(now, &fx.links, &mut fx.metrics);
             now += 1;
         }
         assert!(fx.sw.outputs[2].congested);
@@ -2867,7 +2824,7 @@ mod tests {
             }
             fx.sw
                 .isolation_tick(now, &fx.routing, &mut fx.links, &mut fx.metrics);
-            fx.sw.congestion_state_tick(now, &fx.links, &mut scratch);
+            fx.sw.congestion_state_tick(now, &fx.links, &mut fx.metrics);
             now += 1;
             assert!(now < 2000, "the CFQ must be released");
         }
@@ -3678,22 +3635,17 @@ mod tests {
     #[test]
     fn voqnet_credits_and_downed_links_leave_no_bound() {
         let mut fx = fixture(QueueingScheme::PerDest, None, None);
-        let vn = VoqNetCredits::new(3, 8);
+        let mut vn = VoqNetCredits::new(3, 8);
         vn.set(1, 2, 0);
         deliver(&mut fx, 0, pkt(1, 2));
-        let arb = |fx: &mut Fixture, now| {
-            fx.sw.arbitrate_and_transmit(
-                now,
-                &fx.routing,
-                &mut fx.links,
-                Some(&vn),
-                &mut fx.metrics,
-            )
+        let arb = |fx: &mut Fixture, vn: &mut VoqNetCredits, now| {
+            fx.sw
+                .arbitrate_and_transmit(now, &fx.routing, &mut fx.links, Some(vn), &mut fx.metrics)
         };
-        assert!(arb(&mut fx, 0).is_empty());
+        assert!(arb(&mut fx, &mut vn, 0).is_empty());
         assert!(!idle_holds(&mut fx, 1), "per-destination credits: re-scan");
         vn.add(1, 2, MTU);
-        assert_eq!(arb(&mut fx, 1).len(), 1);
+        assert_eq!(arb(&mut fx, &mut vn, 1).len(), 1);
 
         let mut fx = fixture(QueueingScheme::PerDest, None, None);
         fx.links[1].close();
@@ -4023,7 +3975,7 @@ mod twin_tests {
                     .collect()])
             };
             let vn = voqnet.then(|| {
-                let vn = VoqNetCredits::new(2 * PORTS, DESTS);
+                let mut vn = VoqNetCredits::new(2 * PORTS, DESTS);
                 for l in PORTS..2 * PORTS {
                     for d in 0..DESTS {
                         vn.set(l as u32, d as u32, VN_CREDITS);
@@ -4117,7 +4069,7 @@ mod twin_tests {
                     now,
                     routing,
                     &mut self.links,
-                    self.vn.as_ref(),
+                    self.vn.as_mut(),
                     &mut self.m,
                 );
                 for r in rel {
@@ -4150,7 +4102,7 @@ mod twin_tests {
                         self.withheld[out] += p.size_flits;
                     } else {
                         self.links[PORTS + out].return_credits(now, p.size_flits);
-                        if let Some(vn) = &self.vn {
+                        if let Some(vn) = &mut self.vn {
                             vn.add((PORTS + out) as u32, p.dst.0, p.size_flits);
                         }
                     }

@@ -68,12 +68,6 @@ impl TraceLog {
         id.0.is_multiple_of(self.sample_every)
     }
 
-    /// The sampling stride (the parallel engine copies it into the tick
-    /// context so shard workers can apply the same filter).
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every
-    }
-
     /// Record an injection (called only for sampled ids).
     pub fn injected(&mut self, id: PacketId, flow: FlowId, src: NodeId, dst: NodeId, now: Cycle) {
         self.traces.insert(

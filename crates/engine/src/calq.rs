@@ -2,8 +2,7 @@
 //!
 //! The simulator's RAM-release queue holds events scheduled at most a few
 //! hundred cycles ahead (packet serialization times), but under congestion
-//! it churns thousands of push/pop pairs per simulated microsecond — the
-//! largest remaining serial-phase cost once arbitration is parallelized.
+//! it churns thousands of push/pop pairs per simulated microsecond.
 //! A binary heap pays `O(log n)` plus comparator-tuple shuffling per
 //! operation; a calendar queue indexed by `(cycle - now)` pays `O(1)`
 //! amortized: events land in a circular wheel of FIFO buckets, one bucket

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # ccfit-engine
 //!
@@ -43,7 +44,7 @@ pub use calq::CalendarQueue;
 pub use cam::{Cam, CamLine};
 pub use error::EngineError;
 pub use ids::{FlowId, LinkId, NodeId, PacketId, PortId, SwitchId};
-pub use link::{CtrlEvent, Link, LinkConfig, LinkSlice, WireLoss};
+pub use link::{CtrlEvent, Link, LinkConfig, WireLoss};
 pub use packet::{Packet, PacketKind};
 pub use queue::PacketQueue;
 pub use ram::PortRam;

@@ -448,103 +448,6 @@ impl Link {
     }
 }
 
-/// The simulator's link array as a component's tick sees it: the engine's
-/// own `Vec<Link>` (or a slice of it), or a shard worker's [`LinkSlice`].
-pub trait Links: std::ops::IndexMut<usize, Output = Link> {}
-
-impl<T: std::ops::IndexMut<usize, Output = Link> + ?Sized> Links for T {}
-
-/// A mutable view of the simulator's link array that the sharded parallel
-/// tick can hand to several workers at once.
-///
-/// Serially this behaves exactly like `&mut [Link]` (create with
-/// [`LinkSlice::new`], index with `links[i]`); the borrow checker enforces
-/// exclusivity through the `&mut self` of [`IndexMut`]. The parallel
-/// engine additionally calls [`LinkSlice::alias`] to give every worker its
-/// own copy of the view — soundness then rests on the phase invariant that
-/// no two workers touch the same link index within a parallel section
-/// (see DESIGN.md §9).
-#[derive(Debug)]
-pub struct LinkSlice<'a> {
-    ptr: *mut Link,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [Link]>,
-}
-
-// SAFETY: a LinkSlice is only sent/shared across threads by the parallel
-// tick engine, whose phase structure guarantees element-disjoint access
-// (the contract of `alias`).
-unsafe impl Send for LinkSlice<'_> {}
-unsafe impl Sync for LinkSlice<'_> {}
-
-impl<'a> LinkSlice<'a> {
-    /// Wrap an exclusive borrow of the link array.
-    pub fn new(links: &'a mut [Link]) -> Self {
-        Self {
-            ptr: links.as_mut_ptr(),
-            len: links.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Number of links in the view.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Duplicate the view for another worker thread.
-    ///
-    /// # Safety
-    /// Callers must guarantee that, for the lifetime of the aliases, no
-    /// link index is accessed by more than one of them (shard-disjoint
-    /// access), and that accesses in later phases are separated from
-    /// earlier ones by a synchronization barrier.
-    pub unsafe fn alias(&self) -> LinkSlice<'a> {
-        Self {
-            ptr: self.ptr,
-            len: self.len,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Rebuild a view from raw parts (the parallel engine ships the
-    /// pointer through a `*const` context struct).
-    ///
-    /// # Safety
-    /// `ptr` must point to `len` initialized `Link`s that outlive `'a`,
-    /// and the resulting view is subject to the same element-disjoint
-    /// aliasing contract as [`Self::alias`].
-    pub unsafe fn from_raw(ptr: *mut Link, len: usize) -> LinkSlice<'a> {
-        Self {
-            ptr,
-            len,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl std::ops::Index<usize> for LinkSlice<'_> {
-    type Output = Link;
-    fn index(&self, i: usize) -> &Link {
-        assert!(i < self.len, "link index {i} out of bounds ({})", self.len);
-        // SAFETY: in-bounds; exclusivity per the type's aliasing contract.
-        unsafe { &*self.ptr.add(i) }
-    }
-}
-
-impl std::ops::IndexMut<usize> for LinkSlice<'_> {
-    fn index_mut(&mut self, i: usize) -> &mut Link {
-        assert!(i < self.len, "link index {i} out of bounds ({})", self.len);
-        // SAFETY: in-bounds; exclusivity per the type's aliasing contract.
-        unsafe { &mut *self.ptr.add(i) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,18 +573,6 @@ mod tests {
         assert_eq!(l.credits(), 14, "merged entry lands whole");
         l.poll_credits(16);
         assert_eq!(l.credits(), 15);
-    }
-
-    #[test]
-    fn link_slice_indexes_like_a_slice() {
-        let mut links = vec![link(1, 1, 8), link(2, 3, 16)];
-        let mut ls = LinkSlice::new(&mut links);
-        assert_eq!(ls.len(), 2);
-        assert!(!ls.is_empty());
-        assert_eq!(ls[1].credits(), 16);
-        ls[0].return_credits(0, 4);
-        ls[0].poll_credits(10);
-        assert_eq!(links[0].credits(), 12);
     }
 
     #[test]

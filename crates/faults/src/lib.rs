@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Dynamic network-event and fault-injection schedules.
 //!
 //! The paper's introduction lists "re-routing around faulty regions"

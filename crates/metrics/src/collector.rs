@@ -58,9 +58,7 @@ impl MetricsCollector {
     /// Track flow completion for the given sized-flow goals (set once
     /// before the run starts; runs without sized flows leave it unset
     /// so their reports carry a `null` FCT block). Completion is
-    /// detected inside [`Self::record_delivery`], which every engine
-    /// invokes serially in canonical order, so FCTs are byte-identical
-    /// across engines for free.
+    /// detected inside [`Self::record_delivery`].
     pub fn track_flows(&mut self, goals: Vec<FlowGoal>) {
         self.fct = Some(FctTracker::new(goals));
     }
@@ -77,6 +75,13 @@ impl MetricsCollector {
         self.events
             .as_ref()
             .map_or(EventClass::NONE, EventLog::classes)
+    }
+
+    /// True when structured CC events of `class` are recorded. Emission
+    /// sites guard event construction behind this, so disabled tracing
+    /// costs a single branch per site.
+    pub fn wants_events(&self, class: EventClass) -> bool {
+        self.event_mask().contains(class)
     }
 
     /// Offer an event to the log (no-op when the log is off or the

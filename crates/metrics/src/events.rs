@@ -5,15 +5,12 @@
 //! release, FECN/BECN traffic, CCT index movement — so the simulator
 //! records them as first-class [`CcEvent`]s instead of leaving them
 //! implicit in throughput curves. Events flow through the same
-//! [`MetricsSink`](crate::MetricsSink) interface as counters: serially
-//! they land straight in the collector's [`EventLog`]; under the sharded
-//! parallel tick they ride the per-shard op logs and are replayed in
-//! canonical shard order, so event logs are byte-identical across thread
-//! counts (see DESIGN.md §10).
+//! [`MetricsCollector`](crate::MetricsCollector) as counters and land
+//! straight in its [`EventLog`] (see DESIGN.md §10).
 //!
 //! Emission is zero-cost when off: every site guards construction behind
-//! [`MetricsSink::wants_events`](crate::MetricsSink::wants_events), which
-//! is a single branch against a bitmask.
+//! [`MetricsCollector::wants_events`](crate::MetricsCollector::wants_events),
+//! which is a single branch against a bitmask.
 
 use ccfit_engine::units::Cycle;
 use serde::{Deserialize, Serialize};
@@ -572,10 +569,7 @@ impl Default for EventConfig {
 /// The collector-side event log: mask → sampling → bounded ring.
 ///
 /// Masking, sampling and the capacity bound are applied *only here*, on
-/// the single canonical event stream (serially, or after the per-shard
-/// op logs were replayed in shard order) — applying them per shard
-/// would make the kept set depend on the shard layout and break
-/// byte-identity across thread counts.
+/// the single event stream.
 #[derive(Debug, Clone)]
 pub struct EventLog {
     cfg: EventConfig,

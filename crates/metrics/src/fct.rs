@@ -3,11 +3,7 @@
 //! The simulator registers one [`FlowGoal`] per sized flow before the
 //! run starts; the collector feeds every data delivery through
 //! [`FctTracker::on_delivery`], which marks a flow complete the moment
-//! its cumulative delivered bytes reach its goal. Because node-bound
-//! deliveries are performed serially in canonical order by *every*
-//! engine (the parallel engine replays shard outboxes in shard order —
-//! DESIGN.md §11), completion times inherit byte-identity with no extra
-//! merge machinery.
+//! its cumulative delivered bytes reach its goal.
 //!
 //! **Ideal FCT** (the slowdown denominator) is a true lower bound
 //! computed from the route at registration time: serialization of the

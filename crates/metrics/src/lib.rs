@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # ccfit-metrics
 //!
@@ -25,7 +26,6 @@ pub mod faults;
 pub mod fct;
 pub mod histogram;
 pub mod report;
-pub mod scratch;
 pub mod series;
 
 pub use collector::MetricsCollector;
@@ -37,5 +37,4 @@ pub use faults::FaultSummary;
 pub use fct::{FctReport, FctTracker, FlowFct, FlowGoal};
 pub use histogram::LatencyHistogram;
 pub use report::{FlowReport, SimReport};
-pub use scratch::{MetricOp, MetricsScratch, MetricsSink};
 pub use series::TimeSeries;

@@ -60,10 +60,10 @@ impl TimeSeries {
 
     /// Accumulate another series into this one, bin by bin. Both series
     /// must share the same bin width; the result covers the longer of
-    /// the two. Merging is the shard-combining primitive: because each
-    /// bin is a plain sum, `merge` is commutative up to f64 rounding and
-    /// exactly associative whenever the bin values are exactly
-    /// representable (property-tested in `tests/proptests.rs`).
+    /// the two. Because each bin is a plain sum, `merge` is commutative
+    /// up to f64 rounding and exactly associative whenever the bin
+    /// values are exactly representable (property-tested in
+    /// `tests/proptests.rs`).
     pub fn merge(&mut self, other: &TimeSeries) {
         assert!(
             self.bin_ns == other.bin_ns,

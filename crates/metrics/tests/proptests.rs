@@ -66,183 +66,6 @@ proptest! {
     }
 }
 
-// ---- shard-outbox merge properties (parallel tick engine) ----
-//
-// The parallel engine records each shard's metric emissions into a
-// `MetricsScratch` op log and replays the logs in canonical shard
-// order. Two properties make that merge safe to reason about:
-//
-// 1. *Order-insensitivity for commuting ops*: counter increments are
-//    integer sums and deliveries touch integer counts, histogram bins,
-//    and per-bin sums of exactly-representable values — so applying the
-//    shard logs in ANY order yields the identical report. (The engine
-//    still uses canonical order, which additionally covers non-commuting
-//    ops like gauges; this property shows the data the switch phases
-//    emit is intrinsically merge-associative.)
-// 2. *Concatenation = sequential application*: replaying log A then
-//    log B equals replaying one log holding A's ops followed by B's —
-//    the op log loses nothing.
-
-use ccfit_engine::ids::{FlowId, NodeId, PacketId};
-use ccfit_engine::packet::Packet;
-use ccfit_engine::units::UnitModel;
-use ccfit_metrics::{MetricsCollector, MetricsScratch, MetricsSink};
-use std::collections::BTreeMap;
-
-/// A unit model whose cycle length is a power of two, so every
-/// `cycles_to_ns` result (and any sum of a few hundred of them) is
-/// exactly representable and f64 addition is associative.
-fn dyadic_units() -> UnitModel {
-    UnitModel {
-        flit_bytes: 64,
-        cycle_ns: 32.0,
-    }
-}
-
-fn data_pkt(flow: u32, flits: u32, injected_at: u64) -> Packet {
-    Packet::data(
-        PacketId(0),
-        NodeId(0),
-        NodeId(1),
-        flits,
-        flits * 64,
-        FlowId(flow),
-        injected_at,
-    )
-}
-
-#[derive(Debug, Clone)]
-enum ShardOp {
-    Count(u8, u64),
-    Delivery {
-        flow: u32,
-        flits: u32,
-        injected_at: u64,
-        latency: u64,
-    },
-}
-
-fn shard_op() -> impl Strategy<Value = ShardOp> {
-    (
-        any::<bool>(),
-        0u8..4,
-        1u64..100,
-        1u32..64,
-        0u64..10_000,
-        0u64..2_000,
-    )
-        .prop_map(|(is_count, n, delta, flits, injected_at, latency)| {
-            if is_count {
-                ShardOp::Count(n, delta)
-            } else {
-                ShardOp::Delivery {
-                    flow: n as u32,
-                    flits,
-                    injected_at,
-                    latency,
-                }
-            }
-        })
-}
-
-fn record(scratch: &mut MetricsScratch, op: &ShardOp) {
-    const NAMES: [&str; 4] = ["alloc", "fecn", "stop", "becn"];
-    match *op {
-        ShardOp::Count(n, d) => scratch.count(NAMES[n as usize], d),
-        ShardOp::Delivery {
-            flow,
-            flits,
-            injected_at,
-            latency,
-        } => scratch.record_delivery(injected_at + latency, &data_pkt(flow, flits, injected_at)),
-    }
-}
-
-fn finish(mut c: MetricsCollector) -> ccfit_metrics::SimReport {
-    c.count("injected_packets", 0);
-    c.finish("prop/merge", 1e6, 1.0, &BTreeMap::new())
-}
-
-proptest! {
-    /// Applying the per-shard op logs in any permutation produces the
-    /// identical report when the ops are counters and deliveries.
-    #[test]
-    fn shard_merge_is_order_insensitive_for_commuting_ops(
-        shards in prop::collection::vec(prop::collection::vec(shard_op(), 0..40), 1..6),
-        perm_seed in any::<u64>(),
-    ) {
-        // Fisher–Yates driven by an LCG on `perm_seed` (the vendored
-        // proptest shim has no `prop_shuffle`).
-        let mut order: Vec<usize> = (0..shards.len()).collect();
-        let mut s = perm_seed;
-        for i in (1..order.len()).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let j = (s >> 33) as usize % (i + 1);
-            order.swap(i, j);
-        }
-        let build = |order: &[usize]| {
-            let mut collector = MetricsCollector::new(dyadic_units(), 1024.0);
-            for &i in order {
-                let mut scratch = MetricsScratch::new();
-                for op in &shards[i] {
-                    record(&mut scratch, op);
-                }
-                collector.apply_scratch(&mut scratch);
-            }
-            finish(collector)
-        };
-        let canonical: Vec<usize> = (0..shards.len()).collect();
-        prop_assert_eq!(build(&canonical), build(&order));
-    }
-
-    /// Replaying scratch A then scratch B into the collector equals
-    /// replaying a single concatenated scratch — and equals making the
-    /// same calls directly, with no scratch at all.
-    #[test]
-    fn scratch_concatenation_equals_sequential_application(
-        a in prop::collection::vec(shard_op(), 0..60),
-        b in prop::collection::vec(shard_op(), 0..60),
-    ) {
-        // Sequential: two scratches applied in order.
-        let mut seq = MetricsCollector::new(dyadic_units(), 1024.0);
-        for ops in [&a, &b] {
-            let mut s = MetricsScratch::new();
-            for op in ops {
-                record(&mut s, op);
-            }
-            seq.apply_scratch(&mut s);
-        }
-
-        // Concatenated: one scratch holding a ++ b.
-        let mut cat = MetricsCollector::new(dyadic_units(), 1024.0);
-        let mut s = MetricsScratch::new();
-        for op in a.iter().chain(b.iter()) {
-            record(&mut s, op);
-        }
-        prop_assert_eq!(s.len(), a.len() + b.len());
-        cat.apply_scratch(&mut s);
-        prop_assert!(s.is_empty(), "apply_scratch drains the log");
-
-        // Direct: the serial engine's call sequence.
-        let mut direct = MetricsCollector::new(dyadic_units(), 1024.0);
-        for op in a.iter().chain(b.iter()) {
-            match *op {
-                ShardOp::Count(n, d) => {
-                    const NAMES: [&str; 4] = ["alloc", "fecn", "stop", "becn"];
-                    MetricsCollector::count(&mut direct, NAMES[n as usize], d);
-                }
-                ShardOp::Delivery { flow, flits, injected_at, latency } => {
-                    direct.record_delivery(injected_at + latency, &data_pkt(flow, flits, injected_at));
-                }
-            }
-        }
-
-        let (seq, cat, direct) = (finish(seq), finish(cat), finish(direct));
-        prop_assert_eq!(&seq, &cat);
-        prop_assert_eq!(&seq, &direct);
-    }
-}
-
 // ---- observability-layer properties (DESIGN.md §10) ----
 
 use ccfit_engine::units::Cycle;
@@ -262,8 +85,7 @@ fn fecn_ev(at: Cycle) -> CcEvent {
 
 proptest! {
     /// TimeSeries::merge is associative and commutative for
-    /// integer-valued bins (the parallel engine merges per-shard gauge
-    /// series, so grouping must not matter).
+    /// integer-valued bins.
     #[test]
     fn series_merge_is_associative_and_commutative(
         series in prop::collection::vec(

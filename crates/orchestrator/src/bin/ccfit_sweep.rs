@@ -112,7 +112,6 @@ fn cmd_run(args: &[String]) -> i32 {
         jobs: parse_jobs(args),
         mode: process_mode(args),
         cache: cache_from_args(args),
-        engine: matrix.engine.clone(),
         quiet: args.iter().any(|a| a == "--quiet"),
     };
     eprintln!(
@@ -235,7 +234,6 @@ fn cmd_bench(args: &[String]) -> i32 {
         jobs: parse_jobs(args),
         mode: process_mode(args),
         cache: Cache::new(&cache_dir),
-        engine: matrix.engine.clone(),
         quiet: false,
     };
     eprintln!(

@@ -243,7 +243,7 @@ mod tests {
         let spec = small_spec();
         let key = spec.cache_key();
         assert_eq!(cache.load(&key, &spec), None);
-        let report = spec.execute(&Default::default());
+        let report = spec.execute();
         cache.store(&key, &spec, &report);
         assert_eq!(cache.load(&key, &spec).as_ref(), Some(&report));
         // No stray tempfiles.
@@ -284,7 +284,7 @@ mod tests {
         let cache = Cache::new(&dir);
         let spec = small_spec();
         let key = spec.cache_key();
-        let report = spec.execute(&Default::default());
+        let report = spec.execute();
         cache.store(&key, &spec, &report);
         // Forge a stale-salt sibling entry.
         let forged_key = "0".repeat(64);
@@ -318,7 +318,7 @@ mod tests {
         let cache = Cache::disabled();
         let spec = small_spec();
         let key = spec.cache_key();
-        let report = spec.execute(&Default::default());
+        let report = spec.execute();
         cache.store(&key, &spec, &report);
         assert_eq!(cache.load(&key, &spec), None);
     }

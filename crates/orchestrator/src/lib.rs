@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # ccfit-orchestrator
 //!
@@ -37,4 +38,4 @@ pub use runner::{
     run_matrix, run_one_worker, ExecMode, MatrixRun, RunOutcome, RunRequest, RunStats,
     RunnerOptions, RUN_ONE_ARGV,
 };
-pub use spec::{EngineKnobs, RunSpec, ENGINE_SALT, SCHEMA_VERSION};
+pub use spec::{RunSpec, ENGINE_SALT, SCHEMA_VERSION};

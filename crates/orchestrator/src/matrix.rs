@@ -1,8 +1,8 @@
 //! Declarative sweep matrices: TOML in, `Vec<RunSpec>` out.
 //!
 //! A matrix file names the cross-product of configurations ×
-//! mechanisms × seeds, one metrics bin width, optional engine knobs
-//! and an optional fault schedule applied to every run:
+//! mechanisms × seeds, one metrics bin width and an optional fault
+//! schedule applied to every run:
 //!
 //! ```toml
 //! [matrix]
@@ -10,9 +10,6 @@
 //! mechanisms = ["1Q", "VOQsw", "FBICM", "ITh", "CCFIT"]
 //! seeds = [1]
 //! metrics_bin_ns = 100000.0
-//!
-//! [matrix.engine]        # optional, result-neutral
-//! threads = 2
 //!
 //! [[matrix.config]]
 //! kind = "config1/case1" # ConfigId::kind() strings
@@ -42,7 +39,7 @@ use ccfit::traffic::parse_trace;
 use ccfit::{ConfigId, Mechanism, Workload};
 use serde::Value;
 
-use crate::spec::{EngineKnobs, RunSpec};
+use crate::spec::RunSpec;
 use crate::toml;
 
 /// A resolved sweep matrix.
@@ -63,8 +60,6 @@ pub struct ExperimentMatrix {
     /// Sized-flow workload applied to every run (`[matrix.workload]`);
     /// replaces each config's traffic pattern.
     pub workload: Option<Workload>,
-    /// Result-neutral engine knobs.
-    pub engine: EngineKnobs,
 }
 
 impl ExperimentMatrix {
@@ -118,12 +113,16 @@ impl ExperimentMatrix {
             Some(w) => Some(parse_workload(w)?),
             None => None,
         };
-        let engine = match m.get("engine") {
-            Some(e) => EngineKnobs {
-                threads: opt_usize(e, "threads")?.unwrap_or(1),
-            },
-            None => EngineKnobs::default(),
-        };
+        if m.get("engine").is_some() {
+            let at = text
+                .lines()
+                .position(|l| l.trim_start().starts_with("[matrix.engine]"))
+                .map_or(String::new(), |i| format!("line {}: ", i + 1));
+            return Err(format!(
+                "{at}[matrix.engine] was removed with the sharded engine; \
+                 use `ccfit-sweep --jobs` to spread a sweep over cores"
+            ));
+        }
         if mechanisms.is_empty() || seeds.is_empty() || configs.is_empty() {
             return Err("matrix resolves to zero runs".to_string());
         }
@@ -135,7 +134,6 @@ impl ExperimentMatrix {
             metrics_bin_ns,
             faults,
             workload,
-            engine,
         })
     }
 
@@ -182,16 +180,6 @@ fn get_array<'a>(table: &'a Value, key: &str) -> Result<&'a [Value], String> {
         Some(Value::Array(items)) => Ok(items),
         Some(other) => Err(format!("`{key}` must be an array, found {other:?}")),
         None => Err(format!("missing `{key}`")),
-    }
-}
-
-fn opt_usize(table: &Value, key: &str) -> Result<Option<usize>, String> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(|u| Some(u as usize))
-            .ok_or_else(|| format!("`{key}` must be a non-negative integer")),
     }
 }
 
@@ -347,9 +335,6 @@ mechanisms = ["1Q", "CCFIT"]
 seeds = [1, 2]
 metrics_bin_ns = 100000.0
 
-[matrix.engine]
-threads = 2
-
 [[matrix.config]]
 kind = "config1/case1"
 scale = 0.5
@@ -366,7 +351,6 @@ duration_ns = 600000.0
     fn parses_and_resolves_the_cross_product() {
         let matrix = ExperimentMatrix::from_toml_str(DOC).unwrap();
         assert_eq!(matrix.name, "demo");
-        assert_eq!(matrix.engine.threads, 2);
         let specs = matrix.resolve();
         assert_eq!(specs.len(), 2 * 2 * 2);
         // config-major, mechanism-middle, seed-minor.
@@ -381,6 +365,18 @@ duration_ns = 600000.0
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), specs.len());
+    }
+
+    #[test]
+    fn the_removed_engine_table_is_rejected_with_its_line() {
+        let doc = format!("{DOC}\n[matrix.engine]\nthreads = 2\n");
+        let err = ExperimentMatrix::from_toml_str(&doc).unwrap_err();
+        let line = doc.lines().position(|l| l == "[matrix.engine]").unwrap() + 1;
+        assert!(
+            err.starts_with(&format!("line {line}: [matrix.engine]")),
+            "{err}"
+        );
+        assert!(err.contains("ccfit-sweep --jobs"), "{err}");
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //!   [`RUN_ONE_ARGV`] subcommand, shipping a [`RunRequest`] JSON file
 //!   and reading a [`CacheEntry`] JSON back. Only `ccfit-sweep`
 //!   (whose `main` dispatches the subcommand) may use this mode; it
-//!   buys per-run isolation, a kill-based timeout and retry, and keeps
-//!   each worker's serial engine on its fast path.
+//!   buys per-run isolation and a kill-based timeout and retry.
 //!
 //! Either way the outputs come back in input order and the stats
 //! account hits vs. misses, so callers can assert "warm = 100% hits".
@@ -26,7 +25,7 @@ use ccfit_metrics::SimReport;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{Cache, CacheEntry};
-use crate::spec::{EngineKnobs, RunSpec, ENGINE_SALT};
+use crate::spec::{RunSpec, ENGINE_SALT};
 
 /// argv[1] of the hidden worker subcommand (see module docs).
 pub const RUN_ONE_ARGV: &str = "__ccfit-run-one";
@@ -56,8 +55,6 @@ pub struct RunnerOptions {
     pub mode: ExecMode,
     /// The result cache (possibly [`Cache::disabled`]).
     pub cache: Cache,
-    /// Result-neutral engine knobs for every run.
-    pub engine: EngineKnobs,
     /// Suppress per-run progress lines on stderr.
     pub quiet: bool,
 }
@@ -68,7 +65,6 @@ impl Default for RunnerOptions {
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
             mode: ExecMode::Threads,
             cache: Cache::default_dir(),
-            engine: EngineKnobs::default(),
             quiet: true,
         }
     }
@@ -113,13 +109,11 @@ pub struct MatrixRun {
     pub stats: RunStats,
 }
 
-/// The worker protocol request: what to run and how.
+/// The worker protocol request: what to run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunRequest {
     /// The run.
     pub spec: RunSpec,
-    /// Result-neutral engine knobs.
-    pub engine: EngineKnobs,
 }
 
 /// Run every spec, reading through the cache. Outcomes come back in
@@ -201,9 +195,9 @@ fn run_one(
         });
     }
     let report = match &opts.mode {
-        ExecMode::Threads => spec.execute(&opts.engine),
+        ExecMode::Threads => spec.execute(),
         ExecMode::Processes { timeout, retries } => {
-            run_in_subprocess(spec, &key, &opts.engine, *timeout, *retries, retried)?
+            run_in_subprocess(spec, &key, *timeout, *retries, retried)?
         }
     };
     opts.cache.store(&key, spec, &report);
@@ -219,7 +213,6 @@ fn run_one(
 fn run_in_subprocess(
     spec: &RunSpec,
     key: &str,
-    engine: &EngineKnobs,
     timeout: Duration,
     retries: u32,
     retried: &AtomicUsize,
@@ -229,10 +222,7 @@ fn run_in_subprocess(
     std::fs::create_dir_all(&scratch).map_err(|e| format!("scratch dir: {e}"))?;
     let req_path = scratch.join("request.json");
     let out_path = scratch.join("entry.json");
-    let request = RunRequest {
-        spec: spec.clone(),
-        engine: engine.clone(),
-    };
+    let request = RunRequest { spec: spec.clone() };
     std::fs::write(&req_path, serde_json::to_string(&request).unwrap())
         .map_err(|e| format!("write request: {e}"))?;
     let mut last_error = String::new();
@@ -306,7 +296,7 @@ pub fn run_one_worker(req_path: &str, out_path: &str) -> i32 {
             return 2;
         }
     };
-    let report = request.spec.execute(&request.engine);
+    let report = request.spec.execute();
     let entry = CacheEntry {
         salt: ENGINE_SALT.to_string(),
         key: request.spec.cache_key(),

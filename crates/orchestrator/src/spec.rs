@@ -3,9 +3,6 @@
 //! A [`RunSpec`] is everything that determines a run's *report* —
 //! configuration, mechanism (with every parameter), seed, metrics bin
 //! width and optional fault schedule — and nothing that doesn't.
-//! Engine knobs (thread count, batch size, sparse/dense scheduling) are
-//! deliberately **excluded**: the determinism suite proves they are
-//! byte-neutral, so including them would only fragment the cache.
 //!
 //! The cache key is `SHA-256(canonical_bytes ++ "\n" ++ ENGINE_SALT)`
 //! where `canonical_bytes` is the compact JSON rendering of the spec.
@@ -15,7 +12,7 @@
 //! value — two equal specs always produce identical bytes (pinned by
 //! the proptest in `tests/cache_keys.rs`).
 
-use ccfit::{ConfigId, FaultConfig, FaultSchedule, Mechanism, ParallelConfig, SimConfig, Workload};
+use ccfit::{ConfigId, FaultConfig, FaultSchedule, Mechanism, SimConfig, Workload};
 use ccfit_metrics::SimReport;
 use serde::{Deserialize, Serialize};
 
@@ -33,24 +30,6 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// `ccfit-sweep gc` can prune them. Perf-only changes proven
 /// byte-neutral by `tests/determinism.rs` do not need a bump.
 pub const ENGINE_SALT: &str = "ccfit-engine/v10";
-
-/// Result-neutral execution knobs.
-///
-/// These shape *how fast* a run executes, never *what it reports*
-/// (byte-identity is pinned by the determinism matrix), so they ride
-/// next to a [`RunSpec`] instead of inside it and stay out of the
-/// cache key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EngineKnobs {
-    /// OS threads for the sharded tick engine (1 = serial).
-    pub threads: usize,
-}
-
-impl Default for EngineKnobs {
-    fn default() -> Self {
-        EngineKnobs { threads: 1 }
-    }
-}
 
 /// One fully-specified, cacheable simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -136,19 +115,14 @@ impl RunSpec {
         )
     }
 
-    /// Simulate this spec and return the report. `knobs` select the
-    /// execution engine only; the report is identical for every value.
-    pub fn execute(&self, knobs: &EngineKnobs) -> SimReport {
+    /// Simulate this spec and return the report.
+    pub fn execute(&self) -> SimReport {
         let mut experiment = self.config.resolve();
         if let Some(w) = &self.workload {
             experiment = experiment.with_workload(w);
         }
         let cfg = SimConfig {
             metrics_bin_ns: self.metrics_bin_ns,
-            parallel: ParallelConfig {
-                threads: knobs.threads,
-                ..ParallelConfig::default()
-            },
             ..SimConfig::default()
         };
         match &self.faults {

@@ -294,8 +294,8 @@ mechanisms = ["1Q", "CCFIT"]
 seeds = [1, 2, 3]
 metrics_bin_ns = 100000.0
 
-[matrix.engine]
-threads = 2
+[matrix.workload]
+senders = 4
 
 [[matrix.config]]
 kind = "config1/case1"
@@ -321,8 +321,8 @@ duration_ns = 600000.0
         );
         assert_eq!(m.get("metrics_bin_ns"), Some(&Value::Float(100000.0)));
         assert_eq!(
-            m.get("engine").and_then(|e| e.get("threads")),
-            Some(&Value::UInt(2))
+            m.get("workload").and_then(|w| w.get("senders")),
+            Some(&Value::UInt(4))
         );
         let Some(Value::Array(configs)) = m.get("config") else {
             panic!("config should be an array of tables");

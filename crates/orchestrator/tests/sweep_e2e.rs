@@ -4,7 +4,7 @@
 //! reports.
 
 use ccfit::{ConfigId, Mechanism};
-use ccfit_orchestrator::{run_matrix, Cache, EngineKnobs, ExecMode, RunSpec, RunnerOptions};
+use ccfit_orchestrator::{run_matrix, Cache, ExecMode, RunSpec, RunnerOptions};
 use std::process::Command;
 
 fn smoke_specs() -> Vec<RunSpec> {
@@ -25,7 +25,6 @@ fn cached_reports_are_byte_identical_to_fresh() {
         jobs: 2,
         mode: ExecMode::Threads,
         cache: Cache::new(&dir),
-        engine: EngineKnobs::default(),
         quiet: true,
     };
     let specs = smoke_specs();

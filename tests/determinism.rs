@@ -1,25 +1,22 @@
-//! The bit-identical-results guard for the engine (DESIGN.md §6, §9,
-//! §12).
+//! The bit-identical-results guard for the engine (DESIGN.md §6, §12).
 //!
 //! The engine runs one phase pipeline over work-lists: it visits only
 //! components that may act, skips provably-inert ones, and jumps the
-//! clock over provably-quiet stretches; with `threads > 1` the
-//! per-component phases fan out over a worker pool. Those shortcuts are
-//! only legal if the simulation output is *byte-identical* to the
-//! **oracle** — the same pipeline in reference mode
-//! (`Simulator::run_reference`), which re-fills every work-list every
-//! cycle, bypasses every gate and never jumps. The tests here run real
-//! paper scenarios on the engine (serial, and sharded over 2 and 4
-//! forced threads) and on the oracle, and compare the full serialized
-//! `SimReport`s, which capture every counter, histogram, gauge series
-//! and per-flow curve. Equal reports cannot show that the oracle is
-//! exhaustive (a bypassed gate is a no-op by construction), so one test
-//! checks that directly from the work-list occupancy counters.
+//! clock over provably-quiet stretches. Those shortcuts are only legal
+//! if the simulation output is *byte-identical* to the **oracle** — the
+//! same pipeline in reference mode (`Simulator::run_reference`), which
+//! re-fills every work-list every cycle, bypasses every gate and never
+//! jumps. The tests here run real paper scenarios on the engine and on
+//! the oracle, and compare the full serialized `SimReport`s, which
+//! capture every counter, histogram, gauge series and per-flow curve.
+//! Equal reports cannot show that the oracle is exhaustive (a bypassed
+//! gate is a no-op by construction), so a unit test
+//! (`oracle_is_exhaustive_and_the_engine_is_not`) checks that directly
+//! from the work-list occupancy counters.
 
 use ccfit::experiment::{config1_case1_scaled, config2_case2_scaled, config3_case4_scaled};
 use ccfit::{
-    ExperimentSpec, FaultConfig, FaultPolicy, FaultSchedule, Mechanism, ParallelFallback,
-    SimConfig, Simulator,
+    ExperimentSpec, FaultConfig, FaultPolicy, FaultSchedule, Mechanism, SimConfig, Simulator,
 };
 use ccfit_engine::ids::NodeId;
 use ccfit_topology::Endpoint;
@@ -29,18 +26,6 @@ fn cfg() -> SimConfig {
         metrics_bin_ns: 20_000.0,
         ..SimConfig::default()
     }
-}
-
-/// A parallel config that *forces* the requested thread count: the
-/// paper-scale configs are exactly the networks the auto-fallback would
-/// (correctly) run serially, and a fallen-back run would make every
-/// sharded assertion here vacuously true. `threads = 1` is the serial
-/// engine.
-fn cfg_threads(threads: usize) -> SimConfig {
-    let mut c = cfg();
-    c.parallel.threads = threads;
-    c.parallel.fallback = ParallelFallback::Never;
-    c
 }
 
 /// Run an assembled simulator in reference mode and serialize the report.
@@ -130,118 +115,56 @@ fn fast_path_is_bit_identical_to_slow_path() {
     }
 }
 
-/// The engine must be byte-identical to the oracle on every thread
-/// count — serial (`threads = 1`) and sharded over 2 and 4 forced
-/// workers (DESIGN.md §9) — across all three paper configurations:
-/// single crossbar switch, 2-ary 3-tree, and the 4-ary 3-tree under
-/// hotspot congestion.
+/// The engine must be byte-identical to the oracle across all three
+/// paper configurations: single crossbar switch, 2-ary 3-tree, and the
+/// 4-ary 3-tree under hotspot congestion.
 #[test]
-fn parallel_tick_is_bit_identical_across_thread_counts() {
+fn engine_is_bit_identical_across_thread_counts() {
     let specs = [
         config1_case1_scaled(0.02),
         config2_case2_scaled(0.02),
         config3_case4_scaled(1, 0.01),
     ];
     for spec in &specs {
-        let want = oracle(spec, Mechanism::ccfit(), 3);
-        for threads in [1usize, 2, 4] {
-            let got = spec
-                .run_with(Mechanism::ccfit(), 3, cfg_threads(threads))
-                .to_json();
-            assert_eq!(
-                got, want,
-                "{}: threads={threads} diverges from the oracle",
-                spec.name
-            );
-        }
+        assert_eq!(
+            spec.run_with(Mechanism::ccfit(), 3, cfg()).to_json(),
+            oracle(spec, Mechanism::ccfit(), 3),
+            "{}: the engine diverges from the oracle",
+            spec.name
+        );
     }
 }
 
 /// The modern CC mechanisms must honour the same engine contracts as
-/// the paper set: DCQCN's probabilistic ECN marking rides the shard-
-/// owned marking RNGs, HPCC's INT window counters live on switch output
-/// ports, and CNP/ACK generation happens in the serial node-delivery
-/// phase — so the oracle and the engine on every thread count must
-/// produce byte-identical reports.
+/// the paper set: DCQCN's probabilistic ECN marking rides the per-switch
+/// marking RNGs, HPCC's INT window counters live on switch output
+/// ports, and CNP/ACK generation happens in the node-delivery phase —
+/// so the oracle and the engine must produce byte-identical reports.
 #[test]
 fn modern_cc_is_bit_identical_across_engines_and_thread_counts() {
     let spec = config1_case1_scaled(0.02);
     for mech in [Mechanism::dcqcn(), Mechanism::hpcc()] {
-        let name = mech.name();
-        let want = oracle(&spec, mech.clone(), 7);
-        for threads in [1usize, 2, 4] {
-            let got = spec
-                .run_with(mech.clone(), 7, cfg_threads(threads))
-                .to_json();
-            assert_eq!(
-                got, want,
-                "{name}: threads={threads} diverges from the oracle"
-            );
-        }
+        assert_eq!(
+            spec.run_with(mech.clone(), 7, cfg()).to_json(),
+            oracle(&spec, mech.clone(), 7),
+            "{}: the engine diverges from the oracle",
+            mech.name()
+        );
     }
-}
-
-/// The auto-fallback must (a) degrade paper-scale networks to the
-/// serial engine — their shards are far below the pay-off threshold on
-/// any host, and 1-CPU hosts degrade everything — and (b) stand down
-/// entirely when the caller forces parallelism. Exercised by CI on the
-/// 1-CPU runner so the fallback path cannot bit-rot.
-#[test]
-fn auto_fallback_degrades_tiny_configs_and_respects_force() {
-    use ccfit::SimBuilder;
-    let spec = config1_case1_scaled(0.02);
-    let build = |force: bool| {
-        let mut c = cfg();
-        c.duration_ns = spec.duration_ns;
-        c.crossbar_bw_flits_per_cycle = spec.crossbar_bw_flits_per_cycle;
-        c.parallel.threads = 4;
-        let mut b = SimBuilder::new(spec.topology.clone())
-            .routing(spec.routing.clone())
-            .mechanism(Mechanism::ccfit())
-            .traffic(spec.pattern.clone())
-            .config(c)
-            .seed(3);
-        if force {
-            b = b.force_parallel();
-        }
-        b.build()
-    };
-
-    let auto = build(false).engine_decision();
-    assert_eq!(
-        auto.effective_threads, 1,
-        "config #1 must fall back to the serial engine (got {auto:?})"
-    );
-    assert!(auto.fallback.is_some());
-    assert_eq!(auto.requested_threads, 4);
-
-    let forced = build(true).engine_decision();
-    assert_eq!(forced.effective_threads, 4, "force_parallel was overruled");
-    assert_eq!(forced.fallback, None);
-
-    // The degraded run still produces byte-identical output.
-    let mut auto_sim = build(false);
-    auto_sim.run_to_end();
-    assert_eq!(
-        auto_sim.finish().to_json(),
-        oracle(&spec, Mechanism::ccfit(), 3)
-    );
 }
 
 /// With every observability channel wide open — full event recording,
 /// per-packet tracing, per-port telemetry — the engine must still match
-/// the oracle byte-for-byte on every thread count: the event log and the
-/// packet traces ride the per-shard outboxes and are replayed in
-/// canonical shard order (DESIGN.md §10), so thread count may not leak
-/// into any recorded artifact.
+/// the oracle byte-for-byte, event log and packet traces included
+/// (DESIGN.md §10).
 #[test]
-fn parallel_tick_traces_and_events_identical_across_threads() {
+fn engine_traces_and_events_identical_across_threads() {
     use ccfit::trace::PacketTrace;
     use ccfit::{EventClass, EventConfig, SimBuilder};
 
     let spec = config1_case1_scaled(0.02);
-    let run = |threads: Option<usize>| {
-        let mut c = cfg_threads(threads.unwrap_or(1));
+    let run = |reference: bool| {
+        let mut c = cfg();
         c.duration_ns = spec.duration_ns;
         c.crossbar_bw_flits_per_cycle = spec.crossbar_bw_flits_per_cycle;
         let mut sim = SimBuilder::new(spec.topology.clone())
@@ -258,9 +181,10 @@ fn parallel_tick_traces_and_events_identical_across_threads() {
             .port_telemetry(true)
             .seed(3)
             .build();
-        match threads {
-            Some(_) => sim.run_to_end(),
-            None => sim.run_reference(),
+        if reference {
+            sim.run_reference();
+        } else {
+            sim.run_to_end();
         }
         let traces: Vec<PacketTrace> = sim.traces().into_iter().cloned().collect();
         (
@@ -268,27 +192,23 @@ fn parallel_tick_traces_and_events_identical_across_threads() {
             sim.finish().to_json(),
         )
     };
-    let (oracle_traces, oracle_report) = run(None);
+    let (oracle_traces, oracle_report) = run(true);
     assert!(oracle_report.contains("\"events\""));
-    for threads in [1usize, 2, 4] {
-        let (traces, report) = run(Some(threads));
-        assert_eq!(
-            traces, oracle_traces,
-            "threads={threads}: packet traces diverge from the oracle"
-        );
-        assert_eq!(
-            report, oracle_report,
-            "threads={threads}: report/event log diverges from the oracle"
-        );
-    }
+    let (traces, report) = run(false);
+    assert_eq!(
+        traces, oracle_traces,
+        "packet traces diverge from the oracle"
+    );
+    assert_eq!(
+        report, oracle_report,
+        "report/event log diverges from the oracle"
+    );
 }
 
 /// Sized-flow workloads must obey the same byte-identity contract as
-/// the rate-window patterns: flow completion is detected inside the
-/// serial node-delivery phase (shard outboxes replay deliveries in
-/// canonical order), so the FCT block — completion times, slowdowns,
-/// aggregates — may not depend on engine mode or thread count. Covers
-/// the generated presets and a trace-file-loaded workload.
+/// the rate-window patterns: the FCT block — completion times,
+/// slowdowns, aggregates — may not depend on engine mode. Covers the
+/// generated presets and a trace-file-loaded workload.
 #[test]
 fn sized_flow_workloads_are_bit_identical_across_engines() {
     use ccfit::traffic::{all_to_all, incast, parse_trace, permutation_shift};
@@ -321,41 +241,33 @@ fn sized_flow_workloads_are_bit_identical_across_engines() {
             "{}: report carries no FCT block",
             w.name()
         );
-        for threads in [1usize, 2, 4] {
-            assert_eq!(
-                spec.run_with(Mechanism::ccfit(), 7, cfg_threads(threads))
-                    .to_json(),
-                want,
-                "{}: threads={threads} diverges from the oracle",
-                w.name()
-            );
-        }
+        assert_eq!(
+            spec.run_with(Mechanism::ccfit(), 7, cfg()).to_json(),
+            want,
+            "{}: the engine diverges from the oracle",
+            w.name()
+        );
     }
 }
 
-/// Byte-identity on every thread count must also hold with a dynamic
-/// fault schedule in play: fault events invalidate every activation
-/// assumption, so the scheduler re-seeds all work-lists (and resyncs the
-/// SoA occupancy mirror), and purges, re-routes and link-rate changes
-/// all cross shard boundaries.
+/// Byte-identity must also hold with a dynamic fault schedule in play:
+/// fault events invalidate every activation assumption, so the scheduler
+/// re-seeds all work-lists (and resyncs the SoA occupancy mirror).
 #[test]
-fn parallel_tick_is_bit_identical_under_faults() {
+fn engine_is_bit_identical_under_faults() {
     let (spec, schedule) = faulty_config2();
-    let build = |c: SimConfig| {
+    let build = || {
         spec.build_sim_with_faults(
             Mechanism::ccfit(),
             9,
-            c,
+            cfg(),
             schedule.clone(),
             FaultConfig::default(),
         )
     };
-    let want = oracle_json(build(cfg()));
-    for threads in [1usize, 2, 4] {
-        assert_eq!(
-            build(cfg_threads(threads)).run().to_json(),
-            want,
-            "threads={threads} diverges from the oracle under faults"
-        );
-    }
+    assert_eq!(
+        build().run().to_json(),
+        oracle_json(build()),
+        "the engine diverges from the oracle under faults"
+    );
 }

@@ -303,25 +303,3 @@ proptest! {
         prop_assert_eq!(engine.to_json(), oracle.to_json());
     }
 }
-
-proptest! {
-    /// The parallel engine's weighted shard partition covers the
-    /// component index space exactly once: contiguous ranges, in order,
-    /// whose concatenation is `0..n` — no component simulated twice or
-    /// skipped, regardless of weight skew or part count (DESIGN.md §9).
-    #[test]
-    fn weighted_partition_covers_components_exactly_once(
-        weights in prop::collection::vec(0u64..10_000, 0..64),
-        parts in 1usize..9,
-    ) {
-        let ranges = ccfit::parallel::partition_weighted(&weights, parts);
-        prop_assert_eq!(ranges.len(), parts);
-        let mut next = 0usize;
-        for r in &ranges {
-            prop_assert_eq!(r.start, next, "gap or overlap at {}", r.start);
-            prop_assert!(r.end >= r.start);
-            next = r.end;
-        }
-        prop_assert_eq!(next, weights.len(), "partition must end at n");
-    }
-}

@@ -3,9 +3,9 @@
 //! Each of the six evaluated mechanisms runs a short, fixed-seed
 //! schedule and its full serialized [`SimReport`] is compared byte-for-
 //! byte against a checked-in snapshot under `tests/snapshots/`. The
-//! determinism suite proves fast/slow/parallel engines agree with *each
+//! determinism suite proves the engine and its oracle agree with *each
 //! other*; these pins additionally freeze the absolute numbers, so an
-//! innocent-looking change that shifts results for every engine at once
+//! innocent-looking change that shifts results for both at once
 //! (and would sail through the determinism tests) still fails loudly.
 //!
 //! To regenerate after an intentional behaviour change:
