@@ -21,22 +21,6 @@ pub struct RunOutput {
     pub report: SimReport,
     /// Wall-clock seconds the simulation took.
     pub wall_s: f64,
-    /// Engine throughput: simulated cycles per wall-clock second.
-    pub sim_cycles_per_sec: f64,
-}
-
-impl RunOutput {
-    /// Package a finished run, deriving the cycles/sec figure from the
-    /// report's simulated-cycle count and the measured wall time.
-    pub fn new(mechanism: String, report: SimReport, wall_s: f64) -> Self {
-        let sim_cycles_per_sec = report.simulated_cycles as f64 / wall_s.max(1e-12);
-        RunOutput {
-            mechanism,
-            report,
-            wall_s,
-            sim_cycles_per_sec,
-        }
-    }
 }
 
 /// `--threads` selected the in-run sharded engine, which is gone
@@ -74,7 +58,7 @@ impl RunCtx {
         }
     }
 
-    /// A context that always simulates (tests and microbenches).
+    /// A context that always simulates (tests).
     pub fn uncached() -> Self {
         RunCtx {
             cache: Cache::disabled(),
@@ -99,7 +83,11 @@ pub fn run_specs(specs: &[RunSpec], ctx: &RunCtx) -> Vec<RunOutput> {
     });
     run.outputs
         .into_iter()
-        .map(|o| RunOutput::new(o.spec.mechanism.name().to_string(), o.report, o.wall_s))
+        .map(|o| RunOutput {
+            mechanism: o.spec.mechanism.name().to_string(),
+            report: o.report,
+            wall_s: o.wall_s,
+        })
         .collect()
 }
 

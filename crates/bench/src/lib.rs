@@ -3,7 +3,8 @@
 //! # ccfit-bench
 //!
 //! The reproduction harness for the paper's evaluation (§IV): one binary
-//! per table/figure plus ablation sweeps, and the criterion microbenches.
+//! per table/figure plus ablation sweeps. (Host time and memory are
+//! measured elsewhere, by the repo's one benchmark: `benchmark/`.)
 //!
 //! | Binary  | Reproduces |
 //! |---------|------------|

@@ -4,10 +4,10 @@
 //! # ccfit-cc
 //!
 //! The pluggable congestion-control subsystem of the CCFIT
-//! reproduction: mechanism definitions, parameter sets, and the
-//! [`CongestionControl`] trait factoring every scheme into its three
-//! roles — congestion **detection**, **marking/feedback**, and
-//! **source reaction**.
+//! reproduction: the [`Mechanism`] registry (whose module doc tables
+//! each scheme's queueing, congestion **detection**,
+//! **marking/feedback** and **source reaction**), the parameter sets,
+//! and the DCQCN / HPCC source machines.
 //!
 //! Alongside the 2011 paper's mechanisms (1Q, VOQsw, VOQnet, DBBM,
 //! FBICM, ITh, CCFIT) this crate implements two modern rate-based
@@ -23,14 +23,13 @@
 //!
 //! The crate is deliberately simulator-agnostic: state machines work
 //! in abstract cycles/bytes and the `ccfit` core crate wires them into
-//! its tick loop. See DESIGN.md §11 for the trait contract and the
-//! phase ordering of the three roles.
+//! its tick loop. See DESIGN.md §11 for the mechanism table and the
+//! phase ordering of detection, feedback and reaction.
 
 pub mod dcqcn;
 pub mod hpcc;
 pub mod mechanism;
 pub mod params;
-pub mod traits;
 
 pub use dcqcn::{DcqcnCfg, DcqcnFlow};
 pub use hpcc::{fold_u, hop_utilization, HpccCfg, HpccFlow};
@@ -38,4 +37,3 @@ pub use mechanism::Mechanism;
 pub use params::{
     CctProfile, DcqcnParams, HpccParams, IsolationParams, QueueingScheme, ThrottleParams,
 };
-pub use traits::{CongestionControl, DetectionPolicy, FeedbackPolicy, ReactionPolicy};

@@ -3,8 +3,9 @@
 //! The paper evaluates five mechanisms plus DBBM; this crate adds two
 //! modern rate-based schemes. Internally each decomposes into three
 //! orthogonal pieces (which is also how the ablation benches mix them),
-//! now formalised by the [`CongestionControl`](crate::CongestionControl)
-//! trait:
+//! read off a `Mechanism` through [`Mechanism::queueing`],
+//! [`Mechanism::isolation`], [`Mechanism::throttle`],
+//! [`Mechanism::dcqcn_params`] and [`Mechanism::hpcc_params`]:
 //!
 //! | Mechanism | Queueing            | Detection                  | Feedback → Reaction            |
 //! |-----------|---------------------|----------------------------|--------------------------------|

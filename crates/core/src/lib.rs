@@ -57,8 +57,7 @@ pub use ccfit_metrics::{CcEvent, CcEventKind, EventClass, EventConfig, FaultKind
 pub use ccfit_traffic::{SizedFlow, Workload};
 pub use experiment::{ConfigId, ExperimentSpec};
 pub use params::{
-    CongestionControl, DcqcnParams, DetectionPolicy, FeedbackPolicy, HpccParams, IsolationParams,
-    Mechanism, QueueingScheme, ReactionPolicy, ThrottleParams,
+    DcqcnParams, HpccParams, IsolationParams, Mechanism, QueueingScheme, ThrottleParams,
 };
 pub use simulator::{
     ActiveSetStats, BecnTransport, PhaseProfile, SimBuilder, SimConfig, Simulator, PHASE_NAMES,

@@ -1,13 +1,11 @@
 //! Congestion-control mechanism parameters — re-exported from the
 //! [`ccfit-cc`](ccfit_cc) subsystem crate, where the [`Mechanism`]
-//! registry, the parameter sets and the
-//! [`CongestionControl`](ccfit_cc::CongestionControl) trait now live.
+//! registry and the parameter sets now live.
 //!
 //! This module exists so every pre-existing `ccfit::params::…` path
 //! keeps compiling; new code should consider depending on `ccfit-cc`
 //! directly when it only needs mechanism definitions.
 
 pub use ccfit_cc::{
-    CctProfile, CongestionControl, DcqcnParams, DetectionPolicy, FeedbackPolicy, HpccParams,
-    IsolationParams, Mechanism, QueueingScheme, ReactionPolicy, ThrottleParams,
+    CctProfile, DcqcnParams, HpccParams, IsolationParams, Mechanism, QueueingScheme, ThrottleParams,
 };

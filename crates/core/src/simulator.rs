@@ -3,7 +3,7 @@
 //! per-cycle phase loop (DESIGN.md §6).
 
 use crate::endnode::{Adapter, AdapterCfg, AdapterThrottle};
-use crate::params::{CongestionControl, DetectionPolicy, Mechanism, QueueingScheme};
+use crate::params::{Mechanism, QueueingScheme};
 use crate::switch::{
     MarkingSource, PurgeStats, Switch, SwitchCcMode, SwitchCfg, SwitchThrottle, VoqNetCredits,
 };
@@ -484,7 +484,8 @@ enum LinkSrc {
 }
 
 /// Per-phase wall-time breakdown, accumulated by
-/// [`Simulator::tick_profiled`] (the `engine_bench --profile` output).
+/// [`Simulator::tick_profiled`] (the benchmark's traced mode reports it
+/// as `core.simulator.phase.*`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseProfile {
     /// Nanoseconds spent per phase, indexed like [`PHASE_NAMES`].
@@ -532,7 +533,7 @@ impl PhaseTimer {
 
 /// Active-set occupancy statistics: how many switches / adapters /
 /// links were on the per-cycle work-lists, summed and maxed over ticks.
-/// Surfaced in `BENCH_engine.json`.
+/// The benchmark reports them as `engine.active.*`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ActiveSetStats {
     /// Ticks recorded.
@@ -739,9 +740,9 @@ impl Simulator {
             },
         });
         // Modern CC (DCQCN/HPCC): materialise the cycle-domain configs
-        // once and derive the switch-side marking/telemetry mode from the
-        // mechanism's detection policy. Paper mechanisms get `None`
-        // everywhere, which keeps their tick behaviour untouched.
+        // once and derive the switch-side marking/telemetry mode from
+        // them. Paper mechanisms get `None` everywhere, which keeps their
+        // tick behaviour untouched.
         let cycles_per_ns = 1.0 / units.cycle_ns;
         let dcqcn_cfg = mech
             .dcqcn_params()
@@ -749,20 +750,15 @@ impl Simulator {
         let hpcc_cfg = mech
             .hpcc_params()
             .map(|p| HpccCfg::materialise(p, cycles_per_ns));
-        let switch_cc = match mech.detection() {
-            DetectionPolicy::EcnQueue(p) => Some(SwitchCcMode::Ecn {
-                kmin_flits: p.kmin_mtus * mtu_flits,
-                kmax_flits: (p.kmax_mtus * mtu_flits).max(p.kmin_mtus * mtu_flits + 1),
-                pmax: p.pmax,
-            }),
-            DetectionPolicy::IntWindow(_) => Some(SwitchCcMode::Int {
-                window_cycles: hpcc_cfg
-                    .as_ref()
-                    .expect("IntWindow detection implies HPCC params")
-                    .window_cycles,
-            }),
-            _ => None,
-        };
+        let ecn = mech.dcqcn_params().map(|p| SwitchCcMode::Ecn {
+            kmin_flits: p.kmin_mtus * mtu_flits,
+            kmax_flits: (p.kmax_mtus * mtu_flits).max(p.kmin_mtus * mtu_flits + 1),
+            pmax: p.pmax,
+        });
+        let int = hpcc_cfg.as_ref().map(|h| SwitchCcMode::Int {
+            window_cycles: h.window_cycles,
+        });
+        let switch_cc = ecn.or(int);
         let switch_cfg = SwitchCfg {
             scheme: mech.queueing(),
             iso: mech.isolation().copied(),
@@ -1138,7 +1134,7 @@ impl Simulator {
     }
 
     /// [`Self::tick`] with a per-phase wall-time breakdown accumulated
-    /// into `prof` (the `engine_bench --profile` path). Identical
+    /// into `prof` (the benchmark's traced mode). Identical
     /// results; the only extra work is one monotonic-clock read per
     /// phase.
     pub fn tick_profiled(&mut self, prof: &mut PhaseProfile) {
@@ -1155,8 +1151,8 @@ impl Simulator {
     /// `Adapter::drop_memos`), nothing ever parks and the clock never
     /// jumps. The engine is only allowed shortcuts that
     /// are provably no-ops, so reports must be byte-identical to this
-    /// walk; the determinism suite and the perf harness's baseline leg
-    /// compare against it. Deliberately not reachable from
+    /// walk; the determinism suite, `integration_scale` and the
+    /// proptests compare against it. Deliberately not reachable from
     /// [`SimConfig`], the orchestrator or any CLI.
     pub fn tick_reference(&mut self) {
         self.cycle::<true>(None);

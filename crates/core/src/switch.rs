@@ -65,8 +65,8 @@ pub struct SwitchThrottle {
 }
 
 /// Switch-side behaviour of the modern (non-paper) congestion-control
-/// schemes, derived from the mechanism's
-/// [`crate::params::DetectionPolicy`]. Both act at the same place the
+/// schemes, derived from the mechanism's DCQCN / HPCC parameters
+/// (`Simulator::assemble`). Both act at the same place the
 /// FECN marker does — the instant a packet wins arbitration for an
 /// output — but on different header bits.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -54,7 +54,7 @@ pub struct SimReport {
     /// Total payload bytes delivered.
     pub delivered_bytes: u64,
     /// Number of simulator cycles the run executed (deterministic — the
-    /// perf harness divides it by measured wall time for cycles/sec;
+    /// benchmark divides it by measured wall time for cycles/sec;
     /// wall time itself lives outside the report so identical runs stay
     /// byte-identical).
     pub simulated_cycles: u64,

@@ -3,18 +3,17 @@
 //! ```text
 //! ccfit-sweep run <matrix.toml> [--jobs N] [--no-cache] [--cache-dir D]
 //!                 [--timeout-s S] [--retries R] [--in-process] [--quiet]
-//! ccfit-sweep bench [--smoke] [--jobs N] [--matrix F] [--out BENCH_sweep.json]
 //! ccfit-sweep gc [--cache-dir D]
 //! ccfit-sweep hash <matrix.toml>
 //! ```
 //!
 //! `run` executes a matrix (process-parallel workers by default,
-//! reading through the cache). `bench` measures the cache's perf
-//! story: a cold pass into a fresh cache directory, then a warm pass,
-//! asserting the warm pass is 100% hits and ≥10× faster, and writes
-//! the timings to `BENCH_sweep.json`. `gc` prunes stale-salt and
+//! reading through the cache) and ends with a `done: N runs in Ts (H
+//! hits, M simulated, R retried)` line. `gc` prunes stale-salt and
 //! corrupt entries. `hash` prints each resolved run's cache key and
-//! canonical bytes (the golden-pin test uses it for debugging).
+//! canonical bytes (the golden-pin test uses it for debugging). What a
+//! cold and a warm pass cost is the benchmark's `paper-matrix` /
+//! `paper-matrix-warm` workloads (`benchmark/README.md`).
 //!
 //! The hidden `__ccfit-run-one <request.json> <out.json>` argv is the
 //! worker half of the process protocol (DESIGN.md §13.4).
@@ -22,15 +21,9 @@
 use std::time::Duration;
 
 use ccfit_orchestrator::{
-    cache_from_args, run_matrix, run_one_worker, Cache, ExecMode, ExperimentMatrix, MatrixRun,
-    RunnerOptions, ENGINE_SALT, RUN_ONE_ARGV,
+    cache_from_args, run_matrix, run_one_worker, ExecMode, ExperimentMatrix, RunnerOptions,
+    ENGINE_SALT, RUN_ONE_ARGV,
 };
-use serde::Serialize;
-
-/// The committed paper sweep matrix (also at `matrices/paper.toml`).
-const PAPER_MATRIX: &str = include_str!("../../../../matrices/paper.toml");
-/// Tiny CI matrix (also at `matrices/smoke.toml`).
-const SMOKE_MATRIX: &str = include_str!("../../../../matrices/smoke.toml");
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -44,15 +37,13 @@ fn main() {
     }
     let code = match args.get(1).map(String::as_str) {
         Some("run") => cmd_run(&args),
-        Some("bench") => cmd_bench(&args),
         Some("gc") => cmd_gc(&args),
         Some("hash") => cmd_hash(&args),
         _ => {
-            eprintln!("usage: ccfit-sweep <run|bench|gc|hash> ...");
+            eprintln!("usage: ccfit-sweep <run|gc|hash> ...");
             eprintln!();
             eprintln!("  run   <matrix.toml> [--jobs N] [--no-cache] [--cache-dir D]");
             eprintln!("        [--timeout-s S] [--retries R] [--in-process] [--quiet]");
-            eprintln!("  bench [--smoke] [--jobs N] [--matrix F] [--out BENCH_sweep.json]");
             eprintln!("  gc    [--cache-dir D]");
             eprintln!("  hash  <matrix.toml>");
             2
@@ -178,115 +169,4 @@ fn cmd_hash(args: &[String]) -> i32 {
             2
         }
     }
-}
-
-#[derive(Serialize)]
-struct PassTimings {
-    wall_s: f64,
-    hits: usize,
-    misses: usize,
-}
-
-#[derive(Serialize)]
-struct SweepBench {
-    schema: u32,
-    matrix: String,
-    engine_salt: String,
-    runs: usize,
-    jobs: usize,
-    host_cpus: usize,
-    cold: PassTimings,
-    warm: PassTimings,
-    /// cold.wall_s / warm.wall_s.
-    warm_speedup: f64,
-    warm_hit_rate: f64,
-}
-
-fn pass(run: &MatrixRun) -> PassTimings {
-    PassTimings {
-        wall_s: run.stats.wall_s,
-        hits: run.stats.hits,
-        misses: run.stats.misses,
-    }
-}
-
-fn cmd_bench(args: &[String]) -> i32 {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let matrix = match flag_value(args, "--matrix") {
-        Some(path) => match load_matrix(path) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        },
-        None => {
-            let text = if smoke { SMOKE_MATRIX } else { PAPER_MATRIX };
-            ExperimentMatrix::from_toml_str(text).expect("embedded matrix parses")
-        }
-    };
-    let out_path = flag_value(args, "--out").unwrap_or("BENCH_sweep.json");
-    let specs = matrix.resolve();
-    // A dedicated scratch cache so "cold" really means cold.
-    let cache_dir = std::env::temp_dir().join(format!("ccfit-sweep-bench-{}", std::process::id()));
-    std::fs::remove_dir_all(&cache_dir).ok();
-    let opts = RunnerOptions {
-        jobs: parse_jobs(args),
-        mode: process_mode(args),
-        cache: Cache::new(&cache_dir),
-        quiet: false,
-    };
-    eprintln!(
-        "bench: matrix `{}`, {} runs, {} jobs, scratch cache {}",
-        matrix.name,
-        specs.len(),
-        opts.jobs,
-        cache_dir.display()
-    );
-    let result = (|| -> Result<SweepBench, String> {
-        eprintln!("-- cold pass --");
-        let cold = run_matrix(&specs, &opts)?;
-        eprintln!("-- warm pass --");
-        let warm = run_matrix(&specs, &opts)?;
-        Ok(SweepBench {
-            schema: 1,
-            matrix: matrix.name.clone(),
-            engine_salt: ENGINE_SALT.to_string(),
-            runs: specs.len(),
-            jobs: opts.jobs,
-            host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            warm_speedup: cold.stats.wall_s / warm.stats.wall_s.max(1e-9),
-            warm_hit_rate: warm.stats.hits as f64 / warm.stats.total.max(1) as f64,
-            cold: pass(&cold),
-            warm: pass(&warm),
-        })
-    })();
-    std::fs::remove_dir_all(&cache_dir).ok();
-    let bench = match result {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("bench failed: {e}");
-            return 1;
-        }
-    };
-    let json = serde_json::to_string_pretty(&bench).unwrap();
-    if let Err(e) = std::fs::write(out_path, format!("{json}\n")) {
-        eprintln!("cannot write {out_path}: {e}");
-        return 1;
-    }
-    println!(
-        "cold {:.2}s -> warm {:.2}s ({:.1}x, {}/{} warm hits) -> {out_path}",
-        bench.cold.wall_s, bench.warm.wall_s, bench.warm_speedup, bench.warm.hits, bench.runs
-    );
-    // The perf contract this PR ships (ISSUE 9 acceptance criteria).
-    assert_eq!(
-        bench.warm.hits, bench.runs,
-        "warm pass must be 100% cache hits"
-    );
-    assert!(
-        bench.warm_speedup >= 10.0,
-        "warm pass must be >=10x faster than cold ({:.1}x)",
-        bench.warm_speedup
-    );
-    0
 }

@@ -45,7 +45,7 @@ use crate::toml;
 /// A resolved sweep matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentMatrix {
-    /// Matrix name (labels progress output and BENCH files).
+    /// Matrix name (labels progress output).
     pub name: String,
     /// Configurations to sweep.
     pub configs: Vec<ConfigId>,
@@ -69,6 +69,19 @@ impl ExperimentMatrix {
         let m = doc
             .get("matrix")
             .ok_or("missing [matrix] table".to_string())?;
+        if let Value::Object(pairs) = m {
+            if let Some((key, _)) = pairs
+                .iter()
+                .find(|(k, _)| !MATRIX_KEYS.contains(&k.as_str()))
+            {
+                let at =
+                    matrix_key_line(text, key).map_or(String::new(), |n| format!("line {n}: "));
+                return Err(format!(
+                    "{at}unknown key `{key}` in [matrix]; known: {}",
+                    MATRIX_KEYS.join(", ")
+                ));
+            }
+        }
         let name = get_str(m, "name")?;
         let mechanisms = get_array(m, "mechanisms")?
             .iter()
@@ -113,16 +126,6 @@ impl ExperimentMatrix {
             Some(w) => Some(parse_workload(w)?),
             None => None,
         };
-        if m.get("engine").is_some() {
-            let at = text
-                .lines()
-                .position(|l| l.trim_start().starts_with("[matrix.engine]"))
-                .map_or(String::new(), |i| format!("line {}: ", i + 1));
-            return Err(format!(
-                "{at}[matrix.engine] was removed with the sharded engine; \
-                 use `ccfit-sweep --jobs` to spread a sweep over cores"
-            ));
-        }
         if mechanisms.is_empty() || seeds.is_empty() || configs.is_empty() {
             return Err("matrix resolves to zero runs".to_string());
         }
@@ -159,6 +162,39 @@ impl ExperimentMatrix {
         }
         specs
     }
+}
+
+/// Every key `[matrix]` may hold. Anything else is a typo that would
+/// otherwise drop a fault schedule or workload without a word and cache
+/// the wrong experiment under a valid key.
+const MATRIX_KEYS: [&str; 7] = [
+    "name",
+    "mechanisms",
+    "seeds",
+    "metrics_bin_ns",
+    "config",
+    "event",
+    "workload",
+];
+
+/// 1-based line where `key` enters the `[matrix]` table: its `key = …`
+/// line under `[matrix]`, or a `[matrix.key]` / `[[matrix.key]]` header.
+fn matrix_key_line(text: &str, key: &str) -> Option<usize> {
+    let mut in_matrix = false;
+    let found = text.lines().position(|raw| {
+        let line = raw.trim();
+        if let Some(header) = line.strip_prefix('[') {
+            let path = header.trim_start_matches('[');
+            let mut segs = path.split(']').next().unwrap_or(path).split('.');
+            let under_matrix = segs.next().map(str::trim) == Some("matrix");
+            let sub = segs.next().map(str::trim);
+            in_matrix = under_matrix && sub.is_none();
+            under_matrix && sub == Some(key)
+        } else {
+            in_matrix && line.split_once('=').is_some_and(|(k, _)| k.trim() == key)
+        }
+    });
+    found.map(|i| i + 1)
 }
 
 fn as_str<'a>(v: &'a Value, what: &str) -> Result<&'a str, String> {
@@ -368,15 +404,56 @@ duration_ns = 600000.0
     }
 
     #[test]
-    fn the_removed_engine_table_is_rejected_with_its_line() {
-        let doc = format!("{DOC}\n[matrix.engine]\nthreads = 2\n");
-        let err = ExperimentMatrix::from_toml_str(&doc).unwrap_err();
-        let line = doc.lines().position(|l| l == "[matrix.engine]").unwrap() + 1;
-        assert!(
-            err.starts_with(&format!("line {line}: [matrix.engine]")),
-            "{err}"
-        );
-        assert!(err.contains("ccfit-sweep --jobs"), "{err}");
+    fn unknown_matrix_keys_are_rejected_with_their_line() {
+        // The table PR 23 removed, two misspelt sub-tables that would
+        // silently drop a fault schedule / a workload, and a misspelt
+        // plain key (the `seed` under `[[matrix.config]]` must not be
+        // mistaken for it).
+        for (key, line, doc) in [
+            (
+                "engine",
+                "[matrix.engine]",
+                format!("{DOC}\n[matrix.engine]\nthreads = 2\n"),
+            ),
+            (
+                "events",
+                "[[matrix.events]] # typo",
+                format!("{DOC}\n[[matrix.events]] # typo\nkind = \"link_down\"\n"),
+            ),
+            (
+                "workloads",
+                "[matrix.workloads]",
+                format!("{DOC}\n[matrix.workloads]\nkind = \"incast\"\n"),
+            ),
+            (
+                "seed",
+                "seed = [1]",
+                format!("{DOC}seed = 3\n").replace("seeds = [1, 2]", "seed = [1]"),
+            ),
+        ] {
+            let err = ExperimentMatrix::from_toml_str(&doc).unwrap_err();
+            let n = doc.lines().position(|l| l == line).unwrap() + 1;
+            assert_eq!(
+                err,
+                format!(
+                    "line {n}: unknown key `{key}` in [matrix]; known: name, mechanisms, \
+                     seeds, metrics_bin_ns, config, event, workload"
+                )
+            );
+        }
+    }
+
+    /// `matrices/paper.toml` has no other parse check in tier-1 (the
+    /// benchmark's own tests parse `benchmark/matrices/`).
+    #[test]
+    fn committed_matrices_use_only_known_keys() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../matrices");
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let text = std::fs::read_to_string(&path).unwrap();
+            ExperimentMatrix::from_toml_str(&text)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        }
     }
 
     #[test]

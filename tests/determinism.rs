@@ -119,7 +119,7 @@ fn fast_path_is_bit_identical_to_slow_path() {
 /// paper configurations: single crossbar switch, 2-ary 3-tree, and the
 /// 4-ary 3-tree under hotspot congestion.
 #[test]
-fn engine_is_bit_identical_across_thread_counts() {
+fn engine_is_bit_identical_to_oracle_on_paper_configs() {
     let specs = [
         config1_case1_scaled(0.02),
         config2_case2_scaled(0.02),
@@ -141,7 +141,7 @@ fn engine_is_bit_identical_across_thread_counts() {
 /// ports, and CNP/ACK generation happens in the node-delivery phase —
 /// so the oracle and the engine must produce byte-identical reports.
 #[test]
-fn modern_cc_is_bit_identical_across_engines_and_thread_counts() {
+fn modern_cc_is_bit_identical_to_oracle() {
     let spec = config1_case1_scaled(0.02);
     for mech in [Mechanism::dcqcn(), Mechanism::hpcc()] {
         assert_eq!(
@@ -158,7 +158,7 @@ fn modern_cc_is_bit_identical_across_engines_and_thread_counts() {
 /// the oracle byte-for-byte, event log and packet traces included
 /// (DESIGN.md §10).
 #[test]
-fn engine_traces_and_events_identical_across_threads() {
+fn engine_traces_and_events_identical_to_oracle() {
     use ccfit::trace::PacketTrace;
     use ccfit::{EventClass, EventConfig, SimBuilder};
 

@@ -2,7 +2,8 @@
 //! the number of nodes it could talk to (DESIGN.md §12, "Per-destination
 //! state on demand"), so a tree of 32 768 nodes — 62 GB when every
 //! adapter held a queue and a throttle entry per destination — builds
-//! and runs on a workstation.
+//! and runs on a workstation; and a pass's work follows the components
+//! that may act, not the size of the network (§12, the work-lists).
 
 use ccfit::{Mechanism, SimBuilder, Simulator};
 use ccfit_engine::ids::NodeId;
@@ -60,6 +61,17 @@ fn adapter_state_follows_traffic_at_4096_nodes() {
         entries <= sim.injected(),
         "{entries} peer entries for {} injected packets",
         sim.injected()
+    );
+    // Work follows traffic too: a pass visits the switches and adapters
+    // that may act, not the network. A count, so it holds on any host;
+    // the oracle's exhaustive activation reads 768 and 4096.
+    let act = sim.active_set_stats();
+    assert!(act.ticks > 0);
+    assert!(
+        act.avg_switches() * 4.0 <= 768.0 && act.avg_adapters() * 4.0 <= 4096.0,
+        "work-lists average {:.0} of 768 switches and {:.0} of 4096 adapters per pass",
+        act.avg_switches(),
+        act.avg_adapters()
     );
 }
 

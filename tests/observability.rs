@@ -10,14 +10,16 @@ use ccfit::experiment::config1_case1_scaled;
 use ccfit::metrics::export::{chrome_trace_json, events_csv, events_jsonl};
 use ccfit::metrics::{SimReport, TimeSeries};
 use ccfit::trace::PacketTrace;
-use ccfit::{CcEvent, CcEventKind, EventClass, EventConfig, Mechanism, SimBuilder, SimConfig};
+use ccfit::{
+    CcEvent, CcEventKind, EventClass, EventConfig, Mechanism, SimBuilder, SimConfig, Simulator,
+};
 use ccfit_engine::units::UnitModel;
 use std::collections::BTreeMap;
 
-/// Run CCFIT on the scaled Config #1 / Case #1 scenario with every
-/// observability channel wide open, returning the frozen report, the
-/// owned packet traces and the unit model used for conversions.
-fn instrumented_run() -> (SimReport, Vec<PacketTrace>, UnitModel) {
+/// Run CCFIT on the scaled Config #1 / Case #1 scenario to the end,
+/// with every observability channel wide open or with none, returning
+/// the simulator and the unit model used for conversions.
+fn run(observed: bool) -> (Simulator, UnitModel) {
     let spec = config1_case1_scaled(0.02);
     let mut cfg = SimConfig {
         metrics_bin_ns: 20_000.0,
@@ -26,21 +28,31 @@ fn instrumented_run() -> (SimReport, Vec<PacketTrace>, UnitModel) {
     cfg.duration_ns = spec.duration_ns;
     cfg.crossbar_bw_flits_per_cycle = spec.crossbar_bw_flits_per_cycle;
     let units = cfg.units;
-    let mut sim = SimBuilder::new(spec.topology.clone())
+    let mut builder = SimBuilder::new(spec.topology.clone())
         .routing(spec.routing.clone())
         .mechanism(Mechanism::ccfit())
         .traffic(spec.pattern.clone())
         .config(cfg)
-        .events(EventConfig {
-            classes: EventClass::ALL,
-            sample_every: 1,
-            cap: 1 << 22,
-        })
-        .trace_sample_every(1)
-        .port_telemetry(true)
-        .seed(7)
-        .build();
+        .seed(7);
+    if observed {
+        builder = builder
+            .events(EventConfig {
+                classes: EventClass::ALL,
+                sample_every: 1,
+                cap: 1 << 22,
+            })
+            .trace_sample_every(1)
+            .port_telemetry(true);
+    }
+    let mut sim = builder.build();
     sim.run_to_end();
+    (sim, units)
+}
+
+/// The fully observed run: the frozen report, the owned packet traces
+/// and the unit model.
+fn instrumented_run() -> (SimReport, Vec<PacketTrace>, UnitModel) {
+    let (sim, units) = run(true);
     let traces: Vec<PacketTrace> = sim.traces().into_iter().cloned().collect();
     (sim.finish(), traces, units)
 }
@@ -204,6 +216,28 @@ fn event_log_aggregates_match_sim_report() {
     };
     monotone(&|k| matches!(k, Delivered { .. } | BecnGenerated { .. }));
     monotone(&|k| !matches!(k, Delivered { .. } | BecnGenerated { .. }));
+}
+
+/// Recording never perturbs the run: with its recordings stripped — the
+/// event log and the per-port telemetry series — the observed report is
+/// the unobserved one, every counter, series, histogram and flow curve
+/// included. (What recording costs in host time is the benchmark's
+/// `core.simulator.trace_overhead_pct`.)
+#[test]
+fn recording_never_perturbs_the_run() {
+    let (mut observed, traces, _) = instrumented_run();
+    let plain = run(false).0.finish();
+    assert!(!traces.is_empty(), "the observed run did trace packets");
+    assert!(observed.events.take().is_some());
+    assert!(plain.events.is_none());
+    let all = observed.gauges.len();
+    observed.gauges.retain(|k, _| !k.starts_with("port_"));
+    assert!(observed.gauges.len() < all, "per-port series were recorded");
+    assert!(plain.delivered_packets > 0 && !plain.counters.is_empty());
+    // The counters first: a far shorter failure message than the whole
+    // report's when a recording site has side effects.
+    assert_eq!(observed.counters, plain.counters);
+    assert_eq!(observed, plain);
 }
 
 #[test]
