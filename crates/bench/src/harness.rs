@@ -1,18 +1,16 @@
-//! Parallel experiment execution and result archiving.
+//! Parallel experiment execution for `cc_shootout`.
 //!
-//! Since the orchestrator landed (DESIGN.md §13), every figure binary
-//! funnels its runs through [`run_all`]/[`run_specs`], which read
-//! through the content-hashed result cache: re-generating a figure
-//! whose runs are already cached costs a directory scan, not a
-//! re-simulation. `--no-cache` and `--cache-dir <dir>` (parsed by
-//! [`RunCtx::from_args`]) control the cache from every binary.
+//! Runs go through [`run_specs`], which reads through the orchestrator's
+//! content-hashed result cache (DESIGN.md §13): re-running a panel whose
+//! runs are already cached costs a directory scan, not a re-simulation.
+//! `--no-cache` and `--cache-dir <dir>` (parsed by [`RunCtx::from_args`])
+//! control the cache.
 
-use ccfit::{ConfigId, Mechanism};
+use ccfit::Mechanism;
 use ccfit_metrics::SimReport;
 use ccfit_orchestrator::{cache_from_args, run_matrix, Cache, ExecMode, RunSpec, RunnerOptions};
-use std::path::Path;
 
-/// One mechanism's result within a figure.
+/// One mechanism's result within a panel.
 #[derive(Debug, Clone)]
 pub struct RunOutput {
     /// Mechanism display name.
@@ -34,8 +32,7 @@ pub fn reject_threads_flag(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared execution context for the figure binaries: the CLI-controlled
-/// result cache.
+/// Shared execution context: the CLI-controlled result cache.
 #[derive(Debug, Clone)]
 pub struct RunCtx {
     /// The orchestrator's content-hashed result cache.
@@ -91,33 +88,10 @@ pub fn run_specs(specs: &[RunSpec], ctx: &RunCtx) -> Vec<RunOutput> {
         .collect()
 }
 
-/// Run `config` under every mechanism — the one shared entry point the
-/// `fig`/`sweep`/`ablate` binaries use instead of private run loops.
-pub fn run_all(
-    config: &ConfigId,
-    mechanisms: &[Mechanism],
-    seed: u64,
-    metrics_bin_ns: f64,
-    ctx: &RunCtx,
-) -> Vec<RunOutput> {
-    let specs: Vec<RunSpec> = mechanisms
-        .iter()
-        .map(|m| RunSpec::new(config.clone(), m.clone(), seed, metrics_bin_ns))
-        .collect();
-    run_specs(&specs, ctx)
-}
-
-/// Parse a `--csv <dir>` argument pair from the command line, if present.
-pub fn csv_dir_from_args(args: &[String]) -> Option<String> {
-    args.iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 /// Parse a `--mech <name>[,<name>...]` argument pair through the
 /// [`Mechanism`] registry, falling back to `default` when absent.
-/// Unknown names abort with the list of registered mechanisms, so every
-/// bench binary shares one spelling of each scheme.
+/// Unknown names abort with the list of registered mechanisms, so
+/// `--mech` spells each scheme exactly as a matrix's `mechanisms` does.
 ///
 /// # Panics
 /// Exits the process with an error message on an unknown mechanism name.
@@ -140,35 +114,17 @@ pub fn mechanisms_from_args(args: &[String], default: Vec<Mechanism>) -> Vec<Mec
         .collect()
 }
 
-/// Archive each run as `<dir>/<figure>-<mechanism>.{csv,json}`.
-pub fn archive(dir: &str, figure: &str, runs: &[RunOutput]) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    for run in runs {
-        let base = format!("{figure}-{}", run.mechanism.to_lowercase());
-        std::fs::write(
-            Path::new(dir).join(format!("{base}-throughput.csv")),
-            run.report.throughput_csv(),
-        )?;
-        std::fs::write(
-            Path::new(dir).join(format!("{base}-flows.csv")),
-            run.report.flow_bandwidth_csv(),
-        )?;
-        std::fs::write(
-            Path::new(dir).join(format!("{base}.json")),
-            run.report.to_json(),
-        )?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccfit::experiment::config1_case1_scaled;
-    use ccfit::SimConfig;
+    use ccfit::{ConfigId, SimConfig};
 
-    fn small_config() -> ConfigId {
-        ConfigId::Config1Case1 { scale: 0.02 }
+    /// One run per mechanism of a compressed Config #1 at the default bin.
+    fn small_specs(mechs: &[Mechanism], seed: u64) -> Vec<RunSpec> {
+        let (config, bin) = (ConfigId::Config1Case1 { scale: 0.02 }, 100_000.0);
+        let spec = |m: &Mechanism| RunSpec::new(config.clone(), m.clone(), seed, bin);
+        mechs.iter().map(spec).collect()
     }
 
     #[test]
@@ -188,15 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn run_all_preserves_mechanism_order() {
-        let mechs = vec![Mechanism::OneQ, Mechanism::ccfit()];
-        let runs = run_all(
-            &small_config(),
-            &mechs,
-            1,
-            SimConfig::default().metrics_bin_ns,
-            &RunCtx::uncached(),
-        );
+    fn run_specs_preserves_input_order() {
+        let specs = small_specs(&[Mechanism::OneQ, Mechanism::ccfit()], 1);
+        let runs = run_specs(&specs, &RunCtx::uncached());
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].mechanism, "1Q");
         assert_eq!(runs[1].mechanism, "CCFIT");
@@ -205,14 +155,8 @@ mod tests {
 
     #[test]
     fn orchestrated_runs_match_direct_runs() {
-        let mechs = vec![Mechanism::fbicm(), Mechanism::ith()];
-        let par = run_all(
-            &small_config(),
-            &mechs,
-            7,
-            SimConfig::default().metrics_bin_ns,
-            &RunCtx::uncached(),
-        );
+        let mechs = [Mechanism::fbicm(), Mechanism::ith()];
+        let par = run_specs(&small_specs(&mechs, 7), &RunCtx::uncached());
         let spec = config1_case1_scaled(0.02);
         for (mech, out) in mechs.iter().zip(&par) {
             let seq = spec.run_with(mech.clone(), 7, SimConfig::default());
@@ -232,10 +176,9 @@ mod tests {
         let ctx = RunCtx {
             cache: Cache::new(&dir),
         };
-        let mechs = vec![Mechanism::OneQ];
-        let bin = SimConfig::default().metrics_bin_ns;
-        let cold = run_all(&small_config(), &mechs, 3, bin, &ctx);
-        let warm = run_all(&small_config(), &mechs, 3, bin, &ctx);
+        let specs = small_specs(&[Mechanism::OneQ], 3);
+        let cold = run_specs(&specs, &ctx);
+        let warm = run_specs(&specs, &ctx);
         assert_eq!(cold[0].report, warm[0].report);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -250,35 +193,5 @@ mod tests {
         assert!(err.starts_with("`--threads` was removed"), "{err}");
         assert!(err.contains("ccfit-sweep --jobs"), "{err}");
         assert_eq!(reject_threads_flag(&args[..2]), Ok(()));
-    }
-
-    #[test]
-    fn csv_dir_parsing() {
-        let args: Vec<String> = ["x", "--csv", "/tmp/out"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(csv_dir_from_args(&args).as_deref(), Some("/tmp/out"));
-        let none: Vec<String> = vec!["x".into()];
-        assert_eq!(csv_dir_from_args(&none), None);
-    }
-
-    #[test]
-    fn archive_writes_expected_files() {
-        let runs = run_all(
-            &small_config(),
-            &[Mechanism::OneQ],
-            1,
-            SimConfig::default().metrics_bin_ns,
-            &RunCtx::uncached(),
-        );
-        let dir = std::env::temp_dir().join("ccfit-archive-test");
-        let dir = dir.to_str().unwrap();
-        archive(dir, "figX", &runs).unwrap();
-        for suffix in ["-throughput.csv", "-flows.csv", ".json"] {
-            let p = format!("{dir}/figX-1q{suffix}");
-            assert!(std::path::Path::new(&p).exists(), "{p} missing");
-        }
-        std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! Every figure of the evaluation is a combination of a network
 //! configuration, a traffic case and a mechanism; this module provides
-//! the `(configuration, case)` pairs so the figure harness and the tests
-//! only pick mechanisms and durations.
+//! the `(configuration, case)` pairs so the experiment matrices and the
+//! tests only pick mechanisms and durations.
 
 use crate::params::Mechanism;
 use crate::simulator::{SimBuilder, SimConfig};
@@ -217,12 +217,12 @@ pub fn config3_case4_scaled(hotspots: usize, scale: f64) -> ExperimentSpec {
 }
 
 /// A declarative, serializable name for one of the repo's experiment
-/// setups: everything the figure harness runs, minus the mechanism and
-/// the seed. Where [`ExperimentSpec`] holds the *assembled* network
-/// (topology, routing tables, flow list), a `ConfigId` holds only the
-/// handful of parameters that generate it — which makes it cheap to
-/// hash, compare and archive. [`ConfigId::resolve`] rebuilds the exact
-/// `ExperimentSpec` the figure binaries used to construct by hand; the
+/// setups: everything a `[[matrix.config]]` table names, minus the
+/// mechanism and the seed. Where [`ExperimentSpec`] holds the
+/// *assembled* network (topology, routing tables, flow list), a
+/// `ConfigId` holds only the handful of parameters that generate it —
+/// which makes it cheap to hash, compare and archive.
+/// [`ConfigId::resolve`] rebuilds the exact `ExperimentSpec`; the
 /// orchestrator's content-addressed run cache keys off this (plus
 /// mechanism, seed and metric knobs), relying on the determinism suite's
 /// guarantee that equal specs produce byte-identical reports.
@@ -392,49 +392,6 @@ impl ConfigId {
     }
 }
 
-/// The mechanisms of the paper's Fig. 7/9/10 panels, in plotting order.
-/// Resolved by display name through the [`Mechanism`] registry, so the
-/// figure binaries share one parse/display path with every other
-/// mechanism selector.
-pub fn paper_mechanisms() -> Vec<Mechanism> {
-    ["1Q", "ITh", "FBICM", "CCFIT"]
-        .iter()
-        .map(|n| Mechanism::parse(n).expect("registry knows every figure mechanism"))
-        .collect()
-}
-
-/// Render Table I (the evaluated network configurations).
-pub fn table1() -> String {
-    let rows = [
-        ("", "Config #1", "Config #2", "Config #3"),
-        ("# Nodes", "7", "8", "64"),
-        (
-            "Topology",
-            "Ad-hoc (Fig. 5)",
-            "2-ary 3-tree",
-            "4-ary 3-tree",
-        ),
-        ("# Switches", "2", "12", "48"),
-        ("Switching", "Virtual Cut-Through", "VCT", "VCT"),
-        ("Scheduling", "iSLIP", "iSLIP", "iSLIP"),
-        ("Packet MTU", "2048 B", "2048 B", "2048 B"),
-        ("Memory size", "64 KB/port", "64 KB/port", "64 KB/port"),
-        ("Link BW", "2.5 / 5 GB/s", "2.5 GB/s", "2.5 GB/s"),
-        (
-            "Flow control",
-            "credit-based",
-            "credit-based",
-            "credit-based",
-        ),
-        ("Routing", "DET (table-based)", "DET", "DET"),
-    ];
-    let mut out = String::new();
-    for (a, b, c, d) in rows {
-        out.push_str(&format!("{a:<14} | {b:<20} | {c:<14} | {d:<14}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,14 +430,6 @@ mod tests {
         let f1 = s.pattern.flows.iter().find(|f| f.src.0 == 1).unwrap();
         assert!((f1.start_ns - 0.2e6).abs() < 1.0);
         assert!((f1.end_ns.unwrap() - 1e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn table1_mentions_all_configs() {
-        let t = table1();
-        assert!(t.contains("Config #1"));
-        assert!(t.contains("4-ary 3-tree"));
-        assert!(t.contains("iSLIP"));
     }
 
     #[test]
@@ -548,12 +497,5 @@ mod tests {
         let b = config1_case1(10.0).scaled(1.0);
         assert_eq!(a.duration_ns, b.duration_ns);
         assert_eq!(a.pattern.flows, b.pattern.flows);
-    }
-
-    #[test]
-    fn paper_mechanisms_order() {
-        let ms = paper_mechanisms();
-        let names: Vec<&str> = ms.iter().map(|m| m.name()).collect();
-        assert_eq!(names, vec!["1Q", "ITh", "FBICM", "CCFIT"]);
     }
 }

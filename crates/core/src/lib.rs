@@ -36,8 +36,9 @@
 //! ```
 //!
 //! See [`experiment`] for the paper's full (configuration, traffic-case)
-//! matrix and the `ccfit-bench` crate for the per-figure reproduction
-//! binaries.
+//! matrix; the figures, ablations and sweeps themselves are experiment
+//! matrices (`matrices/*.toml`) that `ccfit-sweep run` (the
+//! `ccfit-orchestrator` crate) runs and reports.
 
 pub mod arbiter;
 pub mod bitset;

@@ -26,11 +26,12 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// How congestion notification packets travel back to the sources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum BecnTransport {
     /// The paper's model: BECNs are 1-flit packets injected by the
     /// destination with absolute priority, riding the normal data path
     /// (NFQs only) back to the source.
+    #[default]
     InBand,
     /// Modelling shortcut: BECNs arrive after `hops × (delay + 1)`
     /// cycles without touching the data path. Useful to isolate the

@@ -14,7 +14,7 @@
 //!
 //! Schedules are plain data: deterministic, serializable, and
 //! independent of the simulator, so the same schedule can be replayed
-//! across mechanisms and seeds — exactly how the `faultstorm` harness
+//! across mechanisms and seeds — exactly how `matrices/faultstorm.toml`
 //! compares 1Q/VOQsw/VOQnet/ITh/FBICM/CCFIT under identical damage.
 
 use ccfit_engine::ids::{NodeId, PortId, SwitchId};

@@ -192,41 +192,6 @@ impl SimReport {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("reports always serialize")
     }
-
-    /// Emit a CSV of the normalized-throughput series:
-    /// `time_ms,throughput`.
-    pub fn throughput_csv(&self) -> String {
-        let mut out = String::from("time_ms,normalized_throughput\n");
-        for (i, v) in self.network_throughput_normalized().iter().enumerate() {
-            out.push_str(&format!(
-                "{:.4},{:.6}\n",
-                self.total_bytes.bin_center_ns(i) / 1e6,
-                v
-            ));
-        }
-        out
-    }
-
-    /// Emit a CSV of per-flow bandwidths: `time_ms,<label>…` one column
-    /// per flow.
-    pub fn flow_bandwidth_csv(&self) -> String {
-        let mut out = String::from("time_ms");
-        for f in &self.flows {
-            out.push(',');
-            out.push_str(&f.label.replace(',', ";"));
-        }
-        out.push('\n');
-        let n = self.total_bytes.len();
-        for i in 0..n {
-            out.push_str(&format!("{:.4}", self.total_bytes.bin_center_ns(i) / 1e6));
-            for f in &self.flows {
-                let v = f.bytes.bins.get(i).copied().unwrap_or(0.0) / self.bin_ns;
-                out.push_str(&format!(",{v:.6}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -309,18 +274,6 @@ mod tests {
         let j = r.jain_over(&[FlowId(0), FlowId(1)], 0.0, 10_000.0);
         // shares 2:1 -> J = 9/(2*5) = 0.9
         assert!((j - 0.9).abs() < 1e-9);
-    }
-
-    #[test]
-    fn csv_emission_has_header_and_rows() {
-        let r = sample_report();
-        let csv = r.throughput_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "time_ms,normalized_throughput");
-        assert_eq!(lines.len(), 11);
-        let fcsv = r.flow_bandwidth_csv();
-        assert!(fcsv.starts_with("time_ms,F0,F1\n"));
-        assert_eq!(fcsv.lines().count(), 11);
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! ```
 //!
 //! `run` executes a matrix (process-parallel workers by default,
-//! reading through the cache) and ends with a `done: N runs in Ts (H
-//! hits, M simulated, R retried)` line. `gc` prunes stale-salt and
-//! corrupt entries. `hash` prints each resolved run's cache key and
-//! canonical bytes (the golden-pin test uses it for debugging). What a
-//! cold and a warm pass cost is the benchmark's `paper-matrix` /
-//! `paper-matrix-warm` workloads (`benchmark/README.md`).
+//! reading through the cache), ends its stderr with a `done: N runs in
+//! Ts (H hits, M simulated, R retried)` line and prints the matrix's
+//! report on stdout (`ccfit_orchestrator::report`). `gc` prunes
+//! stale-salt and corrupt entries. `hash` prints each resolved run's
+//! cache key and canonical bytes (the golden-pin test uses it for
+//! debugging). What a cold and a warm pass cost is the benchmark's
+//! `paper-matrix` / `paper-matrix-warm` workloads (`benchmark/README.md`).
 //!
 //! The hidden `__ccfit-run-one <request.json> <out.json>` argv is the
 //! worker half of the process protocol (DESIGN.md §13.4).
@@ -21,7 +22,7 @@
 use std::time::Duration;
 
 use ccfit_orchestrator::{
-    cache_from_args, run_matrix, run_one_worker, ExecMode, ExperimentMatrix, RunnerOptions,
+    cache_from_args, report, run_matrix, run_one_worker, ExecMode, ExperimentMatrix, RunnerOptions,
     ENGINE_SALT, RUN_ONE_ARGV,
 };
 
@@ -123,6 +124,7 @@ fn cmd_run(args: &[String]) -> i32 {
                 "done: {} runs in {:.1}s ({} hits, {} simulated, {} retried)",
                 s.total, s.wall_s, s.hits, s.misses, s.retried
             );
+            print!("{}", report::render(&run.outputs));
             0
         }
         Err(e) => {

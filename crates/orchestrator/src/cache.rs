@@ -201,8 +201,8 @@ impl Cache {
     }
 }
 
-/// Shared `--no-cache` / `--cache-dir <dir>` CLI parsing, so every
-/// bench binary and `ccfit-sweep` spell caching the same way.
+/// Shared `--no-cache` / `--cache-dir <dir>` CLI parsing, so
+/// `cc_shootout` and `ccfit-sweep` spell caching the same way.
 pub fn cache_from_args(args: &[String]) -> Cache {
     if args.iter().any(|a| a == "--no-cache") {
         return Cache::disabled();

@@ -6,13 +6,15 @@
 //! Sweeps as a batch system (DESIGN.md §13): declarative experiment
 //! matrices, a content-hashed result cache keyed on the canonical spec
 //! serialization plus an engine-version salt, and a parallel runner
-//! with thread- and process-based execution.
+//! with thread- and process-based execution, and the plain-text report
+//! `ccfit-sweep run` prints for a finished matrix.
 //!
 //! The simulator is bit-deterministic (pinned by `tests/determinism.rs`
 //! and the golden snapshots), so a cache hit is *exact*: the stored
 //! report is byte-identical to what a fresh simulation would produce.
 //! That turns figure regeneration from minutes of re-simulation into a
-//! directory scan.
+//! directory scan: every table and figure of the paper's evaluation is
+//! a `matrices/*.toml` file.
 //!
 //! ```no_run
 //! use ccfit_orchestrator::{ExperimentMatrix, RunnerOptions, run_matrix};
@@ -27,6 +29,7 @@
 pub mod cache;
 pub mod hash;
 pub mod matrix;
+pub mod report;
 pub mod spec;
 pub mod toml;
 

@@ -1,8 +1,8 @@
 //! Declarative sweep matrices: TOML in, `Vec<RunSpec>` out.
 //!
 //! A matrix file names the cross-product of configurations ×
-//! mechanisms × seeds, one metrics bin width and an optional fault
-//! schedule applied to every run:
+//! mechanisms × seeds, one metrics bin width, the BECN transport and an
+//! optional fault schedule and workload applied to every run:
 //!
 //! ```toml
 //! [matrix]
@@ -10,6 +10,13 @@
 //! mechanisms = ["1Q", "VOQsw", "FBICM", "ITh", "CCFIT"]
 //! seeds = [1]
 //! metrics_bin_ns = 100000.0
+//! becn_transport = "out-of-band" # optional; "in-band" by default
+//!
+//! [[matrix.mechanism]]   # optional, after `mechanisms`: a registry
+//! name = "CCFIT"         # mechanism with parameter fields overridden
+//! num_cfqs = 1           # by serde name; an enum-valued field is a
+//! [matrix.mechanism.cct_profile.Exponential] # sub-table
+//! period = 8
 //!
 //! [[matrix.config]]
 //! kind = "config1/case1" # ConfigId::kind() strings
@@ -36,8 +43,8 @@
 use ccfit::engine::ids::{PortId, SwitchId};
 use ccfit::faults::{FaultPolicy, FaultSchedule};
 use ccfit::traffic::parse_trace;
-use ccfit::{ConfigId, Mechanism, Workload};
-use serde::Value;
+use ccfit::{BecnTransport, ConfigId, Mechanism, Workload};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::spec::RunSpec;
 use crate::toml;
@@ -49,12 +56,14 @@ pub struct ExperimentMatrix {
     pub name: String,
     /// Configurations to sweep.
     pub configs: Vec<ConfigId>,
-    /// Mechanisms to sweep.
+    /// Mechanisms to sweep, parameters included.
     pub mechanisms: Vec<Mechanism>,
     /// Seeds to sweep.
     pub seeds: Vec<u64>,
     /// Metrics bin width shared by every run.
     pub metrics_bin_ns: f64,
+    /// BECN transport shared by every run.
+    pub becn_transport: BecnTransport,
     /// Fault schedule applied to every run (empty = fault-free).
     pub faults: Option<FaultSchedule>,
     /// Sized-flow workload applied to every run (`[matrix.workload]`);
@@ -69,30 +78,28 @@ impl ExperimentMatrix {
         let m = doc
             .get("matrix")
             .ok_or("missing [matrix] table".to_string())?;
+        let at = |key: &str| at_key(text, &["matrix"], 0, key);
         if let Value::Object(pairs) = m {
             if let Some((key, _)) = pairs
                 .iter()
                 .find(|(k, _)| !MATRIX_KEYS.contains(&k.as_str()))
             {
-                let at =
-                    matrix_key_line(text, key).map_or(String::new(), |n| format!("line {n}: "));
                 return Err(format!(
-                    "{at}unknown key `{key}` in [matrix]; known: {}",
+                    "{}unknown key `{key}` in [matrix]; known: {}",
+                    at(key),
                     MATRIX_KEYS.join(", ")
                 ));
             }
         }
         let name = get_str(m, "name")?;
-        let mechanisms = get_array(m, "mechanisms")?
+        let mut mechanisms = get_array(m, "mechanisms")?
             .iter()
-            .map(|v| {
-                let s = as_str(v, "mechanisms entry")?;
-                Mechanism::parse(s).ok_or_else(|| {
-                    let known: Vec<&str> = Mechanism::all().iter().map(|m| m.name()).collect();
-                    format!("unknown mechanism {s:?}; known: {}", known.join(", "))
-                })
-            })
+            .map(|v| registry(as_str(v, "mechanisms entry")?))
             .collect::<Result<Vec<_>, _>>()?;
+        for (i, table) in get_array(m, "mechanism")?.iter().enumerate() {
+            let at = |key: &str| at_key(text, &["matrix", "mechanism"], i, key);
+            mechanisms.push(parse_mechanism(table, at)?);
+        }
         let seeds = get_array(m, "seeds")?
             .iter()
             .map(|v| v.as_u64().ok_or_else(|| format!("bad seed {v:?}")))
@@ -101,31 +108,26 @@ impl ExperimentMatrix {
             .get("metrics_bin_ns")
             .and_then(Value::as_f64)
             .ok_or("missing or non-numeric matrix.metrics_bin_ns".to_string())?;
-        let configs = match m.get("config") {
-            Some(Value::Array(tables)) => tables
-                .iter()
-                .map(parse_config)
-                .collect::<Result<Vec<_>, _>>()?,
+        let becn = m.get("becn_transport").map(|v| as_str(v, "becn_transport"));
+        let becn_transport = match becn.transpose()? {
+            None | Some("in-band") => BecnTransport::InBand,
+            Some("out-of-band") => BecnTransport::OutOfBand,
             Some(other) => {
-                return Err(format!(
-                    "matrix.config must be [[matrix.config]] tables, found {other:?}"
-                ))
+                let known = "known: in-band, out-of-band";
+                let at = at("becn_transport");
+                return Err(format!("{at}unknown becn_transport {other:?}; {known}"));
             }
-            None => return Err("no [[matrix.config]] tables".to_string()),
         };
-        let faults = match m.get("event") {
-            Some(Value::Array(tables)) => Some(parse_events(tables)?),
-            Some(other) => {
-                return Err(format!(
-                    "matrix.event must be [[matrix.event]] tables, found {other:?}"
-                ))
-            }
-            None => None,
+        let configs = get_array(m, "config")?
+            .iter()
+            .map(parse_config)
+            .collect::<Result<Vec<_>, _>>()?;
+        let events = get_array(m, "event")?;
+        let faults = match events {
+            [] => None,
+            tables => Some(parse_events(tables)?),
         };
-        let workload = match m.get("workload") {
-            Some(w) => Some(parse_workload(w)?),
-            None => None,
-        };
+        let workload = m.get("workload").map(parse_workload).transpose()?;
         if mechanisms.is_empty() || seeds.is_empty() || configs.is_empty() {
             return Err("matrix resolves to zero runs".to_string());
         }
@@ -135,6 +137,7 @@ impl ExperimentMatrix {
             mechanisms,
             seeds,
             metrics_bin_ns,
+            becn_transport,
             faults,
             workload,
         })
@@ -156,6 +159,7 @@ impl ExperimentMatrix {
                     if let Some(w) = &self.workload {
                         spec = spec.with_workload(w.clone());
                     }
+                    spec.becn_transport = self.becn_transport;
                     specs.push(spec);
                 }
             }
@@ -167,34 +171,121 @@ impl ExperimentMatrix {
 /// Every key `[matrix]` may hold. Anything else is a typo that would
 /// otherwise drop a fault schedule or workload without a word and cache
 /// the wrong experiment under a valid key.
-const MATRIX_KEYS: [&str; 7] = [
+const MATRIX_KEYS: [&str; 9] = [
     "name",
     "mechanisms",
+    "mechanism",
     "seeds",
     "metrics_bin_ns",
+    "becn_transport",
     "config",
     "event",
     "workload",
 ];
 
-/// 1-based line where `key` enters the `[matrix]` table: its `key = …`
-/// line under `[matrix]`, or a `[matrix.key]` / `[[matrix.key]]` header.
-fn matrix_key_line(text: &str, key: &str) -> Option<usize> {
-    let mut in_matrix = false;
+/// `"line N: "` for where `key` enters the `nth` table at `path` (`[path]`
+/// or the `nth` `[[path]]`): its `key = …` line or a `[path.key…]` /
+/// `[[path.key…]]` header inside that table; empty if not found.
+fn at_key(text: &str, path: &[&str], nth: usize, key: &str) -> String {
+    let mut seen = 0; // headers naming exactly `path` so far
+    let mut in_body = false;
     let found = text.lines().position(|raw| {
         let line = raw.trim();
         if let Some(header) = line.strip_prefix('[') {
-            let path = header.trim_start_matches('[');
-            let mut segs = path.split(']').next().unwrap_or(path).split('.');
-            let under_matrix = segs.next().map(str::trim) == Some("matrix");
-            let sub = segs.next().map(str::trim);
-            in_matrix = under_matrix && sub.is_none();
-            under_matrix && sub == Some(key)
+            let inner = header.trim_start_matches('[');
+            let name = inner.split(']').next().unwrap_or(inner);
+            let segs: Vec<&str> = name.split('.').map(str::trim).collect();
+            seen += usize::from(segs == path);
+            in_body = seen == nth + 1 && segs == path;
+            let inside = segs.len() > path.len() && segs[..path.len()] == *path;
+            seen == nth + 1 && inside && segs[path.len()] == key
         } else {
-            in_matrix && line.split_once('=').is_some_and(|(k, _)| k.trim() == key)
+            in_body && line.split_once('=').is_some_and(|(k, _)| k.trim() == key)
         }
     });
-    found.map(|i| i + 1)
+    found.map_or(String::new(), |i| format!("line {}: ", i + 1))
+}
+
+/// A registry mechanism by display name, with default parameters.
+fn registry(name: &str) -> Result<Mechanism, String> {
+    Mechanism::parse(name).ok_or_else(|| {
+        let known: Vec<&str> = Mechanism::all().iter().map(|m| m.name()).collect();
+        format!("unknown mechanism {name:?}; known: {}", known.join(", "))
+    })
+}
+
+/// One `[[matrix.mechanism]]` table → the registry mechanism `name`
+/// with each other key overriding the parameter field of that serde
+/// name. The registry default goes out through [`Serialize`], the
+/// overrides are merged into its [`Value`], and the result comes back
+/// through [`Deserialize`] — so no field has a parser of its own, and
+/// a field added to a parameter struct is a matrix key at once.
+/// `at(key)` is the `"line N: "` prefix of an error about `key`.
+fn parse_mechanism(table: &Value, at: impl Fn(&str) -> String) -> Result<Mechanism, String> {
+    let name = get_str(table, "name").map_err(|e| format!("[[matrix.mechanism]]: {e}"))?;
+    let mut value = registry(&name)
+        .map_err(|e| format!("{}{e}", at("name")))?
+        .to_value();
+    let Value::Object(keys) = table else {
+        unreachable!("a [[matrix.mechanism]] element is a table")
+    };
+    for (key, v) in keys.iter().filter(|(k, _)| k != "name") {
+        let mut fields = param_fields(&mut value);
+        let Some(field) = fields.iter_mut().find(|f| f.0 == *key) else {
+            let known: Vec<&str> = fields.iter().map(|f| f.0.as_str()).collect();
+            let known = format!("known: [{}]", known.join(", "));
+            return Err(format!(
+                "{}unknown field `{key}` for {name}; {known}",
+                at(key)
+            ));
+        };
+        field.1 = v.clone();
+        Mechanism::from_value(&value).map_err(|e| format!("{}{name}: {}", at(key), e.0))?;
+    }
+    let mech = Mechanism::from_value(&value).expect("checked after every override");
+    mech.validate()
+        .map_err(|e| format!("{}{name}: {e}", at("name")))?;
+    Ok(mech)
+}
+
+/// The parameter fields of a serialized [`Mechanism`]: the named fields
+/// of its variant's payload (the payload itself, or each element of a
+/// multi-field variant's array), in declaration order. A unit variant
+/// serializes as a bare string and has none.
+fn param_fields(mech: &mut Value) -> Vec<&mut (String, Value)> {
+    let Value::Object(variant) = mech else {
+        return Vec::new();
+    };
+    let mut fields = Vec::new();
+    for (_, payload) in variant {
+        let tables: Vec<&mut Value> = match payload {
+            Value::Array(items) => items.iter_mut().collect(),
+            other => vec![other],
+        };
+        for table in tables {
+            if let Value::Object(pairs) = table {
+                fields.extend(pairs.iter_mut());
+            }
+        }
+    }
+    fields
+}
+
+/// `mech`'s name followed by each `field=value` in which it differs from
+/// its registry default — what its `[[matrix.mechanism]]` table says,
+/// e.g. `CCFIT num_cfqs=1 out_cam_lines=2`.
+pub(crate) fn mechanism_label(mech: &Mechanism) -> String {
+    let default = registry(mech.name()).expect("every mechanism is registered");
+    let (mut ours, mut base) = (mech.to_value(), default.to_value());
+    let mut label = mech.name().to_string();
+    for (field, _) in (param_fields(&mut ours).into_iter())
+        .zip(param_fields(&mut base))
+        .filter(|(a, b)| a != b)
+    {
+        let value = serde_json::to_string(&field.1).expect("a Value always serializes");
+        label += &format!(" {}={value}", field.0);
+    }
+    label
 }
 
 fn as_str<'a>(v: &'a Value, what: &str) -> Result<&'a str, String> {
@@ -211,11 +302,12 @@ fn get_str(table: &Value, key: &str) -> Result<String, String> {
         .and_then(|v| as_str(v, key).map(str::to_string))
 }
 
+/// The array (or `[[table]]` list) at `key`; empty when absent.
 fn get_array<'a>(table: &'a Value, key: &str) -> Result<&'a [Value], String> {
     match table.get(key) {
         Some(Value::Array(items)) => Ok(items),
         Some(other) => Err(format!("`{key}` must be an array, found {other:?}")),
-        None => Err(format!("missing `{key}`")),
+        None => Ok(&[]),
     }
 }
 
@@ -437,7 +529,7 @@ duration_ns = 600000.0
                 err,
                 format!(
                     "line {n}: unknown key `{key}` in [matrix]; known: name, mechanisms, \
-                     seeds, metrics_bin_ns, config, event, workload"
+                     mechanism, seeds, metrics_bin_ns, becn_transport, config, event, workload"
                 )
             );
         }
@@ -509,6 +601,90 @@ duration_ns = 600000.0
             format!("{DOC}\n[matrix.workload]\nkind = \"trace\"\nfile = \"/nonexistent.trace\"\n");
         let err = ExperimentMatrix::from_toml_str(&missing).unwrap_err();
         assert!(err.contains("cannot read"), "{err}");
+    }
+
+    /// `DOC` with its mechanism axis replaced by `tables`.
+    fn with_mechanism_tables(tables: &str) -> String {
+        DOC.replace("mechanisms = [\"1Q\", \"CCFIT\"]\n", "") + tables
+    }
+
+    #[test]
+    fn registry_names_without_overrides_resolve_to_the_registry() {
+        let tables: String = (Mechanism::all().iter())
+            .map(|m| format!("\n[[matrix.mechanism]]\nname = \"{}\"\n", m.name()))
+            .collect();
+        let matrix = ExperimentMatrix::from_toml_str(&with_mechanism_tables(&tables)).unwrap();
+        assert_eq!(matrix.mechanisms, Mechanism::all());
+        for m in &matrix.mechanisms {
+            assert_eq!(mechanism_label(m), m.name());
+        }
+    }
+
+    /// The ablation matrices pin the isolation / throttling overrides
+    /// (`tests/matrices.rs`); these are the other parameter structs.
+    #[test]
+    fn overrides_reach_the_named_fields_of_any_parameter_struct() {
+        let tables = "\n[[matrix.mechanism]]\nname = \"HPCC\"\neta = 0.9\n\n\
+                      [[matrix.mechanism]]\nname = \"DCQCN\"\nkmin_mtus = 2\npmax = 0.5\n\n\
+                      [[matrix.mechanism]]\nname = \"VOQnet\"\nper_queue_flits = 32\n";
+        let matrix = ExperimentMatrix::from_toml_str(&with_mechanism_tables(tables)).unwrap();
+        assert_eq!(matrix.mechanisms[0].hpcc_params().unwrap().eta, 0.9);
+        // Each differs from its registry default in exactly those fields.
+        let labels: Vec<String> = matrix.mechanisms.iter().map(mechanism_label).collect();
+        let want = [
+            "HPCC eta=0.9",
+            "DCQCN kmin_mtus=2 pmax=0.5",
+            "VOQnet per_queue_flits=32",
+        ];
+        assert_eq!(labels, want);
+    }
+
+    #[test]
+    fn bad_overrides_fail_with_their_line() {
+        // `#!` marks the line the error must name.
+        for (table, needle) in [
+            (
+                "name = \"CCFIT\"\nnope = 1 #!",
+                "unknown field `nope` for CCFIT; known: [num_cfqs",
+            ),
+            (
+                "name = \"FBICM\"\nmarking_rate = 0.5 #!",
+                "unknown field `marking_rate` for FBICM",
+            ),
+            (
+                "name = \"CCFIT\"\nnum_cfqs = \"two\" #!",
+                "expected unsigned integer",
+            ),
+            (
+                "name = \"FBICM\" #!\ngo_mtus = 12",
+                "FBICM: Go threshold must be below Stop",
+            ),
+        ] {
+            // A valid table first, so the failing one is the second.
+            let doc = with_mechanism_tables(&format!(
+                "\n[[matrix.mechanism]]\nname = \"ITh\"\nmarking_rate = 0.5\n\n\
+                 [[matrix.mechanism]]\n{table}\n"
+            ));
+            let err = ExperimentMatrix::from_toml_str(&doc).unwrap_err();
+            let n = doc.lines().position(|l| l.ends_with("#!")).unwrap() + 1;
+            assert!(err.starts_with(&format!("line {n}: ")), "{err}");
+            assert!(err.contains(needle), "{needle}: {err}");
+        }
+    }
+
+    #[test]
+    fn becn_transport_applies_to_every_spec() {
+        use BecnTransport::{InBand, OutOfBand};
+        let with = |v: &str| DOC.replace("seeds", &format!("becn_transport = \"{v}\"\nseeds"));
+        let transports = |doc: &str| {
+            let specs = ExperimentMatrix::from_toml_str(doc).unwrap().resolve();
+            specs.iter().map(|s| s.becn_transport).collect::<Vec<_>>()
+        };
+        assert_eq!(transports(&with("out-of-band")), [OutOfBand; 8]);
+        assert_eq!(transports(DOC), [InBand; 8]);
+        let err = ExperimentMatrix::from_toml_str(&with("sideways")).unwrap_err();
+        let want = "line 5: unknown becn_transport \"sideways\"; known: in-band, out-of-band";
+        assert_eq!(err, want);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! simulated and stored. Two execution modes:
 //!
 //! - [`ExecMode::Threads`] — misses run on a pool of OS threads inside
-//!   this process. This is the mode for library callers (the `fig_*`
-//!   binaries, tests): no self-exec, no extra processes.
+//!   this process. This is the mode for library callers
+//!   (`cc_shootout`, tests): no self-exec, no extra processes.
 //! - [`ExecMode::Processes`] — misses run in worker *processes*: the
 //!   runner re-executes `std::env::current_exe()` with the hidden
 //!   [`RUN_ONE_ARGV`] subcommand, shipping a [`RunRequest`] JSON file

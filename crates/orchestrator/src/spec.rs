@@ -2,7 +2,8 @@
 //!
 //! A [`RunSpec`] is everything that determines a run's *report* —
 //! configuration, mechanism (with every parameter), seed, metrics bin
-//! width and optional fault schedule — and nothing that doesn't.
+//! width, optional fault schedule and workload, BECN transport — and
+//! nothing that doesn't.
 //!
 //! The cache key is `SHA-256(canonical_bytes ++ "\n" ++ ENGINE_SALT)`
 //! where `canonical_bytes` is the compact JSON rendering of the spec.
@@ -12,7 +13,7 @@
 //! value — two equal specs always produce identical bytes (pinned by
 //! the proptest in `tests/cache_keys.rs`).
 
-use ccfit::{ConfigId, FaultConfig, FaultSchedule, Mechanism, SimConfig, Workload};
+use ccfit::{BecnTransport, ConfigId, FaultConfig, FaultSchedule, Mechanism, SimConfig, Workload};
 use ccfit_metrics::SimReport;
 use serde::{Deserialize, Serialize};
 
@@ -51,6 +52,15 @@ pub struct RunSpec {
     /// duration). Trace workloads embed their flows by value, so the
     /// cache key covers trace *content*, not a file path.
     pub workload: Option<Workload>,
+    /// How BECNs travel back to the sources. Left out of the canonical
+    /// bytes when in-band (the default), so every key minted before
+    /// the field existed still names the same run.
+    #[serde(skip_serializing_if = "is_in_band")]
+    pub becn_transport: BecnTransport,
+}
+
+fn is_in_band(transport: &BecnTransport) -> bool {
+    *transport == BecnTransport::InBand
 }
 
 impl RunSpec {
@@ -64,6 +74,7 @@ impl RunSpec {
             metrics_bin_ns,
             faults: None,
             workload: None,
+            becn_transport: BecnTransport::InBand,
         }
     }
 
@@ -123,6 +134,7 @@ impl RunSpec {
         }
         let cfg = SimConfig {
             metrics_bin_ns: self.metrics_bin_ns,
+            becn_transport: self.becn_transport,
             ..SimConfig::default()
         };
         match &self.faults {

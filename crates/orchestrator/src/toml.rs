@@ -7,8 +7,8 @@
 //! - `#` comments and blank lines;
 //! - `[a.b]` table headers and `[[a.b]]` array-of-tables headers;
 //! - `key = value` with bare keys and values that are basic strings
-//!   (`"..."` with `\\ \" \n \t` escapes), integers, floats, booleans
-//!   or single-line arrays of those.
+//!   (`"..."` with `\\ \" \n \t` escapes), integers (decimal or
+//!   `0x` hex), floats, booleans or single-line arrays of those.
 //!
 //! Unsupported TOML (dotted keys, inline tables, multi-line strings,
 //! dates, …) is rejected with a line-numbered error rather than
@@ -196,7 +196,11 @@ fn parse_value(text: &str, lineno: usize) -> Result<Value, String> {
         _ => {}
     }
     let numeric = text.replace('_', "");
-    if numeric.contains(['.', 'e', 'E']) {
+    if let Some(hex) = numeric.strip_prefix("0x") {
+        u64::from_str_radix(hex, 16)
+            .map(Value::UInt)
+            .map_err(|_| format!("line {lineno}: bad number `{text}`"))
+    } else if numeric.contains(['.', 'e', 'E']) {
         numeric
             .parse::<f64>()
             .map(Value::Float)
@@ -349,12 +353,13 @@ duration_ns = 600000.0
 
     #[test]
     fn numbers_and_bools() {
-        let v = parse("[t]\na = -5\nb = 2.5e3\nc = true\nd = 1_000\n").unwrap();
+        let v = parse("[t]\na = -5\nb = 2.5e3\nc = true\nd = 1_000\ne = 0x5EE9\n").unwrap();
         let t = v.get("t").unwrap();
         assert_eq!(t.get("a"), Some(&Value::Int(-5)));
         assert_eq!(t.get("b"), Some(&Value::Float(2500.0)));
         assert_eq!(t.get("c"), Some(&Value::Bool(true)));
         assert_eq!(t.get("d"), Some(&Value::UInt(1000)));
+        assert_eq!(t.get("e"), Some(&Value::UInt(0x5EE9)));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use ccfit::engine::ids::{NodeId, PortId, SwitchId};
 use ccfit::traffic::incast;
-use ccfit::{ConfigId, FaultPolicy, FaultSchedule, Mechanism, SizedFlow, Workload};
+use ccfit::{BecnTransport, ConfigId, FaultPolicy, FaultSchedule, Mechanism, SizedFlow, Workload};
 use ccfit_orchestrator::{RunSpec, ENGINE_SALT, SCHEMA_VERSION};
 use proptest::prelude::*;
 
@@ -121,6 +121,11 @@ fn every_field_flip_changes_the_cache_key() {
             "workload (param)",
             base.clone().with_workload(incast(2, 8192)),
         ),
+        ("becn_transport", {
+            let mut s = base.clone();
+            s.becn_transport = BecnTransport::OutOfBand;
+            s
+        }),
         (
             "workload (trace content)",
             base.clone().with_workload(Workload::Trace {
@@ -193,6 +198,7 @@ proptest! {
         bin in 1e2f64..1e7,
         wl in 0usize..4,
         wl_bytes in 1u64..1_000_000,
+        out_of_band in any::<bool>(),
     ) {
         let all = Mechanism::all();
         let mech = all[mech_idx % all.len()].clone();
@@ -205,6 +211,9 @@ proptest! {
                 flows: vec![SizedFlow::new(0, NodeId(2), NodeId(0), wl_bytes, 10.5)],
             }),
         };
+        if out_of_band {
+            spec.becn_transport = BecnTransport::OutOfBand;
+        }
         let bytes = spec.canonical_bytes();
         let back: RunSpec = serde_json::from_str(&bytes).expect("canonical bytes parse");
         prop_assert_eq!(&back, &spec, "roundtrip changed the spec");

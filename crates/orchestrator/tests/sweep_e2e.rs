@@ -49,8 +49,10 @@ fn cached_reports_are_byte_identical_to_fresh() {
 /// The only end-to-end test of `ExecMode::Processes`: `ccfit-sweep run`
 /// on the smoke matrix (process workers are its default) simulates all
 /// four runs into an empty cache, then serves all four from it. The
-/// counts come from the binary's own `done:` line; what the two passes
-/// cost is the benchmark's `paper-matrix` / `paper-matrix-warm`.
+/// counts come from the binary's own `done:` line on stderr; on both
+/// passes stdout carries the report, with one scorecard row per run,
+/// and the warm report is the cold one byte for byte. What the two
+/// passes cost is the benchmark's `paper-matrix` / `paper-matrix-warm`.
 #[test]
 fn sweep_bench_smoke_is_cache_dominated_when_warm() {
     let dir = std::env::temp_dir().join(format!("ccfit-e2e-sweep-{}", std::process::id()));
@@ -68,9 +70,19 @@ fn sweep_bench_smoke_is_cache_dominated_when_warm() {
             .lines()
             .find(|l| l.starts_with("done: "))
             .unwrap_or_else(|| panic!("no `done:` line in:\n{stderr}"));
-        done[done.find('(').expect("counts")..].to_string()
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+        let scorecard = stdout.split("-- scorecard --\n").nth(1).unwrap_or_default();
+        let rows = scorecard.lines().skip(1).take_while(|l| !l.is_empty());
+        assert_eq!(rows.count(), 4, "one row per run under a header:\n{stdout}");
+        (done[done.find('(').expect("counts")..].to_string(), stdout)
     };
-    assert_eq!(pass(), "(0 hits, 4 simulated, 0 retried)", "cold pass");
-    assert_eq!(pass(), "(4 hits, 0 simulated, 0 retried)", "warm pass");
+    let (cold, cold_report) = pass();
+    let (warm, warm_report) = pass();
+    assert_eq!(cold, "(0 hits, 4 simulated, 0 retried)", "cold pass");
+    assert_eq!(warm, "(4 hits, 0 simulated, 0 retried)", "warm pass");
+    assert_eq!(
+        cold_report, warm_report,
+        "a warm pass prints the cold report"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

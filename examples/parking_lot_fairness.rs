@@ -12,8 +12,8 @@
 //! (the parking-lot effect). Per-flow throttling (ITh, CCFIT) equalises
 //! the flows; pure isolation (FBICM) does not.
 
-use ccfit::experiment::{config1_case1, paper_mechanisms};
-use ccfit::SimConfig;
+use ccfit::experiment::config1_case1;
+use ccfit::{Mechanism, SimConfig};
 use ccfit_engine::ids::FlowId;
 
 fn main() {
@@ -26,7 +26,12 @@ fn main() {
         "{:<8} {:>6} {:>6} {:>6} {:>6} {:>8} {:>9}",
         "scheme", "F1", "F2", "F5", "F6", "Jain", "victim F0"
     );
-    for mech in paper_mechanisms() {
+    for mech in [
+        Mechanism::OneQ,
+        Mechanism::ith(),
+        Mechanism::fbicm(),
+        Mechanism::ccfit(),
+    ] {
         let name = mech.name();
         let r = spec.run_with(
             mech,

@@ -1,10 +1,13 @@
 //! Shape tests for the paper's figures: the qualitative claims of §IV
 //! checked end-to-end on (where affordable) the paper's own scales.
 
-use ccfit::experiment::{config1_case1, config2_case2_scaled, config3_case4, paper_mechanisms};
+use ccfit::experiment::{config1_case1, config2_case2_scaled, config3_case4};
 use ccfit::params::{IsolationParams, ThrottleParams};
 use ccfit::{Mechanism, SimConfig};
 use ccfit_engine::ids::FlowId;
+
+/// The mechanisms of the paper's Fig. 7, 9 and 10 panels.
+const FIG_MECHANISMS: [&str; 4] = ["1Q", "ITh", "FBICM", "CCFIT"];
 
 fn cfg() -> SimConfig {
     SimConfig {
@@ -22,7 +25,7 @@ fn fig7a_shape() {
     let spec = config1_case1(10.0);
     let window = (6.5e6, 10e6);
     let mut results = std::collections::BTreeMap::new();
-    for mech in paper_mechanisms() {
+    for mech in FIG_MECHANISMS.map(|n| Mechanism::parse(n).unwrap()) {
         let name = mech.name();
         let r = spec.run_with(mech, 0xF17, cfg());
         results.insert(name, r);
@@ -115,7 +118,7 @@ fn fig10_shape() {
     let w = (2.6e6, 4.0e6);
     let mut jain = std::collections::BTreeMap::new();
     let mut total = std::collections::BTreeMap::new();
-    for mech in paper_mechanisms() {
+    for mech in FIG_MECHANISMS.map(|n| Mechanism::parse(n).unwrap()) {
         let name = mech.name();
         let r = spec.run_with(mech, 0xF10, cfg());
         jain.insert(name, r.jain_over(&flows, w.0, w.1));
@@ -155,7 +158,7 @@ fn fig10_shape() {
 /// exhausts its CFQs and drops clearly below CCFIT; 1Q collapses;
 /// VOQnet bounds everyone.
 #[test]
-#[ignore = "several minutes; run with --ignored (the fig8 binary covers it too)"]
+#[ignore = "several minutes; run with --ignored (matrices/fig8.toml covers it too)"]
 fn fig8b_shape_full_scale() {
     let spec = config3_case4(4, 3.0);
     let burst = (1.1e6, 2.0e6);
