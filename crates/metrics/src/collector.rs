@@ -11,6 +11,64 @@ use ccfit_engine::packet::Packet;
 use ccfit_engine::units::{Cycle, UnitModel};
 use std::collections::BTreeMap;
 
+/// Declares [`HOT_COUNTERS`] and its inverse [`hot_slot`] from one list.
+macro_rules! hot_counters {
+    ($($slot:literal => $name:literal,)*) => {
+        /// The counter names the simulator bumps by a literal. They live
+        /// in fixed slots instead of the name map: a congested run bumps
+        /// `cfq_exhausted` hundreds of thousands of times, while the map
+        /// holds over a thousand per-(switch, port, destination) names.
+        const HOT_COUNTERS: [&str; [$($slot),*].len()] = [$($name),*];
+
+        /// Slot of `name` in [`HOT_COUNTERS`]; a `match`, so a literal
+        /// name resolves at compile time where [`MetricsCollector::count`]
+        /// is inlined.
+        #[inline]
+        fn hot_slot(name: &str) -> Option<usize> {
+            match name {
+                $($name => Some($slot),)*
+                _ => None,
+            }
+        }
+    };
+}
+
+hot_counters! {
+    0 => "ack_generated",
+    1 => "ack_received",
+    2 => "allocs_propagated",
+    3 => "becn_generated",
+    4 => "becn_received",
+    5 => "cfq_allocated",
+    6 => "cfq_deallocated",
+    7 => "cfq_exhausted",
+    8 => "cnp_generated",
+    9 => "cnp_received",
+    10 => "congestion_detected",
+    11 => "ctrl_wire_bytes_delivered",
+    12 => "ctrl_wire_bytes_sent",
+    13 => "dcqcn_throttled_injections",
+    14 => "delivered_packets_total",
+    15 => "ecn_marked",
+    16 => "fecn_marked",
+    17 => "gos_received",
+    18 => "gos_sent",
+    19 => "ia_cam_exhausted",
+    20 => "ia_cfq_allocated",
+    21 => "ia_cfq_deallocated",
+    22 => "ia_cfq_exhausted",
+    23 => "injected_packets",
+    24 => "out_cam_exhausted",
+    25 => "overhead_bytes_delivered",
+    26 => "packets_isolated",
+    27 => "payload_bytes_delivered",
+    28 => "stops_received",
+    29 => "stops_sent",
+    30 => "throttled_injections",
+    31 => "wire_bytes_delivered",
+    32 => "wire_bytes_injected",
+}
+
 /// Collects per-flow and aggregate delivery statistics plus named event
 /// counters during a run.
 #[derive(Debug, Clone)]
@@ -22,6 +80,9 @@ pub struct MetricsCollector {
     latency_sum_ns: TimeSeries,
     latency_count: TimeSeries,
     latency_hist: LatencyHistogram,
+    /// [`HOT_COUNTERS`] by slot; `None` until first counted.
+    hot: [Option<u64>; HOT_COUNTERS.len()],
+    /// Every other counter; [`Self::finish`] merges `hot` into it.
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, TimeSeries>,
     /// Reused buffer for the `<name>_samples` key of [`Self::gauge`].
@@ -44,6 +105,7 @@ impl MetricsCollector {
             latency_sum_ns: TimeSeries::new(bin_ns),
             latency_count: TimeSeries::new(bin_ns),
             latency_hist: LatencyHistogram::new(),
+            hot: [None; HOT_COUNTERS.len()],
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             samples_key: String::new(),
@@ -132,9 +194,15 @@ impl MetricsCollector {
     /// BECNs received, …).
     ///
     /// Hot: a congested run bumps the same few names hundreds of
-    /// thousands of times, so an existing name is found by `&str` and
-    /// only a new one allocates its key.
+    /// thousands of times. Those are [`HOT_COUNTERS`] slots; any other
+    /// existing name is found in the map by `&str`, and only a new one
+    /// allocates its key.
+    #[inline]
     pub fn count(&mut self, name: &str, delta: u64) {
+        if let Some(slot) = hot_slot(name) {
+            *self.hot[slot].get_or_insert(0) += delta;
+            return;
+        }
         match self.counters.get_mut(name) {
             Some(c) => *c += delta,
             None => {
@@ -145,7 +213,11 @@ impl MetricsCollector {
 
     /// Current value of a counter.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        match hot_slot(name) {
+            Some(slot) => self.hot[slot],
+            None => self.counters.get(name).copied(),
+        }
+        .unwrap_or(0)
     }
 
     /// Record an instantaneous gauge sample (e.g. buffered flits
@@ -204,6 +276,11 @@ impl MetricsCollector {
         self.total_bytes.extend_to(duration_ns);
         self.latency_sum_ns.extend_to(duration_ns);
         self.latency_count.extend_to(duration_ns);
+        for (name, value) in HOT_COUNTERS.iter().zip(self.hot) {
+            if let Some(value) = value {
+                self.counters.insert(name.to_string(), value);
+            }
+        }
         let flows = self
             .per_flow_bytes
             .into_iter()
@@ -338,6 +415,39 @@ mod tests {
         let labels = BTreeMap::new();
         assert_eq!(
             c.finish("t", 3000.0, 1.0, &labels).to_json(),
+            reference.finish("t", 3000.0, 1.0, &labels).to_json()
+        );
+    }
+
+    #[test]
+    fn hot_counters_report_like_named_ones() {
+        // Hot and map names interleaved, a zero delta (the key must still
+        // appear) and a map name that extends a hot one.
+        let counts = [
+            ("cfq_exhausted", 2),
+            ("fecn_marked_sw3_out1_dst7", 1),
+            ("injected_packets", 0),
+            ("cfq_exhausted", 5),
+            ("cfq_exhausted_", 4),
+            ("wire_bytes_injected", 9),
+        ];
+        let mut c = MetricsCollector::new(UnitModel::default(), 1000.0);
+        let mut reference = MetricsCollector::new(UnitModel::default(), 1000.0);
+        for (name, delta) in counts {
+            c.count(name, delta);
+            entry_count(&mut reference.counters, name, delta);
+        }
+        assert_eq!(c.counter("cfq_exhausted"), 7);
+        assert_eq!(c.counter("cfq_exhausted_"), 4);
+        assert_eq!(c.counter("stops_sent"), 0);
+        for (slot, &name) in HOT_COUNTERS.iter().enumerate() {
+            assert_eq!(hot_slot(name), Some(slot), "{name} is numbered {slot}");
+        }
+        let labels = BTreeMap::new();
+        let report = c.finish("t", 3000.0, 1.0, &labels);
+        assert_eq!(report.counters.get("injected_packets"), Some(&0));
+        assert_eq!(
+            report.to_json(),
             reference.finish("t", 3000.0, 1.0, &labels).to_json()
         );
     }

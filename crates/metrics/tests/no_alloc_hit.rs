@@ -47,16 +47,21 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 #[test]
 fn hits_on_existing_names_do_not_allocate() {
     let mut c = MetricsCollector::new(UnitModel::default(), 1000.0);
-    // First use allocates the keys (and the gauge's `_samples` buffer).
-    assert!(allocs_during(|| c.count("cfq_exhausted", 1)) > 0);
+    // A fixed-slot counter never allocates; the first use of any other
+    // name allocates its key (and the gauge's `_samples` buffer).
+    assert_eq!(allocs_during(|| c.count("cfq_exhausted", 1)), 0);
+    let dynamic = "fecn_marked_sw3_out1_dst7";
+    assert!(allocs_during(|| c.count(dynamic, 1)) > 0);
     assert!(allocs_during(|| c.gauge("buffered_flits", 10.0, 1.0)) > 0);
 
     let direct = allocs_during(|| {
         for i in 0..1000u64 {
             c.count("cfq_exhausted", i);
+            c.count(dynamic, i);
             c.gauge("buffered_flits", 10.0, 2.0); // same bin: no series growth
         }
     });
     assert_eq!(direct, 0, "count/gauge on existing names allocated");
     assert_eq!(c.counter("cfq_exhausted"), 1 + 499_500);
+    assert_eq!(c.counter(dynamic), 1 + 499_500);
 }

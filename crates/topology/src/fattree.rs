@@ -110,25 +110,6 @@ impl KAryNTree {
         v - old * p + new * p
     }
 
-    /// Down-port index used to reach destination `d` from a switch at
-    /// `level` (valid only when the switch is an ancestor of `d`).
-    pub fn down_port(&self, level: u32, d: NodeId) -> PortId {
-        PortId(self.digit(d.index(), level) as u16)
-    }
-
-    /// Up-port index a DET packet for destination `d` takes from `level`:
-    /// `k + d_level`, fixing switch digit `level` to the destination's
-    /// digit so the ascent converges on `d`'s root `(d_{n-2}, …, d_0)`.
-    pub fn up_port(&self, level: u32, d: NodeId) -> PortId {
-        PortId((self.k as usize + self.digit(d.index(), level)) as u16)
-    }
-
-    /// Whether switch `⟨w, level⟩` is an ancestor of node `d` (a down-only
-    /// path to `d` exists).
-    pub fn is_ancestor(&self, level: u32, w: usize, d: NodeId) -> bool {
-        (level..self.n - 1).all(|i| self.digit(w, i) == self.digit(d.index(), i + 1))
-    }
-
     /// Build the physical topology with uniform cable parameters.
     pub fn build(&self, link: LinkParams) -> Topology {
         let mut b = TopologyBuilder::new(format!("{}-ary {}-tree", self.k, self.n));
@@ -169,20 +150,28 @@ impl KAryNTree {
     }
 
     /// DET deterministic routing table for this tree.
+    ///
+    /// With `p = k^λ`, the digits `(w_{n-2}, …, w_λ)` of switch `⟨w, λ⟩`
+    /// are `w / p` and the digits `(d_{n-1}, …, d_{λ+1})` of destination
+    /// `d` are `d / (p·k)`, so the ancestor test of the module docs is
+    /// `w / p == d / (p·k)`, and the port is `d_λ = (d / p) % k`, plus `k`
+    /// going up. Destinations in order come in runs of `p` sharing `d_λ`
+    /// inside runs of `p·k` sharing `d / (p·k)`: a row is filled run by
+    /// run, without a division per entry.
     pub fn det_routing(&self) -> RoutingTable {
+        let k = self.k as usize;
         let table = (0..self.num_switches())
             .map(|s| {
                 let (level, w) = self.switch_coords(SwitchId::from(s));
-                (0..self.num_nodes())
-                    .map(|d| {
-                        let dst = NodeId::from(d);
-                        if self.is_ancestor(level, w, dst) {
-                            self.down_port(level, dst)
-                        } else {
-                            self.up_port(level, dst)
-                        }
-                    })
-                    .collect()
+                let p = k.pow(level);
+                let mut row = Vec::with_capacity(self.num_nodes());
+                for high in 0..self.num_nodes() / (p * k) {
+                    let up = if high == w / p { 0 } else { k };
+                    for digit in 0..k {
+                        row.extend(std::iter::repeat_n(PortId((up + digit) as u16), p));
+                    }
+                }
+                row
             })
             .collect();
         RoutingTable::from_tables(table)
@@ -259,6 +248,34 @@ mod tests {
         let lower = t.switch_id(0, 1);
         let (ep, _) = topo.peer(lower, PortId(3)).unwrap();
         assert_eq!(ep, Endpoint::Switch(t.switch_id(1, 1), PortId(1)));
+    }
+
+    /// DET by the digit rule of the module docs, one digit at a time.
+    fn digit_loop_port(t: &KAryNTree, level: u32, w: usize, d: usize) -> PortId {
+        let ancestor = (level..t.n - 1).all(|i| t.digit(w, i) == t.digit(d, i + 1));
+        let up = if ancestor { 0 } else { t.k as usize };
+        PortId((up + t.digit(d, level)) as u16)
+    }
+
+    #[test]
+    fn det_table_matches_the_digit_loop() {
+        for k in 2..=5u32 {
+            for n in 1..=5u32 {
+                let t = KAryNTree::new(k, n);
+                let routing = t.det_routing();
+                for s in 0..t.num_switches() {
+                    let sid = SwitchId::from(s);
+                    let (level, w) = t.switch_coords(sid);
+                    for d in 0..t.num_nodes() {
+                        assert_eq!(
+                            routing.route(sid, NodeId::from(d)),
+                            digit_loop_port(&t, level, w, d),
+                            "{k}-ary {n}-tree, switch ⟨{w}, {level}⟩, destination {d}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -132,8 +132,8 @@ pub struct NodeGenerator {
     configured: usize,
     /// Last cycle [`Self::tick`] ran, `Cycle::MAX` before the first
     /// tick. The sparse engine parks emission-idle nodes and skips
-    /// their ticks; the gap is replayed cycle-by-cycle on the next
-    /// tick so the token trajectory stays byte-identical.
+    /// their ticks; the next tick replays the gap's accrual to the bit
+    /// (`replay_to`), so the token trajectory stays byte-identical.
     last_tick: Cycle,
 }
 
@@ -178,9 +178,29 @@ impl NodeGenerator {
         num_nodes: usize,
         seeds: &SeedSplitter,
     ) -> Self {
+        Self::from_own_flows(
+            node,
+            flows.iter().filter(|f| f.src == node),
+            sized.iter().filter(|f| f.src == node),
+            units,
+            link_bw_flits_per_cycle,
+            num_nodes,
+            seeds,
+        )
+    }
+
+    /// [`Self::new_with_sized`] from the flows sourced at `node` alone,
+    /// each kind in declaration order.
+    pub(crate) fn from_own_flows<'a>(
+        node: NodeId,
+        flows: impl Iterator<Item = &'a FlowSpec>,
+        sized: impl Iterator<Item = &'a SizedFlow>,
+        units: &UnitModel,
+        link_bw_flits_per_cycle: u32,
+        num_nodes: usize,
+        seeds: &SeedSplitter,
+    ) -> Self {
         let mut flows: Vec<FlowState> = flows
-            .iter()
-            .filter(|f| f.src == node)
             .map(|f| {
                 let onoff = match f.burstiness {
                     Burstiness::Smooth => None,
@@ -213,7 +233,7 @@ impl NodeGenerator {
                 }
             })
             .collect();
-        flows.extend(sized.iter().filter(|f| f.src == node).map(|f| FlowState {
+        flows.extend(sized.map(|f| FlowState {
             id: f.id,
             dst: Destination::Fixed(f.dst),
             start: units.ns_to_cycles(f.start_ns),
@@ -252,19 +272,6 @@ impl NodeGenerator {
     /// True if any flow is active at `now`.
     pub fn any_active(&self, now: Cycle) -> bool {
         self.flows.iter().any(|f| f.is_active(now))
-    }
-
-    /// Earliest cycle after `now` at which a not-yet-started flow
-    /// activates, or `None` if every flow has already started. Flows are
-    /// active over one contiguous `[start, end)` window, so this is the
-    /// only future cycle at which an inactive generator can come alive —
-    /// the parked-gap replay leapfrogs straight to it.
-    pub fn next_activation(&self, now: Cycle) -> Option<Cycle> {
-        self.flows
-            .iter()
-            .filter(|f| f.start > now)
-            .map(|f| f.start)
-            .min()
     }
 
     /// Sparse-engine parking contract (DESIGN.md §12): the earliest
@@ -360,56 +367,44 @@ impl NodeGenerator {
     }
 
     /// Replay the cycles in `(last_tick, now)` skipped while the node
-    /// was parked. Byte-identity demands the exact per-cycle float
-    /// trajectory (accrual is capped each cycle, so a closed-form
-    /// multiply would round differently) — each skipped cycle performs
-    /// the same arithmetic a real tick would have. Parking guarantees
-    /// no accepted emission or ON/OFF boundary falls inside a gap
-    /// (debug-asserted; a refused flow's retries are refused throughout
-    /// it); stretches where no flow is active are
-    /// leapfrogged, matching the engine's `any_active` gate, which skips
-    /// the tick outright on those cycles.
+    /// was parked, flow by flow. Parking guarantees no accepted emission
+    /// or ON/OFF boundary falls inside a gap (debug-asserted; a refused
+    /// flow's retries are refused throughout it), so a flow's
+    /// `remaining`, phase and hence accrual and cap are constant there,
+    /// and it makes one capped addition for each gap cycle inside its
+    /// `[start, end)` window — [`accrue_n`] gives their exact result.
+    /// Outside the window a skipped tick would only have zeroed the
+    /// bucket: before `start` it is still zero, and a flow whose window
+    /// closed in the gap is inactive at `now`, whose tick zeroes it.
     fn replay_to(&mut self, now: Cycle) {
         let flit_bytes = self.flit_bytes;
-        let mut c = match self.last_tick {
+        let from = match self.last_tick {
             Cycle::MAX => 0,
             t => t + 1,
         };
-        while c < now {
-            if !self.any_active(c) {
-                match self.next_activation(c) {
-                    Some(at) if at < now => c = at,
-                    _ => break,
-                }
+        for f in &mut self.flows {
+            let (lo, hi) = (from.max(f.start), f.end.map_or(now, |e| e.min(now)));
+            if lo >= hi || f.remaining == Some(0) {
                 continue;
             }
-            for f in &mut self.flows {
-                if !f.is_active(c) {
-                    f.tokens = 0.0;
-                    continue;
-                }
-                let accrual = match &f.onoff {
-                    None => f.flits_per_cycle,
-                    Some(st) => {
-                        debug_assert!(c < st.phase_ends, "parked across an ON/OFF boundary");
-                        if st.on {
-                            f.link_bw
-                        } else {
-                            0.0
-                        }
+            let accrual = match &f.onoff {
+                None => f.flits_per_cycle,
+                Some(st) => {
+                    debug_assert!(hi <= st.phase_ends, "parked across an ON/OFF boundary");
+                    if st.on {
+                        f.link_bw
+                    } else {
+                        0.0
                     }
-                };
-                // `remaining` cannot change inside a parked gap, so the
-                // next-packet threshold is the same constant a real tick
-                // would have used on every replayed cycle.
-                let (next_flits, _) = f.next_packet(flit_bytes);
-                f.tokens = (f.tokens + accrual).min(BURST_CAP_PACKETS * next_flits as f64);
-                debug_assert!(
-                    f.tokens < next_flits as f64 || f.refused,
-                    "parked across an accepted emission"
-                );
-            }
-            c += 1;
+                }
+            };
+            let (next_flits, _) = f.next_packet(flit_bytes);
+            let cap = BURST_CAP_PACKETS * next_flits as f64;
+            f.tokens = accrue_n(f.tokens, accrual, cap, hi - lo);
+            debug_assert!(
+                f.tokens < next_flits as f64 || f.refused,
+                "parked across an accepted emission"
+            );
         }
     }
 
@@ -499,6 +494,59 @@ impl NodeGenerator {
         }
         spent
     }
+}
+
+/// `n` rounds of `t = (t + a).min(cap)`, to the bit, in a few float steps
+/// per binade of `t` instead of one per round. Inputs are a token
+/// bucket's: `t ≥ 0`, `a ≥ 0`, `cap > 0`, all finite.
+///
+/// Inside one binade `[lo, top)` of `t`, whose values are the multiples
+/// of its ulp `u`, the rounded sum `fl(t + a)` is `t + r`, where `r` is
+/// `a` rounded to a multiple of `u`. So `k` rounds whose results stay
+/// below `top` and `cap` are exactly `t + k·r`, which is integer
+/// arithmetic in units of `u`. The round that reaches `top` or `cap` is
+/// made for real, and the next binade starts from its result. Nothing
+/// else needs a real step except a half-ulp tie (`a` an odd multiple of
+/// `u / 2`), which rounds to even and so depends on the parity of `t`:
+/// from an odd multiple of `u` one real round lands on an even one, and
+/// from there every round adds the same even `r`. `a == 0` and `t ≥ cap`
+/// settle at once. Zero and the subnormals form one binade with the ulp
+/// of the smallest normal.
+fn accrue_n(mut t: f64, a: f64, cap: f64, mut n: u64) -> f64 {
+    while n > 0 {
+        if t >= cap {
+            return cap;
+        }
+        if a == 0.0 {
+            return t;
+        }
+        let (u, top) = if t < f64::MIN_POSITIVE {
+            (f64::from_bits(1), f64::MIN_POSITIVE)
+        } else {
+            let lo = f64::from_bits(t.to_bits() & 0x7ff0_0000_0000_0000);
+            (lo * f64::EPSILON, lo * 2.0)
+        };
+        // Below `top`, `a / u` and `t / u` are exact: `u` is a power of two.
+        let (q, units) = (a / u, t / u);
+        let tie = q - q.floor() == 0.5;
+        if a < top && !(tie && units % 2.0 == 1.0) {
+            let r = q.round_ties_even() as u64;
+            if r == 0 {
+                return t;
+            }
+            // Results below `limit` units are below both `top` and `cap`.
+            let limit = if cap < top { (cap / u).ceil() } else { top / u } as u64;
+            let k = ((limit - 1 - units as u64) / r).min(n);
+            t = (units as u64 + k * r) as f64 * u;
+            n -= k;
+            if n == 0 {
+                break;
+            }
+        }
+        t = (t + a).min(cap);
+        n -= 1;
+    }
+    t
 }
 
 #[cfg(test)]
@@ -738,6 +786,30 @@ mod tests {
     }
 
     #[test]
+    fn parked_non_dyadic_rates_emit_identically() {
+        // 0.1 and 1/3 are not sums of a few powers of two: their
+        // accrual rounds differently in every binade the bucket crosses.
+        for (id, rate) in [(0, 0.1), (1, 1.0 / 3.0)] {
+            let mut spec = FlowSpec::uniform(id, NodeId(0), 0.0, None);
+            spec.rate = rate;
+            assert_parked_matches_dense(&[spec], 25_000);
+        }
+    }
+
+    #[test]
+    fn parked_window_closing_inside_a_gap_emits_identically() {
+        // At rate 0.1 the hotspot flow emits every 320 cycles, so its
+        // window closes 80 cycles after an emission, with the node
+        // parked; the slow uniform flow keeps the node alive after it.
+        let u = units();
+        let mut a = FlowSpec::hotspot(0, NodeId(0), NodeId(4), 0.0, Some(5_000.0 * u.cycle_ns));
+        a.rate = 0.1;
+        let mut b = FlowSpec::uniform(1, NodeId(0), 0.0, None);
+        b.rate = 0.03;
+        assert_parked_matches_dense(&[a, b], 20_000);
+    }
+
+    #[test]
     fn parked_onoff_flow_emits_identically() {
         // Phase boundaries draw RNG at the crossing cycle, so a parked
         // node must wake exactly on (or before) them.
@@ -798,6 +870,74 @@ mod tests {
         let g = gen_for(&specs, 0);
         assert!(!g.any_active(0));
         assert!(g.any_active(units().ns_to_cycles(1e6)));
+    }
+
+    /// What [`accrue_n`] must reproduce: one capped addition per round.
+    fn accrue_stepwise(mut t: f64, a: f64, cap: f64, n: u64) -> f64 {
+        for _ in 0..n {
+            t = (t + a).min(cap);
+        }
+        t
+    }
+
+    fn assert_accrues_like_the_loop(t: f64, a: f64, cap: f64, n: u64) {
+        assert_eq!(
+            accrue_n(t, a, cap, n).to_bits(),
+            accrue_stepwise(t, a, cap, n).to_bits(),
+            "t = {t:e}, a = {a:e}, cap = {cap}, n = {n}"
+        );
+    }
+
+    #[test]
+    fn accrue_n_matches_the_stepwise_loop() {
+        use rand::SeedableRng;
+        let mut rng = SmallRng::seed_from_u64(27);
+        for case in 0..200_000u64 {
+            let cap = BURST_CAP_PACKETS * rng.random_range(1..=64u32) as f64;
+            let link_bw = rng.random_range(1..=2u32) as f64;
+            let rate = match case % 6 {
+                0 => 0.1,
+                1 => 1.0 / 3.0,
+                2 => 0.75,
+                3 => 1.0,
+                4 => 1e-9,
+                _ => rng.random::<f64>() * 0.5f64.powi(rng.random_range(0..40)),
+            };
+            let t = match case / 6 % 4 {
+                0 => 0.0,
+                1 => rng.random_range(0..cap as u32) as f64,
+                2 => rng.random::<f64>() * cap,
+                _ => cap * (1.0 + rng.random::<f64>()),
+            };
+            assert_accrues_like_the_loop(t, rate * link_bw, cap, rng.random_range(0..=2_000u64));
+        }
+    }
+
+    #[test]
+    fn accrue_n_edge_cases() {
+        // a == 0: the cap applies once and nothing else moves.
+        assert_eq!(accrue_n(3.5, 0.0, 64.0, 1_000), 3.5);
+        assert_eq!(accrue_n(70.0, 0.0, 64.0, 1_000), 64.0);
+        // t ≥ cap: the first round lands on the cap, and n == 0 is no round.
+        assert_eq!(accrue_n(64.0, 0.1, 64.0, 5), 64.0);
+        assert_eq!(accrue_n(100.0, 0.1, 4.0, 1), 4.0);
+        assert_eq!(accrue_n(100.0, 0.1, 4.0, 0), 100.0);
+        // A half-ulp tie in [1, 2): from the odd 1 + u the first round
+        // rounds up to 1 + 4u, every later one adds 2u (to even).
+        let u = f64::EPSILON;
+        let (odd, tie) = (1.0 + u, 2.5 * u);
+        assert_eq!(accrue_stepwise(odd, tie, 64.0, 1), 1.0 + 4.0 * u);
+        assert_eq!(accrue_stepwise(odd, tie, 64.0, 3), 1.0 + 8.0 * u);
+        for n in 0..64 {
+            for t in [odd, 1.0, 2.0 - 8.0 * u, 2.0 - 3.0 * u] {
+                assert_accrues_like_the_loop(t, tie, 64.0, n);
+                assert_accrues_like_the_loop(t, 0.5 * u, 64.0, n);
+                assert_accrues_like_the_loop(t, 3.5 * u, 64.0, n);
+            }
+        }
+        // Subnormal accrual, and an addend that dwarfs the bucket.
+        assert_accrues_like_the_loop(0.0, 3.0 * f64::from_bits(1), 1.0, 1_000);
+        assert_accrues_like_the_loop(f64::from_bits(5), 1.0, 64.0, 100);
     }
 }
 

@@ -122,6 +122,12 @@ impl TrafficPattern {
 
     /// Instantiate one generator per node. `link_bw` gives each node's
     /// injection-link bandwidth in flits/cycle.
+    ///
+    /// Each node gets what [`NodeGenerator::new_with_sized`] would filter
+    /// out of the whole pattern for it, but the flows are bucketed by
+    /// source in one pass, so the build is O(nodes + flows), not
+    /// O(nodes × flows). A bucket keeps declaration order, which is
+    /// emission order.
     pub fn build_generators(
         &self,
         num_nodes: usize,
@@ -135,13 +141,23 @@ impl TrafficPattern {
             self.max_node_index(),
             num_nodes
         );
-        (0..num_nodes)
-            .map(|n| {
+        let mut rate = vec![Vec::new(); num_nodes];
+        for f in &self.flows {
+            rate[f.src.index()].push(f);
+        }
+        let mut sized = vec![Vec::new(); num_nodes];
+        for f in &self.sized {
+            sized[f.src.index()].push(f);
+        }
+        rate.into_iter()
+            .zip(sized)
+            .enumerate()
+            .map(|(n, (rate, sized))| {
                 let node = NodeId::from(n);
-                NodeGenerator::new_with_sized(
+                NodeGenerator::from_own_flows(
                     node,
-                    &self.flows,
-                    &self.sized,
+                    rate.into_iter(),
+                    sized.into_iter(),
                     units,
                     link_bw(node),
                     num_nodes,
@@ -203,6 +219,55 @@ mod tests {
         assert_eq!(gens.len(), 8);
         assert_eq!(gens[2].num_flows(), 1);
         assert_eq!(gens[0].num_flows(), 0);
+    }
+
+    #[test]
+    fn bucketed_generators_equal_the_per_node_filter() {
+        // Sources interleaved across both kinds of flow, with repeats, so
+        // a bucket that lost declaration order would show.
+        let srcs = [3, 0, 3, 5, 0, 3, 7, 5];
+        let flows = srcs
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                let mut f = FlowSpec::uniform(i as u32, NodeId(s), 10.0 * i as f64, None);
+                f.rate = 0.1 + 0.1 * i as f64;
+                f
+            })
+            .collect();
+        let sized = srcs
+            .iter()
+            .rev()
+            .enumerate()
+            .map(|(i, &s)| {
+                let id = (srcs.len() + i) as u32;
+                SizedFlow::new(
+                    id,
+                    NodeId(s),
+                    NodeId((s + 1) % 8),
+                    100 * (i as u64 + 1),
+                    0.0,
+                )
+            })
+            .collect();
+        let p = TrafficPattern::with_sized("t", flows, sized);
+        let (units, seeds) = (UnitModel::default(), SeedSplitter::new(1));
+        let link_bw = |n: NodeId| 1 + n.0 % 3;
+        let gens = p.build_generators(8, &units, link_bw, &seeds);
+        for (n, g) in gens.iter().enumerate() {
+            let node = NodeId::from(n);
+            let filtered = NodeGenerator::new_with_sized(
+                node,
+                &p.flows,
+                &p.sized,
+                &units,
+                link_bw(node),
+                8,
+                &seeds,
+            );
+            assert_eq!(format!("{g:?}"), format!("{filtered:?}"), "node {n}");
+        }
+        assert_eq!(gens[3].num_flows(), 6);
     }
 
     #[test]
