@@ -19,12 +19,26 @@
 //! The hidden `__ccfit-run-one <request.json> <out.json>` argv is the
 //! worker half of the process protocol (DESIGN.md §13.4).
 
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 use std::time::Duration;
 
 use ccfit_orchestrator::{
     cache_from_args, report, run_matrix, run_one_worker, ExecMode, ExperimentMatrix, RunnerOptions,
     ENGINE_SALT, RUN_ONE_ARGV,
 };
+
+const USAGE: &str = "\
+usage: ccfit-sweep <run|gc|hash> ...
+
+  run   <matrix.toml> [--jobs N] [--no-cache] [--cache-dir D]
+        [--timeout-s S] [--retries R] [--in-process] [--quiet]
+  gc    [--cache-dir D]
+  hash  <matrix.toml>";
+
+/// `run`'s flags that take a value, and those that do not.
+const RUN_VALUE_FLAGS: [&str; 4] = ["--jobs", "--cache-dir", "--timeout-s", "--retries"];
+const RUN_SWITCHES: [&str; 3] = ["--no-cache", "--in-process", "--quiet"];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -41,12 +55,7 @@ fn main() {
         Some("gc") => cmd_gc(&args),
         Some("hash") => cmd_hash(&args),
         _ => {
-            eprintln!("usage: ccfit-sweep <run|gc|hash> ...");
-            eprintln!();
-            eprintln!("  run   <matrix.toml> [--jobs N] [--no-cache] [--cache-dir D]");
-            eprintln!("        [--timeout-s S] [--retries R] [--in-process] [--quiet]");
-            eprintln!("  gc    [--cache-dir D]");
-            eprintln!("  hash  <matrix.toml>");
+            eprintln!("{USAGE}");
             2
         }
     };
@@ -60,10 +69,44 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-fn parse_jobs(args: &[String]) -> usize {
-    flag_value(args, "--jobs")
-        .map(|v| v.parse().expect("--jobs expects a positive integer"))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+/// `flag`'s value parsed as a `T` (`None` when the flag is absent).
+fn parsed<T: FromStr>(flags: &[String], flag: &str, what: &str) -> Result<Option<T>, String> {
+    let parse = |v: &str| {
+        v.parse()
+            .map_err(|_| format!("`{flag}` expects {what}, got {v:?}"))
+    };
+    flag_value(flags, flag).map(parse).transpose()
+}
+
+/// The runner options `run`'s flags (those after the matrix path) ask
+/// for. An unknown flag, a flag without its value and a value that does
+/// not parse are errors, not defaults.
+fn run_options(flags: &[String]) -> Result<RunnerOptions, String> {
+    let mut rest = flags.iter();
+    while let Some(flag) = rest.next() {
+        if RUN_VALUE_FLAGS.contains(&flag.as_str()) {
+            rest.next().ok_or(format!("`{flag}` expects a value"))?;
+        } else if !RUN_SWITCHES.contains(&flag.as_str()) {
+            return Err(format!("unknown flag `{flag}`"));
+        }
+    }
+    let jobs: Option<NonZeroUsize> = parsed(flags, "--jobs", "a positive integer")?;
+    let timeout_s: Option<u64> = parsed(flags, "--timeout-s", "whole seconds")?;
+    let retries: Option<u32> = parsed(flags, "--retries", "a non-negative integer")?;
+    let mode = match flags.iter().any(|a| a == "--in-process") {
+        true => ExecMode::Threads,
+        false => ExecMode::Processes {
+            timeout: Duration::from_secs(timeout_s.unwrap_or(900)),
+            retries: retries.unwrap_or(1),
+        },
+    };
+    let available = || std::thread::available_parallelism().map_or(1, |n| n.get());
+    Ok(RunnerOptions {
+        jobs: jobs.map_or_else(available, NonZeroUsize::get),
+        mode,
+        cache: cache_from_args(flags),
+        quiet: flags.iter().any(|a| a == "--quiet"),
+    })
 }
 
 fn load_matrix(path: &str) -> Result<ExperimentMatrix, String> {
@@ -71,26 +114,17 @@ fn load_matrix(path: &str) -> Result<ExperimentMatrix, String> {
     ExperimentMatrix::from_toml_str(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn process_mode(args: &[String]) -> ExecMode {
-    if args.iter().any(|a| a == "--in-process") {
-        return ExecMode::Threads;
-    }
-    let timeout_s: u64 = flag_value(args, "--timeout-s")
-        .map(|v| v.parse().expect("--timeout-s expects seconds"))
-        .unwrap_or(900);
-    let retries: u32 = flag_value(args, "--retries")
-        .map(|v| v.parse().expect("--retries expects an integer"))
-        .unwrap_or(1);
-    ExecMode::Processes {
-        timeout: Duration::from_secs(timeout_s),
-        retries,
-    }
-}
-
 fn cmd_run(args: &[String]) -> i32 {
     let Some(path) = args.get(2).filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: ccfit-sweep run <matrix.toml> [flags]");
+        eprintln!("{USAGE}");
         return 2;
+    };
+    let opts = match run_options(&args[3..]) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("{e}\n\n{USAGE}");
+            return 2;
+        }
     };
     let matrix = match load_matrix(path) {
         Ok(m) => m,
@@ -100,12 +134,6 @@ fn cmd_run(args: &[String]) -> i32 {
         }
     };
     let specs = matrix.resolve();
-    let opts = RunnerOptions {
-        jobs: parse_jobs(args),
-        mode: process_mode(args),
-        cache: cache_from_args(args),
-        quiet: args.iter().any(|a| a == "--quiet"),
-    };
     eprintln!(
         "matrix `{}`: {} runs, {} jobs, cache {}",
         matrix.name,

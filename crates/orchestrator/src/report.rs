@@ -3,9 +3,9 @@
 //! normalized throughput per time bin, one column per run (Figs. 7, 8);
 //! each run's per-flow bandwidth of the victim and the hot set (Figs. 9,
 //! 10); a scorecard with one row per run. The windows come from the
-//! configuration ([`windows`]) and the flow roles from its traffic case
-//! ([`FlowRoles`]); no wall-clock time, so a warm pass prints the same
-//! bytes as the cold one.
+//! configuration ([`windows`]) and the flow roles and congestion onset
+//! from its traffic case ([`FlowRoles`]); no wall-clock time, so a warm
+//! pass prints the same bytes as the cold one.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -119,9 +119,14 @@ fn describe(
 /// Who is who in a traffic case. The victim is the fixed-destination
 /// flow with no end; the hot set is the flows converging on the
 /// most-targeted destination (ties go to the lowest node), by flow id.
+/// The hot set's flows other than the victim (Fig. 10's victim is one
+/// of its five) time the congestion: it sets in when the first of them
+/// starts and is over when the last of them ends, if all of them do.
 struct FlowRoles<'a> {
     victim: Option<&'a FlowSpec>,
     hot: Vec<&'a FlowSpec>,
+    onset_ns: Option<f64>,
+    burst_end_ns: Option<f64>,
 }
 
 impl<'a> FlowRoles<'a> {
@@ -142,7 +147,16 @@ impl<'a> FlowRoles<'a> {
             .collect();
         hot.sort_by_key(|f| f.id);
         let victim = (pattern.flows.iter()).find(|f| dst(f).is_some() && f.end_ns.is_none());
-        FlowRoles { victim, hot }
+        let burst = || (hot.iter()).filter(|f| victim.is_none_or(|v| v.id != f.id));
+        let onset_ns = burst().map(|f| f.start_ns).reduce(f64::min);
+        let ends: Option<Vec<f64>> = burst().map(|f| f.end_ns).collect();
+        let burst_end_ns = ends.and_then(|ends| ends.into_iter().reduce(f64::max));
+        FlowRoles {
+            victim,
+            hot,
+            onset_ns,
+            burst_end_ns,
+        }
     }
 }
 
@@ -228,9 +242,63 @@ fn windowed_latency_ns(report: &SimReport, from_ns: f64, to_ns: f64) -> f64 {
     busy.iter().sum::<f64>() / busy.len().max(1) as f64
 }
 
+/// Victim recovery time: scanning from `from_ns`, find the first bin
+/// where `series` drops below 90 % of its `[0, baseline_to_ns)` mean
+/// (the congestion impact), then the first point after it where the
+/// series sustains ≥ 90 % of baseline for three consecutive bins.
+/// Returns ns from the dip to the recovery; `Some(0)` when the victim
+/// was never impacted, `None` when it never recovered before the run
+/// ended.
+fn recovery_ns(series: &[f64], bin_ns: f64, baseline_to_ns: f64, from_ns: f64) -> Option<f64> {
+    let base_bins = ((baseline_to_ns / bin_ns) as usize)
+        .min(series.len())
+        .max(1);
+    let baseline = series[..base_bins].iter().sum::<f64>() / base_bins as f64;
+    if baseline <= 0.0 {
+        return Some(0.0);
+    }
+    let target = 0.9 * baseline;
+    let start = (from_ns / bin_ns) as usize;
+    // The final bin is partial (it undercounts bytes) — keep it out of
+    // both the dip scan and the recovery scan.
+    let usable = series.len().saturating_sub(1);
+    let Some(dip) = (start..usable).find(|&i| series[i] < target) else {
+        return Some(0.0); // never impacted
+    };
+    let dip_ns = dip as f64 * bin_ns;
+    let mut run = 0usize;
+    for (i, &v) in series.iter().enumerate().take(usable).skip(dip) {
+        run = if v >= target { run + 1 } else { 0 };
+        if run == 3 {
+            let first = i + 1 - run;
+            let center = (first as f64 + 0.5) * bin_ns;
+            return Some((center - dip_ns).max(0.0));
+        }
+    }
+    None
+}
+
+/// The `victim_recovery_ns` cell: [`recovery_ns`] against the baseline
+/// `[0, onset)` — of the victim's bandwidth from the onset, or, with no
+/// victim, of network throughput from the end of a burst that ends
+/// before the run does. `None` (no column) when neither applies.
+fn victim_recovery(r: &SimReport, roles: &FlowRoles) -> Option<String> {
+    let onset = roles.onset_ns?;
+    let (series, from) = match roles.victim {
+        Some(v) => (r.flow_bandwidth_gbps(v.id)?, onset),
+        None => {
+            let end = roles.burst_end_ns.filter(|&end| end < r.duration_ns)?;
+            (r.network_throughput_normalized(), end)
+        }
+    };
+    let ns = recovery_ns(&series, r.bin_ns, onset, from);
+    Some(ns.map_or("never".to_string(), |ns| format!("{ns:.0}")))
+}
+
 /// A run's scorecard cells `(header, value)`: throughput and mean
 /// latency per window, the whole-run latency distribution, the victim
-/// and the hot set in the first window, the isolation and marking
+/// and the hot set in the first window, the victim's recovery from the
+/// congestion ([`victim_recovery`]), the isolation and marking
 /// counters, and the fault ledger / FCT block when the run has them.
 fn scorecard_row(
     run: &RunOutcome,
@@ -271,6 +339,9 @@ fn scorecard_row(
         }
         put("hot_total", format!("{:.2}", bws.iter().sum::<f64>()));
         put("jain", format!("{:.3}", r.jain_over(&hot, from, to)));
+    }
+    if let Some(cell) = victim_recovery(r, roles) {
+        put("victim_recovery_ns", cell);
     }
     for counter in ["cfq_allocated", "cfq_exhausted", "fecn_marked"] {
         let n = r.counters.get(counter).copied().unwrap_or(0);
@@ -406,11 +477,35 @@ mod tests {
             let hot = roles.hot.iter().map(|f| f.id.0).collect::<Vec<_>>();
             (roles.victim.map(|f| f.id.0), hot)
         };
+        let times = |p: &TrafficPattern| {
+            let roles = FlowRoles::of(p);
+            (roles.onset_ns, roles.burst_end_ns)
+        };
+        let ms = |t: f64| Some(t * 1e6);
         assert_eq!(ids(&case1(10.0)), (Some(0), vec![1, 2, 5, 6]), "Fig. 9");
+        assert_eq!(times(&case1(10.0)), (ms(2.0), ms(10.0)));
+        // The victim F1 is one of Fig. 10's five; F0 starts the congestion.
         assert_eq!(ids(&case2(10.0)), (Some(1), vec![0, 1, 2, 3, 4]), "Fig. 10");
+        assert_eq!(times(&case2(10.0)), (ms(2.0), ms(10.0)));
         // Case #4's bursts end; six trees tie at three sources each and
         // the lowest destination (node 1) wins.
         assert_eq!(ids(&case4(64, 6)), (None, vec![3, 27, 51]));
+        assert_eq!(times(&case4(64, 6)), (ms(1.0), ms(2.0)));
         assert_eq!(ids(&uniform_all(8, 0.5)), (None, vec![]));
+        assert_eq!(times(&uniform_all(8, 0.5)), (None, None));
+    }
+
+    #[test]
+    fn recovery_is_dip_to_the_first_of_three_recovered_bins() {
+        // 10 ns bins, baseline [0, 20) ns = 1.0, scanned from 20 ns.
+        let scan = |series: &[f64]| recovery_ns(series, 10.0, 20.0, 20.0);
+        assert_eq!(scan(&[1.0; 6]), Some(0.0), "never dips");
+        // Dip at bin 2 (20 ns); bins 4–6 recover, bin 4's centre is 45 ns.
+        let dip = [1.0, 1.0, 0.5, 0.5, 0.95, 1.0, 0.9, 0.2];
+        assert_eq!(scan(&dip), Some(25.0));
+        // Two recovered bins, then only the partial last one: never.
+        assert_eq!(scan(&[1.0, 1.0, 0.5, 1.0, 1.0, 1.0]), None);
+        // A dip only in the partial last bin is not a dip.
+        assert_eq!(scan(&[1.0, 1.0, 1.0, 1.0, 0.2]), Some(0.0));
     }
 }

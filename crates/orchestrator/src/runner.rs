@@ -4,8 +4,8 @@
 //! simulated and stored. Two execution modes:
 //!
 //! - [`ExecMode::Threads`] — misses run on a pool of OS threads inside
-//!   this process. This is the mode for library callers
-//!   (`cc_shootout`, tests): no self-exec, no extra processes.
+//!   this process. This is the mode for `ccfit-sweep run --in-process`,
+//!   the benchmark and the tests: no self-exec, no extra processes.
 //! - [`ExecMode::Processes`] — misses run in worker *processes*: the
 //!   runner re-executes `std::env::current_exe()` with the hidden
 //!   [`RUN_ONE_ARGV`] subcommand, shipping a [`RunRequest`] JSON file
@@ -313,7 +313,7 @@ pub fn run_one_worker(req_path: &str, out_path: &str) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccfit::{ConfigId, Mechanism};
+    use ccfit::{ConfigId, Mechanism, SimConfig};
 
     fn specs() -> Vec<RunSpec> {
         let config = ConfigId::Config1Case1 { scale: 0.01 };
@@ -365,6 +365,28 @@ mod tests {
             let run = run_matrix(&specs, &opts).unwrap();
             assert_eq!(run.stats.hits, 0);
             assert_eq!(run.stats.misses, 2);
+        }
+    }
+
+    /// The runner simulates exactly what the experiment API runs.
+    #[test]
+    fn orchestrated_runs_match_direct_runs() {
+        let opts = RunnerOptions {
+            jobs: 2,
+            cache: Cache::disabled(),
+            ..RunnerOptions::default()
+        };
+        let specs = [Mechanism::fbicm(), Mechanism::ith()]
+            .map(|m| RunSpec::new(ConfigId::Config1Case1 { scale: 0.02 }, m, 7, 10_000.0));
+        let cfg = SimConfig {
+            metrics_bin_ns: 10_000.0,
+            ..SimConfig::default()
+        };
+        let run = run_matrix(&specs, &opts).unwrap();
+        for out in &run.outputs {
+            let (s, experiment) = (&out.spec, out.spec.config.resolve());
+            let direct = experiment.run_with(s.mechanism.clone(), s.seed, cfg.clone());
+            assert_eq!(out.report, direct, "{} diverged in the runner", s.label());
         }
     }
 }

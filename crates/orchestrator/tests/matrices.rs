@@ -10,6 +10,7 @@ use ccfit::engine::units::UnitModel;
 use ccfit::params::CctProfile::{Exponential, Linear};
 use ccfit::params::{IsolationParams as Iso, ThrottleParams as Thr};
 use ccfit::topology::Endpoint;
+use ccfit::traffic::incast;
 use ccfit::{BecnTransport, ConfigId, FaultPolicy, FaultSchedule, Mechanism as M};
 use ccfit_orchestrator::{ExperimentMatrix, RunSpec};
 
@@ -52,6 +53,41 @@ fn figures() {
     assert_eq!(committed("fig9"), fig9);
     let fig10 = grid(&[C::config2_case2()], &fig, 0xF10, 250_000.0);
     assert_eq!(committed("fig10"), fig10);
+}
+
+/// The modern-CC comparison: every registered mechanism at seed 0xCC5,
+/// 100 bins per run, one matrix per bin width.
+#[test]
+fn shootouts() {
+    let run = |config: ConfigId| {
+        let d = config.resolve().duration_ns;
+        let spec = |m: M| RunSpec::new(config.clone(), m, 0xCC5, d / 100.0);
+        M::all().into_iter().map(spec).collect::<Vec<_>>()
+    };
+    let paper = [
+        ConfigId::Config1Case1 { scale: 0.2 },
+        ConfigId::Config2Case2 { scale: 0.2 },
+    ];
+    let paper: Vec<RunSpec> = paper.into_iter().flat_map(run).collect();
+    assert_eq!(committed("cc-shootout"), paper);
+    let storm = ConfigId::Config3Case4 {
+        hotspots: 1,
+        duration_ms: 4.0,
+        scale: 0.1,
+    };
+    assert_eq!(committed("cc-shootout-storm"), run(storm));
+    let host = ConfigId::UniformTree {
+        ary: 2,
+        levels: 3,
+        load: 1.0,
+        duration_ns: 600_000.0,
+    };
+    let fan_in = run(host)
+        .into_iter()
+        .map(|s| s.with_workload(incast(4, 65_536)));
+    assert_eq!(committed("cc-shootout-incast"), fan_in.collect::<Vec<_>>());
+    let smoke = ConfigId::Config1Case1 { scale: 0.02 };
+    assert_eq!(committed("cc-shootout-smoke"), run(smoke));
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end orchestrator tests: a real cold/warm sweep through the
-//! `ccfit-sweep` binary (process workers included) and the
+//! `ccfit-sweep` binary (process workers included), the
 //! byte-identity guarantee between cached and freshly-simulated
-//! reports.
+//! reports, and the binary's refusal of flags it cannot honour.
 
 use ccfit::{ConfigId, Mechanism};
 use ccfit_orchestrator::{run_matrix, Cache, ExecMode, RunSpec, RunnerOptions};
@@ -85,4 +85,49 @@ fn sweep_bench_smoke_is_cache_dominated_when_warm() {
         "a warm pass prints the cold report"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `ccfit-sweep run` refuses a value it cannot parse and a flag it does
+/// not know — a misspelt `--no-cache` must not run with the cache on —
+/// with exit code 2, a one-line message and the usage text, never a
+/// panic, and before it simulates anything.
+#[test]
+fn bad_run_flags_exit_2_with_usage() {
+    let matrix = concat!(env!("CARGO_MANIFEST_DIR"), "/../../matrices/smoke.toml");
+    for (flags, message) in [
+        (
+            &["--jobs", "abc"][..],
+            "`--jobs` expects a positive integer, got \"abc\"",
+        ),
+        (
+            &["--jobs", "0"],
+            "`--jobs` expects a positive integer, got \"0\"",
+        ),
+        (
+            &["--timeout-s", "x"],
+            "`--timeout-s` expects whole seconds, got \"x\"",
+        ),
+        (
+            &["--retries", "-1"],
+            "`--retries` expects a non-negative integer, got \"-1\"",
+        ),
+        (&["--no-cahce"], "unknown flag `--no-cahce`"),
+        (&["--job", "4"], "unknown flag `--job`"),
+        (&["--quiet", "--jobs"], "`--jobs` expects a value"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ccfit-sweep"))
+            .args(["run", matrix])
+            .args(flags)
+            .output()
+            .expect("spawn ccfit-sweep");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}:\n{stderr}");
+        assert_eq!(stderr.lines().next(), Some(message), "{flags:?}");
+        assert!(
+            stderr.contains("usage: ccfit-sweep"),
+            "{flags:?}:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked at"), "{flags:?}:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?}: printed a report");
+    }
 }

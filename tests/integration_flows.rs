@@ -67,19 +67,35 @@ fn assert_fct_consistent(fct: &FctReport) {
     assert!(fct.p99_fct_ns <= fct.p999_fct_ns);
 }
 
+/// Every registered mechanism runs the incast to completion and fills
+/// the FCT block with finite, positive aggregates.
 #[test]
 fn incast_completes_with_populated_fct_block() {
-    let r = run(&incast(4, 65_536), Mechanism::ccfit(), 600_000.0);
-    let fct = r.fct.as_ref().expect("sized workload produces FCT block");
-    assert_eq!(fct.flows.len(), 4);
-    assert_eq!(fct.completed, 4, "all incast senders finish: {fct:?}");
-    assert_fct_consistent(fct);
-    // Fan-in of 4 through one reception link: nobody finishes at ideal
-    // (the ideal assumes an uncontended path).
-    assert!(fct.avg_slowdown > 1.5, "got {}", fct.avg_slowdown);
-    // Per-flow report series carry the sized flows too.
-    assert_eq!(r.flows.len(), 4);
-    assert!(r.flows.iter().all(|f| f.label.starts_with('S')));
+    for mech in Mechanism::all() {
+        let name = mech.name();
+        let r = run(&incast(4, 65_536), mech.clone(), 600_000.0);
+        let fct = r.fct.as_ref().expect("sized workload produces FCT block");
+        assert_eq!(fct.flows.len(), 4, "{name}");
+        assert_eq!(
+            fct.completed, 4,
+            "{name}: all incast senders finish: {fct:?}"
+        );
+        assert_fct_consistent(fct);
+        let aggregates = [
+            fct.avg_fct_ns,
+            fct.p50_fct_ns,
+            fct.p99_fct_ns,
+            fct.p999_fct_ns,
+            fct.avg_slowdown,
+        ];
+        assert!(aggregates.iter().all(|&v| v > 0.0), "{name}: {fct:?}");
+        // Fan-in of 4 through one reception link: nobody finishes at ideal
+        // (the ideal assumes an uncontended path).
+        assert!(fct.avg_slowdown > 1.5, "{name}: got {}", fct.avg_slowdown);
+        // Per-flow report series carry the sized flows too.
+        assert_eq!(r.flows.len(), 4, "{name}");
+        assert!(r.flows.iter().all(|f| f.label.starts_with('S')), "{name}");
+    }
 }
 
 #[test]
