@@ -32,7 +32,7 @@ use ccfit_engine::packet::Packet;
 use ccfit_engine::queue::{PacketQueue, QueuedPacket};
 use ccfit_engine::ram::PortRam;
 use ccfit_engine::units::{Cycle, UnitModel};
-use ccfit_metrics::{CcEvent, CcEventKind, EventClass, MetricsCollector};
+use ccfit_metrics::{CcEventKind, MetricsCollector};
 use ccfit_traffic::GenPacket;
 
 /// Adapter-side throttling configuration, pre-converted to cycles.
@@ -126,17 +126,13 @@ struct Throttle {
     timer_deadline: Cycle,
     /// CCT index, bumped by BECNs and decayed by the timer.
     ccti: u16,
-    /// Memoised out-of-band BECN transit time from this node to the
-    /// peer; 0 = not computed (a real delay is at least 1).
-    becn_delay: u32,
 }
 
 impl Throttle {
-    /// No BECN seen, no timer armed, no transit time known.
+    /// No BECN seen, no timer armed.
     const FRESH: Self = Self {
         timer_deadline: Cycle::MAX,
         ccti: 0,
-        becn_delay: 0,
     };
 }
 
@@ -387,16 +383,13 @@ impl Adapter {
                             .allocate(dst, OutCamState { stopped: false })
                             .is_err()
                     {
-                        metrics.count("ia_cam_exhausted", 1);
-                        if metrics.wants_events(EventClass::CAM) {
-                            metrics.cc_event(CcEvent {
-                                at: now,
-                                kind: CcEventKind::IaCamExhausted {
-                                    node: self.node.0,
-                                    dst: dst.0,
-                                },
-                            });
-                        }
+                        metrics.record(
+                            now,
+                            CcEventKind::IaCamExhausted {
+                                node: self.node.0,
+                                dst: dst.0,
+                            },
+                        );
                     }
                 }
                 CtrlEvent::CfqDealloc { dst } => {
@@ -412,16 +405,13 @@ impl Adapter {
                         .allocate(dst, OutCamState { stopped: true })
                         .is_err()
                     {
-                        metrics.count("ia_cam_exhausted", 1);
-                        if metrics.wants_events(EventClass::CAM) {
-                            metrics.cc_event(CcEvent {
-                                at: now,
-                                kind: CcEventKind::IaCamExhausted {
-                                    node: self.node.0,
-                                    dst: dst.0,
-                                },
-                            });
-                        }
+                        metrics.record(
+                            now,
+                            CcEventKind::IaCamExhausted {
+                                node: self.node.0,
+                                dst: dst.0,
+                            },
+                        );
                     }
                 }
                 CtrlEvent::Go { dst } => {
@@ -464,28 +454,22 @@ impl Adapter {
         }
         p.timer_deadline = now + thr.ccti_timer_cycles;
         self.earliest_deadline = self.earliest_deadline.min(p.timer_deadline);
-        metrics.count("becn_received", 1);
-        if metrics.wants_events(EventClass::BECN) {
-            metrics.cc_event(CcEvent {
-                at: now,
-                kind: CcEventKind::BecnReceived {
-                    node: self.node.0,
-                    dst: dst.0,
-                },
-            });
-        }
-        if metrics.wants_events(EventClass::CCTI) {
-            let ccti = p.ccti;
-            metrics.cc_event(CcEvent {
-                at: now,
-                kind: CcEventKind::CctiIncrease {
-                    node: self.node.0,
-                    dst: dst.0,
-                    ccti: ccti as u32,
-                    ird_cycles: thr.cct[ccti as usize],
-                },
-            });
-        }
+        metrics.record(
+            now,
+            CcEventKind::BecnReceived {
+                node: self.node.0,
+                dst: dst.0,
+            },
+        );
+        metrics.record(
+            now,
+            CcEventKind::CctiIncrease {
+                node: self.node.0,
+                dst: dst.0,
+                ccti: p.ccti as u32,
+                ird_cycles: thr.cct[p.ccti as usize],
+            },
+        );
     }
 
     /// Current CCTI for a destination (tests and introspection).
@@ -523,26 +507,23 @@ impl Adapter {
         let f = &mut self.dcqcn_flows[slot];
         f.advance_to(now, dc);
         let cut = f.on_cnp(now, dc);
-        metrics.count("cnp_received", 1);
-        if metrics.wants_events(EventClass::CNP) {
-            metrics.cc_event(CcEvent {
-                at: now,
-                kind: CcEventKind::CnpReceived {
-                    node: self.node.0,
-                    dst: dst.0,
-                },
-            });
-        }
-        if cut && metrics.wants_events(EventClass::RATE) {
-            metrics.cc_event(CcEvent {
-                at: now,
-                kind: CcEventKind::RateChange {
+        metrics.record(
+            now,
+            CcEventKind::CnpReceived {
+                node: self.node.0,
+                dst: dst.0,
+            },
+        );
+        if cut {
+            metrics.record(
+                now,
+                CcEventKind::RateChange {
                     node: self.node.0,
                     dst: dst.0,
                     rate_ppm: (f.rc * 1e6) as u64,
                     decrease: true,
                 },
-            });
+            );
         }
     }
 
@@ -566,28 +547,25 @@ impl Adapter {
         let before = f.w;
         f.on_ack(f64::from(u_ack), u64::from(acked_bytes), hc);
         self.epoch += 1; // the window opened (or moved)
-        metrics.count("ack_received", 1);
-        if metrics.wants_events(EventClass::INT) {
-            metrics.cc_event(CcEvent {
-                at: now,
-                kind: CcEventKind::IntFeedback {
-                    node: self.node.0,
-                    dst: dst.0,
-                    u_ppm: (f64::from(u_ack) * 1e6) as u64,
-                    hops,
-                },
-            });
-        }
-        if f.w != before && metrics.wants_events(EventClass::RATE) {
-            metrics.cc_event(CcEvent {
-                at: now,
-                kind: CcEventKind::WindowChange {
+        metrics.record(
+            now,
+            CcEventKind::IntFeedback {
+                node: self.node.0,
+                dst: dst.0,
+                u_ppm: (f64::from(u_ack) * 1e6) as u64,
+                hops,
+            },
+        );
+        if f.w != before {
+            metrics.record(
+                now,
+                CcEventKind::WindowChange {
                     node: self.node.0,
                     dst: dst.0,
                     window_bytes: f.w as u64,
                     decrease: f.w < before,
                 },
-            });
+            );
         }
     }
 
@@ -607,30 +585,6 @@ impl Adapter {
         let hc = self.cfg.hpcc.as_ref()?;
         let slot = self.peers.slot(dst.index());
         Some(slot.map_or_else(|| HpccFlow::new(hc).w, |s| self.hpcc_flows[s].w))
-    }
-
-    /// Out-of-band BECN transit time from this node to `to`, computed by
-    /// `transit` the first time it is asked for and remembered in `to`'s
-    /// entry until [`Self::forget_becn_delays`]. An adapter that does not
-    /// throttle sends no BECNs and keeps no entry for the answer.
-    pub fn becn_delay(&mut self, to: NodeId, transit: impl FnOnce() -> Cycle) -> Cycle {
-        if self.cfg.thr.is_none() {
-            return transit();
-        }
-        let slot = self.peer(to);
-        let memo = &mut self.throttle[slot].becn_delay;
-        if *memo == 0 {
-            *memo = u32::try_from(transit()).expect("a BECN transit time fits 32 bits");
-        }
-        Cycle::from(*memo)
-    }
-
-    /// Drop every memoised BECN transit time (paths changed after a
-    /// re-route).
-    pub fn forget_becn_delays(&mut self) {
-        for t in &mut self.throttle {
-            t.becn_delay = 0;
-        }
     }
 
     /// Number of destinations this adapter holds state for (memory
@@ -732,18 +686,15 @@ impl Adapter {
             if now >= p.timer_deadline {
                 if p.ccti > 0 {
                     p.ccti -= 1;
-                    if metrics.wants_events(EventClass::CCTI) {
-                        let ccti = p.ccti;
-                        metrics.cc_event(CcEvent {
-                            at: now,
-                            kind: CcEventKind::CctiDecay {
-                                node: self.node.0,
-                                dst: self.peers.key(s) as u32,
-                                ccti: ccti as u32,
-                                ird_cycles: thr.cct[ccti as usize],
-                            },
-                        });
-                    }
+                    metrics.record(
+                        now,
+                        CcEventKind::CctiDecay {
+                            node: self.node.0,
+                            dst: self.peers.key(s) as u32,
+                            ccti: p.ccti as u32,
+                            ird_cycles: thr.cct[p.ccti as usize],
+                        },
+                    );
                 }
                 p.timer_deadline = if p.ccti > 0 {
                     now + thr.ccti_timer_cycles
@@ -843,16 +794,13 @@ impl Adapter {
                 Fate::Held => continue,
                 Fate::Move(target) => target,
                 Fate::CfqExhausted { moves } => {
-                    metrics.count("ia_cfq_exhausted", 1);
-                    if metrics.wants_events(EventClass::CFQ) {
-                        metrics.cc_event(CcEvent {
-                            at: now,
-                            kind: CcEventKind::IaCfqExhausted {
-                                node: self.node.0,
-                                dst: self.peers.key(s) as u32,
-                            },
-                        });
-                    }
+                    metrics.record(
+                        now,
+                        CcEventKind::IaCfqExhausted {
+                            node: self.node.0,
+                            dst: self.peers.key(s) as u32,
+                        },
+                    );
                     if !moves {
                         // Counted again next cycle: no bound, whatever
                         // the rest of the walk meets.
@@ -890,16 +838,13 @@ impl Adapter {
             Target::NewCfq(c) => {
                 self.cfqs[c].state = Some(CfqState::new(dst, 0, false));
                 self.cfq_count += 1;
-                metrics.count("ia_cfq_allocated", 1);
-                if metrics.wants_events(EventClass::CFQ) {
-                    metrics.cc_event(CcEvent {
-                        at: now,
-                        kind: CcEventKind::IaCfqAlloc {
-                            node: self.node.0,
-                            dst: dst.0,
-                        },
-                    });
-                }
+                metrics.record(
+                    now,
+                    CcEventKind::IaCfqAlloc {
+                        node: self.node.0,
+                        dst: dst.0,
+                    },
+                );
                 self.cfqs[c].queue.push(entry.packet, now, now);
             }
         }
@@ -924,17 +869,14 @@ impl Adapter {
         }
         self.peers[slot].next_allowed = now + packet_time + ird + gap;
         if ird > 0 {
-            metrics.count("throttled_injections", 1);
-            if metrics.wants_events(EventClass::THROTTLE) {
-                metrics.cc_event(CcEvent {
-                    at: now,
-                    kind: CcEventKind::ThrottledInjection {
-                        node: self.node.0,
-                        dst: dst.0,
-                        ird_cycles: ird,
-                    },
-                });
-            }
+            metrics.record(
+                now,
+                CcEventKind::ThrottledInjection {
+                    node: self.node.0,
+                    dst: dst.0,
+                    ird_cycles: ird,
+                },
+            );
         }
         self.advance_rr(slot);
     }
@@ -964,16 +906,13 @@ impl Adapter {
                     self.cfqs[c].state = None;
                     self.cfq_count -= 1;
                     self.epoch += 1; // a free CFQ slot
-                    metrics.count("ia_cfq_deallocated", 1);
-                    if metrics.wants_events(EventClass::CFQ) {
-                        metrics.cc_event(CcEvent {
-                            at: now,
-                            kind: CcEventKind::IaCfqDealloc {
-                                node: self.node.0,
-                                dst: st.dst.0,
-                            },
-                        });
-                    }
+                    metrics.record(
+                        now,
+                        CcEventKind::IaCfqDealloc {
+                            node: self.node.0,
+                            dst: st.dst.0,
+                        },
+                    );
                     continue;
                 }
             } else {
@@ -1589,34 +1528,6 @@ mod tests {
             a.ccti(NodeId(2)) as usize,
             ThrottleParams::default().cct_len - 1
         );
-    }
-
-    /// The BECN transit time is computed once per peer, again after a
-    /// re-route forgot it, and kept in the peer's entry — which an
-    /// adapter that does not throttle never creates.
-    #[test]
-    fn becn_delay_is_memoised_until_forgotten() {
-        let (mut a, _links) = adapter(true, false);
-        assert_eq!(a.becn_delay(NodeId(5), || 7), 7);
-        assert_eq!(a.peer_count(), 1);
-        assert_eq!(
-            a.becn_delay(NodeId(5), || unreachable!("memoised")),
-            7,
-            "second ask reads the memo"
-        );
-        assert_eq!(a.becn_delay(NodeId(2), || 9), 9, "one memo per peer");
-        // An entry inserted below an existing one moves it up a slot;
-        // the memo moves with it.
-        assert_eq!(a.becn_delay(NodeId(5), || unreachable!("memoised")), 7);
-        a.forget_becn_delays();
-        assert_eq!(a.becn_delay(NodeId(5), || 11), 11, "recomputed");
-        assert_eq!(a.becn_delay(NodeId(2), || 13), 13);
-        assert_eq!(a.peer_count(), 2);
-
-        let (mut a, _links) = adapter(false, true);
-        assert_eq!(a.becn_delay(NodeId(5), || 7), 7);
-        assert_eq!(a.becn_delay(NodeId(5), || 8), 8, "nothing remembered");
-        assert_eq!(a.peer_count(), 0);
     }
 }
 
@@ -2364,7 +2275,6 @@ mod walk_tests {
     type PeerView = (
         u16,
         Cycle,
-        u32,
         Cycle,
         Option<(DcqcnFlow, Cycle)>,
         Option<HpccFlow>,
@@ -2383,14 +2293,7 @@ mod walk_tests {
             .hpcc
             .as_ref()
             .map(|hc| slot.map_or_else(|| HpccFlow::new(hc), |s| a.hpcc_flows[s]));
-        (
-            t.ccti,
-            t.timer_deadline,
-            t.becn_delay,
-            next_allowed,
-            dcqcn,
-            hpcc,
-        )
+        (t.ccti, t.timer_deadline, next_allowed, dcqcn, hpcc)
     }
 
     impl Rig {
@@ -2494,8 +2397,8 @@ mod walk_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Random inject / tick / purge / BECN / BECN-delay memo / CNP /
-        /// ACK / Stop-Go / RAM-release sequences drive two adapters in
+        /// Random inject / tick / purge / BECN / CNP / ACK / Stop-Go /
+        /// RAM-release sequences drive two adapters in
         /// lock step — one creating peer entries as destinations come up,
         /// arbitrating over the backlogged slots and skipping the walk
         /// under its idle bound, the other holding an entry for every
@@ -2508,15 +2411,13 @@ mod walk_tests {
         fn backlogged_walk_matches_the_exhaustive_walk(
             size in 0usize..3,
             shape in 0usize..SHAPES.len(),
-            ops in prop::collection::vec((0u8..22, any::<u32>(), 0u64..48), 1..400),
+            ops in prop::collection::vec((0u8..20, any::<u32>(), 0u64..48), 1..400),
         ) {
             let n = [7, 64, 100][size];
             let mut new = Rig::new(n, SHAPES[shape], false);
             let mut old = Rig::new(n, SHAPES[shape], true);
             let mut now: Cycle = 0;
             let mut next_id = 0u64;
-            // Re-routes so far (each forgets the BECN transit memos).
-            let mut routes: Cycle = 0;
             for (op, a, b) in ops {
                 let dst = a % n as u32;
                 match op {
@@ -2559,21 +2460,7 @@ mod walk_tests {
                         new.a.on_ack(now, NodeId(dst), u, 3, 2048, &mut new.m);
                         old.a.on_ack(now, NodeId(dst), u, 3, 2048, &mut old.m);
                     }
-                    15 => {
-                        // The answer is this routing epoch's: a memo moved
-                        // with its slot by later insertions, and none
-                        // outlived a forget.
-                        let transit = || 1 + routes * n as Cycle + Cycle::from(dst);
-                        let delay = new.a.becn_delay(NodeId(dst), transit);
-                        prop_assert_eq!(delay, old.a.becn_delay(NodeId(dst), transit));
-                        prop_assert_eq!(delay, transit());
-                    }
-                    16 => {
-                        routes += 1;
-                        new.a.forget_becn_delays();
-                        old.a.forget_becn_delays();
-                    }
-                    17..=19 => {
+                    15..=17 => {
                         // Back-to-back cycles on state no op touched in
                         // between: where a bound gets used.
                         for _ in 0..1 + b % 8 {
@@ -2582,7 +2469,7 @@ mod walk_tests {
                             old.tick(now, true);
                         }
                     }
-                    20 => {
+                    18 => {
                         // The earliest pending RAM release lands now.
                         prop_assert_eq!(new.releases.len(), old.releases.len());
                         if !new.releases.is_empty() {

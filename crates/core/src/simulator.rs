@@ -17,8 +17,7 @@ use ccfit_engine::units::{Cycle, UnitModel};
 use ccfit_engine::CalendarQueue;
 use ccfit_faults::{FaultConfig, FaultPolicy, FaultSchedule, NetworkEvent};
 use ccfit_metrics::{
-    CcEvent, CcEventKind, EventClass, EventConfig, FaultKind, FaultSummary, FlowGoal,
-    MetricsCollector, SimReport,
+    CcEventKind, EventConfig, FaultKind, FaultSummary, FlowGoal, MetricsCollector, SimReport,
 };
 use ccfit_topology::{Endpoint, LinkParams, RoutingTable, Topology};
 use ccfit_traffic::{GenPacket, NodeGenerator, TrafficPattern};
@@ -388,34 +387,6 @@ impl SimBuilder {
     /// [`SimConfig::events`].
     pub fn events(mut self, cfg: EventConfig) -> Self {
         self.cfg.events = Some(cfg);
-        self
-    }
-
-    /// Restrict event recording to the given classes (enables recording
-    /// with default sampling/capacity if not configured yet).
-    pub fn event_classes(mut self, classes: EventClass) -> Self {
-        self.cfg
-            .events
-            .get_or_insert_with(EventConfig::default)
-            .classes = classes;
-        self
-    }
-
-    /// Keep every `n`-th event that passes the class mask (1 = all).
-    /// Enables recording if not configured yet.
-    pub fn event_sample_every(mut self, n: u64) -> Self {
-        self.cfg
-            .events
-            .get_or_insert_with(EventConfig::default)
-            .sample_every = n.max(1);
-        self
-    }
-
-    /// Bound the event ring buffer to `cap` events; overflow drops the
-    /// oldest and is tallied in `EventLogReport::dropped_cap`. Enables
-    /// recording if not configured yet.
-    pub fn event_buffer_cap(mut self, cap: usize) -> Self {
-        self.cfg.events.get_or_insert_with(EventConfig::default).cap = cap;
         self
     }
 
@@ -1115,16 +1086,16 @@ impl Simulator {
         self.metrics.counter(name)
     }
 
-    /// BECN transit time from `from` to `to`: one propagation delay plus
-    /// one flit serialization per hop (CNPs are single-flit priority
-    /// packets riding the NFQ path; see DESIGN.md §3). Memoised in the
-    /// sending adapter's entry for `to` until the next re-route.
-    fn becn_delay(&mut self, from: NodeId, to: NodeId) -> Cycle {
-        let (routing, topo) = (&self.routing, &self.topo);
-        self.adapters[from.index()].becn_delay(to, || {
-            let hops = routing.trace(topo, from, to).map_or(1, |p| p.len());
-            hops as Cycle * 2 + 1
-        })
+    /// BECN transit time from `from` to `to` over the routing in force:
+    /// one propagation delay plus one flit serialization per hop (CNPs
+    /// are single-flit priority packets riding the NFQ path; see
+    /// DESIGN.md §3).
+    fn becn_delay(&self, from: NodeId, to: NodeId) -> Cycle {
+        let hops = self
+            .routing
+            .trace(&self.topo, from, to)
+            .map_or(1, |p| p.len());
+        hops as Cycle * 2 + 1
     }
 
     /// Advance the clock through one pass of the phase pipeline: one
@@ -1861,7 +1832,7 @@ impl Simulator {
             self.apply_network_event(now, &mut frt, ev.event);
             // Skipped events (stale schedule entries) are not logged —
             // they changed nothing.
-            if frt.events_applied > before && self.metrics.wants_events(EventClass::FAULT) {
+            if frt.events_applied > before {
                 let kind = match ev.event {
                     NetworkEvent::LinkDown { .. } => FaultKind::LinkDown,
                     NetworkEvent::LinkUp { .. } => FaultKind::LinkUp,
@@ -1871,14 +1842,14 @@ impl Simulator {
                     NetworkEvent::LinkRestoreRate { .. } => FaultKind::LinkRestore,
                 };
                 let (sw, port) = ev.event.target();
-                self.metrics.cc_event(CcEvent {
-                    at: now,
-                    kind: CcEventKind::Fault {
+                self.metrics.record(
+                    now,
+                    CcEventKind::Fault {
                         kind,
                         sw: sw.0,
                         port: port.map_or(0, |p| p.index() as u32),
                     },
-                });
+                );
             }
         }
         if frt.routing_update_at.is_some_and(|t| t <= now) {
@@ -2197,10 +2168,6 @@ impl Simulator {
     /// the availability accounting.
     fn complete_reroute(&mut self, now: Cycle, frt: &mut FaultRuntime) {
         self.routing = RoutingTable::shortest_path(&self.topo);
-        // BECN transit times follow the new paths.
-        for a in &mut self.adapters {
-            a.forget_becn_delays();
-        }
         let (comp, node_comp) = compute_components(&self.topo, &frt.down_switches);
         frt.comp = comp;
         frt.node_comp = node_comp;
@@ -2224,15 +2191,13 @@ impl Simulator {
         }
         frt.reroutes += 1;
         frt.last_recovery = now;
-        if self.metrics.wants_events(EventClass::FAULT) {
-            let unreachable = frt.unreachable_since.iter().filter(|s| s.is_some()).count();
-            self.metrics.cc_event(CcEvent {
-                at: now,
-                kind: CcEventKind::RerouteDone {
-                    unreachable_nodes: unreachable as u32,
-                },
-            });
-        }
+        let unreachable = frt.unreachable_since.iter().filter(|s| s.is_some()).count();
+        self.metrics.record(
+            now,
+            CcEventKind::RerouteDone {
+                unreachable_nodes: unreachable as u32,
+            },
+        );
     }
 
     /// Drop every buffered packet (switch queues and adapter queues)
@@ -2360,32 +2325,27 @@ impl Simulator {
                     tr.delivered(d.packet.id, d.ready_at, d.packet.fecn);
                 }
             }
-            if self.metrics.wants_events(EventClass::DELIVERY) {
-                self.metrics.cc_event(CcEvent {
-                    at: d.ready_at,
-                    kind: CcEventKind::Delivered {
-                        node: node.0,
-                        flow: d.packet.flow.0,
-                        bytes: d.packet.size_bytes,
-                        latency_cycles: d.ready_at.saturating_sub(d.packet.injected_at),
-                        fecn: d.packet.fecn,
-                    },
-                });
-            }
+            self.metrics.record(
+                d.ready_at,
+                CcEventKind::Delivered {
+                    node: node.0,
+                    flow: d.packet.flow.0,
+                    bytes: d.packet.size_bytes,
+                    latency_cycles: d.ready_at.saturating_sub(d.packet.injected_at),
+                    fecn: d.packet.fecn,
+                },
+            );
         }
         // FECN → BECN (§III-B): the destination returns a congestion
         // notification to the packet's source.
         if d.packet.fecn && self.mech.throttle().is_some() {
-            self.metrics.count("becn_generated", 1);
-            if self.metrics.wants_events(EventClass::BECN) {
-                self.metrics.cc_event(CcEvent {
-                    at: d.ready_at,
-                    kind: CcEventKind::BecnGenerated {
-                        node: node.0,
-                        src: d.packet.src.0,
-                    },
-                });
-            }
+            self.metrics.record(
+                d.ready_at,
+                CcEventKind::BecnGenerated {
+                    node: node.0,
+                    src: d.packet.src.0,
+                },
+            );
             match self.cfg.becn_transport {
                 BecnTransport::InBand => {
                     let id = PacketId(self.next_packet_id);
@@ -2418,17 +2378,14 @@ impl Simulator {
                 let id = PacketId(self.next_packet_id);
                 self.next_packet_id += 1;
                 let cnp = Packet::cnp(id, node, d.packet.src, d.ready_at, overhead);
-                self.metrics.count("cnp_generated", 1);
                 self.metrics.count("ctrl_wire_bytes_sent", cnp.wire_bytes());
-                if self.metrics.wants_events(EventClass::CNP) {
-                    self.metrics.cc_event(CcEvent {
-                        at: d.ready_at,
-                        kind: CcEventKind::CnpGenerated {
-                            node: node.0,
-                            src: d.packet.src.0,
-                        },
-                    });
-                }
+                self.metrics.record(
+                    d.ready_at,
+                    CcEventKind::CnpGenerated {
+                        node: node.0,
+                        src: d.packet.src.0,
+                    },
+                );
                 self.act_nodes.insert(node.0);
                 self.adapters[node.index()].queue_becn(cnp);
             }

@@ -28,11 +28,10 @@ use ccfit_engine::link::{CtrlEvent, Delivery, Link};
 use ccfit_engine::queue::{PacketQueue, QueuedPacket};
 use ccfit_engine::ram::PortRam;
 use ccfit_engine::units::Cycle;
-use ccfit_metrics::{CcEvent, CcEventKind, EventClass, MetricsCollector};
+use ccfit_metrics::{CcEventKind, MetricsCollector};
 use ccfit_topology::RoutingTable;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::fmt::Write;
 
 /// Where the congestion state of an output port comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -355,8 +354,6 @@ pub struct Switch {
     /// Arbitration scratch; between calls it keeps the idle bound of the
     /// last gather.
     arb: ArbScratch,
-    /// Reused buffer for per-site counter names.
-    name_buf: String,
     /// Per-call control-event scratch.
     ctrl_scratch: Vec<CtrlEvent>,
     /// Per-input-port memo of the isolation stage's last visit. Made
@@ -553,7 +550,6 @@ impl Switch {
             voq_occ: vec![0; num_ports],
             epoch: 0,
             arb: ArbScratch::new(num_ports),
-            name_buf: String::new(),
             ctrl_scratch: Vec::new(),
             iso_memo: vec![IsoMemo::Stale; num_ports],
             detect_tally: Vec::new(),
@@ -647,17 +643,14 @@ impl Switch {
                             {
                                 cam_keys_changed = true;
                             } else {
-                                metrics.count("out_cam_exhausted", 1);
-                                if metrics.wants_events(EventClass::CAM) {
-                                    metrics.cc_event(CcEvent {
-                                        at: now,
-                                        kind: CcEventKind::CamExhausted {
-                                            sw,
-                                            port: o as u32,
-                                            dst: dst.0,
-                                        },
-                                    });
-                                }
+                                metrics.record(
+                                    now,
+                                    CcEventKind::CamExhausted {
+                                        sw,
+                                        port: o as u32,
+                                        dst: dst.0,
+                                    },
+                                );
                             }
                         }
                     }
@@ -673,45 +666,36 @@ impl Switch {
                         } else if out.cam.allocate(dst, OutCamState { stopped: true }).is_ok() {
                             cam_keys_changed = true;
                         } else {
-                            metrics.count("out_cam_exhausted", 1);
-                            if metrics.wants_events(EventClass::CAM) {
-                                metrics.cc_event(CcEvent {
-                                    at: now,
-                                    kind: CcEventKind::CamExhausted {
-                                        sw,
-                                        port: o as u32,
-                                        dst: dst.0,
-                                    },
-                                });
-                            }
-                        }
-                        metrics.count("stops_received", 1);
-                        if metrics.wants_events(EventClass::STOP_GO) {
-                            metrics.cc_event(CcEvent {
-                                at: now,
-                                kind: CcEventKind::StopReceived {
+                            metrics.record(
+                                now,
+                                CcEventKind::CamExhausted {
                                     sw,
                                     port: o as u32,
                                     dst: dst.0,
                                 },
-                            });
+                            );
                         }
+                        metrics.record(
+                            now,
+                            CcEventKind::StopReceived {
+                                sw,
+                                port: o as u32,
+                                dst: dst.0,
+                            },
+                        );
                     }
                     CtrlEvent::Go { dst } => {
                         if let Some(idx) = out.cam.lookup(dst) {
                             out.cam.get_mut(idx).unwrap().value.stopped = false;
                         }
-                        metrics.count("gos_received", 1);
-                        if metrics.wants_events(EventClass::STOP_GO) {
-                            metrics.cc_event(CcEvent {
-                                at: now,
-                                kind: CcEventKind::GoReceived {
-                                    sw,
-                                    port: o as u32,
-                                    dst: dst.0,
-                                },
-                            });
-                        }
+                        metrics.record(
+                            now,
+                            CcEventKind::GoReceived {
+                                sw,
+                                port: o as u32,
+                                dst: dst.0,
+                            },
+                        );
                     }
                 }
             }
@@ -929,43 +913,28 @@ impl Switch {
                             self.cfq_count += 1;
                             self.port_changed(port);
                             self.epoch += 1;
-                            metrics.count("cfq_allocated", 1);
-                            metrics.count("congestion_detected", 1);
-                            self.name_buf.clear();
-                            write!(
-                                self.name_buf,
-                                "detected_sw{}_in{}_dst{}",
-                                self.id.0, port, dst.0
-                            )
-                            .expect("writing to a String cannot fail");
-                            metrics.count(&self.name_buf, 1);
-                            if metrics.wants_events(EventClass::CFQ) {
-                                metrics.cc_event(CcEvent {
-                                    at: now,
-                                    kind: CcEventKind::CfqAlloc {
-                                        sw: self.id.0,
-                                        port: port as u32,
-                                        dst: dst.0,
-                                        root: true,
-                                    },
-                                });
-                            }
+                            metrics.record(
+                                now,
+                                CcEventKind::CfqAlloc {
+                                    sw: self.id.0,
+                                    port: port as u32,
+                                    dst: dst.0,
+                                    root: true,
+                                },
+                            );
                         }
                         None => {
                             // The FBICM failure mode (Fig. 8b/c): no CFQ
                             // left, congested packets stay in the NFQ and
                             // HoL-block everything behind them.
-                            metrics.count("cfq_exhausted", 1);
-                            if metrics.wants_events(EventClass::CFQ) {
-                                metrics.cc_event(CcEvent {
-                                    at: now,
-                                    kind: CcEventKind::CfqExhausted {
-                                        sw: self.id.0,
-                                        port: port as u32,
-                                        dst: dst.0,
-                                    },
-                                });
-                            }
+                            metrics.record(
+                                now,
+                                CcEventKind::CfqExhausted {
+                                    sw: self.id.0,
+                                    port: port as u32,
+                                    dst: dst.0,
+                                },
+                            );
                         }
                     }
                 }
@@ -1003,32 +972,26 @@ impl Switch {
                                 };
                                 cfqs[free].state = Some(CfqState::new(dst, out, false));
                                 self.cfq_count += 1;
-                                metrics.count("cfq_allocated", 1);
-                                if metrics.wants_events(EventClass::CFQ) {
-                                    metrics.cc_event(CcEvent {
-                                        at: now,
-                                        kind: CcEventKind::CfqAlloc {
-                                            sw: self.id.0,
-                                            port: port as u32,
-                                            dst: dst.0,
-                                            root: false,
-                                        },
-                                    });
-                                }
+                                metrics.record(
+                                    now,
+                                    CcEventKind::CfqAlloc {
+                                        sw: self.id.0,
+                                        port: port as u32,
+                                        dst: dst.0,
+                                        root: false,
+                                    },
+                                );
                                 Some(free)
                             }
                             None => {
-                                metrics.count("cfq_exhausted", 1);
-                                if metrics.wants_events(EventClass::CFQ) {
-                                    metrics.cc_event(CcEvent {
-                                        at: now,
-                                        kind: CcEventKind::CfqExhausted {
-                                            sw: self.id.0,
-                                            port: port as u32,
-                                            dst: dst.0,
-                                        },
-                                    });
-                                }
+                                metrics.record(
+                                    now,
+                                    CcEventKind::CfqExhausted {
+                                        sw: self.id.0,
+                                        port: port as u32,
+                                        dst: dst.0,
+                                    },
+                                );
                                 None
                             }
                         }
@@ -1087,17 +1050,14 @@ impl Switch {
                             CtrlEvent::CfqAlloc { dst: st.dst },
                         );
                         st.alloc_sent = true;
-                        metrics.count("allocs_propagated", 1);
-                        if metrics.wants_events(EventClass::CFQ) {
-                            metrics.cc_event(CcEvent {
-                                at: now,
-                                kind: CcEventKind::AllocPropagated {
-                                    sw: self.id.0,
-                                    port: port as u32,
-                                    dst: st.dst.0,
-                                },
-                            });
-                        }
+                        metrics.record(
+                            now,
+                            CcEventKind::AllocPropagated {
+                                sw: self.id.0,
+                                port: port as u32,
+                                dst: st.dst.0,
+                            },
+                        );
                     }
                     if !st.stop_sent && occ >= stop_flits {
                         if !st.alloc_sent {
@@ -1111,32 +1071,26 @@ impl Switch {
                         }
                         self.send_ctrl_noting(links, link, now, CtrlEvent::Stop { dst: st.dst });
                         st.stop_sent = true;
-                        metrics.count("stops_sent", 1);
-                        if metrics.wants_events(EventClass::STOP_GO) {
-                            metrics.cc_event(CcEvent {
-                                at: now,
-                                kind: CcEventKind::StopSent {
-                                    sw: self.id.0,
-                                    port: port as u32,
-                                    dst: st.dst.0,
-                                },
-                            });
-                        }
+                        metrics.record(
+                            now,
+                            CcEventKind::StopSent {
+                                sw: self.id.0,
+                                port: port as u32,
+                                dst: st.dst.0,
+                            },
+                        );
                     }
                     if st.stop_sent && occ <= go_flits {
                         self.send_ctrl_noting(links, link, now, CtrlEvent::Go { dst: st.dst });
                         st.stop_sent = false;
-                        metrics.count("gos_sent", 1);
-                        if metrics.wants_events(EventClass::STOP_GO) {
-                            metrics.cc_event(CcEvent {
-                                at: now,
-                                kind: CcEventKind::GoSent {
-                                    sw: self.id.0,
-                                    port: port as u32,
-                                    dst: st.dst.0,
-                                },
-                            });
-                        }
+                        metrics.record(
+                            now,
+                            CcEventKind::GoSent {
+                                sw: self.id.0,
+                                port: port as u32,
+                                dst: st.dst.0,
+                            },
+                        );
                     }
                 }
                 // CCFIT congestion state: root CFQs *persistently* above
@@ -1217,17 +1171,14 @@ impl Switch {
                         self.port_changed(port);
                         self.epoch += 1;
                         self.sync_live(port);
-                        metrics.count("cfq_deallocated", 1);
-                        if metrics.wants_events(EventClass::CFQ) {
-                            metrics.cc_event(CcEvent {
-                                at: now,
-                                kind: CcEventKind::CfqDealloc {
-                                    sw: self.id.0,
-                                    port: port as u32,
-                                    dst: st.dst.0,
-                                },
-                            });
-                        }
+                        metrics.record(
+                            now,
+                            CcEventKind::CfqDealloc {
+                                sw: self.id.0,
+                                port: port as u32,
+                                dst: st.dst.0,
+                            },
+                        );
                         continue;
                     }
                 } else {
@@ -1260,9 +1211,8 @@ impl Switch {
             .sum()
     }
 
-    /// Update each output port's congestion state, emitting
-    /// enter/leave events on transitions when the collector asks for
-    /// them.
+    /// Update each output port's congestion state, recording an
+    /// enter/leave event on each transition.
     pub fn congestion_state_tick(
         &mut self,
         now: Cycle,
@@ -1291,23 +1241,21 @@ impl Switch {
                         } else {
                             self.congested_count -= 1;
                         }
-                        if metrics.wants_events(EventClass::CONGESTION) {
-                            let occupancy_flits = self.root_cfq_occupancy_flits(o);
-                            let kind = if congested {
-                                CcEventKind::CongestionEnter {
-                                    sw: self.id.0,
-                                    port: o as u32,
-                                    occupancy_flits,
-                                }
-                            } else {
-                                CcEventKind::CongestionLeave {
-                                    sw: self.id.0,
-                                    port: o as u32,
-                                    occupancy_flits,
-                                }
-                            };
-                            metrics.cc_event(CcEvent { at: now, kind });
-                        }
+                        let occupancy_flits = self.root_cfq_occupancy_flits(o);
+                        let kind = if congested {
+                            CcEventKind::CongestionEnter {
+                                sw: self.id.0,
+                                port: o as u32,
+                                occupancy_flits,
+                            }
+                        } else {
+                            CcEventKind::CongestionLeave {
+                                sw: self.id.0,
+                                port: o as u32,
+                                occupancy_flits,
+                            }
+                        };
+                        metrics.record(now, kind);
                     }
                 }
             }
@@ -1328,30 +1276,26 @@ impl Switch {
                         if occ >= thr.high_flits && has_credits {
                             out.congested = true;
                             self.congested_count += 1;
-                            if metrics.wants_events(EventClass::CONGESTION) {
-                                metrics.cc_event(CcEvent {
-                                    at: now,
-                                    kind: CcEventKind::CongestionEnter {
-                                        sw: self.id.0,
-                                        port: o as u32,
-                                        occupancy_flits: occ,
-                                    },
-                                });
-                            }
-                        }
-                    } else if occ <= thr.low_flits {
-                        out.congested = false;
-                        self.congested_count -= 1;
-                        if metrics.wants_events(EventClass::CONGESTION) {
-                            metrics.cc_event(CcEvent {
-                                at: now,
-                                kind: CcEventKind::CongestionLeave {
+                            metrics.record(
+                                now,
+                                CcEventKind::CongestionEnter {
                                     sw: self.id.0,
                                     port: o as u32,
                                     occupancy_flits: occ,
                                 },
-                            });
+                            );
                         }
+                    } else if occ <= thr.low_flits {
+                        out.congested = false;
+                        self.congested_count -= 1;
+                        metrics.record(
+                            now,
+                            CcEventKind::CongestionLeave {
+                                sw: self.id.0,
+                                port: o as u32,
+                                occupancy_flits: occ,
+                            },
+                        );
                     }
                 }
             }
@@ -1670,26 +1614,15 @@ impl Switch {
                     && self.marking_rng.random::<f64>() < thr.marking_rate
                 {
                     entry.packet.fecn = true;
-                    metrics.count("fecn_marked", 1);
-                    self.name_buf.clear();
-                    write!(
-                        self.name_buf,
-                        "fecn_marked_sw{}_out{}_dst{}",
-                        self.id.0, out, entry.packet.dst.0
-                    )
-                    .expect("writing to a String cannot fail");
-                    metrics.count(&self.name_buf, 1);
-                    if metrics.wants_events(EventClass::FECN) {
-                        metrics.cc_event(CcEvent {
-                            at: now,
-                            kind: CcEventKind::FecnMark {
-                                sw: self.id.0,
-                                port: out as u32,
-                                dst: entry.packet.dst.0,
-                                flow: entry.packet.flow.0,
-                            },
-                        });
-                    }
+                    metrics.record(
+                        now,
+                        CcEventKind::FecnMark {
+                            sw: self.id.0,
+                            port: out as u32,
+                            dst: entry.packet.dst.0,
+                            flow: entry.packet.flow.0,
+                        },
+                    );
                 }
             }
             // Modern-CC header work at the same adjudication point
@@ -1710,18 +1643,15 @@ impl Switch {
                     };
                     if p > 0.0 && self.marking_rng.random::<f64>() < p {
                         entry.packet.ecn = true;
-                        metrics.count("ecn_marked", 1);
-                        if metrics.wants_events(EventClass::ECN) {
-                            metrics.cc_event(CcEvent {
-                                at: now,
-                                kind: CcEventKind::EcnMark {
-                                    sw: self.id.0,
-                                    port: out as u32,
-                                    dst: entry.packet.dst.0,
-                                    occupancy_flits: occ,
-                                },
-                            });
-                        }
+                        metrics.record(
+                            now,
+                            CcEventKind::EcnMark {
+                                sw: self.id.0,
+                                port: out as u32,
+                                dst: entry.packet.dst.0,
+                                occupancy_flits: occ,
+                            },
+                        );
                     }
                 }
                 Some(SwitchCcMode::Int { window_cycles }) => {

@@ -1,6 +1,6 @@
 //! The live metrics collector driven by the simulator.
 
-use crate::events::{CcEvent, EventClass, EventConfig, EventLog};
+use crate::events::{CcEvent, CcEventKind, EventConfig, EventLog, SiteCounter};
 use crate::faults::FaultSummary;
 use crate::fct::{FctTracker, FlowGoal};
 use crate::histogram::LatencyHistogram;
@@ -10,19 +10,21 @@ use ccfit_engine::ids::FlowId;
 use ccfit_engine::packet::Packet;
 use ccfit_engine::units::{Cycle, UnitModel};
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// Declares [`HOT_COUNTERS`] and its inverse [`hot_slot`] from one list.
 macro_rules! hot_counters {
     ($($slot:literal => $name:literal,)*) => {
-        /// The counter names the simulator bumps by a literal. They live
-        /// in fixed slots instead of the name map: a congested run bumps
-        /// `cfq_exhausted` hundreds of thousands of times, while the map
-        /// holds over a thousand per-(switch, port, destination) names.
+        /// The fixed counter names: literal `count`s and the fixed names
+        /// of [`CcEventKind::counters`]. They live in fixed slots instead
+        /// of the name map: a congested run bumps `cfq_exhausted`
+        /// hundreds of thousands of times, while the map holds over a
+        /// thousand per-(switch, port, destination) names.
         const HOT_COUNTERS: [&str; [$($slot),*].len()] = [$($name),*];
 
-        /// Slot of `name` in [`HOT_COUNTERS`]; a `match`, so a literal
+        /// Slot of `name` in [`HOT_COUNTERS`]; a `match`, so a constant
         /// name resolves at compile time where [`MetricsCollector::count`]
-        /// is inlined.
+        /// (or [`MetricsCollector::record`] of a known kind) is inlined.
         #[inline]
         fn hot_slot(name: &str) -> Option<usize> {
             match name {
@@ -85,8 +87,9 @@ pub struct MetricsCollector {
     /// Every other counter; [`Self::finish`] merges `hot` into it.
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, TimeSeries>,
-    /// Reused buffer for the `<name>_samples` key of [`Self::gauge`].
-    samples_key: String,
+    /// Reused buffer for built names: a per-site counter of
+    /// [`Self::record`], the `<name>_samples` key of [`Self::gauge`].
+    key_buf: String,
     delivered_packets: u64,
     delivered_bytes: u64,
     faults: Option<FaultSummary>,
@@ -108,7 +111,7 @@ impl MetricsCollector {
             hot: [None; HOT_COUNTERS.len()],
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
-            samples_key: String::new(),
+            key_buf: String::new(),
             delivered_packets: 0,
             delivered_bytes: 0,
             faults: None,
@@ -125,33 +128,42 @@ impl MetricsCollector {
         self.fct = Some(FctTracker::new(goals));
     }
 
-    /// Turn on the structured CC event log (off by default — fully
-    /// zero-cost when unset). See [`crate::events`].
+    /// Turn on the structured CC event log (off by default). See
+    /// [`crate::events`].
     pub fn enable_events(&mut self, cfg: EventConfig) {
         self.events = Some(EventLog::new(cfg));
     }
 
-    /// The enabled event-class mask ([`EventClass::NONE`] when the log
-    /// is off). Emission sites check this before constructing events.
-    pub fn event_mask(&self) -> EventClass {
-        self.events
-            .as_ref()
-            .map_or(EventClass::NONE, EventLog::classes)
-    }
-
-    /// True when structured CC events of `class` are recorded. Emission
-    /// sites guard event construction behind this, so disabled tracing
-    /// costs a single branch per site.
-    pub fn wants_events(&self, class: EventClass) -> bool {
-        self.event_mask().contains(class)
-    }
-
-    /// Offer an event to the log (no-op when the log is off or the
-    /// event's class is masked).
-    pub fn cc_event(&mut self, ev: CcEvent) {
-        if let Some(log) = &mut self.events {
-            log.offer(ev);
+    /// Record one congestion-control occurrence at cycle `at`: bump the
+    /// counters [`CcEventKind::counters`] names, then offer the event to
+    /// the log, which keeps it when its class is enabled. With the log
+    /// off that costs one branch beyond the counters.
+    ///
+    /// Always inlined: every site passes a known variant, so the match
+    /// in `counters()` folds away and the site makes the same `count`
+    /// calls a hand-written one would, with no match on the kind at run
+    /// time.
+    #[inline(always)]
+    pub fn record(&mut self, at: Cycle, kind: CcEventKind) {
+        let (names, site) = kind.counters();
+        for name in names {
+            self.count(name, 1);
         }
+        if let Some(site) = site {
+            self.count_site(site);
+        }
+        if let Some(log) = &mut self.events {
+            log.offer(CcEvent { at, kind });
+        }
+    }
+
+    /// Bump a per-site counter, its name built in the reused buffer.
+    fn count_site(&mut self, site: SiteCounter) {
+        let mut key = std::mem::take(&mut self.key_buf);
+        key.clear();
+        write!(key, "{site}").expect("writing to a String cannot fail");
+        self.count(&key, 1);
+        self.key_buf = key;
     }
 
     /// The live event log, if enabled.
@@ -190,8 +202,9 @@ impl MetricsCollector {
         self.delivered_bytes += pkt.size_bytes as u64;
     }
 
-    /// Increment a named event counter (CFQ allocations, FECN marks,
-    /// BECNs received, …).
+    /// Increment a named counter: the ones [`Self::record`] derives from
+    /// an event, and those no event stands behind (packets isolated,
+    /// wire bytes, …).
     ///
     /// Hot: a congested run bumps the same few names hundreds of
     /// thousands of times. Those are [`HOT_COUNTERS`] slots; any other
@@ -227,12 +240,12 @@ impl MetricsCollector {
     /// this automatically.
     pub fn gauge(&mut self, name: &str, at_ns: f64, value: f64) {
         self.gauge_add(name, at_ns, value);
-        let mut key = std::mem::take(&mut self.samples_key);
+        let mut key = std::mem::take(&mut self.key_buf);
         key.clear();
         key.push_str(name);
         key.push_str("_samples");
         self.gauge_add(&key, at_ns, 1.0);
-        self.samples_key = key;
+        self.key_buf = key;
     }
 
     /// Add to the series of gauge `name`, creating it on first use (the
@@ -365,6 +378,72 @@ mod tests {
         c.count("fecn_marked", 2);
         assert_eq!(c.counter("fecn_marked"), 5);
         assert_eq!(c.counter("missing"), 0);
+    }
+
+    #[test]
+    fn record_counts_always_and_logs_enabled_classes() {
+        use crate::events::EventClass;
+        let alloc = |root| CcEventKind::CfqAlloc {
+            sw: 3,
+            port: 1,
+            dst: 7,
+            root,
+        };
+        let mark = CcEventKind::FecnMark {
+            sw: 3,
+            port: 2,
+            dst: 7,
+            flow: 9,
+        };
+
+        // Recording off: the counters only, per-site names included.
+        let mut off = MetricsCollector::new(UnitModel::default(), 1000.0);
+        off.record(10, alloc(true));
+        off.record(11, mark);
+        off.record(12, mark);
+        assert!(off.events().is_none());
+        for (name, n) in [
+            ("cfq_allocated", 1),
+            ("congestion_detected", 1),
+            ("detected_sw3_in1_dst7", 1),
+            ("fecn_marked", 2),
+            ("fecn_marked_sw3_out2_dst7", 2),
+        ] {
+            assert_eq!(off.counter(name), n, "{name}");
+        }
+
+        // A masked class still counts, but only enabled kinds are logged.
+        let mut on = MetricsCollector::new(UnitModel::default(), 1000.0);
+        on.enable_events(EventConfig {
+            classes: EventClass::FECN,
+            ..EventConfig::default()
+        });
+        on.record(20, alloc(false));
+        assert_eq!(on.counter("cfq_allocated"), 1);
+        assert_eq!(on.events().unwrap().seen(), 0);
+        on.record(21, mark);
+        let logged: Vec<CcEvent> = on.events().unwrap().iter().copied().collect();
+        assert_eq!(logged, [CcEvent { at: 21, kind: mark }]);
+        assert_eq!(on.counter("fecn_marked_sw3_out2_dst7"), 1);
+
+        // A root allocation bumps three counters, a propagated one one.
+        let counted = |kind: CcEventKind| {
+            let mut c = MetricsCollector::new(UnitModel::default(), 1000.0);
+            c.record(0, kind);
+            c.finish("t", 1000.0, 1.0, &BTreeMap::new()).counters
+        };
+        assert_eq!(
+            counted(alloc(true)).keys().collect::<Vec<_>>(),
+            [
+                "cfq_allocated",
+                "congestion_detected",
+                "detected_sw3_in1_dst7"
+            ]
+        );
+        assert_eq!(
+            counted(alloc(false)).keys().collect::<Vec<_>>(),
+            ["cfq_allocated"]
+        );
     }
 
     /// `count` / `gauge` as they were before the lookup-first rewrite:

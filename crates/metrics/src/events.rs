@@ -4,17 +4,16 @@
 //! congestion-state transitions at root ports, CFQ allocation and
 //! release, FECN/BECN traffic, CCT index movement — so the simulator
 //! records them as first-class [`CcEvent`]s instead of leaving them
-//! implicit in throughput curves. Events flow through the same
-//! [`MetricsCollector`](crate::MetricsCollector) as counters and land
-//! straight in its [`EventLog`] (see DESIGN.md §10).
-//!
-//! Emission is zero-cost when off: every site guards construction behind
-//! [`MetricsCollector::wants_events`](crate::MetricsCollector::wants_events),
-//! which is a single branch against a bitmask.
+//! implicit in throughput curves. Each occurrence is recorded once, by
+//! [`MetricsCollector::record`](crate::MetricsCollector::record): it
+//! bumps the counters [`CcEventKind::counters`] names and offers the
+//! event to the collector's [`EventLog`] (see DESIGN.md §10), so the
+//! counters a report prints and the log cannot drift apart.
 
 use ccfit_engine::units::Cycle;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::fmt;
 
 /// Bitmask of event classes — the `SimBuilder` knob that selects which
 /// event families are recorded.
@@ -404,7 +403,72 @@ impl CcEventKind {
         }
     }
 
-    /// Short static label (CSV `kind` column, Chrome-trace event name).
+    /// The counters one occurrence of this kind bumps by one, whether or
+    /// not the log records it: fixed names, plus a per-site name for
+    /// root CFQ allocations and FECN marks. Always inlined, like
+    /// [`MetricsCollector::record`](crate::MetricsCollector::record).
+    #[inline(always)]
+    pub fn counters(&self) -> (&'static [&'static str], Option<SiteCounter>) {
+        use CcEventKind::*;
+        match *self {
+            CfqAlloc {
+                sw,
+                port,
+                dst,
+                root: true,
+            } => (
+                &["cfq_allocated", "congestion_detected"],
+                Some(SiteCounter {
+                    what: "detected",
+                    side: "in",
+                    sw,
+                    port,
+                    dst,
+                }),
+            ),
+            CfqAlloc { root: false, .. } => (&["cfq_allocated"], None),
+            CfqDealloc { .. } => (&["cfq_deallocated"], None),
+            CfqExhausted { .. } => (&["cfq_exhausted"], None),
+            IaCfqAlloc { .. } => (&["ia_cfq_allocated"], None),
+            IaCfqDealloc { .. } => (&["ia_cfq_deallocated"], None),
+            IaCfqExhausted { .. } => (&["ia_cfq_exhausted"], None),
+            AllocPropagated { .. } => (&["allocs_propagated"], None),
+            CamExhausted { .. } => (&["out_cam_exhausted"], None),
+            IaCamExhausted { .. } => (&["ia_cam_exhausted"], None),
+            FecnMark { sw, port, dst, .. } => (
+                &["fecn_marked"],
+                Some(SiteCounter {
+                    what: "fecn_marked",
+                    side: "out",
+                    sw,
+                    port,
+                    dst,
+                }),
+            ),
+            BecnGenerated { .. } => (&["becn_generated"], None),
+            BecnReceived { .. } => (&["becn_received"], None),
+            StopSent { .. } => (&["stops_sent"], None),
+            GoSent { .. } => (&["gos_sent"], None),
+            StopReceived { .. } => (&["stops_received"], None),
+            GoReceived { .. } => (&["gos_received"], None),
+            ThrottledInjection { .. } => (&["throttled_injections"], None),
+            EcnMark { .. } => (&["ecn_marked"], None),
+            CnpGenerated { .. } => (&["cnp_generated"], None),
+            CnpReceived { .. } => (&["cnp_received"], None),
+            IntFeedback { .. } => (&["ack_received"], None),
+            CongestionEnter { .. }
+            | CongestionLeave { .. }
+            | CctiIncrease { .. }
+            | CctiDecay { .. }
+            | Fault { .. }
+            | RerouteDone { .. }
+            | Delivered { .. }
+            | RateChange { .. }
+            | WindowChange { .. } => (&[], None),
+        }
+    }
+
+    /// Short static label (Chrome-trace event name).
     pub fn label(&self) -> &'static str {
         use CcEventKind::*;
         match self {
@@ -439,6 +503,37 @@ impl CcEventKind {
             RateChange { .. } => "rate_change",
             WindowChange { .. } => "window_change",
         }
+    }
+}
+
+/// A counter named after the place an occurrence happened,
+/// `{what}_sw{sw}_{side}{port}_dst{dst}` (e.g.
+/// `fecn_marked_sw3_out1_dst7`): the per-(switch, port, destination)
+/// breakdown of a total.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SiteCounter {
+    /// Counter family (`detected`, `fecn_marked`).
+    pub what: &'static str,
+    /// `in` for an input port, `out` for an output port.
+    pub side: &'static str,
+    /// Switch id.
+    pub sw: u32,
+    /// Port on that side.
+    pub port: u32,
+    /// Destination.
+    pub dst: u32,
+}
+
+impl fmt::Display for SiteCounter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let SiteCounter {
+            what,
+            side,
+            sw,
+            port,
+            dst,
+        } = self;
+        write!(f, "{what}_sw{sw}_{side}{port}_dst{dst}")
     }
 }
 
@@ -587,17 +682,6 @@ impl EventLog {
             seen: 0,
             sampled_out: 0,
         }
-    }
-
-    /// The enabled class mask.
-    pub fn classes(&self) -> EventClass {
-        self.cfg.classes
-    }
-
-    /// True when the log records events of `class`.
-    #[inline]
-    pub fn wants(&self, class: EventClass) -> bool {
-        self.cfg.classes.contains(class)
     }
 
     /// Offer an event: drop it if masked, count it out if sampling

@@ -1,6 +1,7 @@
-//! Event-log exporters: Chrome `trace_event` JSON, JSONL and CSV.
+//! Event-log exporter: Chrome `trace_event` JSON. (The events
+//! themselves serialize with serde, and so reach the report JSON.)
 //!
-//! The Chrome exporter emits the legacy `trace_event` format understood
+//! It emits the legacy `trace_event` format understood
 //! by `chrome://tracing` and [Perfetto](https://ui.perfetto.dev):
 //! switch-side events appear under one "process" per switch (pid =
 //! switch id) with one "thread" per port (tid = port), node-side events
@@ -15,8 +16,8 @@ use crate::events::{CcEvent, CcEventKind};
 /// switch "processes" in the Chrome trace.
 pub const NODE_PID_BASE: u32 = 100_000;
 
-/// Location and payload of one event, flattened for the row-oriented
-/// exporters: `(pid, tid, args)` where `args` is `(name, value)` pairs.
+/// Location and payload of one event, flattened for the trace:
+/// `(pid, tid, args)` where `args` is `(name, value)` pairs.
 fn flatten(kind: &CcEventKind) -> (u32, u32, Vec<(&'static str, u64)>) {
     use CcEventKind::*;
     match *kind {
@@ -179,36 +180,6 @@ fn flatten(kind: &CcEventKind) -> (u32, u32, Vec<(&'static str, u64)>) {
     }
 }
 
-/// One JSON object per line, in canonical emission order — the grep- and
-/// `jq`-friendly archive format.
-pub fn events_jsonl(events: &[CcEvent]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        out.push_str(&serde_json::to_string(ev).expect("events always serialize"));
-        out.push('\n');
-    }
-    out
-}
-
-/// Flat CSV: `at_cycles,at_ns,class,kind,pid,tid,args`, where `args`
-/// packs the kind-specific payload as `name=value` pairs separated by
-/// `;`.
-pub fn events_csv(events: &[CcEvent], cycle_ns: f64) -> String {
-    let mut out = String::from("at_cycles,at_ns,kind,pid,tid,args\n");
-    for ev in events {
-        let (pid, tid, args) = flatten(&ev.kind);
-        let packed: Vec<String> = args.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        out.push_str(&format!(
-            "{},{},{},{pid},{tid},{}\n",
-            ev.at,
-            ev.at as f64 * cycle_ns,
-            ev.kind.label(),
-            packed.join(";")
-        ));
-    }
-    out
-}
-
 /// Chrome `trace_event` JSON (load in `chrome://tracing` or Perfetto).
 ///
 /// `cycle_ns` converts event cycles to the format's microsecond
@@ -299,27 +270,6 @@ mod tests {
                 },
             },
         ]
-    }
-
-    #[test]
-    fn jsonl_is_one_object_per_line() {
-        let text = events_jsonl(&sample());
-        assert_eq!(text.lines().count(), 4);
-        for line in text.lines() {
-            let back: CcEvent = serde_json::from_str(line).unwrap();
-            assert!(back.at >= 100);
-        }
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let text = events_csv(&sample(), 2.0);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "at_cycles,at_ns,kind,pid,tid,args");
-        assert_eq!(lines.len(), 5);
-        assert!(lines[1].starts_with("100,200,congestion_enter,1,2,"));
-        assert!(lines[2].contains("fecn_mark"));
-        assert!(lines[2].contains("dst=3;flow=7"));
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod series;
 pub use collector::MetricsCollector;
 pub use events::{
     CcEvent, CcEventKind, EventClass, EventConfig, EventLog, EventLogReport, EventRing, FaultKind,
+    SiteCounter,
 };
 pub use fairness::jain_index;
 pub use faults::FaultSummary;

@@ -1,10 +1,10 @@
-//! `MetricsCollector::count` / `gauge` on a name the collector already
-//! holds must not touch the allocator — a congested run bumps the same
-//! few counters hundreds of thousands of times. This file holds one
+//! `MetricsCollector::count` / `gauge` / `record` on names the collector
+//! already holds must not touch the allocator — a congested run bumps the
+//! same few counters hundreds of thousands of times. This file holds one
 //! test so nothing else allocates on its thread while it counts.
 
 use ccfit_engine::units::UnitModel;
-use ccfit_metrics::MetricsCollector;
+use ccfit_metrics::{CcEventKind, MetricsCollector};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -53,15 +53,25 @@ fn hits_on_existing_names_do_not_allocate() {
     let dynamic = "fecn_marked_sw3_out1_dst7";
     assert!(allocs_during(|| c.count(dynamic, 1)) > 0);
     assert!(allocs_during(|| c.gauge("buffered_flits", 10.0, 1.0)) > 0);
+    // A FECN mark also bumps its per-site counter, built in a buffer.
+    let mark = CcEventKind::FecnMark {
+        sw: 4,
+        port: 2,
+        dst: 9,
+        flow: 0,
+    };
+    assert!(allocs_during(|| c.record(0, mark)) > 0);
 
     let direct = allocs_during(|| {
         for i in 0..1000u64 {
             c.count("cfq_exhausted", i);
             c.count(dynamic, i);
             c.gauge("buffered_flits", 10.0, 2.0); // same bin: no series growth
+            c.record(i, mark);
         }
     });
-    assert_eq!(direct, 0, "count/gauge on existing names allocated");
+    assert_eq!(direct, 0, "count/gauge/record on existing names allocated");
+    assert_eq!(c.counter("fecn_marked_sw4_out2_dst9"), 1001);
     assert_eq!(c.counter("cfq_exhausted"), 1 + 499_500);
     assert_eq!(c.counter(dynamic), 1 + 499_500);
 }

@@ -2,10 +2,13 @@
 //! Fig. 8 (Config #3, Case #4), parameterized from the command line.
 //!
 //! ```sh
-//! cargo run --release --example hotspot_storm -- <hotspots> <mechanism>
+//! cargo run --release --example hotspot_storm -- [hotspots] [mechanism]
 //! # e.g.
 //! cargo run --release --example hotspot_storm -- 4 ccfit
 //! ```
+//!
+//! `hotspots` (at least 1) defaults to 4 and `mechanism` (any registered
+//! name, case-insensitive) to CCFIT; a value that does not parse exits 2.
 //!
 //! 75 % of the 64 nodes send uniform background traffic; the other 25 %
 //! burst into `<hotspots>` congestion trees during [1 ms, 2 ms]. The
@@ -16,23 +19,28 @@
 use ccfit::experiment::config3_case4;
 use ccfit::{Mechanism, SimConfig};
 
-fn mechanism_by_name(name: &str) -> Mechanism {
-    match name.to_lowercase().as_str() {
-        "1q" => Mechanism::OneQ,
-        "voqsw" => Mechanism::VoqSw,
-        "voqnet" => Mechanism::voqnet(),
-        "fbicm" => Mechanism::fbicm(),
-        "ith" => Mechanism::ith(),
-        _ => Mechanism::ccfit(),
-    }
+/// Print `msg` and the usage, then exit 2.
+fn usage_error(msg: &str) -> ! {
+    let known: Vec<&str> = Mechanism::all().iter().map(|m| m.name()).collect();
+    eprintln!("{msg}");
+    eprintln!(
+        "usage: hotspot_storm [hotspots] [mechanism]; mechanisms: {}",
+        known.join(", ")
+    );
+    std::process::exit(2);
 }
 
 fn main() {
-    let hotspots: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(4);
-    let mech = mechanism_by_name(&std::env::args().nth(2).unwrap_or_else(|| "ccfit".into()));
+    let args: Vec<String> = std::env::args().collect();
+    let hotspots: usize = args.get(1).map_or(4, |a| {
+        a.parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| usage_error(&format!("bad hotspot count {a:?}")))
+    });
+    let mech = args.get(2).map_or_else(Mechanism::ccfit, |a| {
+        Mechanism::parse(a).unwrap_or_else(|| usage_error(&format!("unknown mechanism {a:?}")))
+    });
     let name = mech.name();
 
     let spec = config3_case4(hotspots, 4.0);
@@ -76,6 +84,9 @@ fn main() {
         "fecn_marked",
         "becn_received",
         "throttled_injections",
+        "ecn_marked",
+        "cnp_received",
+        "ack_received",
     ] {
         println!(
             "  {key:<22} {}",
