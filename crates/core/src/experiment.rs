@@ -8,6 +8,7 @@
 
 use crate::params::Mechanism;
 use crate::simulator::{SimBuilder, SimConfig};
+use ccfit_engine::BadParam;
 use ccfit_metrics::SimReport;
 use ccfit_topology::{config1_topology, KAryNTree, LinkParams, Mesh2D, RoutingTable, Topology};
 use ccfit_traffic::{case1, case2, case3, case4, uniform_all, TrafficPattern, Workload};
@@ -58,12 +59,8 @@ impl ExperimentSpec {
         seed: u64,
         cfg: SimConfig,
         schedule: ccfit_faults::FaultSchedule,
-        fault_cfg: ccfit_faults::FaultConfig,
     ) -> crate::Simulator {
-        self.builder(mech, seed, cfg)
-            .faults(schedule)
-            .fault_config(fault_cfg)
-            .build()
+        self.builder(mech, seed, cfg).faults(schedule).build()
     }
 
     /// The one way a spec becomes a [`SimBuilder`]: the spec owns the
@@ -119,10 +116,8 @@ impl ExperimentSpec {
         seed: u64,
         cfg: SimConfig,
         schedule: ccfit_faults::FaultSchedule,
-        fault_cfg: ccfit_faults::FaultConfig,
     ) -> SimReport {
-        self.build_sim_with_faults(mech, seed, cfg, schedule, fault_cfg)
-            .run()
+        self.build_sim_with_faults(mech, seed, cfg, schedule).run()
     }
 }
 
@@ -341,10 +336,68 @@ impl ConfigId {
         }
     }
 
+    /// Whether [`Self::resolve`] can build this id: `Err` names the first
+    /// parameter it cannot honour.
+    pub fn check(&self) -> Result<(), BadParam> {
+        let fail = |key, reason: String| Err(BadParam::new(key, reason));
+        let positive = |key, v: f64| match v.is_finite() && v > 0.0 {
+            true => Ok(()),
+            false => fail(key, format!("must be positive and finite, got {v}")),
+        };
+        let at_least = |key, v: usize, min: usize| match v >= min {
+            true => Ok(()),
+            false => fail(key, format!("must be at least {min}, got {v}")),
+        };
+        let load = |v: f64| match v > 0.0 && v <= 1.0 {
+            true => Ok(()),
+            false => fail("load", format!("must be in (0, 1], got {v}")),
+        };
+        match *self {
+            ConfigId::Config1Case1 { scale }
+            | ConfigId::Config2Case2 { scale }
+            | ConfigId::Config2Case3 { scale } => positive("scale", scale),
+            ConfigId::Config3Case4 {
+                hotspots,
+                duration_ms,
+                scale,
+            } => at_least("hotspots", hotspots, 1)
+                .and(positive("duration_ms", duration_ms))
+                .and(positive("scale", scale)),
+            ConfigId::UniformTree {
+                ary,
+                levels,
+                load: l,
+                duration_ns,
+            } => at_least("ary", ary, 2)
+                .and(at_least("levels", levels, 1))
+                .and(load(l))
+                .and(positive("duration_ns", duration_ns)),
+            ConfigId::UniformMesh {
+                width,
+                height,
+                load: l,
+                duration_ns,
+            } => at_least("width", width, 1)
+                .and(at_least("height", height, 1))
+                .and(match width.saturating_mul(height) {
+                    0 | 1 => fail("width", format!("a {width}x{height} mesh has one switch")),
+                    _ => Ok(()),
+                })
+                .and(load(l))
+                .and(positive("duration_ns", duration_ns)),
+        }
+    }
+
     /// Assemble the concrete experiment this id names. Equal ids resolve
     /// to equal specs; the determinism suite then guarantees equal
     /// reports for equal (spec, mechanism, seed, knobs).
+    ///
+    /// # Panics
+    /// On an id [`Self::check`] rejects.
     pub fn resolve(&self) -> ExperimentSpec {
+        if let Err(e) = self.check() {
+            panic!("{}: {e}", self.kind());
+        }
         match *self {
             ConfigId::Config1Case1 { scale } => config1_case1(10.0).scaled(scale),
             ConfigId::Config2Case2 { scale } => config2_case2(10.0).scaled(scale),

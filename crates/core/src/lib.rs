@@ -51,9 +51,7 @@ pub mod simulator;
 pub mod switch;
 pub mod trace;
 
-pub use ccfit_faults::{
-    FaultConfig, FaultPolicy, FaultSchedule, NetworkEvent, RandomFaults, ScheduledEvent,
-};
+pub use ccfit_faults::{FaultPolicy, FaultSchedule, NetworkEvent, RandomFaults, ScheduledEvent};
 pub use ccfit_metrics::{CcEvent, CcEventKind, EventClass, EventConfig, FaultKind};
 pub use ccfit_traffic::{SizedFlow, Workload};
 pub use experiment::{ConfigId, ExperimentSpec};
@@ -61,7 +59,8 @@ pub use params::{
     DcqcnParams, HpccParams, IsolationParams, Mechanism, QueueingScheme, ThrottleParams,
 };
 pub use simulator::{
-    ActiveSetStats, BecnTransport, PhaseProfile, SimBuilder, SimConfig, Simulator, PHASE_NAMES,
+    ActiveSetStats, BecnTransport, PhaseProfile, SimBuilder, SimConfig, Simulator,
+    ISLIP_ITERATIONS, PHASE_NAMES,
 };
 pub use trace::{PacketTrace, TraceLog};
 

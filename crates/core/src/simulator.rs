@@ -13,9 +13,9 @@ use ccfit_engine::link::{Link, LinkConfig, WireLoss};
 use ccfit_engine::packet::Packet;
 use ccfit_engine::queue::QueuedPacket;
 use ccfit_engine::rng::SeedSplitter;
-use ccfit_engine::units::{Cycle, UnitModel};
-use ccfit_engine::CalendarQueue;
-use ccfit_faults::{FaultConfig, FaultPolicy, FaultSchedule, NetworkEvent};
+use ccfit_engine::units::{Cycle, UnitModel, MTU_BYTES};
+use ccfit_engine::{BadParam, CalendarQueue};
+use ccfit_faults::{FaultPolicy, FaultSchedule, NetworkEvent, REROUTE_LATENCY_CYCLES};
 use ccfit_metrics::{
     CcEventKind, EventConfig, FaultKind, FaultSummary, FlowGoal, MetricsCollector, SimReport,
 };
@@ -39,13 +39,20 @@ pub enum BecnTransport {
     OutOfBand,
 }
 
-/// Global simulation parameters (defaults reproduce Table I).
+/// iSLIP iterations per cycle (Table I).
+pub const ISLIP_ITERATIONS: usize = 2;
+
+/// IA NFQ gate in MTUs.
+const NFQ_GATE_MTUS: u32 = 4;
+
+/// NFQ→CFQ post-processing moves per port per cycle.
+const MOVE_BUDGET: u32 = 4;
+
+/// Global simulation parameters (defaults reproduce Table I). The unit
+/// model is [`UnitModel::default`], the MTU [`MTU_BYTES`] and the iSLIP
+/// iteration count [`ISLIP_ITERATIONS`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Unit model (flit size / cycle time).
-    pub units: UnitModel,
-    /// MTU in bytes (Table I: 2048).
-    pub mtu_bytes: u32,
     /// Input-port memory in bytes (Table I: 64 KB). VOQnet overrides this
     /// with its per-destination reservation.
     pub port_ram_bytes: u32,
@@ -55,14 +62,8 @@ pub struct SimConfig {
     pub metrics_bin_ns: f64,
     /// Master seed.
     pub seed: u64,
-    /// iSLIP iterations per cycle.
-    pub islip_iterations: usize,
     /// AdVOQ admittance capacity in MTUs.
     pub advoq_cap_mtus: u32,
-    /// IA NFQ gate in MTUs.
-    pub nfq_gate_mtus: u32,
-    /// NFQ→CFQ post-processing moves per port per cycle.
-    pub move_budget: u32,
     /// Crossbar bandwidth in flits/cycle (Table I: 2 for Config #1,
     /// 1 for Configs #2/#3).
     pub crossbar_bw_flits_per_cycle: u32,
@@ -84,22 +85,33 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
-            units: UnitModel::default(),
-            mtu_bytes: 2048,
             port_ram_bytes: 64 * 1024,
             duration_ns: 1e6,
             metrics_bin_ns: 100_000.0,
             seed: 0xCCF1_7000,
-            islip_iterations: 2,
             advoq_cap_mtus: 8,
-            nfq_gate_mtus: 4,
-            move_budget: 4,
             crossbar_bw_flits_per_cycle: 1,
             becn_transport: BecnTransport::InBand,
             trace_sample_every: None,
             events: None,
             port_telemetry: false,
         }
+    }
+}
+
+impl SimConfig {
+    /// Whether a simulator can be built on this config: `Err` names the
+    /// first field it cannot honour. [`SimBuilder::build`] panics on
+    /// exactly these.
+    pub fn check(&self) -> Result<(), BadParam> {
+        let bin = self.metrics_bin_ns;
+        if !(bin.is_finite() && bin > 0.0) {
+            return Err(BadParam::new(
+                "metrics_bin_ns",
+                format!("must be positive and finite, got {bin}"),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -151,7 +163,6 @@ struct DownCable {
 /// worse, forwarded on a stale default route and misdelivered.
 struct FaultRuntime {
     schedule: FaultSchedule,
-    cfg: FaultConfig,
     /// Index of the next unapplied schedule entry.
     next: usize,
     down_cables: Vec<DownCable>,
@@ -186,11 +197,10 @@ struct FaultRuntime {
 }
 
 impl FaultRuntime {
-    fn new(schedule: FaultSchedule, cfg: FaultConfig, topo: &Topology) -> Self {
+    fn new(schedule: FaultSchedule, topo: &Topology) -> Self {
         let (comp, node_comp) = compute_components(topo, &[]);
         Self {
             schedule,
-            cfg,
             next: 0,
             down_cables: Vec::new(),
             down_switches: Vec::new(),
@@ -231,7 +241,7 @@ impl FaultRuntime {
     /// restarts the re-routing latency, and the stale window runs from
     /// the first unabsorbed change.
     fn schedule_reroute(&mut self, now: Cycle) {
-        self.routing_update_at = Some(now + self.cfg.reroute_latency_cycles);
+        self.routing_update_at = Some(now + REROUTE_LATENCY_CYCLES);
         if self.stale_since.is_none() {
             self.stale_since = Some(now);
         }
@@ -320,7 +330,6 @@ pub struct SimBuilder {
     pattern: Option<TrafficPattern>,
     cfg: SimConfig,
     faults: Option<FaultSchedule>,
-    fault_cfg: FaultConfig,
 }
 
 impl SimBuilder {
@@ -335,7 +344,6 @@ impl SimBuilder {
             pattern: None,
             cfg: SimConfig::default(),
             faults: None,
-            fault_cfg: FaultConfig::default(),
         }
     }
 
@@ -411,25 +419,23 @@ impl SimBuilder {
     }
 
     /// Install a dynamic network-event schedule (mid-run link/switch
-    /// failures, recoveries, degradations). An empty schedule is the
-    /// same as not calling this.
+    /// failures and recoveries). An empty schedule is the same as not
+    /// calling this.
     pub fn faults(mut self, schedule: FaultSchedule) -> Self {
         self.faults = Some(schedule);
-        self
-    }
-
-    /// Tune the fault subsystem (re-routing latency).
-    pub fn fault_config(mut self, cfg: FaultConfig) -> Self {
-        self.fault_cfg = cfg;
         self
     }
 
     /// Assemble the simulator.
     ///
     /// # Panics
-    /// Panics on invalid mechanism parameters, a missing traffic pattern,
-    /// or a pattern referencing nodes outside the topology.
+    /// Panics on a config [`SimConfig::check`] rejects, invalid mechanism
+    /// parameters, a missing traffic pattern, or a pattern referencing
+    /// nodes outside the topology.
     pub fn build(self) -> Simulator {
+        if let Err(e) = self.cfg.check() {
+            panic!("invalid simulation config: {e}");
+        }
         let pattern = self.pattern.expect("a traffic pattern is required");
         self.mech
             .validate()
@@ -437,10 +443,9 @@ impl SimBuilder {
         let routing = self
             .routing
             .unwrap_or_else(|| RoutingTable::shortest_path(&self.topo));
-        let faults = self.faults.filter(|s| !s.is_empty()).map(|s| {
+        let faults = self.faults.filter(|s| !s.is_empty()).inspect(|s| {
             s.validate(&self.topo)
                 .expect("fault schedule references hardware the topology does not have");
-            (s, self.fault_cfg)
         });
         Simulator::assemble(self.topo, routing, self.mech, pattern, self.cfg, faults)
     }
@@ -649,7 +654,7 @@ fn ideal_fct_cycles(
     units: &UnitModel,
     f: &ccfit_traffic::SizedFlow,
 ) -> Cycle {
-    let mtu = ccfit_traffic::SIZED_PACKET_BYTES;
+    let mtu = MTU_BYTES;
     let full_packets = f.bytes / mtu as u64;
     let tail_bytes = (f.bytes % mtu as u64) as u32;
     let mut flits = full_packets * units.bytes_to_flits(mtu) as u64;
@@ -677,10 +682,10 @@ impl Simulator {
         mech: Mechanism,
         pattern: TrafficPattern,
         cfg: SimConfig,
-        faults: Option<(FaultSchedule, FaultConfig)>,
+        faults: Option<FaultSchedule>,
     ) -> Self {
-        let units = cfg.units;
-        let mtu_flits = units.bytes_to_flits(cfg.mtu_bytes);
+        let units = UnitModel::default();
+        let mtu_flits = units.bytes_to_flits(MTU_BYTES);
         let ram_flits = units
             .bytes_to_flits_exact(cfg.port_ram_bytes)
             .expect("port RAM must be a whole number of flits");
@@ -739,8 +744,8 @@ impl Simulator {
             ram_flits,
             per_dest_queue_flits,
             dbbm_queues: mech.dbbm_queues(),
-            islip_iterations: cfg.islip_iterations,
-            move_budget: cfg.move_budget,
+            islip_iterations: ISLIP_ITERATIONS,
+            move_budget: MOVE_BUDGET,
             crossbar_bw_flits_per_cycle: cfg.crossbar_bw_flits_per_cycle,
             cc: switch_cc,
         };
@@ -881,8 +886,7 @@ impl Simulator {
             })
             .collect();
         // Cache each output's link bandwidth on the switch (read by the
-        // starvation detector without touching the link array; refreshed
-        // by `LinkDegrade` / `LinkRestoreRate` events).
+        // starvation detector without touching the link array).
         for sw in switches.iter_mut() {
             for p in 0..sw.outputs.len() {
                 if let Some(l) = sw.outputs[p].out_link {
@@ -905,7 +909,7 @@ impl Simulator {
                     mtu_flits,
                     out_ram_flits: ram_flits,
                     advoq_cap_flits: cfg.advoq_cap_mtus * mtu_flits,
-                    nfq_gate_flits: cfg.nfq_gate_mtus * mtu_flits,
+                    nfq_gate_flits: NFQ_GATE_MTUS * mtu_flits,
                     per_dest_output: mech.queueing() == QueueingScheme::PerDest,
                     dcqcn: dcqcn_cfg.clone(),
                     hpcc: hpcc_cfg.clone(),
@@ -956,7 +960,7 @@ impl Simulator {
 
         let gauge_every = units.ns_to_cycles(cfg.metrics_bin_ns / 4.0).max(64);
         let trace = cfg.trace_sample_every.map(crate::trace::TraceLog::new);
-        let faults = faults.map(|(schedule, fcfg)| FaultRuntime::new(schedule, fcfg, &topo));
+        let faults = faults.map(|schedule| FaultRuntime::new(schedule, &topo));
         let cc_wire = dcqcn_cfg.is_some() || hpcc_cfg.is_some();
 
         // ---- work-list scheduler state (DESIGN.md §12) ----
@@ -969,9 +973,6 @@ impl Simulator {
             total_ports += sw.inputs.len() as u32;
         }
         let port_occ = vec![0u32; total_ports as usize];
-        for sw in switches.iter_mut() {
-            sw.set_record_touched(true);
-        }
         // Seed-all at cycle 0: every component proves itself quiet once
         // before dropping off the work-lists.
         let mut act_links = ccfit_engine::ActiveSet::new(links.len());
@@ -1765,7 +1766,7 @@ impl Simulator {
         if !now.is_multiple_of(self.gauge_every) {
             return;
         }
-        let at_ns = self.cfg.units.cycles_to_ns(now);
+        let at_ns = UnitModel::default().cycles_to_ns(now);
         // Cache-linear SoA sum instead of a pointer chase through every
         // switch struct.
         let buffered: u32 = self.port_occ.iter().sum();
@@ -1838,8 +1839,6 @@ impl Simulator {
                     NetworkEvent::LinkUp { .. } => FaultKind::LinkUp,
                     NetworkEvent::SwitchDown { .. } => FaultKind::SwitchDown,
                     NetworkEvent::SwitchUp { .. } => FaultKind::SwitchUp,
-                    NetworkEvent::LinkDegrade { .. } => FaultKind::LinkDegrade,
-                    NetworkEvent::LinkRestoreRate { .. } => FaultKind::LinkRestore,
                 };
                 let (sw, port) = ev.event.target();
                 self.metrics.record(
@@ -2037,54 +2036,7 @@ impl Simulator {
                 frt.schedule_reroute(now);
                 frt.applied(now);
             }
-            NetworkEvent::LinkDegrade {
-                switch: s,
-                port: p,
-                bw_divisor,
-                extra_delay_cycles,
-            } => {
-                let Some((Endpoint::Switch(os, op), _)) = self.topo.peer(s, p) else {
-                    frt.events_skipped += 1;
-                    return;
-                };
-                let fwd = self.switches[s.index()].outputs[p.index()]
-                    .out_link
-                    .expect("cabled");
-                let rev = self.switches[os.index()].outputs[op.index()]
-                    .out_link
-                    .expect("cabled");
-                self.links[fwd.index()].degrade(bw_divisor, extra_delay_cycles);
-                self.links[rev.index()].degrade(bw_divisor, extra_delay_cycles);
-                self.refresh_link_bw_cache(s, p, fwd);
-                self.refresh_link_bw_cache(os, op, rev);
-                frt.applied(now);
-            }
-            NetworkEvent::LinkRestoreRate { switch: s, port: p } => {
-                let Some((Endpoint::Switch(os, op), _)) = self.topo.peer(s, p) else {
-                    frt.events_skipped += 1;
-                    return;
-                };
-                let fwd = self.switches[s.index()].outputs[p.index()]
-                    .out_link
-                    .expect("cabled");
-                let rev = self.switches[os.index()].outputs[op.index()]
-                    .out_link
-                    .expect("cabled");
-                self.links[fwd.index()].restore_rate();
-                self.links[rev.index()].restore_rate();
-                self.refresh_link_bw_cache(s, p, fwd);
-                self.refresh_link_bw_cache(os, op, rev);
-                frt.applied(now);
-                frt.last_recovery = now;
-            }
         }
-    }
-
-    /// Re-cache an output's link bandwidth on its switch after a rate
-    /// change (the starvation detector reads the cached copy).
-    fn refresh_link_bw_cache(&mut self, s: SwitchId, p: PortId, link: LinkId) {
-        let bw = self.links[link.index()].config().bw_flits_per_cycle;
-        self.switches[s.index()].set_output_link_bw(p.index(), bw);
     }
 
     /// Cut (fail-stop) or close (graceful) both directed links of a
@@ -2450,18 +2402,16 @@ impl Simulator {
             .chain(self.pattern.sized.iter().map(|f| (f.id, f.label.clone())))
             .collect();
         // Reception capacity: Σ node-link bandwidths, in bytes/ns.
+        let u = UnitModel::default();
         let capacity: f64 = self
             .topo
             .node_ids()
             .map(|n| {
                 let (_, _, p) = self.topo.node_attachment(n);
-                self.cfg
-                    .units
-                    .flits_per_cycle_to_bandwidth(p.bw_flits_per_cycle)
-                    / 1e9
+                u.flits_per_cycle_to_bandwidth(p.bw_flits_per_cycle) / 1e9
             })
             .sum();
-        let simulated_ns = self.cfg.units.cycles_to_ns(self.now);
+        let simulated_ns = u.cycles_to_ns(self.now);
         let mut m = self.metrics;
         m.count("injected_packets", self.injected);
         m.count("delivered_packets_total", self.delivered);
@@ -2476,7 +2426,6 @@ impl Simulator {
             if let Some(t0) = frt.stale_since.take() {
                 frt.stale_cycles += self.now - t0;
             }
-            let u = &self.cfg.units;
             m.set_faults(FaultSummary {
                 events_applied: frt.events_applied,
                 events_skipped: frt.events_skipped,
@@ -2718,22 +2667,19 @@ mod tests {
     }
 
     #[test]
-    fn degrade_applies_and_bogus_link_up_is_skipped() {
+    fn a_link_up_for_a_live_cable_is_skipped() {
         use ccfit_topology::KAryNTree;
         let tree = KAryNTree::new(2, 3);
         let topo = tree.build(LinkParams::default());
         let (s, p) = first_trunk_cable(&topo);
         let mut sched = FaultSchedule::new();
-        sched
-            .degrade(500, s, p, 4, 10)
-            .restore_rate(3000, s, p)
-            .link_up(4000, s, p); // never went down -> skipped
+        sched.link_up(4000, s, p); // never went down -> skipped
         let report = tree_sim(sched, Mechanism::ccfit()).run();
         let f = report.faults.as_ref().expect("fault summary attached");
-        assert_eq!(f.events_applied, 2);
+        assert_eq!(f.events_applied, 0);
         assert_eq!(f.events_skipped, 1);
-        assert_eq!(f.reroutes, 0, "degradation does not change topology");
-        assert_eq!(f.packets_lost(), 0, "degradation loses nothing");
+        assert_eq!(f.reroutes, 0, "a skipped event changes no topology");
+        assert_eq!(f.packets_lost(), 0, "a skipped event loses nothing");
         assert!(report.delivered_packets > 0);
     }
 
@@ -3050,21 +2996,21 @@ mod tests {
         let topo = KAryNTree::new(2, 3).build(LinkParams::default());
         let leaf = topo.node_attachment(NodeId(7)).0;
         let (s, p) = first_trunk_cable(&topo);
+        // Each change lands after the previous re-route completed
+        // (`REROUTE_LATENCY_CYCLES` later), so every event and every
+        // re-route is a wake of its own.
         let build = || {
             let mut sched = FaultSchedule::new();
             sched
                 .switch_down(1003, leaf, FaultPolicy::FailStop)
-                .link_down(1507, s, p, FaultPolicy::Graceful)
-                .switch_up(2011, leaf)
-                .link_up(2601, s, p);
+                .link_down(2207, s, p, FaultPolicy::Graceful)
+                .switch_up(3411, leaf)
+                .link_up(4615, s, p);
             park_sim(Mechanism::ccfit(), SimConfig::default(), crossing_flows())
                 .faults(sched)
-                .fault_config(FaultConfig {
-                    reroute_latency_cycles: 60,
-                })
                 .build()
         };
-        let landed = lockstep(build, 4000, |sim| {
+        let landed = lockstep(build, 5800, |sim| {
             let frt = sim.faults.as_ref().expect("schedule installed");
             let next = frt.schedule.events().get(frt.next).map(|ev| ev.at);
             (next == Some(sim.now) || frt.routing_update_at == Some(sim.now))

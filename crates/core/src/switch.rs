@@ -162,8 +162,7 @@ pub struct OutputPort {
     pub over_high_count: u32,
     /// Cached bandwidth (flits/cycle) of `out_link`, so the starvation
     /// test in `isolation_tick` does not touch the link array. Set by
-    /// the simulator at assembly and refreshed on degrade/restore fault
-    /// events.
+    /// the simulator at assembly.
     pub link_bw: u32,
     /// HPCC INT: index (`now / window_cycles`) of the measurement window
     /// `int_tx_flits` accumulates into. Rolled lazily at transmit time,
@@ -366,12 +365,9 @@ pub struct Switch {
     detect_tally: Vec<(NodeId, u32)>,
     /// Per-call packet scratch of the fault purges.
     purge_scratch: Vec<QueuedPacket>,
-    /// When set, every link this switch sends on (ctrl or data) is noted
-    /// in `touched_links` so the simulator's work-list scheduler can
-    /// activate it (DESIGN.md §12). Off for a switch driven on its own
-    /// (unit tests, micro-benches), where nothing would drain the list.
-    record_touched: bool,
-    /// Links sent on since the last [`Self::drain_touched_links`].
+    /// Links sent on (ctrl or data) since the last
+    /// [`Self::drain_touched_links`], so the simulator's work-list
+    /// scheduler can activate them (DESIGN.md §12).
     touched_links: Vec<u32>,
 }
 
@@ -554,7 +550,6 @@ impl Switch {
             iso_memo: vec![IsoMemo::Stale; num_ports],
             detect_tally: Vec::new(),
             purge_scratch: Vec::new(),
-            record_touched: false,
             touched_links: Vec::new(),
         }
     }
@@ -564,13 +559,7 @@ impl Switch {
         &self.cfg
     }
 
-    /// Input-port RAM capacity in flits (the credits a sender gets).
-    pub fn input_ram_flits(&self) -> u32 {
-        self.inputs[0].ram.capacity()
-    }
-
-    /// Refresh the cached bandwidth of output `port`'s link (assembly,
-    /// and the fault phase after a degrade/restore event).
+    /// Cache the bandwidth of output `port`'s link (at assembly).
     pub fn set_output_link_bw(&mut self, port: usize, bw_flits_per_cycle: u32) {
         self.outputs[port].link_bw = bw_flits_per_cycle;
     }
@@ -1689,9 +1678,7 @@ impl Switch {
                 .out_link
                 .expect("matched output is cabled");
             let wire_done = links[link_id.index()].send(now, entry.packet);
-            if self.record_touched {
-                self.touched_links.push(link_id.0);
-            }
+            self.touched_links.push(link_id.0);
             // The input port is occupied for the crossbar-transfer time
             // (shorter than wire serialization when the crossbar has
             // speedup), but virtual cut-through forwarding cannot
@@ -1722,22 +1709,11 @@ impl Switch {
         self.inputs[port].ram.release(flits);
     }
 
-    /// Send a control event, noting the link as touched when the
-    /// scheduler is recording, so the event's consumer gets activated
-    /// (DESIGN.md §12).
+    /// Send a control event, noting the link as touched so the event's
+    /// consumer gets activated (DESIGN.md §12).
     fn send_ctrl_noting(&mut self, links: &mut [Link], link: LinkId, now: Cycle, ev: CtrlEvent) {
         links[link.index()].send_ctrl(now, ev);
-        if self.record_touched {
-            self.touched_links.push(link.0);
-        }
-    }
-
-    /// Toggle touched-link recording (on inside a [`crate::Simulator`]).
-    pub fn set_record_touched(&mut self, on: bool) {
-        self.record_touched = on;
-        if !on {
-            self.touched_links.clear();
-        }
+        self.touched_links.push(link.0);
     }
 
     /// Move the links sent on since the last drain into `set`,

@@ -44,6 +44,34 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
+/// A parameter value a builder cannot honour: which parameter, and why.
+/// The experiment-matrix parser turns `key` into the line that set it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BadParam {
+    /// The parameter's name, spelt as in a matrix file.
+    pub key: &'static str,
+    /// What is wrong with its value.
+    pub reason: String,
+}
+
+impl BadParam {
+    /// `key` cannot take its value because of `reason`.
+    pub fn new(key: &'static str, reason: impl Into<String>) -> Self {
+        Self {
+            key,
+            reason: reason.into(),
+        }
+    }
+}
+
+impl fmt::Display for BadParam {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "`{}` {}", self.key, self.reason)
+    }
+}
+
+impl std::error::Error for BadParam {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -42,7 +42,7 @@ pub mod units;
 pub use active::ActiveSet;
 pub use calq::CalendarQueue;
 pub use cam::{Cam, CamLine};
-pub use error::EngineError;
+pub use error::{BadParam, EngineError};
 pub use ids::{FlowId, LinkId, NodeId, PacketId, PortId, SwitchId};
 pub use link::{CtrlEvent, Link, LinkConfig, WireLoss};
 pub use packet::{Packet, PacketKind};

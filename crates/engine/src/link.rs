@@ -89,10 +89,7 @@ struct InFlight {
 /// One direction of a cable, with its reverse bookkeeping channel.
 #[derive(Debug, Clone)]
 pub struct Link {
-    /// Effective parameters (may differ from `base` while degraded).
     cfg: LinkConfig,
-    /// Nominal parameters the cable was built with.
-    base: LinkConfig,
     /// Credits (in flits) the sender currently holds against the
     /// receiver's input RAM.
     credits: u32,
@@ -163,7 +160,6 @@ impl Link {
         );
         Self {
             cfg,
-            base: cfg,
             credits: initial_credits,
             tx_free_at: 0,
             up: true,
@@ -227,21 +223,6 @@ impl Link {
         self.reverse_open = true;
         self.credits = credits;
         loss
-    }
-
-    /// Degrade the link: divide the bandwidth by `bw_divisor` (floored at
-    /// 1 flit/cycle) and add `extra_delay_cycles` of propagation delay.
-    /// Only affects packets sent from now on.
-    pub fn degrade(&mut self, bw_divisor: u32, extra_delay_cycles: Cycle) {
-        self.cfg = LinkConfig {
-            bw_flits_per_cycle: (self.base.bw_flits_per_cycle / bw_divisor.max(1)).max(1),
-            delay_cycles: self.base.delay_cycles + extra_delay_cycles,
-        };
-    }
-
-    /// Restore the nominal link parameters after a degradation.
-    pub fn restore_rate(&mut self) {
-        self.cfg = self.base;
     }
 
     /// Static parameters.
@@ -657,22 +638,6 @@ mod tests {
         l.close();
         let loss = l.restore(64);
         assert_eq!(loss.data_packets, 1, "undrained packet is destroyed");
-    }
-
-    #[test]
-    fn degrade_and_restore_rate() {
-        let mut l = link(4, 2, 256);
-        l.degrade(2, 3);
-        assert_eq!(l.config().bw_flits_per_cycle, 2);
-        assert_eq!(l.config().delay_cycles, 5);
-        let free_at = l.send(0, pkt(1, 32));
-        assert_eq!(free_at, 16, "32 flits at 2 flits/cycle");
-        l.restore_rate();
-        assert_eq!(l.config().bw_flits_per_cycle, 4);
-        assert_eq!(l.config().delay_cycles, 2);
-        // Divisor larger than the bandwidth floors at 1 flit/cycle.
-        l.degrade(100, 0);
-        assert_eq!(l.config().bw_flits_per_cycle, 1);
     }
 
     #[test]

@@ -74,12 +74,6 @@ impl PacketQueue {
         self.entries.front()
     }
 
-    /// Mutable access to the head packet (used to set the FECN bit while
-    /// the packet crosses a congested output port).
-    pub fn head_mut(&mut self) -> Option<&mut QueuedPacket> {
-        self.entries.front_mut()
-    }
-
     /// The head packet, if its header has arrived by `now` (virtual
     /// cut-through forwarding eligibility).
     pub fn head_visible(&self, now: Cycle) -> Option<&QueuedPacket> {

@@ -20,8 +20,9 @@ pub const DEFAULT_FLIT_BYTES: u32 = 64;
 /// Table I of the paper). One flit per cycle corresponds to this rate.
 pub const DEFAULT_REF_BANDWIDTH_BYTES_PER_S: f64 = 2.5e9;
 
-/// Default MTU in bytes (Table I).
-pub const DEFAULT_MTU_BYTES: u32 = 2048;
+/// The MTU in bytes (Table I). Every rate-flow packet is one MTU, and a
+/// sized flow is chopped into MTUs plus a possibly smaller tail.
+pub const MTU_BYTES: u32 = 2048;
 
 /// Default input-port memory size in bytes (Table I).
 pub const DEFAULT_PORT_RAM_BYTES: u32 = 64 * 1024;
@@ -139,7 +140,7 @@ mod tests {
     #[test]
     fn mtu_is_32_flits() {
         let u = UnitModel::default();
-        assert_eq!(u.bytes_to_flits(DEFAULT_MTU_BYTES), 32);
+        assert_eq!(u.bytes_to_flits(MTU_BYTES), 32);
     }
 
     #[test]

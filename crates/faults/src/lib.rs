@@ -5,9 +5,9 @@
 //! The paper's introduction lists "re-routing around faulty regions"
 //! among the primary causes of the congestion trees CCFIT manages. This
 //! crate provides the *schedule* side of the runtime fault subsystem:
-//! a time-ordered list of [`NetworkEvent`]s — link failures/recoveries,
-//! whole-switch failures/recoveries, and transient link degradations —
-//! that the simulator consumes during a run, plus a seeded-random
+//! a time-ordered list of [`NetworkEvent`]s — link failures/recoveries
+//! and whole-switch failures/recoveries — that the simulator consumes
+//! during a run, plus a seeded-random
 //! generator for fault-storm workloads. The simulator-side semantics
 //! (what a downed link does to in-flight flits, credits, Stop/Go state,
 //! and routing) live in `ccfit-core`; see DESIGN.md §8.
@@ -17,7 +17,7 @@
 //! across mechanisms and seeds — exactly how `matrices/faultstorm.toml`
 //! compares 1Q/VOQsw/VOQnet/ITh/FBICM/CCFIT under identical damage.
 
-use ccfit_engine::ids::{NodeId, PortId, SwitchId};
+use ccfit_engine::ids::{PortId, SwitchId};
 use ccfit_engine::units::Cycle;
 use ccfit_topology::{Endpoint, Topology};
 use rand::rngs::SmallRng;
@@ -74,51 +74,16 @@ pub enum NetworkEvent {
         /// The recovering switch.
         switch: SwitchId,
     },
-    /// Transient degradation: divide the cable's bandwidth by
-    /// `bw_divisor` (floored at 1 flit/cycle) and add
-    /// `extra_delay_cycles` of propagation delay, both directions,
-    /// until [`NetworkEvent::LinkRestoreRate`].
-    LinkDegrade {
-        /// Near-end switch.
-        switch: SwitchId,
-        /// Near-end port.
-        port: PortId,
-        /// Bandwidth divisor (≥ 1).
-        bw_divisor: u32,
-        /// Added propagation delay in cycles.
-        extra_delay_cycles: Cycle,
-    },
-    /// Restore a degraded cable to its nominal rate.
-    LinkRestoreRate {
-        /// Near-end switch.
-        switch: SwitchId,
-        /// Near-end port.
-        port: PortId,
-    },
 }
 
 impl NetworkEvent {
-    /// Short static label of the event kind (observability exports and
-    /// log lines).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            NetworkEvent::LinkDown { .. } => "link_down",
-            NetworkEvent::LinkUp { .. } => "link_up",
-            NetworkEvent::SwitchDown { .. } => "switch_down",
-            NetworkEvent::SwitchUp { .. } => "switch_up",
-            NetworkEvent::LinkDegrade { .. } => "link_degrade",
-            NetworkEvent::LinkRestoreRate { .. } => "link_restore",
-        }
-    }
-
     /// The `(switch, port)` the event targets (`port` is `None` for
     /// whole-switch events).
     pub fn target(&self) -> (SwitchId, Option<PortId>) {
         match *self {
-            NetworkEvent::LinkDown { switch, port, .. }
-            | NetworkEvent::LinkUp { switch, port }
-            | NetworkEvent::LinkDegrade { switch, port, .. }
-            | NetworkEvent::LinkRestoreRate { switch, port } => (switch, Some(port)),
+            NetworkEvent::LinkDown { switch, port, .. } | NetworkEvent::LinkUp { switch, port } => {
+                (switch, Some(port))
+            }
             NetworkEvent::SwitchDown { switch, .. } | NetworkEvent::SwitchUp { switch } => {
                 (switch, None)
             }
@@ -222,31 +187,6 @@ impl FaultSchedule {
         self.push(at, NetworkEvent::SwitchUp { switch })
     }
 
-    /// Schedule a transient degradation.
-    pub fn degrade(
-        &mut self,
-        at: Cycle,
-        switch: SwitchId,
-        port: PortId,
-        bw_divisor: u32,
-        extra_delay_cycles: Cycle,
-    ) -> &mut Self {
-        self.push(
-            at,
-            NetworkEvent::LinkDegrade {
-                switch,
-                port,
-                bw_divisor,
-                extra_delay_cycles,
-            },
-        )
-    }
-
-    /// Schedule the end of a degradation.
-    pub fn restore_rate(&mut self, at: Cycle, switch: SwitchId, port: PortId) -> &mut Self {
-        self.push(at, NetworkEvent::LinkRestoreRate { switch, port })
-    }
-
     /// The events in firing order.
     pub fn events(&self) -> &[ScheduledEvent] {
         &self.events
@@ -345,37 +285,14 @@ impl RandomFaults {
     }
 }
 
-/// Simulator-side fault-handling knobs (consumed by `ccfit-core`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FaultConfig {
-    /// Cycles between a topology change and the moment the recomputed
-    /// routing tables take effect network-wide. During this window the
-    /// old tables stay in force: traffic routed at a dead cable waits
-    /// (or is lost), modelling the management-plane delay of real
-    /// subnet managers. Destinations orphaned by a switch failure stay
-    /// unreachable at least this long.
-    pub reroute_latency_cycles: Cycle,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        Self {
-            // ≈ 25 µs at the paper's 25.6 ns cycle: a fast local
-            // re-route, long enough for congestion to pool upstream of
-            // the fault.
-            reroute_latency_cycles: 1000,
-        }
-    }
-}
-
-/// Convenience: a `NodeId` is unreachable while its attachment switch
-/// is down. Exposed so harnesses can predict orphaned flows without
-/// running the simulator.
-pub fn orphaned_nodes(topo: &Topology, down: &[SwitchId]) -> Vec<NodeId> {
-    topo.node_ids()
-        .filter(|&n| down.contains(&topo.node_attachment(n).0))
-        .collect()
-}
+/// Cycles between a topology change and the moment the recomputed
+/// routing tables take effect network-wide. During this window the old
+/// tables stay in force: traffic routed at a dead cable waits (or is
+/// lost), modelling the management-plane delay of real subnet managers.
+/// Destinations orphaned by a switch failure stay unreachable at least
+/// this long. ≈ 25 µs at the paper's 25.6 ns cycle: a fast local
+/// re-route, long enough for congestion to pool upstream of the fault.
+pub const REROUTE_LATENCY_CYCLES: Cycle = 1000;
 
 #[cfg(test)]
 mod tests {
@@ -410,7 +327,6 @@ mod tests {
         let mut s = FaultSchedule::new();
         s.link_down(10, SwitchId(0), PortId(2), FaultPolicy::FailStop);
         s.switch_down(20, SwitchId(5), FaultPolicy::Graceful);
-        s.degrade(30, SwitchId(0), PortId(3), 2, 8);
         s.validate(&t).unwrap();
     }
 
@@ -490,20 +406,10 @@ mod tests {
         let t = tree();
         let mut s = FaultSchedule::new();
         s.link_down(10, SwitchId(0), PortId(2), FaultPolicy::FailStop)
-            .degrade(20, SwitchId(0), PortId(3), 4, 2)
             .link_up(30, SwitchId(0), PortId(2));
         s.validate(&t).unwrap();
         let json = serde_json::to_string(&s).unwrap();
         let back: FaultSchedule = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
-    }
-
-    #[test]
-    fn orphaned_nodes_follow_attachment() {
-        let t = tree();
-        // Leaf switch 0 hosts nodes 0 and 1 in the 2-ary 3-tree.
-        let orphans = orphaned_nodes(&t, &[SwitchId(0)]);
-        assert_eq!(orphans, vec![NodeId(0), NodeId(1)]);
-        assert!(orphaned_nodes(&t, &[]).is_empty());
     }
 }

@@ -548,10 +548,6 @@ pub enum FaultKind {
     SwitchDown,
     /// A failed switch was repaired.
     SwitchUp,
-    /// A link's rate was degraded.
-    LinkDegrade,
-    /// A degraded link's rate was restored.
-    LinkRestore,
 }
 
 /// One timestamped CC event.

@@ -19,6 +19,7 @@
 //! The hidden `__ccfit-run-one <request.json> <out.json>` argv is the
 //! worker half of the process protocol (DESIGN.md §13.4).
 
+use std::io::Write;
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::time::Duration;
@@ -109,6 +110,20 @@ fn run_options(flags: &[String]) -> Result<RunnerOptions, String> {
     })
 }
 
+/// Write `text` to stdout; the exit code. A reader that went away (`|
+/// head`) ends the output quietly, any other write error is reported.
+fn emit(text: &str) -> i32 {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => 0,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            1
+        }
+    }
+}
+
 fn load_matrix(path: &str) -> Result<ExperimentMatrix, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     ExperimentMatrix::from_toml_str(&text).map_err(|e| format!("{path}: {e}"))
@@ -152,8 +167,7 @@ fn cmd_run(args: &[String]) -> i32 {
                 "done: {} runs in {:.1}s ({} hits, {} simulated, {} retried)",
                 s.total, s.wall_s, s.hits, s.misses, s.retried
             );
-            print!("{}", report::render(&run.outputs));
-            0
+            emit(&report::render(&run.outputs))
         }
         Err(e) => {
             eprintln!("sweep failed: {e}");
@@ -189,10 +203,10 @@ fn cmd_hash(args: &[String]) -> i32 {
     };
     match load_matrix(path) {
         Ok(matrix) => {
-            for spec in matrix.resolve() {
-                println!("{}  {}", spec.cache_key(), spec.canonical_bytes());
-            }
-            0
+            let lines: String = (matrix.resolve().into_iter())
+                .map(|spec| format!("{}  {}\n", spec.cache_key(), spec.canonical_bytes()))
+                .collect();
+            emit(&lines)
         }
         Err(e) => {
             eprintln!("{e}");

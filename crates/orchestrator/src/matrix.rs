@@ -41,9 +41,10 @@
 //! ```
 
 use ccfit::engine::ids::{PortId, SwitchId};
-use ccfit::faults::{FaultPolicy, FaultSchedule};
+use ccfit::engine::units::Cycle;
+use ccfit::faults::{FaultError, FaultPolicy, FaultSchedule, NetworkEvent};
 use ccfit::traffic::parse_trace;
-use ccfit::{BecnTransport, ConfigId, Mechanism, Workload};
+use ccfit::{BecnTransport, ConfigId, Mechanism, SimConfig, Workload};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::spec::RunSpec;
@@ -108,6 +109,11 @@ impl ExperimentMatrix {
             .get("metrics_bin_ns")
             .and_then(Value::as_f64)
             .ok_or("missing or non-numeric matrix.metrics_bin_ns".to_string())?;
+        let cfg = SimConfig {
+            metrics_bin_ns,
+            ..SimConfig::default()
+        };
+        cfg.check().map_err(|e| format!("{}{e}", at(e.key)))?;
         let becn = m.get("becn_transport").map(|v| as_str(v, "becn_transport"));
         let becn_transport = match becn.transpose()? {
             None | Some("in-band") => BecnTransport::InBand,
@@ -118,19 +124,58 @@ impl ExperimentMatrix {
                 return Err(format!("{at}unknown becn_transport {other:?}; {known}"));
             }
         };
-        let configs = get_array(m, "config")?
-            .iter()
-            .map(parse_config)
+        let configs = (get_array(m, "config")?.iter().enumerate())
+            .map(|(i, table)| {
+                let config = parse_config(table)?;
+                config.check().map_err(|e| {
+                    let at = at_key(text, &["matrix", "config"], i, e.key);
+                    format!("{at}[[matrix.config]] kind={}: {e}", config.kind())
+                })?;
+                Ok(config)
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let events = (get_array(m, "event")?.iter())
+            .map(parse_event)
             .collect::<Result<Vec<_>, _>>()?;
-        let events = get_array(m, "event")?;
-        let faults = match events {
-            [] => None,
-            tables => Some(parse_events(tables)?),
-        };
         let workload = m.get("workload").map(parse_workload).transpose()?;
         if mechanisms.is_empty() || seeds.is_empty() || configs.is_empty() {
             return Err("matrix resolves to zero runs".to_string());
         }
+        // The events and the workload must fit every config's network.
+        if !events.is_empty() || workload.is_some() {
+            for config in &configs {
+                let network = config.resolve().topology;
+                for (j, &(at, event)) in events.iter().enumerate() {
+                    let mut one = FaultSchedule::new();
+                    one.push(at, event);
+                    one.validate(&network).map_err(|e| {
+                        let key = match e {
+                            FaultError::UnknownSwitch(_) => "switch",
+                            _ => "port",
+                        };
+                        let at = at_key(text, &["matrix", "event"], j, key);
+                        format!("{at}[[matrix.event]]: {e} in {}", config.label())
+                    })?;
+                }
+                if let Some(w) = &workload {
+                    w.check(network.num_nodes()).map_err(|e| {
+                        let at = at_key(text, &["matrix", "workload"], 0, e.key);
+                        format!(
+                            "{at}[matrix.workload] {}: {e} in {}",
+                            w.name(),
+                            config.label()
+                        )
+                    })?;
+                }
+            }
+        }
+        let faults = (!events.is_empty()).then(|| {
+            let mut schedule = FaultSchedule::new();
+            for (at, event) in events {
+                schedule.push(at, event);
+            }
+            schedule
+        });
         Ok(ExperimentMatrix {
             name,
             configs,
@@ -408,48 +453,40 @@ fn parse_workload(table: &Value) -> Result<Workload, String> {
     }
 }
 
-/// `[[matrix.event]]` tables → one [`FaultSchedule`].
-fn parse_events(tables: &[Value]) -> Result<FaultSchedule, String> {
-    let mut schedule = FaultSchedule::new();
-    for table in tables {
-        let kind = get_str(table, "kind")?;
-        let what = format!("[[matrix.event]] kind={kind}");
-        let at = req_u64(table, "at", &what)?;
-        let switch = SwitchId(req_u64(table, "switch", &what)? as u32);
-        let policy = match table.get("policy") {
-            None => FaultPolicy::FailStop,
-            Some(v) => match as_str(v, "policy")? {
-                "fail-stop" => FaultPolicy::FailStop,
-                "graceful" => FaultPolicy::Graceful,
-                other => return Err(format!("{what}: unknown policy {other:?}")),
-            },
-        };
-        match kind.as_str() {
-            "link_down" => {
-                schedule.link_down(
-                    at,
-                    switch,
-                    PortId(req_u64(table, "port", &what)? as u16),
-                    policy,
-                );
-            }
-            "link_up" => {
-                schedule.link_up(at, switch, PortId(req_u64(table, "port", &what)? as u16));
-            }
-            "switch_down" => {
-                schedule.switch_down(at, switch, policy);
-            }
-            "switch_up" => {
-                schedule.switch_up(at, switch);
-            }
-            other => {
-                return Err(format!(
+/// One `[[matrix.event]]` table → the event and the cycle it fires at.
+fn parse_event(table: &Value) -> Result<(Cycle, NetworkEvent), String> {
+    let kind = get_str(table, "kind")?;
+    let what = format!("[[matrix.event]] kind={kind}");
+    let at = req_u64(table, "at", &what)?;
+    let switch = SwitchId(req_u64(table, "switch", &what)? as u32);
+    let port = || req_u64(table, "port", &what).map(|p| PortId(p as u16));
+    let policy = match table.get("policy") {
+        None => FaultPolicy::FailStop,
+        Some(v) => match as_str(v, "policy")? {
+            "fail-stop" => FaultPolicy::FailStop,
+            "graceful" => FaultPolicy::Graceful,
+            other => return Err(format!("{what}: unknown policy {other:?}")),
+        },
+    };
+    let event = match kind.as_str() {
+        "link_down" => NetworkEvent::LinkDown {
+            switch,
+            port: port()?,
+            policy,
+        },
+        "link_up" => NetworkEvent::LinkUp {
+            switch,
+            port: port()?,
+        },
+        "switch_down" => NetworkEvent::SwitchDown { switch, policy },
+        "switch_up" => NetworkEvent::SwitchUp { switch },
+        other => {
+            return Err(format!(
                 "unknown event kind {other:?}; known: link_down, link_up, switch_down, switch_up"
             ))
-            }
         }
-    }
-    Ok(schedule)
+    };
+    Ok((at, event))
 }
 
 #[cfg(test)]
@@ -550,16 +587,17 @@ duration_ns = 600000.0
 
     #[test]
     fn events_build_a_schedule() {
+        // Port 3 of switch 0 is a trunk in both of `DOC`'s networks.
         let doc = format!(
-            "{DOC}\n[[matrix.event]]\nkind = \"link_down\"\nat = 120000\nswitch = 0\nport = 4\n\
+            "{DOC}\n[[matrix.event]]\nkind = \"link_down\"\nat = 120000\nswitch = 0\nport = 3\n\
              policy = \"graceful\"\n\n[[matrix.event]]\nkind = \"link_up\"\nat = 220000\n\
-             switch = 0\nport = 4\n"
+             switch = 0\nport = 3\n"
         );
         let matrix = ExperimentMatrix::from_toml_str(&doc).unwrap();
         let mut expected = FaultSchedule::new();
         expected
-            .link_down(120000, SwitchId(0), PortId(4), FaultPolicy::Graceful)
-            .link_up(220000, SwitchId(0), PortId(4));
+            .link_down(120000, SwitchId(0), PortId(3), FaultPolicy::Graceful)
+            .link_up(220000, SwitchId(0), PortId(3));
         assert_eq!(matrix.faults, Some(expected));
         assert!(matrix.resolve().iter().all(|s| s.faults.is_some()));
     }

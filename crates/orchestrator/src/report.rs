@@ -10,9 +10,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ccfit::engine::ids::FlowId;
-use ccfit::engine::units::DEFAULT_REF_BANDWIDTH_BYTES_PER_S;
+use ccfit::engine::units::{DEFAULT_REF_BANDWIDTH_BYTES_PER_S, MTU_BYTES};
 use ccfit::traffic::{Destination, FlowSpec, TrafficPattern};
-use ccfit::{ConfigId, ExperimentSpec, SimConfig};
+use ccfit::{ConfigId, ExperimentSpec, SimConfig, ISLIP_ITERATIONS};
 use ccfit_metrics::SimReport;
 
 use crate::matrix::mechanism_label;
@@ -103,8 +103,8 @@ fn describe(
         t.num_switches(),
         gbps(experiment.crossbar_bw_flits_per_cycle),
         links.join(", "),
-        cfg.islip_iterations,
-        cfg.mtu_bytes,
+        ISLIP_ITERATIONS,
+        MTU_BYTES,
         cfg.port_ram_bytes / 1024,
         spec.becn_transport,
         experiment.duration_ns / 1e6,

@@ -13,7 +13,7 @@
 //! value — two equal specs always produce identical bytes (pinned by
 //! the proptest in `tests/cache_keys.rs`).
 
-use ccfit::{BecnTransport, ConfigId, FaultConfig, FaultSchedule, Mechanism, SimConfig, Workload};
+use ccfit::{BecnTransport, ConfigId, FaultSchedule, Mechanism, SimConfig, Workload};
 use ccfit_metrics::SimReport;
 use serde::{Deserialize, Serialize};
 
@@ -138,13 +138,9 @@ impl RunSpec {
             ..SimConfig::default()
         };
         match &self.faults {
-            Some(schedule) => experiment.run_with_faults(
-                self.mechanism.clone(),
-                self.seed,
-                cfg,
-                schedule.clone(),
-                FaultConfig::default(),
-            ),
+            Some(schedule) => {
+                experiment.run_with_faults(self.mechanism.clone(), self.seed, cfg, schedule.clone())
+            }
             None => experiment.run_with(self.mechanism.clone(), self.seed, cfg),
         }
     }

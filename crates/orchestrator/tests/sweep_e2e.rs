@@ -5,7 +5,8 @@
 
 use ccfit::{ConfigId, Mechanism};
 use ccfit_orchestrator::{run_matrix, Cache, ExecMode, RunSpec, RunnerOptions};
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 fn smoke_specs() -> Vec<RunSpec> {
     [Mechanism::OneQ, Mechanism::ccfit()]
@@ -130,4 +131,125 @@ fn bad_run_flags_exit_2_with_usage() {
         assert!(!stderr.contains("panicked at"), "{flags:?}:\n{stderr}");
         assert!(out.stdout.is_empty(), "{flags:?}: printed a report");
     }
+}
+
+/// A one-run matrix on the 4-node uniform tree; `{extra}` is the end.
+const MATRIX: &str = "[matrix]\nname = \"bad\"\nmechanisms = [\"1Q\"]\nseeds = [1]\n\
+    metrics_bin_ns = 1e4\n\n[[matrix.config]]\nkind = \"uniform-tree\"\nary = 2\nlevels = 2\n\
+    load = 0.5\nduration_ns = 5e4\n{extra}";
+
+/// A value no builder can honour is refused at parse time with its line
+/// and exit code 2 — before any run starts, so no worker is spawned to
+/// panic on it. Each case edits `MATRIX`; `#!` marks the line its
+/// message must name.
+#[test]
+fn bad_matrix_values_exit_2_with_their_line() {
+    let tree = "kind = \"uniform-tree\"\nary = 2";
+    let load = |kind: &str| format!("[matrix.workload]\nkind = \"{kind}\"\nbytes = 64\n");
+    let cases = [
+        (
+            "bin_ns = 1e4",
+            "bin_ns = 0.0 #!".into(),
+            "`metrics_bin_ns` must be positive",
+        ),
+        (
+            tree,
+            "kind = \"config1/case1\"\nscale = -1.0 #!".into(),
+            "`scale` must be positive",
+        ),
+        ("ary = 2", "ary = 0 #!".into(), "`ary` must be at least 2"),
+        (
+            "load = 0.5",
+            "load = 2.0 #!".into(),
+            "`load` must be in (0, 1]",
+        ),
+        (
+            tree,
+            "kind = \"config3/case4\"\nhotspots = 0 #!".into(),
+            "`hotspots` must be at least 1",
+        ),
+        (
+            tree,
+            "kind = \"uniform-mesh\"\nwidth = 0 #!\nheight = 2".into(),
+            "`width` must be at least 1",
+        ),
+        (
+            "ns = 5e4",
+            "ns = -5.0 #!".into(),
+            "`duration_ns` must be positive",
+        ),
+        (
+            "{extra}",
+            "[[matrix.event]]\nkind = \"switch_up\"\nat = 1\nswitch = 99 #!".into(),
+            "unknown switch",
+        ),
+        (
+            "{extra}",
+            load("incast") + "senders = 0 #!",
+            "`senders` must be at least 1",
+        ),
+        (
+            "{extra}",
+            load("incast") + "senders = 99 #!",
+            "99 senders + 1 receiver do not fit the network's 4",
+        ),
+        (
+            "{extra}",
+            load("all-to-all").replace("64", "0 #!"),
+            "`bytes` must be at least 1",
+        ),
+        (
+            "{extra}",
+            load("permutation-shift") + "shift = 0 #!",
+            "maps every node to itself",
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("ccfit-e2e-bad-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, (from, to, message)) in cases.iter().enumerate() {
+        let doc = MATRIX.replace(from, to).replace("{extra}", "");
+        let path = dir.join(format!("bad{i}.toml"));
+        std::fs::write(&path, &doc).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_ccfit-sweep"))
+            .arg("run")
+            .arg(&path)
+            .args(["--no-cache", "--in-process", "--quiet"])
+            .output()
+            .expect("spawn ccfit-sweep");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let line = doc.lines().position(|l| l.ends_with("#!")).unwrap() + 1;
+        assert_eq!(out.status.code(), Some(2), "{message}:\n{stderr}");
+        let located = stderr.contains(&format!("line {line}: "));
+        assert!(located && stderr.contains(message), "{message}:\n{stderr}");
+        assert!(!stderr.contains("panicked at"), "{message}:\n{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `ccfit-sweep hash <m> | head -1`: once the reader has gone, the rest
+/// of the output is dropped without a panic.
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    let seeds: Vec<String> = (1..=3000).map(|s| s.to_string()).collect();
+    let seeds = format!("seeds = [{}]", seeds.join(", "));
+    let doc = MATRIX.replace("seeds = [1]", &seeds).replace("{extra}", "");
+    let path = std::env::temp_dir().join(format!("ccfit-e2e-pipe-{}.toml", std::process::id()));
+    std::fs::write(&path, doc).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ccfit-sweep"))
+        .arg("hash")
+        .arg(&path)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ccfit-sweep");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert_eq!(first.split("  ").next().map(str::len), Some(64), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    std::fs::remove_file(&path).ok();
 }

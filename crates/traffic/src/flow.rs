@@ -13,25 +13,10 @@ pub enum Destination {
     Uniform,
 }
 
-/// Burstiness model for a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Burstiness {
-    /// Smooth token-bucket injection at the configured rate.
-    Smooth,
-    /// Markov ON/OFF: alternate exponentially-distributed ON bursts
-    /// (injecting at full line rate) and OFF silences, with mean
-    /// durations chosen so the long-run average equals the configured
-    /// `rate`. The paper lists "network burstiness" among the congestion
-    /// causes; this reproduces it.
-    OnOff {
-        /// Mean ON-burst duration in nanoseconds.
-        mean_on_ns: f64,
-    },
-}
-
-/// One traffic flow: a source injecting packets toward a destination (or
-/// uniformly) at a fraction of its injection-link rate, over a time
-/// window.
+/// One traffic flow: a source injecting MTU packets
+/// ([`ccfit_engine::units::MTU_BYTES`]) toward a destination (or
+/// uniformly) at a fraction of its injection-link rate, smoothly, over a
+/// time window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowSpec {
     /// Identifier used in per-flow metrics. The paper names flows after
@@ -53,16 +38,11 @@ pub struct FlowSpec {
     /// bandwidth; 1.0 = a saturated source ("100 % of the link
     /// bandwidth").
     pub rate: f64,
-    /// Payload size per packet in bytes (the paper uses MTU-sized
-    /// packets, 2048 B).
-    pub packet_bytes: u32,
-    /// Temporal structure of the injection process.
-    pub burstiness: Burstiness,
 }
 
 impl FlowSpec {
-    /// A full-rate, MTU-packet flow from `src` to `dst`, labelled after
-    /// its source like the paper does.
+    /// A full-rate flow from `src` to `dst`, labelled after its source
+    /// like the paper does.
     pub fn hotspot(id: u32, src: NodeId, dst: NodeId, start_ns: f64, end_ns: Option<f64>) -> Self {
         Self {
             id: FlowId(id),
@@ -72,8 +52,6 @@ impl FlowSpec {
             start_ns,
             end_ns,
             rate: 1.0,
-            packet_bytes: 2048,
-            burstiness: Burstiness::Smooth,
         }
     }
 
@@ -87,19 +65,7 @@ impl FlowSpec {
             start_ns,
             end_ns,
             rate: 1.0,
-            packet_bytes: 2048,
-            burstiness: Burstiness::Smooth,
         }
-    }
-
-    /// An ON/OFF bursty uniform flow averaging `rate` with mean bursts of
-    /// `mean_on_ns`.
-    pub fn bursty_uniform(id: u32, src: NodeId, rate: f64, mean_on_ns: f64) -> Self {
-        let mut f = Self::uniform(id, src, 0.0, None);
-        f.rate = rate;
-        f.burstiness = Burstiness::OnOff { mean_on_ns };
-        f.label = format!("B{}", src.0);
-        f
     }
 
     /// Is the flow active at time `ns`?
@@ -117,7 +83,6 @@ mod tests {
         let f = FlowSpec::hotspot(3, NodeId(1), NodeId(4), 2e6, Some(10e6));
         assert_eq!(f.id, FlowId(3));
         assert_eq!(f.rate, 1.0);
-        assert_eq!(f.packet_bytes, 2048);
         assert_eq!(f.dst, Destination::Fixed(NodeId(4)));
         assert_eq!(f.label, "F3");
     }

@@ -10,11 +10,11 @@
 //! that always has data ready but cannot buffer unboundedly inside the
 //! NIC.
 
-use crate::flow::{Burstiness, Destination, FlowSpec};
+use crate::flow::{Destination, FlowSpec};
 use crate::sized::SizedFlow;
 use ccfit_engine::ids::{FlowId, NodeId};
 use ccfit_engine::rng::SeedSplitter;
-use ccfit_engine::units::{Cycle, UnitModel};
+use ccfit_engine::units::{Cycle, UnitModel, MTU_BYTES};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -58,14 +58,8 @@ struct FlowState {
     start: Cycle,
     end: Option<Cycle>,
     flits_per_cycle: f64,
-    packet_flits: u32,
-    packet_bytes: u32,
     tokens: f64,
     rng: SmallRng,
-    /// ON/OFF process: `None` for smooth flows; otherwise the phase
-    /// boundary and mean phase lengths in cycles.
-    onoff: Option<OnOffState>,
-    link_bw: f64,
     /// Closed-loop sized flows: payload bytes left to inject. `None`
     /// for open-loop rate-window flows; `Some(0)` = drained (the flow
     /// never acts again).
@@ -92,26 +86,18 @@ impl FlowState {
         self.remaining == Some(0) || self.end.is_some_and(|e| now >= e)
     }
 
-    /// `(flits, bytes)` of the next packet this flow would emit: the
-    /// configured packet size, except a sized flow's final packet
-    /// carries only the remainder.
-    fn next_packet(&self, flit_bytes: u32) -> (u32, u32) {
+    /// `(flits, bytes)` of the next packet this flow would emit: an MTU
+    /// of `mtu_flits`, except a sized flow's final packet carries only
+    /// the remainder.
+    fn next_packet(&self, flit_bytes: u32, mtu_flits: u32) -> (u32, u32) {
         match self.remaining {
-            Some(rem) if rem < self.packet_bytes as u64 => {
+            Some(rem) if rem < MTU_BYTES as u64 => {
                 let bytes = rem as u32;
                 (bytes.div_ceil(flit_bytes), bytes)
             }
-            _ => (self.packet_flits, self.packet_bytes),
+            _ => (mtu_flits, MTU_BYTES),
         }
     }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct OnOffState {
-    on: bool,
-    phase_ends: Cycle,
-    mean_on_cycles: f64,
-    mean_off_cycles: f64,
 }
 
 /// Token-bucket generator for all flows sourced at one node.
@@ -120,6 +106,8 @@ pub struct NodeGenerator {
     node: NodeId,
     num_nodes: usize,
     flit_bytes: u32,
+    /// Flits of an MTU packet.
+    mtu_flits: u32,
     /// The flows that can still act, in declaration order. [`Self::tick`]
     /// drops a flow once it is spent, so the per-cycle scans
     /// (`any_active`, `next_park_wake`, the tick and its replay) cost
@@ -201,36 +189,16 @@ impl NodeGenerator {
         seeds: &SeedSplitter,
     ) -> Self {
         let mut flows: Vec<FlowState> = flows
-            .map(|f| {
-                let onoff = match f.burstiness {
-                    Burstiness::Smooth => None,
-                    Burstiness::OnOff { mean_on_ns } => {
-                        let mean_on = units.ns_to_cycles(mean_on_ns).max(1) as f64;
-                        // Duty cycle = rate: mean_off = mean_on (1-r)/r.
-                        let r = f.rate.clamp(0.01, 1.0);
-                        Some(OnOffState {
-                            on: false,
-                            phase_ends: 0,
-                            mean_on_cycles: mean_on,
-                            mean_off_cycles: mean_on * (1.0 - r) / r,
-                        })
-                    }
-                };
-                FlowState {
-                    id: f.id,
-                    dst: f.dst,
-                    start: units.ns_to_cycles(f.start_ns),
-                    end: f.end_ns.map(|e| units.ns_to_cycles(e)),
-                    flits_per_cycle: f.rate * link_bw_flits_per_cycle as f64,
-                    packet_flits: units.bytes_to_flits(f.packet_bytes),
-                    packet_bytes: f.packet_bytes,
-                    tokens: 0.0,
-                    rng: seeds.rng("traffic-flow", f.id.0 as u64),
-                    onoff,
-                    link_bw: link_bw_flits_per_cycle as f64,
-                    remaining: None,
-                    refused: false,
-                }
+            .map(|f| FlowState {
+                id: f.id,
+                dst: f.dst,
+                start: units.ns_to_cycles(f.start_ns),
+                end: f.end_ns.map(|e| units.ns_to_cycles(e)),
+                flits_per_cycle: f.rate * link_bw_flits_per_cycle as f64,
+                tokens: 0.0,
+                rng: seeds.rng("traffic-flow", f.id.0 as u64),
+                remaining: None,
+                refused: false,
             })
             .collect();
         flows.extend(sized.map(|f| FlowState {
@@ -239,12 +207,8 @@ impl NodeGenerator {
             start: units.ns_to_cycles(f.start_ns),
             end: None,
             flits_per_cycle: link_bw_flits_per_cycle as f64,
-            packet_flits: units.bytes_to_flits(crate::sized::SIZED_PACKET_BYTES),
-            packet_bytes: crate::sized::SIZED_PACKET_BYTES,
             tokens: 0.0,
             rng: seeds.rng("traffic-flow", f.id.0 as u64),
-            onoff: None,
-            link_bw: link_bw_flits_per_cycle as f64,
             remaining: Some(f.bytes),
             refused: false,
         }));
@@ -252,6 +216,7 @@ impl NodeGenerator {
             node,
             num_nodes,
             flit_bytes: units.flit_bytes,
+            mtu_flits: units.bytes_to_flits(MTU_BYTES),
             configured: flows.len(),
             flows,
             last_tick: Cycle::MAX,
@@ -277,10 +242,9 @@ impl NodeGenerator {
     /// Sparse-engine parking contract (DESIGN.md §12): the earliest
     /// future cycle at which ticking this generator could observably
     /// act — emit a packet (an offer to the sink, which may draw
-    /// destination randomness and is refusable) or cross an ON/OFF
-    /// phase boundary (which draws the next phase length from the flow
-    /// RNG at the crossing cycle). Until then every tick is pure token
-    /// accrual, which [`Self::tick`] replays on wake-up, so the engine
+    /// destination randomness and is refusable). Until then every tick
+    /// is pure token accrual, which [`Self::tick`] replays on wake-up,
+    /// so the engine
     /// may park the node and skip its ticks entirely.
     ///
     /// Returns `None` when the node must tick next cycle (the sink
@@ -308,22 +272,11 @@ impl NodeGenerator {
                 wake = wake.min(f.start);
                 continue;
             }
-            let (next_flits, _) = f.next_packet(self.flit_bytes);
+            let (next_flits, _) = f.next_packet(self.flit_bytes, self.mtu_flits);
             if f.tokens >= next_flits as f64 && !f.refused {
                 return None;
             }
-            let accrual = match &f.onoff {
-                None => f.flits_per_cycle,
-                Some(st) => {
-                    debug_assert!(st.phase_ends > now, "un-ticked active ON/OFF flow");
-                    wake = wake.min(st.phase_ends);
-                    if st.on {
-                        f.link_bw
-                    } else {
-                        0.0
-                    }
-                }
-            };
+            let accrual = f.flits_per_cycle;
             if accrual > 0.0 && !f.refused {
                 let need = next_flits as f64;
                 let k = ((need - f.tokens) / accrual).floor() as Cycle;
@@ -353,7 +306,7 @@ impl NodeGenerator {
     pub fn refused_offers(&self, now: Cycle) -> impl Iterator<Item = GenPacket> + '_ {
         let retries = move |f: &&FlowState| f.refused && !f.is_spent(now);
         self.flows.iter().filter(retries).map(|f| {
-            let (size_flits, size_bytes) = f.next_packet(self.flit_bytes);
+            let (size_flits, size_bytes) = f.next_packet(self.flit_bytes, self.mtu_flits);
             let Destination::Fixed(dst) = f.dst else {
                 unreachable!("only a fixed destination is marked refused")
             };
@@ -368,16 +321,16 @@ impl NodeGenerator {
 
     /// Replay the cycles in `(last_tick, now)` skipped while the node
     /// was parked, flow by flow. Parking guarantees no accepted emission
-    /// or ON/OFF boundary falls inside a gap (debug-asserted; a refused
-    /// flow's retries are refused throughout it), so a flow's
-    /// `remaining`, phase and hence accrual and cap are constant there,
-    /// and it makes one capped addition for each gap cycle inside its
+    /// falls inside a gap (debug-asserted; a refused flow's retries are
+    /// refused throughout it), so a flow's `remaining` and hence its cap
+    /// are constant there, and it makes one capped addition of its
+    /// accrual for each gap cycle inside its
     /// `[start, end)` window — [`accrue_n`] gives their exact result.
     /// Outside the window a skipped tick would only have zeroed the
     /// bucket: before `start` it is still zero, and a flow whose window
     /// closed in the gap is inactive at `now`, whose tick zeroes it.
     fn replay_to(&mut self, now: Cycle) {
-        let flit_bytes = self.flit_bytes;
+        let (flit_bytes, mtu_flits) = (self.flit_bytes, self.mtu_flits);
         let from = match self.last_tick {
             Cycle::MAX => 0,
             t => t + 1,
@@ -387,20 +340,9 @@ impl NodeGenerator {
             if lo >= hi || f.remaining == Some(0) {
                 continue;
             }
-            let accrual = match &f.onoff {
-                None => f.flits_per_cycle,
-                Some(st) => {
-                    debug_assert!(hi <= st.phase_ends, "parked across an ON/OFF boundary");
-                    if st.on {
-                        f.link_bw
-                    } else {
-                        0.0
-                    }
-                }
-            };
-            let (next_flits, _) = f.next_packet(flit_bytes);
+            let (next_flits, _) = f.next_packet(flit_bytes, mtu_flits);
             let cap = BURST_CAP_PACKETS * next_flits as f64;
-            f.tokens = accrue_n(f.tokens, accrual, cap, hi - lo);
+            f.tokens = accrue_n(f.tokens, f.flits_per_cycle, cap, hi - lo);
             debug_assert!(
                 f.tokens < next_flits as f64 || f.refused,
                 "parked across an accepted emission"
@@ -424,7 +366,7 @@ impl NodeGenerator {
             self.replay_to(now);
         }
         self.last_tick = now;
-        let flit_bytes = self.flit_bytes;
+        let (flit_bytes, mtu_flits) = (self.flit_bytes, self.mtu_flits);
         let mut spent = false;
         for f in &mut self.flows {
             if !f.is_active(now) {
@@ -436,33 +378,8 @@ impl NodeGenerator {
                 spent |= f.is_spent(now);
                 continue;
             }
-            // ON/OFF flows accrue at line rate during ON phases and not
-            // at all during OFF phases; smooth flows accrue steadily.
-            let accrual = match &mut f.onoff {
-                None => f.flits_per_cycle,
-                Some(st) => {
-                    if now >= st.phase_ends {
-                        // Draw the next phase length from an exponential
-                        // distribution (inverse-CDF on a uniform sample).
-                        st.on = !st.on;
-                        let mean = if st.on {
-                            st.mean_on_cycles
-                        } else {
-                            st.mean_off_cycles
-                        };
-                        let u: f64 = f.rng.random::<f64>().max(1e-12);
-                        let len = (-u.ln() * mean).ceil().max(1.0) as Cycle;
-                        st.phase_ends = now + len;
-                    }
-                    if st.on {
-                        f.link_bw
-                    } else {
-                        0.0
-                    }
-                }
-            };
-            let (next_flits, next_bytes) = f.next_packet(flit_bytes);
-            f.tokens = (f.tokens + accrual).min(BURST_CAP_PACKETS * next_flits as f64);
+            let (next_flits, next_bytes) = f.next_packet(flit_bytes, mtu_flits);
+            f.tokens = (f.tokens + f.flits_per_cycle).min(BURST_CAP_PACKETS * next_flits as f64);
             f.refused = false;
             if f.tokens >= next_flits as f64 {
                 let dst = match f.dst {
@@ -810,14 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn parked_onoff_flow_emits_identically() {
-        // Phase boundaries draw RNG at the crossing cycle, so a parked
-        // node must wake exactly on (or before) them.
-        let spec = FlowSpec::bursty_uniform(0, NodeId(0), 0.4, 300.0 * units().cycle_ns);
-        assert_parked_matches_dense(&[spec], 60_000);
-    }
-
-    #[test]
     fn banked_packet_forbids_parking() {
         // A redrawn destination: every retry draws from the flow RNG and
         // may land on a queue with room, so each has to be made.
@@ -944,7 +853,7 @@ mod tests {
 #[cfg(test)]
 mod sized_tests {
     use super::*;
-    use crate::sized::{SizedFlow, SIZED_PACKET_BYTES};
+    use crate::sized::SizedFlow;
 
     fn gen_sized(specs: &[SizedFlow], node: u32) -> NodeGenerator {
         NodeGenerator::new_with_sized(
@@ -973,7 +882,7 @@ mod sized_tests {
     #[test]
     fn sized_flow_emits_exactly_its_bytes_then_goes_idle() {
         // 5 full MTU packets plus a 100 B tail.
-        let bytes = 5 * SIZED_PACKET_BYTES as u64 + 100;
+        let bytes = 5 * MTU_BYTES as u64 + 100;
         let specs = vec![SizedFlow::new(0, NodeId(0), NodeId(4), bytes, 0.0)];
         let mut g = gen_sized(&specs, 0);
         let got = drain(&mut g, 10_000);
@@ -987,7 +896,7 @@ mod sized_tests {
 
     #[test]
     fn sized_flow_survives_backpressure_without_losing_bytes() {
-        let bytes = 3 * SIZED_PACKET_BYTES as u64;
+        let bytes = 3 * MTU_BYTES as u64;
         let specs = vec![SizedFlow::new(0, NodeId(0), NodeId(4), bytes, 0.0)];
         let mut g = gen_sized(&specs, 0);
         let mut refuse = |_: GenPacket| false;
@@ -1040,8 +949,7 @@ mod sized_tests {
         let early = FlowSpec::hotspot(1, NodeId(0), NodeId(4), 0.0, Some(ns(1500.0)));
         let mut late = FlowSpec::hotspot(2, NodeId(0), NodeId(5), ns(4000.0), Some(ns(9000.0)));
         late.rate = 0.4;
-        let bursty = FlowSpec::bursty_uniform(3, NodeId(0), 0.3, ns(300.0));
-        let rate = [slow, early, late, bursty];
+        let rate = [slow, early, late];
         let sized = [
             SizedFlow::new(4, NodeId(0), NodeId(6), 3 * 2048 + 100, 0.0),
             SizedFlow::new(5, NodeId(0), NodeId(7), 40 * 2048, ns(2500.0)),
@@ -1061,9 +969,9 @@ mod sized_tests {
             )
         };
         let g = super::tests::assert_parked_matches_dense_with(|| make(&rate), 30_000);
-        assert_eq!(g.num_flows(), 8, "the configured count");
+        assert_eq!(g.num_flows(), 7, "the configured count");
         let live: Vec<u32> = g.flows.iter().map(|f| f.id.0).collect();
-        assert_eq!(live, [0, 3], "the open-ended flows, in declaration order");
+        assert_eq!(live, [0], "the open-ended flow");
 
         // Every flow spent: the generator ends up scanning nothing.
         let g = super::tests::assert_parked_matches_dense_with(|| make(&rate[1..3]), 30_000);
@@ -1091,93 +999,5 @@ mod sized_tests {
         assert_eq!(sized_pkts.len(), 1);
         assert!(got.iter().filter(|p| p.flow == FlowId(0)).count() > 50);
         assert_eq!(g.num_flows(), 2, "the drained flow still counts");
-    }
-}
-
-#[cfg(test)]
-mod onoff_tests {
-    use super::*;
-    use crate::flow::FlowSpec;
-
-    fn run_count(spec: FlowSpec, cycles: u64, seed: u64) -> usize {
-        let mut g = NodeGenerator::new(
-            NodeId(0),
-            &[spec],
-            &UnitModel::default(),
-            1,
-            8,
-            &SeedSplitter::new(seed),
-        );
-        let mut got = 0usize;
-        let mut sink = |_: GenPacket| {
-            got += 1;
-            true
-        };
-        for now in 0..cycles {
-            g.tick(now, &mut sink);
-        }
-        got
-    }
-
-    #[test]
-    fn onoff_long_run_average_matches_rate() {
-        // 0.5 rate with 10 us mean bursts over 40 ms: expect ~half of
-        // line rate within 10%.
-        let spec = FlowSpec::bursty_uniform(0, NodeId(0), 0.5, 10_000.0);
-        let cycles = 1_600_000u64;
-        let got = run_count(spec, cycles, 7) as f64;
-        let expected = 0.5 * cycles as f64 / 32.0;
-        assert!(
-            (got - expected).abs() < 0.1 * expected,
-            "got {got}, expected ~{expected}"
-        );
-    }
-
-    #[test]
-    fn onoff_is_burstier_than_smooth() {
-        // Compare inter-packet gap variance at the same average rate.
-        let gaps = |spec: FlowSpec| {
-            let mut g = NodeGenerator::new(
-                NodeId(0),
-                &[spec],
-                &UnitModel::default(),
-                1,
-                8,
-                &SeedSplitter::new(3),
-            );
-            let mut times = Vec::new();
-            for now in 0..400_000u64 {
-                let mut sink = |_: GenPacket| {
-                    times.push(now);
-                    true
-                };
-                g.tick(now, &mut sink);
-            }
-            let deltas: Vec<f64> = times.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
-            let mean = deltas.iter().sum::<f64>() / deltas.len() as f64;
-            let var =
-                deltas.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / deltas.len() as f64;
-            (mean, var)
-        };
-        let mut smooth = FlowSpec::uniform(0, NodeId(0), 0.0, None);
-        smooth.rate = 0.3;
-        let bursty = FlowSpec::bursty_uniform(1, NodeId(0), 0.3, 20_000.0);
-        let (m_s, v_s) = gaps(smooth);
-        let (m_b, v_b) = gaps(bursty);
-        assert!(
-            (m_s - m_b).abs() < 0.3 * m_s,
-            "same average spacing: {m_s} vs {m_b}"
-        );
-        assert!(v_b > 5.0 * v_s, "bursty variance {v_b} >> smooth {v_s}");
-    }
-
-    #[test]
-    fn onoff_full_rate_degenerates_to_continuous() {
-        let spec = FlowSpec::bursty_uniform(0, NodeId(0), 1.0, 5_000.0);
-        let got = run_count(spec, 32_000, 9);
-        assert!(
-            (990..=1000).contains(&got),
-            "full duty cycle ~ line rate: {got}"
-        );
     }
 }

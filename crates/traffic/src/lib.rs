@@ -33,9 +33,9 @@ pub mod trace;
 pub mod workload;
 
 pub use cases::{case1, case2, case3, case4, uniform_all};
-pub use flow::{Burstiness, Destination, FlowSpec};
+pub use flow::{Destination, FlowSpec};
 pub use generator::{GenPacket, InjectSink, NodeGenerator};
 pub use pattern::TrafficPattern;
-pub use sized::{SizedFlow, SIZED_PACKET_BYTES};
+pub use sized::SizedFlow;
 pub use trace::{format_trace, parse_trace, TraceError};
 pub use workload::{all_to_all, incast, mpi_phase_bursts, permutation_shift, Workload};

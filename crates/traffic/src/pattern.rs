@@ -80,11 +80,6 @@ impl TrafficPattern {
         self.flows.iter().map(|f| f.id).collect()
     }
 
-    /// All sized-flow ids, in declaration order.
-    pub fn sized_ids(&self) -> Vec<FlowId> {
-        self.sized.iter().map(|f| f.id).collect()
-    }
-
     /// Label for a flow id (either kind), if declared.
     pub fn label(&self, id: FlowId) -> Option<&str> {
         self.flows

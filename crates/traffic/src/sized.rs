@@ -9,16 +9,13 @@
 //! (tracked by the metrics collector, reported as FCT).
 
 use ccfit_engine::ids::{FlowId, NodeId};
+use ccfit_engine::units::MTU_BYTES;
 use serde::{Deserialize, Serialize};
 
-/// Wire packet size sized flows are chopped into: the MTU used
-/// throughout the paper (2048 B). The final packet of a flow carries
-/// the remainder, so a flow's delivered bytes sum exactly to
-/// [`SizedFlow::bytes`].
-pub const SIZED_PACKET_BYTES: u32 = 2048;
-
 /// One closed-loop flow: `bytes` of payload from `src` to `dst`,
-/// injected at line rate from `start_ns` until drained.
+/// injected at line rate from `start_ns` until drained, in MTU packets
+/// ([`MTU_BYTES`]) whose last carries the remainder, so a flow's
+/// delivered bytes sum exactly to [`SizedFlow::bytes`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SizedFlow {
     /// Identifier used in per-flow metrics and the FCT report. Shares
@@ -63,9 +60,9 @@ impl SizedFlow {
     }
 
     /// Number of wire packets the flow is chopped into (full
-    /// [`SIZED_PACKET_BYTES`] packets plus a possibly-smaller tail).
+    /// [`MTU_BYTES`] packets plus a possibly-smaller tail).
     pub fn num_packets(&self) -> u64 {
-        self.bytes.div_ceil(SIZED_PACKET_BYTES as u64)
+        self.bytes.div_ceil(MTU_BYTES as u64)
     }
 }
 

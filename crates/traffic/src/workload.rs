@@ -12,6 +12,7 @@
 use crate::pattern::TrafficPattern;
 use crate::sized::SizedFlow;
 use ccfit_engine::ids::NodeId;
+use ccfit_engine::BadParam;
 use serde::{Deserialize, Serialize};
 
 /// A closed-loop workload, resolved against a machine size at build
@@ -73,12 +74,63 @@ impl Workload {
         }
     }
 
+    /// Whether [`Self::build`] can resolve this workload on a machine of
+    /// `num_nodes` end nodes: `Err` names the first parameter that
+    /// cannot fit.
+    pub fn check(&self, num_nodes: usize) -> Result<(), BadParam> {
+        let n = num_nodes;
+        let fail = |key, reason: String| Err(BadParam::new(key, reason));
+        let bytes = |bytes: u64| match bytes {
+            0 => fail("bytes", "must be at least 1".into()),
+            _ => Ok(()),
+        };
+        match *self {
+            Workload::Incast { senders: 0, .. } => fail("senders", "must be at least 1".into()),
+            Workload::Incast { senders, .. } if senders >= n => fail(
+                "senders",
+                format!("{senders} senders + 1 receiver do not fit the network's {n} nodes"),
+            ),
+            Workload::PermutationShift { shift, .. } if shift.is_multiple_of(n) => fail(
+                "shift",
+                format!("{shift} maps every node to itself on {n} nodes"),
+            ),
+            // Phase `p` shifts by `p + 1`, so phase `n` would map every
+            // node to itself.
+            Workload::MpiPhaseBursts { phases, .. } if phases == 0 || phases >= n => fail(
+                "phases",
+                format!("must be in 1..{n}: phase {n} maps every node to itself"),
+            ),
+            Workload::MpiPhaseBursts { gap_ns, .. } if !(gap_ns.is_finite() && gap_ns >= 0.0) => {
+                fail("gap_ns", format!("must be finite and >= 0, got {gap_ns}"))
+            }
+            Workload::Incast { bytes: b, .. }
+            | Workload::AllToAll { bytes: b }
+            | Workload::PermutationShift { bytes: b, .. }
+            | Workload::MpiPhaseBursts { bytes: b, .. } => bytes(b),
+            Workload::Trace { ref flows } => {
+                let nodes = flows.iter().flat_map(|f| [f.src.index(), f.dst.index()]);
+                match nodes.max() {
+                    Some(max) if max >= n => fail(
+                        "file",
+                        format!("references node {max} but the network has {n} nodes"),
+                    ),
+                    _ => Ok(()),
+                }
+            }
+        }
+    }
+
     /// Resolve into a sized-flow pattern for a machine of `num_nodes`
-    /// end nodes. Panics on shapes that cannot fit (mirroring the
-    /// assertion style of [`TrafficPattern::build_generators`]).
+    /// end nodes.
+    ///
+    /// # Panics
+    /// On a shape [`Self::check`] rejects.
     pub fn build(&self, num_nodes: usize) -> TrafficPattern {
+        if let Err(e) = self.check(num_nodes) {
+            panic!("{}: {e}", self.name());
+        }
         let flows = match self {
-            Workload::Incast { senders, bytes } => incast_flows(num_nodes, *senders, *bytes),
+            Workload::Incast { senders, bytes } => incast_flows(*senders, *bytes),
             Workload::AllToAll { bytes } => all_to_all_flows(num_nodes, *bytes),
             Workload::PermutationShift { shift, bytes } => {
                 permutation_flows(num_nodes, *shift, *bytes, 0, 0.0)
@@ -88,11 +140,6 @@ impl Workload {
                 bytes,
                 gap_ns,
             } => {
-                assert!(*phases >= 1, "need at least one phase");
-                assert!(
-                    gap_ns.is_finite() && *gap_ns >= 0.0,
-                    "phase gap must be finite and >= 0"
-                );
                 let mut flows = Vec::new();
                 for p in 0..*phases {
                     flows.extend(permutation_flows(
@@ -105,36 +152,19 @@ impl Workload {
                 }
                 flows
             }
-            Workload::Trace { flows } => {
-                let max = flows
-                    .iter()
-                    .flat_map(|f| [f.src.index(), f.dst.index()])
-                    .max()
-                    .unwrap_or(0);
-                assert!(
-                    max < num_nodes,
-                    "trace references node {max} but the network has {num_nodes} nodes"
-                );
-                flows.clone()
-            }
+            Workload::Trace { flows } => flows.clone(),
         };
         TrafficPattern::sized_only(self.name(), flows)
     }
 }
 
-fn incast_flows(num_nodes: usize, senders: usize, bytes: u64) -> Vec<SizedFlow> {
-    assert!(senders >= 1, "need at least one sender");
-    assert!(
-        senders < num_nodes,
-        "incast needs {senders} senders + 1 receiver but the network has {num_nodes} nodes"
-    );
+fn incast_flows(senders: usize, bytes: u64) -> Vec<SizedFlow> {
     (1..=senders)
         .map(|n| SizedFlow::new(n as u32, NodeId::from(n), NodeId(0), bytes, 0.0))
         .collect()
 }
 
 fn all_to_all_flows(num_nodes: usize, bytes: u64) -> Vec<SizedFlow> {
-    assert!(num_nodes >= 2, "all-to-all needs at least two nodes");
     let mut flows = Vec::with_capacity(num_nodes * (num_nodes - 1));
     let mut id = 0u32;
     for src in 0..num_nodes {
@@ -162,11 +192,6 @@ fn permutation_flows(
     id_base: u32,
     start_ns: f64,
 ) -> Vec<SizedFlow> {
-    assert!(num_nodes >= 2, "permutation needs at least two nodes");
-    assert!(
-        !shift.is_multiple_of(num_nodes),
-        "shift {shift} maps every node to itself on {num_nodes} nodes"
-    );
     (0..num_nodes)
         .map(|n| {
             SizedFlow::new(

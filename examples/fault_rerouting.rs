@@ -12,7 +12,7 @@
 //! up-link, and that link stays a congestion point until the cable is
 //! repaired at 0.9 ms. The fault schedule drives the simulator's
 //! Phase-0 event queue (DESIGN.md §8) — routing is recomputed live both
-//! times, after the configured re-routing latency.
+//! times, after the fixed re-routing latency.
 //!
 //! The run compares how the baseline and CCFIT absorb the same outage,
 //! and prints each run's fault ledger (packets lost on the wire, purged

@@ -15,9 +15,7 @@
 //! from the work-list occupancy counters.
 
 use ccfit::experiment::{config1_case1_scaled, config2_case2_scaled, config3_case4_scaled};
-use ccfit::{
-    ExperimentSpec, FaultConfig, FaultPolicy, FaultSchedule, Mechanism, SimConfig, Simulator,
-};
+use ccfit::{ExperimentSpec, FaultPolicy, FaultSchedule, Mechanism, SimConfig, Simulator};
 use ccfit_engine::ids::NodeId;
 use ccfit_topology::Endpoint;
 
@@ -67,15 +65,7 @@ fn fault_schedule_runs_are_bit_identical() {
     let (spec, schedule) = faulty_config2();
     for mech in [Mechanism::ccfit(), Mechanism::VoqSw] {
         let name = mech.name();
-        let build = || {
-            spec.build_sim_with_faults(
-                mech.clone(),
-                9,
-                cfg(),
-                schedule.clone(),
-                FaultConfig::default(),
-            )
-        };
+        let build = || spec.build_sim_with_faults(mech.clone(), 9, cfg(), schedule.clone());
         let engine_a = build().run().to_json();
         let engine_b = build().run().to_json();
         assert_eq!(
@@ -256,15 +246,7 @@ fn sized_flow_workloads_are_bit_identical_across_engines() {
 #[test]
 fn engine_is_bit_identical_under_faults() {
     let (spec, schedule) = faulty_config2();
-    let build = || {
-        spec.build_sim_with_faults(
-            Mechanism::ccfit(),
-            9,
-            cfg(),
-            schedule.clone(),
-            FaultConfig::default(),
-        )
-    };
+    let build = || spec.build_sim_with_faults(Mechanism::ccfit(), 9, cfg(), schedule.clone());
     assert_eq!(
         build().run().to_json(),
         oracle_json(build()),

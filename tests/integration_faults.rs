@@ -1,7 +1,7 @@
 //! Dynamic fault-injection integration tests (DESIGN.md §8).
 //!
 //! A mid-run trunk failure must not strand traffic that still has a
-//! path: after the configured re-routing latency the simulator rebuilds
+//! path: after the fixed re-routing latency the simulator rebuilds
 //! the routing tables and every *non-orphaned* flow keeps delivering.
 //! Orphaned flows (destination behind a dead switch) are refused at the
 //! source and purged in flight, and the packet-conservation identity

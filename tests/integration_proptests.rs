@@ -49,8 +49,6 @@ fn pattern_strategy(num_nodes: u32) -> impl Strategy<Value = TrafficPattern> {
                 start_ns: start_us as f64 * 1000.0,
                 end_ns: (open == 0).then_some(400_000.0),
                 rate,
-                packet_bytes: 2048,
-                burstiness: ccfit_traffic::Burstiness::Smooth,
             })
             .collect();
         TrafficPattern::new("random", specs)

@@ -25,7 +25,7 @@ fn run(mech: Mechanism, observed: bool) -> (Simulator, UnitModel) {
     };
     cfg.duration_ns = spec.duration_ns;
     cfg.crossbar_bw_flits_per_cycle = spec.crossbar_bw_flits_per_cycle;
-    let units = cfg.units;
+    let units = UnitModel::default();
     let mut builder = SimBuilder::new(spec.topology.clone())
         .routing(spec.routing.clone())
         .mechanism(mech)
