@@ -1082,9 +1082,19 @@ impl Simulator {
         self.switches.iter().map(|s| s.cfq_count()).sum()
     }
 
-    /// Live access to a metrics counter.
+    /// Live access to a metrics counter. `cfq_exhausted` includes the
+    /// cycles of the exhaustion episodes still open, so a mid-run read
+    /// counts every port-cycle spent exhausted so far, as the report will.
     pub fn counter(&self, name: &str) -> u64 {
-        self.metrics.counter(name)
+        let open: u64 = match name {
+            "cfq_exhausted" => self
+                .switches
+                .iter()
+                .map(|s| s.open_exhaustion_cycles(self.now))
+                .sum(),
+            _ => 0,
+        };
+        self.metrics.counter(name) + open
     }
 
     /// BECN transit time from `from` to `to` over the routing in force:
@@ -2413,6 +2423,10 @@ impl Simulator {
             .sum();
         let simulated_ns = u.cycles_to_ns(self.now);
         let mut m = self.metrics;
+        let mut switches = self.switches;
+        for sw in &mut switches {
+            sw.close_exhaustion(self.now, &mut m);
+        }
         m.count("injected_packets", self.injected);
         m.count("delivered_packets_total", self.delivered);
         if let Some(mut frt) = self.faults {
@@ -2724,6 +2738,43 @@ mod tests {
         );
         assert!(st.node_sum < st.ticks * engine.adapters.len() as u64);
         assert_eq!(engine.finish(), oracle.finish());
+    }
+
+    /// `cfq_exhausted` grows by whole episodes, but a mid-run read adds
+    /// the open ones: on Fig. 8b's four trees, where FBICM runs out of
+    /// CFQs and the engine parks exhausted switches, the engine's read
+    /// equals the oracle's at every stop, and the last one the report.
+    #[test]
+    fn a_mid_run_read_counts_the_open_exhaustion_episodes() {
+        let spec = crate::experiment::config3_case4_scaled(4, 0.02);
+        let cfg = SimConfig {
+            metrics_bin_ns: 20_000.0,
+            ..SimConfig::default()
+        };
+        let mut engine = spec.build_sim(Mechanism::fbicm(), 3, cfg.clone());
+        let mut oracle = spec.build_sim(Mechanism::fbicm(), 3, cfg);
+        let mut open_seen = 0;
+        while engine.now() < engine.end_cycle() {
+            let step = 97.min(engine.end_cycle() - engine.now());
+            engine.run_cycles(step);
+            for _ in 0..step {
+                oracle.tick_reference();
+            }
+            let now = engine.now();
+            assert_eq!(oracle.now(), now);
+            let read = engine.counter("cfq_exhausted");
+            assert_eq!(read, oracle.counter("cfq_exhausted"), "cycle {now}");
+            let open: u64 = engine
+                .switches
+                .iter()
+                .map(|s| s.open_exhaustion_cycles(now))
+                .sum();
+            assert!(read >= open);
+            open_seen += usize::from(open > 0);
+        }
+        assert!(open_seen > 10, "episodes were open at {open_seen} stops");
+        let read = engine.counter("cfq_exhausted");
+        assert_eq!(engine.finish().counters["cfq_exhausted"], read);
     }
 
     // ---- the park rule's wake sources (DESIGN.md §12) ----

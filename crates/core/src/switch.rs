@@ -359,8 +359,13 @@ pub struct Switch {
     /// stale by every event that can change what a visit reads — the
     /// port's NFQ contents, its CFQ set, any output CAM's key set, the
     /// routing table — through [`Self::port_changed`] and
-    /// [`Self::lookups_changed`], its only two writers-to-stale.
+    /// [`Self::lookups_changed`]; its quiet bound alone also by
+    /// [`Self::wake_protocol`] (a CFQ's occupancy or its line's Stop/Go
+    /// status changed).
     iso_memo: Vec<IsoMemo>,
+    /// The open CFQ-exhaustion episodes, one per exhausted (port, site):
+    /// a handful at a switch that ran out of CFQs, none elsewhere.
+    exhausted: Vec<Exhaustion>,
     /// Per-call tally scratch of the detection scan.
     detect_tally: Vec<(NodeId, u32)>,
     /// Per-call packet scratch of the fault purges.
@@ -374,14 +379,49 @@ pub struct Switch {
 /// What the isolation stage remembers of its last visit to an input
 /// port (DESIGN.md §12 "Isolation fixed points").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IsoMemo {
-    /// Nothing: the next visit runs in full.
-    Stale,
-    /// The detection scan's answer; the rest of the visit still runs.
-    Scanned(DetectScan),
-    /// The visit proved a fixed point — see [`Switch::is_settled`] — so
-    /// the walk passes the port by until one of its inputs changes.
-    Settled,
+struct IsoMemo {
+    /// The detection scan's answer, while the scan's inputs stand.
+    scan: Option<DetectScan>,
+    /// The last visit changed nothing — see [`Switch::quiet_until`] — so
+    /// the walk passes the port by while `now < quiet_until`: until the
+    /// earliest clock that visit read comes due, or one of its inputs
+    /// changes. `Cycle::MAX` is a port no clock can wake (settled); 0
+    /// one the next walk visits.
+    quiet_until: Cycle,
+}
+
+impl IsoMemo {
+    /// Nothing remembered: the next visit runs in full.
+    const STALE: IsoMemo = IsoMemo {
+        scan: None,
+        quiet_until: 0,
+    };
+}
+
+/// An open CFQ-exhaustion episode (DESIGN.md §10): every visit of input
+/// `port` since `since` found the site exhausted for `dst`. Closed, and
+/// logged as one `CfqExhausted` covering its cycles, by the first visit
+/// that does not, or at the end of the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Exhaustion {
+    port: u32,
+    /// The detection site (the CFQ would have been a root) rather than
+    /// the move site (a head of a propagated tree).
+    root: bool,
+    dst: NodeId,
+    since: Cycle,
+}
+
+/// Control messages one visit of the per-CFQ protocol sends upstream
+/// besides a release's (see [`Switch::cfq_step`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Upstream {
+    /// `CfqAlloc`: the CFQ reached the propagation threshold.
+    propagate: bool,
+    /// `Stop` (after a `CfqAlloc` if none went out yet).
+    stop: bool,
+    /// `Go`.
+    go: bool,
 }
 
 /// Result of the congestion-detection scan over one input port's NFQ.
@@ -482,6 +522,23 @@ fn visible_head<'q>(
     Some(head)
 }
 
+/// The Stop/Go status of output `out`'s line for `dst` flipped: wake the
+/// protocol of the input ports whose CFQ for `dst` drains through `out`,
+/// the readers of that status (a CFQ is only released in Go). A free
+/// function so the caller can hold the output borrowed.
+fn wake_drainers(inputs: &[InputPort], memo: &mut [IsoMemo], out: usize, dst: NodeId) {
+    for (input, memo) in inputs.iter().zip(memo) {
+        if let InputQueues::Isolating { cfqs, .. } = &input.queues {
+            if cfqs
+                .iter()
+                .any(|c| matches!(c.state, Some(s) if s.dst == dst && s.out_port == out))
+            {
+                memo.quiet_until = 0;
+            }
+        }
+    }
+}
+
 impl Switch {
     /// Build a switch. `wiring[p]` gives the directed links of port `p`
     /// (`None, None` for unconnected ports).
@@ -547,7 +604,8 @@ impl Switch {
             epoch: 0,
             arb: ArbScratch::new(num_ports),
             ctrl_scratch: Vec::new(),
-            iso_memo: vec![IsoMemo::Stale; num_ports],
+            iso_memo: vec![IsoMemo::STALE; num_ports],
+            exhausted: Vec::new(),
             detect_tally: Vec::new(),
             purge_scratch: Vec::new(),
             touched_links: Vec::new(),
@@ -651,7 +709,11 @@ impl Switch {
                     }
                     CtrlEvent::Stop { dst } => {
                         if let Some(idx) = out.cam.lookup(dst) {
-                            out.cam.get_mut(idx).unwrap().value.stopped = true;
+                            let line = &mut out.cam.get_mut(idx).unwrap().value;
+                            if !line.stopped {
+                                line.stopped = true;
+                                wake_drainers(&self.inputs, &mut self.iso_memo, o, dst);
+                            }
                         } else if out.cam.allocate(dst, OutCamState { stopped: true }).is_ok() {
                             cam_keys_changed = true;
                         } else {
@@ -675,7 +737,11 @@ impl Switch {
                     }
                     CtrlEvent::Go { dst } => {
                         if let Some(idx) = out.cam.lookup(dst) {
-                            out.cam.get_mut(idx).unwrap().value.stopped = false;
+                            let line = &mut out.cam.get_mut(idx).unwrap().value;
+                            if line.stopped {
+                                line.stopped = false;
+                                wake_drainers(&self.inputs, &mut self.iso_memo, o, dst);
+                            }
                         }
                         metrics.record(
                             now,
@@ -744,12 +810,12 @@ impl Switch {
 
     /// [`Self::scan_unisolated`], memoised per input port. A port blocked
     /// above the detection threshold with no CFQ left asks the same
-    /// question every cycle; the answer only changes when the port's NFQ
-    /// contents, its CFQ destinations, an output CAM's key set or the
+    /// question on every visit; the answer only changes when the port's
+    /// NFQ contents, its CFQ destinations, an output CAM's key set or the
     /// routing table do, and each of those events drops the memo
     /// (DESIGN.md §12).
     fn detection_scan(&mut self, port: usize, routing: &RoutingTable) -> DetectScan {
-        if let IsoMemo::Scanned(hit) = self.iso_memo[port] {
+        if let Some(hit) = self.iso_memo[port].scan {
             debug_assert_eq!(
                 hit,
                 self.scan_unisolated(port, routing, &mut Vec::new()),
@@ -761,19 +827,26 @@ impl Switch {
         let mut tally = std::mem::take(&mut self.detect_tally);
         let scan = self.scan_unisolated(port, routing, &mut tally);
         self.detect_tally = tally;
-        self.iso_memo[port] = IsoMemo::Scanned(scan);
+        self.iso_memo[port].scan = Some(scan);
         scan
     }
 
     /// Input `port`'s NFQ contents or CFQ set changed.
     fn port_changed(&mut self, port: usize) {
-        self.iso_memo[port] = IsoMemo::Stale;
+        self.iso_memo[port] = IsoMemo::STALE;
+    }
+
+    /// The occupancy of one of input `port`'s CFQs changed (a departure):
+    /// the per-CFQ protocol reads it, the detection scan does not, so only
+    /// the port's quiet bound goes.
+    fn wake_protocol(&mut self, port: usize) {
+        self.iso_memo[port].quiet_until = 0;
     }
 
     /// An output CAM's key set or the routing table changed: every
     /// port's visit looks its packets up in those.
     fn lookups_changed(&mut self) {
-        self.iso_memo.fill(IsoMemo::Stale);
+        self.iso_memo.fill(IsoMemo::STALE);
     }
 
     /// Oracle mode: forget everything the last cycle memoised, so this
@@ -787,40 +860,59 @@ impl Switch {
         self.over_high_dirty = true;
     }
 
-    /// Whether a visit of input `port` by the isolation stage does
-    /// nothing, now and on every later cycle until [`Self::port_changed`]
-    /// or [`Self::lookups_changed`] fires: no CFQ is allocated at the
-    /// port (so no propagation, Stop/Go, High/Low or linger clock runs),
-    /// detection stays below its threshold, and the NFQ head has arrived
-    /// and is not one post-processing moves. A pure re-evaluation of what
-    /// the visit itself concludes; the walk checks each skip against it.
-    fn is_settled(&self, port: usize, now: Cycle, routing: &RoutingTable) -> bool {
-        let Some(iso) = self.cfg.iso else {
-            return false;
-        };
+    /// What a visit of input `port` at `now` would conclude, re-derived
+    /// from the queues without the memo: `None` if it would change
+    /// something — allocate, move, release, send upstream or write a
+    /// CFQ's state — and otherwise the first cycle at which a clock it
+    /// reads comes due (`Cycle::MAX`: none), the bound a quiet visit
+    /// records. The clocks are an arriving NFQ head's `visible_at` and
+    /// the deadlines of [`Self::cfq_deadline`]; everything else the visit
+    /// reads only changes through an event that drops the bound (see
+    /// [`IsoMemo`]). The walk and the park rule's re-derivation check
+    /// every skip against this.
+    fn quiet_until(&self, port: usize, now: Cycle, routing: &RoutingTable) -> Option<Cycle> {
+        let iso = self.cfg.iso?;
         let InputQueues::Isolating { nfq, cfqs } = &self.inputs[port].queues else {
-            return false;
+            return None;
         };
+        let free = cfqs.iter().any(|c| c.state.is_none());
         let detect_flits = iso.detect_threshold_mtus * self.cfg.mtu_flits;
-        if cfqs.iter().any(|c| c.state.is_some())
-            || (nfq.occupancy_flits() >= detect_flits
-                && self
-                    .scan_unisolated(port, routing, &mut Vec::new())
-                    .unmatched_total
-                    >= detect_flits)
+        if free
+            && nfq.occupancy_flits() >= detect_flits
+            && self
+                .scan_unisolated(port, routing, &mut Vec::new())
+                .unmatched_total
+                >= detect_flits
         {
-            return false;
+            return None; // detection allocates a root CFQ
         }
-        // An invisible head is a time-only blocker: the visit that sees
-        // it arrive may move it.
-        nfq.head_visible(now).is_some_and(|head| {
-            let dst = head.packet.dst;
-            !head.packet.is_data()
-                || self.outputs[routing.route(self.id, dst).index()]
-                    .cam
-                    .lookup(dst)
-                    .is_none()
-        })
+        let mut until = Cycle::MAX;
+        match nfq.head() {
+            _ if self.cfg.move_budget == 0 => {}
+            Some(head) if head.visible_at > now => until = head.visible_at,
+            Some(head) if head.packet.is_data() => {
+                let dst = head.packet.dst;
+                let out = routing.route(self.id, dst).index();
+                if cfqs
+                    .iter()
+                    .any(|c| matches!(c.state, Some(s) if s.dst == dst))
+                    || (free && self.outputs[out].cam.lookup(dst).is_some())
+                {
+                    return None; // the head moves
+                }
+            }
+            _ => {}
+        }
+        let upstream = self.inputs[port].in_link.is_some();
+        for slot in cfqs {
+            let Some(st) = slot.state else { continue };
+            let step = self.cfq_step(st, slot.queue.occupancy_flits(), now, upstream);
+            if step != (st, Upstream::default(), false) {
+                return None;
+            }
+            until = until.min(self.cfq_deadline(&st, now));
+        }
+        Some(until)
     }
 
     /// Is the congested flow `dst` draining through `out` currently
@@ -842,344 +934,486 @@ impl Switch {
         links: &mut [Link],
         metrics: &mut MetricsCollector,
     ) {
-        let Some(iso) = self.cfg.iso else { return };
-        let mtu = self.cfg.mtu_flits;
-        let detect_flits = iso.detect_threshold_mtus * mtu;
-        let propagate_flits = iso.propagate_threshold_mtus * mtu;
-        let stop_flits = iso.stop_mtus * mtu;
-        let go_flits = iso.go_mtus * mtu;
-        let high_low = self.cfg.thr.filter(|t| t.source == MarkingSource::RootCfq);
-
-        // A port outside `iso_live` has an empty NFQ and no CFQ: nothing
-        // to detect, move, propagate or deallocate.
+        if self.cfg.iso.is_none() {
+            return;
+        }
+        // A port outside `iso_live` has an empty NFQ, no CFQ and no open
+        // exhaustion episode: nothing to detect, move, propagate,
+        // deallocate or close. A port inside it whose last visit was quiet
+        // is passed by until its bound comes due.
         let num_ports = self.inputs.len();
         let mut next = 0;
         while let Some(port) = self.iso_live.next_in(next, num_ports) {
             next = port + 1;
-            if self.iso_memo[port] == IsoMemo::Settled {
-                debug_assert!(
-                    self.is_settled(port, now, routing),
-                    "stale settled memo at {} in{port} cycle {now}",
+            let quiet_until = self.iso_memo[port].quiet_until;
+            if now < quiet_until {
+                debug_assert_eq!(
+                    self.quiet_until(port, now, routing),
+                    Some(quiet_until),
+                    "stale quiet bound at {} in{port} cycle {now}",
                     self.id
                 );
                 continue;
             }
-            if !self.inputs[port].connected {
-                continue;
+            if self.inputs[port].connected {
+                self.visit_port(port, now, routing, links, metrics);
             }
-            // The two halves of the fixed-point verdict the visit gathers
-            // on its way (the third, "no CFQ here", is read at the end).
-            let mut detected = false;
-            let mut head_stays = false;
-            // ------- congestion detection (§III-C event #2) -------
-            //
-            // When the NFQ fill level crosses the detection threshold,
-            // identify the congested destination and allocate a CFQ + CAM
-            // line for it.
-            let nfq_occ = {
-                let InputQueues::Isolating { nfq, .. } = &self.inputs[port].queues else {
-                    unreachable!("isolation_tick on non-isolating scheme")
-                };
-                nfq.occupancy_flits()
+        }
+    }
+
+    /// One visit of input `port`: detection, the moves, then the per-CFQ
+    /// protocol. A visit that changes nothing records in the port's memo
+    /// the bound [`Self::quiet_until`] states; one that changes anything
+    /// leaves the port to be visited again. Each of the two exhaustion
+    /// sites extends, opens or closes its episode.
+    fn visit_port(
+        &mut self,
+        port: usize,
+        now: Cycle,
+        routing: &RoutingTable,
+        links: &mut [Link],
+        metrics: &mut MetricsCollector,
+    ) {
+        let iso = self.cfg.iso.expect("only an isolating switch visits");
+        let detect_flits = iso.detect_threshold_mtus * self.cfg.mtu_flits;
+        let mut quiet = true;
+        let mut until = Cycle::MAX;
+        // ------- congestion detection (§III-C event #2) -------
+        //
+        // When the NFQ fill level crosses the detection threshold,
+        // identify the congested destination and allocate a CFQ + CAM
+        // line for it.
+        let nfq_occ = {
+            let InputQueues::Isolating { nfq, .. } = &self.inputs[port].queues else {
+                unreachable!("isolation_tick on non-isolating scheme")
             };
-            if nfq_occ >= detect_flits {
-                let scan = self.detection_scan(port, routing);
-                if scan.unmatched_total >= detect_flits {
-                    detected = true; // allocates, or counts an exhaustion every cycle
-                    let dst = scan
-                        .dominant
-                        .expect("unmatched_total > 0 implies a tally entry");
-                    let out = routing.route(self.id, dst).index();
+            nfq.occupancy_flits()
+        };
+        let mut exhausted = None;
+        if nfq_occ >= detect_flits {
+            let scan = self.detection_scan(port, routing);
+            if scan.unmatched_total >= detect_flits {
+                let dst = scan
+                    .dominant
+                    .expect("unmatched_total > 0 implies a tally entry");
+                let out = routing.route(self.id, dst).index();
+                match self.inputs[port].queues.cfq_free_slot() {
+                    Some(free) => {
+                        let InputQueues::Isolating { cfqs, .. } = &mut self.inputs[port].queues
+                        else {
+                            unreachable!()
+                        };
+                        // Locally detected => this switch is 1 hop from
+                        // the congestion point: a root CFQ.
+                        cfqs[free].state = Some(CfqState::new(dst, out, true));
+                        self.cfq_count += 1;
+                        self.port_changed(port);
+                        self.epoch += 1;
+                        quiet = false;
+                        metrics.record(
+                            now,
+                            CcEventKind::CfqAlloc {
+                                sw: self.id.0,
+                                port: port as u32,
+                                dst: dst.0,
+                                root: true,
+                            },
+                        );
+                    }
+                    // The FBICM failure mode (Fig. 8b/c): no CFQ left,
+                    // congested packets stay in the NFQ and HoL-block
+                    // everything behind them.
+                    None => exhausted = Some(dst),
+                }
+            }
+        }
+        self.note_exhaustion(port, true, exhausted, now, metrics);
+
+        // ------- head post-processing: move congested packets -------
+        let mut exhausted = None;
+        for _ in 0..self.cfg.move_budget {
+            let dst = {
+                let InputQueues::Isolating { nfq, .. } = &self.inputs[port].queues else {
+                    unreachable!()
+                };
+                let Some(head) = nfq.head() else {
+                    break;
+                };
+                if head.visible_at > now {
+                    until = head.visible_at; // the visit that sees it arrive may move it
+                    break;
+                }
+                if !head.packet.is_data() {
+                    break; // BECNs only use NFQs (§III-B), never CFQs
+                }
+                head.packet.dst
+            };
+            let out = routing.route(self.id, dst).index();
+            let existing = self.inputs[port].queues.cfq_lookup(dst);
+            let out_cam_hit = self.outputs[out].cam.lookup(dst).is_some();
+            let slot = match existing {
+                Some(s) => Some(s),
+                None if out_cam_hit => {
+                    // A congestion tree propagated from downstream:
+                    // isolate its packets here too (non-root CFQ).
                     match self.inputs[port].queues.cfq_free_slot() {
                         Some(free) => {
                             let InputQueues::Isolating { cfqs, .. } = &mut self.inputs[port].queues
                             else {
                                 unreachable!()
                             };
-                            // Locally detected => this switch is 1 hop from
-                            // the congestion point: a root CFQ.
-                            cfqs[free].state = Some(CfqState::new(dst, out, true));
+                            cfqs[free].state = Some(CfqState::new(dst, out, false));
                             self.cfq_count += 1;
-                            self.port_changed(port);
-                            self.epoch += 1;
                             metrics.record(
                                 now,
                                 CcEventKind::CfqAlloc {
                                     sw: self.id.0,
                                     port: port as u32,
                                     dst: dst.0,
-                                    root: true,
+                                    root: false,
                                 },
                             );
+                            Some(free)
                         }
                         None => {
-                            // The FBICM failure mode (Fig. 8b/c): no CFQ
-                            // left, congested packets stay in the NFQ and
-                            // HoL-block everything behind them.
-                            metrics.record(
-                                now,
-                                CcEventKind::CfqExhausted {
-                                    sw: self.id.0,
-                                    port: port as u32,
-                                    dst: dst.0,
-                                },
-                            );
+                            exhausted = Some(dst);
+                            None
                         }
                     }
                 }
-            }
+                None => None,
+            };
+            // Otherwise the head is non-congested, or unisolatable.
+            let Some(s) = slot else { break };
+            let InputQueues::Isolating { nfq, cfqs } = &mut self.inputs[port].queues else {
+                unreachable!()
+            };
+            let entry = nfq.pop().expect("head exists");
+            cfqs[s]
+                .queue
+                .push(entry.packet, entry.visible_at, entry.ready_at);
+            // The NFQ changed (and so did the CFQ set, if the slot was
+            // allocated just above): drop the memo, and let the arbiter
+            // see the new heads.
+            self.port_changed(port);
+            self.epoch += 1;
+            quiet = false;
+            metrics.count("packets_isolated", 1);
+        }
+        self.note_exhaustion(port, false, exhausted, now, metrics);
 
-            // ------- head post-processing: move congested packets -------
-            for _ in 0..self.cfg.move_budget {
-                let dst = {
-                    let InputQueues::Isolating { nfq, .. } = &self.inputs[port].queues else {
-                        unreachable!()
-                    };
-                    let Some(head) = nfq.head_visible(now) else {
-                        break;
-                    };
-                    if !head.packet.is_data() {
-                        head_stays = true;
-                        break; // BECNs only use NFQs (§III-B), never CFQs
-                    }
-                    head.packet.dst
-                };
-                let out = routing.route(self.id, dst).index();
-                let existing = self.inputs[port].queues.cfq_lookup(dst);
-                let out_cam_hit = self.outputs[out].cam.lookup(dst).is_some();
-                let slot = match existing {
-                    Some(s) => Some(s),
-                    None if out_cam_hit => {
-                        // A congestion tree propagated from downstream:
-                        // isolate its packets here too (non-root CFQ).
-                        match self.inputs[port].queues.cfq_free_slot() {
-                            Some(free) => {
-                                let InputQueues::Isolating { cfqs, .. } =
-                                    &mut self.inputs[port].queues
-                                else {
-                                    unreachable!()
-                                };
-                                cfqs[free].state = Some(CfqState::new(dst, out, false));
-                                self.cfq_count += 1;
-                                metrics.record(
-                                    now,
-                                    CcEventKind::CfqAlloc {
-                                        sw: self.id.0,
-                                        port: port as u32,
-                                        dst: dst.0,
-                                        root: false,
-                                    },
-                                );
-                                Some(free)
-                            }
-                            None => {
-                                metrics.record(
-                                    now,
-                                    CcEventKind::CfqExhausted {
-                                        sw: self.id.0,
-                                        port: port as u32,
-                                        dst: dst.0,
-                                    },
-                                );
-                                None
-                            }
-                        }
-                    }
-                    None => None,
-                };
-                match slot {
-                    Some(s) => {
-                        let InputQueues::Isolating { nfq, cfqs } = &mut self.inputs[port].queues
-                        else {
-                            unreachable!()
-                        };
-                        let entry = nfq.pop().expect("head exists");
-                        cfqs[s]
-                            .queue
-                            .push(entry.packet, entry.visible_at, entry.ready_at);
-                        // The NFQ changed (and so did the CFQ set, if the
-                        // slot was allocated just above): drop the memo,
-                        // and let the arbiter see the new heads.
-                        self.port_changed(port);
-                        self.epoch += 1;
-                        metrics.count("packets_isolated", 1);
-                    }
-                    None => {
-                        // Head is non-congested, or unisolatable — which
-                        // counts an exhaustion every cycle.
-                        head_stays = !out_cam_hit;
-                        break;
-                    }
-                }
-            }
-            if head_stays && !detected && self.inputs[port].queues.cfqs_allocated() == 0 {
-                self.iso_memo[port] = IsoMemo::Settled;
-                continue; // and no CFQ for the protocol below to serve
-            }
-
-            // ------- per-CFQ protocol: propagate / stop / go / high-low /
-            // dealloc -------
-            let in_link = self.inputs[port].in_link;
-            let num_cfqs = iso.num_cfqs;
-            for c in 0..num_cfqs {
-                let (occ, mut st) = {
-                    let InputQueues::Isolating { cfqs, .. } = &self.inputs[port].queues else {
-                        unreachable!()
-                    };
-                    let Some(st) = cfqs[c].state else { continue };
-                    (cfqs[c].queue.occupancy_flits(), st)
-                };
-                // Congestion-information propagation upstream.
-                if let Some(link) = in_link {
-                    if !st.alloc_sent && occ >= propagate_flits {
-                        self.send_ctrl_noting(
-                            links,
-                            link,
-                            now,
-                            CtrlEvent::CfqAlloc { dst: st.dst },
-                        );
-                        st.alloc_sent = true;
-                        metrics.record(
-                            now,
-                            CcEventKind::AllocPropagated {
-                                sw: self.id.0,
-                                port: port as u32,
-                                dst: st.dst.0,
-                            },
-                        );
-                    }
-                    if !st.stop_sent && occ >= stop_flits {
-                        if !st.alloc_sent {
-                            self.send_ctrl_noting(
-                                links,
-                                link,
-                                now,
-                                CtrlEvent::CfqAlloc { dst: st.dst },
-                            );
-                            st.alloc_sent = true;
-                        }
-                        self.send_ctrl_noting(links, link, now, CtrlEvent::Stop { dst: st.dst });
-                        st.stop_sent = true;
-                        metrics.record(
-                            now,
-                            CcEventKind::StopSent {
-                                sw: self.id.0,
-                                port: port as u32,
-                                dst: st.dst.0,
-                            },
-                        );
-                    }
-                    if st.stop_sent && occ <= go_flits {
-                        self.send_ctrl_noting(links, link, now, CtrlEvent::Go { dst: st.dst });
-                        st.stop_sent = false;
-                        metrics.record(
-                            now,
-                            CcEventKind::GoSent {
-                                sw: self.id.0,
-                                port: port as u32,
-                                dst: st.dst.0,
-                            },
-                        );
-                    }
-                }
-                // CCFIT congestion state: root CFQs *persistently* above
-                // High move the output port into the congestion state;
-                // below Low they leave it. Two refinements reject false
-                // roots: an entry delay (the High excursion must be
-                // sustained), and a starvation test (the CFQ must be
-                // receiving clearly less than its output link's capacity,
-                // which a genuinely oversubscribed root always is).
-                if let Some(thr) = high_low {
-                    if st.root {
-                        // Periodic drain-rate evaluation.
-                        if now.saturating_sub(st.window_start) >= thr.starvation_window_cycles {
-                            let out_bw = self.outputs[st.out_port].link_bw;
-                            let capacity = (now - st.window_start) as f64 * out_bw as f64;
-                            st.starved = (st.granted_window as f64) < 0.9 * capacity;
-                            st.granted_window = 0;
-                            st.window_start = now;
-                        }
-                        if occ >= thr.high_flits && st.starved {
-                            let since = *st.over_high_since.get_or_insert(now);
-                            if !st.over_high && now - since >= thr.entry_delay_cycles {
-                                st.over_high = true;
-                                self.outputs[st.out_port].over_high_count += 1;
-                                self.over_high_dirty = true;
-                            }
-                        } else if occ < thr.low_flits || !st.starved {
-                            st.over_high_since = None;
-                            if st.over_high && occ < thr.low_flits {
-                                st.over_high = false;
-                                self.outputs[st.out_port].over_high_count -= 1;
-                                self.over_high_dirty = true;
-                            }
-                        }
-                    }
-                }
-                // Deallocation: the congestion tree has vanished when the
-                // CFQ has stayed calm (below the propagation threshold)
-                // for the linger period; release at a moment it is empty
-                // and in Go status both ways.
-                if occ < propagate_flits {
-                    if st.calm_since.is_none() {
-                        st.calm_since = Some(now);
-                    }
-                    let lingered = st
-                        .calm_since
-                        .is_some_and(|s| now.saturating_sub(s) >= iso.dealloc_linger_cycles);
-                    let stopped_down = self.downstream_stopped(st.out_port, st.dst);
-                    if occ == 0 && lingered && !stopped_down {
-                        if let Some(link) = in_link {
-                            if st.stop_sent {
-                                self.send_ctrl_noting(
-                                    links,
-                                    link,
-                                    now,
-                                    CtrlEvent::Go { dst: st.dst },
-                                );
-                            }
-                            if st.alloc_sent {
-                                self.send_ctrl_noting(
-                                    links,
-                                    link,
-                                    now,
-                                    CtrlEvent::CfqDealloc { dst: st.dst },
-                                );
-                            }
-                        }
-                        if st.over_high {
-                            self.outputs[st.out_port].over_high_count -= 1;
-                            self.over_high_dirty = true;
-                        }
-                        let InputQueues::Isolating { cfqs, .. } = &mut self.inputs[port].queues
-                        else {
-                            unreachable!()
-                        };
-                        cfqs[c].state = None;
-                        self.cfq_count -= 1;
-                        self.port_changed(port);
-                        self.epoch += 1;
-                        self.sync_live(port);
-                        metrics.record(
-                            now,
-                            CcEventKind::CfqDealloc {
-                                sw: self.id.0,
-                                port: port as u32,
-                                dst: st.dst.0,
-                            },
-                        );
-                        continue;
-                    }
-                } else {
-                    st.calm_since = None;
-                }
-                // Write back the updated state.
-                let InputQueues::Isolating { cfqs, .. } = &mut self.inputs[port].queues else {
+        // ------- per-CFQ protocol: propagate / stop / go / high-low /
+        // dealloc -------
+        let upstream = self.inputs[port].in_link.is_some();
+        for c in 0..iso.num_cfqs {
+            let (occ, st) = {
+                let InputQueues::Isolating { cfqs, .. } = &self.inputs[port].queues else {
                     unreachable!()
                 };
-                cfqs[c].state = Some(st);
+                let Some(st) = cfqs[c].state else { continue };
+                (cfqs[c].queue.occupancy_flits(), st)
+            };
+            let step = self.cfq_step(st, occ, now, upstream);
+            if step == (st, Upstream::default(), false) {
+                until = until.min(self.cfq_deadline(&st, now));
+                continue;
+            }
+            quiet = false;
+            let (next, _, release) = step;
+            let InputQueues::Isolating { cfqs, .. } = &mut self.inputs[port].queues else {
+                unreachable!()
+            };
+            cfqs[c].state = (!release).then_some(next);
+            self.apply_cfq_step(port, st, step, now, links, metrics);
+        }
+        self.iso_memo[port].quiet_until = if quiet { until } else { 0 };
+    }
+
+    /// One visit's worth of the per-CFQ protocol (§III-C) for an
+    /// allocated CFQ in state `st` holding `occ` flits: the state it
+    /// leaves, what it sends upstream (`upstream`: the port has an
+    /// in-link to send on), and whether it releases the CFQ. Pure: the
+    /// visit carries the result out ([`Self::apply_cfq_step`]), and
+    /// [`Self::quiet_until`] asks whether there is anything to carry out.
+    fn cfq_step(
+        &self,
+        mut st: CfqState,
+        occ: u32,
+        now: Cycle,
+        upstream: bool,
+    ) -> (CfqState, Upstream, bool) {
+        let iso = self.cfg.iso.expect("only an isolating switch holds CFQs");
+        let mtu = self.cfg.mtu_flits;
+        let propagate_flits = iso.propagate_threshold_mtus * mtu;
+        let mut up = Upstream::default();
+        // Congestion-information propagation upstream.
+        if upstream {
+            if !st.alloc_sent && occ >= propagate_flits {
+                st.alloc_sent = true;
+                up.propagate = true;
+            }
+            if !st.stop_sent && occ >= iso.stop_mtus * mtu {
+                st.alloc_sent = true;
+                st.stop_sent = true;
+                up.stop = true;
+            }
+            if st.stop_sent && occ <= iso.go_mtus * mtu {
+                st.stop_sent = false;
+                up.go = true;
             }
         }
+        // CCFIT congestion state: root CFQs *persistently* above High
+        // move the output port into the congestion state; below Low they
+        // leave it. Two refinements reject false roots: an entry delay
+        // (the High excursion must be sustained), and a starvation test
+        // (the CFQ must be receiving clearly less than its output link's
+        // capacity, which a genuinely oversubscribed root always is).
+        if let Some(thr) = self.root_cfq_marking() {
+            if st.root {
+                // Periodic drain-rate evaluation.
+                if now.saturating_sub(st.window_start) >= thr.starvation_window_cycles {
+                    let out_bw = self.outputs[st.out_port].link_bw;
+                    let capacity = (now - st.window_start) as f64 * out_bw as f64;
+                    st.starved = (st.granted_window as f64) < 0.9 * capacity;
+                    st.granted_window = 0;
+                    st.window_start = now;
+                }
+                if occ >= thr.high_flits && st.starved {
+                    let since = *st.over_high_since.get_or_insert(now);
+                    if !st.over_high && now - since >= thr.entry_delay_cycles {
+                        st.over_high = true;
+                    }
+                } else if occ < thr.low_flits || !st.starved {
+                    st.over_high_since = None;
+                    if st.over_high && occ < thr.low_flits {
+                        st.over_high = false;
+                    }
+                }
+            }
+        }
+        // Deallocation: the congestion tree has vanished when the CFQ has
+        // stayed calm (below the propagation threshold) for the linger
+        // period; release at a moment it is empty and in Go status both
+        // ways.
+        if occ < propagate_flits {
+            let since = *st.calm_since.get_or_insert(now);
+            let lingered = now.saturating_sub(since) >= iso.dealloc_linger_cycles;
+            if occ == 0 && lingered && !self.downstream_stopped(st.out_port, st.dst) {
+                return (st, up, true);
+            }
+        } else {
+            st.calm_since = None;
+        }
+        (st, up, false)
+    }
+
+    /// The marking thresholds when root CFQs drive the congestion state
+    /// (CCFIT).
+    fn root_cfq_marking(&self) -> Option<SwitchThrottle> {
+        self.cfg.thr.filter(|t| t.source == MarkingSource::RootCfq)
+    }
+
+    /// The earliest cycle after `now` at which a clock the per-CFQ
+    /// protocol reads for `st` comes due (`Cycle::MAX`: none): the end of
+    /// a root CFQ's drain-rate window, a pending High excursion's entry
+    /// delay, a calm stretch's linger. Each is a threshold on `now` that
+    /// stays crossed once crossed, so a deadline already passed cannot
+    /// turn a quiet visit into a busy one and is left out.
+    fn cfq_deadline(&self, st: &CfqState, now: Cycle) -> Cycle {
+        let after = |at: Cycle| if at > now { at } else { Cycle::MAX };
+        let mut due = Cycle::MAX;
+        if let Some(thr) = self.root_cfq_marking().filter(|_| st.root) {
+            due = due.min(after(
+                st.window_start.saturating_add(thr.starvation_window_cycles),
+            ));
+            if let (false, Some(since)) = (st.over_high, st.over_high_since) {
+                due = due.min(after(since.saturating_add(thr.entry_delay_cycles)));
+            }
+        }
+        if let (Some(iso), Some(since)) = (self.cfg.iso, st.calm_since) {
+            due = due.min(after(since.saturating_add(iso.dealloc_linger_cycles)));
+        }
+        due
+    }
+
+    /// Carry out the rest of the [`Self::cfq_step`] `(next, up, release)`
+    /// of a CFQ at input `port` that was in state `st`, once its slot
+    /// holds `next` (or nothing, on a release): the control messages, the
+    /// over-High count, the release's bookkeeping.
+    fn apply_cfq_step(
+        &mut self,
+        port: usize,
+        st: CfqState,
+        (next, up, release): (CfqState, Upstream, bool),
+        now: Cycle,
+        links: &mut [Link],
+        metrics: &mut MetricsCollector,
+    ) {
+        let (sw, p, dst) = (self.id.0, port as u32, st.dst);
+        let in_link = self.inputs[port].in_link;
+        if let Some(link) = in_link {
+            if up.propagate {
+                self.send_ctrl_noting(links, link, now, CtrlEvent::CfqAlloc { dst });
+                metrics.record(
+                    now,
+                    CcEventKind::AllocPropagated {
+                        sw,
+                        port: p,
+                        dst: dst.0,
+                    },
+                );
+            }
+            if up.stop {
+                if !st.alloc_sent && !up.propagate {
+                    self.send_ctrl_noting(links, link, now, CtrlEvent::CfqAlloc { dst });
+                }
+                self.send_ctrl_noting(links, link, now, CtrlEvent::Stop { dst });
+                metrics.record(
+                    now,
+                    CcEventKind::StopSent {
+                        sw,
+                        port: p,
+                        dst: dst.0,
+                    },
+                );
+            }
+            if up.go {
+                self.send_ctrl_noting(links, link, now, CtrlEvent::Go { dst });
+                metrics.record(
+                    now,
+                    CcEventKind::GoSent {
+                        sw,
+                        port: p,
+                        dst: dst.0,
+                    },
+                );
+            }
+        }
+        if next.over_high != st.over_high {
+            let count = &mut self.outputs[st.out_port].over_high_count;
+            if next.over_high {
+                *count += 1;
+            } else {
+                *count -= 1;
+            }
+            self.over_high_dirty = true;
+        }
+        if !release {
+            return;
+        }
+        if let Some(link) = in_link {
+            if next.stop_sent {
+                self.send_ctrl_noting(links, link, now, CtrlEvent::Go { dst });
+            }
+            if next.alloc_sent {
+                self.send_ctrl_noting(links, link, now, CtrlEvent::CfqDealloc { dst });
+            }
+        }
+        if next.over_high {
+            self.outputs[st.out_port].over_high_count -= 1;
+            self.over_high_dirty = true;
+        }
+        self.cfq_count -= 1;
+        self.port_changed(port);
+        self.epoch += 1;
+        self.sync_live(port);
+        metrics.record(
+            now,
+            CcEventKind::CfqDealloc {
+                sw,
+                port: p,
+                dst: dst.0,
+            },
+        );
+    }
+
+    /// One visit's verdict at an exhaustion site of input `port` (`root`:
+    /// detection, else the move site): `Some(dst)` when `dst` found no
+    /// free CFQ. It extends the open episode of the same `dst`; otherwise
+    /// it closes the open one at `now` and, if exhausted, opens a new one.
+    /// So `cfq_exhausted` grows by the cycles of each episode — exactly
+    /// the cycles on which a visit of the port found the site exhausted,
+    /// whether or not the port was quiet, and its switch parked, between
+    /// the visits that opened and closed it.
+    ///
+    /// Called twice by every visit, so the common case — nothing
+    /// exhausted, nothing open — stays inline and the rest out of line:
+    /// unsplit, the two calls made the isolation phase of the 4096-node
+    /// uniform benchmark run about a third slower.
+    #[inline]
+    fn note_exhaustion(
+        &mut self,
+        port: usize,
+        root: bool,
+        dst: Option<NodeId>,
+        now: Cycle,
+        metrics: &mut MetricsCollector,
+    ) {
+        if dst.is_some() || !self.exhausted.is_empty() {
+            self.update_exhaustion(port, root, dst, now, metrics);
+        }
+    }
+
+    /// [`Self::note_exhaustion`] past its common case.
+    #[inline(never)]
+    fn update_exhaustion(
+        &mut self,
+        port: usize,
+        root: bool,
+        dst: Option<NodeId>,
+        now: Cycle,
+        metrics: &mut MetricsCollector,
+    ) {
+        let open = self
+            .exhausted
+            .iter()
+            .position(|e| e.port == port as u32 && e.root == root);
+        if let Some(i) = open {
+            if Some(self.exhausted[i].dst) == dst {
+                return;
+            }
+            let e = self.exhausted.swap_remove(i);
+            self.record_exhaustion(e, now, metrics);
+        }
+        match dst {
+            Some(dst) => self.exhausted.push(Exhaustion {
+                port: port as u32,
+                root,
+                dst,
+                since: now,
+            }),
+            // An episode keeps its port in the walk until a visit closes it.
+            None if open.is_some() => self.sync_live(port),
+            None => {}
+        }
+    }
+
+    /// Log the exhaustion episode `e`, closed at `now`.
+    fn record_exhaustion(&self, e: Exhaustion, now: Cycle, metrics: &mut MetricsCollector) {
+        metrics.record(
+            now,
+            CcEventKind::CfqExhausted {
+                sw: self.id.0,
+                port: e.port,
+                dst: e.dst.0,
+                root: e.root,
+                cycles: now - e.since,
+            },
+        );
+    }
+
+    /// End of the run at `now`: close every open exhaustion episode.
+    pub(crate) fn close_exhaustion(&mut self, now: Cycle, metrics: &mut MetricsCollector) {
+        for e in std::mem::take(&mut self.exhausted) {
+            self.record_exhaustion(e, now, metrics);
+            self.sync_live(e.port as usize);
+        }
+    }
+
+    /// The cycles the open exhaustion episodes have lasted by `now` — what
+    /// `cfq_exhausted` still owes for them.
+    pub(crate) fn open_exhaustion_cycles(&self, now: Cycle) -> u64 {
+        self.exhausted.iter().map(|e| now - e.since).sum()
     }
 
     /// Summed occupancy of the root CFQs draining through output `out`
@@ -1313,14 +1547,22 @@ impl Switch {
     }
 
     /// Re-derive input `port`'s membership of the live-port sets after
-    /// its packet count or its CFQ set shrank. (Growth needs no call: a
-    /// delivery inserts the port, and a CFQ is only allocated at a port
-    /// holding the NFQ packet that triggered it.)
+    /// its packet count, its CFQ set or its open exhaustion episodes
+    /// shrank. (Growth needs no call: a delivery inserts the port, and a
+    /// CFQ is only allocated, an episode only opened, at a port holding
+    /// the NFQ packet that triggered it.)
     fn sync_live(&mut self, port: usize) {
         let held = self.port_packets[port] > 0;
         self.occupied.set(port, held);
-        self.iso_live
-            .set(port, held || self.inputs[port].queues.cfqs_allocated() > 0);
+        self.iso_live.set(
+            port,
+            held || self.inputs[port].queues.cfqs_allocated() > 0 || self.exhausting(port),
+        );
+    }
+
+    /// Whether input `port` has an open exhaustion episode.
+    fn exhausting(&self, port: usize) -> bool {
+        self.exhausted.iter().any(|e| e.port == port as u32)
     }
 
     /// Gather the eligible queue heads of every occupied input port into
@@ -1490,7 +1732,11 @@ impl Switch {
                 self.port_changed(port);
                 entry
             }
-            (InputQueues::Isolating { cfqs, .. }, QueueKey::Cfq(c)) => cfqs[c].queue.pop(),
+            (InputQueues::Isolating { cfqs, .. }, QueueKey::Cfq(c)) => {
+                let entry = cfqs[c].queue.pop();
+                self.wake_protocol(port);
+                entry
+            }
             _ => unreachable!("queue key does not match the scheme"),
         };
         self.sync_live(port);
@@ -1775,7 +2021,12 @@ impl Switch {
         self.congested_count = 0;
         self.port_packets.fill(0);
         self.occupied.clear();
+        // The open exhaustion episodes stay, and keep their ports in the
+        // walk: the next visit finds the port empty and closes them.
         self.iso_live.clear();
+        for e in &self.exhausted {
+            self.iso_live.insert(e.port as usize);
+        }
         self.voq_occ.fill(0);
         self.lookups_changed();
         self.epoch += 1;
@@ -1930,15 +2181,17 @@ impl Switch {
             let packets = inp.queues.total_packets();
             self.port_packets[p] as usize == packets
                 && self.occupied.contains(p) == (packets > 0)
-                && self.iso_live.contains(p) == (packets > 0 || inp.queues.cfqs_allocated() > 0)
+                && self.iso_live.contains(p)
+                    == (packets > 0 || inp.queues.cfqs_allocated() > 0 || self.exhausting(p))
         }) && (0..self.outputs.len()).all(|o| self.voq_occ[o] == self.summed_voq_occupancy_flits(o))
     }
 
     /// Whether the switch's congestion machinery provably does nothing
     /// this cycle: no buffered packets (so no detection, no moves, no
     /// arbitration), no allocated CFQs (so no propagation, Stop/Go,
-    /// High/Low bookkeeping, or deallocation), and no output in the
-    /// congestion state (so no exit transition is pending). A degenerate
+    /// High/Low bookkeeping, or deallocation), no open exhaustion episode
+    /// (so none to close), and no output in the congestion state (so no
+    /// exit transition is pending). A degenerate
     /// `High = 0` threshold could enter the congestion state with zero
     /// occupancy, so such a switch never counts as quiescent.
     pub fn is_quiescent(&self) -> bool {
@@ -1951,6 +2204,7 @@ impl Switch {
         debug_assert!(self.live_state_matches_a_recount());
         self.buffered == 0
             && self.cfq_count == 0
+            && self.exhausted.is_empty()
             && self.congested_count == 0
             && self.cfg.thr.is_none_or(|t| t.high_flits > 0)
     }
@@ -1959,21 +2213,22 @@ impl Switch {
     /// stage of this switch's tick provably does nothing on any cycle
     /// before `until` (`Cycle::MAX` = until an activation) unless an event
     /// that activates the switch lands first — a delivery, control on an
-    /// output link, a fault. Stage by stage: no CFQ holds a clock to run
-    /// (propagation, Stop/Go, High/Low, starvation window, linger); no
-    /// output is in the congestion state or about to enter it (no
-    /// over-High count to compare, VOQ occupancy below High everywhere);
-    /// the isolation walk passes every live port by as settled; and the
-    /// arbiter either has nothing buffered or holds an idle bound no
+    /// output link, a fault. Stage by stage: every live port's last
+    /// isolation visit was quiet, and `until` is no later than the
+    /// earliest of their bounds (a CFQ's protocol clocks, an arriving
+    /// head); no over-High count moved since the congestion-state update
+    /// (RootCfq), or no output is in the congestion state or about to
+    /// enter it (VoqOccupancy: VOQ occupancy below High everywhere); and
+    /// the arbiter either has nothing buffered or holds an idle bound no
     /// credit return can lift.
     pub(crate) fn park_bound(&self) -> Option<Cycle> {
         self.park_bound_from(
-            |port| self.iso_memo[port] == IsoMemo::Settled,
+            |port| Some(self.iso_memo[port].quiet_until).filter(|&until| until > 0),
             || (&self.arb.idle, &self.arb.watched),
         )
     }
 
-    /// [`Self::park_bound`] with nothing taken from a memo: `is_settled`
+    /// [`Self::park_bound`] with nothing taken from a memo: `quiet_until`
     /// asked of every live port, and a fresh gather into fresh scratch.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn park_bound_rederived(
@@ -1991,33 +2246,39 @@ impl Switch {
             fresh.idle.clear();
         }
         self.park_bound_from(
-            |port| self.is_settled(port, now, routing),
+            |port| self.quiet_until(port, now, routing),
             || (&fresh.idle, &fresh.watched),
         )
     }
 
     fn park_bound_from<'a>(
         &self,
-        settled: impl Fn(usize) -> bool,
+        port_quiet: impl Fn(usize) -> Option<Cycle>,
         arbiter: impl FnOnce() -> (&'a IdleBound, &'a BitSet),
     ) -> Option<Cycle> {
-        if self.cfq_count > 0 || self.congested_count > 0 || self.over_high_dirty {
+        if self.over_high_dirty {
             return None;
         }
         if let Some(thr) = self.cfg.thr {
             let marks_on_voqs = thr.source == MarkingSource::VoqOccupancy;
-            if marks_on_voqs && self.voq_occ.iter().any(|&occ| occ >= thr.high_flits) {
+            if marks_on_voqs
+                && (self.congested_count > 0
+                    || self.voq_occ.iter().any(|&occ| occ >= thr.high_flits))
+            {
                 return None;
             }
         }
-        if self.cfg.iso.is_some() && !self.iso_live.iter().all(settled) {
-            return None;
+        let mut until = Cycle::MAX;
+        if self.cfg.iso.is_some() {
+            for port in self.iso_live.iter() {
+                until = until.min(port_quiet(port)?);
+            }
         }
-        if self.buffered == 0 {
-            return Some(Cycle::MAX);
+        if self.buffered > 0 {
+            let (idle, watched) = arbiter();
+            until = until.min(idle.current(self.epoch).filter(|_| watched.is_empty())?);
         }
-        let (idle, watched) = arbiter();
-        idle.current(self.epoch).filter(|_| watched.is_empty())
+        Some(until)
     }
 
     /// Buffered packets across all input ports.
@@ -2191,6 +2452,13 @@ mod tests {
             routing,
             metrics,
         }
+    }
+
+    /// `cfq_exhausted` once cycle `ticked` has run: the closed episodes'
+    /// cycles plus the open ones' so far, as a mid-run read of the
+    /// simulator's counter reports it.
+    fn cfq_exhausted(fx: &Fixture, ticked: Cycle) -> u64 {
+        fx.metrics.counter("cfq_exhausted") + fx.sw.open_exhaustion_cycles(ticked + 1)
     }
 
     fn pkt(id: u64, dst: u32) -> Packet {
@@ -2498,7 +2766,7 @@ mod tests {
             fx.sw
                 .isolation_tick(now, &fx.routing, &mut fx.links, &mut fx.metrics);
         }
-        assert!(fx.metrics.counter("cfq_exhausted") > 0);
+        assert!(cfq_exhausted(&fx, 5) > 0);
         assert_eq!(fx.sw.cfqs_allocated(), 1, "no second CFQ materialised");
     }
 
@@ -2814,9 +3082,9 @@ mod tests {
     // memo is dropped all the same.
 
     /// Isolating fixture with `num_cfqs` CFQs per port and the default
-    /// 8-MTU detection threshold. With no CFQ every detection ends in
-    /// `CfqExhausted { dst: dominant }`, which makes the verdict of each
-    /// cycle observable.
+    /// 8-MTU detection threshold. With no CFQ every detection ends in an
+    /// exhaustion episode for the dominant destination, which makes the
+    /// verdict of each cycle observable.
     fn memo_fixture(num_cfqs: usize) -> Fixture {
         let iso = IsolationParams {
             num_cfqs,
@@ -2837,26 +3105,31 @@ mod tests {
     }
 
     /// Run one post-processing cycle and return the destinations the
-    /// detection stage named this cycle (root `CfqAlloc` or
-    /// `CfqExhausted`).
+    /// stage named this cycle: a root `CfqAlloc`, or an exhaustion
+    /// episode open at input 0 (detection site first).
     fn verdicts(fx: &mut Fixture, now: Cycle) -> Vec<u32> {
         let mut m = MetricsCollector::new(UnitModel::default(), 100_000.0);
         m.enable_events(ccfit_metrics::EventConfig::default());
         fx.sw
             .isolation_tick(now, &fx.routing, &mut fx.links, &mut m);
-        let named = m
+        let allocated = m
             .events()
             .expect("log enabled")
             .iter()
             .filter_map(|e| match e.kind {
-                CcEventKind::CfqExhausted { dst, .. }
-                | CcEventKind::CfqAlloc {
+                CcEventKind::CfqAlloc {
                     dst, root: true, ..
                 } => Some(dst),
                 _ => None,
-            })
-            .collect();
-        named
+            });
+        let exhausted = [true, false].into_iter().flat_map(|root| {
+            fx.sw
+                .exhausted
+                .iter()
+                .filter(move |e| e.port == 0 && e.root == root)
+                .map(|e| e.dst.0)
+        });
+        allocated.chain(exhausted).collect()
     }
 
     #[test]
@@ -2867,7 +3140,7 @@ mod tests {
         deliver_n(&mut fx, &mut id, 3, 2);
         for now in 0..5 {
             assert_eq!(verdicts(&mut fx, now), vec![6], "cycle {now}");
-            assert!(matches!(fx.sw.iso_memo[0], IsoMemo::Scanned(_)));
+            assert!(fx.sw.iso_memo[0].scan.is_some());
         }
     }
 
@@ -3026,9 +3299,9 @@ mod tests {
         deliver_n(&mut fx, &mut id, 12, 6);
         assert_eq!(verdicts(&mut fx, 10), Vec::<u32>::new());
         assert_eq!(fx.sw.cfqs_allocated(), 1, "non-root CFQ via the CAM hit");
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale, "allocation + moves");
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE, "allocation + moves");
         assert_eq!(verdicts(&mut fx, 11), Vec::<u32>::new());
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale, "moves alone");
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE, "moves alone");
         // One more cycle empties the NFQ; refill it behind a dst-2 head,
         // which stops the moves, so the next scans leave a memo behind.
         verdicts(&mut fx, 12);
@@ -3036,33 +3309,33 @@ mod tests {
         deliver_n(&mut fx, &mut id, 8, 6);
         let prime = |fx: &mut Fixture, now| {
             verdicts(fx, now);
-            assert!(
-                matches!(fx.sw.iso_memo[0], IsoMemo::Scanned(_)),
-                "primed at {now}"
-            );
+            assert!(fx.sw.iso_memo[0].scan.is_some(), "primed at {now}");
         };
         // Fault path: upstream-notification flags are not a scan input.
         prime(&mut fx, 13);
         fx.sw.reset_upstream_ctrl_flags(0);
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale);
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE);
         // A purge of nothing, and the whole-switch purge (which empties
         // the NFQ, so the memo cannot be consulted before the next push).
         prime(&mut fx, 14);
         fx.sw.purge_unreachable(&|_| false, &mut Vec::new());
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale);
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE);
         prime(&mut fx, 15);
         fx.sw.purge_all();
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale);
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE);
     }
 
     // ---- isolation fixed points and their invalidation contract ----
     //
-    // A visit that proves input 0 a fixed point marks it settled, and the
-    // walk then passes it by. One case per event that drops the mark.
-    // Where a stale mark would lose an action the case asserts the action
-    // (all that stands guard in a release build; in a debug build the
-    // skip's own re-evaluation fires first); where the event cannot meet
-    // a settled port, or cannot move its verdict, it asserts the memo.
+    // A visit of input 0 that changes nothing records how long the port
+    // stays quiet, and the walk then passes it by: until an event drops
+    // the bound, or the earliest clock the visit read comes due. Settled
+    // is the bound no clock ends. One case per event that drops the bound
+    // and per clock. Where a stale bound would lose an action the case
+    // asserts the action (all that stands guard in a release build; in a
+    // debug build the skip's own re-derivation fires first); where the
+    // event cannot meet a quiet port, or cannot move its verdict, it
+    // asserts the memo.
 
     fn iso_tick(fx: &mut Fixture, now: Cycle) {
         fx.sw
@@ -3070,7 +3343,7 @@ mod tests {
     }
 
     fn settled(fx: &Fixture) -> bool {
-        fx.sw.iso_memo[0] == IsoMemo::Settled
+        fx.sw.iso_memo[0].quiet_until == Cycle::MAX
     }
 
     /// The hop downstream of output `out` sends `ev` at `now`; it is
@@ -3090,7 +3363,7 @@ mod tests {
         }
         iso_tick(fx, now);
         assert!(settled(fx), "fixture: the visit at {now} settles the port");
-        assert!(fx.sw.is_settled(0, now, &fx.routing));
+        assert_eq!(fx.sw.quiet_until(0, now, &fx.routing), Some(Cycle::MAX));
     }
 
     #[test]
@@ -3216,15 +3489,15 @@ mod tests {
         // Fault path: a settled port has no CFQ whose flags could reset.
         settle(&mut fx, 0, &[(1, 2)]);
         fx.sw.reset_upstream_ctrl_flags(0);
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale);
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE);
         // A purge of nothing, and the whole-switch purge (which empties
         // the port, so the mark cannot be read before the next push).
         settle(&mut fx, 1, &[]);
         fx.sw.purge_unreachable(&|_| false, &mut Vec::new());
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale);
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE);
         settle(&mut fx, 2, &[]);
         fx.sw.purge_all();
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::Stale);
+        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE);
     }
 
     #[test]
@@ -3237,67 +3510,219 @@ mod tests {
         for now in 10..50 {
             iso_tick(&mut fx, now);
             assert!(!settled(&fx), "cycle {now}");
-            assert!(!fx.sw.is_settled(0, now, &fx.routing));
+            assert_eq!(fx.sw.iso_memo[0].quiet_until, 50, "quiet until it lands");
+            assert_eq!(fx.sw.quiet_until(0, now, &fx.routing), Some(50));
         }
         iso_tick(&mut fx, 50);
         assert_eq!(fx.metrics.counter("packets_isolated"), 1);
     }
 
     #[test]
-    fn an_exhausted_port_is_not_settled_and_counts_every_cycle() {
-        // Detection with no CFQ to allocate ...
+    fn an_exhausted_port_is_quiet_and_counts_every_cycle() {
+        // Detection with no CFQ to allocate: 9 MTUs for dst 6 against the
+        // 8-MTU threshold, until the second departure. Between the two the
+        // port is settled and the switch parks, and the count still grows
+        // by one a cycle.
         let mut fx = memo_fixture(0);
         deliver_n_at(&mut fx, 0, &mut 0, 9, 6);
-        for now in 0..5 {
-            iso_tick(&mut fx, now);
-            assert!(!settled(&fx), "cycle {now}");
-            assert_eq!(fx.metrics.counter("cfq_exhausted"), now + 1);
+        assert_eq!(full_tick(&mut fx, 0), 1);
+        assert_eq!(full_tick(&mut fx, 1), 0);
+        assert!(settled(&fx), "exhausted, with nothing else to do");
+        assert_eq!(fx.sw.park_bound(), Some(32), "parked until the input frees");
+        let fresh = fx.sw.park_bound_rederived(2, &fx.routing, &fx.links, None);
+        assert_eq!(fresh, Some(32));
+        for now in 1..32 {
+            assert_eq!(cfq_exhausted(&fx, now), now + 1, "cycle {now}");
         }
-        // ... and a head of a propagated tree with no CFQ to move it to.
+        assert_eq!(full_tick(&mut fx, 32), 1, "the second departure");
+        assert_eq!(cfq_exhausted(&fx, 32), 33);
+        full_tick(&mut fx, 33); // 7 MTUs left: below the threshold
+        assert!(fx.sw.exhausted.is_empty(), "the episode closed at 33");
+        assert_eq!(fx.metrics.counter("cfq_exhausted"), 33, "cycles 0..=32");
+
+        // ... and heads of a propagated tree with no CFQ to move them to.
         let mut fx = memo_fixture(0);
         downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
-        deliver(&mut fx, 10, pkt(1, 6));
-        for now in 10..15 {
-            iso_tick(&mut fx, now);
-            assert!(!settled(&fx), "cycle {now}");
-            assert_eq!(fx.metrics.counter("cfq_exhausted"), now - 9);
-        }
+        deliver_n_at(&mut fx, 10, &mut 0, 2, 6);
+        assert_eq!(full_tick(&mut fx, 10), 1);
+        assert_eq!(full_tick(&mut fx, 11), 0);
+        assert!(settled(&fx));
+        assert_eq!(fx.sw.park_bound(), Some(42));
+        assert_eq!(cfq_exhausted(&fx, 41), 32, "cycles 10..=41");
+        assert_eq!(full_tick(&mut fx, 42), 1);
+        full_tick(&mut fx, 43); // the NFQ is empty: the episode closes ...
+        assert_eq!(fx.metrics.counter("cfq_exhausted"), 33, "cycles 10..=42");
+        assert!(
+            !fx.sw.iso_live.contains(0),
+            "... and the port leaves the walk"
+        );
+        assert!(fx.sw.is_quiescent());
     }
 
     #[test]
-    fn a_port_with_a_cfq_is_never_settled() {
+    fn a_cfq_departure_wakes_its_quiet_port() {
+        // A propagated tree fills a CFQ to Stop; the port then settles:
+        // above the propagation threshold no clock runs.
+        let mut fx = memo_fixture(2);
+        downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+        deliver_n_at(&mut fx, 10, &mut 0, 10, 6);
+        for now in 10..20 {
+            iso_tick(&mut fx, now);
+        }
+        assert!(settled(&fx));
+        let stop = [
+            CtrlEvent::CfqAlloc { dst: NodeId(6) },
+            CtrlEvent::Stop { dst: NodeId(6) },
+        ];
+        assert_eq!(drain_ctrl(&mut fx.links[0], 1 << 30), stop);
+        // Six departures take it down to Go, which the next visit owes.
+        let c = fx.sw.inputs[0].queues.cfq_lookup(NodeId(6)).unwrap();
+        for _ in 0..6 {
+            let e = fx.sw.pop_queue(0, QueueKey::Cfq(c));
+            fx.sw.release_ram(0, e.packet.size_flits);
+        }
+        assert!(!settled(&fx));
+        iso_tick(&mut fx, 20);
+        let go = [CtrlEvent::Go { dst: NodeId(6) }];
+        assert_eq!(drain_ctrl(&mut fx.links[0], 1 << 30), go);
+    }
+
+    /// Linger 16 and a dst-6 line on output 2 announced by `ev`: the
+    /// packet delivered at 10 is moved into a non-root CFQ, which the
+    /// crossbar empties at once; the CFQ is calm from 10.
+    fn emptied_cfq_fixture(ev: CtrlEvent) -> Fixture {
         let iso = IsolationParams {
             dealloc_linger_cycles: 16,
             ..IsolationParams::default()
         };
         let mut fx = fixture(QueueingScheme::Isolating, Some(iso), None);
-        let mut id = 0;
-        deliver_n_at(&mut fx, 0, &mut id, 1, 2);
-        deliver_n_at(&mut fx, 0, &mut id, 8, 6);
-        // Root allocation, the moves once the dst-2 head has left, the
-        // drain, the linger and the release: at every step the CFQ's
-        // protocol has clocks running that no event announces.
-        let mut now = 0;
-        let mut with_cfq = 0;
-        loop {
-            for r in arbitrate(&mut fx, now) {
-                fx.sw.release_ram(r.port, r.flits);
-            }
-            fx.links[2].poll_credits(now);
+        downstream_says(&mut fx, 2, 0, ev);
+        deliver(&mut fx, 10, pkt(1, 6));
+        iso_tick(&mut fx, 10);
+        let c = fx.sw.inputs[0].queues.cfq_lookup(NodeId(6)).unwrap();
+        let e = fx.sw.pop_queue(0, QueueKey::Cfq(c));
+        fx.sw.release_ram(0, e.packet.size_flits);
+        fx
+    }
+
+    #[test]
+    fn a_quiet_cfq_wakes_at_its_linger_deadline() {
+        let mut fx = emptied_cfq_fixture(CtrlEvent::CfqAlloc { dst: NodeId(6) });
+        iso_tick(&mut fx, 11);
+        assert_eq!(
+            fx.sw.iso_memo[0].quiet_until, 26,
+            "calm since 10, linger 16"
+        );
+        assert_eq!(fx.sw.park_bound(), Some(26));
+        iso_tick(&mut fx, 25);
+        assert_eq!(fx.sw.cfqs_allocated(), 1);
+        iso_tick(&mut fx, 26);
+        assert_eq!(fx.sw.cfqs_allocated(), 0, "released");
+    }
+
+    #[test]
+    fn a_stop_go_flip_wakes_the_port_whose_cfq_drains_on_the_line() {
+        let mut fx = emptied_cfq_fixture(CtrlEvent::Stop { dst: NodeId(6) });
+        for now in 11..=30 {
             iso_tick(&mut fx, now);
-            if fx.sw.cfqs_allocated() > 0 {
-                with_cfq += 1;
-                assert!(!settled(&fx), "cycle {now}");
-            } else if with_cfq > 0 {
-                break;
-            }
-            now += 1;
-            assert!(now < 2000, "the CFQ must be released");
         }
-        assert_eq!(fx.metrics.counter("packets_isolated"), 8);
-        assert_eq!(fx.metrics.counter("cfq_deallocated"), 1);
-        // With the tree gone the port settles like any other.
-        settle(&mut fx, now + 1, &[(1, 2)]);
+        assert!(settled(&fx), "empty and lingered, but stopped downstream");
+        assert_eq!(fx.sw.cfqs_allocated(), 1);
+        // A Stop for a line that is stopped already changes nothing ...
+        downstream_says(&mut fx, 2, 30, CtrlEvent::Stop { dst: NodeId(6) });
+        assert!(settled(&fx));
+        // ... a Go lets the CFQ go.
+        downstream_says(&mut fx, 2, 40, CtrlEvent::Go { dst: NodeId(6) });
+        assert!(!settled(&fx));
+        iso_tick(&mut fx, 50);
+        assert_eq!(fx.sw.cfqs_allocated(), 0, "released in Go");
+        // And a Stop of a line in Go wakes the port as well.
+        let mut fx = emptied_cfq_fixture(CtrlEvent::CfqAlloc { dst: NodeId(6) });
+        iso_tick(&mut fx, 11);
+        downstream_says(&mut fx, 2, 12, CtrlEvent::Stop { dst: NodeId(6) });
+        assert_eq!(fx.sw.iso_memo[0].quiet_until, 0);
+    }
+
+    #[test]
+    fn a_quiet_root_cfq_wakes_at_its_window_and_entry_deadlines() {
+        let thr = SwitchThrottle {
+            entry_delay_cycles: 10,
+            ..default_thr(MarkingSource::RootCfq)
+        };
+        let mut fx = fixture(
+            QueueingScheme::Isolating,
+            Some(IsolationParams::default()),
+            Some(thr),
+        );
+        // Nothing drains: the root CFQ is starved once a window measures it.
+        fx.links[2] = Link::new(LinkConfig::default(), 0);
+        deliver_n_at(&mut fx, 0, &mut 0, 9, 6);
+        let mut entered = None;
+        for now in 0..100 {
+            iso_tick(&mut fx, now);
+            fx.sw.congestion_state_tick(now, &fx.links, &mut fx.metrics);
+            match now {
+                3..=63 => assert_eq!(fx.sw.iso_memo[0].quiet_until, 64, "window end"),
+                65..=73 => assert_eq!(fx.sw.iso_memo[0].quiet_until, 74, "entry delay"),
+                _ => {}
+            }
+            if fx.sw.outputs[2].congested {
+                entered.get_or_insert(now);
+            }
+        }
+        assert_eq!(entered, Some(74), "starved and over High since 64");
+    }
+
+    #[test]
+    fn a_cfqs_life_parked_matches_its_life_ticked() {
+        // Root allocation, the moves once the dst-2 head has left, the
+        // drain, the linger and the release — ticked on every cycle with
+        // nothing memoised, and ticked only on the cycles the park rule
+        // keeps the switch on the work-list: quiet between its events,
+        // the CFQ's port lets the switch sit out most of them.
+        let run = |parked: bool| {
+            let iso = IsolationParams {
+                dealloc_linger_cycles: 16,
+                ..IsolationParams::default()
+            };
+            let mut fx = fixture(QueueingScheme::Isolating, Some(iso), None);
+            let mut id = 0;
+            deliver_n_at(&mut fx, 0, &mut id, 1, 2);
+            deliver_n_at(&mut fx, 0, &mut id, 8, 6);
+            let (mut now, mut ticks, mut sent) = (0, 0, Vec::new());
+            loop {
+                if !parked {
+                    fx.sw.drop_memos();
+                }
+                iso_tick(&mut fx, now);
+                for r in arbitrate(&mut fx, now) {
+                    fx.sw.release_ram(r.port, r.flits);
+                    sent.push((now, r.dst));
+                }
+                ticks += 1;
+                if fx.metrics.counter("cfq_deallocated") > 0 {
+                    break;
+                }
+                now = match fx.sw.park_bound() {
+                    Some(until) if parked && until > now + 1 => until,
+                    _ => now + 1,
+                };
+                assert!(now < 2000, "the CFQ must be released");
+            }
+            assert_eq!(fx.metrics.counter("packets_isolated"), 8);
+            let upstream = drain_ctrl(&mut fx.links[0], 1 << 30);
+            (now, sent, upstream, ticks)
+        };
+        let (released, sent, upstream, ticks) = run(false);
+        let (parked_released, parked_sent, parked_upstream, parked_ticks) = run(true);
+        assert_eq!(
+            (parked_released, parked_sent, parked_upstream),
+            (released, sent, upstream)
+        );
+        assert!(
+            parked_ticks * 4 < ticks,
+            "{parked_ticks} of {ticks} cycles ticked"
+        );
     }
 
     // ---- the arbitration idle bound and its invalidation contract ----
@@ -3643,26 +4068,40 @@ mod tests {
     }
 
     #[test]
-    fn an_unsettled_port_forbids_parking() {
+    fn a_port_awaiting_a_header_parks_until_it_lands() {
         let mut fx = memo_fixture(2);
         deliver_later(&mut fx, pkt(1, 2), 50);
         assert_eq!(full_tick(&mut fx, 0), 0);
         assert!(idle_holds(&mut fx, 49), "the arbiter waits for the header");
-        assert!(!settled(&fx), "the isolation stage has yet to see the head");
-        assert_eq!(fx.sw.park_bound(), None);
+        assert_eq!(
+            fx.sw.iso_memo[0].quiet_until, 50,
+            "so does the isolation stage"
+        );
+        assert_eq!(fx.sw.park_bound(), Some(50));
         let fresh = fx.sw.park_bound_rederived(1, &fx.routing, &fx.links, None);
-        assert_eq!(fresh, None);
+        assert_eq!(fresh, Some(50));
+        // Until a visit proves it quiet, a port forbids parking.
+        deliver(&mut fx, 1, pkt(2, 2));
+        assert_eq!(fx.sw.park_bound(), None);
     }
 
     #[test]
-    fn a_cfq_forbids_parking() {
-        // Its clocks (propagation, Stop/Go, linger) run every cycle. A
-        // port with a CFQ is never settled either, so the O(1) count is
-        // the fast way to the same answer.
-        let fx = stopped_cfq_fixture();
-        assert!(fx.sw.arb.idle.current(fx.sw.epoch).is_some());
-        assert_eq!((fx.sw.cfq_count, settled(&fx)), (1, false));
-        assert_eq!(fx.sw.park_bound(), None);
+    fn a_cfq_parks_its_switch_until_its_next_deadline() {
+        // One packet in a CFQ stopped downstream: nothing moves until a
+        // Go, and the only clock is the linger of a CFQ below the
+        // propagation threshold, calm since its allocation at 10.
+        let mut fx = stopped_cfq_fixture();
+        assert_eq!(fx.sw.cfq_count, 1);
+        assert_eq!(
+            fx.sw.park_bound(),
+            None,
+            "the allocating visit proves nothing"
+        );
+        assert_eq!(full_tick(&mut fx, 11), 0);
+        let due = 10 + IsolationParams::default().dealloc_linger_cycles;
+        assert_eq!(fx.sw.park_bound(), Some(due));
+        let fresh = fx.sw.park_bound_rederived(12, &fx.routing, &fx.links, None);
+        assert_eq!(fresh, Some(due));
     }
 
     #[test]
@@ -3938,16 +4377,44 @@ mod twin_tests {
             }
         }
 
-        /// The first settled input port and its NFQ head's destination.
-        fn settled_head(&self) -> Option<(usize, NodeId)> {
-            let port = (0..PORTS).find(|&p| self.sw.iso_memo[p] == IsoMemo::Settled)?;
-            let InputQueues::Isolating { nfq, .. } = &self.sw.inputs[port].queues else {
-                unreachable!("only an isolating port settles")
-            };
-            Some((
-                port,
-                nfq.head().expect("a settled port has a head").packet.dst,
-            ))
+        /// A live input port the switch holds quiet — one holding a CFQ
+        /// if there is one — with its NFQ head's destination and its
+        /// first allocated CFQ (index and state).
+        #[allow(clippy::type_complexity)]
+        fn quiet_port(&self) -> Option<(usize, Option<NodeId>, Option<(usize, CfqState)>)> {
+            let quiet = (0..PORTS)
+                .filter(|&p| self.sw.iso_live.contains(p) && self.sw.iso_memo[p].quiet_until > 0)
+                .map(|port| {
+                    let InputQueues::Isolating { nfq, cfqs } = &self.sw.inputs[port].queues else {
+                        unreachable!("only an isolating port is quiet")
+                    };
+                    let head = nfq.head().map(|h| h.packet.dst);
+                    let cfq = cfqs
+                        .iter()
+                        .enumerate()
+                        .find_map(|(c, slot)| slot.state.map(|st| (c, st)));
+                    (port, head, cfq)
+                });
+            quiet.min_by_key(|(_, _, cfq)| cfq.is_none())
+        }
+
+        /// The earliest cycle after `now` on which a quiet port's bound
+        /// comes due, if one does within `horizon` cycles.
+        fn next_due(&self, now: Cycle, horizon: Cycle) -> Option<Cycle> {
+            self.sw
+                .iso_live
+                .iter()
+                .map(|p| self.sw.iso_memo[p].quiet_until)
+                .filter(|&until| until > now && until - now <= horizon)
+                .min()
+        }
+
+        /// The crossbar takes the head of `key` at `port` (what a won
+        /// arbitration does to the switch).
+        fn depart(&mut self, port: usize, key: QueueKey) {
+            let e = self.sw.pop_queue(port, key);
+            self.sw.release_ram(port, e.packet.size_flits);
+            self.sw.arb.idle.clear();
         }
 
         /// One cycle, in the simulator's phase order.
@@ -4055,15 +4522,18 @@ mod twin_tests {
         /// link-fault sequences drive two switches in lock step, one
         /// ticking over its live-port sets with the idle bound and the
         /// isolation memo, the other forced into the exhaustive walk on
-        /// every call; three of the ops aim at a port the first switch
-        /// has settled, if it has one: same
-        /// packets out in the same order with the same marks, same
-        /// releases, same upstream control events, same pointers, RNG
-        /// position and counters.
+        /// every call; six of the ops aim at a port the first switch
+        /// holds quiet, if it has one — a packet behind its head, a tree
+        /// announced or withdrawn for the head, a departure from its CFQ,
+        /// a Stop/Go flip on the line that CFQ drains to, a tick on the
+        /// cycle its bound comes due: same packets out in the same order
+        /// with the same marks, same releases, same upstream control
+        /// events, same pointers, RNG position, exhaustion episodes and
+        /// counters.
         #[test]
         fn occupancy_driven_tick_matches_the_exhaustive_tick(
             shape_idx in 0usize..SHAPES,
-            ops in prop::collection::vec((0u8..35, any::<u32>(), 0u64..24), 1..500),
+            ops in prop::collection::vec((0u8..38, any::<u32>(), 0u64..24), 1..500),
         ) {
             let mut new = Rig::new(shape_idx);
             let mut old = Rig::new(shape_idx);
@@ -4078,16 +4548,20 @@ mod twin_tests {
                     1 => NodeId(5),
                     _ => NodeId((a >> 8) % DESTS as u32),
                 };
-                // A settled port and its head's destination (the random
-                // pair when the switch has settled none).
-                let (s_port, s_dst) = new.settled_head().unwrap_or((port, dst));
-                let s_out = new.routes[new.route].route(SwitchId(0), s_dst).index();
+                // A quiet port, its head's destination and its first CFQ
+                // (the random port and destination where there is none).
+                let quiet = new.quiet_port();
+                let q_port = quiet.map_or(port, |(p, ..)| p);
+                let q_dst = quiet.and_then(|(_, head, _)| head).unwrap_or(dst);
+                let q_out = new.routes[new.route].route(SwitchId(0), q_dst).index();
+                let q_cfq = quiet.and_then(|(.., cfq)| cfq);
+                let due = new.next_due(now, 64).unwrap_or(now + 1);
                 for (rig, exhaustive) in [(&mut new, false), (&mut old, true)] {
                     match op {
-                        // 32: a full packet behind a settled head.
+                        // 32: a full packet behind a quiet port's head.
                         0..=11 | 32 => {
                             let (to, flits, visible_at) = if op == 32 {
-                                (s_port, MTU, now)
+                                (q_port, MTU, now)
                             } else {
                                 let flits = [MTU, MTU, MTU / 2, 1][(a >> 16) as usize % 4];
                                 (port, flits, now + b % 4)
@@ -4143,10 +4617,37 @@ mod twin_tests {
                             rig.route ^= 1;
                             rig.sw.on_routing_changed(&rig.routes[rig.route]);
                         }
-                        // A tree announced / withdrawn for a settled head's
+                        // A tree announced / withdrawn for a quiet head's
                         // destination, on the output it leaves by.
-                        33 => rig.links[PORTS + s_out].send_ctrl(now, CtrlEvent::CfqAlloc { dst: s_dst }),
-                        34 => rig.links[PORTS + s_out].send_ctrl(now, CtrlEvent::CfqDealloc { dst: s_dst }),
+                        33 => rig.links[PORTS + q_out].send_ctrl(now, CtrlEvent::CfqAlloc { dst: q_dst }),
+                        34 => rig.links[PORTS + q_out].send_ctrl(now, CtrlEvent::CfqDealloc { dst: q_dst }),
+                        // A departure from a quiet port's CFQ.
+                        35 => {
+                            if let Some((c, _)) = q_cfq {
+                                let InputQueues::Isolating { cfqs, .. } = &rig.sw.inputs[q_port].queues
+                                else {
+                                    unreachable!()
+                                };
+                                if !cfqs[c].queue.is_empty() {
+                                    rig.depart(q_port, QueueKey::Cfq(c));
+                                }
+                            }
+                        }
+                        // Stop or Go on the line a quiet port's CFQ drains to.
+                        36 => {
+                            if let Some((_, st)) = q_cfq {
+                                let ev = if b % 2 == 0 {
+                                    CtrlEvent::Stop { dst: st.dst }
+                                } else {
+                                    CtrlEvent::Go { dst: st.dst }
+                                };
+                                rig.links[PORTS + st.out_port].send_ctrl(now, ev);
+                            }
+                        }
+                        // The cycle a quiet port's bound comes due: a
+                        // header lands, a drain-rate window ends, an entry
+                        // delay or a linger runs out.
+                        37 => rig.tick(due, exhaustive),
                         _ => {
                             let link = &mut rig.links[PORTS + port];
                             if link.is_up() {
@@ -4162,9 +4663,11 @@ mod twin_tests {
                     0..=12 | 32 => next_id += 1,
                     13..=19 => now += 1 + b % 8,
                     20..=22 => now += 1 + b,
+                    37 => now = due,
                     _ => {}
                 }
                 prop_assert!(new.sw.live_state_matches_a_recount());
+                prop_assert_eq!(&new.sw.exhausted, &old.sw.exhausted);
                 prop_assert_eq!(&new.seen, &old.seen);
                 prop_assert_eq!(new.arbiter_state(), old.arbiter_state());
                 prop_assert_eq!(new.congestion_state(), old.congestion_state());

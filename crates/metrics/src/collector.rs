@@ -17,9 +17,10 @@ macro_rules! hot_counters {
     ($($slot:literal => $name:literal,)*) => {
         /// The fixed counter names: literal `count`s and the fixed names
         /// of [`CcEventKind::counters`]. They live in fixed slots instead
-        /// of the name map: a congested run bumps `cfq_exhausted`
-        /// hundreds of thousands of times, while the map holds over a
-        /// thousand per-(switch, port, destination) names.
+        /// of the name map: a congested run bumps `packets_isolated` and
+        /// the wire-byte tallies hundreds of thousands of times, while the
+        /// map holds over a thousand per-(switch, port, destination)
+        /// names.
         const HOT_COUNTERS: [&str; [$($slot),*].len()] = [$($name),*];
 
         /// Slot of `name` in [`HOT_COUNTERS`]; a `match`, so a constant
@@ -135,7 +136,8 @@ impl MetricsCollector {
     }
 
     /// Record one congestion-control occurrence at cycle `at`: bump the
-    /// counters [`CcEventKind::counters`] names, then offer the event to
+    /// counters [`CcEventKind::counters`] names by its
+    /// [`CcEventKind::weight`], then offer the event to
     /// the log, which keeps it when its class is enabled. With the log
     /// off that costs one branch beyond the counters.
     ///
@@ -147,7 +149,7 @@ impl MetricsCollector {
     pub fn record(&mut self, at: Cycle, kind: CcEventKind) {
         let (names, site) = kind.counters();
         for name in names {
-            self.count(name, 1);
+            self.count(name, kind.weight());
         }
         if let Some(site) = site {
             self.count_site(site);

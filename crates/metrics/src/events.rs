@@ -135,7 +135,11 @@ pub enum CcEventKind {
         /// Destination it isolated.
         dst: u32,
     },
-    /// A CFQ was needed but the input port's CFQ pool was exhausted.
+    /// An exhaustion episode ended: for `cycles` cycles up to `at`, every
+    /// visit of a switch input port found a CFQ needed for `dst` and the
+    /// port's CFQ pool exhausted. Logged once, when a visit first finds
+    /// the site otherwise (or at the end of the run); credits `cycles` to
+    /// `cfq_exhausted`.
     CfqExhausted {
         /// Switch id.
         sw: u32,
@@ -143,6 +147,11 @@ pub enum CcEventKind {
         port: u32,
         /// Destination that could not be isolated.
         dst: u32,
+        /// True at the detection site (the CFQ would have been a root),
+        /// false at the move site (a head of a propagated tree).
+        root: bool,
+        /// The episode's length: `at` minus the cycle it began.
+        cycles: u64,
     },
     /// An injection-adapter CFQ was allocated.
     IaCfqAlloc {
@@ -403,9 +412,10 @@ impl CcEventKind {
         }
     }
 
-    /// The counters one occurrence of this kind bumps by one, whether or
-    /// not the log records it: fixed names, plus a per-site name for
-    /// root CFQ allocations and FECN marks. Always inlined, like
+    /// The counters one occurrence of this kind bumps by
+    /// [`Self::weight`], whether or not the log records it: fixed names,
+    /// plus a per-site name for root CFQ allocations and FECN marks.
+    /// Always inlined, like
     /// [`MetricsCollector::record`](crate::MetricsCollector::record).
     #[inline(always)]
     pub fn counters(&self) -> (&'static [&'static str], Option<SiteCounter>) {
@@ -465,6 +475,16 @@ impl CcEventKind {
             | Delivered { .. }
             | RateChange { .. }
             | WindowChange { .. } => (&[], None),
+        }
+    }
+
+    /// What one occurrence adds to each counter [`Self::counters`] names:
+    /// the cycles of a `CfqExhausted` episode, 1 for every other kind.
+    #[inline(always)]
+    pub fn weight(&self) -> u64 {
+        match *self {
+            CcEventKind::CfqExhausted { cycles, .. } => cycles,
+            _ => 1,
         }
     }
 

@@ -6,9 +6,9 @@
 //! switch-side events appear under one "process" per switch (pid =
 //! switch id) with one "thread" per port (tid = port), node-side events
 //! under one process per node (pid = [`NODE_PID_BASE`] + node id) with
-//! one thread per destination. Congestion enter/leave pairs render as
-//! duration slices; everything else renders as instant events carrying
-//! its payload in `args`.
+//! one thread per destination. Congestion enter/leave pairs and CFQ
+//! exhaustion episodes render as duration slices; everything else
+//! renders as instant events carrying its payload in `args`.
 
 use crate::events::{CcEvent, CcEventKind};
 
@@ -45,8 +45,22 @@ fn flatten(kind: &CcEventKind) -> (u32, u32, Vec<(&'static str, u64)>) {
             port,
             vec![("dst", u64::from(dst)), ("root", u64::from(root))],
         ),
+        CfqExhausted {
+            sw,
+            port,
+            dst,
+            root,
+            cycles,
+        } => (
+            sw,
+            port,
+            vec![
+                ("dst", u64::from(dst)),
+                ("root", u64::from(root)),
+                ("cycles", cycles),
+            ],
+        ),
         CfqDealloc { sw, port, dst }
-        | CfqExhausted { sw, port, dst }
         | AllocPropagated { sw, port, dst }
         | CamExhausted { sw, port, dst }
         | StopSent { sw, port, dst }
@@ -184,22 +198,14 @@ fn flatten(kind: &CcEventKind) -> (u32, u32, Vec<(&'static str, u64)>) {
 ///
 /// `cycle_ns` converts event cycles to the format's microsecond
 /// timestamps. Congestion enter/leave become `B`/`E` duration slices
-/// named `congested`; every other event is an instant (`ph: "i"`) with
-/// thread scope.
+/// named `congested`; a CFQ exhaustion episode, logged once at its end,
+/// becomes a `B`/`E` slice named `cfq_exhausted` over the cycles it
+/// lasted; every other event is an instant (`ph: "i"`) with thread scope.
 pub fn chrome_trace_json(events: &[CcEvent], cycle_ns: f64) -> String {
     let mut pids: Vec<u32> = Vec::new();
     let mut body = String::new();
-    for ev in events {
-        let (pid, tid, args) = flatten(&ev.kind);
-        if !pids.contains(&pid) {
-            pids.push(pid);
-        }
-        let ts_us = ev.at as f64 * cycle_ns / 1000.0;
-        let (ph, name) = match ev.kind {
-            CcEventKind::CongestionEnter { .. } => ("B", "congested"),
-            CcEventKind::CongestionLeave { .. } => ("E", "congested"),
-            _ => ("i", ev.kind.label()),
-        };
+    let mut emit = |name: &str, ph: &str, at: u64, pid: u32, tid: u32, args: &[(&str, u64)]| {
+        let ts_us = at as f64 * cycle_ns / 1000.0;
         if !body.is_empty() {
             body.push(',');
         }
@@ -214,6 +220,22 @@ pub fn chrome_trace_json(events: &[CcEvent], cycle_ns: f64) -> String {
             body.push_str(&format!(",\"args\":{{{}}}", packed.join(",")));
         }
         body.push('}');
+    };
+    for ev in events {
+        let (pid, tid, args) = flatten(&ev.kind);
+        if !pids.contains(&pid) {
+            pids.push(pid);
+        }
+        match ev.kind {
+            CcEventKind::CongestionEnter { .. } => emit("congested", "B", ev.at, pid, tid, &args),
+            CcEventKind::CongestionLeave { .. } => emit("congested", "E", ev.at, pid, tid, &args),
+            CcEventKind::CfqExhausted { cycles, .. } => {
+                let name = ev.kind.label();
+                emit(name, "B", ev.at - cycles, pid, tid, &args);
+                emit(name, "E", ev.at, pid, tid, &[]);
+            }
+            _ => emit(ev.kind.label(), "i", ev.at, pid, tid, &args),
+        }
     }
     pids.sort_unstable();
     for pid in pids {
@@ -283,5 +305,27 @@ mod tests {
         assert!(text.contains(&format!("\"name\":\"node {}\"", 0)));
         // ts is microseconds: 100 cycles * 1000 ns = 100 us.
         assert!(text.contains("\"ts\":100"));
+    }
+
+    #[test]
+    fn an_exhaustion_episode_is_one_slice_over_its_cycles() {
+        let episode = CcEvent {
+            at: 300,
+            kind: CcEventKind::CfqExhausted {
+                sw: 2,
+                port: 1,
+                dst: 9,
+                root: true,
+                cycles: 100,
+            },
+        };
+        let text = chrome_trace_json(&[episode], 1000.0);
+        assert!(text.contains(
+            "{\"name\":\"cfq_exhausted\",\"ph\":\"B\",\"ts\":200,\"pid\":2,\"tid\":1,\
+             \"args\":{\"dst\":9,\"root\":1,\"cycles\":100}}"
+        ));
+        assert!(text
+            .contains("{\"name\":\"cfq_exhausted\",\"ph\":\"E\",\"ts\":300,\"pid\":2,\"tid\":1}"));
+        assert!(!text.contains("\"ph\":\"i\""));
     }
 }

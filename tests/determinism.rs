@@ -107,20 +107,26 @@ fn fast_path_is_bit_identical_to_slow_path() {
 
 /// The engine must be byte-identical to the oracle across all three
 /// paper configurations: single crossbar switch, 2-ary 3-tree, and the
-/// 4-ary 3-tree under hotspot congestion.
+/// 4-ary 3-tree under hotspot congestion — with one tree, and with the
+/// four of Fig. 8b, which exhaust FBICM's and CCFIT's CFQs: the engine
+/// then skips the quiet visits of exhausted ports and parks their
+/// switches, and counts `cfq_exhausted` from the episodes.
 #[test]
 fn engine_is_bit_identical_to_oracle_on_paper_configs() {
-    let specs = [
-        config1_case1_scaled(0.02),
-        config2_case2_scaled(0.02),
-        config3_case4_scaled(1, 0.01),
+    let cases = [
+        (config1_case1_scaled(0.02), Mechanism::ccfit()),
+        (config2_case2_scaled(0.02), Mechanism::ccfit()),
+        (config3_case4_scaled(1, 0.01), Mechanism::ccfit()),
+        (config3_case4_scaled(4, 0.02), Mechanism::fbicm()),
+        (config3_case4_scaled(4, 0.02), Mechanism::ccfit()),
     ];
-    for spec in &specs {
+    for (spec, mech) in &cases {
         assert_eq!(
-            spec.run_with(Mechanism::ccfit(), 3, cfg()).to_json(),
-            oracle(spec, Mechanism::ccfit(), 3),
-            "{}: the engine diverges from the oracle",
-            spec.name
+            spec.run_with(mech.clone(), 3, cfg()).to_json(),
+            oracle(spec, mech.clone(), 3),
+            "{} {}: the engine diverges from the oracle",
+            spec.name,
+            mech.name()
         );
     }
 }
@@ -149,17 +155,38 @@ fn modern_cc_is_bit_identical_to_oracle() {
 /// (DESIGN.md §10).
 #[test]
 fn engine_traces_and_events_identical_to_oracle() {
+    traces_and_events_identical_to_oracle(&config1_case1_scaled(0.02), Mechanism::ccfit());
+}
+
+/// The same on Fig. 8b's four trees, where ports run out of CFQs: every
+/// `CfqExhausted` episode closes on the same cycle, with the same
+/// length, in both modes.
+#[test]
+fn engine_traces_and_events_identical_to_oracle_h4() {
+    let spec = config3_case4_scaled(4, 0.02);
+    for mech in [Mechanism::fbicm(), Mechanism::ccfit()] {
+        let name = mech.name();
+        let report = traces_and_events_identical_to_oracle(&spec, mech);
+        assert!(
+            report.contains("\"CfqExhausted\""),
+            "{name}: the run exhausts CFQs"
+        );
+    }
+}
+
+/// Run `spec` under `mech` fully observed in both modes and require
+/// equal traces and reports; returns the report.
+fn traces_and_events_identical_to_oracle(spec: &ExperimentSpec, mech: Mechanism) -> String {
     use ccfit::trace::PacketTrace;
     use ccfit::{EventClass, EventConfig, SimBuilder};
 
-    let spec = config1_case1_scaled(0.02);
     let run = |reference: bool| {
         let mut c = cfg();
         c.duration_ns = spec.duration_ns;
         c.crossbar_bw_flits_per_cycle = spec.crossbar_bw_flits_per_cycle;
         let mut sim = SimBuilder::new(spec.topology.clone())
             .routing(spec.routing.clone())
-            .mechanism(Mechanism::ccfit())
+            .mechanism(mech.clone())
             .traffic(spec.pattern.clone())
             .config(c)
             .events(EventConfig {
@@ -193,6 +220,7 @@ fn engine_traces_and_events_identical_to_oracle() {
         report, oracle_report,
         "report/event log diverges from the oracle"
     );
+    report
 }
 
 /// Sized-flow workloads must obey the same byte-identity contract as

@@ -6,11 +6,14 @@
 //! exact agreement — so a bug that drops, duplicates or mistimes events
 //! cannot hide behind a plausible-looking summary, and vice versa.
 
-use ccfit::experiment::config1_case1_scaled;
+use ccfit::experiment::{config1_case1_scaled, config3_case4_scaled};
 use ccfit::metrics::export::chrome_trace_json;
 use ccfit::metrics::{SimReport, TimeSeries};
 use ccfit::trace::PacketTrace;
-use ccfit::{CcEventKind, EventClass, EventConfig, Mechanism, SimBuilder, SimConfig, Simulator};
+use ccfit::{
+    CcEventKind, EventClass, EventConfig, ExperimentSpec, Mechanism, SimBuilder, SimConfig,
+    Simulator,
+};
 use ccfit_engine::units::UnitModel;
 use std::collections::BTreeMap;
 
@@ -18,7 +21,11 @@ use std::collections::BTreeMap;
 /// with every observability channel wide open or with none, returning
 /// the simulator and the unit model used for conversions.
 fn run(mech: Mechanism, observed: bool) -> (Simulator, UnitModel) {
-    let spec = config1_case1_scaled(0.02);
+    run_spec(&config1_case1_scaled(0.02), mech, observed)
+}
+
+/// [`run`] on any scenario.
+fn run_spec(spec: &ExperimentSpec, mech: Mechanism, observed: bool) -> (Simulator, UnitModel) {
     let mut cfg = SimConfig {
         metrics_bin_ns: 20_000.0,
         ..SimConfig::default()
@@ -50,9 +57,23 @@ fn run(mech: Mechanism, observed: bool) -> (Simulator, UnitModel) {
 /// The fully observed run: the frozen report, the owned packet traces
 /// and the unit model.
 fn instrumented_run(mech: Mechanism) -> (SimReport, Vec<PacketTrace>, UnitModel) {
-    let (sim, units) = run(mech, true);
+    instrumented_spec_run(&config1_case1_scaled(0.02), mech)
+}
+
+/// [`instrumented_run`] on any scenario.
+fn instrumented_spec_run(
+    spec: &ExperimentSpec,
+    mech: Mechanism,
+) -> (SimReport, Vec<PacketTrace>, UnitModel) {
+    let (sim, units) = run_spec(spec, mech, true);
     let traces: Vec<PacketTrace> = sim.traces().into_iter().cloned().collect();
     (sim.finish(), traces, units)
+}
+
+/// Fig. 8b's four congestion trees outnumber the CFQs: FBICM's ports run
+/// out of them.
+fn exhausting_run() -> (SimReport, Vec<PacketTrace>, UnitModel) {
+    instrumented_spec_run(&config3_case4_scaled(4, 0.02), Mechanism::fbicm())
 }
 
 /// The counters no event stands behind. Every other counter of a report
@@ -99,6 +120,44 @@ fn event_log_aggregates_match_sim_report() {
         check_event_log(&report, &traces, units, exercised);
         eprintln!("{name}: event log agrees with the report");
     }
+}
+
+/// `cfq_exhausted` counts port-cycles spent exhausted, logged as one
+/// `CfqExhausted` per episode: the episodes rebuild the counter, and the
+/// episodes of one (switch, port, site) never overlap.
+#[test]
+fn exhaustion_episodes_rebuild_cfq_exhausted() {
+    let (report, traces, units) = exhausting_run();
+    check_event_log(
+        &report,
+        &traces,
+        units,
+        &["cfq_exhausted", "cfq_allocated", "congestion_detected"],
+    );
+    let events = &report.events.as_ref().unwrap().events;
+    let mut last_end: BTreeMap<(u32, u32, bool), u64> = BTreeMap::new();
+    let mut episodes = 0;
+    for ev in events.iter() {
+        if let CcEventKind::CfqExhausted {
+            sw,
+            port,
+            root,
+            cycles,
+            ..
+        } = ev.kind
+        {
+            episodes += 1;
+            assert!(cycles > 0, "an empty episode at {ev:?}");
+            let begin = ev.at - cycles;
+            let end = last_end.entry((sw, port, root)).or_insert(0);
+            assert!(*end <= begin, "{ev:?} overlaps an episode ending at {end}");
+            *end = ev.at;
+        }
+    }
+    assert!(
+        episodes < report.counters["cfq_exhausted"],
+        "{episodes} episodes cover many more port-cycles"
+    );
 }
 
 fn check_event_log(
@@ -172,9 +231,11 @@ fn check_event_log(
     let mut from_events: BTreeMap<String, u64> = BTreeMap::new();
     for ev in events.iter() {
         let (names, site) = ev.kind.counters();
-        let site = site.map(|s| s.to_string());
-        for name in names.iter().copied().chain(site.as_deref()) {
-            *from_events.entry(name.to_string()).or_insert(0) += 1;
+        for name in names {
+            *from_events.entry(name.to_string()).or_insert(0) += ev.kind.weight();
+        }
+        if let Some(site) = site {
+            *from_events.entry(site.to_string()).or_insert(0) += 1;
         }
     }
     let mut derived = report.counters.clone();
@@ -297,22 +358,21 @@ fn port_telemetry_gauges_cover_connected_ports() {
 
 #[test]
 fn exporters_render_the_whole_log() {
-    let (report, _, units) = instrumented_run(Mechanism::ccfit());
-    let events = &report.events.as_ref().unwrap().events;
-    let chrome = chrome_trace_json(events, units.cycle_ns);
-    assert!(chrome.starts_with("{\"traceEvents\":["));
-    assert!(chrome.ends_with("\"displayTimeUnit\":\"ms\"}"));
-    // Congestion episodes render as paired duration slices.
-    let b = chrome.matches("\"ph\":\"B\"").count();
-    let e = chrome.matches("\"ph\":\"E\"").count();
-    let enters = events
-        .iter()
-        .filter(|ev| matches!(ev.kind, CcEventKind::CongestionEnter { .. }))
-        .count();
-    let leaves = events
-        .iter()
-        .filter(|ev| matches!(ev.kind, CcEventKind::CongestionLeave { .. }))
-        .count();
-    assert_eq!(b, enters);
-    assert_eq!(e, leaves);
+    for (report, _, units) in [instrumented_run(Mechanism::ccfit()), exhausting_run()] {
+        let events = &report.events.as_ref().unwrap().events;
+        let chrome = chrome_trace_json(events, units.cycle_ns);
+        assert!(chrome.starts_with("{\"traceEvents\":["));
+        assert!(chrome.ends_with("\"displayTimeUnit\":\"ms\"}"));
+        // Congestion and exhaustion episodes render as paired duration
+        // slices.
+        let b = chrome.matches("\"ph\":\"B\"").count();
+        let e = chrome.matches("\"ph\":\"E\"").count();
+        let count =
+            |pred: fn(&CcEventKind) -> bool| events.iter().filter(|ev| pred(&ev.kind)).count();
+        let enters = count(|k| matches!(k, CcEventKind::CongestionEnter { .. }));
+        let leaves = count(|k| matches!(k, CcEventKind::CongestionLeave { .. }));
+        let exhausted = count(|k| matches!(k, CcEventKind::CfqExhausted { .. }));
+        assert_eq!(b, enters + exhausted);
+        assert_eq!(e, leaves + exhausted);
+    }
 }

@@ -147,3 +147,29 @@ fn config1_case1_ccfit_event_log_matches_golden_snapshot() {
         &serde_json::to_string_pretty(log).unwrap(),
     );
 }
+
+/// The counters of the Fig. 8 H = 4 storm (Config #3 / Case #4, four
+/// congestion trees), where FBICM and CCFIT run out of CFQs:
+/// `cfq_exhausted` counts the port-cycles spent exhausted, and these
+/// pins hold it, and every other counter, to the values of the engine
+/// that visited an exhausted port every cycle.
+#[test]
+fn config3_case4_h4_counters_match_golden_snapshots() {
+    use ccfit::experiment::config3_case4_scaled;
+    let spec = config3_case4_scaled(4, 0.02);
+    for mech in [Mechanism::fbicm(), Mechanism::ccfit()] {
+        let file = format!(
+            "config3_case4_h4_{}_counters.json",
+            mech.name().to_ascii_lowercase()
+        );
+        let report = spec.run_with(mech, 3, cfg());
+        assert!(
+            report.counters["cfq_exhausted"] > 0,
+            "{file}: no exhaustion"
+        );
+        check_snapshot(
+            &file,
+            &serde_json::to_string_pretty(&report.counters).unwrap(),
+        );
+    }
+}
