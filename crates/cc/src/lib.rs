@@ -9,7 +9,7 @@
 //! **marking/feedback** and **source reaction**), the parameter sets,
 //! and the DCQCN / HPCC source machines.
 //!
-//! Alongside the 2011 paper's mechanisms (1Q, VOQsw, VOQnet, DBBM,
+//! Alongside the 2011 paper's mechanisms (1Q, VOQsw, VOQnet,
 //! FBICM, ITh, CCFIT) this crate implements two modern rate-based
 //! schemes the paper predates:
 //!

@@ -1,6 +1,6 @@
 //! The congestion-control mechanism registry.
 //!
-//! The paper evaluates five mechanisms plus DBBM; this crate adds two
+//! The paper evaluates six mechanisms; this crate adds two
 //! modern rate-based schemes. Internally each decomposes into three
 //! orthogonal pieces (which is also how the ablation benches mix them),
 //! read off a `Mechanism` through [`Mechanism::queueing`],
@@ -12,7 +12,6 @@
 //! | 1Q        | single queue        | —                          | —                              |
 //! | VOQsw     | queue per output    | —                          | —                              |
 //! | VOQnet    | queue per dest      | —                          | —                              |
-//! | DBBM      | dest mod Q          | —                          | —                              |
 //! | FBICM     | NFQ + CFQs          | NFQ occupancy (isolation)  | Stop/Go upstream               |
 //! | ITh       | queue per output    | VOQ-occupancy high/low     | FECN/BECN → CCT throttling     |
 //! | CCFIT     | NFQ + CFQs          | root-CFQ occupancy         | FECN/BECN → CCT throttling     |
@@ -39,13 +38,6 @@ pub enum Mechanism {
     },
     /// Congested-flow isolation alone.
     Fbicm(IsolationParams),
-    /// Destination-Based Buffer Management (ref. \[24\]): packets use
-    /// queue `destination mod num_queues`. An evaluated extension, not
-    /// part of the paper's Fig. 7–10 set.
-    Dbbm {
-        /// Number of queues per input port.
-        num_queues: usize,
-    },
     /// Injection throttling alone over VOQsw switches (IB-style CC).
     Ith(ThrottleParams),
     /// The paper's contribution: isolation + throttling combined, with
@@ -83,12 +75,6 @@ impl Mechanism {
         }
     }
 
-    /// Default-parameter DBBM (4 queues per port, as in ref. \[24\]'s
-    /// cost-effective configurations).
-    pub fn dbbm() -> Self {
-        Mechanism::Dbbm { num_queues: 4 }
-    }
-
     /// Default-parameter DCQCN-style scheme.
     pub fn dcqcn() -> Self {
         Mechanism::Dcqcn(DcqcnParams::default())
@@ -107,16 +93,7 @@ impl Mechanism {
                 QueueingScheme::PerOutput
             }
             Mechanism::VoqNet { .. } => QueueingScheme::PerDest,
-            Mechanism::Dbbm { .. } => QueueingScheme::DstMod,
             Mechanism::Fbicm(_) | Mechanism::Ccfit(..) => QueueingScheme::Isolating,
-        }
-    }
-
-    /// Number of DstMod queues (DBBM only).
-    pub fn dbbm_queues(&self) -> usize {
-        match self {
-            Mechanism::Dbbm { num_queues } => *num_queues,
-            _ => 0,
         }
     }
 
@@ -159,7 +136,6 @@ impl Mechanism {
             Mechanism::OneQ => "1Q",
             Mechanism::VoqSw => "VOQsw",
             Mechanism::VoqNet { .. } => "VOQnet",
-            Mechanism::Dbbm { .. } => "DBBM",
             Mechanism::Fbicm(_) => "FBICM",
             Mechanism::Ith(_) => "ITh",
             Mechanism::Ccfit(..) => "CCFIT",
@@ -169,22 +145,14 @@ impl Mechanism {
     }
 
     /// Every registered mechanism with default parameters, in canonical
-    /// presentation order (paper baselines, DBBM extension, the paper's
-    /// contribution, then the modern schemes). This is THE registry: CLI
-    /// parsing, figure labels and the shootout all derive from it, so a
-    /// new scheme added here appears everywhere automatically.
+    /// presentation order (the paper's set, then the modern schemes).
+    /// This is THE registry: CLI parsing, figure labels and the shootout
+    /// all derive from it, so a new scheme added here appears everywhere
+    /// automatically.
     pub fn all() -> Vec<Mechanism> {
-        vec![
-            Mechanism::OneQ,
-            Mechanism::VoqSw,
-            Mechanism::voqnet(),
-            Mechanism::dbbm(),
-            Mechanism::fbicm(),
-            Mechanism::ith(),
-            Mechanism::ccfit(),
-            Mechanism::dcqcn(),
-            Mechanism::hpcc(),
-        ]
+        let mut all = Mechanism::paper_set();
+        all.extend(Mechanism::modern_set());
+        all
     }
 
     /// The mechanisms evaluated by the 2011 paper (its Fig. 7–10 set).
@@ -217,11 +185,6 @@ impl Mechanism {
     /// Validate parameter sanity (threshold ordering per §III-E; rate /
     /// window ranges for the modern schemes).
     pub fn validate(&self) -> Result<(), String> {
-        if let Mechanism::Dbbm { num_queues } = self {
-            if *num_queues == 0 {
-                return Err("DBBM needs at least one queue".into());
-            }
-        }
         if let Some(iso) = self.isolation() {
             if iso.num_cfqs == 0 {
                 return Err("isolation needs at least one CFQ".into());
@@ -345,16 +308,10 @@ mod tests {
 
     #[test]
     fn registry_sets_are_consistent() {
-        assert_eq!(Mechanism::all().len(), 9);
+        assert_eq!(Mechanism::all().len(), 8);
         assert_eq!(Mechanism::paper_set().len(), 6);
         assert_eq!(Mechanism::modern_set().len(), 2);
         let all = Mechanism::all();
-        for m in Mechanism::paper_set()
-            .into_iter()
-            .chain(Mechanism::modern_set())
-        {
-            assert!(all.contains(&m), "{} missing from all()", m.name());
-        }
         // Names are unique — parse() would be ambiguous otherwise.
         let mut names: Vec<_> = all.iter().map(|m| m.name()).collect();
         names.sort_unstable();
@@ -430,22 +387,5 @@ mod tests {
         assert!(hpcc(|h| h.eta = 0.0).validate().is_err());
         assert!(hpcc(|h| h.beta = 1.0).validate().is_err());
         assert!(hpcc(|h| h.w_min_bytes = 1e9).validate().is_err());
-    }
-
-    #[test]
-    fn dbbm_decomposition() {
-        let d = Mechanism::dbbm();
-        assert_eq!(d.queueing(), QueueingScheme::DstMod);
-        assert_eq!(d.dbbm_queues(), 4);
-        assert_eq!(d.name(), "DBBM");
-        assert!(d.isolation().is_none());
-        assert!(d.throttle().is_none());
-        d.validate().unwrap();
-    }
-
-    #[test]
-    fn dbbm_zero_queues_rejected() {
-        assert!(Mechanism::Dbbm { num_queues: 0 }.validate().is_err());
-        assert_eq!(Mechanism::OneQ.dbbm_queues(), 0);
     }
 }

@@ -24,11 +24,6 @@ pub enum QueueingScheme {
     /// FBICM/CCFIT dynamic organisation: one normal flow queue plus a
     /// small number of congested flow queues.
     Isolating,
-    /// DBBM (paper ref. \[24\]): a fixed set of queues selected by
-    /// `destination mod Q` — cheap HoL reduction without congestion
-    /// tracking. Implemented as an extension beyond the paper's
-    /// evaluated set.
-    DstMod,
 }
 
 /// Congested-flow-isolation parameters (the FBICM side of CCFIT).

@@ -10,7 +10,7 @@ use crate::params::Mechanism;
 use crate::simulator::{SimBuilder, SimConfig};
 use ccfit_engine::BadParam;
 use ccfit_metrics::SimReport;
-use ccfit_topology::{config1_topology, KAryNTree, LinkParams, Mesh2D, RoutingTable, Topology};
+use ccfit_topology::{config1_topology, KAryNTree, LinkParams, RoutingTable, Topology};
 use ccfit_traffic::{case1, case2, case3, case4, uniform_all, TrafficPattern, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -262,17 +262,6 @@ pub enum ConfigId {
         /// Simulated time in nanoseconds.
         duration_ns: f64,
     },
-    /// Uniform traffic on a 2-D mesh with XY dimension-order routing.
-    UniformMesh {
-        /// Mesh width.
-        width: usize,
-        /// Mesh height.
-        height: usize,
-        /// Offered load per node, fraction of line rate.
-        load: f64,
-        /// Simulated time in nanoseconds.
-        duration_ns: f64,
-    },
 }
 
 impl ConfigId {
@@ -308,7 +297,6 @@ impl ConfigId {
             ConfigId::Config2Case3 { .. } => "config2/case3",
             ConfigId::Config3Case4 { .. } => "config3/case4",
             ConfigId::UniformTree { .. } => "uniform-tree",
-            ConfigId::UniformMesh { .. } => "uniform-mesh",
         }
     }
 
@@ -327,12 +315,6 @@ impl ConfigId {
             ConfigId::UniformTree {
                 ary, levels, load, ..
             } => format!("{}-{ary}x{levels}@{load:.2}", self.kind()),
-            ConfigId::UniformMesh {
-                width,
-                height,
-                load,
-                ..
-            } => format!("{}-{width}x{height}@{load:.2}", self.kind()),
         }
     }
 
@@ -372,19 +354,6 @@ impl ConfigId {
                 .and(at_least("levels", levels, 1))
                 .and(load(l))
                 .and(positive("duration_ns", duration_ns)),
-            ConfigId::UniformMesh {
-                width,
-                height,
-                load: l,
-                duration_ns,
-            } => at_least("width", width, 1)
-                .and(at_least("height", height, 1))
-                .and(match width.saturating_mul(height) {
-                    0 | 1 => fail("width", format!("a {width}x{height} mesh has one switch")),
-                    _ => Ok(()),
-                })
-                .and(load(l))
-                .and(positive("duration_ns", duration_ns)),
         }
     }
 
@@ -418,23 +387,6 @@ impl ConfigId {
                 ExperimentSpec {
                     name: format!("uniform-tree-{ary}x{levels}"),
                     routing: tree.det_routing(),
-                    pattern: uniform_all(topology.num_nodes(), load),
-                    topology,
-                    duration_ns,
-                    crossbar_bw_flits_per_cycle: 1,
-                }
-            }
-            ConfigId::UniformMesh {
-                width,
-                height,
-                load,
-                duration_ns,
-            } => {
-                let mesh = Mesh2D::new(width, height);
-                let topology = mesh.build(LinkParams::default());
-                ExperimentSpec {
-                    name: format!("uniform-mesh-{width}x{height}"),
-                    routing: mesh.xy_routing(),
                     pattern: uniform_all(topology.num_nodes(), load),
                     topology,
                     duration_ns,
@@ -533,15 +485,6 @@ mod tests {
         .resolve();
         assert_eq!(tree.topology.num_nodes(), 8);
         tree.routing.verify_delivers_all(&tree.topology).unwrap();
-        let mesh = ConfigId::UniformMesh {
-            width: 4,
-            height: 4,
-            load: 0.5,
-            duration_ns: 600_000.0,
-        }
-        .resolve();
-        assert_eq!(mesh.topology.num_nodes(), 16);
-        mesh.routing.verify_delivers_all(&mesh.topology).unwrap();
     }
 
     #[test]

@@ -91,8 +91,6 @@ pub enum InputQueues {
     PerOutput(Vec<PacketQueue>),
     /// VOQnet: one queue per destination end node.
     PerDest(Vec<PacketQueue>),
-    /// DBBM: a fixed queue set selected by `destination mod len`.
-    DstMod(Vec<PacketQueue>),
     /// FBICM/CCFIT: a normal flow queue plus CFQ slots.
     Isolating {
         /// Non-congested traffic.
@@ -119,11 +117,6 @@ impl InputQueues {
             S::PerDest => {
                 InputQueues::PerDest((0..num_dests).map(|_| PacketQueue::new()).collect())
             }
-            S::DstMod => {
-                // `num_cfqs` doubles as the queue count for DstMod (the
-                // simulator passes the mechanism's queue parameter here).
-                InputQueues::DstMod((0..num_cfqs.max(1)).map(|_| PacketQueue::new()).collect())
-            }
             S::Isolating => InputQueues::Isolating {
                 nfq: PacketQueue::new(),
                 cfqs: (0..num_cfqs).map(|_| CfqSlot::default()).collect(),
@@ -135,7 +128,7 @@ impl InputQueues {
     pub fn total_occupancy_flits(&self) -> u32 {
         match self {
             InputQueues::Single(q) => q.occupancy_flits(),
-            InputQueues::PerOutput(qs) | InputQueues::PerDest(qs) | InputQueues::DstMod(qs) => {
+            InputQueues::PerOutput(qs) | InputQueues::PerDest(qs) => {
                 qs.iter().map(|q| q.occupancy_flits()).sum()
             }
             InputQueues::Isolating { nfq, cfqs } => {
@@ -148,7 +141,7 @@ impl InputQueues {
     pub fn total_packets(&self) -> usize {
         match self {
             InputQueues::Single(q) => q.len(),
-            InputQueues::PerOutput(qs) | InputQueues::PerDest(qs) | InputQueues::DstMod(qs) => {
+            InputQueues::PerOutput(qs) | InputQueues::PerDest(qs) => {
                 qs.iter().map(|q| q.len()).sum()
             }
             InputQueues::Isolating { nfq, cfqs } => {
@@ -163,9 +156,7 @@ impl InputQueues {
         let count = |q: &PacketQueue| q.iter().filter(|e| e.packet.is_data()).count();
         match self {
             InputQueues::Single(q) => count(q),
-            InputQueues::PerOutput(qs) | InputQueues::PerDest(qs) | InputQueues::DstMod(qs) => {
-                qs.iter().map(count).sum()
-            }
+            InputQueues::PerOutput(qs) | InputQueues::PerDest(qs) => qs.iter().map(count).sum(),
             InputQueues::Isolating { nfq, cfqs } => {
                 count(nfq) + cfqs.iter().map(|c| count(&c.queue)).sum::<usize>()
             }

@@ -743,7 +743,6 @@ impl Simulator {
             mtu_flits,
             ram_flits,
             per_dest_queue_flits,
-            dbbm_queues: mech.dbbm_queues(),
             islip_iterations: ISLIP_ITERATIONS,
             move_budget: MOVE_BUDGET,
             crossbar_bw_flits_per_cycle: cfg.crossbar_bw_flits_per_cycle,

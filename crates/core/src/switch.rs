@@ -106,8 +106,6 @@ pub struct SwitchCfg {
     pub ram_flits: u32,
     /// Reserved per-destination queue capacity in flits (VOQnet only).
     pub per_dest_queue_flits: u32,
-    /// DBBM queues per port (DstMod scheme only).
-    pub dbbm_queues: usize,
     /// Crossbar bandwidth in flits per cycle (Table I: 5 GB/s = 2 for
     /// Config #1, 2.5 GB/s = 1 for Configs #2/#3). An input port is busy
     /// for `size / crossbar_bw` cycles per transfer, so with speedup it
@@ -550,10 +548,7 @@ impl Switch {
         marking_rng: SmallRng,
     ) -> Self {
         let num_ports = wiring.len();
-        let num_cfqs = match cfg.scheme {
-            QueueingScheme::DstMod => cfg.dbbm_queues,
-            _ => cfg.iso.map_or(0, |i| i.num_cfqs),
-        };
+        let num_cfqs = cfg.iso.map_or(0, |i| i.num_cfqs);
         let ram_flits = match cfg.scheme {
             QueueingScheme::PerDest => cfg.per_dest_queue_flits * num_dests as u32,
             _ => cfg.ram_flits,
@@ -645,10 +640,6 @@ impl Switch {
             }
             InputQueues::PerDest(qs) => {
                 qs[d.packet.dst.index()].push(d.packet, d.visible_at, d.ready_at)
-            }
-            InputQueues::DstMod(qs) => {
-                let q = d.packet.dst.index() % qs.len();
-                qs[q].push(d.packet, d.visible_at, d.ready_at)
             }
             InputQueues::Isolating { nfq, .. } => {
                 nfq.push(d.packet, d.visible_at, d.ready_at);
@@ -1660,14 +1651,6 @@ impl Switch {
                     }
                 }
             }
-            InputQueues::DstMod(qs) => {
-                for (qi, q) in qs.iter().enumerate() {
-                    if let Some(h) = visible_head(q, now, &mut arb.idle) {
-                        let o = routing.route(self.id, h.packet.dst).index();
-                        consider(QueueKey::PerDest(qi), h, o, arb);
-                    }
-                }
-            }
             InputQueues::Isolating { nfq, cfqs } => {
                 if let Some(h) = visible_head(nfq, now, &mut arb.idle) {
                     // Post-processing guarantees only non-congested heads
@@ -1726,7 +1709,6 @@ impl Switch {
                 entry
             }
             (InputQueues::PerDest(qs), QueueKey::PerDest(d)) => qs[d].pop(),
-            (InputQueues::DstMod(qs), QueueKey::PerDest(q)) => qs[q].pop(),
             (InputQueues::Isolating { nfq, .. }, QueueKey::Nfq) => {
                 let entry = nfq.pop();
                 self.port_changed(port);
@@ -1987,7 +1969,7 @@ impl Switch {
         for inp in &mut self.inputs {
             match &mut inp.queues {
                 InputQueues::Single(q) => q.drain_all_into(&mut drained),
-                InputQueues::PerOutput(qs) | InputQueues::PerDest(qs) | InputQueues::DstMod(qs) => {
+                InputQueues::PerOutput(qs) | InputQueues::PerDest(qs) => {
                     for q in qs {
                         q.drain_all_into(&mut drained);
                     }
@@ -2058,7 +2040,7 @@ impl Switch {
                             self.voq_occ[o] -= before - q.occupancy_flits();
                         }
                     }
-                    InputQueues::PerDest(qs) | InputQueues::DstMod(qs) => {
+                    InputQueues::PerDest(qs) => {
                         for q in qs {
                             q.drain_where_into(|e| unreachable(e.packet.dst), &mut scratch);
                         }
@@ -2421,7 +2403,6 @@ mod tests {
             mtu_flits: MTU,
             ram_flits: 1024,
             per_dest_queue_flits: 64,
-            dbbm_queues: 2,
             islip_iterations: 2,
             move_budget: 4,
             crossbar_bw_flits_per_cycle: 1,
@@ -4236,7 +4217,6 @@ mod twin_tests {
             ),
             (QueueingScheme::PerDest, None, None, None, false),
             (QueueingScheme::PerDest, None, None, None, true),
-            (QueueingScheme::DstMod, None, None, None, false),
             (QueueingScheme::Isolating, Some(iso), None, None, false),
             (
                 QueueingScheme::Isolating,
@@ -4260,7 +4240,6 @@ mod twin_tests {
             mtu_flits: MTU,
             ram_flits: 24 * MTU,
             per_dest_queue_flits: 3 * MTU,
-            dbbm_queues: 3,
             crossbar_bw_flits_per_cycle: 2,
             islip_iterations: 2,
             move_budget: 2,
@@ -4268,7 +4247,7 @@ mod twin_tests {
         };
         (cfg, voqnet)
     }
-    const SHAPES: usize = 10;
+    const SHAPES: usize = 9;
 
     /// Everything a cycle of the switch shows the outside world.
     #[derive(Debug, Default, PartialEq)]
@@ -4678,135 +4657,5 @@ mod twin_tests {
                 old.m.finish("t", 1000.0, 1.0, &labels).to_json()
             );
         }
-    }
-}
-
-#[cfg(test)]
-mod dbbm_tests {
-    use super::tests_support::*;
-
-    #[test]
-    fn dstmod_maps_destinations_to_queue_classes() {
-        let mut fx = fixture_dbbm(2);
-        // dsts 2 and 6 share class 0; dst 3 is class 1.
-        deliver_pkt(&mut fx, 0, 1, 2);
-        deliver_pkt(&mut fx, 0, 2, 6);
-        deliver_pkt(&mut fx, 0, 3, 3);
-        if let crate::port::InputQueues::DstMod(qs) = &fx.sw.inputs[0].queues {
-            assert_eq!(qs.len(), 2);
-            assert_eq!(qs[0].len(), 2, "dst 2 and 6 share queue 0");
-            assert_eq!(qs[1].len(), 1, "dst 3 in queue 1");
-        } else {
-            panic!("expected DstMod queues");
-        }
-    }
-
-    #[test]
-    fn dbbm_reduces_hol_across_classes_but_not_within() {
-        // Blocked output 1 (dsts < 4); free output 2 (dsts >= 4).
-        // dst 2 (class 0) blocks; dst 3 (class 1) and dst 6 (class 0).
-        let mut fx = fixture_dbbm(2);
-        fx.links[1] = ccfit_engine::link::Link::new(ccfit_engine::link::LinkConfig::default(), 0);
-        deliver_pkt(&mut fx, 0, 1, 2); // class 0 head, blocked (output 1)
-        deliver_pkt(&mut fx, 0, 2, 6); // class 0, victim of in-class HoL
-        deliver_pkt(&mut fx, 0, 3, 5); // class 1, escapes via output 2
-        let rel =
-            fx.sw
-                .arbitrate_and_transmit(0, &fx.routing, &mut fx.links, None, &mut fx.metrics);
-        assert_eq!(rel.len(), 1);
-        assert_eq!(
-            rel[0].dst,
-            ccfit_engine::ids::NodeId(5),
-            "cross-class victim escapes"
-        );
-        // dst 6 stays stuck behind dst 2 within class 0.
-        let rel = fx.sw.arbitrate_and_transmit(
-            rel[0].at,
-            &fx.routing,
-            &mut fx.links,
-            None,
-            &mut fx.metrics,
-        );
-        assert!(rel.is_empty(), "in-class HoL remains: {rel:?}");
-    }
-}
-
-#[cfg(test)]
-pub(crate) mod tests_support {
-    use super::*;
-    use crate::params::QueueingScheme;
-    use ccfit_engine::ids::{FlowId, PacketId, PortId};
-    use ccfit_engine::link::LinkConfig;
-    use ccfit_engine::packet::Packet;
-    use ccfit_engine::rng::SeedSplitter;
-    use ccfit_engine::units::UnitModel;
-    use ccfit_metrics::MetricsCollector;
-
-    pub struct DbbmFixture {
-        pub sw: Switch,
-        pub links: Vec<Link>,
-        pub routing: RoutingTable,
-        pub metrics: MetricsCollector,
-    }
-
-    pub fn fixture_dbbm(queues: usize) -> DbbmFixture {
-        let cfg = SwitchCfg {
-            scheme: QueueingScheme::DstMod,
-            iso: None,
-            thr: None,
-            mtu_flits: 32,
-            ram_flits: 1024,
-            per_dest_queue_flits: 64,
-            dbbm_queues: queues,
-            islip_iterations: 2,
-            move_budget: 4,
-            crossbar_bw_flits_per_cycle: 1,
-            cc: None,
-        };
-        let wiring = vec![
-            (Some(LinkId(0)), None),
-            (None, Some(LinkId(1))),
-            (None, Some(LinkId(2))),
-        ];
-        let sw = Switch::new(
-            SwitchId(0),
-            cfg,
-            &wiring,
-            8,
-            SeedSplitter::new(1).rng("m", 0),
-        );
-        let links = (0..3)
-            .map(|_| Link::new(LinkConfig::default(), 1024))
-            .collect();
-        let routing = RoutingTable::from_tables(vec![(0..8)
-            .map(|d| if d < 4 { PortId(1) } else { PortId(2) })
-            .collect()]);
-        DbbmFixture {
-            sw,
-            links,
-            routing,
-            metrics: MetricsCollector::new(UnitModel::default(), 100_000.0),
-        }
-    }
-
-    pub fn deliver_pkt(fx: &mut DbbmFixture, now: Cycle, id: u64, dst: u32) {
-        let p = Packet::data(
-            PacketId(id),
-            NodeId(0),
-            NodeId(dst),
-            32,
-            2048,
-            FlowId(0),
-            now,
-        );
-        fx.sw.accept_delivery(
-            0,
-            Delivery {
-                packet: p,
-                visible_at: now,
-                ready_at: now,
-            },
-            &fx.routing,
-        );
     }
 }

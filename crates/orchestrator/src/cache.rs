@@ -299,13 +299,29 @@ mod tests {
         // And a corrupt one plus an abandoned tempfile.
         std::fs::write(dir.join(format!("{}.json", "1".repeat(64))), "not json").unwrap();
         std::fs::write(dir.join(".deadbeef.tmp.12345"), "partial").unwrap();
+        // Current-salt entries whose specs name a since-deleted mechanism
+        // or network no longer parse: gc counts them corrupt.
+        let good = std::fs::read_to_string(dir.join(format!("{key}.json"))).unwrap();
+        let deleted = [
+            ("2", "\"OneQ\"", "{\"Dbbm\":{\"num_queues\":4}}"),
+            (
+                "3",
+                "{\"Config1Case1\":{\"scale\":0.01}}",
+                "{\"UniformMesh\":{\"width\":4,\"height\":4,\"load\":0.5,\"duration_ns\":600000.0}}",
+            ),
+        ];
+        for (digit, from, to) in deleted {
+            assert!(good.contains(from), "{from} not in {good}");
+            let path = dir.join(format!("{}.json", digit.repeat(64)));
+            std::fs::write(path, good.replacen(from, to, 1)).unwrap();
+        }
         let stats = cache.gc().unwrap();
         assert_eq!(
             stats,
             GcStats {
                 kept: 1,
                 stale: 1,
-                corrupt: 2
+                corrupt: 4
             }
         );
         // The good entry survived.

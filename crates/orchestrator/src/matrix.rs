@@ -95,7 +95,10 @@ impl ExperimentMatrix {
         let name = get_str(m, "name")?;
         let mut mechanisms = get_array(m, "mechanisms")?
             .iter()
-            .map(|v| registry(as_str(v, "mechanisms entry")?))
+            .map(|v| {
+                registry(as_str(v, "mechanisms entry")?)
+                    .map_err(|e| format!("{}{e}", at("mechanisms")))
+            })
             .collect::<Result<Vec<_>, _>>()?;
         for (i, table) in get_array(m, "mechanism")?.iter().enumerate() {
             let at = |key: &str| at_key(text, &["matrix", "mechanism"], i, key);
@@ -126,10 +129,10 @@ impl ExperimentMatrix {
         };
         let configs = (get_array(m, "config")?.iter().enumerate())
             .map(|(i, table)| {
-                let config = parse_config(table)?;
+                let at = |key: &str| at_key(text, &["matrix", "config"], i, key);
+                let config = parse_config(table, at)?;
                 config.check().map_err(|e| {
-                    let at = at_key(text, &["matrix", "config"], i, e.key);
-                    format!("{at}[[matrix.config]] kind={}: {e}", config.kind())
+                    format!("{}[[matrix.config]] kind={}: {e}", at(e.key), config.kind())
                 })?;
                 Ok(config)
             })
@@ -378,8 +381,9 @@ fn opt_f64_or(table: &Value, key: &str, default: f64) -> Result<f64, String> {
 }
 
 /// One `[[matrix.config]]` table → [`ConfigId`], keyed by `kind` using
-/// the [`ConfigId::kind`] strings.
-fn parse_config(table: &Value) -> Result<ConfigId, String> {
+/// the [`ConfigId::kind`] strings. `at(key)` is the `"line N: "` prefix
+/// of an error about `key`.
+fn parse_config(table: &Value, at: impl Fn(&str) -> String) -> Result<ConfigId, String> {
     let kind = get_str(table, "kind")?;
     let what = format!("[[matrix.config]] kind={kind}");
     match kind.as_str() {
@@ -403,15 +407,10 @@ fn parse_config(table: &Value) -> Result<ConfigId, String> {
             load: req_f64(table, "load", &what)?,
             duration_ns: req_f64(table, "duration_ns", &what)?,
         }),
-        "uniform-mesh" => Ok(ConfigId::UniformMesh {
-            width: req_u64(table, "width", &what)? as usize,
-            height: req_u64(table, "height", &what)? as usize,
-            load: req_f64(table, "load", &what)?,
-            duration_ns: req_f64(table, "duration_ns", &what)?,
-        }),
         other => Err(format!(
-            "unknown config kind {other:?}; known: config1/case1, config2/case2, \
-             config2/case3, config3/case4, uniform-tree, uniform-mesh"
+            "{}unknown config kind {other:?}; known: config1/case1, config2/case2, \
+             config2/case3, config3/case4, uniform-tree",
+            at("kind")
         )),
     }
 }

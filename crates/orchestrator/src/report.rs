@@ -176,7 +176,7 @@ fn windows(config: &ConfigId, duration_ns: f64) -> Vec<(&'static str, f64, f64)>
             ("burst", 1.1e6 * scale, 2.0e6 * scale),
             ("recovery", 2.1e6 * scale, (4.0e6 * scale).min(duration_ns)),
         ],
-        ConfigId::UniformTree { .. } | ConfigId::UniformMesh { .. } => {
+        ConfigId::UniformTree { .. } => {
             vec![("tail", duration_ns / 3.0, duration_ns)]
         }
     }

@@ -155,7 +155,7 @@ fn every_field_flip_changes_the_cache_key() {
 /// primitives feeds a variant selector).
 fn config_strategy() -> impl Strategy<Value = ConfigId> {
     (
-        0usize..6,
+        0usize..5,
         0.01f64..4.0,
         2usize..6,
         0.01f64..1.0,
@@ -170,15 +170,9 @@ fn config_strategy() -> impl Strategy<Value = ConfigId> {
                 duration_ms: scale * 2.0,
                 scale: load,
             },
-            4 => ConfigId::UniformTree {
+            _ => ConfigId::UniformTree {
                 ary: dim,
                 levels: 3,
-                load,
-                duration_ns,
-            },
-            _ => ConfigId::UniformMesh {
-                width: dim,
-                height: dim + 1,
                 load,
                 duration_ns,
             },

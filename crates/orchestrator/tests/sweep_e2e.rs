@@ -170,8 +170,13 @@ fn bad_matrix_values_exit_2_with_their_line() {
         ),
         (
             tree,
-            "kind = \"uniform-mesh\"\nwidth = 0 #!\nheight = 2".into(),
-            "`width` must be at least 1",
+            "kind = \"uniform-mesh\" #!".into(),
+            "unknown config kind",
+        ),
+        (
+            "[\"1Q\"]",
+            "[\"1Q\", \"DBBM\"] #!".into(),
+            "unknown mechanism",
         ),
         (
             "ns = 5e4",

@@ -22,12 +22,10 @@ pub mod adhoc;
 pub mod builder;
 pub mod fattree;
 pub mod graph;
-pub mod mesh;
 pub mod routing;
 
 pub use adhoc::config1_topology;
 pub use builder::TopologyBuilder;
 pub use fattree::KAryNTree;
 pub use graph::{Endpoint, LinkParams, Topology, TopologyError};
-pub use mesh::Mesh2D;
 pub use routing::RoutingTable;

@@ -16,23 +16,11 @@ fn cfg() -> SimConfig {
     }
 }
 
-fn all_mechanisms() -> Vec<Mechanism> {
-    vec![
-        Mechanism::OneQ,
-        Mechanism::VoqSw,
-        Mechanism::voqnet(),
-        Mechanism::dbbm(),
-        Mechanism::fbicm(),
-        Mechanism::ith(),
-        Mechanism::ccfit(),
-    ]
-}
-
 /// Conservation under mixed hotspot + uniform traffic (Case #3 includes
 /// random destinations, stressing every queue path).
 #[test]
 fn conservation_under_mixed_traffic() {
-    for mech in all_mechanisms() {
+    for mech in Mechanism::paper_set() {
         let name = mech.name();
         let spec = config2_case3(10.0);
         let mut sim = SimBuilder::new(spec.topology.clone())
@@ -57,7 +45,7 @@ fn conservation_under_mixed_traffic() {
 /// packet is delivered, nothing remains resident, every CFQ is freed.
 #[test]
 fn network_drains_after_traffic_stops() {
-    for mech in all_mechanisms() {
+    for mech in Mechanism::paper_set() {
         let name = mech.name();
         // Congested phase [0, 0.4] ms, then 0.6 ms of silence.
         let pattern = TrafficPattern::new(
@@ -168,7 +156,7 @@ fn isolation_protocol_balances() {
 #[test]
 fn below_saturation_uniform_delivers_offered_load() {
     let tree = KAryNTree::new(2, 3);
-    for mech in all_mechanisms() {
+    for mech in Mechanism::paper_set() {
         let name = mech.name();
         let report = SimBuilder::new(tree.build(LinkParams::default()))
             .routing(tree.det_routing())

@@ -17,23 +17,11 @@ fn test_cfg() -> SimConfig {
     }
 }
 
-fn all_mechanisms() -> Vec<Mechanism> {
-    vec![
-        Mechanism::OneQ,
-        Mechanism::VoqSw,
-        Mechanism::voqnet(),
-        Mechanism::dbbm(),
-        Mechanism::fbicm(),
-        Mechanism::ith(),
-        Mechanism::ccfit(),
-    ]
-}
-
 /// A single unobstructed flow must run at full line rate under every
 /// mechanism.
 #[test]
 fn single_flow_achieves_line_rate_under_every_mechanism() {
-    for mech in all_mechanisms() {
+    for mech in Mechanism::paper_set() {
         let name = mech.name();
         let topo = config1_topology();
         let pattern = TrafficPattern::new(
@@ -57,7 +45,7 @@ fn single_flow_achieves_line_rate_under_every_mechanism() {
 /// Every mechanism is lossless: injected = delivered + resident.
 #[test]
 fn packet_conservation_under_congestion() {
-    for mech in all_mechanisms() {
+    for mech in Mechanism::paper_set() {
         let name = mech.name();
         let spec = config1_case1_scaled(0.05); // 0.5 ms
         let mut sim = SimBuilder::new(spec.topology.clone())
@@ -239,7 +227,7 @@ fn voqnet_is_an_upper_bound_for_config1() {
     let spec = config1_case1_scaled(0.1);
     let window = (620_000.0, 1_000_000.0);
     let mut results = Vec::new();
-    for mech in all_mechanisms() {
+    for mech in Mechanism::paper_set() {
         let name = mech.name();
         let r = spec.run_with(mech, 7, test_cfg());
         results.push((name, r.mean_normalized_throughput(window.0, window.1)));
@@ -280,7 +268,7 @@ fn stop_go_propagates_upstream() {
 #[test]
 fn uniform_moderate_load_is_stable() {
     let tree = KAryNTree::new(2, 3);
-    for mech in all_mechanisms() {
+    for mech in Mechanism::paper_set() {
         let name = mech.name();
         let report = SimBuilder::new(tree.build(LinkParams::default()))
             .routing(tree.det_routing())
@@ -339,44 +327,6 @@ fn non_throttling_mechanisms_do_not_mark() {
         sim.run_cycles(sim.end_cycle());
         assert_eq!(sim.counter("fecn_marked"), 0, "{name}");
         assert_eq!(sim.counter("becn_generated"), 0, "{name}");
-    }
-}
-
-/// The congestion-control mechanisms work on direct networks too: a 4×4
-/// mesh with XY routing, a hotspot in one corner, and a victim crossing
-/// the hot row.
-#[test]
-fn mechanisms_work_on_a_mesh() {
-    use ccfit_topology::Mesh2D;
-    let mesh = Mesh2D::new(4, 4);
-    // Hot corner: nodes 1, 2, 3 (top row neighbours) -> node 0; victim
-    // crosses from 12 (same column as 0) to 3.
-    let pattern = TrafficPattern::new(
-        "mesh-hotspot",
-        vec![
-            FlowSpec::hotspot(0, NodeId(12), NodeId(3), 0.0, None), // victim
-            FlowSpec::hotspot(1, NodeId(1), NodeId(0), 0.0, None),
-            FlowSpec::hotspot(2, NodeId(2), NodeId(0), 0.0, None),
-            FlowSpec::hotspot(3, NodeId(3), NodeId(0), 0.0, None),
-        ],
-    );
-    for mech in all_mechanisms() {
-        let name = mech.name();
-        let mut sim = SimBuilder::new(mesh.build(ccfit_topology::LinkParams::default()))
-            .routing(mesh.xy_routing())
-            .mechanism(mech)
-            .traffic(pattern.clone())
-            .duration_ns(500_000.0)
-            .config(test_cfg())
-            .seed(0x3E5)
-            .build();
-        sim.run_cycles(sim.end_cycle());
-        assert!(sim.delivered() > 100, "{name}: mesh carries traffic");
-        assert_eq!(
-            sim.injected(),
-            sim.delivered() + sim.resident_packets() as u64,
-            "{name}: conservation on the mesh"
-        );
     }
 }
 

@@ -8,15 +8,8 @@ use ccfit_traffic::{Destination, FlowSpec, TrafficPattern};
 use proptest::prelude::*;
 
 fn mechanism_strategy() -> impl Strategy<Value = Mechanism> {
-    prop_oneof![
-        Just(Mechanism::OneQ),
-        Just(Mechanism::VoqSw),
-        Just(Mechanism::voqnet()),
-        Just(Mechanism::dbbm()),
-        Just(Mechanism::fbicm()),
-        Just(Mechanism::ith()),
-        Just(Mechanism::ccfit()),
-    ]
+    let set = Mechanism::paper_set();
+    (0..set.len()).prop_map(move |i| set[i].clone())
 }
 
 /// Random flows on the 2-ary 3-tree (8 nodes).
@@ -196,17 +189,8 @@ proptest! {
 }
 
 fn every_mechanism() -> impl Strategy<Value = Mechanism> {
-    prop_oneof![
-        Just(Mechanism::OneQ),
-        Just(Mechanism::VoqSw),
-        Just(Mechanism::voqnet()),
-        Just(Mechanism::dbbm()),
-        Just(Mechanism::fbicm()),
-        Just(Mechanism::ith()),
-        Just(Mechanism::ccfit()),
-        Just(Mechanism::dcqcn()),
-        Just(Mechanism::hpcc()),
-    ]
+    let set = Mechanism::all();
+    (0..set.len()).prop_map(move |i| set[i].clone())
 }
 
 proptest! {
@@ -215,7 +199,7 @@ proptest! {
     /// The park rule (DESIGN.md §12): a switch or adapter that has proved
     /// it can do nothing before a named cycle leaves the work-list until
     /// then, so it must sit out only cycles in which it would have done
-    /// nothing. Small trees, all nine mechanisms, rate flows beside sized
+    /// nothing. Small trees, all eight mechanisms, rate flows beside sized
     /// ones, link failures and repairs, and AdVOQs short enough that
     /// generators are refused: the engine's report equals the oracle's
     /// byte for byte, and the engine did leave components out — an
