@@ -155,7 +155,7 @@ enum Fate {
     NotBefore(Cycle),
     /// Held by adapter state — the HPCC window, the output RAM, a CFQ
     /// past its Stop threshold, the NFQ gate — or there is no head at
-    /// all. Only an event that bumps [`Adapter::epoch`] changes that.
+    /// all. Only a write that clears [`Adapter::idle`] changes that.
     Held,
     /// It moves.
     Move(Target),
@@ -220,17 +220,15 @@ pub struct Adapter {
     cfq_count: usize,
     /// Per-call control-event scratch.
     ctrl_scratch: Vec<CtrlEvent>,
-    /// Bumped by every event that can free a [`Fate::Held`] AdVOQ head
-    /// — see [`IdleBound`].
-    epoch: u64,
     /// Why an AdVOQ walk that moved nothing will keep moving nothing
-    /// (DESIGN.md §12, "Adapter idle bound"): every backlogged head was
-    /// held — [`Fate::NotBefore`] by the clock, [`Fate::Held`] until an
-    /// event bumps `epoch` — and until one is freed a further walk is
-    /// skipped: it would find the same, and a fruitless walk writes
-    /// nothing, counts nothing and moves no pointer. Dropped by a walk
-    /// that moved a packet, or counted a [`Fate::CfqExhausted`] head,
-    /// which the next one has to count again.
+    /// (DESIGN.md §12, "Who clears what"): every backlogged head was
+    /// held — [`Fate::NotBefore`] by the clock, [`Fate::Held`] by state
+    /// — and until one is freed a further walk is skipped: it would find
+    /// the same, and a fruitless walk writes nothing, counts nothing and
+    /// moves no pointer. Cleared by every write that can free a held
+    /// head, and by a walk that moved a packet, or counted a
+    /// [`Fate::CfqExhausted`] head, which the next one has to count
+    /// again.
     idle: IdleBound,
 }
 
@@ -279,7 +277,6 @@ impl Adapter {
             armed_timers: 0,
             cfq_count: 0,
             ctrl_scratch: Vec::new(),
-            epoch: 0,
             idle: IdleBound::default(),
         }
     }
@@ -351,7 +348,7 @@ impl Adapter {
         if q.is_empty() {
             // A new head. A push behind one changes nothing the arbiter
             // reads, and a saturated source pushes every cycle it can.
-            self.epoch += 1;
+            self.idle.clear();
         }
         q.push(pkt, now, now);
         self.backlogged.insert(slot);
@@ -372,7 +369,7 @@ impl Adapter {
             return;
         }
         // CAM lines come and go, and with them where a head is headed.
-        self.epoch += 1;
+        self.idle.clear();
         let scratch = std::mem::take(&mut self.ctrl_scratch);
         for &ev in scratch.iter() {
             match ev {
@@ -398,8 +395,8 @@ impl Adapter {
                     }
                 }
                 CtrlEvent::Stop { dst } => {
-                    if let Some(i) = self.cam.lookup(dst) {
-                        self.cam.get_mut(i).unwrap().value.stopped = true;
+                    if let Some(line) = self.cam.lookup(dst).and_then(|i| self.cam.get_mut(i)) {
+                        line.value.stopped = true;
                     } else if self
                         .cam
                         .allocate(dst, OutCamState { stopped: true })
@@ -415,8 +412,8 @@ impl Adapter {
                     }
                 }
                 CtrlEvent::Go { dst } => {
-                    if let Some(i) = self.cam.lookup(dst) {
-                        self.cam.get_mut(i).unwrap().value.stopped = false;
+                    if let Some(line) = self.cam.lookup(dst).and_then(|i| self.cam.get_mut(i)) {
+                        line.value.stopped = false;
                     }
                 }
             }
@@ -546,7 +543,7 @@ impl Adapter {
         let f = &mut self.hpcc_flows[slot];
         let before = f.w;
         f.on_ack(f64::from(u_ack), u64::from(acked_bytes), hc);
-        self.epoch += 1; // the window opened (or moved)
+        self.idle.clear(); // the window opened (or moved)
         metrics.record(
             now,
             CcEventKind::IntFeedback {
@@ -602,8 +599,8 @@ impl Adapter {
     fn stopped(&self, dst: NodeId) -> bool {
         self.cam
             .lookup(dst)
-            .map(|i| self.cam.get(i).unwrap().value.stopped)
-            .unwrap_or(false)
+            .and_then(|i| self.cam.get(i))
+            .is_some_and(|line| line.value.stopped)
     }
 
     /// One cycle of adapter work. Returns the RAM release to schedule if
@@ -756,10 +753,10 @@ impl Adapter {
     }
 
     /// Whether the idle bound of the last AdVOQ walk still stands at
-    /// `now`: no time-only blocker has cleared and no event has bumped
-    /// the epoch.
+    /// `now`: no time-only blocker has cleared and no write has cleared
+    /// it.
     fn idle_bound_holds(&self, now: Cycle) -> bool {
-        self.idle.holds(now, self.epoch)
+        self.idle.holds(now)
     }
 
     /// Round-robin AdVOQ arbitration gated by the IRD (§III-D event #8):
@@ -814,7 +811,6 @@ impl Adapter {
             self.move_to_output(s, target, now, metrics);
             return; // one move per cycle
         }
-        idle.seal(self.epoch);
         self.idle = idle;
     }
 
@@ -905,7 +901,7 @@ impl Adapter {
                 if occ == 0 && lingered && self.cam.lookup(st.dst).is_none() {
                     self.cfqs[c].state = None;
                     self.cfq_count -= 1;
-                    self.epoch += 1; // a free CFQ slot
+                    self.idle.clear(); // a free CFQ slot
                     metrics.record(
                         now,
                         CcEventKind::IaCfqDealloc {
@@ -996,7 +992,7 @@ impl Adapter {
             Some(c) => self.cfqs[c].queue.pop().expect("candidate head"),
         };
         // Room below the NFQ gate, or below a CFQ's Stop threshold.
-        self.epoch += 1;
+        self.idle.clear();
         self.resident -= 1;
         if let Some(vn) = voqnet {
             vn.sub(
@@ -1033,7 +1029,7 @@ impl Adapter {
     /// (scheduled by the simulator at the completion cycle).
     pub fn release_ram(&mut self, flits: u32) {
         self.out_ram.release(flits);
-        self.epoch += 1;
+        self.idle.clear();
     }
 
     /// O(1) idleness check for the active-set scheduler: no packet
@@ -1150,7 +1146,6 @@ impl Adapter {
                 Fate::Move(_) | Fate::CfqExhausted { .. } => fresh.clear(),
             }
         }
-        fresh.seal(self.epoch);
         self.park_bound_from(now, inject_link, &fresh, sink_awaited)
     }
 
@@ -1171,7 +1166,7 @@ impl Adapter {
             return (holds_nothing && !sink_awaited).then_some(until);
         }
         if !self.backlogged.is_empty() || sink_awaited {
-            until = until.min(walk.current(self.epoch)?);
+            until = until.min(walk.current()?);
         }
         if !self.becn_out.is_empty() || !self.nfq.is_empty() {
             // Output-buffer entries are visible from the cycle they are
@@ -1215,7 +1210,7 @@ impl Adapter {
         scratch: &mut Vec<QueuedPacket>,
     ) -> PurgeStats {
         let mut stats = PurgeStats::default();
-        self.epoch += 1;
+        self.idle.clear();
         scratch.clear();
         for s in 0..self.peers.len() {
             if unreachable(NodeId(self.peers.key(s) as u32)) {
@@ -1531,10 +1526,10 @@ mod tests {
     }
 }
 
-/// The AdVOQ idle bound (DESIGN.md §12, "Adapter idle bound"): one test
-/// per event that bumps the epoch — a head held on exactly the state the
-/// event writes, a fruitless walk that leaves a bound, the event, and the
-/// head moving on the next call — and one per thing that must *not*
+/// The AdVOQ idle bound (DESIGN.md §12, "Who clears what"): one test per
+/// write that clears the bound — a head held on exactly the state the
+/// write changes, a fruitless walk that leaves a bound, the write, and
+/// the head moving on the next call — and one per thing that must *not*
 /// disturb a bound. In debug builds every skipped walk is also checked
 /// against a fresh read of every head; these hold in `--release` too.
 #[cfg(test)]
@@ -1614,17 +1609,18 @@ mod idle_bound_tests {
         assert!(f.inject(now, 5));
         f.tick(now);
         assert!(f.a.idle_bound_holds(now + 1), "held at the NFQ gate");
-        let epoch = f.a.epoch;
         while f.inject(now, 5) {}
         assert_eq!(f.backlog(5), 8, "admitted up to the AdVOQ cap");
-        assert_eq!(f.a.epoch, epoch, "pushes behind a head, and a refusal");
-        assert!(f.a.idle_bound_holds(now + 1));
+        assert!(
+            f.a.idle_bound_holds(now + 1),
+            "pushes behind a head, and a refusal"
+        );
         assert!(f.inject(now, 6));
-        assert_ne!(f.a.epoch, epoch, "a push onto an empty AdVOQ");
+        assert_eq!(f.a.idle.current(), None, "a push onto an empty AdVOQ");
     }
 
     #[test]
-    fn absorbed_ctrl_bumps_the_epoch_and_a_freed_cam_line_frees_the_head() {
+    fn absorbed_ctrl_clears_the_bound_and_frees_a_held_head() {
         let mut f = fx(cfg(false, true), 0);
         f.ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(4) });
         // Ten packets fill the CFQ to its Stop threshold; the eleventh
@@ -1657,10 +1653,11 @@ mod idle_bound_tests {
             CtrlEvent::Go { dst: NodeId(5) },
             CtrlEvent::CfqDealloc { dst: NodeId(5) },
         ] {
-            let epoch = f.a.epoch;
             now += 2;
+            f.tick(now);
+            assert!(f.a.idle.current().is_some(), "{ev:?}: a bound to clear");
             f.ctrl(now, ev);
-            assert_ne!(f.a.epoch, epoch, "{ev:?}");
+            assert_eq!(f.a.idle.current(), None, "{ev:?}");
         }
     }
 
@@ -1733,7 +1730,7 @@ mod idle_bound_tests {
     }
 
     #[test]
-    fn cfq_deallocation_bumps_the_epoch() {
+    fn cfq_deallocation_clears_the_bound() {
         let mut f = fx(cfg(false, true), 1024);
         f.ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(4) });
         assert!(f.inject(1, 4));
@@ -1744,10 +1741,10 @@ mod idle_bound_tests {
         let linger = IsolationParams::default().dealloc_linger_cycles;
         f.tick(linger);
         assert_eq!(f.a.cfq_count, 1);
-        let epoch = f.a.epoch;
+        assert!(f.a.idle_bound_holds(1 + linger), "nothing backlogged");
         f.tick(1 + linger);
         assert_eq!(f.a.cfq_count, 0);
-        assert_eq!(f.a.epoch, epoch + 1);
+        assert_eq!(f.a.idle.current(), None);
     }
 
     #[test]
@@ -1786,11 +1783,12 @@ mod idle_bound_tests {
         assert!(free3 < free4);
         assert_eq!(f.a.idle.until(), free3);
         assert!(f.a.idle_bound_holds(3));
-        // The output pop at cycle 32 costs the bound; the walk after it
-        // records the same one.
+        // The output pop at cycle 32 clears the bound; the walk of the
+        // next cycle records the same one.
         for now in 3..free3 {
             f.tick(now);
-            assert_eq!(f.a.idle.until(), free3, "cycle {now}");
+            let until = (now != 32).then_some(free3);
+            assert_eq!(f.a.idle.current(), until, "cycle {now}");
         }
         assert_eq!((f.backlog(3), f.backlog(4)), (1, 1));
         f.tick(free3);
@@ -1833,13 +1831,11 @@ mod idle_bound_tests {
         assert!(f.inject(now, 5));
         f.tick(now);
         assert!(f.a.idle_bound_holds(now + 1));
-        let epoch = f.a.epoch;
         f.a.on_becn(now, NodeId(5), &mut f.m);
         f.a.on_becn(now, NodeId(5), &mut f.m);
         let timer = f.a.cfg.thr.as_ref().unwrap().ccti_timer_cycles;
         f.tick(now + timer);
         assert_eq!(f.a.ccti(NodeId(5)), 1, "the timer expired once");
-        assert_eq!(f.a.epoch, epoch);
         assert!(f.a.idle_bound_holds(now + timer + 1));
         assert_eq!(f.backlog(5), 2);
         // The gate opens; the move is charged the IRD of CCTI 1.
@@ -1863,10 +1859,8 @@ mod idle_bound_tests {
         let now = f.gate_the_nfq();
         assert!(f.inject(now, 5));
         f.tick(now);
-        let epoch = f.a.epoch;
         f.a.on_cnp(now, NodeId(5), &mut f.m);
         assert!(f.a.dcqcn_rate(NodeId(5)).unwrap() < 1.0);
-        assert_eq!(f.a.epoch, epoch);
         assert!(f.a.idle_bound_holds(now + 1));
         f.tick(now + 1);
         assert_eq!(f.backlog(5), 1);
@@ -1942,7 +1936,7 @@ mod idle_bound_tests {
     }
 
     #[test]
-    fn an_event_that_bumps_the_epoch_ends_the_bound() {
+    fn an_ack_clears_the_bound_and_ends_the_park() {
         let cycles_per_ns = 1.0 / UnitModel::default().cycle_ns;
         let hc = HpccCfg {
             w_init: 4096.0,

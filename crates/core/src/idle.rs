@@ -4,23 +4,21 @@
 //! every buffered head "can you move?", and when every answer is no they
 //! would ask again next cycle and hear the same. The scan therefore notes
 //! *why* each head was held: by the clock alone (until a named cycle), or
-//! by component state (until an event that bumps the component's epoch
-//! counter). While neither has happened the scan is skipped — and a
-//! component whose every stage is so bounded leaves the work-list until
-//! the bound expires (`Switch::park_bound`, `Adapter::park_bound`).
+//! by component state (until a write to that state clears the record).
+//! While neither has happened the scan is skipped — and a component whose
+//! every stage is so bounded leaves the work-list until the bound expires
+//! (`Switch::park_bound`, `Adapter::park_bound`).
 
 use ccfit_engine::units::Cycle;
 
-/// Why a scan that moved nothing will keep moving nothing.
+/// Why a scan that moved nothing will keep moving nothing. Every write
+/// to state a held head waits on calls [`IdleBound::clear`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct IdleBound {
     /// Earliest cycle a time-only blocker clears; `Cycle::MAX` when the
-    /// scan met none. `0` = no bound: the last scan moved something, or
-    /// met a blocker this record cannot watch.
+    /// scan met none. `0` = no bound: the last scan moved something, met
+    /// a blocker this record cannot watch, or a write cleared it since.
     until: Cycle,
-    /// The component's epoch counter at the scan. Heads held by state
-    /// wait for an event that bumps it.
-    epoch: u64,
 }
 
 impl IdleBound {
@@ -39,25 +37,20 @@ impl IdleBound {
         self.until = 0;
     }
 
-    /// The scan moved nothing: what it noted stands for `epoch`.
-    pub(crate) fn seal(&mut self, epoch: u64) {
-        self.epoch = epoch;
+    /// The cycle the bound expires by the clock, if it stands.
+    pub(crate) fn current(&self) -> Option<Cycle> {
+        (self.until > 0).then_some(self.until)
     }
 
-    /// The cycle the bound expires by the clock, if it stands for `epoch`.
-    pub(crate) fn current(&self, epoch: u64) -> Option<Cycle> {
-        (self.until > 0 && self.epoch == epoch).then_some(self.until)
-    }
-
-    /// The clock half of the bound, whatever epoch it was sealed for.
+    /// The clock half of the bound.
     #[cfg(test)]
     pub(crate) fn until(&self) -> Cycle {
         self.until
     }
 
-    /// Whether the bound still stands at `now`: no time-only blocker has
-    /// cleared and no event has bumped the epoch past `epoch`.
-    pub(crate) fn holds(&self, now: Cycle, epoch: u64) -> bool {
-        self.current(epoch).is_some_and(|until| now < until)
+    /// Whether the bound still stands at `now`: it was not cleared and
+    /// no time-only blocker has cleared.
+    pub(crate) fn holds(&self, now: Cycle) -> bool {
+        self.current().is_some_and(|until| now < until)
     }
 }

@@ -1355,7 +1355,7 @@ impl Simulator {
             }
             if ORACLE || self.switches[si].has_buffered() {
                 releases.clear();
-                self.switches[si].arbitrate_and_transmit_into(
+                self.switches[si].arbitrate_and_transmit(
                     now,
                     &self.routing,
                     &mut self.links,

@@ -345,9 +345,6 @@ pub struct Switch {
     /// Flits queued for each output across the input ports' VOQs
     /// (`PerOutput` scheme; all zero otherwise).
     voq_occ: Vec<u32>,
-    /// Bumped by every event that can make a queue head eligible without
-    /// the clock or a credit return doing it — see [`IdleBound`].
-    epoch: u64,
     /// Arbitration scratch; between calls it keeps the idle bound of the
     /// last gather.
     arb: ArbScratch,
@@ -357,9 +354,9 @@ pub struct Switch {
     /// stale by every event that can change what a visit reads — the
     /// port's NFQ contents, its CFQ set, any output CAM's key set, the
     /// routing table — through [`Self::port_changed`] and
-    /// [`Self::lookups_changed`]; its quiet bound alone also by
-    /// [`Self::wake_protocol`] (a CFQ's occupancy or its line's Stop/Go
-    /// status changed).
+    /// [`Self::all_ports_changed`]; its quiet bound alone also by
+    /// [`Self::wake_protocol`] (a CFQ's occupancy changed) and
+    /// [`Self::wake_drainers`] (its line's Stop/Go status flipped).
     iso_memo: Vec<IsoMemo>,
     /// The open CFQ-exhaustion episodes, one per exhausted (port, site):
     /// a handful at a switch that ran out of CFQs, none elsewhere.
@@ -432,7 +429,7 @@ struct DetectScan {
     dominant: Option<NodeId>,
 }
 
-/// Reusable buffers for `arbitrate_and_transmit` so the per-cycle hot
+/// Reusable buffers for [`Switch::arbitrate_and_transmit`] so the per-cycle hot
 /// path does not allocate. Taken out of the switch with `mem::take` for
 /// the duration of a call (borrow-splitting) and put back after.
 #[derive(Debug, Clone, Default)]
@@ -454,8 +451,8 @@ struct ArbScratch {
     /// Why a gather that found no candidate will keep finding none: every
     /// buffered head was blocked, and the bound records what each blocker
     /// waits for (DESIGN.md §12) — the clock (an input's `busy_until`, a
-    /// head's `visible_at`, an output link's `tx_free_at`), an event that
-    /// bumps [`Switch::epoch`] (a stopped CFQ, an NFQ head awaiting its
+    /// head's `visible_at`, an output link's `tx_free_at`), a write that
+    /// clears it (a stopped CFQ waits for a Go, an NFQ head for its
     /// move), or credits (`watched`). Dropped when a head blocks on
     /// something none of those watch (VOQnet per-destination credits, a
     /// downed link). Until one of those things happens a further gather
@@ -520,23 +517,6 @@ fn visible_head<'q>(
     Some(head)
 }
 
-/// The Stop/Go status of output `out`'s line for `dst` flipped: wake the
-/// protocol of the input ports whose CFQ for `dst` drains through `out`,
-/// the readers of that status (a CFQ is only released in Go). A free
-/// function so the caller can hold the output borrowed.
-fn wake_drainers(inputs: &[InputPort], memo: &mut [IsoMemo], out: usize, dst: NodeId) {
-    for (input, memo) in inputs.iter().zip(memo) {
-        if let InputQueues::Isolating { cfqs, .. } = &input.queues {
-            if cfqs
-                .iter()
-                .any(|c| matches!(c.state, Some(s) if s.dst == dst && s.out_port == out))
-            {
-                memo.quiet_until = 0;
-            }
-        }
-    }
-}
-
 impl Switch {
     /// Build a switch. `wiring[p]` gives the directed links of port `p`
     /// (`None, None` for unconnected ports).
@@ -596,7 +576,6 @@ impl Switch {
             iso_live: BitSet::new(num_ports),
             over_high_dirty: false,
             voq_occ: vec![0; num_ports],
-            epoch: 0,
             arb: ArbScratch::new(num_ports),
             ctrl_scratch: Vec::new(),
             iso_memo: vec![IsoMemo::STALE; num_ports],
@@ -625,7 +604,7 @@ impl Switch {
         self.port_packets[port] += 1;
         self.occupied.insert(port);
         self.iso_live.insert(port);
-        self.epoch += 1;
+        self.port_changed(port);
         let input = &mut self.inputs[port];
         input
             .ram
@@ -641,10 +620,7 @@ impl Switch {
             InputQueues::PerDest(qs) => {
                 qs[d.packet.dst.index()].push(d.packet, d.visible_at, d.ready_at)
             }
-            InputQueues::Isolating { nfq, .. } => {
-                nfq.push(d.packet, d.visible_at, d.ready_at);
-                self.port_changed(port);
-            }
+            InputQueues::Isolating { nfq, .. } => nfq.push(d.packet, d.visible_at, d.ready_at),
         }
     }
 
@@ -657,88 +633,78 @@ impl Switch {
         metrics: &mut MetricsCollector,
     ) {
         let sw = self.id.0;
-        let scratch = &mut self.ctrl_scratch;
+        let mut scratch = std::mem::take(&mut self.ctrl_scratch);
         // An output CAM gained or lost a key: every input port's
-        // detection scan consults these CAMs.
+        // detection scan consults these CAMs. Control that changes
+        // nothing — a line that exists, a flip to the status it has, a
+        // full CAM — clears nothing.
         let mut cam_keys_changed = false;
-        for (o, out) in self.outputs.iter_mut().enumerate() {
-            let Some(link) = out.out_link else { continue };
+        for o in 0..self.outputs.len() {
+            let Some(link) = self.outputs[o].out_link else {
+                continue;
+            };
             if !links[link.index()].has_ctrl(now) {
                 continue;
             }
             scratch.clear();
-            links[link.index()].poll_ctrl_into(now, scratch);
-            // Stop/Go pause and resume CFQs.
-            self.epoch += 1;
-            for &ev in scratch.iter() {
+            links[link.index()].poll_ctrl_into(now, &mut scratch);
+            let port = o as u32;
+            for &ev in &scratch {
+                let cam = &mut self.outputs[o].cam;
                 match ev {
-                    CtrlEvent::CfqAlloc { dst } => {
-                        if out.cam.lookup(dst).is_none() {
-                            if out
-                                .cam
-                                .allocate(dst, OutCamState { stopped: false })
-                                .is_ok()
-                            {
-                                cam_keys_changed = true;
-                            } else {
-                                metrics.record(
-                                    now,
-                                    CcEventKind::CamExhausted {
-                                        sw,
-                                        port: o as u32,
-                                        dst: dst.0,
-                                    },
-                                );
+                    CtrlEvent::CfqAlloc { dst } | CtrlEvent::Stop { dst } => {
+                        let stop = matches!(ev, CtrlEvent::Stop { .. });
+                        match cam.lookup(dst).and_then(|i| cam.get_mut(i)) {
+                            Some(line) => {
+                                if stop && !line.value.stopped {
+                                    line.value.stopped = true;
+                                    self.wake_drainers(o, dst);
+                                }
+                            }
+                            None => {
+                                if cam.allocate(dst, OutCamState { stopped: stop }).is_ok() {
+                                    cam_keys_changed = true;
+                                } else {
+                                    metrics.record(
+                                        now,
+                                        CcEventKind::CamExhausted {
+                                            sw,
+                                            port,
+                                            dst: dst.0,
+                                        },
+                                    );
+                                }
                             }
                         }
-                    }
-                    CtrlEvent::CfqDealloc { dst } => {
-                        if let Some(idx) = out.cam.lookup(dst) {
-                            out.cam.free(idx);
-                            cam_keys_changed = true;
-                        }
-                    }
-                    CtrlEvent::Stop { dst } => {
-                        if let Some(idx) = out.cam.lookup(dst) {
-                            let line = &mut out.cam.get_mut(idx).unwrap().value;
-                            if !line.stopped {
-                                line.stopped = true;
-                                wake_drainers(&self.inputs, &mut self.iso_memo, o, dst);
-                            }
-                        } else if out.cam.allocate(dst, OutCamState { stopped: true }).is_ok() {
-                            cam_keys_changed = true;
-                        } else {
+                        if stop {
                             metrics.record(
                                 now,
-                                CcEventKind::CamExhausted {
+                                CcEventKind::StopReceived {
                                     sw,
-                                    port: o as u32,
+                                    port,
                                     dst: dst.0,
                                 },
                             );
                         }
-                        metrics.record(
-                            now,
-                            CcEventKind::StopReceived {
-                                sw,
-                                port: o as u32,
-                                dst: dst.0,
-                            },
-                        );
+                    }
+                    CtrlEvent::CfqDealloc { dst } => {
+                        if let Some(i) = cam.lookup(dst) {
+                            cam.free(i);
+                            cam_keys_changed = true;
+                        }
                     }
                     CtrlEvent::Go { dst } => {
-                        if let Some(idx) = out.cam.lookup(dst) {
-                            let line = &mut out.cam.get_mut(idx).unwrap().value;
-                            if line.stopped {
-                                line.stopped = false;
-                                wake_drainers(&self.inputs, &mut self.iso_memo, o, dst);
+                        if let Some(line) = cam.lookup(dst).and_then(|i| cam.get_mut(i)) {
+                            if line.value.stopped {
+                                line.value.stopped = false;
+                                self.wake_drainers(o, dst);
                             }
                         }
                         metrics.record(
                             now,
                             CcEventKind::GoReceived {
                                 sw,
-                                port: o as u32,
+                                port,
                                 dst: dst.0,
                             },
                         );
@@ -746,8 +712,9 @@ impl Switch {
                 }
             }
         }
+        self.ctrl_scratch = scratch;
         if cam_keys_changed {
-            self.lookups_changed();
+            self.all_ports_changed();
         }
     }
 
@@ -822,22 +789,50 @@ impl Switch {
         scan
     }
 
-    /// Input `port`'s NFQ contents or CFQ set changed.
+    // ---- invalidation: every write to state a recorded scan read makes
+    // exactly one of these calls, which clears every record the write
+    // can break. Each also clears the arbiter's
+    // bound: whatever a visit reads about a port's queues or lookups, the
+    // gather reads too (DESIGN.md §12, "Who clears what"). ----
+
+    /// Input `port`'s queues or its CFQ set changed: forget its memo.
     fn port_changed(&mut self, port: usize) {
         self.iso_memo[port] = IsoMemo::STALE;
+        self.arb.idle.clear();
     }
 
     /// The occupancy of one of input `port`'s CFQs changed (a departure):
-    /// the per-CFQ protocol reads it, the detection scan does not, so only
-    /// the port's quiet bound goes.
+    /// the per-CFQ protocol reads it, the detection scan does not, so of
+    /// the port's memo only the quiet bound goes.
     fn wake_protocol(&mut self, port: usize) {
         self.iso_memo[port].quiet_until = 0;
+        self.arb.idle.clear();
     }
 
-    /// An output CAM's key set or the routing table changed: every
-    /// port's visit looks its packets up in those.
-    fn lookups_changed(&mut self) {
+    /// An output CAM's key set or the routing table changed, which every
+    /// port's visit looks its packets up in, or a purge emptied queues
+    /// at any port: forget every memo.
+    fn all_ports_changed(&mut self) {
         self.iso_memo.fill(IsoMemo::STALE);
+        self.arb.idle.clear();
+    }
+
+    /// The Stop/Go status of output `out`'s line for `dst` flipped: wake
+    /// the protocol of the input ports whose CFQ for `dst` drains through
+    /// `out`, the readers of that status (a CFQ is only released in Go),
+    /// and the arbiter (a stopped CFQ does not compete).
+    fn wake_drainers(&mut self, out: usize, dst: NodeId) {
+        self.arb.idle.clear();
+        for (input, memo) in self.inputs.iter().zip(&mut self.iso_memo) {
+            if let InputQueues::Isolating { cfqs, .. } = &input.queues {
+                if cfqs
+                    .iter()
+                    .any(|c| matches!(c.state, Some(s) if s.dst == dst && s.out_port == out))
+                {
+                    memo.quiet_until = 0;
+                }
+            }
+        }
     }
 
     /// Oracle mode: forget everything the last cycle memoised, so this
@@ -846,8 +841,7 @@ impl Switch {
     /// output. What [`crate::Simulator::run_reference`] compares the
     /// engine with, in release builds too (DESIGN.md §12).
     pub(crate) fn drop_memos(&mut self) {
-        self.lookups_changed();
-        self.arb.idle.clear();
+        self.all_ports_changed();
         self.over_high_dirty = true;
     }
 
@@ -911,8 +905,8 @@ impl Switch {
     fn downstream_stopped(&self, out: usize, dst: NodeId) -> bool {
         let cam = &self.outputs[out].cam;
         cam.lookup(dst)
-            .map(|i| cam.get(i).unwrap().value.stopped)
-            .unwrap_or(false)
+            .and_then(|i| cam.get(i))
+            .is_some_and(|line| line.value.stopped)
     }
 
     /// The isolation duties of the post-processing stage (§III-C): runs
@@ -999,7 +993,6 @@ impl Switch {
                         cfqs[free].state = Some(CfqState::new(dst, out, true));
                         self.cfq_count += 1;
                         self.port_changed(port);
-                        self.epoch += 1;
                         quiet = false;
                         metrics.record(
                             now,
@@ -1087,7 +1080,6 @@ impl Switch {
             // allocated just above): drop the memo, and let the arbiter
             // see the new heads.
             self.port_changed(port);
-            self.epoch += 1;
             quiet = false;
             metrics.count("packets_isolated", 1);
         }
@@ -1306,7 +1298,6 @@ impl Switch {
         }
         self.cfq_count -= 1;
         self.port_changed(port);
-        self.epoch += 1;
         self.sync_live(port);
         metrics.record(
             now,
@@ -1592,7 +1583,7 @@ impl Switch {
             |queue: QueueKey, head: &QueuedPacket, out_port: usize, arb: &mut ArbScratch| {
                 let output = &self.outputs[out_port];
                 // An uncabled output stays uncabled until a re-route
-                // (an epoch bump) points the head elsewhere.
+                // (which clears the bound) points the head elsewhere.
                 let Some(link_id) = output.out_link else {
                     return;
                 };
@@ -1684,10 +1675,10 @@ impl Switch {
     }
 
     /// Whether the idle bound of the last gather still stands at `now`:
-    /// no time-only blocker has cleared, no event has bumped the epoch,
-    /// and every watched output link holds the credits it held then.
+    /// no time-only blocker has cleared, no write has cleared it, and
+    /// every watched output link holds the credits it held then.
     fn idle_bound_holds(&self, now: Cycle, links: &[Link]) -> bool {
-        self.arb.idle.holds(now, self.epoch)
+        self.arb.idle.holds(now)
             && self.arb.watched.iter().all(|out| {
                 let link = self.outputs[out]
                     .out_link
@@ -1725,25 +1716,11 @@ impl Switch {
         entry.expect("candidate queue cannot be empty")
     }
 
-    /// Run iSLIP and start the winning transmissions. Returns the RAM
-    /// releases to schedule. `voqnet` per-destination credits are debited
-    /// here for the packets sent.
+    /// Run iSLIP and start the winning transmissions, appending the RAM
+    /// releases to schedule to `releases`. `voqnet` per-destination
+    /// credits are debited here for the packets sent. Allocation-free:
+    /// the scratch is kept inside the switch.
     pub fn arbitrate_and_transmit(
-        &mut self,
-        now: Cycle,
-        routing: &RoutingTable,
-        links: &mut [Link],
-        voqnet: Option<&mut VoqNetCredits>,
-        metrics: &mut MetricsCollector,
-    ) -> Vec<PendingRelease> {
-        let mut releases = Vec::new();
-        self.arbitrate_and_transmit_into(now, routing, links, voqnet, metrics, &mut releases);
-        releases
-    }
-
-    /// Allocation-free `arbitrate_and_transmit`: append the RAM releases
-    /// to `releases`, reusing scratch kept inside the switch.
-    pub fn arbitrate_and_transmit_into(
         &mut self,
         now: Cycle,
         routing: &RoutingTable,
@@ -1779,7 +1756,6 @@ impl Switch {
             // Nothing to schedule: iSLIP over an empty request set makes
             // no match and moves no pointer. Keep what the gather learnt
             // about the blockers as the bound for the next calls.
-            arb.idle.seal(self.epoch);
             self.arb = arb;
             return;
         }
@@ -2010,8 +1986,7 @@ impl Switch {
             self.iso_live.insert(e.port as usize);
         }
         self.voq_occ.fill(0);
-        self.lookups_changed();
-        self.epoch += 1;
+        self.all_ports_changed();
         stats
     }
 
@@ -2060,21 +2035,19 @@ impl Switch {
             self.buffered -= scratch.len();
             self.port_packets[port] -= scratch.len() as u32;
             self.sync_live(port);
-            self.port_changed(port);
             for e in scratch.drain(..) {
                 out.push((port, e));
             }
         }
         self.purge_scratch = scratch;
-        self.epoch += 1;
+        self.all_ports_changed();
     }
 
     /// Fault subsystem: forget the downstream congestion state mirrored
     /// at output `port` — it died with the cable (fail-stop quiesce).
     pub fn clear_output_cam(&mut self, port: usize) {
         self.outputs[port].cam.clear();
-        self.lookups_changed();
-        self.epoch += 1;
+        self.all_ports_changed();
     }
 
     /// Fault subsystem: forget that alloc/Stop notifications were sent
@@ -2091,7 +2064,6 @@ impl Switch {
             }
         }
         self.port_changed(port);
-        self.epoch += 1;
     }
 
     /// Occupancy (flits) of the VOQnet per-destination queue `dst` at
@@ -2143,8 +2115,7 @@ impl Switch {
                 _ => {}
             }
         }
-        self.lookups_changed();
-        self.epoch += 1;
+        self.all_ports_changed();
     }
 
     /// Whether any packet is buffered in this switch (O(1); incremental
@@ -2222,9 +2193,7 @@ impl Switch {
     ) -> Option<Cycle> {
         let mut fresh = ArbScratch::new(self.inputs.len());
         self.gather(now, routing, links, voqnet, &mut fresh);
-        if fresh.in_free.is_empty() {
-            fresh.idle.seal(self.epoch);
-        } else {
+        if !fresh.in_free.is_empty() {
             fresh.idle.clear();
         }
         self.park_bound_from(
@@ -2258,7 +2227,7 @@ impl Switch {
         }
         if self.buffered > 0 {
             let (idle, watched) = arbiter();
-            until = until.min(idle.current(self.epoch).filter(|_| watched.is_empty())?);
+            until = until.min(idle.current().filter(|_| watched.is_empty())?);
         }
         Some(until)
     }
@@ -2511,16 +2480,12 @@ mod tests {
         let mut fx = fixture(QueueingScheme::PerOutput, None, None);
         deliver(&mut fx, 0, pkt(1, 2)); // -> output 1
         deliver(&mut fx, 0, pkt(2, 6)); // -> output 2
-        let rel =
-            fx.sw
-                .arbitrate_and_transmit(0, &fx.routing, &mut fx.links, None, &mut fx.metrics);
+        let rel = arbitrate(&mut fx, 0);
         // Only one transfer can start per input per cycle.
         assert_eq!(rel.len(), 1);
         // After the input frees up, the second follows.
         let done = rel[0].at;
-        let rel2 =
-            fx.sw
-                .arbitrate_and_transmit(done, &fx.routing, &mut fx.links, None, &mut fx.metrics);
+        let rel2 = arbitrate(&mut fx, done);
         assert_eq!(rel2.len(), 1);
         let d1 = drain(&mut fx.links[1], 1000);
         let d2 = drain(&mut fx.links[2], 1000);
@@ -2536,18 +2501,14 @@ mod tests {
         fx.sw.cfg.crossbar_bw_flits_per_cycle = 2;
         deliver(&mut fx, 0, pkt(1, 2));
         deliver(&mut fx, 0, pkt(2, 6));
-        let rel =
-            fx.sw
-                .arbitrate_and_transmit(0, &fx.routing, &mut fx.links, None, &mut fx.metrics);
+        let rel = arbitrate(&mut fx, 0);
         assert_eq!(rel.len(), 1);
         assert_eq!(
             rel[0].at, 16,
             "32 flits at 2 flits/cycle across the crossbar"
         );
         // Input free at 16 even though the wire serializes for 32 cycles.
-        let rel2 =
-            fx.sw
-                .arbitrate_and_transmit(16, &fx.routing, &mut fx.links, None, &mut fx.metrics);
+        let rel2 = arbitrate(&mut fx, 16);
         assert_eq!(
             rel2.len(),
             1,
@@ -2562,9 +2523,7 @@ mod tests {
         fx.links[1] = Link::new(LinkConfig::default(), 0);
         deliver(&mut fx, 0, pkt(1, 2)); // head, blocked (-> output 1)
         deliver(&mut fx, 0, pkt(2, 6)); // victim behind it (-> output 2)
-        let rel =
-            fx.sw
-                .arbitrate_and_transmit(0, &fx.routing, &mut fx.links, None, &mut fx.metrics);
+        let rel = arbitrate(&mut fx, 0);
         assert!(
             rel.is_empty(),
             "single queue: blocked head blocks the victim"
@@ -2574,9 +2533,7 @@ mod tests {
         fx2.links[1] = Link::new(LinkConfig::default(), 0);
         deliver(&mut fx2, 0, pkt(1, 2));
         deliver(&mut fx2, 0, pkt(2, 6));
-        let rel2 =
-            fx2.sw
-                .arbitrate_and_transmit(0, &fx2.routing, &mut fx2.links, None, &mut fx2.metrics);
+        let rel2 = arbitrate(&mut fx2, 0);
         assert_eq!(rel2.len(), 1, "VOQsw: victim bypasses the blocked flow");
         assert_eq!(rel2[0].dst, NodeId(6));
     }
@@ -2667,13 +2624,7 @@ mod tests {
         // Drain the CFQ via arbitration; Go must follow.
         let mut now = 100;
         for _ in 0..11 {
-            let rel = fx.sw.arbitrate_and_transmit(
-                now,
-                &fx.routing,
-                &mut fx.links,
-                None,
-                &mut fx.metrics,
-            );
+            let rel = arbitrate(&mut fx, now);
             now = rel.first().map(|r| r.at).unwrap_or(now + 32);
             for r in rel {
                 fx.sw.release_ram(r.port, r.flits);
@@ -2710,17 +2661,13 @@ mod tests {
             assert!(!cfqs[c].state.unwrap().root);
         }
         // Arbitration: only the dst-2 packet may go (dst 6 is stopped).
-        let rel =
-            fx.sw
-                .arbitrate_and_transmit(10, &fx.routing, &mut fx.links, None, &mut fx.metrics);
+        let rel = arbitrate(&mut fx, 10);
         assert_eq!(rel.len(), 1);
         assert_eq!(rel[0].dst, NodeId(2));
         // Go resumes the flow.
         fx.links[2].send_ctrl(50, CtrlEvent::Go { dst: NodeId(6) });
         fx.sw.poll_output_ctrl(60, &mut fx.links, &mut fx.metrics);
-        let rel =
-            fx.sw
-                .arbitrate_and_transmit(60, &fx.routing, &mut fx.links, None, &mut fx.metrics);
+        let rel = arbitrate(&mut fx, 60);
         assert_eq!(rel.len(), 1);
         assert_eq!(rel[0].dst, NodeId(6));
     }
@@ -2768,13 +2715,7 @@ mod tests {
         // Drain below Low (2 MTUs): three departures.
         let mut now = 0;
         for _ in 0..3 {
-            let rel = fx.sw.arbitrate_and_transmit(
-                now,
-                &fx.routing,
-                &mut fx.links,
-                None,
-                &mut fx.metrics,
-            );
+            let rel = arbitrate(&mut fx, now);
             assert_eq!(rel.len(), 1);
             now = rel[0].at;
             fx.sw.release_ram(rel[0].port, rel[0].flits);
@@ -2794,18 +2735,14 @@ mod tests {
             deliver(&mut fx, 0, pkt(id, 6));
         }
         // Not congested yet: first departure unmarked.
-        let rel =
-            fx.sw
-                .arbitrate_and_transmit(0, &fx.routing, &mut fx.links, None, &mut fx.metrics);
+        let rel = arbitrate(&mut fx, 0);
         fx.sw.release_ram(rel[0].port, rel[0].flits);
         assert_eq!(fx.metrics.counter("fecn_marked"), 0);
         // Enter congestion state; with marking_rate = 1 every departure
         // through output 2 is marked.
         fx.sw.congestion_state_tick(32, &fx.links, &mut fx.metrics);
         assert!(fx.sw.outputs[2].congested);
-        let rel =
-            fx.sw
-                .arbitrate_and_transmit(32, &fx.routing, &mut fx.links, None, &mut fx.metrics);
+        let rel = arbitrate(&mut fx, 32);
         assert_eq!(rel.len(), 1);
         assert_eq!(fx.metrics.counter("fecn_marked"), 1);
         let delivered = drain(&mut fx.links[2], 10_000);
@@ -2822,9 +2759,7 @@ mod tests {
         let mut fx = fixture_cc(QueueingScheme::PerOutput, None, None, Some(cc));
         deliver(&mut fx, 0, pkt(1, 6));
         // Occupancy 1 MTU == kmin: below the ramp, never marked.
-        let rel =
-            fx.sw
-                .arbitrate_and_transmit(0, &fx.routing, &mut fx.links, None, &mut fx.metrics);
+        let rel = arbitrate(&mut fx, 0);
         fx.sw.release_ram(rel[0].port, rel[0].flits);
         assert_eq!(fx.metrics.counter("ecn_marked"), 0);
         // Backlog of 3 MTUs >= kmax: marking probability 1.
@@ -2832,9 +2767,7 @@ mod tests {
         for id in 2..5 {
             deliver(&mut fx, now, pkt(id, 6));
         }
-        let rel =
-            fx.sw
-                .arbitrate_and_transmit(now, &fx.routing, &mut fx.links, None, &mut fx.metrics);
+        let rel = arbitrate(&mut fx, now);
         assert_eq!(rel.len(), 1);
         assert_eq!(fx.metrics.counter("ecn_marked"), 1);
         let delivered = drain(&mut fx.links[2], 10_000);
@@ -2859,13 +2792,7 @@ mod tests {
         let mut now = 0;
         let mut got = Vec::new();
         while got.len() < 3 {
-            let rel = fx.sw.arbitrate_and_transmit(
-                now,
-                &fx.routing,
-                &mut fx.links,
-                None,
-                &mut fx.metrics,
-            );
+            let rel = arbitrate(&mut fx, now);
             for r in &rel {
                 fx.sw.release_ram(r.port, r.flits);
             }
@@ -2925,13 +2852,7 @@ mod tests {
             fx2.sw
                 .congestion_state_tick(now, &fx2.links, &mut fx2.metrics);
             assert!(!fx2.sw.outputs[2].congested, "full-rate CFQ never congests");
-            let rel = fx2.sw.arbitrate_and_transmit(
-                now,
-                &fx2.routing,
-                &mut fx2.links,
-                None,
-                &mut fx2.metrics,
-            );
+            let rel = arbitrate(&mut fx2, now);
             for r in &rel {
                 fx2.sw.release_ram(r.port, r.flits);
             }
@@ -3004,13 +2925,7 @@ mod tests {
         assert_eq!(fx.sw.cfqs_allocated(), 1);
         // Drain completely.
         for _ in 0..9 {
-            let rel = fx.sw.arbitrate_and_transmit(
-                now,
-                &fx.routing,
-                &mut fx.links,
-                None,
-                &mut fx.metrics,
-            );
+            let rel = arbitrate(&mut fx, now);
             now = rel.first().map(|r| r.at).unwrap_or(now + 32);
             for r in rel {
                 fx.sw.release_ram(r.port, r.flits);
@@ -3054,13 +2969,11 @@ mod tests {
         assert!(fx.sw.outputs[2].cam.lookup(NodeId(7)).is_some());
     }
 
-    // ---- invalidation contract of the detection-scan memo ----
+    // ---- the detection-scan memo ----
     //
-    // One case per event that drops the memo. Where a stale memo would
-    // change the verdict the case asserts the verdict (and, in debug
-    // builds, `detection_scan`'s own hit check would fire first); where
-    // the event provably cannot move the scan result it asserts that the
-    // memo is dropped all the same.
+    // A port blocked above the detection threshold repeats its verdict
+    // from the memo; the events that drop it are rows of the writer
+    // table (`every_writer_clears_the_records_it_can_break`).
 
     /// Isolating fixture with `num_cfqs` CFQs per port and the default
     /// 8-MTU detection threshold. With no CFQ every detection ends in an
@@ -3125,198 +3038,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn nfq_push_drops_the_memo() {
-        let mut fx = memo_fixture(0);
-        let mut id = 0;
-        deliver_n(&mut fx, &mut id, 5, 6);
-        deliver_n(&mut fx, &mut id, 3, 2);
-        assert_eq!(verdicts(&mut fx, 0), vec![6]);
-        // Three more for dst 2: it now dominates 6 MTUs to 5.
-        deliver_n(&mut fx, &mut id, 3, 2);
-        assert_eq!(verdicts(&mut fx, 1), vec![2]);
-    }
-
-    #[test]
-    fn nfq_pop_by_arbitration_drops_the_memo() {
-        let mut fx = memo_fixture(0);
-        let mut id = 0;
-        deliver_n(&mut fx, &mut id, 6, 6);
-        deliver_n(&mut fx, &mut id, 5, 2);
-        assert_eq!(verdicts(&mut fx, 0), vec![6]);
-        // Two dst-6 heads leave through the crossbar: 4 MTUs to 5.
-        let mut now = 0;
-        for _ in 0..2 {
-            let rel = fx.sw.arbitrate_and_transmit(
-                now,
-                &fx.routing,
-                &mut fx.links,
-                None,
-                &mut fx.metrics,
-            );
-            assert_eq!(rel[0].dst, NodeId(6));
-            now = rel[0].at;
-        }
-        assert_eq!(verdicts(&mut fx, now), vec![2]);
-    }
-
-    #[test]
-    fn root_cfq_allocation_drops_the_memo() {
-        let mut fx = memo_fixture(1);
-        let mut id = 0;
-        // A dst-2 head keeps post-processing from moving anything, so
-        // the NFQ stays at 12 MTUs across the allocation.
-        deliver_n(&mut fx, &mut id, 1, 2);
-        deliver_n(&mut fx, &mut id, 9, 6);
-        deliver_n(&mut fx, &mut id, 2, 2);
-        assert_eq!(verdicts(&mut fx, 0), vec![6]);
-        assert_eq!(fx.sw.cfqs_allocated(), 1);
-        // dst 6 is isolated now; the 3 unisolated MTUs are below the
-        // threshold, so nothing is detected (a stale memo would report
-        // dst 6 again and count a CFQ exhaustion).
-        assert_eq!(verdicts(&mut fx, 1), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn cfq_deallocation_drops_the_memo() {
-        let iso = IsolationParams {
-            num_cfqs: 1,
-            dealloc_linger_cycles: 2,
-            ..IsolationParams::default()
-        };
-        let mut fx = fixture(QueueingScheme::Isolating, Some(iso), None);
-        let mut id = 0;
-        deliver_n(&mut fx, &mut id, 1, 2); // head: nothing is ever moved
-        deliver_n(&mut fx, &mut id, 9, 6);
-        assert_eq!(verdicts(&mut fx, 0), vec![6]);
-        // The CFQ stays empty, lingers two cycles and is released ...
-        assert_eq!(verdicts(&mut fx, 1), Vec::<u32>::new());
-        assert_eq!(verdicts(&mut fx, 2), Vec::<u32>::new());
-        assert_eq!(fx.sw.cfqs_allocated(), 0);
-        // ... which puts the nine dst-6 MTUs back among the unisolated.
-        assert_eq!(verdicts(&mut fx, 3), vec![6]);
-    }
-
-    /// 1 × dst 2 (head), 6 × dst 6, 5 × dst 5: dst 6 dominates unless an
-    /// output-CAM line isolates it, in which case the 6 remaining MTUs
-    /// are below the threshold.
-    fn cam_memo_fixture() -> Fixture {
-        let mut fx = memo_fixture(0);
-        let mut id = 0;
-        deliver_n(&mut fx, &mut id, 1, 2);
-        deliver_n(&mut fx, &mut id, 6, 6);
-        deliver_n(&mut fx, &mut id, 5, 5);
-        fx
-    }
-
-    #[test]
-    fn output_cam_alloc_and_free_drop_every_memo() {
-        for announce in [
-            CtrlEvent::CfqAlloc { dst: NodeId(6) },
-            CtrlEvent::Stop { dst: NodeId(6) }, // allocates the line too
-        ] {
-            let mut fx = cam_memo_fixture();
-            assert_eq!(verdicts(&mut fx, 0), vec![6]);
-            fx.links[2].send_ctrl(0, announce);
-            fx.sw.poll_output_ctrl(10, &mut fx.links, &mut fx.metrics);
-            assert_eq!(verdicts(&mut fx, 10), Vec::<u32>::new(), "{announce:?}");
-            fx.links[2].send_ctrl(10, CtrlEvent::CfqDealloc { dst: NodeId(6) });
-            fx.sw.poll_output_ctrl(20, &mut fx.links, &mut fx.metrics);
-            assert_eq!(verdicts(&mut fx, 20), vec![6], "{announce:?}");
-        }
-    }
-
-    #[test]
-    fn clear_output_cam_drops_every_memo() {
-        let mut fx = cam_memo_fixture();
-        fx.links[2].send_ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
-        fx.sw.poll_output_ctrl(10, &mut fx.links, &mut fx.metrics);
-        assert_eq!(verdicts(&mut fx, 10), Vec::<u32>::new());
-        fx.sw.clear_output_cam(2);
-        assert_eq!(verdicts(&mut fx, 11), vec![6]);
-    }
-
-    #[test]
-    fn routing_change_drops_every_memo() {
-        let mut fx = cam_memo_fixture();
-        fx.links[2].send_ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
-        fx.sw.poll_output_ctrl(10, &mut fx.links, &mut fx.metrics);
-        assert_eq!(verdicts(&mut fx, 10), Vec::<u32>::new());
-        // dst 6 moves to output 1, whose CAM knows nothing about it.
-        fx.routing = RoutingTable::from_tables(vec![(0..8)
-            .map(|d| {
-                if d < 4 || d == 6 {
-                    PortId(1)
-                } else {
-                    PortId(2)
-                }
-            })
-            .collect()]);
-        fx.sw.on_routing_changed(&fx.routing);
-        assert_eq!(verdicts(&mut fx, 11), vec![6]);
-    }
-
-    #[test]
-    fn purge_unreachable_drops_every_memo() {
-        let mut fx = memo_fixture(0);
-        let mut id = 0;
-        deliver_n(&mut fx, &mut id, 10, 6);
-        deliver_n(&mut fx, &mut id, 9, 5);
-        assert_eq!(verdicts(&mut fx, 0), vec![6]);
-        let mut purged = Vec::new();
-        fx.sw.purge_unreachable(&|d| d == NodeId(6), &mut purged);
-        assert_eq!(purged.len(), 10);
-        assert_eq!(verdicts(&mut fx, 1), vec![5]);
-    }
-
-    #[test]
-    fn writers_that_cannot_move_the_verdict_still_drop_the_memo() {
-        // Post-processing: the non-root CFQ allocation and the NFQ→CFQ
-        // moves only touch packets the scan already skipped.
-        let mut fx = memo_fixture(1);
-        fx.links[2].send_ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
-        fx.sw.poll_output_ctrl(10, &mut fx.links, &mut fx.metrics);
-        let mut id = 0;
-        deliver_n(&mut fx, &mut id, 12, 6);
-        assert_eq!(verdicts(&mut fx, 10), Vec::<u32>::new());
-        assert_eq!(fx.sw.cfqs_allocated(), 1, "non-root CFQ via the CAM hit");
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE, "allocation + moves");
-        assert_eq!(verdicts(&mut fx, 11), Vec::<u32>::new());
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE, "moves alone");
-        // One more cycle empties the NFQ; refill it behind a dst-2 head,
-        // which stops the moves, so the next scans leave a memo behind.
-        verdicts(&mut fx, 12);
-        deliver_n(&mut fx, &mut id, 1, 2);
-        deliver_n(&mut fx, &mut id, 8, 6);
-        let prime = |fx: &mut Fixture, now| {
-            verdicts(fx, now);
-            assert!(fx.sw.iso_memo[0].scan.is_some(), "primed at {now}");
-        };
-        // Fault path: upstream-notification flags are not a scan input.
-        prime(&mut fx, 13);
-        fx.sw.reset_upstream_ctrl_flags(0);
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE);
-        // A purge of nothing, and the whole-switch purge (which empties
-        // the NFQ, so the memo cannot be consulted before the next push).
-        prime(&mut fx, 14);
-        fx.sw.purge_unreachable(&|_| false, &mut Vec::new());
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE);
-        prime(&mut fx, 15);
-        fx.sw.purge_all();
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE);
-    }
-
     // ---- isolation fixed points and their invalidation contract ----
     //
     // A visit of input 0 that changes nothing records how long the port
-    // stays quiet, and the walk then passes it by: until an event drops
+    // stays quiet, and the walk then passes it by: until a write drops
     // the bound, or the earliest clock the visit read comes due. Settled
-    // is the bound no clock ends. One case per event that drops the bound
-    // and per clock. Where a stale bound would lose an action the case
-    // asserts the action (all that stands guard in a release build; in a
-    // debug build the skip's own re-derivation fires first); where the
-    // event cannot meet a quiet port, or cannot move its verdict, it
-    // asserts the memo.
+    // is the bound no clock ends. One case per clock; the writers are
+    // rows of the writer table.
 
     fn iso_tick(fx: &mut Fixture, now: Cycle) {
         fx.sw
@@ -3328,11 +3056,12 @@ mod tests {
     }
 
     /// The hop downstream of output `out` sends `ev` at `now`; it is
-    /// absorbed ten cycles later.
-    fn downstream_says(fx: &mut Fixture, out: usize, now: Cycle, ev: CtrlEvent) {
+    /// absorbed ten cycles later, the cycle returned.
+    fn downstream_says(fx: &mut Fixture, out: usize, now: Cycle, ev: CtrlEvent) -> Cycle {
         fx.links[out].send_ctrl(now, ev);
         fx.sw
             .poll_output_ctrl(now + 10, &mut fx.links, &mut fx.metrics);
+        now + 10
     }
 
     /// Two CFQs per port; `(count, dst)` runs of MTU packets delivered at
@@ -3364,121 +3093,6 @@ mod tests {
         deliver(&mut fx, 10, becn);
         iso_tick(&mut fx, 10);
         assert!(settled(&fx), "a control head, CAM line or not");
-    }
-
-    #[test]
-    fn nfq_push_unsettles_the_port() {
-        let mut fx = memo_fixture(2);
-        settle(&mut fx, 0, &[(1, 2)]);
-        // Eight MTUs for dst 6 behind the settled head: detection fires.
-        deliver_n_at(&mut fx, 1, &mut 1, 8, 6);
-        assert!(!settled(&fx));
-        iso_tick(&mut fx, 1);
-        assert_eq!(fx.metrics.counter("congestion_detected"), 1);
-    }
-
-    #[test]
-    fn nfq_pop_by_arbitration_unsettles_the_port() {
-        let mut fx = memo_fixture(2);
-        downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
-        settle(&mut fx, 10, &[(1, 2), (1, 6)]);
-        // The dst-2 head leaves; the dst-6 packet behind it belongs to
-        // the propagated tree and has to be moved.
-        let rel = arbitrate(&mut fx, 10);
-        assert_eq!(rel[0].dst, NodeId(2));
-        assert!(!settled(&fx));
-        iso_tick(&mut fx, rel[0].at);
-        assert_eq!(fx.metrics.counter("packets_isolated"), 1);
-    }
-
-    #[test]
-    fn output_cam_alloc_unsettles_every_port() {
-        for announce in [
-            CtrlEvent::CfqAlloc { dst: NodeId(6) },
-            CtrlEvent::Stop { dst: NodeId(6) }, // allocates the line too
-        ] {
-            let mut fx = memo_fixture(2);
-            settle(&mut fx, 0, &[(1, 6)]);
-            // The head's destination turns out to be a congestion tree.
-            downstream_says(&mut fx, 2, 0, announce);
-            assert!(!settled(&fx), "{announce:?}");
-            iso_tick(&mut fx, 10);
-            assert_eq!(fx.metrics.counter("packets_isolated"), 1, "{announce:?}");
-        }
-    }
-
-    #[test]
-    fn output_cam_free_and_clear_unsettle_every_port() {
-        for clear in [false, true] {
-            let mut fx = memo_fixture(2);
-            downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
-            // Nine MTUs, eight of them matched by the CAM line: below the
-            // detection threshold while the line stands.
-            settle(&mut fx, 10, &[(1, 2), (8, 6)]);
-            if clear {
-                fx.sw.clear_output_cam(2);
-            } else {
-                downstream_says(&mut fx, 2, 10, CtrlEvent::CfqDealloc { dst: NodeId(6) });
-            }
-            assert!(!settled(&fx), "clear = {clear}");
-            iso_tick(&mut fx, 20);
-            assert_eq!(
-                fx.metrics.counter("congestion_detected"),
-                1,
-                "clear = {clear}"
-            );
-        }
-    }
-
-    #[test]
-    fn routing_change_unsettles_every_port() {
-        let mut fx = memo_fixture(2);
-        // Output 1 knows a tree for dst 6, but dst 6 leaves by output 2.
-        downstream_says(&mut fx, 1, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
-        settle(&mut fx, 10, &[(1, 6)]);
-        fx.routing = RoutingTable::from_tables(vec![(0..8)
-            .map(|d| {
-                if d < 4 || d == 6 {
-                    PortId(1)
-                } else {
-                    PortId(2)
-                }
-            })
-            .collect()]);
-        fx.sw.on_routing_changed(&fx.routing);
-        assert!(!settled(&fx));
-        iso_tick(&mut fx, 11);
-        assert_eq!(fx.metrics.counter("packets_isolated"), 1);
-    }
-
-    #[test]
-    fn purge_unreachable_unsettles_the_port() {
-        let mut fx = memo_fixture(2);
-        downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
-        settle(&mut fx, 10, &[(1, 2), (1, 6)]);
-        let mut purged = Vec::new();
-        fx.sw.purge_unreachable(&|d| d == NodeId(2), &mut purged);
-        assert_eq!(purged.len(), 1);
-        assert!(!settled(&fx));
-        iso_tick(&mut fx, 11);
-        assert_eq!(fx.metrics.counter("packets_isolated"), 1);
-    }
-
-    #[test]
-    fn events_that_cannot_move_a_settled_verdict_still_unsettle() {
-        let mut fx = memo_fixture(2);
-        // Fault path: a settled port has no CFQ whose flags could reset.
-        settle(&mut fx, 0, &[(1, 2)]);
-        fx.sw.reset_upstream_ctrl_flags(0);
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE);
-        // A purge of nothing, and the whole-switch purge (which empties
-        // the port, so the mark cannot be read before the next push).
-        settle(&mut fx, 1, &[]);
-        fx.sw.purge_unreachable(&|_| false, &mut Vec::new());
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE);
-        settle(&mut fx, 2, &[]);
-        fx.sw.purge_all();
-        assert_eq!(fx.sw.iso_memo[0], IsoMemo::STALE);
     }
 
     #[test]
@@ -3540,34 +3154,6 @@ mod tests {
         assert!(fx.sw.is_quiescent());
     }
 
-    #[test]
-    fn a_cfq_departure_wakes_its_quiet_port() {
-        // A propagated tree fills a CFQ to Stop; the port then settles:
-        // above the propagation threshold no clock runs.
-        let mut fx = memo_fixture(2);
-        downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
-        deliver_n_at(&mut fx, 10, &mut 0, 10, 6);
-        for now in 10..20 {
-            iso_tick(&mut fx, now);
-        }
-        assert!(settled(&fx));
-        let stop = [
-            CtrlEvent::CfqAlloc { dst: NodeId(6) },
-            CtrlEvent::Stop { dst: NodeId(6) },
-        ];
-        assert_eq!(drain_ctrl(&mut fx.links[0], 1 << 30), stop);
-        // Six departures take it down to Go, which the next visit owes.
-        let c = fx.sw.inputs[0].queues.cfq_lookup(NodeId(6)).unwrap();
-        for _ in 0..6 {
-            let e = fx.sw.pop_queue(0, QueueKey::Cfq(c));
-            fx.sw.release_ram(0, e.packet.size_flits);
-        }
-        assert!(!settled(&fx));
-        iso_tick(&mut fx, 20);
-        let go = [CtrlEvent::Go { dst: NodeId(6) }];
-        assert_eq!(drain_ctrl(&mut fx.links[0], 1 << 30), go);
-    }
-
     /// Linger 16 and a dst-6 line on output 2 announced by `ev`: the
     /// packet delivered at 10 is moved into a non-root CFQ, which the
     /// crossbar empties at once; the CFQ is calm from 10.
@@ -3599,29 +3185,6 @@ mod tests {
         assert_eq!(fx.sw.cfqs_allocated(), 1);
         iso_tick(&mut fx, 26);
         assert_eq!(fx.sw.cfqs_allocated(), 0, "released");
-    }
-
-    #[test]
-    fn a_stop_go_flip_wakes_the_port_whose_cfq_drains_on_the_line() {
-        let mut fx = emptied_cfq_fixture(CtrlEvent::Stop { dst: NodeId(6) });
-        for now in 11..=30 {
-            iso_tick(&mut fx, now);
-        }
-        assert!(settled(&fx), "empty and lingered, but stopped downstream");
-        assert_eq!(fx.sw.cfqs_allocated(), 1);
-        // A Stop for a line that is stopped already changes nothing ...
-        downstream_says(&mut fx, 2, 30, CtrlEvent::Stop { dst: NodeId(6) });
-        assert!(settled(&fx));
-        // ... a Go lets the CFQ go.
-        downstream_says(&mut fx, 2, 40, CtrlEvent::Go { dst: NodeId(6) });
-        assert!(!settled(&fx));
-        iso_tick(&mut fx, 50);
-        assert_eq!(fx.sw.cfqs_allocated(), 0, "released in Go");
-        // And a Stop of a line in Go wakes the port as well.
-        let mut fx = emptied_cfq_fixture(CtrlEvent::CfqAlloc { dst: NodeId(6) });
-        iso_tick(&mut fx, 11);
-        downstream_says(&mut fx, 2, 12, CtrlEvent::Stop { dst: NodeId(6) });
-        assert_eq!(fx.sw.iso_memo[0].quiet_until, 0);
     }
 
     #[test]
@@ -3706,22 +3269,22 @@ mod tests {
         );
     }
 
-    // ---- the arbitration idle bound and its invalidation contract ----
+    // ---- the arbitration idle bound ----
     //
     // A gather that finds no candidate leaves a bound behind; while it
     // holds, `arbitrate_and_transmit` returns without gathering. One case
-    // per input of the bound and per event that bumps the epoch. Where
-    // the event can make a head eligible the case asserts that the packet
-    // leaves at once (a missed bump would skip the gather; in debug
-    // builds the skip's own check fires first); where it provably cannot,
-    // the case asserts the bump all the same.
+    // per clock and per credit input of the bound; the writers that clear
+    // it are rows of the writer table.
 
     fn arbitrate(fx: &mut Fixture, now: Cycle) -> Vec<PendingRelease> {
+        let mut rel = Vec::new();
+        let (routing, links) = (&fx.routing, &mut fx.links);
         fx.sw
-            .arbitrate_and_transmit(now, &fx.routing, &mut fx.links, None, &mut fx.metrics)
+            .arbitrate_and_transmit(now, routing, links, None, &mut fx.metrics, &mut rel);
+        rel
     }
 
-    fn idle_holds(fx: &mut Fixture, now: Cycle) -> bool {
+    fn idle_holds(fx: &Fixture, now: Cycle) -> bool {
         fx.sw.idle_bound_holds(now, &fx.links)
     }
 
@@ -3755,7 +3318,7 @@ mod tests {
             Cycle::MAX,
             "nothing the clock clears"
         );
-        assert!(idle_holds(&mut fx, 1 << 40));
+        assert!(idle_holds(&fx, 1 << 40));
         fx
     }
 
@@ -3769,11 +3332,11 @@ mod tests {
         deliver_later(&mut fx, pkt(3, 6), 90);
         assert!(arbitrate(&mut fx, 0).is_empty());
         assert_eq!(fx.sw.arb.idle.until(), 50);
-        assert!(idle_holds(&mut fx, 49));
-        assert!(!idle_holds(&mut fx, 50));
+        assert!(idle_holds(&fx, 49));
+        assert!(!idle_holds(&fx, 50));
         assert_eq!(arbitrate(&mut fx, 50).len(), 1);
         assert!(
-            !idle_holds(&mut fx, 50),
+            !idle_holds(&fx, 50),
             "a gather with a candidate leaves no bound"
         );
         // Input busy: the tail of packet 1 lands at 82.
@@ -3784,148 +3347,8 @@ mod tests {
         fx.sw.inputs[0].busy_until = 60;
         assert!(arbitrate(&mut fx, 60).is_empty());
         assert_eq!(fx.sw.arb.idle.until(), 82, "tx_free_at of output 1");
-        assert!(idle_holds(&mut fx, 81));
+        assert!(idle_holds(&fx, 81));
         assert_eq!(arbitrate(&mut fx, 82).len(), 1);
-    }
-
-    #[test]
-    fn a_delivery_wakes_the_arbiter() {
-        let mut fx = fixture(QueueingScheme::PerOutput, None, None);
-        deliver_later(&mut fx, pkt(1, 2), 1000);
-        assert!(arbitrate(&mut fx, 0).is_empty());
-        assert!(idle_holds(&mut fx, 1));
-        deliver(&mut fx, 1, pkt(2, 6));
-        let rel = arbitrate(&mut fx, 1);
-        assert_eq!(rel.len(), 1);
-        assert_eq!(rel[0].dst, NodeId(6));
-    }
-
-    #[test]
-    fn a_go_wakes_a_stopped_cfq_and_every_ctrl_event_bumps_the_epoch() {
-        let mut fx = stopped_cfq_fixture();
-        fx.links[2].send_ctrl(50, CtrlEvent::Go { dst: NodeId(6) });
-        fx.sw.poll_output_ctrl(60, &mut fx.links, &mut fx.metrics);
-        assert_eq!(arbitrate(&mut fx, 60).len(), 1);
-        for (i, ev) in [
-            CtrlEvent::CfqAlloc { dst: NodeId(5) },
-            CtrlEvent::Stop { dst: NodeId(5) },
-            CtrlEvent::CfqDealloc { dst: NodeId(5) },
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let before = fx.sw.epoch;
-            let now = 100 + 10 * i as Cycle;
-            fx.links[2].send_ctrl(now, ev);
-            fx.sw
-                .poll_output_ctrl(now + 5, &mut fx.links, &mut fx.metrics);
-            assert_ne!(fx.sw.epoch, before, "{ev:?}");
-        }
-    }
-
-    #[test]
-    fn clearing_the_output_cam_wakes_a_stopped_cfq() {
-        let mut fx = stopped_cfq_fixture();
-        fx.sw.clear_output_cam(2);
-        assert_eq!(arbitrate(&mut fx, 11).len(), 1);
-    }
-
-    #[test]
-    fn the_isolation_move_wakes_the_arbiter() {
-        let mut fx = memo_fixture(2);
-        fx.links[2].send_ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
-        fx.sw.poll_output_ctrl(10, &mut fx.links, &mut fx.metrics);
-        deliver(&mut fx, 10, pkt(1, 6));
-        fx.sw
-            .isolation_tick(10, &fx.routing, &mut fx.links, &mut fx.metrics);
-        assert_eq!(arbitrate(&mut fx, 10).len(), 1, "the CFQ drains");
-        // The CFQ lingers, empty; the next dst-6 packet waits in the NFQ
-        // for its move and must not bypass it.
-        deliver(&mut fx, 50, pkt(2, 6));
-        assert!(arbitrate(&mut fx, 50).is_empty());
-        assert!(idle_holds(&mut fx, 51));
-        fx.sw
-            .isolation_tick(51, &fx.routing, &mut fx.links, &mut fx.metrics);
-        assert_eq!(arbitrate(&mut fx, 51).len(), 1);
-    }
-
-    #[test]
-    fn root_cfq_allocation_bumps_the_epoch() {
-        // An allocation only ever parks NFQ heads, so it cannot make one
-        // eligible; without moves it is the only writer in this cycle.
-        let mut fx = memo_fixture(1);
-        fx.sw.cfg.move_budget = 0;
-        let mut id = 0;
-        deliver_n(&mut fx, &mut id, 9, 6);
-        let before = fx.sw.epoch;
-        fx.sw
-            .isolation_tick(0, &fx.routing, &mut fx.links, &mut fx.metrics);
-        assert_eq!(fx.sw.cfqs_allocated(), 1);
-        assert_ne!(fx.sw.epoch, before);
-    }
-
-    #[test]
-    fn cfq_deallocation_wakes_the_nfq_head_it_parked() {
-        let iso = IsolationParams {
-            num_cfqs: 1,
-            dealloc_linger_cycles: 2,
-            ..IsolationParams::default()
-        };
-        let mut fx = fixture(QueueingScheme::Isolating, Some(iso), None);
-        fx.sw.cfg.move_budget = 0; // the head is never moved
-        let mut id = 0;
-        deliver_n(&mut fx, &mut id, 9, 6);
-        fx.sw
-            .isolation_tick(0, &fx.routing, &mut fx.links, &mut fx.metrics);
-        assert_eq!(fx.sw.cfqs_allocated(), 1);
-        assert!(arbitrate(&mut fx, 0).is_empty(), "head awaits its move");
-        assert!(idle_holds(&mut fx, 1));
-        for now in 1..=2 {
-            fx.sw
-                .isolation_tick(now, &fx.routing, &mut fx.links, &mut fx.metrics);
-        }
-        assert_eq!(fx.sw.cfqs_allocated(), 0, "empty CFQ released");
-        assert_eq!(arbitrate(&mut fx, 2).len(), 1);
-    }
-
-    #[test]
-    fn purge_unreachable_wakes_the_arbiter() {
-        let mut fx = fixture(QueueingScheme::Single, None, None);
-        deliver_later(&mut fx, pkt(1, 2), 1000);
-        deliver(&mut fx, 0, pkt(2, 6));
-        assert!(arbitrate(&mut fx, 0).is_empty(), "invisible head blocks");
-        assert!(idle_holds(&mut fx, 1));
-        fx.sw
-            .purge_unreachable(&|d| d == NodeId(2), &mut Vec::new());
-        let rel = arbitrate(&mut fx, 1);
-        assert_eq!(rel.len(), 1);
-        assert_eq!(rel[0].dst, NodeId(6));
-    }
-
-    #[test]
-    fn a_reroute_wakes_the_arbiter() {
-        let mut fx = fixture(QueueingScheme::Single, None, None);
-        fx.links[1] = Link::new(LinkConfig::default(), 0);
-        deliver(&mut fx, 0, pkt(1, 2));
-        assert!(arbitrate(&mut fx, 0).is_empty(), "no credits on output 1");
-        assert!(idle_holds(&mut fx, 1));
-        fx.routing = RoutingTable::from_tables(vec![vec![PortId(2); 8]]);
-        fx.sw.on_routing_changed(&fx.routing);
-        assert_eq!(arbitrate(&mut fx, 1).len(), 1);
-    }
-
-    #[test]
-    fn events_that_cannot_free_a_head_still_bump_the_epoch() {
-        let mut fx = memo_fixture(1);
-        deliver(&mut fx, 0, pkt(1, 6));
-        // Upstream-notification flags are not read by the gather.
-        let before = fx.sw.epoch;
-        fx.sw.reset_upstream_ctrl_flags(0);
-        assert_ne!(fx.sw.epoch, before);
-        // The whole-switch purge leaves nothing to gather from.
-        let before = fx.sw.epoch;
-        fx.sw.purge_all();
-        assert_ne!(fx.sw.epoch, before);
     }
 
     #[test]
@@ -3936,11 +3359,11 @@ mod tests {
         assert!(arbitrate(&mut fx, 0).is_empty());
         assert_eq!(fx.sw.arb.idle.until(), Cycle::MAX);
         assert!(fx.sw.arb.watched.contains(1));
-        assert!(idle_holds(&mut fx, 1 << 40), "only credits can wake it");
+        assert!(idle_holds(&fx, 1 << 40), "only credits can wake it");
         fx.links[1].return_credits(5, MTU);
-        assert!(idle_holds(&mut fx, 6), "credits still on the wire");
+        assert!(idle_holds(&fx, 6), "credits still on the wire");
         fx.links[1].poll_credits(6);
-        assert!(!idle_holds(&mut fx, 6));
+        assert!(!idle_holds(&fx, 6));
         assert_eq!(arbitrate(&mut fx, 6).len(), 1);
     }
 
@@ -3951,11 +3374,14 @@ mod tests {
         vn.set(1, 2, 0);
         deliver(&mut fx, 0, pkt(1, 2));
         let arb = |fx: &mut Fixture, vn: &mut VoqNetCredits, now| {
+            let mut rel = Vec::new();
+            let (routing, links) = (&fx.routing, &mut fx.links);
             fx.sw
-                .arbitrate_and_transmit(now, &fx.routing, &mut fx.links, Some(vn), &mut fx.metrics)
+                .arbitrate_and_transmit(now, routing, links, Some(vn), &mut fx.metrics, &mut rel);
+            rel
         };
         assert!(arb(&mut fx, &mut vn, 0).is_empty());
-        assert!(!idle_holds(&mut fx, 1), "per-destination credits: re-scan");
+        assert!(!idle_holds(&fx, 1), "per-destination credits: re-scan");
         vn.add(1, 2, MTU);
         assert_eq!(arb(&mut fx, &mut vn, 1).len(), 1);
 
@@ -3963,7 +3389,7 @@ mod tests {
         fx.links[1].close();
         deliver(&mut fx, 0, pkt(1, 2));
         assert!(arbitrate(&mut fx, 0).is_empty());
-        assert!(!idle_holds(&mut fx, 1), "downed link: re-scan");
+        assert!(!idle_holds(&fx, 1), "downed link: re-scan");
         fx.links[1].restore(1024);
         assert_eq!(arbitrate(&mut fx, 1).len(), 1);
     }
@@ -4025,7 +3451,7 @@ mod tests {
             }
             // An event that can free a head ends the bound early.
             deliver(&mut fx, 5, pkt(3, 6));
-            assert_eq!(fx.sw.park_bound(), None, "a delivery bumps the epoch");
+            assert_eq!(fx.sw.park_bound(), None, "a delivery clears the bound");
             assert_eq!(full_tick(&mut fx, 5), 0, "the input is still busy");
             assert_eq!(fx.sw.park_bound(), Some(32));
             assert_eq!(full_tick(&mut fx, 32), 1);
@@ -4038,7 +3464,7 @@ mod tests {
         fx.links[1] = Link::new(LinkConfig::default(), 0);
         deliver(&mut fx, 0, pkt(1, 2));
         assert_eq!(full_tick(&mut fx, 0), 0);
-        assert!(idle_holds(&mut fx, 1), "the arbiter itself may skip");
+        assert!(idle_holds(&fx, 1), "the arbiter itself may skip");
         assert_eq!(
             fx.sw.park_bound(),
             None,
@@ -4053,7 +3479,7 @@ mod tests {
         let mut fx = memo_fixture(2);
         deliver_later(&mut fx, pkt(1, 2), 50);
         assert_eq!(full_tick(&mut fx, 0), 0);
-        assert!(idle_holds(&mut fx, 49), "the arbiter waits for the header");
+        assert!(idle_holds(&fx, 49), "the arbiter waits for the header");
         assert_eq!(
             fx.sw.iso_memo[0].quiet_until, 50,
             "so does the isolation stage"
@@ -4102,7 +3528,7 @@ mod tests {
         assert_eq!(full_tick(&mut fx, 1), 0);
         assert_eq!(fx.sw.voq_occ[2], thr.high_flits);
         assert!(!fx.sw.outputs[2].congested);
-        assert_eq!(fx.sw.arb.idle.current(fx.sw.epoch), Some(32));
+        assert_eq!(fx.sw.arb.idle.current(), Some(32));
         assert!(
             fx.sw.arb.watched.is_empty(),
             "the input is busy: no head looked at"
@@ -4121,7 +3547,7 @@ mod tests {
         assert!(fx.sw.outputs[2].congested);
         assert_eq!(full_tick(&mut fx, 1), 0);
         assert_eq!(fx.sw.voq_occ[2], thr.high_flits);
-        assert!(fx.sw.arb.idle.current(fx.sw.epoch).is_some());
+        assert!(fx.sw.arb.idle.current().is_some());
         assert_eq!(fx.sw.park_bound(), None, "at High");
         assert_eq!(full_tick(&mut fx, 32), 1);
         assert_eq!(full_tick(&mut fx, 33), 0);
@@ -4147,6 +3573,526 @@ mod tests {
         assert_eq!(fx.sw.park_bound(), Some(32));
         fx.sw.over_high_dirty = true; // an over-High count moved
         assert_eq!(fx.sw.park_bound(), None);
+    }
+
+    // ---- the writer table: who clears what ----
+    //
+    // Three records let a scan be skipped while nothing it read has
+    // changed: input 0's detection memo (`SCAN`), its quiet bound
+    // (`QUIET`) and the arbiter's idle bound (`ARBITER`). One row per
+    // writer of what they read: a switch in which the records the write
+    // can break stand, the write, the records left standing, and — where
+    // a stale record would lose an action — that action, the wrong result
+    // a release build would report (in a debug build the skip's own
+    // re-derivation fires first). The last rows absorb control that
+    // changes nothing a scan read, and must leave every record standing.
+
+    const SCAN: u8 = 1;
+    const QUIET: u8 = 2;
+    const ARBITER: u8 = 4;
+    const ALL: u8 = SCAN | QUIET | ARBITER;
+
+    /// The records standing at `now`.
+    fn records(fx: &Fixture, now: Cycle) -> u8 {
+        let memo = fx.sw.iso_memo[0];
+        [
+            (SCAN, memo.scan.is_some()),
+            (QUIET, now < memo.quiet_until),
+            (ARBITER, idle_holds(fx, now)),
+        ]
+        .into_iter()
+        .filter_map(|(record, stands)| stands.then_some(record))
+        .sum()
+    }
+
+    struct Writer {
+        name: &'static str,
+        /// A switch, and the cycle at which the records `primed` stand.
+        setup: fn() -> (Fixture, Cycle),
+        primed: u8,
+        /// The write, from the setup's cycle; returns the cycle it ends.
+        write: fn(&mut Fixture, Cycle) -> Cycle,
+        /// The records standing once it is done.
+        left: u8,
+        /// The action a stale record would lose, if any.
+        then: fn(&mut Fixture, Cycle),
+    }
+
+    /// Every output blocked for want of credits; 10 × dst 6 and
+    /// 9 × dst 5 in the NFQ and no CFQ: dst 6 is found congested, and
+    /// exhausts the site, every visit.
+    fn exhausted_port() -> (Fixture, Cycle) {
+        let mut fx = memo_fixture(0);
+        for out in [1, 2] {
+            fx.links[out] = Link::new(LinkConfig::default(), 0);
+        }
+        deliver_n_at(&mut fx, 0, &mut 0, 10, 6);
+        deliver_n_at(&mut fx, 0, &mut 10, 9, 5);
+        assert_eq!(verdicts(&mut fx, 0), vec![6]);
+        assert!(arbitrate(&mut fx, 0).is_empty());
+        (fx, 1)
+    }
+
+    /// One CFQ and one output-CAM line. Output 2's line for dst 6 is
+    /// announced by `line`; a dst-6 packet sits in its non-root CFQ, and
+    /// 8 × dst 2 in the NFQ exhaust detection behind it. Output 1 has no
+    /// credits, output 2 `out2_credits`: nothing leaves.
+    fn cfq_on_a_line(line: CtrlEvent, out2_credits: u32) -> (Fixture, Cycle) {
+        let iso = IsolationParams {
+            num_cfqs: 1,
+            out_cam_lines: 1,
+            ..IsolationParams::default()
+        };
+        let mut fx = fixture(QueueingScheme::Isolating, Some(iso), None);
+        fx.links[1] = Link::new(LinkConfig::default(), 0);
+        fx.links[2] = Link::new(LinkConfig::default(), out2_credits);
+        downstream_says(&mut fx, 2, 0, line);
+        deliver(&mut fx, 10, pkt(0, 6));
+        iso_tick(&mut fx, 10);
+        assert_eq!(fx.metrics.counter("packets_isolated"), 1);
+        deliver_n_at(&mut fx, 10, &mut 1, 8, 2);
+        assert!(arbitrate(&mut fx, 10).is_empty());
+        iso_tick(&mut fx, 11);
+        (fx, 11)
+    }
+
+    fn stopped_line() -> (Fixture, Cycle) {
+        cfq_on_a_line(CtrlEvent::Stop { dst: NodeId(6) }, 1024)
+    }
+
+    fn running_line() -> (Fixture, Cycle) {
+        cfq_on_a_line(CtrlEvent::CfqAlloc { dst: NodeId(6) }, 0)
+    }
+
+    /// The packet for dst 6 leaves, alone.
+    fn dst6_leaves(fx: &mut Fixture, now: Cycle) {
+        let rel = arbitrate(fx, now);
+        assert_eq!(rel.iter().map(|r| r.dst.0).collect::<Vec<_>>(), [6]);
+    }
+
+    fn writers() -> Vec<Writer> {
+        vec![
+            Writer {
+                name: "a delivery (VOQsw)",
+                setup: || {
+                    let mut fx = fixture(QueueingScheme::PerOutput, None, None);
+                    deliver_later(&mut fx, pkt(1, 2), 1000);
+                    assert!(arbitrate(&mut fx, 0).is_empty());
+                    (fx, 1)
+                },
+                primed: ARBITER,
+                write: |fx, now| {
+                    deliver(fx, now, pkt(2, 6));
+                    now
+                },
+                left: 0,
+                then: dst6_leaves,
+            },
+            Writer {
+                name: "a delivery (isolating)",
+                setup: exhausted_port,
+                primed: ALL,
+                write: |fx, now| {
+                    deliver_n_at(fx, now, &mut 100, 2, 5);
+                    now
+                },
+                left: 0,
+                then: |fx, now| assert_eq!(verdicts(fx, now), vec![5], "11 MTUs to 10"),
+            },
+            Writer {
+                name: "an NFQ departure",
+                setup: || {
+                    let mut fx = memo_fixture(0);
+                    deliver_n_at(&mut fx, 0, &mut 0, 6, 6);
+                    deliver_n_at(&mut fx, 0, &mut 6, 5, 2);
+                    assert_eq!(verdicts(&mut fx, 0), vec![6]);
+                    (fx, 0)
+                },
+                primed: SCAN | QUIET,
+                write: |fx, now| {
+                    let first = arbitrate(fx, now)[0].at;
+                    assert_eq!(arbitrate(fx, first)[0].dst, NodeId(6));
+                    first
+                },
+                left: 0,
+                then: |fx, now| assert_eq!(verdicts(fx, now), vec![2], "4 MTUs to 5"),
+            },
+            Writer {
+                name: "a CFQ departure",
+                setup: || {
+                    // A propagated tree fills a CFQ to Stop; above the
+                    // propagation threshold no clock runs.
+                    let mut fx = memo_fixture(2);
+                    fx.links[2] = Link::new(LinkConfig::default(), 0);
+                    downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+                    deliver_n_at(&mut fx, 10, &mut 0, 10, 6);
+                    for now in 10..20 {
+                        iso_tick(&mut fx, now);
+                    }
+                    assert_eq!(fx.metrics.counter("stops_sent"), 1);
+                    assert!(arbitrate(&mut fx, 20).is_empty());
+                    (fx, 20)
+                },
+                primed: QUIET | ARBITER,
+                write: |fx, now| {
+                    // Six departures take it down to Go.
+                    let c = fx.sw.inputs[0].queues.cfq_lookup(NodeId(6)).unwrap();
+                    for _ in 0..6 {
+                        let e = fx.sw.pop_queue(0, QueueKey::Cfq(c));
+                        fx.sw.release_ram(0, e.packet.size_flits);
+                    }
+                    now
+                },
+                left: 0,
+                then: |fx, now| {
+                    iso_tick(fx, now);
+                    assert_eq!(fx.metrics.counter("gos_sent"), 1);
+                },
+            },
+            Writer {
+                name: "a root CFQ allocation",
+                setup: || {
+                    // A dst-2 head, blocked for credits, keeps the
+                    // visit from moving anything.
+                    let mut fx = memo_fixture(1);
+                    fx.links[1] = Link::new(LinkConfig::default(), 0);
+                    deliver_n_at(&mut fx, 0, &mut 0, 1, 2);
+                    deliver_n_at(&mut fx, 0, &mut 1, 9, 6);
+                    deliver_n_at(&mut fx, 0, &mut 10, 2, 2);
+                    assert!(arbitrate(&mut fx, 0).is_empty());
+                    (fx, 0)
+                },
+                primed: ARBITER,
+                write: |fx, now| {
+                    iso_tick(fx, now);
+                    assert_eq!(fx.sw.cfqs_allocated(), 1);
+                    now
+                },
+                left: 0,
+                then: |fx, now| {
+                    // dst 6 is isolated now: 3 unisolated MTUs are below
+                    // the threshold.
+                    assert_eq!(verdicts(fx, now + 1), Vec::<u32>::new());
+                },
+            },
+            Writer {
+                name: "the NFQ -> CFQ moves",
+                setup: || {
+                    // A propagated tree's CFQ drains and lingers, empty;
+                    // the next dst-6 packets wait in the NFQ for their
+                    // move and must not bypass it.
+                    let mut fx = memo_fixture(2);
+                    downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+                    deliver(&mut fx, 10, pkt(0, 6));
+                    iso_tick(&mut fx, 10);
+                    assert_eq!(arbitrate(&mut fx, 10).len(), 1, "the CFQ drains");
+                    deliver_n_at(&mut fx, 50, &mut 1, 9, 6);
+                    assert!(arbitrate(&mut fx, 50).is_empty());
+                    (fx, 50)
+                },
+                primed: ARBITER,
+                write: |fx, now| {
+                    iso_tick(fx, now);
+                    assert_eq!(fx.metrics.counter("packets_isolated"), 5);
+                    now
+                },
+                left: 0,
+                then: dst6_leaves,
+            },
+            Writer {
+                name: "a CFQ release",
+                setup: || {
+                    // No moves: the empty root CFQ lingers two cycles
+                    // and parks the dst-6 head awaiting its move.
+                    let iso = IsolationParams {
+                        num_cfqs: 1,
+                        dealloc_linger_cycles: 2,
+                        ..IsolationParams::default()
+                    };
+                    let mut fx = fixture(QueueingScheme::Isolating, Some(iso), None);
+                    fx.sw.cfg.move_budget = 0;
+                    deliver_n_at(&mut fx, 0, &mut 0, 9, 6);
+                    iso_tick(&mut fx, 0);
+                    assert!(arbitrate(&mut fx, 0).is_empty(), "head awaits its move");
+                    iso_tick(&mut fx, 1);
+                    (fx, 1)
+                },
+                primed: ALL,
+                write: |fx, now| {
+                    iso_tick(fx, now + 1);
+                    assert_eq!(fx.sw.cfqs_allocated(), 0);
+                    now + 1
+                },
+                left: 0,
+                then: dst6_leaves,
+            },
+            Writer {
+                name: "an output-CAM line announced by CfqAlloc",
+                setup: exhausted_port,
+                primed: ALL,
+                write: |fx, now| {
+                    downstream_says(fx, 2, now, CtrlEvent::CfqAlloc { dst: NodeId(6) })
+                },
+                left: 0,
+                then: |fx, now| {
+                    // dst 6 is matched: detection names dst 5, and the
+                    // dst-6 head exhausts the move site.
+                    assert_eq!(verdicts(fx, now), vec![5, 6]);
+                },
+            },
+            Writer {
+                name: "an output-CAM line announced by Stop",
+                setup: exhausted_port,
+                primed: ALL,
+                write: |fx, now| downstream_says(fx, 2, now, CtrlEvent::Stop { dst: NodeId(6) }),
+                left: 0,
+                then: |fx, now| {
+                    // dst 6 is matched: detection names dst 5, and the
+                    // dst-6 head exhausts the move site.
+                    assert_eq!(verdicts(fx, now), vec![5, 6]);
+                },
+            },
+            Writer {
+                name: "an output-CAM line freed by CfqDealloc",
+                setup: stopped_line,
+                primed: ALL,
+                write: |fx, now| {
+                    downstream_says(fx, 2, now, CtrlEvent::CfqDealloc { dst: NodeId(6) })
+                },
+                left: 0,
+                then: dst6_leaves,
+            },
+            Writer {
+                name: "a Go for a stopped line",
+                setup: stopped_line,
+                primed: ALL,
+                write: |fx, now| downstream_says(fx, 2, now, CtrlEvent::Go { dst: NodeId(6) }),
+                left: SCAN,
+                then: dst6_leaves,
+            },
+            Writer {
+                name: "a Stop for a running line",
+                setup: running_line,
+                primed: ALL,
+                write: |fx, now| downstream_says(fx, 2, now, CtrlEvent::Stop { dst: NodeId(6) }),
+                left: SCAN,
+                then: |_, _| {},
+            },
+            Writer {
+                name: "clearing an output CAM (fault)",
+                setup: stopped_line,
+                primed: ALL,
+                write: |fx, now| {
+                    fx.sw.clear_output_cam(2);
+                    now
+                },
+                left: 0,
+                then: dst6_leaves,
+            },
+            Writer {
+                name: "a re-route",
+                setup: stopped_line,
+                primed: ALL,
+                write: |fx, now| {
+                    // dst 2 moves to output 2, which has credits.
+                    let to = |d: usize| PortId(if d < 2 || d == 3 { 1 } else { 2 });
+                    fx.routing = RoutingTable::from_tables(vec![(0..8).map(to).collect()]);
+                    fx.sw.on_routing_changed(&fx.routing);
+                    now
+                },
+                left: 0,
+                then: |fx, now| assert_eq!(arbitrate(fx, now)[0].dst, NodeId(2)),
+            },
+            Writer {
+                name: "a purge of unreachable destinations",
+                setup: exhausted_port,
+                primed: ALL,
+                write: |fx, now| {
+                    let mut purged = Vec::new();
+                    fx.sw.purge_unreachable(&|d| d == NodeId(6), &mut purged);
+                    assert_eq!(purged.len(), 10);
+                    now
+                },
+                left: 0,
+                then: |fx, now| assert_eq!(verdicts(fx, now), vec![5]),
+            },
+            Writer {
+                name: "a purge that finds nothing",
+                setup: exhausted_port,
+                primed: ALL,
+                write: |fx, now| {
+                    fx.sw.purge_unreachable(&|_| false, &mut Vec::new());
+                    now
+                },
+                left: 0,
+                then: |_, _| {},
+            },
+            Writer {
+                name: "the whole-switch purge",
+                setup: exhausted_port,
+                primed: ALL,
+                write: |fx, now| {
+                    fx.sw.purge_all();
+                    now
+                },
+                left: 0,
+                then: |_, _| {},
+            },
+            Writer {
+                name: "resetting the upstream notification flags",
+                setup: stopped_line,
+                primed: ALL,
+                write: |fx, now| {
+                    fx.sw.reset_upstream_ctrl_flags(0);
+                    now
+                },
+                left: 0,
+                then: |_, _| {},
+            },
+            Writer {
+                name: "a Stop for a stopped line (no change)",
+                setup: stopped_line,
+                primed: ALL,
+                write: |fx, now| downstream_says(fx, 2, now, CtrlEvent::Stop { dst: NodeId(6) }),
+                left: ALL,
+                then: |_, _| {},
+            },
+            Writer {
+                name: "a Go for a running line (no change)",
+                setup: running_line,
+                primed: ALL,
+                write: |fx, now| downstream_says(fx, 2, now, CtrlEvent::Go { dst: NodeId(6) }),
+                left: ALL,
+                then: |_, _| {},
+            },
+            Writer {
+                name: "a CfqAlloc for a line that exists (no change)",
+                setup: running_line,
+                primed: ALL,
+                write: |fx, now| {
+                    downstream_says(fx, 2, now, CtrlEvent::CfqAlloc { dst: NodeId(6) })
+                },
+                left: ALL,
+                then: |_, _| {},
+            },
+            Writer {
+                name: "a CfqAlloc the full CAM cannot hold (no change)",
+                setup: running_line,
+                primed: ALL,
+                write: |fx, now| {
+                    downstream_says(fx, 2, now, CtrlEvent::CfqAlloc { dst: NodeId(7) })
+                },
+                left: ALL,
+                then: |fx, _| assert_eq!(fx.metrics.counter("out_cam_exhausted"), 1),
+            },
+        ]
+    }
+
+    /// Runs `rows`, every one, so a missing call names the rows it breaks.
+    fn check_rows(rows: Vec<Writer>) {
+        let failed: Vec<_> = rows
+            .into_iter()
+            .filter(|w| {
+                std::panic::catch_unwind(|| {
+                    let (mut fx, now) = (w.setup)();
+                    assert_eq!(records(&fx, now), w.primed, "{}: primed", w.name);
+                    let now = (w.write)(&mut fx, now);
+                    assert_eq!(records(&fx, now), w.left, "{}: left", w.name);
+                    (w.then)(&mut fx, now);
+                })
+                .is_err()
+            })
+            .map(|w| w.name)
+            .collect();
+        assert!(failed.is_empty(), "rows failed: {failed:?}");
+    }
+
+    #[test]
+    fn every_writer_clears_the_records_it_can_break() {
+        check_rows(writers());
+    }
+
+    /// One test per writer, or family of writers, that runs its rows of
+    /// the table. The names are those the writers' own tests had, from
+    /// when the arbiter's bound was sealed against a mutation counter: a
+    /// bump there is a clear here, and "every ctrl event" is every event
+    /// that changes a CAM line.
+    macro_rules! writer_rows {
+        ($($test:ident: [$($row:literal),+ $(,)?];)+) => {$(
+            #[test]
+            fn $test() {
+                let names = [$($row),+];
+                let rows: Vec<_> = writers()
+                    .into_iter()
+                    .filter(|w| names.contains(&w.name))
+                    .collect();
+                assert_eq!(rows.len(), names.len(), "no such row in {names:?}");
+                check_rows(rows);
+            }
+        )+};
+    }
+
+    writer_rows! {
+        a_delivery_wakes_the_arbiter: ["a delivery (VOQsw)"];
+        nfq_push_drops_the_memo: ["a delivery (isolating)"];
+        nfq_push_unsettles_the_port: ["a delivery (isolating)"];
+        nfq_pop_by_arbitration_drops_the_memo: ["an NFQ departure"];
+        nfq_pop_by_arbitration_unsettles_the_port: ["an NFQ departure"];
+        a_cfq_departure_wakes_its_quiet_port: ["a CFQ departure"];
+        root_cfq_allocation_drops_the_memo: ["a root CFQ allocation"];
+        root_cfq_allocation_bumps_the_epoch: ["a root CFQ allocation"];
+        the_isolation_move_wakes_the_arbiter: ["the NFQ -> CFQ moves"];
+        cfq_deallocation_drops_the_memo: ["a CFQ release"];
+        cfq_deallocation_wakes_the_nfq_head_it_parked: ["a CFQ release"];
+        output_cam_alloc_and_free_drop_every_memo: [
+            "an output-CAM line announced by CfqAlloc",
+            "an output-CAM line announced by Stop",
+            "an output-CAM line freed by CfqDealloc",
+        ];
+        output_cam_alloc_unsettles_every_port: [
+            "an output-CAM line announced by CfqAlloc",
+            "an output-CAM line announced by Stop",
+        ];
+        output_cam_free_and_clear_unsettle_every_port: [
+            "an output-CAM line freed by CfqDealloc",
+            "clearing an output CAM (fault)",
+        ];
+        a_go_wakes_a_stopped_cfq_and_every_ctrl_event_bumps_the_epoch: [
+            "a Go for a stopped line",
+            "a Stop for a running line",
+            "an output-CAM line announced by CfqAlloc",
+            "an output-CAM line announced by Stop",
+            "an output-CAM line freed by CfqDealloc",
+        ];
+        a_stop_go_flip_wakes_the_port_whose_cfq_drains_on_the_line: [
+            "a Go for a stopped line",
+            "a Stop for a running line",
+            "a Stop for a stopped line (no change)",
+        ];
+        clear_output_cam_drops_every_memo: ["clearing an output CAM (fault)"];
+        clearing_the_output_cam_wakes_a_stopped_cfq: ["clearing an output CAM (fault)"];
+        routing_change_drops_every_memo: ["a re-route"];
+        routing_change_unsettles_every_port: ["a re-route"];
+        a_reroute_wakes_the_arbiter: ["a re-route"];
+        purge_unreachable_drops_every_memo: ["a purge of unreachable destinations"];
+        purge_unreachable_unsettles_the_port: ["a purge of unreachable destinations"];
+        purge_unreachable_wakes_the_arbiter: ["a purge of unreachable destinations"];
+        writers_that_cannot_move_the_verdict_still_drop_the_memo: [
+            "the NFQ -> CFQ moves",
+            "resetting the upstream notification flags",
+            "a purge that finds nothing",
+            "the whole-switch purge",
+        ];
+        events_that_cannot_move_a_settled_verdict_still_unsettle: [
+            "resetting the upstream notification flags",
+            "a purge that finds nothing",
+            "the whole-switch purge",
+        ];
+        events_that_cannot_free_a_head_still_bump_the_epoch: [
+            "resetting the upstream notification flags",
+            "a purge that finds nothing",
+            "the whole-switch purge",
+        ];
     }
 }
 
@@ -4417,12 +4363,14 @@ mod twin_tests {
                 .isolation_tick(now, routing, &mut self.links, &mut self.m);
             self.sw.congestion_state_tick(now, &self.links, &mut self.m);
             if self.sw.buffered > 0 {
-                let rel = self.sw.arbitrate_and_transmit(
+                let mut rel = Vec::new();
+                self.sw.arbitrate_and_transmit(
                     now,
                     routing,
                     &mut self.links,
                     self.vn.as_mut(),
                     &mut self.m,
+                    &mut rel,
                 );
                 for r in rel {
                     self.seen.releases.push((r.at, r.port, r.flits, r.dst.0));
