@@ -49,7 +49,6 @@ pub mod params;
 pub mod port;
 pub mod simulator;
 pub mod switch;
-pub mod trace;
 
 pub use ccfit_faults::{FaultPolicy, FaultSchedule, NetworkEvent, RandomFaults, ScheduledEvent};
 pub use ccfit_metrics::{CcEvent, CcEventKind, EventClass, EventConfig, FaultKind};
@@ -62,7 +61,6 @@ pub use simulator::{
     ActiveSetStats, BecnTransport, PhaseProfile, SimBuilder, SimConfig, Simulator,
     ISLIP_ITERATIONS, PHASE_NAMES,
 };
-pub use trace::{PacketTrace, TraceLog};
 
 // Re-export the companion crates so downstream users need a single
 // dependency.

@@ -69,17 +69,11 @@ pub struct SimConfig {
     pub crossbar_bw_flits_per_cycle: u32,
     /// BECN transport model.
     pub becn_transport: BecnTransport,
-    /// Trace every Nth injected data packet (None = tracing off).
-    pub trace_sample_every: Option<u64>,
     /// Structured congestion-control event recording (DESIGN.md §10).
     /// `None` (the default) compiles the emission sites down to a single
     /// predicted-false branch each; `Some` captures the selected event
     /// classes into the report's [`ccfit_metrics::EventLogReport`].
     pub events: Option<EventConfig>,
-    /// Sample per-port telemetry gauges (input-RAM occupancy and output
-    /// link credits per switch port) alongside the network-wide gauges.
-    /// Off by default: it adds one series per port to the report.
-    pub port_telemetry: bool,
 }
 
 impl Default for SimConfig {
@@ -92,9 +86,7 @@ impl Default for SimConfig {
             advoq_cap_mtus: 8,
             crossbar_bw_flits_per_cycle: 1,
             becn_transport: BecnTransport::InBand,
-            trace_sample_every: None,
             events: None,
-            port_telemetry: false,
         }
     }
 }
@@ -391,24 +383,10 @@ impl SimBuilder {
     }
 
     /// Record structured CC events with the given configuration
-    /// (classes, sampling stride, ring capacity). See
+    /// (classes, ring capacity). See
     /// [`SimConfig::events`].
     pub fn events(mut self, cfg: EventConfig) -> Self {
         self.cfg.events = Some(cfg);
-        self
-    }
-
-    /// Sample per-port occupancy/credit gauges (see
-    /// [`SimConfig::port_telemetry`]).
-    pub fn port_telemetry(mut self, on: bool) -> Self {
-        self.cfg.port_telemetry = on;
-        self
-    }
-
-    /// Trace every `n`-th injected data packet (see
-    /// [`SimConfig::trace_sample_every`]).
-    pub fn trace_sample_every(mut self, n: u64) -> Self {
-        self.cfg.trace_sample_every = Some(n.max(1));
         self
     }
 
@@ -589,7 +567,6 @@ pub struct Simulator {
     injected: u64,
     delivered: u64,
     gauge_every: Cycle,
-    trace: Option<crate::trace::TraceLog>,
     /// Injection link of each node (node → switch).
     inject_link: Vec<LinkId>,
     /// Reception link of each node (switch → node).
@@ -958,7 +935,6 @@ impl Simulator {
         let end = units.ns_to_cycles(cfg.duration_ns);
 
         let gauge_every = units.ns_to_cycles(cfg.metrics_bin_ns / 4.0).max(64);
-        let trace = cfg.trace_sample_every.map(crate::trace::TraceLog::new);
         let faults = faults.map(|schedule| FaultRuntime::new(schedule, &topo));
         let cc_wire = dcqcn_cfg.is_some() || hpcc_cfg.is_some();
 
@@ -1006,7 +982,6 @@ impl Simulator {
             injected: 0,
             delivered: 0,
             gauge_every,
-            trace,
             inject_link,
             recv_link,
             node_sink_credits,
@@ -1256,11 +1231,6 @@ impl Simulator {
                                     vn.add(li as u32, d.packet.dst.0, d.packet.size_flits);
                                 }
                                 continue;
-                            }
-                        }
-                        if let Some(tr) = &mut self.trace {
-                            if d.packet.is_data() && tr.wants(d.packet.id) {
-                                tr.switch_hop(d.packet.id, s, d.visible_at);
                             }
                         }
                         self.port_occ[self.port_base[s.index()] as usize + p.index()] +=
@@ -1732,7 +1702,6 @@ impl Simulator {
         let adapter = &mut self.adapters[n];
         let next_packet_id = &mut self.next_packet_id;
         let injected = &mut self.injected;
-        let trace = &mut self.trace;
         let faults = &mut self.faults;
         let metrics = &mut self.metrics;
         let cc_wire = self.cc_wire;
@@ -1756,11 +1725,6 @@ impl Simulator {
                         "wire_bytes_injected",
                         u64::from(gp.size_bytes) + u64::from(data_overhead),
                     );
-                }
-                if let Some(tr) = trace {
-                    if tr.wants(id) {
-                        tr.injected(id, gp.flow, adapter.node(), gp.dst, now);
-                    }
                 }
                 true
             } else {
@@ -1795,33 +1759,6 @@ impl Simulator {
             let unreachable = frt.unreachable_since.iter().filter(|s| s.is_some()).count();
             self.metrics
                 .gauge("unreachable_nodes", at_ns, unreachable as f64);
-        }
-        if self.cfg.port_telemetry {
-            // Per-port series: input-RAM occupancy and output-link sender
-            // credits for every switch port. Opt-in because it adds one
-            // series per port to the report (formatting here is fine —
-            // gauges sample on bin boundaries, not per cycle).
-            for sw in &self.switches {
-                let s = sw.id.0;
-                for (p, inp) in sw.inputs.iter().enumerate() {
-                    if inp.in_link.is_some() {
-                        self.metrics.gauge(
-                            &format!("port_occ_sw{s}_in{p}"),
-                            at_ns,
-                            inp.ram.used() as f64,
-                        );
-                    }
-                }
-                for (p, out) in sw.outputs.iter().enumerate() {
-                    if let Some(l) = out.out_link {
-                        self.metrics.gauge(
-                            &format!("port_credits_sw{s}_out{p}"),
-                            at_ns,
-                            self.links[l.index()].credits() as f64,
-                        );
-                    }
-                }
-            }
         }
     }
 
@@ -2281,11 +2218,6 @@ impl Simulator {
                     u64::from(d.packet.overhead_bytes),
                 );
             }
-            if let Some(tr) = &mut self.trace {
-                if tr.wants(d.packet.id) {
-                    tr.delivered(d.packet.id, d.ready_at, d.packet.fecn);
-                }
-            }
             self.metrics.record(
                 d.ready_at,
                 CcEventKind::Delivered {
@@ -2380,7 +2312,7 @@ impl Simulator {
 
     /// Advance the clock to the end of the configured duration without
     /// consuming the simulator, so callers can still inspect live state
-    /// ([`Self::traces`], [`Self::counter`], …) before [`Self::finish`].
+    /// ([`Self::counter`], [`Self::switch`], …) before [`Self::finish`].
     pub fn run_to_end(&mut self) {
         while self.now < self.end {
             self.tick();
@@ -2471,12 +2403,6 @@ impl Simulator {
     /// Immutable access to a switch (tests).
     pub fn switch(&self, s: SwitchId) -> &Switch {
         &self.switches[s.index()]
-    }
-
-    /// The packet traces collected so far (empty unless
-    /// [`SimConfig::trace_sample_every`] was set).
-    pub fn traces(&self) -> Vec<&crate::trace::PacketTrace> {
-        self.trace.as_ref().map(|t| t.traces()).unwrap_or_default()
     }
 
     /// Debug dump of every switch's port state.

@@ -487,43 +487,6 @@ impl CcEventKind {
             _ => 1,
         }
     }
-
-    /// Short static label (Chrome-trace event name).
-    pub fn label(&self) -> &'static str {
-        use CcEventKind::*;
-        match self {
-            CongestionEnter { .. } => "congestion_enter",
-            CongestionLeave { .. } => "congestion_leave",
-            CfqAlloc { .. } => "cfq_alloc",
-            CfqDealloc { .. } => "cfq_dealloc",
-            CfqExhausted { .. } => "cfq_exhausted",
-            IaCfqAlloc { .. } => "ia_cfq_alloc",
-            IaCfqDealloc { .. } => "ia_cfq_dealloc",
-            IaCfqExhausted { .. } => "ia_cfq_exhausted",
-            AllocPropagated { .. } => "alloc_propagated",
-            CamExhausted { .. } => "cam_exhausted",
-            IaCamExhausted { .. } => "ia_cam_exhausted",
-            FecnMark { .. } => "fecn_mark",
-            BecnGenerated { .. } => "becn_generated",
-            BecnReceived { .. } => "becn_received",
-            CctiIncrease { .. } => "ccti_increase",
-            CctiDecay { .. } => "ccti_decay",
-            StopSent { .. } => "stop_sent",
-            GoSent { .. } => "go_sent",
-            StopReceived { .. } => "stop_received",
-            GoReceived { .. } => "go_received",
-            ThrottledInjection { .. } => "throttled_injection",
-            Fault { .. } => "fault",
-            RerouteDone { .. } => "reroute_done",
-            Delivered { .. } => "delivered",
-            EcnMark { .. } => "ecn_mark",
-            CnpGenerated { .. } => "cnp_generated",
-            CnpReceived { .. } => "cnp_received",
-            IntFeedback { .. } => "int_feedback",
-            RateChange { .. } => "rate_change",
-            WindowChange { .. } => "window_change",
-        }
-    }
 }
 
 /// A counter named after the place an occurrence happened,
@@ -658,10 +621,6 @@ impl EventRing {
 pub struct EventConfig {
     /// Which event classes to record.
     pub classes: EventClass,
-    /// Keep every `sample_every`-th event (per the post-mask stream);
-    /// `1` keeps everything. Skipped events are counted, not silently
-    /// lost.
-    pub sample_every: u64,
     /// Ring capacity — the most events the log will hold. Overflow
     /// evicts the oldest event and advances the drop counter.
     pub cap: usize,
@@ -671,22 +630,20 @@ impl Default for EventConfig {
     fn default() -> Self {
         Self {
             classes: EventClass::ALL,
-            sample_every: 1,
             cap: 1 << 20,
         }
     }
 }
 
-/// The collector-side event log: mask → sampling → bounded ring.
+/// The collector-side event log: mask → bounded ring.
 ///
-/// Masking, sampling and the capacity bound are applied *only here*, on
+/// The class mask and the capacity bound are applied *only here*, on
 /// the single event stream.
 #[derive(Debug, Clone)]
 pub struct EventLog {
     cfg: EventConfig,
     ring: EventRing,
     seen: u64,
-    sampled_out: u64,
 }
 
 impl EventLog {
@@ -696,32 +653,22 @@ impl EventLog {
             cfg,
             ring: EventRing::new(cfg.cap),
             seen: 0,
-            sampled_out: 0,
         }
     }
 
-    /// Offer an event: drop it if masked, count it out if sampling
-    /// skips it, otherwise push it into the ring.
+    /// Offer an event: drop it if masked, otherwise push it into the
+    /// ring.
     pub fn offer(&mut self, ev: CcEvent) {
         if !self.cfg.classes.contains(ev.kind.class()) {
             return;
         }
         self.seen += 1;
-        if self.cfg.sample_every > 1 && !(self.seen - 1).is_multiple_of(self.cfg.sample_every) {
-            self.sampled_out += 1;
-            return;
-        }
         self.ring.push(ev);
     }
 
     /// Events that passed the class mask so far.
     pub fn seen(&self) -> u64 {
         self.seen
-    }
-
-    /// Events skipped by sampling so far.
-    pub fn sampled_out(&self) -> u64 {
-        self.sampled_out
     }
 
     /// Events evicted by the capacity bound so far.
@@ -738,10 +685,8 @@ impl EventLog {
     pub fn into_report(self) -> EventLogReport {
         EventLogReport {
             classes: self.cfg.classes.0,
-            sample_every: self.cfg.sample_every,
             cap: self.cfg.cap as u64,
             seen: self.seen,
-            sampled_out: self.sampled_out,
             dropped_cap: self.ring.dropped(),
             events: self.ring.into_vec(),
         }
@@ -754,14 +699,10 @@ impl EventLog {
 pub struct EventLogReport {
     /// Enabled class mask (raw bits).
     pub classes: u16,
-    /// Sampling stride that was in effect.
-    pub sample_every: u64,
     /// Ring capacity that was in effect.
     pub cap: u64,
     /// Events that passed the class mask.
     pub seen: u64,
-    /// Events skipped by sampling.
-    pub sampled_out: u64,
     /// Events evicted by the capacity bound.
     pub dropped_cap: u64,
     /// The recorded events, in canonical emission order.
@@ -849,8 +790,8 @@ mod tests {
             },
         ];
         for k in kinds {
-            assert!(EventClass::ALL.contains(k.class()), "{}", k.label());
-            assert!(!EventClass::NONE.contains(k.class()), "{}", k.label());
+            assert!(EventClass::ALL.contains(k.class()), "{k:?}");
+            assert!(!EventClass::NONE.contains(k.class()), "{k:?}");
         }
     }
 
@@ -877,10 +818,9 @@ mod tests {
     }
 
     #[test]
-    fn log_masks_samples_and_bounds() {
+    fn log_masks_classes_and_caps_the_ring() {
         let mut log = EventLog::new(EventConfig {
             classes: EventClass::FECN,
-            sample_every: 2,
             cap: 2,
         });
         // Masked class: invisible (not even counted as seen).
@@ -889,20 +829,16 @@ mod tests {
             kind: CcEventKind::BecnReceived { node: 0, dst: 0 },
         });
         assert_eq!(log.seen(), 0);
-        for i in 0..6 {
-            log.offer(ev(i)); // keeps 0, 2, 4; ring caps at 2 -> drops 0
+        for i in 0..5 {
+            log.offer(ev(i)); // ring caps at 2 -> drops 0, 1, 2
         }
-        assert_eq!(log.seen(), 6);
-        assert_eq!(log.sampled_out(), 3);
-        assert_eq!(log.dropped_cap(), 1);
+        assert_eq!(log.seen(), 5);
+        assert_eq!(log.dropped_cap(), 3);
         let r = log.into_report();
         assert_eq!(r.events.len(), 2);
-        assert_eq!(r.events[0].at, 2);
+        assert_eq!(r.events[0].at, 3);
         assert_eq!(r.events[1].at, 4);
-        assert_eq!(
-            r.seen,
-            r.sampled_out + r.dropped_cap + r.events.len() as u64
-        );
+        assert_eq!(r.seen, r.dropped_cap + r.events.len() as u64);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 
 pub mod collector;
 pub mod events;
-pub mod export;
 pub mod fairness;
 pub mod faults;
 pub mod fct;

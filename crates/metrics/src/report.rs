@@ -323,10 +323,8 @@ mod tests {
         let mut r = sample_report();
         r.events = Some(EventLogReport {
             classes: EventClass::ALL.0,
-            sample_every: 1,
             cap: 1024,
             seen: 2,
-            sampled_out: 0,
             dropped_cap: 0,
             events: vec![
                 CcEvent {

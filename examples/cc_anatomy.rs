@@ -3,7 +3,6 @@
 //! ```sh
 //! cargo run --release --example cc_anatomy            # compressed run
 //! cargo run --release --example cc_anatomy -- --full  # paper's 10 ms
-//! cargo run --release --example cc_anatomy -- --full trace.json
 //! ```
 //!
 //! Replays Fig. 7a (Config #1 / Case #1 under InfiniBand-style injection
@@ -15,20 +14,13 @@
 //! BECNs back, and source CCT indices ratchet up until the hotspot —
 //! and, collaterally, the victim flow sharing its input port — is
 //! throttled.
-//!
-//! With an output path as the final argument, the full log is exported
-//! as Chrome `trace_event` JSON — open it in `chrome://tracing` or
-//! <https://ui.perfetto.dev> to see the same story on a timeline.
 
 use ccfit::experiment::{config1_case1, config1_case1_scaled};
-use ccfit::metrics::export::chrome_trace_json;
 use ccfit::{CcEventKind, EventClass, EventConfig, Mechanism, SimBuilder, SimConfig};
 use ccfit_engine::units::UnitModel;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let out = args.iter().find(|a| !a.starts_with("--")).cloned();
+    let full = std::env::args().skip(1).any(|a| a == "--full");
     // The schedule activates hotspot contributors at 2/4/6 ms; the
     // compressed run keeps the shape at a tenth of the runtime.
     let (spec, scale) = if full {
@@ -55,7 +47,6 @@ fn main() {
                 | EventClass::BECN
                 | EventClass::CCTI
                 | EventClass::THROTTLE,
-            sample_every: 1,
             cap: 1 << 21,
         })
         .seed(7)
@@ -135,10 +126,4 @@ fn main() {
          VOQ — including the victim flow, which shares the left switch's\n\
          input port. CCFIT exists to break exactly that coupling (§III)."
     );
-
-    if let Some(path) = out {
-        std::fs::write(&path, chrome_trace_json(&log.events, units.cycle_ns))
-            .expect("write chrome trace");
-        println!("\nwrote Chrome trace_event JSON to {path} (open in chrome://tracing)");
-    }
 }

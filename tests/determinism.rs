@@ -149,24 +149,22 @@ fn modern_cc_is_bit_identical_to_oracle() {
     }
 }
 
-/// With every observability channel wide open — full event recording,
-/// per-packet tracing, per-port telemetry — the engine must still match
-/// the oracle byte-for-byte, event log and packet traces included
-/// (DESIGN.md §10).
+/// With every event class recorded the engine must still match the
+/// oracle byte-for-byte, event log included (DESIGN.md §10).
 #[test]
-fn engine_traces_and_events_identical_to_oracle() {
-    traces_and_events_identical_to_oracle(&config1_case1_scaled(0.02), Mechanism::ccfit());
+fn engine_events_identical_to_oracle() {
+    events_identical_to_oracle(&config1_case1_scaled(0.02), Mechanism::ccfit());
 }
 
 /// The same on Fig. 8b's four trees, where ports run out of CFQs: every
 /// `CfqExhausted` episode closes on the same cycle, with the same
 /// length, in both modes.
 #[test]
-fn engine_traces_and_events_identical_to_oracle_h4() {
+fn engine_events_identical_to_oracle_h4() {
     let spec = config3_case4_scaled(4, 0.02);
     for mech in [Mechanism::fbicm(), Mechanism::ccfit()] {
         let name = mech.name();
-        let report = traces_and_events_identical_to_oracle(&spec, mech);
+        let report = events_identical_to_oracle(&spec, mech);
         assert!(
             report.contains("\"CfqExhausted\""),
             "{name}: the run exhausts CFQs"
@@ -174,10 +172,9 @@ fn engine_traces_and_events_identical_to_oracle_h4() {
     }
 }
 
-/// Run `spec` under `mech` fully observed in both modes and require
-/// equal traces and reports; returns the report.
-fn traces_and_events_identical_to_oracle(spec: &ExperimentSpec, mech: Mechanism) -> String {
-    use ccfit::trace::PacketTrace;
+/// Run `spec` under `mech` with every event class recorded in both modes
+/// and require equal reports; returns the report.
+fn events_identical_to_oracle(spec: &ExperimentSpec, mech: Mechanism) -> String {
     use ccfit::{EventClass, EventConfig, SimBuilder};
 
     let run = |reference: bool| {
@@ -191,11 +188,8 @@ fn traces_and_events_identical_to_oracle(spec: &ExperimentSpec, mech: Mechanism)
             .config(c)
             .events(EventConfig {
                 classes: EventClass::ALL,
-                sample_every: 1,
                 cap: 1 << 22,
             })
-            .trace_sample_every(1)
-            .port_telemetry(true)
             .seed(3)
             .build();
         if reference {
@@ -203,19 +197,11 @@ fn traces_and_events_identical_to_oracle(spec: &ExperimentSpec, mech: Mechanism)
         } else {
             sim.run_to_end();
         }
-        let traces: Vec<PacketTrace> = sim.traces().into_iter().cloned().collect();
-        (
-            serde_json::to_string(&traces).unwrap(),
-            sim.finish().to_json(),
-        )
+        sim.finish().to_json()
     };
-    let (oracle_traces, oracle_report) = run(true);
+    let oracle_report = run(true);
     assert!(oracle_report.contains("\"events\""));
-    let (traces, report) = run(false);
-    assert_eq!(
-        traces, oracle_traces,
-        "packet traces diverge from the oracle"
-    );
+    let report = run(false);
     assert_eq!(
         report, oracle_report,
         "report/event log diverges from the oracle"

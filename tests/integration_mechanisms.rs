@@ -347,59 +347,56 @@ fn latency_percentiles_expose_hol_blocking() {
     assert!(oneq.latency_hist.count() > 100);
 }
 
-/// Traced packets physically follow the routing tables, and their
-/// recorded latencies match the delivery timestamps.
+/// Packets physically follow the routing tables: the switches that ever
+/// buffer a data packet are exactly those on the two flows' table
+/// routes, and they are not the whole network. A packet is buffered
+/// across a tick only while it waits, so the two flows converge on node
+/// 3: the congestion they build there backs up over every hop of both
+/// routes.
 #[test]
-fn traced_packets_follow_the_routing_tables() {
-    use ccfit_topology::KAryNTree;
+fn data_packets_visit_only_the_routed_switches() {
+    use ccfit_engine::ids::SwitchId;
+    use std::collections::BTreeSet;
     let tree = KAryNTree::new(2, 3);
-    let topo = tree.build(ccfit_topology::LinkParams::default());
+    let topo = tree.build(LinkParams::default());
     let routing = tree.det_routing();
+    let pairs = [(NodeId(0), NodeId(3)), (NodeId(2), NodeId(3))];
     let pattern = TrafficPattern::new(
-        "traced",
-        vec![
-            FlowSpec::hotspot(0, NodeId(0), NodeId(7), 0.0, None),
-            FlowSpec::hotspot(1, NodeId(5), NodeId(2), 0.0, None),
-        ],
+        "routed",
+        pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(src, dst))| FlowSpec::hotspot(i as u32, src, dst, 0.0, None))
+            .collect(),
     );
+    let mut routed = BTreeSet::new();
+    for &(src, dst) in &pairs {
+        let hops = routing.trace(&topo, src, dst).unwrap();
+        routed.extend(hops.iter().map(|&(s, _)| s));
+    }
     let mut sim = SimBuilder::new(topo.clone())
-        .routing(routing.clone())
+        .routing(routing)
         .mechanism(Mechanism::ccfit())
         .traffic(pattern)
         .duration_ns(200_000.0)
-        .config(SimConfig {
-            trace_sample_every: Some(5),
-            ..test_cfg()
-        })
+        .config(test_cfg())
         .seed(0x7AC)
         .build();
-    sim.run_cycles(sim.end_cycle());
-    let traces = sim.traces();
-    assert!(
-        traces.len() > 10,
-        "sampling produced traces: {}",
-        traces.len()
-    );
-    let mut checked = 0;
-    for t in traces {
-        let expected: Vec<_> = routing
-            .trace(&topo, t.src, t.dst)
-            .unwrap()
-            .iter()
-            .map(|&(s, _)| s)
-            .collect();
-        assert_eq!(
-            t.switch_path(),
-            expected,
-            "packet {} took the table route",
-            t.id
-        );
-        if let Some(lat) = t.latency_cycles() {
-            assert!(lat >= t.hops.len() as u64, "latency covers the hops");
-            checked += 1;
+    let mut visited = BTreeSet::new();
+    while sim.now() < sim.end_cycle() {
+        sim.tick();
+        for s in 0..topo.num_switches() {
+            let s = SwitchId(s as u32);
+            if sim.switch(s).resident_data_packets() > 0 {
+                visited.insert(s);
+            }
         }
-        // Hop timestamps are monotone.
-        assert!(t.hops.windows(2).all(|w| w[0].1 <= w[1].1));
     }
-    assert!(checked > 5, "most traced packets were delivered");
+    assert_eq!(visited, routed, "data packets left the table routes");
+    assert!(
+        routed.len() < topo.num_switches(),
+        "the routes cover {} of {} switches",
+        routed.len(),
+        topo.num_switches()
+    );
 }

@@ -1,38 +1,33 @@
-//! Cross-validation of the CC observability layer (DESIGN.md §10).
+//! Cross-validation of the CC event log (DESIGN.md §10).
 //!
-//! The event log, the packet traces and the aggregate `SimReport` are
-//! three independent recordings of the same run. These tests recompute
-//! the aggregates *from the event log* (and from the traces) and demand
-//! exact agreement — so a bug that drops, duplicates or mistimes events
-//! cannot hide behind a plausible-looking summary, and vice versa.
+//! The event log and the aggregate `SimReport` are two recordings of the
+//! same run. These tests recompute the aggregates *from the event log*
+//! and demand exact agreement — so a bug that drops, duplicates or
+//! mistimes events cannot hide behind a plausible-looking summary, and
+//! vice versa.
 
 use ccfit::experiment::{config1_case1_scaled, config3_case4_scaled};
-use ccfit::metrics::export::chrome_trace_json;
 use ccfit::metrics::{SimReport, TimeSeries};
-use ccfit::trace::PacketTrace;
 use ccfit::{
     CcEventKind, EventClass, EventConfig, ExperimentSpec, Mechanism, SimBuilder, SimConfig,
-    Simulator,
 };
 use ccfit_engine::units::UnitModel;
 use std::collections::BTreeMap;
 
-/// Run `mech` on the scaled Config #1 / Case #1 scenario to the end,
-/// with every observability channel wide open or with none, returning
-/// the simulator and the unit model used for conversions.
-fn run(mech: Mechanism, observed: bool) -> (Simulator, UnitModel) {
+/// Run `mech` on the scaled Config #1 / Case #1 scenario, with every
+/// event class recorded or with none.
+fn run(mech: Mechanism, observed: bool) -> SimReport {
     run_spec(&config1_case1_scaled(0.02), mech, observed)
 }
 
 /// [`run`] on any scenario.
-fn run_spec(spec: &ExperimentSpec, mech: Mechanism, observed: bool) -> (Simulator, UnitModel) {
+fn run_spec(spec: &ExperimentSpec, mech: Mechanism, observed: bool) -> SimReport {
     let mut cfg = SimConfig {
         metrics_bin_ns: 20_000.0,
         ..SimConfig::default()
     };
     cfg.duration_ns = spec.duration_ns;
     cfg.crossbar_bw_flits_per_cycle = spec.crossbar_bw_flits_per_cycle;
-    let units = UnitModel::default();
     let mut builder = SimBuilder::new(spec.topology.clone())
         .routing(spec.routing.clone())
         .mechanism(mech)
@@ -40,40 +35,18 @@ fn run_spec(spec: &ExperimentSpec, mech: Mechanism, observed: bool) -> (Simulato
         .config(cfg)
         .seed(7);
     if observed {
-        builder = builder
-            .events(EventConfig {
-                classes: EventClass::ALL,
-                sample_every: 1,
-                cap: 1 << 22,
-            })
-            .trace_sample_every(1)
-            .port_telemetry(true);
+        builder = builder.events(EventConfig {
+            classes: EventClass::ALL,
+            cap: 1 << 22,
+        });
     }
-    let mut sim = builder.build();
-    sim.run_to_end();
-    (sim, units)
-}
-
-/// The fully observed run: the frozen report, the owned packet traces
-/// and the unit model.
-fn instrumented_run(mech: Mechanism) -> (SimReport, Vec<PacketTrace>, UnitModel) {
-    instrumented_spec_run(&config1_case1_scaled(0.02), mech)
-}
-
-/// [`instrumented_run`] on any scenario.
-fn instrumented_spec_run(
-    spec: &ExperimentSpec,
-    mech: Mechanism,
-) -> (SimReport, Vec<PacketTrace>, UnitModel) {
-    let (sim, units) = run_spec(spec, mech, true);
-    let traces: Vec<PacketTrace> = sim.traces().into_iter().cloned().collect();
-    (sim.finish(), traces, units)
+    builder.build().run()
 }
 
 /// Fig. 8b's four congestion trees outnumber the CFQs: FBICM's ports run
 /// out of them.
-fn exhausting_run() -> (SimReport, Vec<PacketTrace>, UnitModel) {
-    instrumented_spec_run(&config3_case4_scaled(4, 0.02), Mechanism::fbicm())
+fn exhausting_run() -> SimReport {
+    run_spec(&config3_case4_scaled(4, 0.02), Mechanism::fbicm(), true)
 }
 
 /// The counters no event stands behind. Every other counter of a report
@@ -116,8 +89,7 @@ fn event_log_aggregates_match_sim_report() {
         (Mechanism::hpcc(), &["ack_received"][..]),
     ] {
         let name = mech.name();
-        let (report, traces, units) = instrumented_run(mech);
-        check_event_log(&report, &traces, units, exercised);
+        check_event_log(&run(mech, true), exercised);
         eprintln!("{name}: event log agrees with the report");
     }
 }
@@ -127,11 +99,9 @@ fn event_log_aggregates_match_sim_report() {
 /// episodes of one (switch, port, site) never overlap.
 #[test]
 fn exhaustion_episodes_rebuild_cfq_exhausted() {
-    let (report, traces, units) = exhausting_run();
+    let report = exhausting_run();
     check_event_log(
         &report,
-        &traces,
-        units,
         &["cfq_exhausted", "cfq_allocated", "congestion_detected"],
     );
     let events = &report.events.as_ref().unwrap().events;
@@ -160,16 +130,11 @@ fn exhaustion_episodes_rebuild_cfq_exhausted() {
     );
 }
 
-fn check_event_log(
-    report: &SimReport,
-    traces: &[PacketTrace],
-    units: UnitModel,
-    exercised: &[&str],
-) {
+fn check_event_log(report: &SimReport, exercised: &[&str]) {
     use CcEventKind::*;
+    let units = UnitModel::default();
     let log = report.events.as_ref().expect("events were enabled");
     assert_eq!(log.dropped_cap, 0, "cap must not truncate this run");
-    assert_eq!(log.sampled_out, 0, "sample_every=1 keeps everything");
     assert_eq!(log.seen, log.events.len() as u64);
     let events = &log.events;
     assert!(
@@ -180,8 +145,6 @@ fn check_event_log(
     // --- per-packet delivery records vs the delivery aggregates ---
     let mut delivered = 0u64;
     let mut bytes = 0u64;
-    let mut latency_cycles_sum = 0u64;
-    let mut fecn_deliveries = 0u64;
     // Rebuild the binned series exactly as the collector does: same
     // timestamps, same values, same order => bitwise-equal f64 bins.
     let mut total_bytes = TimeSeries::new(report.bin_ns);
@@ -193,14 +156,11 @@ fn check_event_log(
             flow,
             bytes: b,
             latency_cycles,
-            fecn,
             ..
         } = ev.kind
         {
             delivered += 1;
             bytes += u64::from(b);
-            latency_cycles_sum += latency_cycles;
-            fecn_deliveries += u64::from(fecn);
             *per_flow.entry(flow).or_insert(0) += u64::from(b);
             let ns = units.cycles_to_ns(ev.at);
             total_bytes.add(ns, f64::from(b));
@@ -266,18 +226,6 @@ fn check_event_log(
         }
     }
 
-    // --- event log vs the independent per-packet traces ---
-    let delivered_traces: Vec<&PacketTrace> =
-        traces.iter().filter(|t| t.delivered_at.is_some()).collect();
-    assert_eq!(delivered_traces.len() as u64, report.delivered_packets);
-    let trace_latency: u64 = delivered_traces
-        .iter()
-        .map(|t| t.latency_cycles().unwrap())
-        .sum();
-    assert_eq!(trace_latency, latency_cycles_sum);
-    let trace_fecn = delivered_traces.iter().filter(|t| t.fecn).count() as u64;
-    assert_eq!(trace_fecn, fecn_deliveries);
-
     // --- events are timestamp-ordered (the canonical merge contract) ---
     // Delivery-side records (Delivered, and the BECN / CNP it answers)
     // carry the packet's tail-landing cycle, which under virtual
@@ -309,70 +257,21 @@ fn check_event_log(
     monotone(&|k| !delivery_side(k));
 }
 
-/// Recording never perturbs the run: with its recordings stripped — the
-/// event log and the per-port telemetry series — the observed report is
-/// the unobserved one, every counter, series, histogram and flow curve
-/// included. (What recording costs in host time is the benchmark's
-/// `core.simulator.trace_overhead_pct`.)
+/// Recording never perturbs the run: with its event log stripped, the
+/// observed report is the unobserved one, every counter, series,
+/// histogram and flow curve included. Nothing measures what recording
+/// costs in host time: the benchmark's `core.simulator.trace_overhead_pct`
+/// is the phase profiler's overhead (`tick_profiled` against `tick`, on
+/// runs built with `SimConfig::default()`, which record nothing).
 #[test]
 fn recording_never_perturbs_the_run() {
-    let (mut observed, traces, _) = instrumented_run(Mechanism::ccfit());
-    let plain = run(Mechanism::ccfit(), false).0.finish();
-    assert!(!traces.is_empty(), "the observed run did trace packets");
+    let mut observed = run(Mechanism::ccfit(), true);
+    let plain = run(Mechanism::ccfit(), false);
     assert!(observed.events.take().is_some());
     assert!(plain.events.is_none());
-    let all = observed.gauges.len();
-    observed.gauges.retain(|k, _| !k.starts_with("port_"));
-    assert!(observed.gauges.len() < all, "per-port series were recorded");
     assert!(plain.delivered_packets > 0 && !plain.counters.is_empty());
     // The counters first: a far shorter failure message than the whole
     // report's when a recording site has side effects.
     assert_eq!(observed.counters, plain.counters);
     assert_eq!(observed, plain);
-}
-
-#[test]
-fn port_telemetry_gauges_cover_connected_ports() {
-    let (report, _, _) = instrumented_run(Mechanism::ccfit());
-    let occ: Vec<&String> = report
-        .gauges
-        .keys()
-        .filter(|k| k.starts_with("port_occ_sw") && !k.ends_with("_samples"))
-        .collect();
-    let credits: Vec<&String> = report
-        .gauges
-        .keys()
-        .filter(|k| k.starts_with("port_credits_sw") && !k.ends_with("_samples"))
-        .collect();
-    assert!(!occ.is_empty(), "per-port occupancy series were recorded");
-    assert!(!credits.is_empty(), "per-port credit series were recorded");
-    // Every telemetry series has its paired sample-count series so means
-    // are recoverable.
-    for k in occ.iter().chain(credits.iter()) {
-        assert!(
-            report.gauges.contains_key(&format!("{k}_samples")),
-            "{k} lacks its _samples companion"
-        );
-    }
-}
-
-#[test]
-fn exporters_render_the_whole_log() {
-    for (report, _, units) in [instrumented_run(Mechanism::ccfit()), exhausting_run()] {
-        let events = &report.events.as_ref().unwrap().events;
-        let chrome = chrome_trace_json(events, units.cycle_ns);
-        assert!(chrome.starts_with("{\"traceEvents\":["));
-        assert!(chrome.ends_with("\"displayTimeUnit\":\"ms\"}"));
-        // Congestion and exhaustion episodes render as paired duration
-        // slices.
-        let b = chrome.matches("\"ph\":\"B\"").count();
-        let e = chrome.matches("\"ph\":\"E\"").count();
-        let count =
-            |pred: fn(&CcEventKind) -> bool| events.iter().filter(|ev| pred(&ev.kind)).count();
-        let enters = count(|k| matches!(k, CcEventKind::CongestionEnter { .. }));
-        let leaves = count(|k| matches!(k, CcEventKind::CongestionLeave { .. }));
-        let exhausted = count(|k| matches!(k, CcEventKind::CfqExhausted { .. }));
-        assert_eq!(b, enters + exhausted);
-        assert_eq!(e, leaves + exhausted);
-    }
 }

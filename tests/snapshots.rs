@@ -136,7 +136,6 @@ fn config1_case1_ccfit_event_log_matches_golden_snapshot() {
             | EventClass::CFQ
             | EventClass::STOP_GO
             | EventClass::THROTTLE,
-        sample_every: 1,
         cap: 1 << 16,
     });
     let report = spec.run_with(Mechanism::ccfit(), 7, c);
