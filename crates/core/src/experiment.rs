@@ -264,6 +264,13 @@ pub enum ConfigId {
     },
 }
 
+/// The largest `uniform-tree` the engine has run, 32 768 nodes of
+/// 64-port switches (`tests/integration_scale.rs`): [`ConfigId::check`]
+/// refuses a bigger one, which would exhaust memory or overflow `k^n`
+/// before its first cycle.
+const MAX_TREE_ARY: usize = 32;
+const MAX_TREE_NODES: usize = 32_768;
+
 impl ConfigId {
     /// The paper configs at their full (Figs. 7–10) time scale.
     pub fn config1_case1() -> Self {
@@ -330,6 +337,10 @@ impl ConfigId {
             true => Ok(()),
             false => fail(key, format!("must be at least {min}, got {v}")),
         };
+        let at_most = |key, v: usize, max: usize| match v <= max {
+            true => Ok(()),
+            false => fail(key, format!("must be at most {max}, got {v}")),
+        };
         let load = |v: f64| match v > 0.0 && v <= 1.0 {
             true => Ok(()),
             false => fail("load", format!("must be in (0, 1], got {v}")),
@@ -350,10 +361,24 @@ impl ConfigId {
                 levels,
                 load: l,
                 duration_ns,
-            } => at_least("ary", ary, 2)
-                .and(at_least("levels", levels, 1))
-                .and(load(l))
-                .and(positive("duration_ns", duration_ns)),
+            } => {
+                let nodes = u32::try_from(levels).ok().and_then(|n| ary.checked_pow(n));
+                let fits = match nodes.is_some_and(|n| n <= MAX_TREE_NODES) {
+                    true => Ok(()),
+                    false => fail(
+                        "levels",
+                        format!(
+                            "must keep ary^levels at most {MAX_TREE_NODES}, got {ary}^{levels}"
+                        ),
+                    ),
+                };
+                at_least("ary", ary, 2)
+                    .and(at_most("ary", ary, MAX_TREE_ARY))
+                    .and(at_least("levels", levels, 1))
+                    .and(fits)
+                    .and(load(l))
+                    .and(positive("duration_ns", duration_ns))
+            }
         }
     }
 

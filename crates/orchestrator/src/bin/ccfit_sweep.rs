@@ -1,56 +1,43 @@
 //! `ccfit-sweep` — run experiment matrices through the orchestrator.
 //!
 //! ```text
-//! ccfit-sweep run <matrix.toml> [--jobs N] [--no-cache] [--cache-dir D]
-//!                 [--timeout-s S] [--retries R] [--in-process] [--quiet]
+//! ccfit-sweep run <matrix.toml> [--jobs N] [--no-cache] [--cache-dir D] [--quiet]
 //! ccfit-sweep gc [--cache-dir D]
 //! ccfit-sweep hash <matrix.toml>
 //! ```
 //!
-//! `run` executes a matrix (process-parallel workers by default,
-//! reading through the cache), ends its stderr with a `done: N runs in
-//! Ts (H hits, M simulated, R retried)` line and prints the matrix's
-//! report on stdout (`ccfit_orchestrator::report`). `gc` prunes
-//! stale-salt and corrupt entries. `hash` prints each resolved run's
-//! cache key and canonical bytes (the golden-pin test uses it for
-//! debugging). What a cold and a warm pass cost is the benchmark's
-//! `paper-matrix` / `paper-matrix-warm` workloads (`benchmark/README.md`).
-//!
-//! The hidden `__ccfit-run-one <request.json> <out.json>` argv is the
-//! worker half of the process protocol (DESIGN.md §13.4).
+//! `run` executes a matrix (misses on threads of this process, reading
+//! through the cache), ends its stderr with a `done: N runs in Ts (H
+//! hits, M simulated)` line and prints the matrix's report on stdout
+//! (`ccfit_orchestrator::report`); a run that panics is named once the
+//! others finish, and `run` exits 1. `gc` prunes stale-salt and corrupt
+//! entries. `hash` prints each resolved run's cache key and canonical
+//! bytes. An unknown flag exits 2 with the usage text. What a cold and
+//! a warm pass cost is the benchmark's `paper-matrix` /
+//! `paper-matrix-warm` workloads (`benchmark/README.md`).
 
 use std::io::Write;
 use std::num::NonZeroUsize;
-use std::str::FromStr;
-use std::time::Duration;
 
 use ccfit_orchestrator::{
-    cache_from_args, report, run_matrix, run_one_worker, ExecMode, ExperimentMatrix, RunnerOptions,
-    ENGINE_SALT, RUN_ONE_ARGV,
+    cache_from_args, report, run_matrix, ExperimentMatrix, RunnerOptions, ENGINE_SALT,
 };
 
 const USAGE: &str = "\
 usage: ccfit-sweep <run|gc|hash> ...
 
-  run   <matrix.toml> [--jobs N] [--no-cache] [--cache-dir D]
-        [--timeout-s S] [--retries R] [--in-process] [--quiet]
+  run   <matrix.toml> [--jobs N] [--no-cache] [--cache-dir D] [--quiet]
   gc    [--cache-dir D]
   hash  <matrix.toml>";
 
-/// `run`'s flags that take a value, and those that do not.
-const RUN_VALUE_FLAGS: [&str; 4] = ["--jobs", "--cache-dir", "--timeout-s", "--retries"];
-const RUN_SWITCHES: [&str; 3] = ["--no-cache", "--in-process", "--quiet"];
+/// The flags each subcommand knows: those that take a value, then the
+/// switches.
+const RUN_FLAGS: (&[&str], &[&str]) = (&["--jobs", "--cache-dir"], &["--no-cache", "--quiet"]);
+const GC_FLAGS: (&[&str], &[&str]) = (&["--cache-dir"], &[]);
+const HASH_FLAGS: (&[&str], &[&str]) = (&[], &[]);
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    // Worker hook first: must never be shadowed by flag parsing.
-    if args.get(1).map(String::as_str) == Some(RUN_ONE_ARGV) {
-        let (Some(req), Some(out)) = (args.get(2), args.get(3)) else {
-            eprintln!("usage: ccfit-sweep {RUN_ONE_ARGV} <request.json> <out.json>");
-            std::process::exit(2);
-        };
-        std::process::exit(run_one_worker(req, out));
-    }
     let code = match args.get(1).map(String::as_str) {
         Some("run") => cmd_run(&args),
         Some("gc") => cmd_gc(&args),
@@ -63,6 +50,36 @@ fn main() {
     std::process::exit(code);
 }
 
+/// Refuse a flag the subcommand does not know and a value flag given
+/// without its value: the exit code, after the message and the usage.
+fn check_flags(flags: &[String], (values, switches): (&[&str], &[&str])) -> Result<(), i32> {
+    let mut rest = flags.iter();
+    while let Some(flag) = rest.next() {
+        if values.contains(&flag.as_str()) {
+            rest.next()
+                .ok_or_else(|| usage_error(&format!("`{flag}` expects a value")))?;
+        } else if !switches.contains(&flag.as_str()) {
+            return Err(usage_error(&format!("unknown flag `{flag}`")));
+        }
+    }
+    Ok(())
+}
+
+/// Print `error` and the usage text; the exit code.
+fn usage_error(error: &str) -> i32 {
+    eprintln!("{error}\n\n{USAGE}");
+    2
+}
+
+/// `args[2]`, the matrix path, once the flags after it pass
+/// [`check_flags`]; `Err` is the exit code.
+fn matrix_path<'a>(args: &'a [String], known: (&[&str], &[&str])) -> Result<&'a str, i32> {
+    let path = args.get(2).filter(|a| !a.starts_with("--"));
+    let path = path.ok_or_else(|| usage_error("missing <matrix.toml>"))?;
+    check_flags(&args[3..], known)?;
+    Ok(path)
+}
+
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == flag)
@@ -70,44 +87,20 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// `flag`'s value parsed as a `T` (`None` when the flag is absent).
-fn parsed<T: FromStr>(flags: &[String], flag: &str, what: &str) -> Result<Option<T>, String> {
-    let parse = |v: &str| {
-        v.parse()
-            .map_err(|_| format!("`{flag}` expects {what}, got {v:?}"))
-    };
-    flag_value(flags, flag).map(parse).transpose()
-}
-
 /// The runner options `run`'s flags (those after the matrix path) ask
-/// for. An unknown flag, a flag without its value and a value that does
-/// not parse are errors, not defaults.
+/// for. A value that does not parse is an error, not a default.
 fn run_options(flags: &[String]) -> Result<RunnerOptions, String> {
-    let mut rest = flags.iter();
-    while let Some(flag) = rest.next() {
-        if RUN_VALUE_FLAGS.contains(&flag.as_str()) {
-            rest.next().ok_or(format!("`{flag}` expects a value"))?;
-        } else if !RUN_SWITCHES.contains(&flag.as_str()) {
-            return Err(format!("unknown flag `{flag}`"));
-        }
-    }
-    let jobs: Option<NonZeroUsize> = parsed(flags, "--jobs", "a positive integer")?;
-    let timeout_s: Option<u64> = parsed(flags, "--timeout-s", "whole seconds")?;
-    let retries: Option<u32> = parsed(flags, "--retries", "a non-negative integer")?;
-    let mode = match flags.iter().any(|a| a == "--in-process") {
-        true => ExecMode::Threads,
-        false => ExecMode::Processes {
-            timeout: Duration::from_secs(timeout_s.unwrap_or(900)),
-            retries: retries.unwrap_or(1),
-        },
-    };
-    let available = || std::thread::available_parallelism().map_or(1, |n| n.get());
-    Ok(RunnerOptions {
-        jobs: jobs.map_or_else(available, NonZeroUsize::get),
-        mode,
+    let mut opts = RunnerOptions {
         cache: cache_from_args(flags),
         quiet: flags.iter().any(|a| a == "--quiet"),
-    })
+        ..RunnerOptions::default()
+    };
+    if let Some(v) = flag_value(flags, "--jobs") {
+        let jobs = v.parse::<NonZeroUsize>();
+        let bad = |_| format!("`--jobs` expects a positive integer, got {v:?}");
+        opts.jobs = jobs.map_err(bad)?.get();
+    }
+    Ok(opts)
 }
 
 /// Write `text` to stdout; the exit code. A reader that went away (`|
@@ -130,16 +123,13 @@ fn load_matrix(path: &str) -> Result<ExperimentMatrix, String> {
 }
 
 fn cmd_run(args: &[String]) -> i32 {
-    let Some(path) = args.get(2).filter(|a| !a.starts_with("--")) else {
-        eprintln!("{USAGE}");
-        return 2;
+    let path = match matrix_path(args, RUN_FLAGS) {
+        Ok(path) => path,
+        Err(code) => return code,
     };
     let opts = match run_options(&args[3..]) {
         Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return 2;
-        }
+        Err(e) => return usage_error(&e),
     };
     let matrix = match load_matrix(path) {
         Ok(m) => m,
@@ -164,8 +154,8 @@ fn cmd_run(args: &[String]) -> i32 {
         Ok(run) => {
             let s = run.stats;
             eprintln!(
-                "done: {} runs in {:.1}s ({} hits, {} simulated, {} retried)",
-                s.total, s.wall_s, s.hits, s.misses, s.retried
+                "done: {} runs in {:.1}s ({} hits, {} simulated)",
+                s.total, s.wall_s, s.hits, s.misses
             );
             emit(&report::render(&run.outputs))
         }
@@ -177,6 +167,9 @@ fn cmd_run(args: &[String]) -> i32 {
 }
 
 fn cmd_gc(args: &[String]) -> i32 {
+    if let Err(code) = check_flags(&args[2..], GC_FLAGS) {
+        return code;
+    }
     let cache = cache_from_args(args);
     match cache.gc() {
         Ok(stats) => {
@@ -197,9 +190,9 @@ fn cmd_gc(args: &[String]) -> i32 {
 }
 
 fn cmd_hash(args: &[String]) -> i32 {
-    let Some(path) = args.get(2) else {
-        eprintln!("usage: ccfit-sweep hash <matrix.toml>");
-        return 2;
+    let path = match matrix_path(args, HASH_FLAGS) {
+        Ok(path) => path,
+        Err(code) => return code,
     };
     match load_matrix(path) {
         Ok(matrix) => {

@@ -8,10 +8,11 @@
 //! hand-edited files). Anything that fails to parse or verify is
 //! logged to stderr and treated as a miss; the subsequent store
 //! overwrites it. Writes go through a tempfile in the cache directory
-//! followed by an atomic rename, so a crashed or killed worker can
-//! leave a stray `*.tmp*` file but never a torn `<key>.json`.
+//! followed by an atomic rename, so an interrupted sweep can leave a
+//! stray `*.tmp*` file but never a torn `<key>.json`.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ccfit_metrics::SimReport;
 use serde::{Deserialize, Serialize};
@@ -151,8 +152,12 @@ impl Cache {
         std::fs::create_dir_all(&self.dir)?;
         let json = serde_json::to_string(entry).expect("CacheEntry serializes infallibly");
         // The tempfile lives in the cache directory so the rename stays
-        // within one filesystem (atomic on POSIX).
-        let tmp = self.dir.join(format!(".{key}.tmp.{}", std::process::id()));
+        // within one filesystem (atomic on POSIX); `n` keeps two of the
+        // runner's threads that store the same key apart.
+        static STORES: AtomicUsize = AtomicUsize::new(0);
+        let n = STORES.fetch_add(1, Ordering::Relaxed);
+        let pid = std::process::id();
+        let tmp = self.dir.join(format!(".{key}.tmp.{pid}.{n}"));
         std::fs::write(&tmp, json)?;
         let result = std::fs::rename(&tmp, self.entry_path(key));
         if result.is_err() {
@@ -174,7 +179,7 @@ impl Cache {
             let path = entry?.path();
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
             if !name.ends_with(".json") {
-                // Abandoned `.<key>.tmp.<pid>` from a killed worker.
+                // Abandoned `.<key>.tmp.<pid>.<n>` from an interrupted sweep.
                 if name.contains(".tmp.") {
                     std::fs::remove_file(&path)?;
                     stats.corrupt += 1;
@@ -325,6 +330,40 @@ mod tests {
             }
         );
         // The good entry survived.
+        assert_eq!(cache.load(&key, &spec).as_ref(), Some(&report));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Threads of one process that store the same key (a matrix that
+    /// names one run twice, `seeds = [1, 1]`) each write their own
+    /// tempfile, so every rename finds its file and the entry is whole.
+    /// A stress test: the barrier starts each round's four stores
+    /// together; with one tempfile name per process most rounds lose a
+    /// rename to `NotFound`.
+    #[test]
+    fn concurrent_stores_of_one_key_all_succeed() {
+        let dir = tmpdir("concurrent");
+        let cache = Cache::new(&dir);
+        let spec = small_spec();
+        let key = spec.cache_key();
+        let report = spec.execute();
+        let entry = CacheEntry {
+            salt: ENGINE_SALT.to_string(),
+            key: key.clone(),
+            spec: spec.clone(),
+            report: report.clone(),
+        };
+        let round = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..50 {
+                        round.wait();
+                        cache.store_entry(&key, &entry).unwrap();
+                    }
+                });
+            }
+        });
         assert_eq!(cache.load(&key, &spec).as_ref(), Some(&report));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -5,9 +5,10 @@
 //!
 //! Sweeps as a batch system (DESIGN.md §13): declarative experiment
 //! matrices, a content-hashed result cache keyed on the canonical spec
-//! serialization plus an engine-version salt, and a parallel runner
-//! with thread- and process-based execution, and the plain-text report
-//! `ccfit-sweep run` prints for a finished matrix.
+//! serialization plus an engine-version salt, a runner that simulates
+//! the cache misses on threads of this process and names any run that
+//! panics, and the plain-text report `ccfit-sweep run` prints for a
+//! finished matrix.
 //!
 //! The simulator is bit-deterministic (pinned by `tests/determinism.rs`
 //! and the golden snapshots), so a cache hit is *exact*: the stored
@@ -37,8 +38,5 @@ mod runner;
 
 pub use cache::{cache_from_args, Cache, CacheEntry, GcStats, DEFAULT_CACHE_DIR};
 pub use matrix::ExperimentMatrix;
-pub use runner::{
-    run_matrix, run_one_worker, ExecMode, MatrixRun, RunOutcome, RunRequest, RunStats,
-    RunnerOptions, RUN_ONE_ARGV,
-};
+pub use runner::{run_matrix, ExecMode, MatrixRun, RunOutcome, RunStats, RunnerOptions};
 pub use spec::{RunSpec, ENGINE_SALT, SCHEMA_VERSION};

@@ -1,49 +1,35 @@
 //! The sweep runner: cache read-through + parallel fan-out.
 //!
 //! Every pending spec is first looked up in the [`Cache`]; misses are
-//! simulated and stored. Two execution modes:
+//! simulated on a pool of OS threads inside this process and stored.
+//! A run that panics is caught (the release profile unwinds) and named
+//! in the sweep's error; every other run still finishes and is stored,
+//! so a re-run simulates only the runs that failed. There is no retry
+//! and no kill timeout: the engine is deterministic, so a retry would
+//! repeat the same cycles to the same panic, and every run ends at its
+//! finite `end` cycle (DESIGN.md §13.4).
 //!
-//! - [`ExecMode::Threads`] — misses run on a pool of OS threads inside
-//!   this process. This is the mode for `ccfit-sweep run --in-process`,
-//!   the benchmark and the tests: no self-exec, no extra processes.
-//! - [`ExecMode::Processes`] — misses run in worker *processes*: the
-//!   runner re-executes `std::env::current_exe()` with the hidden
-//!   [`RUN_ONE_ARGV`] subcommand, shipping a [`RunRequest`] JSON file
-//!   and reading a [`CacheEntry`] JSON back. Only `ccfit-sweep`
-//!   (whose `main` dispatches the subcommand) may use this mode; it
-//!   buys per-run isolation and a kill-based timeout and retry.
-//!
-//! Either way the outputs come back in input order and the stats
-//! account hits vs. misses, so callers can assert "warm = 100% hits".
+//! Outcomes come back in input order and the stats account hits vs.
+//! misses, so callers can assert "warm = 100% hits".
 
-use std::path::Path;
+use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ccfit_metrics::SimReport;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-use crate::cache::{Cache, CacheEntry};
-use crate::spec::{RunSpec, ENGINE_SALT};
+use crate::cache::Cache;
+use crate::spec::RunSpec;
 
-/// argv[1] of the hidden worker subcommand (see module docs).
-pub const RUN_ONE_ARGV: &str = "__ccfit-run-one";
-
-/// How cache misses are executed.
+/// How cache misses are executed. There is one way, threads of this
+/// process; the type stays only because the benchmark names it, and
+/// nothing reads it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecMode {
     /// In-process worker threads.
     Threads,
-    /// Self-exec worker processes with a per-run timeout and retry
-    /// budget (timeouts kill the worker and count one retry).
-    Processes {
-        /// Kill a worker that exceeds this wall-clock budget.
-        timeout: Duration,
-        /// How many times a failed/timed-out run is retried before the
-        /// sweep aborts.
-        retries: u32,
-    },
 }
 
 /// Runner configuration.
@@ -51,7 +37,8 @@ pub enum ExecMode {
 pub struct RunnerOptions {
     /// Maximum concurrent runs.
     pub jobs: usize,
-    /// Threads or processes (see [`ExecMode`]).
+    /// Always [`ExecMode::Threads`]; kept for the benchmark, which sets
+    /// it, and read by nothing.
     pub mode: ExecMode,
     /// The result cache (possibly [`Cache::disabled`]).
     pub cache: Cache,
@@ -94,8 +81,6 @@ pub struct RunStats {
     pub hits: usize,
     /// Simulated (cache misses).
     pub misses: usize,
-    /// Worker retries that eventually succeeded (process mode only).
-    pub retried: usize,
     /// End-to-end wall-clock seconds for the whole sweep.
     pub wall_s: f64,
 }
@@ -109,205 +94,85 @@ pub struct MatrixRun {
     pub stats: RunStats,
 }
 
-/// The worker protocol request: what to run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunRequest {
-    /// The run.
-    pub spec: RunSpec,
-}
-
 /// Run every spec, reading through the cache. Outcomes come back in
-/// input order. Fails only when a run (after retries, in process mode)
-/// cannot be completed.
+/// input order. A run that panics does not stop the others: every run
+/// that does not panic is simulated and stored, and then the sweep
+/// fails with one error that lists each panicking run, in input order,
+/// with its label, its cache key and the panic message.
 pub fn run_matrix(specs: &[RunSpec], opts: &RunnerOptions) -> Result<MatrixRun, String> {
     let t0 = Instant::now();
-    let slots: Vec<Mutex<Option<RunOutcome>>> = specs.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Result<RunOutcome, String>>>> =
+        specs.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
-    let retried = AtomicUsize::new(0);
-    let first_error: Mutex<Option<String>> = Mutex::new(None);
     let jobs = opts.jobs.clamp(1, specs.len().max(1));
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
-                if first_error.lock().unwrap().is_some() {
-                    return;
-                }
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(spec) = specs.get(i) else { return };
-                match run_one(spec, opts, &retried) {
-                    Ok(outcome) => {
-                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        if !opts.quiet {
-                            eprintln!(
-                                "[{finished}/{}] {} {} ({:.1}s)",
-                                specs.len(),
-                                if outcome.cached { "hit " } else { "run " },
-                                spec.label(),
-                                outcome.wall_s,
-                            );
-                        }
-                        *slots[i].lock().unwrap() = Some(outcome);
-                    }
-                    Err(e) => {
-                        first_error
-                            .lock()
-                            .unwrap()
-                            .get_or_insert_with(|| format!("{}: {e}", spec.label()));
-                        return;
-                    }
+                let outcome = run_one(spec, &opts.cache);
+                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                if !opts.quiet {
+                    let label = spec.label();
+                    let status = match &outcome {
+                        Ok(o) if o.cached => format!("hit  {label} ({:.1}s)", o.wall_s),
+                        Ok(o) => format!("run  {label} ({:.1}s)", o.wall_s),
+                        Err(_) => format!("FAIL {label}"),
+                    };
+                    eprintln!("[{finished}/{}] {status}", specs.len());
                 }
+                *slots[i].lock().unwrap() = Some(outcome);
             });
         }
     });
-    if let Some(e) = first_error.into_inner().unwrap() {
-        return Err(e);
+    let (mut outputs, mut failed) = (Vec::with_capacity(specs.len()), Vec::new());
+    for slot in slots {
+        let slot = slot.into_inner().expect("no panic escapes run_one");
+        match slot.expect("every slot filled") {
+            Ok(outcome) => outputs.push(outcome),
+            Err(e) => failed.push(e),
+        }
     }
-    let outputs: Vec<RunOutcome> = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("every slot filled"))
-        .collect();
+    if !failed.is_empty() {
+        let (n, list) = (failed.len(), failed.join("\n"));
+        return Err(format!("{n} of {} runs panicked:\n{list}", specs.len()));
+    }
     let hits = outputs.iter().filter(|o| o.cached).count();
     let stats = RunStats {
         total: outputs.len(),
         hits,
         misses: outputs.len() - hits,
-        retried: retried.load(Ordering::Relaxed),
         wall_s: t0.elapsed().as_secs_f64(),
     };
     Ok(MatrixRun { outputs, stats })
 }
 
-fn run_one(
-    spec: &RunSpec,
-    opts: &RunnerOptions,
-    retried: &AtomicUsize,
-) -> Result<RunOutcome, String> {
+/// One spec: a verified cache hit, or a simulation that is then stored.
+/// A panic in the simulation is the `Err`, naming the run.
+fn run_one(spec: &RunSpec, cache: &Cache) -> Result<RunOutcome, String> {
     let key = spec.cache_key();
     let t0 = Instant::now();
-    if let Some(report) = opts.cache.load(&key, spec) {
-        return Ok(RunOutcome {
-            spec: spec.clone(),
-            key,
-            report,
-            wall_s: t0.elapsed().as_secs_f64(),
-            cached: true,
-        });
-    }
-    let report = match &opts.mode {
-        ExecMode::Threads => spec.execute(),
-        ExecMode::Processes { timeout, retries } => {
-            run_in_subprocess(spec, &key, *timeout, *retries, retried)?
+    let (report, cached) = match cache.load(&key, spec) {
+        Some(report) => (report, true),
+        None => {
+            let report = panic::catch_unwind(|| spec.execute()).map_err(|payload| {
+                let message = (payload.downcast_ref::<&str>().copied())
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("(no message)");
+                format!("  {} [{key}]: {message}", spec.label())
+            })?;
+            cache.store(&key, spec, &report);
+            (report, false)
         }
     };
-    opts.cache.store(&key, spec, &report);
     Ok(RunOutcome {
         spec: spec.clone(),
         key,
         report,
         wall_s: t0.elapsed().as_secs_f64(),
-        cached: false,
+        cached,
     })
-}
-
-fn run_in_subprocess(
-    spec: &RunSpec,
-    key: &str,
-    timeout: Duration,
-    retries: u32,
-    retried: &AtomicUsize,
-) -> Result<SimReport, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let scratch = std::env::temp_dir().join(format!("ccfit-sweep-{}-{key}", std::process::id()));
-    std::fs::create_dir_all(&scratch).map_err(|e| format!("scratch dir: {e}"))?;
-    let req_path = scratch.join("request.json");
-    let out_path = scratch.join("entry.json");
-    let request = RunRequest { spec: spec.clone() };
-    std::fs::write(&req_path, serde_json::to_string(&request).unwrap())
-        .map_err(|e| format!("write request: {e}"))?;
-    let mut last_error = String::new();
-    for attempt in 0..=retries {
-        if attempt > 0 {
-            retried.fetch_add(1, Ordering::Relaxed);
-        }
-        std::fs::remove_file(&out_path).ok();
-        match try_worker(&exe, &req_path, &out_path, key, spec, timeout) {
-            Ok(report) => {
-                std::fs::remove_dir_all(&scratch).ok();
-                return Ok(report);
-            }
-            Err(e) => last_error = e,
-        }
-    }
-    std::fs::remove_dir_all(&scratch).ok();
-    Err(format!("{last_error} (after {} attempts)", retries + 1))
-}
-
-fn try_worker(
-    exe: &Path,
-    req_path: &Path,
-    out_path: &Path,
-    key: &str,
-    spec: &RunSpec,
-    timeout: Duration,
-) -> Result<SimReport, String> {
-    let mut child = std::process::Command::new(exe)
-        .arg(RUN_ONE_ARGV)
-        .arg(req_path)
-        .arg(out_path)
-        .spawn()
-        .map_err(|e| format!("spawn worker: {e}"))?;
-    let deadline = Instant::now() + timeout;
-    let status = loop {
-        match child.try_wait().map_err(|e| format!("wait: {e}"))? {
-            Some(status) => break status,
-            None if Instant::now() >= deadline => {
-                child.kill().ok();
-                child.wait().ok();
-                return Err(format!("worker timed out after {timeout:?}"));
-            }
-            None => std::thread::sleep(Duration::from_millis(20)),
-        }
-    };
-    if !status.success() {
-        return Err(format!("worker exited with {status}"));
-    }
-    let text = std::fs::read_to_string(out_path).map_err(|e| format!("read worker output: {e}"))?;
-    let entry: CacheEntry =
-        serde_json::from_str(&text).map_err(|e| format!("parse worker output: {e}"))?;
-    if entry.key != key || &entry.spec != spec || entry.salt != ENGINE_SALT {
-        return Err("worker output does not match the requested spec".to_string());
-    }
-    Ok(entry.report)
-}
-
-/// The worker side of the process protocol: read the [`RunRequest`] at
-/// `req_path`, simulate it, write a [`CacheEntry`] to `out_path`
-/// (plain write — the parent validates and does the atomic cache
-/// store). Returns the process exit code.
-pub fn run_one_worker(req_path: &str, out_path: &str) -> i32 {
-    let request: RunRequest = match std::fs::read_to_string(req_path)
-        .map_err(|e| e.to_string())
-        .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
-    {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{RUN_ONE_ARGV}: bad request {req_path}: {e}");
-            return 2;
-        }
-    };
-    let report = request.spec.execute();
-    let entry = CacheEntry {
-        salt: ENGINE_SALT.to_string(),
-        key: request.spec.cache_key(),
-        spec: request.spec,
-        report,
-    };
-    if let Err(e) = std::fs::write(out_path, serde_json::to_string(&entry).unwrap()) {
-        eprintln!("{RUN_ONE_ARGV}: write {out_path}: {e}");
-        return 3;
-    }
-    0
 }
 
 #[cfg(test)]
@@ -387,6 +252,52 @@ mod tests {
             let (s, experiment) = (&out.spec, out.spec.config.resolve());
             let direct = experiment.run_with(s.mechanism.clone(), s.seed, cfg.clone());
             assert_eq!(out.report, direct, "{} diverged in the runner", s.label());
+        }
+    }
+
+    /// A panicking run is named in the sweep's error and stops nothing:
+    /// the runs around it are simulated and stored, whatever the
+    /// number of jobs.
+    #[test]
+    fn a_panicking_run_is_named_and_the_others_finish() {
+        let [good_a, good_b] = [1u64, 2].map(|seed| {
+            RunSpec::new(
+                ConfigId::Config1Case1 { scale: 0.01 },
+                Mechanism::OneQ,
+                seed,
+                10_000.0,
+            )
+        });
+        let bad = RunSpec::new(
+            ConfigId::Config1Case1 { scale: 0.0 },
+            Mechanism::OneQ,
+            1,
+            10_000.0,
+        );
+        for jobs in [1, 2] {
+            let dir = std::env::temp_dir()
+                .join(format!("ccfit-runner-panic-{jobs}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let opts = RunnerOptions {
+                jobs,
+                cache: Cache::new(&dir),
+                ..RunnerOptions::default()
+            };
+            let specs = [good_a.clone(), bad.clone(), good_b.clone()];
+            let err = run_matrix(&specs, &opts).expect_err("a run panicked");
+            for needle in [
+                bad.label(),
+                bad.cache_key(),
+                "`scale` must be positive".into(),
+            ] {
+                assert!(
+                    err.contains(&needle),
+                    "jobs={jobs}: {needle:?} not in {err}"
+                );
+            }
+            let warm = run_matrix(&[good_a.clone(), good_b.clone()], &opts).unwrap();
+            assert_eq!((warm.stats.hits, warm.stats.misses), (2, 0), "jobs={jobs}");
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }

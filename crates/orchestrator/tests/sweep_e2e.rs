@@ -1,10 +1,10 @@
 //! End-to-end orchestrator tests: a real cold/warm sweep through the
-//! `ccfit-sweep` binary (process workers included), the
-//! byte-identity guarantee between cached and freshly-simulated
-//! reports, and the binary's refusal of flags it cannot honour.
+//! `ccfit-sweep` binary, the byte-identity guarantee between cached
+//! and freshly-simulated reports, and the binary's refusal of flags it
+//! cannot honour.
 
 use ccfit::{ConfigId, Mechanism};
-use ccfit_orchestrator::{run_matrix, Cache, ExecMode, RunSpec, RunnerOptions};
+use ccfit_orchestrator::{run_matrix, Cache, RunSpec, RunnerOptions};
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 
@@ -24,9 +24,8 @@ fn cached_reports_are_byte_identical_to_fresh() {
     std::fs::remove_dir_all(&dir).ok();
     let opts = RunnerOptions {
         jobs: 2,
-        mode: ExecMode::Threads,
         cache: Cache::new(&dir),
-        quiet: true,
+        ..RunnerOptions::default()
     };
     let specs = smoke_specs();
     let cold = run_matrix(&specs, &opts).unwrap();
@@ -47,9 +46,9 @@ fn cached_reports_are_byte_identical_to_fresh() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The only end-to-end test of `ExecMode::Processes`: `ccfit-sweep run`
-/// on the smoke matrix (process workers are its default) simulates all
-/// four runs into an empty cache, then serves all four from it. The
+/// The end-to-end test of the binary's runner: `ccfit-sweep run` on the
+/// smoke matrix simulates all four runs into an empty cache, then
+/// serves all four from it. The
 /// counts come from the binary's own `done:` line on stderr; on both
 /// passes stdout carries the report, with one scorecard row per run,
 /// and the warm report is the cold one byte for byte. What the two
@@ -79,8 +78,8 @@ fn sweep_bench_smoke_is_cache_dominated_when_warm() {
     };
     let (cold, cold_report) = pass();
     let (warm, warm_report) = pass();
-    assert_eq!(cold, "(0 hits, 4 simulated, 0 retried)", "cold pass");
-    assert_eq!(warm, "(4 hits, 0 simulated, 0 retried)", "warm pass");
+    assert_eq!(cold, "(0 hits, 4 simulated)", "cold pass");
+    assert_eq!(warm, "(4 hits, 0 simulated)", "warm pass");
     assert_eq!(
         cold_report, warm_report,
         "a warm pass prints the cold report"
@@ -89,9 +88,10 @@ fn sweep_bench_smoke_is_cache_dominated_when_warm() {
 }
 
 /// `ccfit-sweep run` refuses a value it cannot parse and a flag it does
-/// not know — a misspelt `--no-cache` must not run with the cache on —
-/// with exit code 2, a one-line message and the usage text, never a
-/// panic, and before it simulates anything.
+/// not know — a misspelt `--no-cache` must not run with the cache on,
+/// and the deleted process runner's flags are gone — with exit code 2,
+/// a one-line message and the usage text, never a panic, and before it
+/// simulates anything.
 #[test]
 fn bad_run_flags_exit_2_with_usage() {
     let matrix = concat!(env!("CARGO_MANIFEST_DIR"), "/../../matrices/smoke.toml");
@@ -104,14 +104,8 @@ fn bad_run_flags_exit_2_with_usage() {
             &["--jobs", "0"],
             "`--jobs` expects a positive integer, got \"0\"",
         ),
-        (
-            &["--timeout-s", "x"],
-            "`--timeout-s` expects whole seconds, got \"x\"",
-        ),
-        (
-            &["--retries", "-1"],
-            "`--retries` expects a non-negative integer, got \"-1\"",
-        ),
+        (&["--timeout-s", "9"], "unknown flag `--timeout-s`"),
+        (&["--in-process"], "unknown flag `--in-process`"),
         (&["--no-cahce"], "unknown flag `--no-cahce`"),
         (&["--job", "4"], "unknown flag `--job`"),
         (&["--quiet", "--jobs"], "`--jobs` expects a value"),
@@ -133,15 +127,56 @@ fn bad_run_flags_exit_2_with_usage() {
     }
 }
 
+/// `gc` and `hash` refuse a flag they do not know, `gc` a `--cache-dir`
+/// without its value and `hash` a missing matrix, the way `run` does:
+/// exit code 2, a one-line message and the usage text, before anything
+/// is touched. A
+/// misspelt `--cache-dir` must not prune the default cache, so each case
+/// runs where a corrupt entry sits in the default cache, and it stays.
+#[test]
+fn bad_gc_and_hash_flags_exit_2_with_usage() {
+    let matrix = concat!(env!("CARGO_MANIFEST_DIR"), "/../../matrices/smoke.toml");
+    let cwd = std::env::temp_dir().join(format!("ccfit-e2e-gc-{}", std::process::id()));
+    let corrupt = cwd
+        .join(ccfit_orchestrator::DEFAULT_CACHE_DIR)
+        .join(format!("{}.json", "1".repeat(64)));
+    std::fs::create_dir_all(corrupt.parent().unwrap()).unwrap();
+    std::fs::write(&corrupt, "not json").unwrap();
+    for (args, message) in [
+        (
+            &["gc", "--cache-dri", "elsewhere"][..],
+            "unknown flag `--cache-dri`",
+        ),
+        (&["gc", "--cache-dir"], "`--cache-dir` expects a value"),
+        (&["gc", "--no-cache"], "unknown flag `--no-cache`"),
+        (&["hash", matrix, "--bogus"], "unknown flag `--bogus`"),
+        (&["hash", matrix, "--jobs", "2"], "unknown flag `--jobs`"),
+        (&["hash", "--bogus"], "missing <matrix.toml>"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ccfit-sweep"))
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("spawn ccfit-sweep");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert_eq!(stderr.lines().next(), Some(message), "{args:?}");
+        assert!(stderr.contains("usage: ccfit-sweep"), "{args:?}:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: printed output");
+        assert!(corrupt.exists(), "{args:?}: pruned the default cache");
+    }
+    std::fs::remove_dir_all(&cwd).ok();
+}
+
 /// A one-run matrix on the 4-node uniform tree; `{extra}` is the end.
 const MATRIX: &str = "[matrix]\nname = \"bad\"\nmechanisms = [\"1Q\"]\nseeds = [1]\n\
     metrics_bin_ns = 1e4\n\n[[matrix.config]]\nkind = \"uniform-tree\"\nary = 2\nlevels = 2\n\
     load = 0.5\nduration_ns = 5e4\n{extra}";
 
-/// A value no builder can honour is refused at parse time with its line
-/// and exit code 2 — before any run starts, so no worker is spawned to
-/// panic on it. Each case edits `MATRIX`; `#!` marks the line its
-/// message must name.
+/// A value no builder can honour, or a tree too big to build, is refused
+/// at parse time with its line and exit code 2 — before any run starts,
+/// so no simulation panics on it or exhausts memory. Each case edits
+/// `MATRIX`; `#!` marks the line its message must name.
 #[test]
 fn bad_matrix_values_exit_2_with_their_line() {
     let tree = "kind = \"uniform-tree\"\nary = 2";
@@ -158,6 +193,17 @@ fn bad_matrix_values_exit_2_with_their_line() {
             "`scale` must be positive",
         ),
         ("ary = 2", "ary = 0 #!".into(), "`ary` must be at least 2"),
+        ("ary = 2", "ary = 33 #!".into(), "`ary` must be at most 32"),
+        (
+            "ary = 2\nlevels = 2",
+            "ary = 16\nlevels = 4 #!".into(),
+            "`levels` must keep ary^levels at most 32768, got 16^4",
+        ),
+        (
+            "levels = 2",
+            "levels = 64 #!".into(),
+            "`levels` must keep ary^levels at most 32768, got 2^64",
+        ),
         (
             "load = 0.5",
             "load = 2.0 #!".into(),
@@ -218,7 +264,7 @@ fn bad_matrix_values_exit_2_with_their_line() {
         let out = Command::new(env!("CARGO_BIN_EXE_ccfit-sweep"))
             .arg("run")
             .arg(&path)
-            .args(["--no-cache", "--in-process", "--quiet"])
+            .args(["--no-cache", "--quiet"])
             .output()
             .expect("spawn ccfit-sweep");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -227,6 +273,8 @@ fn bad_matrix_values_exit_2_with_their_line() {
         let located = stderr.contains(&format!("line {line}: "));
         assert!(located && stderr.contains(message), "{message}:\n{stderr}");
         assert!(!stderr.contains("panicked at"), "{message}:\n{stderr}");
+        let started = stderr.contains("matrix `bad`: ") || !out.stdout.is_empty();
+        assert!(!started, "{message}: a run started:\n{stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
