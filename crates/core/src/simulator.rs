@@ -1433,8 +1433,8 @@ impl Simulator {
     /// packet banked that it has yet to offer. Otherwise it parks until
     /// the earlier of the adapter's bound — a CC-timer deadline, an
     /// AdVOQ head's IRD gap, the injection link's transmitter — and a
-    /// conservative lower bound of the generator's next emission or
-    /// ON/OFF boundary, whose skipped accrual cycles are replayed on wake
+    /// conservative lower bound of the generator's next emission, whose
+    /// skipped accrual cycles are replayed on wake
     /// (`NodeGenerator::next_park_wake`). A generator whose packet the
     /// adapter just refused waits for the adapter, so the adapter's bound
     /// covers it. The oracle never parks: it visits every node every
@@ -1558,7 +1558,7 @@ impl Simulator {
     /// activation rule missed an event, or a park bound outlived the
     /// state it was derived from. The bounds are re-derived here from
     /// the queues themselves — a fresh arbitration gather and
-    /// `is_settled` per live port for a switch, `head_fate` over the
+    /// `quiet_until` per live port for a switch, `head_fate` over the
     /// backlogged AdVOQs for an adapter — not read back from the memos
     /// the park decision trusted.
     #[cfg(debug_assertions)]

@@ -350,14 +350,16 @@ pub struct Switch {
     arb: ArbScratch,
     /// Per-call control-event scratch.
     ctrl_scratch: Vec<CtrlEvent>,
-    /// Per-input-port memo of the isolation stage's last visit. Made
-    /// stale by every event that can change what a visit reads — the
-    /// port's NFQ contents, its CFQ set, any output CAM's key set, the
-    /// routing table — through [`Self::port_changed`] and
-    /// [`Self::all_ports_changed`]; its quiet bound alone also by
-    /// [`Self::wake_protocol`] (a CFQ's occupancy changed) and
+    /// Per input port, the quiet bound of the isolation stage's last
+    /// visit (DESIGN.md §12 "Isolation fixed points"): that visit changed
+    /// nothing — see [`Self::quiet_until`] — so the walk passes the port
+    /// by while `now < iso_quiet[port]`, until the earliest clock the
+    /// visit read comes due or one of its inputs changes. `Cycle::MAX`
+    /// is a port no clock can wake (settled); 0 one the next walk
+    /// visits. Reset by every event that can change what a visit reads,
+    /// through [`Self::port_changed`], [`Self::all_ports_changed`] and
     /// [`Self::wake_drainers`] (its line's Stop/Go status flipped).
-    iso_memo: Vec<IsoMemo>,
+    iso_quiet: Vec<Cycle>,
     /// The open CFQ-exhaustion episodes, one per exhausted (port, site):
     /// a handful at a switch that ran out of CFQs, none elsewhere.
     exhausted: Vec<Exhaustion>,
@@ -369,28 +371,6 @@ pub struct Switch {
     /// [`Self::drain_touched_links`], so the simulator's work-list
     /// scheduler can activate them (DESIGN.md §12).
     touched_links: Vec<u32>,
-}
-
-/// What the isolation stage remembers of its last visit to an input
-/// port (DESIGN.md §12 "Isolation fixed points").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct IsoMemo {
-    /// The detection scan's answer, while the scan's inputs stand.
-    scan: Option<DetectScan>,
-    /// The last visit changed nothing — see [`Switch::quiet_until`] — so
-    /// the walk passes the port by while `now < quiet_until`: until the
-    /// earliest clock that visit read comes due, or one of its inputs
-    /// changes. `Cycle::MAX` is a port no clock can wake (settled); 0
-    /// one the next walk visits.
-    quiet_until: Cycle,
-}
-
-impl IsoMemo {
-    /// Nothing remembered: the next visit runs in full.
-    const STALE: IsoMemo = IsoMemo {
-        scan: None,
-        quiet_until: 0,
-    };
 }
 
 /// An open CFQ-exhaustion episode (DESIGN.md §10): every visit of input
@@ -420,7 +400,7 @@ struct Upstream {
 }
 
 /// Result of the congestion-detection scan over one input port's NFQ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct DetectScan {
     /// Flits of data packets matched by neither a CFQ of the port nor an
     /// output-CAM line.
@@ -578,7 +558,7 @@ impl Switch {
             voq_occ: vec![0; num_ports],
             arb: ArbScratch::new(num_ports),
             ctrl_scratch: Vec::new(),
-            iso_memo: vec![IsoMemo::STALE; num_ports],
+            iso_quiet: vec![0; num_ports],
             exhausted: Vec::new(),
             detect_tally: Vec::new(),
             purge_scratch: Vec::new(),
@@ -725,7 +705,8 @@ impl Switch {
     /// mis-attributed to whatever victim packet sits at the head
     /// (allocating a CFQ for a non-congested destination and, in CCFIT,
     /// marking and throttling the victim). The NFQ holds at most RAM/MTU
-    /// packets, so the scan is small, but see [`Self::detection_scan`].
+    /// packets, so the scan is small; a port with no CFQ left above the
+    /// threshold is passed by on its quiet bound rather than re-scanned.
     fn scan_unisolated(
         &self,
         port: usize,
@@ -761,32 +742,11 @@ impl Switch {
         DetectScan {
             unmatched_total,
             // The congested destination is the one dominating the
-            // unisolated backlog.
+            // unisolated backlog. The tally is in first-seen order and
+            // `max_by_key` keeps the last of equal maxima, so a tie goes
+            // to the destination first seen furthest from the head.
             dominant: tally.iter().max_by_key(|(_, f)| *f).map(|&(d, _)| d),
         }
-    }
-
-    /// [`Self::scan_unisolated`], memoised per input port. A port blocked
-    /// above the detection threshold with no CFQ left asks the same
-    /// question on every visit; the answer only changes when the port's
-    /// NFQ contents, its CFQ destinations, an output CAM's key set or the
-    /// routing table do, and each of those events drops the memo
-    /// (DESIGN.md §12).
-    fn detection_scan(&mut self, port: usize, routing: &RoutingTable) -> DetectScan {
-        if let Some(hit) = self.iso_memo[port].scan {
-            debug_assert_eq!(
-                hit,
-                self.scan_unisolated(port, routing, &mut Vec::new()),
-                "stale detection memo at {} in{port}",
-                self.id
-            );
-            return hit;
-        }
-        let mut tally = std::mem::take(&mut self.detect_tally);
-        let scan = self.scan_unisolated(port, routing, &mut tally);
-        self.detect_tally = tally;
-        self.iso_memo[port].scan = Some(scan);
-        scan
     }
 
     // ---- invalidation: every write to state a recorded scan read makes
@@ -795,25 +755,18 @@ impl Switch {
     // bound: whatever a visit reads about a port's queues or lookups, the
     // gather reads too (DESIGN.md §12, "Who clears what"). ----
 
-    /// Input `port`'s queues or its CFQ set changed: forget its memo.
+    /// Input `port`'s queues, its CFQs' occupancy or its CFQ set
+    /// changed: forget its quiet bound.
     fn port_changed(&mut self, port: usize) {
-        self.iso_memo[port] = IsoMemo::STALE;
-        self.arb.idle.clear();
-    }
-
-    /// The occupancy of one of input `port`'s CFQs changed (a departure):
-    /// the per-CFQ protocol reads it, the detection scan does not, so of
-    /// the port's memo only the quiet bound goes.
-    fn wake_protocol(&mut self, port: usize) {
-        self.iso_memo[port].quiet_until = 0;
+        self.iso_quiet[port] = 0;
         self.arb.idle.clear();
     }
 
     /// An output CAM's key set or the routing table changed, which every
     /// port's visit looks its packets up in, or a purge emptied queues
-    /// at any port: forget every memo.
+    /// at any port: forget every quiet bound.
     fn all_ports_changed(&mut self) {
-        self.iso_memo.fill(IsoMemo::STALE);
+        self.iso_quiet.fill(0);
         self.arb.idle.clear();
     }
 
@@ -823,13 +776,13 @@ impl Switch {
     /// and the arbiter (a stopped CFQ does not compete).
     fn wake_drainers(&mut self, out: usize, dst: NodeId) {
         self.arb.idle.clear();
-        for (input, memo) in self.inputs.iter().zip(&mut self.iso_memo) {
+        for (input, quiet) in self.inputs.iter().zip(&mut self.iso_quiet) {
             if let InputQueues::Isolating { cfqs, .. } = &input.queues {
                 if cfqs
                     .iter()
                     .any(|c| matches!(c.state, Some(s) if s.dst == dst && s.out_port == out))
                 {
-                    memo.quiet_until = 0;
+                    *quiet = 0;
                 }
             }
         }
@@ -846,14 +799,14 @@ impl Switch {
     }
 
     /// What a visit of input `port` at `now` would conclude, re-derived
-    /// from the queues without the memo: `None` if it would change
+    /// from the queues without the recorded bound: `None` if it would change
     /// something — allocate, move, release, send upstream or write a
     /// CFQ's state — and otherwise the first cycle at which a clock it
     /// reads comes due (`Cycle::MAX`: none), the bound a quiet visit
     /// records. The clocks are an arriving NFQ head's `visible_at` and
     /// the deadlines of [`Self::cfq_deadline`]; everything else the visit
     /// reads only changes through an event that drops the bound (see
-    /// [`IsoMemo`]). The walk and the park rule's re-derivation check
+    /// `iso_quiet`). The walk and the park rule's re-derivation check
     /// every skip against this.
     fn quiet_until(&self, port: usize, now: Cycle, routing: &RoutingTable) -> Option<Cycle> {
         let iso = self.cfg.iso?;
@@ -930,7 +883,7 @@ impl Switch {
         let mut next = 0;
         while let Some(port) = self.iso_live.next_in(next, num_ports) {
             next = port + 1;
-            let quiet_until = self.iso_memo[port].quiet_until;
+            let quiet_until = self.iso_quiet[port];
             if now < quiet_until {
                 debug_assert_eq!(
                     self.quiet_until(port, now, routing),
@@ -947,8 +900,8 @@ impl Switch {
     }
 
     /// One visit of input `port`: detection, the moves, then the per-CFQ
-    /// protocol. A visit that changes nothing records in the port's memo
-    /// the bound [`Self::quiet_until`] states; one that changes anything
+    /// protocol. A visit that changes nothing records in `iso_quiet` the
+    /// bound [`Self::quiet_until`] states; one that changes anything
     /// leaves the port to be visited again. Each of the two exhaustion
     /// sites extends, opens or closes its episode.
     fn visit_port(
@@ -976,7 +929,9 @@ impl Switch {
         };
         let mut exhausted = None;
         if nfq_occ >= detect_flits {
-            let scan = self.detection_scan(port, routing);
+            let mut tally = std::mem::take(&mut self.detect_tally);
+            let scan = self.scan_unisolated(port, routing, &mut tally);
+            self.detect_tally = tally;
             if scan.unmatched_total >= detect_flits {
                 let dst = scan
                     .dominant
@@ -1077,8 +1032,8 @@ impl Switch {
                 .queue
                 .push(entry.packet, entry.visible_at, entry.ready_at);
             // The NFQ changed (and so did the CFQ set, if the slot was
-            // allocated just above): drop the memo, and let the arbiter
-            // see the new heads.
+            // allocated just above): drop the quiet bound, and let the
+            // arbiter see the new heads.
             self.port_changed(port);
             quiet = false;
             metrics.count("packets_isolated", 1);
@@ -1109,7 +1064,7 @@ impl Switch {
             cfqs[c].state = (!release).then_some(next);
             self.apply_cfq_step(port, st, step, now, links, metrics);
         }
-        self.iso_memo[port].quiet_until = if quiet { until } else { 0 };
+        self.iso_quiet[port] = if quiet { until } else { 0 };
     }
 
     /// One visit's worth of the per-CFQ protocol (§III-C) for an
@@ -1707,7 +1662,7 @@ impl Switch {
             }
             (InputQueues::Isolating { cfqs, .. }, QueueKey::Cfq(c)) => {
                 let entry = cfqs[c].queue.pop();
-                self.wake_protocol(port);
+                self.port_changed(port);
                 entry
             }
             _ => unreachable!("queue key does not match the scheme"),
@@ -2176,7 +2131,7 @@ impl Switch {
     /// credit return can lift.
     pub(crate) fn park_bound(&self) -> Option<Cycle> {
         self.park_bound_from(
-            |port| Some(self.iso_memo[port].quiet_until).filter(|&until| until > 0),
+            |port| Some(self.iso_quiet[port]).filter(|&until| until > 0),
             || (&self.arb.idle, &self.arb.watched),
         )
     }
@@ -2969,17 +2924,18 @@ mod tests {
         assert!(fx.sw.outputs[2].cam.lookup(NodeId(7)).is_some());
     }
 
-    // ---- the detection-scan memo ----
+    // ---- congestion detection's verdict ----
     //
-    // A port blocked above the detection threshold repeats its verdict
-    // from the memo; the events that drop it are rows of the writer
-    // table (`every_writer_clears_the_records_it_can_break`).
+    // A port above the detection threshold names the destination that
+    // dominates its unisolated backlog; the events that can change that
+    // verdict are rows of the writer table
+    // (`every_writer_clears_the_records_it_can_break`).
 
     /// Isolating fixture with `num_cfqs` CFQs per port and the default
     /// 8-MTU detection threshold. With no CFQ every detection ends in an
     /// exhaustion episode for the dominant destination, which makes the
     /// verdict of each cycle observable.
-    fn memo_fixture(num_cfqs: usize) -> Fixture {
+    fn iso_fixture(num_cfqs: usize) -> Fixture {
         let iso = IsolationParams {
             num_cfqs,
             ..IsolationParams::default()
@@ -3027,14 +2983,27 @@ mod tests {
     }
 
     #[test]
-    fn memo_hit_repeats_the_verdict_every_cycle() {
-        let mut fx = memo_fixture(0);
+    fn an_exhausted_port_repeats_its_verdict_every_cycle() {
+        let mut fx = iso_fixture(0);
         let mut id = 0;
         deliver_n(&mut fx, &mut id, 6, 6);
         deliver_n(&mut fx, &mut id, 3, 2);
         for now in 0..5 {
             assert_eq!(verdicts(&mut fx, now), vec![6], "cycle {now}");
-            assert!(fx.sw.iso_memo[0].scan.is_some());
+        }
+    }
+
+    #[test]
+    fn a_tie_goes_to_the_destination_first_seen_last() {
+        // 4 MTUs each, 8 in all: the threshold. Equal maxima in the
+        // tally, which is in first-seen order; `max_by_key` keeps the
+        // last of them.
+        for (first, second) in [(6, 2), (2, 6)] {
+            let mut fx = iso_fixture(1);
+            let mut id = 0;
+            deliver_n(&mut fx, &mut id, 4, first);
+            deliver_n(&mut fx, &mut id, 4, second);
+            assert_eq!(verdicts(&mut fx, 0), vec![second], "{first} then {second}");
         }
     }
 
@@ -3052,7 +3021,7 @@ mod tests {
     }
 
     fn settled(fx: &Fixture) -> bool {
-        fx.sw.iso_memo[0].quiet_until == Cycle::MAX
+        fx.sw.iso_quiet[0] == Cycle::MAX
     }
 
     /// The hop downstream of output `out` sends `ev` at `now`; it is
@@ -3078,7 +3047,7 @@ mod tests {
 
     #[test]
     fn a_settled_port_is_passed_by_until_an_input_changes() {
-        let mut fx = memo_fixture(2);
+        let mut fx = iso_fixture(2);
         settle(&mut fx, 0, &[(1, 2)]);
         for now in 1..50 {
             iso_tick(&mut fx, now);
@@ -3087,7 +3056,7 @@ mod tests {
         assert_eq!(fx.metrics.counter("congestion_detected"), 0);
         assert_eq!(fx.metrics.counter("packets_isolated"), 0);
         // A BECN head never moves either (§III-B).
-        let mut fx = memo_fixture(2);
+        let mut fx = iso_fixture(2);
         let becn = Packet::becn(PacketId(1), NodeId(1), NodeId(6), 0);
         downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
         deliver(&mut fx, 10, becn);
@@ -3097,7 +3066,7 @@ mod tests {
 
     #[test]
     fn an_invisible_head_is_not_settled() {
-        let mut fx = memo_fixture(2);
+        let mut fx = iso_fixture(2);
         downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
         // Its header lands at 50; only then can post-processing see that
         // it belongs to the tree. No event marks that cycle.
@@ -3105,7 +3074,7 @@ mod tests {
         for now in 10..50 {
             iso_tick(&mut fx, now);
             assert!(!settled(&fx), "cycle {now}");
-            assert_eq!(fx.sw.iso_memo[0].quiet_until, 50, "quiet until it lands");
+            assert_eq!(fx.sw.iso_quiet[0], 50, "quiet until it lands");
             assert_eq!(fx.sw.quiet_until(0, now, &fx.routing), Some(50));
         }
         iso_tick(&mut fx, 50);
@@ -3118,7 +3087,7 @@ mod tests {
         // 8-MTU threshold, until the second departure. Between the two the
         // port is settled and the switch parks, and the count still grows
         // by one a cycle.
-        let mut fx = memo_fixture(0);
+        let mut fx = iso_fixture(0);
         deliver_n_at(&mut fx, 0, &mut 0, 9, 6);
         assert_eq!(full_tick(&mut fx, 0), 1);
         assert_eq!(full_tick(&mut fx, 1), 0);
@@ -3136,7 +3105,7 @@ mod tests {
         assert_eq!(fx.metrics.counter("cfq_exhausted"), 33, "cycles 0..=32");
 
         // ... and heads of a propagated tree with no CFQ to move them to.
-        let mut fx = memo_fixture(0);
+        let mut fx = iso_fixture(0);
         downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
         deliver_n_at(&mut fx, 10, &mut 0, 2, 6);
         assert_eq!(full_tick(&mut fx, 10), 1);
@@ -3176,10 +3145,7 @@ mod tests {
     fn a_quiet_cfq_wakes_at_its_linger_deadline() {
         let mut fx = emptied_cfq_fixture(CtrlEvent::CfqAlloc { dst: NodeId(6) });
         iso_tick(&mut fx, 11);
-        assert_eq!(
-            fx.sw.iso_memo[0].quiet_until, 26,
-            "calm since 10, linger 16"
-        );
+        assert_eq!(fx.sw.iso_quiet[0], 26, "calm since 10, linger 16");
         assert_eq!(fx.sw.park_bound(), Some(26));
         iso_tick(&mut fx, 25);
         assert_eq!(fx.sw.cfqs_allocated(), 1);
@@ -3206,8 +3172,8 @@ mod tests {
             iso_tick(&mut fx, now);
             fx.sw.congestion_state_tick(now, &fx.links, &mut fx.metrics);
             match now {
-                3..=63 => assert_eq!(fx.sw.iso_memo[0].quiet_until, 64, "window end"),
-                65..=73 => assert_eq!(fx.sw.iso_memo[0].quiet_until, 74, "entry delay"),
+                3..=63 => assert_eq!(fx.sw.iso_quiet[0], 64, "window end"),
+                65..=73 => assert_eq!(fx.sw.iso_quiet[0], 74, "entry delay"),
                 _ => {}
             }
             if fx.sw.outputs[2].congested {
@@ -3305,7 +3271,7 @@ mod tests {
     /// downstream hop has stopped: nothing can leave until a Go arrives
     /// or the CAM line is dropped.
     fn stopped_cfq_fixture() -> Fixture {
-        let mut fx = memo_fixture(2);
+        let mut fx = iso_fixture(2);
         fx.links[2].send_ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
         fx.links[2].send_ctrl(0, CtrlEvent::Stop { dst: NodeId(6) });
         fx.sw.poll_output_ctrl(10, &mut fx.links, &mut fx.metrics);
@@ -3411,7 +3377,7 @@ mod tests {
     fn a_switch_holding_nothing_parks_until_an_activation() {
         for mut fx in [
             fixture(QueueingScheme::PerOutput, None, None),
-            memo_fixture(2),
+            iso_fixture(2),
         ] {
             assert_eq!(fx.sw.park_bound(), Some(Cycle::MAX));
             deliver(&mut fx, 0, pkt(1, 2));
@@ -3425,7 +3391,7 @@ mod tests {
     fn a_blocked_switch_parks_until_its_idle_bound_expires() {
         for mut fx in [
             fixture(QueueingScheme::PerOutput, None, None),
-            memo_fixture(2),
+            iso_fixture(2),
         ] {
             deliver(&mut fx, 0, pkt(1, 2));
             deliver(&mut fx, 0, pkt(2, 2));
@@ -3476,14 +3442,11 @@ mod tests {
 
     #[test]
     fn a_port_awaiting_a_header_parks_until_it_lands() {
-        let mut fx = memo_fixture(2);
+        let mut fx = iso_fixture(2);
         deliver_later(&mut fx, pkt(1, 2), 50);
         assert_eq!(full_tick(&mut fx, 0), 0);
         assert!(idle_holds(&fx, 49), "the arbiter waits for the header");
-        assert_eq!(
-            fx.sw.iso_memo[0].quiet_until, 50,
-            "so does the isolation stage"
-        );
+        assert_eq!(fx.sw.iso_quiet[0], 50, "so does the isolation stage");
         assert_eq!(fx.sw.park_bound(), Some(50));
         let fresh = fx.sw.park_bound_rederived(1, &fx.routing, &fx.links, None);
         assert_eq!(fresh, Some(50));
@@ -3577,9 +3540,9 @@ mod tests {
 
     // ---- the writer table: who clears what ----
     //
-    // Three records let a scan be skipped while nothing it read has
-    // changed: input 0's detection memo (`SCAN`), its quiet bound
-    // (`QUIET`) and the arbiter's idle bound (`ARBITER`). One row per
+    // Two records let a scan be skipped while nothing it read has
+    // changed: input 0's quiet bound (`QUIET`) and the arbiter's idle
+    // bound (`ARBITER`). One row per
     // writer of what they read: a switch in which the records the write
     // can break stand, the write, the records left standing, and — where
     // a stale record would lose an action — that action, the wrong result
@@ -3587,17 +3550,14 @@ mod tests {
     // re-derivation fires first). The last rows absorb control that
     // changes nothing a scan read, and must leave every record standing.
 
-    const SCAN: u8 = 1;
-    const QUIET: u8 = 2;
-    const ARBITER: u8 = 4;
-    const ALL: u8 = SCAN | QUIET | ARBITER;
+    const QUIET: u8 = 1;
+    const ARBITER: u8 = 2;
+    const ALL: u8 = QUIET | ARBITER;
 
     /// The records standing at `now`.
     fn records(fx: &Fixture, now: Cycle) -> u8 {
-        let memo = fx.sw.iso_memo[0];
         [
-            (SCAN, memo.scan.is_some()),
-            (QUIET, now < memo.quiet_until),
+            (QUIET, now < fx.sw.iso_quiet[0]),
             (ARBITER, idle_holds(fx, now)),
         ]
         .into_iter()
@@ -3622,7 +3582,7 @@ mod tests {
     /// 9 × dst 5 in the NFQ and no CFQ: dst 6 is found congested, and
     /// exhausts the site, every visit.
     fn exhausted_port() -> (Fixture, Cycle) {
-        let mut fx = memo_fixture(0);
+        let mut fx = iso_fixture(0);
         for out in [1, 2] {
             fx.links[out] = Link::new(LinkConfig::default(), 0);
         }
@@ -3702,13 +3662,13 @@ mod tests {
             Writer {
                 name: "an NFQ departure",
                 setup: || {
-                    let mut fx = memo_fixture(0);
+                    let mut fx = iso_fixture(0);
                     deliver_n_at(&mut fx, 0, &mut 0, 6, 6);
                     deliver_n_at(&mut fx, 0, &mut 6, 5, 2);
                     assert_eq!(verdicts(&mut fx, 0), vec![6]);
                     (fx, 0)
                 },
-                primed: SCAN | QUIET,
+                primed: QUIET,
                 write: |fx, now| {
                     let first = arbitrate(fx, now)[0].at;
                     assert_eq!(arbitrate(fx, first)[0].dst, NodeId(6));
@@ -3722,7 +3682,7 @@ mod tests {
                 setup: || {
                     // A propagated tree fills a CFQ to Stop; above the
                     // propagation threshold no clock runs.
-                    let mut fx = memo_fixture(2);
+                    let mut fx = iso_fixture(2);
                     fx.links[2] = Link::new(LinkConfig::default(), 0);
                     downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
                     deliver_n_at(&mut fx, 10, &mut 0, 10, 6);
@@ -3733,7 +3693,7 @@ mod tests {
                     assert!(arbitrate(&mut fx, 20).is_empty());
                     (fx, 20)
                 },
-                primed: QUIET | ARBITER,
+                primed: ALL,
                 write: |fx, now| {
                     // Six departures take it down to Go.
                     let c = fx.sw.inputs[0].queues.cfq_lookup(NodeId(6)).unwrap();
@@ -3754,7 +3714,7 @@ mod tests {
                 setup: || {
                     // A dst-2 head, blocked for credits, keeps the
                     // visit from moving anything.
-                    let mut fx = memo_fixture(1);
+                    let mut fx = iso_fixture(1);
                     fx.links[1] = Link::new(LinkConfig::default(), 0);
                     deliver_n_at(&mut fx, 0, &mut 0, 1, 2);
                     deliver_n_at(&mut fx, 0, &mut 1, 9, 6);
@@ -3781,7 +3741,7 @@ mod tests {
                     // A propagated tree's CFQ drains and lingers, empty;
                     // the next dst-6 packets wait in the NFQ for their
                     // move and must not bypass it.
-                    let mut fx = memo_fixture(2);
+                    let mut fx = iso_fixture(2);
                     downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
                     deliver(&mut fx, 10, pkt(0, 6));
                     iso_tick(&mut fx, 10);
@@ -3867,7 +3827,7 @@ mod tests {
                 setup: stopped_line,
                 primed: ALL,
                 write: |fx, now| downstream_says(fx, 2, now, CtrlEvent::Go { dst: NodeId(6) }),
-                left: SCAN,
+                left: 0,
                 then: dst6_leaves,
             },
             Writer {
@@ -3875,7 +3835,7 @@ mod tests {
                 setup: running_line,
                 primed: ALL,
                 write: |fx, now| downstream_says(fx, 2, now, CtrlEvent::Stop { dst: NodeId(6) }),
-                left: SCAN,
+                left: 0,
                 then: |_, _| {},
             },
             Writer {
@@ -4308,7 +4268,7 @@ mod twin_tests {
         #[allow(clippy::type_complexity)]
         fn quiet_port(&self) -> Option<(usize, Option<NodeId>, Option<(usize, CfqState)>)> {
             let quiet = (0..PORTS)
-                .filter(|&p| self.sw.iso_live.contains(p) && self.sw.iso_memo[p].quiet_until > 0)
+                .filter(|&p| self.sw.iso_live.contains(p) && self.sw.iso_quiet[p] > 0)
                 .map(|port| {
                     let InputQueues::Isolating { nfq, cfqs } = &self.sw.inputs[port].queues else {
                         unreachable!("only an isolating port is quiet")
@@ -4329,7 +4289,7 @@ mod twin_tests {
             self.sw
                 .iso_live
                 .iter()
-                .map(|p| self.sw.iso_memo[p].quiet_until)
+                .map(|p| self.sw.iso_quiet[p])
                 .filter(|&until| until > now && until - now <= horizon)
                 .min()
         }
@@ -4448,8 +4408,8 @@ mod twin_tests {
         /// Random deliver / tick / ctrl / credit / purge / re-route /
         /// link-fault sequences drive two switches in lock step, one
         /// ticking over its live-port sets with the idle bound and the
-        /// isolation memo, the other forced into the exhaustive walk on
-        /// every call; six of the ops aim at a port the first switch
+        /// ports' quiet bounds, the other forced into the exhaustive walk
+        /// on every call; six of the ops aim at a port the first switch
         /// holds quiet, if it has one — a packet behind its head, a tree
         /// announced or withdrawn for the head, a departure from its CFQ,
         /// a Stop/Go flip on the line that CFQ drains to, a tick on the
