@@ -2,9 +2,11 @@
 //! §IV-A).
 //!
 //! Every figure of the evaluation is a combination of a network
-//! configuration, a traffic case and a mechanism; this module provides
-//! the `(configuration, case)` pairs so the experiment matrices and the
-//! tests only pick mechanisms and durations.
+//! configuration, a traffic case and a mechanism. [`ConfigId`] is the
+//! one name of a `(configuration, case)` pair, and
+//! [`ConfigId::resolve`] the one place it is built, so the experiment
+//! matrices, the tests and the examples only pick mechanisms, seeds and
+//! time scales.
 
 use crate::params::Mechanism;
 use crate::simulator::{SimBuilder, SimConfig};
@@ -32,11 +34,6 @@ pub struct ExperimentSpec {
 }
 
 impl ExperimentSpec {
-    /// Run the experiment under `mech` with the given seed.
-    pub fn run(&self, mech: Mechanism, seed: u64) -> SimReport {
-        self.run_with(mech, seed, SimConfig::default())
-    }
-
     /// Run with a custom [`SimConfig`] (tests shrink bins/durations).
     pub fn run_with(&self, mech: Mechanism, seed: u64, cfg: SimConfig) -> SimReport {
         self.build_sim(mech, seed, cfg).run()
@@ -119,96 +116,6 @@ impl ExperimentSpec {
     ) -> SimReport {
         self.build_sim_with_faults(mech, seed, cfg, schedule).run()
     }
-}
-
-/// Config #1 / Case #1: the ad-hoc two-switch network with the victim
-/// flow and the staggered hotspot contributors (Figs. 7a and 9).
-/// `end_ms` scales the whole schedule (the paper uses 10 ms; the flow
-/// activation points stay at 2/4/6 ms, so `end_ms` below ~7 truncates
-/// the schedule — use [`config1_case1_scaled`] for quick runs).
-pub fn config1_case1(end_ms: f64) -> ExperimentSpec {
-    let topology = config1_topology();
-    ExperimentSpec {
-        name: "config1/case1".into(),
-        routing: RoutingTable::shortest_path(&topology),
-        topology,
-        pattern: case1(end_ms),
-        duration_ns: end_ms * 1e6,
-        crossbar_bw_flits_per_cycle: 2, // 5 GB/s (Table I, Config #1)
-    }
-}
-
-/// Config #1 / Case #1 with the activation schedule compressed by
-/// `scale` (e.g. `scale = 0.1` activates flows at 0.2/0.4/0.6 ms and
-/// runs 1 ms) — same shape, test-friendly runtimes.
-pub fn config1_case1_scaled(scale: f64) -> ExperimentSpec {
-    config1_case1(10.0).scaled(scale)
-}
-
-fn config2_parts() -> (Topology, RoutingTable) {
-    let tree = KAryNTree::new(2, 3);
-    let topology = tree.build(LinkParams::default());
-    let routing = tree.det_routing();
-    (topology, routing)
-}
-
-/// Config #2 / Case #2: the 2-ary 3-tree with five flows converging on
-/// node 7 (Figs. 7b and 10).
-pub fn config2_case2(end_ms: f64) -> ExperimentSpec {
-    let (topology, routing) = config2_parts();
-    ExperimentSpec {
-        name: "config2/case2".into(),
-        topology,
-        routing,
-        pattern: case2(end_ms),
-        duration_ns: end_ms * 1e6,
-        crossbar_bw_flits_per_cycle: 1, // 2.5 GB/s (Table I)
-    }
-}
-
-/// Config #2 / Case #2 with the schedule compressed by `scale`.
-pub fn config2_case2_scaled(scale: f64) -> ExperimentSpec {
-    config2_case2(10.0).scaled(scale)
-}
-
-/// Config #2 / Case #3: Case #2 plus uniform background from nodes 5–7
-/// (Fig. 7c).
-pub fn config2_case3(end_ms: f64) -> ExperimentSpec {
-    let (topology, routing) = config2_parts();
-    ExperimentSpec {
-        name: "config2/case3".into(),
-        topology,
-        routing,
-        pattern: case3(end_ms),
-        duration_ns: end_ms * 1e6,
-        crossbar_bw_flits_per_cycle: 1,
-    }
-}
-
-/// Config #3 / Case #4: the 4-ary 3-tree under 75 % uniform traffic with
-/// a 25 %-of-sources hotspot storm during [1 ms, 2 ms] forming
-/// `hotspots` congestion trees (Fig. 8). `duration_ms` should cover the
-/// recovery after the burst (the paper plots ≈4 ms).
-pub fn config3_case4(hotspots: usize, duration_ms: f64) -> ExperimentSpec {
-    let tree = KAryNTree::new(4, 3);
-    let topology = tree.build(LinkParams::default());
-    let routing = tree.det_routing();
-    ExperimentSpec {
-        name: format!("config3/case4-h{hotspots}"),
-        pattern: case4(topology.num_nodes(), hotspots),
-        topology,
-        routing,
-        duration_ns: duration_ms * 1e6,
-        crossbar_bw_flits_per_cycle: 1,
-    }
-}
-
-/// Config #3 / Case #4 with the schedule compressed by `scale` (the
-/// burst window moves from [1, 2] ms to [`scale`, `2·scale`] ms and the
-/// paper's 4 ms horizon shrinks accordingly) — same shape,
-/// test-friendly runtimes.
-pub fn config3_case4_scaled(hotspots: usize, scale: f64) -> ExperimentSpec {
-    config3_case4(hotspots, 4.0).scaled(scale)
 }
 
 /// A declarative, serializable name for one of the repo's experiment
@@ -393,32 +300,65 @@ impl ConfigId {
             panic!("{}: {e}", self.kind());
         }
         match *self {
-            ConfigId::Config1Case1 { scale } => config1_case1(10.0).scaled(scale),
-            ConfigId::Config2Case2 { scale } => config2_case2(10.0).scaled(scale),
-            ConfigId::Config2Case3 { scale } => config2_case3(10.0).scaled(scale),
+            ConfigId::Config1Case1 { scale } => {
+                let topology = config1_topology();
+                ExperimentSpec {
+                    name: self.kind().into(),
+                    routing: RoutingTable::shortest_path(&topology),
+                    topology,
+                    pattern: case1(10.0),
+                    duration_ns: 10e6,
+                    crossbar_bw_flits_per_cycle: 2, // 5 GB/s (Table I, Config #1)
+                }
+                .scaled(scale)
+            }
+            ConfigId::Config2Case2 { scale } => {
+                on_tree(self.kind().into(), 2, 3, |_| case2(10.0), 10e6).scaled(scale)
+            }
+            ConfigId::Config2Case3 { scale } => {
+                on_tree(self.kind().into(), 2, 3, |_| case3(10.0), 10e6).scaled(scale)
+            }
             ConfigId::Config3Case4 {
                 hotspots,
                 duration_ms,
                 scale,
-            } => config3_case4(hotspots, duration_ms).scaled(scale),
+            } => {
+                let name = format!("config3/case4-h{hotspots}");
+                let pattern = |nodes| case4(nodes, hotspots);
+                on_tree(name, 4, 3, pattern, duration_ms * 1e6).scaled(scale)
+            }
             ConfigId::UniformTree {
                 ary,
                 levels,
                 load,
                 duration_ns,
             } => {
-                let tree = KAryNTree::new(ary as u32, levels as u32);
-                let topology = tree.build(LinkParams::default());
-                ExperimentSpec {
-                    name: format!("uniform-tree-{ary}x{levels}"),
-                    routing: tree.det_routing(),
-                    pattern: uniform_all(topology.num_nodes(), load),
-                    topology,
-                    duration_ns,
-                    crossbar_bw_flits_per_cycle: 1,
-                }
+                let name = format!("uniform-tree-{ary}x{levels}");
+                let pattern = |nodes| uniform_all(nodes, load);
+                on_tree(name, ary as u32, levels as u32, pattern, duration_ns)
             }
         }
+    }
+}
+
+/// A `k`-ary `n`-tree with DET routing and Table I's 2.5 GB/s crossbar,
+/// running the pattern `pattern` builds for its node count.
+fn on_tree(
+    name: String,
+    ary: u32,
+    levels: u32,
+    pattern: impl FnOnce(usize) -> TrafficPattern,
+    duration_ns: f64,
+) -> ExperimentSpec {
+    let tree = KAryNTree::new(ary, levels);
+    let topology = tree.build(LinkParams::default());
+    ExperimentSpec {
+        name,
+        routing: tree.det_routing(),
+        pattern: pattern(topology.num_nodes()),
+        topology,
+        duration_ns,
+        crossbar_bw_flits_per_cycle: 1,
     }
 }
 
@@ -428,7 +368,7 @@ mod tests {
 
     #[test]
     fn config1_spec_is_consistent() {
-        let s = config1_case1(10.0);
+        let s = ConfigId::config1_case1().resolve();
         assert_eq!(s.topology.num_nodes(), 7);
         assert_eq!(s.topology.num_switches(), 2);
         assert_eq!(s.pattern.flows.len(), 5);
@@ -437,17 +377,17 @@ mod tests {
 
     #[test]
     fn config2_specs_are_consistent() {
-        let s = config2_case2(10.0);
+        let s = ConfigId::config2_case2().resolve();
         assert_eq!(s.topology.num_nodes(), 8);
         assert_eq!(s.topology.num_switches(), 12);
         s.routing.verify_delivers_all(&s.topology).unwrap();
-        let s3 = config2_case3(10.0);
+        let s3 = ConfigId::config2_case3().resolve();
         assert_eq!(s3.pattern.flows.len(), 8);
     }
 
     #[test]
     fn config3_spec_matches_table_one() {
-        let s = config3_case4(4, 4.0);
+        let s = ConfigId::config3_case4(4).resolve();
         assert_eq!(s.topology.num_nodes(), 64);
         assert_eq!(s.topology.num_switches(), 48);
         assert_eq!(s.pattern.flows.len(), 64);
@@ -455,48 +395,11 @@ mod tests {
 
     #[test]
     fn scaled_schedule_compresses_activations() {
-        let s = config1_case1_scaled(0.1);
+        let s = ConfigId::Config1Case1 { scale: 0.1 }.resolve();
         assert!((s.duration_ns - 1e6).abs() < 1.0);
         let f1 = s.pattern.flows.iter().find(|f| f.src.0 == 1).unwrap();
         assert!((f1.start_ns - 0.2e6).abs() < 1.0);
         assert!((f1.end_ns.unwrap() - 1e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn config_ids_resolve_to_the_hand_built_specs() {
-        let pairs: Vec<(ConfigId, ExperimentSpec)> = vec![
-            (ConfigId::config1_case1(), config1_case1(10.0)),
-            (
-                ConfigId::Config1Case1 { scale: 0.3 },
-                config1_case1_scaled(0.3),
-            ),
-            (ConfigId::config2_case2(), config2_case2(10.0)),
-            (ConfigId::config2_case3(), config2_case3(10.0)),
-            (ConfigId::config3_case4(4), config3_case4(4, 4.0)),
-            (
-                ConfigId::Config3Case4 {
-                    hotspots: 1,
-                    duration_ms: 4.0,
-                    scale: 0.1,
-                },
-                config3_case4_scaled(1, 0.1),
-            ),
-        ];
-        for (id, want) in pairs {
-            let got = id.resolve();
-            assert_eq!(got.name, want.name, "{}", id.label());
-            assert_eq!(got.duration_ns, want.duration_ns, "{}", id.label());
-            assert_eq!(
-                got.pattern.flows,
-                want.pattern.flows,
-                "{}: flow schedules diverged",
-                id.label()
-            );
-            assert_eq!(
-                got.crossbar_bw_flits_per_cycle,
-                want.crossbar_bw_flits_per_cycle
-            );
-        }
     }
 
     #[test]
@@ -514,8 +417,8 @@ mod tests {
 
     #[test]
     fn scaled_by_one_is_identity() {
-        let a = config1_case1(10.0);
-        let b = config1_case1(10.0).scaled(1.0);
+        let a = ConfigId::config1_case1().resolve();
+        let b = a.clone().scaled(1.0);
         assert_eq!(a.duration_ns, b.duration_ns);
         assert_eq!(a.pattern.flows, b.pattern.flows);
     }

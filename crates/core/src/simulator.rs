@@ -600,10 +600,6 @@ pub struct Simulator {
     /// Phase-4 scratch: ctrl consumers derived from `act_links`.
     ctrl_sw: ccfit_engine::ActiveSet,
     ctrl_nodes: ccfit_engine::ActiveSet,
-    /// Phase-5 activity gate per switch: evaluated once before
-    /// isolation (which can change quiescence) and reused by the
-    /// congestion-state refresh.
-    p5_ran: Vec<bool>,
     /// Parked nodes' wake-ups, as `(cycle, node)`: the earlier of the
     /// adapter's park bound (`Adapter::park_bound`) and the generator's
     /// next possible action (`NodeGenerator::next_park_wake`). Stale
@@ -997,7 +993,6 @@ impl Simulator {
             act_nodes_next: ccfit_engine::ActiveSet::new(num_nodes),
             ctrl_sw: ccfit_engine::ActiveSet::new(num_switches),
             ctrl_nodes: ccfit_engine::ActiveSet::new(num_nodes),
-            p5_ran: vec![false; num_switches],
             node_wake: BinaryHeap::new(),
             sw_wake: BinaryHeap::new(),
             act_stats: ActiveSetStats::default(),
@@ -1103,7 +1098,7 @@ impl Simulator {
     /// same pipeline as [`Self::tick`] with every scheduling shortcut
     /// switched off — all three work-lists are re-filled at the top of
     /// the cycle, every switch and adapter polls its control channel,
-    /// no per-component skip gate applies, every switch and adapter
+    /// every switch and adapter
     /// forgets what it memoised last cycle (`Switch::drop_memos`,
     /// `Adapter::drop_memos`), nothing ever parks and the clock never
     /// jumps. The engine is only allowed shortcuts that
@@ -1127,8 +1122,9 @@ impl Simulator {
     /// The phase pipeline (DESIGN.md §6) — the only place the cycle's
     /// phase order is written down. Each phase walks a work-list of
     /// components that *may* act, maintained by the events that can
-    /// activate them; the per-component skip gates stay inside the
-    /// member loops, so a conservative (stale) member is a no-op.
+    /// activate them; every stage of a member's tick returns early on
+    /// what it has nothing to do for, so a conservative (stale) member
+    /// is a no-op.
     ///
     /// Activation rules (who inserts whom):
     /// * `act_links` — senders: switch transmits (data phase 6, ctrl
@@ -1275,10 +1271,8 @@ impl Simulator {
         // + arbitration per switch. Isolation runs for every member
         // before any congestion-state refresh: it writes ctrl onto
         // in-links whose credits the far switch's refresh reads.
-        // `is_quiescent` implies `!has_buffered`, so one switch list
-        // serves phases 5 and 6. Afterwards every member hands over the
-        // links it sent on and stays on the list or parks
-        // (`carry_switch`).
+        // Afterwards every member hands over the links it sent on and
+        // stays on the list or parks (`carry_switch`).
         for i in 0..self.ctrl_sw.len() {
             let s = self.ctrl_sw.member(i) as usize;
             self.switches[s].poll_output_ctrl(now, &mut self.links, &mut self.metrics);
@@ -1290,52 +1284,42 @@ impl Simulator {
         timer.lap(&mut prof, 4);
 
         // Phase 5a: post-processing (detection, isolation, Stop/Go,
-        // deallocation). Quiescent switches provably do nothing in
-        // phase 5 (see `Switch::is_quiescent`); the gate is
-        // evaluated once, before isolation can change it. The oracle
-        // also has every switch forget what it memoised last cycle,
-        // so the shortcuts *inside* a switch are compared against a
-        // re-derivation here, not only by their `debug_assert!`s.
+        // deallocation). Every stage of a member's tick returns early on
+        // what it has nothing to do for. The oracle also has every switch
+        // forget what it memoised last cycle, so the shortcuts *inside* a
+        // switch are compared against a re-derivation here, not only by
+        // their `debug_assert!`s.
         for i in 0..n_sw_act {
             let si = self.act_sw.member(i) as usize;
             if ORACLE {
                 self.switches[si].drop_memos();
             }
-            let run = ORACLE || !self.switches[si].is_quiescent();
-            self.p5_ran[si] = run;
-            if run {
-                self.switches[si].isolation_tick(
-                    now,
-                    &self.routing,
-                    &mut self.links,
-                    &mut self.metrics,
-                );
-            }
+            self.switches[si].isolation_tick(
+                now,
+                &self.routing,
+                &mut self.links,
+                &mut self.metrics,
+            );
         }
         timer.lap(&mut prof, 5);
 
         // Phase 5b + 6: congestion-state update, then crossbar
-        // scheduling and transmission. Switches with nothing
-        // buffered cannot match or transmit anything.
+        // scheduling and transmission.
         let mut releases = std::mem::take(&mut self.release_scratch);
         for i in 0..n_sw_act {
             let si = self.act_sw.member(i) as usize;
-            if self.p5_ran[si] {
-                self.switches[si].congestion_state_tick(now, &self.links, &mut self.metrics);
-            }
-            if ORACLE || self.switches[si].has_buffered() {
-                releases.clear();
-                self.switches[si].arbitrate_and_transmit(
-                    now,
-                    &self.routing,
-                    &mut self.links,
-                    self.voqnet.as_mut(),
-                    &mut self.metrics,
-                    &mut releases,
-                );
-                for r in releases.drain(..) {
-                    self.push_switch_release(si as u32, r);
-                }
+            self.switches[si].congestion_state_tick(now, &self.links, &mut self.metrics);
+            releases.clear();
+            self.switches[si].arbitrate_and_transmit(
+                now,
+                &self.routing,
+                &mut self.links,
+                self.voqnet.as_mut(),
+                &mut self.metrics,
+                &mut releases,
+            );
+            for r in releases.drain(..) {
+                self.push_switch_release(si as u32, r);
             }
             self.carry_switch::<ORACLE>(si, now);
         }
@@ -1351,35 +1335,26 @@ impl Simulator {
         // injection. Generation draws seeded randomness and allocates
         // global packet ids — strictly node order; a generator with no
         // flow in its active window injects nothing and draws no
-        // randomness. An adapter that is quiet with no armed timer has
-        // provably nothing to do (see `Adapter::is_quiet`). A node's
-        // adapter ticks right after its own generator, while the node is
-        // still in cache (a separate generator pass measured +7 % or
-        // more on this phase). Afterwards every member stays on the list
-        // or parks (`park_or_carry`).
+        // randomness. A node's adapter ticks right after its own
+        // generator, while the node is still in cache (a separate
+        // generator pass measured +7 % or more on this phase).
+        // Afterwards every member stays on the list or parks
+        // (`park_or_carry`).
         self.act_nodes.sort();
         let n_nodes_act = self.act_nodes.len();
         for i in 0..n_nodes_act {
             let n = self.act_nodes.member(i) as usize;
-            if ORACLE || self.gens[n].any_active(now) {
-                self.gen_node(n, now);
-            }
+            self.gen_node(n, now);
             if ORACLE {
                 self.adapters[n].drop_memos();
             }
-            if ORACLE || !(self.adapters[n].is_quiet() && self.adapters[n].armed_timer_count() == 0)
-            {
-                if let Some(rel) = self.adapters[n].tick(
-                    now,
-                    &mut self.links,
-                    self.voqnet.as_mut(),
-                    &mut self.metrics,
-                ) {
-                    self.push_node_release(n as u32, rel);
-                }
-                // A ticked adapter may have sent on its injection link.
-                self.act_links.insert(self.inject_link[n].0);
+            let adapter = &mut self.adapters[n];
+            let voqnet = self.voqnet.as_mut();
+            if let Some(rel) = adapter.tick(now, &mut self.links, voqnet, &mut self.metrics) {
+                self.push_node_release(n as u32, rel);
             }
+            // A ticked adapter may have sent on its injection link.
+            self.act_links.insert(self.inject_link[n].0);
             self.park_or_carry::<ORACLE>(n, now);
         }
         timer.lap(&mut prof, 8);
@@ -1574,7 +1549,9 @@ impl Simulator {
         let node_wake = earliest(&self.node_wake, self.adapters.len());
         let links = &self.links;
         for (i, sw) in self.switches.iter().enumerate() {
-            if self.act_sw.contains(i as u32) || sw.is_quiescent() {
+            // `is_quiescent` first: it recounts every switch's live-port
+            // state, the work-list members' included.
+            if sw.is_quiescent() || self.act_sw.contains(i as u32) {
                 continue;
             }
             // A parked switch does nothing before its bound, and a wake
@@ -1587,6 +1564,8 @@ impl Simulator {
             );
         }
         for (i, a) in self.adapters.iter().enumerate() {
+            // `is_quiet` recounts every adapter's mirrors, the members' too.
+            let _ = a.is_quiet();
             if self.act_nodes.contains(i as u32) {
                 continue;
             }
@@ -2671,7 +2650,12 @@ mod tests {
     /// equals the oracle's at every stop, and the last one the report.
     #[test]
     fn a_mid_run_read_counts_the_open_exhaustion_episodes() {
-        let spec = crate::experiment::config3_case4_scaled(4, 0.02);
+        let spec = crate::ConfigId::Config3Case4 {
+            hotspots: 4,
+            duration_ms: 4.0,
+            scale: 0.02,
+        }
+        .resolve();
         let cfg = SimConfig {
             metrics_bin_ns: 20_000.0,
             ..SimConfig::default()

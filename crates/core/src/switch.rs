@@ -2073,15 +2073,6 @@ impl Switch {
         self.all_ports_changed();
     }
 
-    /// Whether any packet is buffered in this switch (O(1); incremental
-    /// mirror of `resident_packets()`). Gates the arbitration phase in
-    /// the active-set scheduler.
-    pub fn has_buffered(&self) -> bool {
-        debug_assert_eq!(self.buffered, self.resident_packets());
-        debug_assert!(self.live_state_matches_a_recount());
-        self.buffered > 0
-    }
-
     /// Recount everything the live-port sets and the VOQ occupancy
     /// counters mirror.
     fn live_state_matches_a_recount(&self) -> bool {

@@ -122,15 +122,21 @@ fn describe(
 /// The hot set's flows other than the victim (Fig. 10's victim is one
 /// of its five) time the congestion: it sets in when the first of them
 /// starts and is over when the last of them ends, if all of them do.
-struct FlowRoles<'a> {
-    victim: Option<&'a FlowSpec>,
-    hot: Vec<&'a FlowSpec>,
-    onset_ns: Option<f64>,
-    burst_end_ns: Option<f64>,
+pub struct FlowRoles<'a> {
+    /// The fixed-destination flow that never ends, if any.
+    pub victim: Option<&'a FlowSpec>,
+    /// The flows converging on the most-targeted destination, by id.
+    pub hot: Vec<&'a FlowSpec>,
+    /// When the congestion sets in.
+    pub onset_ns: Option<f64>,
+    /// When the congestion is over: the end of the last of its flows,
+    /// if every one of them ends.
+    pub burst_end_ns: Option<f64>,
 }
 
 impl<'a> FlowRoles<'a> {
-    fn of(pattern: &'a TrafficPattern) -> Self {
+    /// The roles of `pattern`'s flows.
+    pub fn of(pattern: &'a TrafficPattern) -> Self {
         let dst = |f: &FlowSpec| match f.dst {
             Destination::Fixed(d) => Some(d.0),
             Destination::Uniform => None,
@@ -167,7 +173,7 @@ impl<'a> FlowRoles<'a> {
 /// * Case #4: the burst [1.1, 2.0] ms and the recovery [2.1, 4.0] ms,
 ///   scaled with the schedule (and cut at the end of the run).
 /// * Uniform load: everything after the first third of the run.
-fn windows(config: &ConfigId, duration_ns: f64) -> Vec<(&'static str, f64, f64)> {
+pub fn windows(config: &ConfigId, duration_ns: f64) -> Vec<(&'static str, f64, f64)> {
     match *config {
         ConfigId::Config1Case1 { .. }
         | ConfigId::Config2Case2 { .. }

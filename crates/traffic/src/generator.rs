@@ -628,16 +628,14 @@ mod tests {
         let (mut keep_got, mut dense_got) = (Vec::new(), Vec::new());
         for now in 0..cycles {
             assert_eq!(dense.any_active(now), keep.any_active(now), "cycle {now}");
-            if dense.any_active(now) {
-                let _ = keep.accrue_and_offer(now, &mut |p: GenPacket| {
-                    keep_got.push((now, p));
-                    accepts(now)
-                });
-                dense.tick(now, &mut |p: GenPacket| {
-                    dense_got.push((now, p));
-                    accepts(now)
-                });
-            }
+            let _ = keep.accrue_and_offer(now, &mut |p: GenPacket| {
+                keep_got.push((now, p));
+                accepts(now)
+            });
+            dense.tick(now, &mut |p: GenPacket| {
+                dense_got.push((now, p));
+                accepts(now)
+            });
             assert_eq!(
                 dense.next_park_wake(now),
                 keep.next_park_wake(now),
@@ -655,15 +653,13 @@ mod tests {
         let mut now = 0u64;
         while now < cycles {
             let mut sink_moves = Cycle::MAX;
-            if parked.any_active(now) {
-                parked.tick(now, &mut |p: GenPacket| {
-                    parked_got.push((now, p));
-                    if !accepts(now) {
-                        sink_moves = reopens(now);
-                    }
-                    accepts(now)
-                });
-            }
+            parked.tick(now, &mut |p: GenPacket| {
+                parked_got.push((now, p));
+                if !accepts(now) {
+                    sink_moves = reopens(now);
+                }
+                accepts(now)
+            });
             let next = match parked.next_park_wake(now) {
                 None => now + 1,
                 Some(at) => at.min(sink_moves).max(now + 1),

@@ -15,19 +15,15 @@
 //! and, collaterally, the victim flow sharing its input port — is
 //! throttled.
 
-use ccfit::experiment::{config1_case1, config1_case1_scaled};
-use ccfit::{CcEventKind, EventClass, EventConfig, Mechanism, SimBuilder, SimConfig};
+use ccfit::{CcEventKind, ConfigId, EventClass, EventConfig, Mechanism, SimBuilder, SimConfig};
 use ccfit_engine::units::UnitModel;
 
 fn main() {
     let full = std::env::args().skip(1).any(|a| a == "--full");
     // The schedule activates hotspot contributors at 2/4/6 ms; the
     // compressed run keeps the shape at a tenth of the runtime.
-    let (spec, scale) = if full {
-        (config1_case1(10.0), 1.0)
-    } else {
-        (config1_case1_scaled(0.1), 0.1)
-    };
+    let scale = if full { 1.0 } else { 0.1 };
+    let spec = ConfigId::Config1Case1 { scale }.resolve();
 
     let mut cfg = SimConfig {
         metrics_bin_ns: 20_000.0,

@@ -14,8 +14,9 @@
 //! (`oracle_is_exhaustive_and_the_engine_is_not`) checks that directly
 //! from the work-list occupancy counters.
 
-use ccfit::experiment::{config1_case1_scaled, config2_case2_scaled, config3_case4_scaled};
-use ccfit::{ExperimentSpec, FaultPolicy, FaultSchedule, Mechanism, SimConfig, Simulator};
+use ccfit::{
+    ConfigId, ExperimentSpec, FaultPolicy, FaultSchedule, Mechanism, SimConfig, Simulator,
+};
 use ccfit_engine::ids::NodeId;
 use ccfit_topology::Endpoint;
 
@@ -32,6 +33,17 @@ fn oracle_json(mut sim: Simulator) -> String {
     sim.finish().to_json()
 }
 
+/// Config #3 / Case #4 with `hotspots` trees, its 4 ms compressed by
+/// `scale`.
+fn storm(hotspots: usize, scale: f64) -> ConfigId {
+    let duration_ms = 4.0;
+    ConfigId::Config3Case4 {
+        hotspots,
+        duration_ms,
+        scale,
+    }
+}
+
 /// The oracle's report for a fault-free run of `spec`.
 fn oracle(spec: &ExperimentSpec, mech: Mechanism, seed: u64) -> String {
     oracle_json(spec.build_sim(mech, seed, cfg()))
@@ -41,7 +53,7 @@ fn oracle(spec: &ExperimentSpec, mech: Mechanism, seed: u64) -> String {
 /// congested path of the hotspot, so the failure displaces live traffic
 /// — failing at cycle 40 000 and returning at 120 000.
 fn faulty_config2() -> (ExperimentSpec, FaultSchedule) {
-    let spec = config2_case2_scaled(0.04);
+    let spec = ConfigId::Config2Case2 { scale: 0.04 }.resolve();
     let leaf = spec.topology.node_attachment(NodeId(7)).0;
     let trunk = spec
         .topology
@@ -86,7 +98,7 @@ fn fast_path_is_bit_identical_to_slow_path() {
     // allocate and deallocate, throttling engages, and long quiet tails
     // exercise the fast-forward. Two mechanisms cover both queueing
     // families (CCFIT: isolation + throttling; 1Q: bare FIFO).
-    let spec = config1_case1_scaled(0.02);
+    let spec = ConfigId::Config1Case1 { scale: 0.02 }.resolve();
     for mech in [Mechanism::ccfit(), Mechanism::OneQ] {
         for seed in [1u64, 2] {
             let name = mech.name();
@@ -114,13 +126,14 @@ fn fast_path_is_bit_identical_to_slow_path() {
 #[test]
 fn engine_is_bit_identical_to_oracle_on_paper_configs() {
     let cases = [
-        (config1_case1_scaled(0.02), Mechanism::ccfit()),
-        (config2_case2_scaled(0.02), Mechanism::ccfit()),
-        (config3_case4_scaled(1, 0.01), Mechanism::ccfit()),
-        (config3_case4_scaled(4, 0.02), Mechanism::fbicm()),
-        (config3_case4_scaled(4, 0.02), Mechanism::ccfit()),
+        (ConfigId::Config1Case1 { scale: 0.02 }, Mechanism::ccfit()),
+        (ConfigId::Config2Case2 { scale: 0.02 }, Mechanism::ccfit()),
+        (storm(1, 0.01), Mechanism::ccfit()),
+        (storm(4, 0.02), Mechanism::fbicm()),
+        (storm(4, 0.02), Mechanism::ccfit()),
     ];
-    for (spec, mech) in &cases {
+    for (config, mech) in &cases {
+        let spec = &config.resolve();
         assert_eq!(
             spec.run_with(mech.clone(), 3, cfg()).to_json(),
             oracle(spec, mech.clone(), 3),
@@ -138,7 +151,7 @@ fn engine_is_bit_identical_to_oracle_on_paper_configs() {
 /// so the oracle and the engine must produce byte-identical reports.
 #[test]
 fn modern_cc_is_bit_identical_to_oracle() {
-    let spec = config1_case1_scaled(0.02);
+    let spec = ConfigId::Config1Case1 { scale: 0.02 }.resolve();
     for mech in [Mechanism::dcqcn(), Mechanism::hpcc()] {
         assert_eq!(
             spec.run_with(mech.clone(), 7, cfg()).to_json(),
@@ -153,7 +166,8 @@ fn modern_cc_is_bit_identical_to_oracle() {
 /// oracle byte-for-byte, event log included (DESIGN.md §10).
 #[test]
 fn engine_events_identical_to_oracle() {
-    events_identical_to_oracle(&config1_case1_scaled(0.02), Mechanism::ccfit());
+    let spec = ConfigId::Config1Case1 { scale: 0.02 }.resolve();
+    events_identical_to_oracle(&spec, Mechanism::ccfit());
 }
 
 /// The same on Fig. 8b's four trees, where ports run out of CFQs: every
@@ -161,7 +175,7 @@ fn engine_events_identical_to_oracle() {
 /// length, in both modes.
 #[test]
 fn engine_events_identical_to_oracle_h4() {
-    let spec = config3_case4_scaled(4, 0.02);
+    let spec = storm(4, 0.02).resolve();
     for mech in [Mechanism::fbicm(), Mechanism::ccfit()] {
         let name = mech.name();
         let report = events_identical_to_oracle(&spec, mech);
@@ -216,7 +230,7 @@ fn events_identical_to_oracle(spec: &ExperimentSpec, mech: Mechanism) -> String 
 #[test]
 fn sized_flow_workloads_are_bit_identical_across_engines() {
     use ccfit::traffic::{all_to_all, incast, parse_trace, permutation_shift};
-    use ccfit::{ConfigId, Workload};
+    use ccfit::Workload;
 
     let trace_text = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),

@@ -3,8 +3,7 @@
 //! eventually returned, and after traffic stops the network drains
 //! completely.
 
-use ccfit::experiment::{config1_case1_scaled, config2_case3};
-use ccfit::{Mechanism, SimBuilder, SimConfig};
+use ccfit::{ConfigId, Mechanism, SimBuilder, SimConfig};
 use ccfit_engine::ids::NodeId;
 use ccfit_topology::{KAryNTree, LinkParams};
 use ccfit_traffic::{FlowSpec, TrafficPattern};
@@ -22,7 +21,7 @@ fn cfg() -> SimConfig {
 fn conservation_under_mixed_traffic() {
     for mech in Mechanism::paper_set() {
         let name = mech.name();
-        let spec = config2_case3(10.0);
+        let spec = ConfigId::config2_case3().resolve();
         let mut sim = SimBuilder::new(spec.topology.clone())
             .routing(spec.routing.clone())
             .mechanism(mech)
@@ -82,7 +81,7 @@ fn network_drains_after_traffic_stops() {
 fn becn_accounting_is_consistent() {
     for mech in [Mechanism::ith(), Mechanism::ccfit()] {
         let name = mech.name();
-        let spec = config1_case1_scaled(0.1);
+        let spec = ConfigId::Config1Case1 { scale: 0.1 }.resolve();
         let mut sim = SimBuilder::new(spec.topology.clone())
             .routing(spec.routing.clone())
             .mechanism(mech)
@@ -182,7 +181,7 @@ fn below_saturation_uniform_delivers_offered_load() {
 #[test]
 fn becn_transports_agree_qualitatively() {
     use ccfit::simulator::BecnTransport;
-    let spec = config1_case1_scaled(0.2);
+    let spec = ConfigId::Config1Case1 { scale: 0.2 }.resolve();
     let run = |tr: BecnTransport| {
         let cfg = SimConfig {
             becn_transport: tr,
@@ -221,7 +220,7 @@ fn becn_transports_agree_qualitatively() {
 /// in flight at the end of the run.
 #[test]
 fn inband_becns_are_conserved() {
-    let spec = config1_case1_scaled(0.1);
+    let spec = ConfigId::Config1Case1 { scale: 0.1 }.resolve();
     let mut sim = SimBuilder::new(spec.topology.clone())
         .routing(spec.routing.clone())
         .mechanism(Mechanism::ccfit())

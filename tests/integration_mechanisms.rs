@@ -2,8 +2,7 @@
 //! on real (scaled-down) paper scenarios, asserting the qualitative
 //! properties §IV claims for it.
 
-use ccfit::experiment::{config1_case1_scaled, config2_case2_scaled};
-use ccfit::{Mechanism, SimBuilder, SimConfig};
+use ccfit::{ConfigId, Mechanism, SimBuilder, SimConfig};
 use ccfit_engine::ids::{FlowId, NodeId};
 use ccfit_metrics::SimReport;
 use ccfit_topology::{config1_topology, KAryNTree, LinkParams};
@@ -47,7 +46,7 @@ fn single_flow_achieves_line_rate_under_every_mechanism() {
 fn packet_conservation_under_congestion() {
     for mech in Mechanism::paper_set() {
         let name = mech.name();
-        let spec = config1_case1_scaled(0.05); // 0.5 ms
+        let spec = ConfigId::Config1Case1 { scale: 0.05 }.resolve(); // 0.5 ms
         let mut sim = SimBuilder::new(spec.topology.clone())
             .routing(spec.routing.clone())
             .mechanism(mech)
@@ -73,7 +72,7 @@ fn packet_conservation_under_congestion() {
 #[test]
 fn simulation_is_deterministic() {
     let run = || {
-        let spec = config2_case2_scaled(0.05);
+        let spec = ConfigId::Config2Case2 { scale: 0.05 }.resolve();
         spec.run_with(Mechanism::ccfit(), 42, test_cfg())
     };
     let a = run();
@@ -105,7 +104,7 @@ fn different_seeds_still_deliver() {
 #[test]
 fn victim_flow_is_protected_by_isolation() {
     let run = |mech: Mechanism| -> SimReport {
-        let spec = config1_case1_scaled(0.1); // 1 ms total, hotspots from 0.2 ms
+        let spec = ConfigId::Config1Case1 { scale: 0.1 }.resolve(); // 1 ms total, hotspots from 0.2 ms
         spec.run_with(mech, 3, test_cfg())
     };
     let victim = FlowId(0);
@@ -135,7 +134,7 @@ fn victim_flow_is_protected_by_isolation() {
 /// CCFIT's per-flow throttling equalises them.
 #[test]
 fn ccfit_solves_the_parking_lot_problem() {
-    let spec = config1_case1_scaled(0.2); // 2 ms, all flows on from 1.2 ms
+    let spec = ConfigId::Config1Case1 { scale: 0.2 }.resolve(); // 2 ms, all flows on from 1.2 ms
     let contributors = [FlowId(1), FlowId(2), FlowId(5), FlowId(6)];
     let window = (1_300_000.0, 2_000_000.0);
     let jain = |mech: Mechanism| {
@@ -162,7 +161,7 @@ fn ccfit_solves_the_parking_lot_problem() {
 /// congestion, and the contributors throttle toward the fair share.
 #[test]
 fn throttling_reacts_to_congestion() {
-    let spec = config1_case1_scaled(0.1);
+    let spec = ConfigId::Config1Case1 { scale: 0.1 }.resolve();
     let mut sim = SimBuilder::new(spec.topology.clone())
         .routing(spec.routing.clone())
         .mechanism(Mechanism::ith())
@@ -188,7 +187,7 @@ fn throttling_reacts_to_congestion() {
 /// resources once congestion vanishes.
 #[test]
 fn cfqs_allocate_and_deallocate() {
-    let spec = config1_case1_scaled(0.1);
+    let spec = ConfigId::Config1Case1 { scale: 0.1 }.resolve();
     // Truncate: all hotspot flows end at 0.8 ms, then 0.4 ms of drain.
     let mut pattern = spec.pattern.clone();
     for f in &mut pattern.flows {
@@ -224,7 +223,7 @@ fn cfqs_allocate_and_deallocate() {
 /// mechanism on aggregate throughput in the congested Config #1 scene.
 #[test]
 fn voqnet_is_an_upper_bound_for_config1() {
-    let spec = config1_case1_scaled(0.1);
+    let spec = ConfigId::Config1Case1 { scale: 0.1 }.resolve();
     let window = (620_000.0, 1_000_000.0);
     let mut results = Vec::new();
     for mech in Mechanism::paper_set() {
@@ -245,7 +244,7 @@ fn voqnet_is_an_upper_bound_for_config1() {
 /// must reach the adapters (stops sent and honoured upstream).
 #[test]
 fn stop_go_propagates_upstream() {
-    let spec = config1_case1_scaled(0.1);
+    let spec = ConfigId::Config1Case1 { scale: 0.1 }.resolve();
     let mut sim = SimBuilder::new(spec.topology.clone())
         .routing(spec.routing.clone())
         .mechanism(Mechanism::fbicm())
@@ -290,7 +289,7 @@ fn uniform_moderate_load_is_stable() {
 /// Config #2's five flows share node 7's link fairly under CCFIT.
 #[test]
 fn config2_contributors_share_the_hot_link_under_ccfit() {
-    let spec = config2_case2_scaled(0.2);
+    let spec = ConfigId::Config2Case2 { scale: 0.2 }.resolve();
     let r = spec.run_with(Mechanism::ccfit(), 10, test_cfg());
     let flows = [FlowId(0), FlowId(1), FlowId(2), FlowId(3), FlowId(4)];
     let window = (1_300_000.0, 2_000_000.0);
@@ -308,7 +307,7 @@ fn config2_contributors_share_the_hot_link_under_ccfit() {
 /// Mechanisms that do not throttle never mark or generate BECNs.
 #[test]
 fn non_throttling_mechanisms_do_not_mark() {
-    let spec = config1_case1_scaled(0.05);
+    let spec = ConfigId::Config1Case1 { scale: 0.05 }.resolve();
     for mech in [
         Mechanism::OneQ,
         Mechanism::VoqSw,
@@ -334,7 +333,7 @@ fn non_throttling_mechanisms_do_not_mark() {
 /// hotspot is at least an order of magnitude above CCFIT's p50.
 #[test]
 fn latency_percentiles_expose_hol_blocking() {
-    let spec = config1_case1_scaled(0.1);
+    let spec = ConfigId::Config1Case1 { scale: 0.1 }.resolve();
     let oneq = spec.run_with(Mechanism::OneQ, 0x1A7, test_cfg());
     let ccfit = spec.run_with(Mechanism::ccfit(), 0x1A7, test_cfg());
     let (p50_1q, _, p99_1q) = oneq.latency_percentiles_ns();

@@ -11,9 +11,9 @@
 //!   agree with the pre-existing link-level delivery accounting
 //!   (`SimReport::delivered_bytes`) and with per-packet arithmetic.
 
-use ccfit::experiment::config1_case1_scaled;
 use ccfit::params::Mechanism;
 use ccfit::simulator::SimConfig;
+use ccfit::ConfigId;
 use ccfit_metrics::SimReport;
 
 fn test_cfg() -> SimConfig {
@@ -32,7 +32,7 @@ fn counter(r: &SimReport, name: &str) -> u64 {
 /// by stretching their injection gaps.
 #[test]
 fn dcqcn_closed_loop_engages() {
-    let spec = config1_case1_scaled(0.05);
+    let spec = ConfigId::Config1Case1 { scale: 0.05 }.resolve();
     let r = spec.run_with(Mechanism::dcqcn(), 7, test_cfg());
     assert!(r.delivered_packets > 0, "traffic must flow");
     assert!(
@@ -68,7 +68,7 @@ fn dcqcn_closed_loop_engages() {
 /// the sender windows move.
 #[test]
 fn hpcc_closed_loop_engages() {
-    let spec = config1_case1_scaled(0.05);
+    let spec = ConfigId::Config1Case1 { scale: 0.05 }.resolve();
     let r = spec.run_with(Mechanism::hpcc(), 7, test_cfg());
     assert!(r.delivered_packets > 0, "traffic must flow");
     assert_eq!(
@@ -95,7 +95,7 @@ fn modern_cc_overhead_accounting_reconciles() {
         let name = mech.name();
         let dcqcn_overhead = mech.dcqcn_params().map(|p| u64::from(p.cnp_overhead_bytes));
         let hpcc = mech.hpcc_params().cloned();
-        let spec = config1_case1_scaled(0.02);
+        let spec = ConfigId::Config1Case1 { scale: 0.02 }.resolve();
         let r = spec.run_with(mech, 7, test_cfg());
 
         // Data-path identity: wire = payload + per-packet overhead, and
@@ -161,7 +161,7 @@ fn modern_cc_overhead_accounting_reconciles() {
 /// by the new subsystem.
 #[test]
 fn paper_mechanisms_have_no_modern_cc_counters() {
-    let spec = config1_case1_scaled(0.02);
+    let spec = ConfigId::Config1Case1 { scale: 0.02 }.resolve();
     let r = spec.run_with(Mechanism::ccfit(), 7, test_cfg());
     for key in [
         "ecn_marked",

@@ -6,22 +6,20 @@
 //! mistimes events cannot hide behind a plausible-looking summary, and
 //! vice versa.
 
-use ccfit::experiment::{config1_case1_scaled, config3_case4_scaled};
 use ccfit::metrics::{SimReport, TimeSeries};
-use ccfit::{
-    CcEventKind, EventClass, EventConfig, ExperimentSpec, Mechanism, SimBuilder, SimConfig,
-};
+use ccfit::{CcEventKind, ConfigId, EventClass, EventConfig, Mechanism, SimBuilder, SimConfig};
 use ccfit_engine::units::UnitModel;
 use std::collections::BTreeMap;
 
 /// Run `mech` on the scaled Config #1 / Case #1 scenario, with every
 /// event class recorded or with none.
 fn run(mech: Mechanism, observed: bool) -> SimReport {
-    run_spec(&config1_case1_scaled(0.02), mech, observed)
+    run_spec(&ConfigId::Config1Case1 { scale: 0.02 }, mech, observed)
 }
 
 /// [`run`] on any scenario.
-fn run_spec(spec: &ExperimentSpec, mech: Mechanism, observed: bool) -> SimReport {
+fn run_spec(config: &ConfigId, mech: Mechanism, observed: bool) -> SimReport {
+    let spec = config.resolve();
     let mut cfg = SimConfig {
         metrics_bin_ns: 20_000.0,
         ..SimConfig::default()
@@ -46,7 +44,13 @@ fn run_spec(spec: &ExperimentSpec, mech: Mechanism, observed: bool) -> SimReport
 /// Fig. 8b's four congestion trees outnumber the CFQs: FBICM's ports run
 /// out of them.
 fn exhausting_run() -> SimReport {
-    run_spec(&config3_case4_scaled(4, 0.02), Mechanism::fbicm(), true)
+    let (hotspots, duration_ms, scale) = (4, 4.0, 0.02);
+    let storm = ConfigId::Config3Case4 {
+        hotspots,
+        duration_ms,
+        scale,
+    };
+    run_spec(&storm, Mechanism::fbicm(), true)
 }
 
 /// The counters no event stands behind. Every other counter of a report

@@ -16,8 +16,7 @@
 //!
 //! then review the snapshot diff like any other code change.
 
-use ccfit::experiment::config1_case1_scaled;
-use ccfit::{EventClass, EventConfig, Mechanism, SimConfig};
+use ccfit::{ConfigId, EventClass, EventConfig, Mechanism, SimConfig};
 use std::path::PathBuf;
 
 fn snapshot_path(file: &str) -> PathBuf {
@@ -57,7 +56,7 @@ fn cfg() -> SimConfig {
 
 #[test]
 fn config1_case1_reports_match_golden_snapshots() {
-    let spec = config1_case1_scaled(0.02);
+    let spec = ConfigId::Config1Case1 { scale: 0.02 }.resolve();
     for mech in Mechanism::paper_set() {
         let file = format!(
             "config1_case1_{}.json",
@@ -74,7 +73,7 @@ fn config1_case1_reports_match_golden_snapshots() {
 /// congestion-control subsystem.
 #[test]
 fn config1_case1_modern_cc_reports_match_golden_snapshots() {
-    let spec = config1_case1_scaled(0.02);
+    let spec = ConfigId::Config1Case1 { scale: 0.02 }.resolve();
     for mech in Mechanism::modern_set() {
         let file = format!(
             "config1_case1_{}.json",
@@ -129,7 +128,7 @@ fn flow_workload_fct_blocks_match_golden_snapshots() {
 /// deterministic transcript of the mechanism's §III behaviour.
 #[test]
 fn config1_case1_ccfit_event_log_matches_golden_snapshot() {
-    let spec = config1_case1_scaled(0.02);
+    let spec = ConfigId::Config1Case1 { scale: 0.02 }.resolve();
     let mut c = cfg();
     c.events = Some(EventConfig {
         classes: EventClass::CONGESTION
@@ -154,8 +153,12 @@ fn config1_case1_ccfit_event_log_matches_golden_snapshot() {
 /// that visited an exhausted port every cycle.
 #[test]
 fn config3_case4_h4_counters_match_golden_snapshots() {
-    use ccfit::experiment::config3_case4_scaled;
-    let spec = config3_case4_scaled(4, 0.02);
+    let spec = ConfigId::Config3Case4 {
+        hotspots: 4,
+        duration_ms: 4.0,
+        scale: 0.02,
+    }
+    .resolve();
     for mech in [Mechanism::fbicm(), Mechanism::ccfit()] {
         let file = format!(
             "config3_case4_h4_{}_counters.json",
