@@ -213,9 +213,6 @@ pub struct Adapter {
     // ---- active-set bookkeeping (incremental mirrors) ----
     /// Packets buffered in AdVOQs + NFQ + CFQs (`resident_packets()`).
     resident: usize,
-    /// Peers whose CCTI recovery timer is armed
-    /// (`timer_deadline != Cycle::MAX`).
-    armed_timers: usize,
     /// CFQ slots currently allocated.
     cfq_count: usize,
     /// Per-call control-event scratch.
@@ -274,7 +271,6 @@ impl Adapter {
             hpcc_flows: Vec::new(),
             earliest_deadline: Cycle::MAX,
             resident: 0,
-            armed_timers: 0,
             cfq_count: 0,
             ctrl_scratch: Vec::new(),
             idle: IdleBound::default(),
@@ -446,9 +442,6 @@ impl Adapter {
         let p = &mut self.throttle[slot];
         let max = (thr.cct.len() - 1) as u16;
         p.ccti = (p.ccti + thr.ccti_increase).min(max);
-        if p.timer_deadline == Cycle::MAX {
-            self.armed_timers += 1;
-        }
         p.timer_deadline = now + thr.ccti_timer_cycles;
         self.earliest_deadline = self.earliest_deadline.min(p.timer_deadline);
         metrics.record(
@@ -696,7 +689,6 @@ impl Adapter {
                 p.timer_deadline = if p.ccti > 0 {
                     now + thr.ccti_timer_cycles
                 } else {
-                    self.armed_timers -= 1;
                     Cycle::MAX
                 };
             }
@@ -1053,13 +1045,6 @@ impl Adapter {
             self.rr_slot,
             self.peers.iter().filter(|&(d, _)| d < self.rr).count()
         );
-        debug_assert_eq!(
-            self.armed_timers,
-            self.throttle
-                .iter()
-                .filter(|t| t.timer_deadline != Cycle::MAX)
-                .count()
-        );
         self.resident == 0 && self.becn_out.is_empty() && self.cfq_count == 0
     }
 
@@ -1072,7 +1057,9 @@ impl Adapter {
 
     /// Number of destinations with an armed CCTI recovery timer.
     pub fn armed_timer_count(&self) -> usize {
-        self.armed_timers
+        (self.throttle.iter())
+            .filter(|t| t.timer_deadline != Cycle::MAX)
+            .count()
     }
 
     /// A lower bound of the earliest armed CCTI timer deadline — exact
@@ -1083,7 +1070,7 @@ impl Adapter {
         let mut deadlines = self.throttle.iter().map(|t| t.timer_deadline);
         debug_assert!(
             deadlines.all(|d| self.earliest_deadline <= d)
-                && (self.earliest_deadline == Cycle::MAX) == (self.armed_timers == 0),
+                && (self.earliest_deadline == Cycle::MAX) == (self.armed_timer_count() == 0),
             "earliest CCTI deadline out of step with the timers at {}",
             self.node
         );

@@ -50,7 +50,7 @@ pub mod port;
 pub mod simulator;
 pub mod switch;
 
-pub use ccfit_faults::{FaultPolicy, FaultSchedule, NetworkEvent, RandomFaults, ScheduledEvent};
+pub use ccfit_faults::{FaultSchedule, NetworkEvent, RandomFaults, ScheduledEvent};
 pub use ccfit_metrics::{CcEvent, CcEventKind, EventClass, EventConfig, FaultKind};
 pub use ccfit_traffic::{SizedFlow, Workload};
 pub use experiment::{ConfigId, ExperimentSpec};

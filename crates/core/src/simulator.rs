@@ -15,7 +15,7 @@ use ccfit_engine::queue::QueuedPacket;
 use ccfit_engine::rng::SeedSplitter;
 use ccfit_engine::units::{Cycle, UnitModel, MTU_BYTES};
 use ccfit_engine::{BadParam, CalendarQueue};
-use ccfit_faults::{FaultPolicy, FaultSchedule, NetworkEvent, REROUTE_LATENCY_CYCLES};
+use ccfit_faults::{FaultSchedule, NetworkEvent, REROUTE_LATENCY_CYCLES};
 use ccfit_metrics::{
     CcEventKind, EventConfig, FaultKind, FaultSummary, FlowGoal, MetricsCollector, SimReport,
 };
@@ -239,14 +239,13 @@ impl FaultRuntime {
         }
     }
 
-    /// A packet arriving at switch `sw` cannot be delivered: the switch
-    /// is down, or the destination is not in the switch's component
-    /// under the routing in force (forwarding it would follow a stale
-    /// or default route and could misdeliver).
+    /// A packet arriving at switch `sw` cannot be delivered: the
+    /// destination is not in the switch's component under the routing
+    /// in force (forwarding it would follow a stale or default route and
+    /// could misdeliver). Nothing arrives at a dead switch: its links
+    /// were cut and purged when it failed.
     fn arrival_is_undeliverable(&self, sw: SwitchId, dst: NodeId) -> bool {
-        if self.is_switch_down(sw) {
-            return true;
-        }
+        debug_assert!(!self.is_switch_down(sw), "delivery to a dead switch");
         let dc = self.node_comp[dst.index()];
         dc == u32::MAX || dc != self.comp[sw.index()]
     }
@@ -1214,9 +1213,9 @@ impl Simulator {
                     // cycle's phases 5/6.
                     self.act_sw.insert(s.0);
                     for d in deliveries.drain(..) {
-                        // Fault guard: a straggler that drained off a
-                        // gracefully closed link may arrive at a dead
-                        // switch or carry a destination the routing in
+                        // Fault guard: a packet already on a healthy
+                        // link when a fault orphaned its destination
+                        // arrives with a destination the routing in
                         // force cannot deliver — consume it here rather
                         // than forward it down a stale route.
                         if let Some(frt) = self.faults.as_mut() {
@@ -1786,7 +1785,7 @@ impl Simulator {
             // Events and re-route completions purge RAM / reset links /
             // re-route packets outside the phase loops: rebuild the SoA
             // occupancy mirror and re-activate everything. A link that
-            // closed under a head turns "transmitter busy until T" into
+            // failed under a head turns "transmitter busy until T" into
             // "down until repaired", so every switch also re-derives what
             // its bounds rest on.
             self.resync_port_occ();
@@ -1799,11 +1798,7 @@ impl Simulator {
 
     fn apply_network_event(&mut self, now: Cycle, frt: &mut FaultRuntime, event: NetworkEvent) {
         match event {
-            NetworkEvent::LinkDown {
-                switch: s,
-                port: p,
-                policy,
-            } => {
+            NetworkEvent::LinkDown { switch: s, port: p } => {
                 let Some((Endpoint::Switch(os, op), _)) = self.topo.peer(s, p) else {
                     // Already down, or a node cable (validation rejects
                     // the latter up front, but a hand-built schedule
@@ -1816,7 +1811,7 @@ impl Simulator {
                     return;
                 }
                 let (_, _, params) = self.topo.remove_cable(s, p).expect("peer verified");
-                self.take_cable_down(frt, s, p, os, op, policy);
+                self.take_cable_down(frt, s, p, os, op);
                 frt.down_cables.push(DownCable {
                     s,
                     p,
@@ -1847,11 +1842,11 @@ impl Simulator {
                 self.topo
                     .restore_cable(c.s, c.p, c.os, c.op, c.params)
                     .expect("recorded from remove_cable");
-                self.restore_cable_links(frt, c);
+                self.restore_cable_links(c);
                 frt.schedule_reroute(now);
                 frt.applied(now);
             }
-            NetworkEvent::SwitchDown { switch: sw, policy } => {
+            NetworkEvent::SwitchDown { switch: sw } => {
                 if frt.is_switch_down(sw) {
                     frt.events_skipped += 1;
                     return;
@@ -1862,7 +1857,7 @@ impl Simulator {
                         Some((Endpoint::Switch(os, op), _)) => {
                             let (_, _, params) =
                                 self.topo.remove_cable(sw, p).expect("peer verified");
-                            self.take_cable_down(frt, sw, p, os, op, policy);
+                            self.take_cable_down(frt, sw, p, os, op);
                             frt.down_cables.push(DownCable {
                                 s: sw,
                                 p,
@@ -1878,16 +1873,8 @@ impl Simulator {
                             // orphaned until `SwitchUp`).
                             let inj = self.inject_link[n.index()].index();
                             let rcv = self.recv_link[n.index()].index();
-                            match policy {
-                                FaultPolicy::FailStop => {
-                                    frt.loss.absorb(self.links[inj].fail());
-                                    frt.loss.absorb(self.links[rcv].fail());
-                                }
-                                FaultPolicy::Graceful => {
-                                    self.links[inj].close();
-                                    self.links[rcv].close();
-                                }
-                            }
+                            frt.loss.absorb(self.links[inj].fail());
+                            frt.loss.absorb(self.links[rcv].fail());
                             if frt.unreachable_since[n.index()].is_none() {
                                 frt.unreachable_since[n.index()] = Some(now);
                             }
@@ -1895,14 +1882,12 @@ impl Simulator {
                         None => {}
                     }
                 }
-                // The switch's buffers are lost regardless of policy —
-                // a policy only governs what happens on the wires.
+                // Its buffers and scheduled RAM releases die with it
+                // (the upstream credits the releases would have returned
+                // are already tallied as lost by the wire cut or will be
+                // re-granted on restore from ground-truth RAM occupancy).
                 let stats = self.switches[sw.index()].purge_all();
                 frt.absorb_purge(stats);
-                // Its scheduled RAM releases die with it (the upstream
-                // credits they would have returned are already tallied
-                // as lost by the wire cut or will be re-granted on
-                // restore from ground-truth RAM occupancy).
                 self.release_q.retain(|rel| {
                     !matches!(rel, Release::SwitchPort { sw: x, .. } if *x == sw.index() as u32)
                 });
@@ -1937,7 +1922,7 @@ impl Simulator {
                             self.topo
                                 .restore_cable(c.s, c.p, c.os, c.op, c.params)
                                 .expect("recorded from remove_cable");
-                            self.restore_cable_links(frt, c);
+                            self.restore_cable_links(c);
                         }
                         _ => i += 1,
                     }
@@ -1952,9 +1937,8 @@ impl Simulator {
                         let inj = self.inject_link[n.index()];
                         let rcv = self.recv_link[n.index()].index();
                         let grant = self.switches[sw.index()].inputs[p.index()].ram.free();
-                        frt.loss.absorb(self.links[inj.index()].restore(grant));
-                        frt.loss
-                            .absorb(self.links[rcv].restore(self.node_sink_credits));
+                        self.links[inj.index()].restore(grant);
+                        self.links[rcv].restore(self.node_sink_credits);
                         self.reset_voqnet_credits(inj, sw, p.index());
                     }
                 }
@@ -1964,12 +1948,11 @@ impl Simulator {
         }
     }
 
-    /// Cut (fail-stop) or close (graceful) both directed links of a
-    /// trunk cable and, under fail-stop, quiesce the per-cable protocol
-    /// state at both ends: the output CAMs mirroring downstream
-    /// congestion, and the CFQ alloc/Stop flags that claim upstream has
-    /// been notified — all of that state died with the wire and must
-    /// re-propagate after a repair.
+    /// Cut both directed links of a trunk cable and quiesce the
+    /// per-cable protocol state at both ends: the output CAMs mirroring
+    /// downstream congestion, and the CFQ alloc/Stop flags that claim
+    /// upstream has been notified — all of that state died with the wire
+    /// and must re-propagate after a repair.
     fn take_cable_down(
         &mut self,
         frt: &mut FaultRuntime,
@@ -1977,7 +1960,6 @@ impl Simulator {
         p: PortId,
         os: SwitchId,
         op: PortId,
-        policy: FaultPolicy,
     ) {
         let fwd = self.switches[s.index()].outputs[p.index()]
             .out_link
@@ -1985,29 +1967,19 @@ impl Simulator {
         let rev = self.switches[os.index()].outputs[op.index()]
             .out_link
             .expect("cabled");
-        match policy {
-            FaultPolicy::FailStop => {
-                frt.loss.absorb(self.links[fwd.index()].fail());
-                frt.loss.absorb(self.links[rev.index()].fail());
-                self.switches[s.index()].clear_output_cam(p.index());
-                self.switches[os.index()].clear_output_cam(op.index());
-                self.switches[s.index()].reset_upstream_ctrl_flags(p.index());
-                self.switches[os.index()].reset_upstream_ctrl_flags(op.index());
-            }
-            FaultPolicy::Graceful => {
-                self.links[fwd.index()].close();
-                self.links[rev.index()].close();
-            }
-        }
+        frt.loss.absorb(self.links[fwd.index()].fail());
+        frt.loss.absorb(self.links[rev.index()].fail());
+        self.switches[s.index()].clear_output_cam(p.index());
+        self.switches[os.index()].clear_output_cam(op.index());
+        self.switches[s.index()].reset_upstream_ctrl_flags(p.index());
+        self.switches[os.index()].reset_upstream_ctrl_flags(op.index());
     }
 
     /// Retrain both directed links of a reinstalled trunk cable. The
     /// fresh credit grant is the receiving input port's *current* free
-    /// RAM — ground truth either way: under fail-stop the credit
-    /// returns of the downtime were destroyed while the RAM kept
-    /// draining, and under graceful `Link::restore` resets the sender
-    /// pool before re-granting.
-    fn restore_cable_links(&mut self, frt: &mut FaultRuntime, c: DownCable) {
+    /// RAM — ground truth, since the credit returns of the downtime were
+    /// destroyed while the RAM kept draining.
+    fn restore_cable_links(&mut self, c: DownCable) {
         let fwd = self.switches[c.s.index()].outputs[c.p.index()]
             .out_link
             .expect("cabled");
@@ -2016,8 +1988,8 @@ impl Simulator {
             .expect("cabled");
         let fwd_grant = self.switches[c.os.index()].inputs[c.op.index()].ram.free();
         let rev_grant = self.switches[c.s.index()].inputs[c.p.index()].ram.free();
-        frt.loss.absorb(self.links[fwd.index()].restore(fwd_grant));
-        frt.loss.absorb(self.links[rev.index()].restore(rev_grant));
+        self.links[fwd.index()].restore(fwd_grant);
+        self.links[rev.index()].restore(rev_grant);
         self.reset_voqnet_credits(fwd, c.os, c.op.index());
         self.reset_voqnet_credits(rev, c.s, c.p.index());
     }
@@ -2523,7 +2495,7 @@ mod tests {
         let topo = tree.build(LinkParams::default());
         let (s, p) = first_trunk_cable(&topo);
         let mut sched = FaultSchedule::new();
-        sched.link_down(2000, s, p, FaultPolicy::FailStop);
+        sched.link_down(2000, s, p);
         let mut sim = tree_sim(sched, Mechanism::ccfit());
         sim.run_cycles(5000);
         let delivered_early = sim.delivered();
@@ -2555,7 +2527,7 @@ mod tests {
         let topo = tree.build(LinkParams::default());
         let leaf = topo.node_attachment(NodeId(7)).0;
         let mut sched = FaultSchedule::new();
-        sched.switch_down(2000, leaf, FaultPolicy::Graceful);
+        sched.switch_down(2000, leaf);
         sched.switch_up(8000, leaf);
         let mut sim = tree_sim(sched, Mechanism::ccfit());
         sim.run_cycles(4000);
@@ -2962,8 +2934,8 @@ mod tests {
         let build = || {
             let mut sched = FaultSchedule::new();
             sched
-                .switch_down(1003, leaf, FaultPolicy::FailStop)
-                .link_down(2207, s, p, FaultPolicy::Graceful)
+                .switch_down(1003, leaf)
+                .link_down(2207, s, p)
                 .switch_up(3411, leaf)
                 .link_up(4615, s, p);
             park_sim(Mechanism::ccfit(), SimConfig::default(), crossing_flows())
@@ -3103,9 +3075,7 @@ mod tests {
         let (s, p) = first_trunk_cable(&topo);
         let make = || {
             let mut sched = FaultSchedule::new();
-            sched
-                .link_down(1500, s, p, FaultPolicy::FailStop)
-                .link_up(6000, s, p);
+            sched.link_down(1500, s, p).link_up(6000, s, p);
             sched
         };
         let fast = tree_sim(make(), Mechanism::ccfit()).run();
@@ -3125,9 +3095,7 @@ mod tests {
         let topo = tree.build(LinkParams::default());
         let (s, p) = first_trunk_cable(&topo);
         let mut sched = FaultSchedule::new();
-        sched
-            .link_down(2000, s, p, FaultPolicy::FailStop)
-            .link_up(7000, s, p);
+        sched.link_down(2000, s, p).link_up(7000, s, p);
         let mut sim = tree_sim(sched, Mechanism::voqnet());
         sim.run_cycles(sim.end_cycle());
         let injected = sim.injected();

@@ -1891,9 +1891,8 @@ impl Switch {
     }
 
     /// Fault subsystem: the whole switch failed. Wipe every queue, RAM
-    /// and congestion state — its buffers are gone regardless of the
-    /// fault policy (a policy only governs what happens on the wires).
-    /// Returns what was destroyed.
+    /// and congestion state — its buffers are gone with it. Returns what
+    /// was destroyed.
     pub fn purge_all(&mut self) -> PurgeStats {
         let mut stats = PurgeStats::default();
         let mut drained = std::mem::take(&mut self.purge_scratch);
@@ -3343,7 +3342,7 @@ mod tests {
         assert_eq!(arb(&mut fx, &mut vn, 1).len(), 1);
 
         let mut fx = fixture(QueueingScheme::PerDest, None, None);
-        fx.links[1].close();
+        fx.links[1].fail();
         deliver(&mut fx, 0, pkt(1, 2));
         assert!(arbitrate(&mut fx, 0).is_empty());
         assert!(!idle_holds(&fx, 1), "downed link: re-scan");
@@ -3939,9 +3938,10 @@ mod tests {
         ]
     }
 
-    /// Runs `rows`, every one, so a missing call names the rows it breaks.
-    fn check_rows(rows: Vec<Writer>) {
-        let failed: Vec<_> = rows
+    /// Runs every row, so a missing call names all the rows it breaks.
+    #[test]
+    fn every_writer_clears_the_records_it_can_break() {
+        let failed: Vec<_> = writers()
             .into_iter()
             .filter(|w| {
                 std::panic::catch_unwind(|| {
@@ -3956,94 +3956,6 @@ mod tests {
             .map(|w| w.name)
             .collect();
         assert!(failed.is_empty(), "rows failed: {failed:?}");
-    }
-
-    #[test]
-    fn every_writer_clears_the_records_it_can_break() {
-        check_rows(writers());
-    }
-
-    /// One test per writer, or family of writers, that runs its rows of
-    /// the table. The names are those the writers' own tests had, from
-    /// when the arbiter's bound was sealed against a mutation counter: a
-    /// bump there is a clear here, and "every ctrl event" is every event
-    /// that changes a CAM line.
-    macro_rules! writer_rows {
-        ($($test:ident: [$($row:literal),+ $(,)?];)+) => {$(
-            #[test]
-            fn $test() {
-                let names = [$($row),+];
-                let rows: Vec<_> = writers()
-                    .into_iter()
-                    .filter(|w| names.contains(&w.name))
-                    .collect();
-                assert_eq!(rows.len(), names.len(), "no such row in {names:?}");
-                check_rows(rows);
-            }
-        )+};
-    }
-
-    writer_rows! {
-        a_delivery_wakes_the_arbiter: ["a delivery (VOQsw)"];
-        nfq_push_drops_the_memo: ["a delivery (isolating)"];
-        nfq_push_unsettles_the_port: ["a delivery (isolating)"];
-        nfq_pop_by_arbitration_drops_the_memo: ["an NFQ departure"];
-        nfq_pop_by_arbitration_unsettles_the_port: ["an NFQ departure"];
-        a_cfq_departure_wakes_its_quiet_port: ["a CFQ departure"];
-        root_cfq_allocation_drops_the_memo: ["a root CFQ allocation"];
-        root_cfq_allocation_bumps_the_epoch: ["a root CFQ allocation"];
-        the_isolation_move_wakes_the_arbiter: ["the NFQ -> CFQ moves"];
-        cfq_deallocation_drops_the_memo: ["a CFQ release"];
-        cfq_deallocation_wakes_the_nfq_head_it_parked: ["a CFQ release"];
-        output_cam_alloc_and_free_drop_every_memo: [
-            "an output-CAM line announced by CfqAlloc",
-            "an output-CAM line announced by Stop",
-            "an output-CAM line freed by CfqDealloc",
-        ];
-        output_cam_alloc_unsettles_every_port: [
-            "an output-CAM line announced by CfqAlloc",
-            "an output-CAM line announced by Stop",
-        ];
-        output_cam_free_and_clear_unsettle_every_port: [
-            "an output-CAM line freed by CfqDealloc",
-            "clearing an output CAM (fault)",
-        ];
-        a_go_wakes_a_stopped_cfq_and_every_ctrl_event_bumps_the_epoch: [
-            "a Go for a stopped line",
-            "a Stop for a running line",
-            "an output-CAM line announced by CfqAlloc",
-            "an output-CAM line announced by Stop",
-            "an output-CAM line freed by CfqDealloc",
-        ];
-        a_stop_go_flip_wakes_the_port_whose_cfq_drains_on_the_line: [
-            "a Go for a stopped line",
-            "a Stop for a running line",
-            "a Stop for a stopped line (no change)",
-        ];
-        clear_output_cam_drops_every_memo: ["clearing an output CAM (fault)"];
-        clearing_the_output_cam_wakes_a_stopped_cfq: ["clearing an output CAM (fault)"];
-        routing_change_drops_every_memo: ["a re-route"];
-        routing_change_unsettles_every_port: ["a re-route"];
-        a_reroute_wakes_the_arbiter: ["a re-route"];
-        purge_unreachable_drops_every_memo: ["a purge of unreachable destinations"];
-        purge_unreachable_unsettles_the_port: ["a purge of unreachable destinations"];
-        purge_unreachable_wakes_the_arbiter: ["a purge of unreachable destinations"];
-        writers_that_cannot_move_the_verdict_still_drop_the_memo: [
-            "the NFQ -> CFQ moves",
-            "resetting the upstream notification flags",
-            "a purge that finds nothing",
-            "the whole-switch purge",
-        ];
-        events_that_cannot_move_a_settled_verdict_still_unsettle: [
-            "resetting the upstream notification flags",
-            "a purge that finds nothing",
-            "the whole-switch purge",
-        ];
-        events_that_cannot_free_a_head_still_bump_the_epoch: [
-            "resetting the upstream notification flags",
-            "a purge that finds nothing",
-            "the whole-switch purge",
-        ];
     }
 }
 
@@ -4529,7 +4441,7 @@ mod twin_tests {
                         _ => {
                             let link = &mut rig.links[PORTS + port];
                             if link.is_up() {
-                                link.close();
+                                link.fail();
                             } else {
                                 link.restore(OUT_CREDITS);
                                 rig.withheld[port] = 0;

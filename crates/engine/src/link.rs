@@ -96,13 +96,10 @@ pub struct Link {
     /// Cycle at which the transmitter finishes serializing the current
     /// packet and can accept another.
     tx_free_at: Cycle,
-    /// The forward channel accepts new sends. Cleared by both
-    /// [`Link::fail`] and [`Link::close`].
+    /// The cable works: the forward channel accepts sends and the
+    /// reverse channel carries credit returns and control events.
+    /// Cleared by [`Link::fail`], set again by [`Link::restore`].
     up: bool,
-    /// The reverse channel (credit returns + control events) still
-    /// works. Cleared only by fail-stop ([`Link::fail`]); a gracefully
-    /// closed link keeps draining its bookkeeping.
-    reverse_open: bool,
     in_flight: VecDeque<InFlight>,
     /// Reverse channel: credit returns (arrival cycle, flits).
     credit_returns: VecDeque<(Cycle, u32)>,
@@ -110,9 +107,9 @@ pub struct Link {
     ctrl_in_flight: VecDeque<(Cycle, CtrlEvent)>,
 }
 
-/// What a fail-stop ([`Link::fail`]) or a restore ([`Link::restore`])
-/// destroyed: everything that was travelling on the wire at that
-/// instant. The fault-injection subsystem turns this into loss counters.
+/// What a fail-stop ([`Link::fail`]) destroyed: everything that was
+/// travelling on the wire at that instant. The fault-injection
+/// subsystem turns this into loss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireLoss {
     /// Data packets dropped from the forward channel.
@@ -163,20 +160,25 @@ impl Link {
             credits: initial_credits,
             tx_free_at: 0,
             up: true,
-            reverse_open: true,
             in_flight: VecDeque::new(),
             credit_returns: VecDeque::new(),
             ctrl_in_flight: VecDeque::new(),
         }
     }
 
-    /// Whether the forward channel accepts new sends.
+    /// Whether the cable works (both channels).
     pub fn is_up(&self) -> bool {
         self.up
     }
 
-    /// Drop everything on the wire, tallying the loss.
-    fn purge(&mut self) -> WireLoss {
+    /// Fail-stop: the cable is cut. Everything in flight — data, credit
+    /// returns, control events — is destroyed and tallied; the sender's
+    /// remaining credits are zeroed (the receiver RAM they referenced is
+    /// on the other side of the cut). Both channels stop working until
+    /// [`Link::restore`].
+    pub fn fail(&mut self) -> WireLoss {
+        self.up = false;
+        self.credits = 0;
         let mut loss = WireLoss::default();
         for f in self.in_flight.drain(..) {
             if f.packet.is_data() {
@@ -193,36 +195,13 @@ impl Link {
         loss
     }
 
-    /// Fail-stop: the cable is cut. Everything in flight — data, credit
-    /// returns, control events — is destroyed and tallied; the sender's
-    /// remaining credits are zeroed (the receiver RAM they referenced is
-    /// on the other side of the cut). Both channels stop working until
-    /// [`Link::restore`].
-    pub fn fail(&mut self) -> WireLoss {
-        self.up = false;
-        self.reverse_open = false;
-        self.credits = 0;
-        self.purge()
-    }
-
-    /// Graceful shutdown: the forward channel stops accepting new sends
-    /// but everything already travelling (data, credits, control) drains
-    /// normally. Use for planned link deactivation.
-    pub fn close(&mut self) {
-        self.up = false;
-    }
-
-    /// Bring a downed link back up with a fresh credit grant (the
-    /// endpoints re-synchronize flow control on link training). Any
-    /// residue still on the wire — possible when a gracefully closed
-    /// link is restored before it finished draining — is destroyed and
-    /// tallied, exactly like a fail-stop would have destroyed it.
-    pub fn restore(&mut self, credits: u32) -> WireLoss {
-        let loss = self.purge();
+    /// Bring a failed link back up with a fresh credit grant (the
+    /// endpoints re-synchronize flow control on link training). The wire
+    /// is empty: [`Link::fail`] purged it and nothing enters a down link.
+    pub fn restore(&mut self, credits: u32) {
+        debug_assert!(self.is_idle(), "a down link carries nothing");
         self.up = true;
-        self.reverse_open = true;
         self.credits = credits;
-        loss
     }
 
     /// Static parameters.
@@ -311,9 +290,9 @@ impl Link {
     }
 
     /// Receiver-side: return `flits` credits to the sender; they arrive
-    /// after the propagation delay. Silently discarded while the reverse
-    /// channel is cut by a fail-stop (the sender re-synchronizes its
-    /// credit state on [`Link::restore`]).
+    /// after the propagation delay. Silently discarded while the link is
+    /// down (the sender re-synchronizes its credit state on
+    /// [`Link::restore`]).
     /// Same-cycle returns are coalesced into the tail entry: under a
     /// hotspot storm a receiver frees many buffers per cycle, and one
     /// `(arrival, flits)` entry absorbs them all without growing the
@@ -321,7 +300,7 @@ impl Link {
     /// absorbs whole entries whose arrival cycle has passed, and a merged
     /// entry carries the same flit total at the same arrival cycle.
     pub fn return_credits(&mut self, now: Cycle, flits: u32) {
-        if flits > 0 && self.reverse_open {
+        if flits > 0 && self.up {
             let at = now + self.cfg.delay_cycles;
             if let Some(last) = self.credit_returns.back_mut() {
                 if last.0 == at {
@@ -355,11 +334,10 @@ impl Link {
     }
 
     /// Receiver-side: send a congestion-information event upstream.
-    /// Silently discarded while the reverse channel is cut by a
-    /// fail-stop (the isolation state on the dead cable is quiesced by
-    /// the fault subsystem instead).
+    /// Silently discarded while the link is down (the isolation state on
+    /// the dead cable is quiesced by the fault subsystem instead).
     pub fn send_ctrl(&mut self, now: Cycle, ev: CtrlEvent) {
-        if self.reverse_open {
+        if self.up {
             self.ctrl_in_flight
                 .push_back((now + self.cfg.delay_cycles, ev));
         }
@@ -606,38 +584,14 @@ mod tests {
     }
 
     #[test]
-    fn graceful_close_drains_in_flight_traffic() {
-        let mut l = link(1, 2, 64);
-        l.send(0, pkt(1, 4));
-        l.close();
-        assert!(!l.can_send(100, 1), "no new sends");
-        let d = deliver(&mut l, 100);
-        assert_eq!(d.len(), 1, "in-flight packet still delivers");
-        // Reverse bookkeeping still works while closed.
-        l.return_credits(100, 4);
-        l.poll_credits(103);
-        assert_eq!(l.credits(), 64);
-    }
-
-    #[test]
     fn restore_resynchronizes_credits() {
         let mut l = link(1, 2, 64);
         l.send(0, pkt(1, 32));
         l.fail();
-        let loss = l.restore(48);
-        assert_eq!(loss, WireLoss::default(), "fail already purged");
+        l.restore(48);
         assert!(l.is_up());
         assert_eq!(l.credits(), 48);
         assert!(l.can_send(100, 48));
-    }
-
-    #[test]
-    fn restore_purges_undrained_residue() {
-        let mut l = link(1, 2, 64);
-        l.send(0, pkt(1, 32));
-        l.close();
-        let loss = l.restore(64);
-        assert_eq!(loss.data_packets, 1, "undrained packet is destroyed");
     }
 
     #[test]

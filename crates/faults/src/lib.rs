@@ -24,32 +24,18 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// What happens to traffic that is on (or committed to) a failing
-/// component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FaultPolicy {
-    /// The cable is cut: everything in flight — data flits, credit
-    /// returns, control events — is destroyed and counted as lost, and
-    /// the sender's credit state is zeroed until the link retrains on
-    /// recovery.
-    FailStop,
-    /// Planned deactivation: the forward channel stops accepting new
-    /// packets but everything already travelling (data, credits,
-    /// Stop/Go events) drains normally.
-    Graceful,
-}
-
 /// One dynamic network event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum NetworkEvent {
-    /// Take the switch-to-switch cable at `(switch, port)` down.
+    /// Cut the switch-to-switch cable at `(switch, port)`: everything
+    /// in flight on it (data flits, credit returns, control events) is
+    /// destroyed and counted as lost, and both senders' credit state is
+    /// zeroed until the cable retrains on recovery.
     LinkDown {
         /// Near-end switch.
         switch: SwitchId,
         /// Near-end port.
         port: PortId,
-        /// In-flight handling.
-        policy: FaultPolicy,
     },
     /// Bring a previously failed cable back up (both endpoints retrain
     /// and re-synchronize flow control).
@@ -59,14 +45,12 @@ pub enum NetworkEvent {
         /// Near-end port.
         port: PortId,
     },
-    /// Fail a whole switch: every cable of the switch goes down under
-    /// `policy`, the switch's buffers are lost, and its attached nodes
-    /// become unreachable until recovery.
+    /// Fail a whole switch: every cable of the switch is cut, the
+    /// switch's buffers are lost, and its attached nodes become
+    /// unreachable until recovery.
     SwitchDown {
         /// The failing switch.
         switch: SwitchId,
-        /// In-flight handling for its cables.
-        policy: FaultPolicy,
     },
     /// Recover a failed switch with empty buffers; its cables to
     /// healthy peers come back up.
@@ -81,10 +65,10 @@ impl NetworkEvent {
     /// whole-switch events).
     pub fn target(&self) -> (SwitchId, Option<PortId>) {
         match *self {
-            NetworkEvent::LinkDown { switch, port, .. } | NetworkEvent::LinkUp { switch, port } => {
+            NetworkEvent::LinkDown { switch, port } | NetworkEvent::LinkUp { switch, port } => {
                 (switch, Some(port))
             }
-            NetworkEvent::SwitchDown { switch, .. } | NetworkEvent::SwitchUp { switch } => {
+            NetworkEvent::SwitchDown { switch } | NetworkEvent::SwitchUp { switch } => {
                 (switch, None)
             }
         }
@@ -155,21 +139,8 @@ impl FaultSchedule {
     }
 
     /// Schedule a link failure.
-    pub fn link_down(
-        &mut self,
-        at: Cycle,
-        switch: SwitchId,
-        port: PortId,
-        policy: FaultPolicy,
-    ) -> &mut Self {
-        self.push(
-            at,
-            NetworkEvent::LinkDown {
-                switch,
-                port,
-                policy,
-            },
-        )
+    pub fn link_down(&mut self, at: Cycle, switch: SwitchId, port: PortId) -> &mut Self {
+        self.push(at, NetworkEvent::LinkDown { switch, port })
     }
 
     /// Schedule a link recovery.
@@ -178,8 +149,8 @@ impl FaultSchedule {
     }
 
     /// Schedule a whole-switch failure.
-    pub fn switch_down(&mut self, at: Cycle, switch: SwitchId, policy: FaultPolicy) -> &mut Self {
-        self.push(at, NetworkEvent::SwitchDown { switch, policy })
+    pub fn switch_down(&mut self, at: Cycle, switch: SwitchId) -> &mut Self {
+        self.push(at, NetworkEvent::SwitchDown { switch })
     }
 
     /// Schedule a switch recovery.
@@ -247,8 +218,6 @@ pub struct RandomFaults {
     /// Each failed cable recovers this many cycles after it fails
     /// (`None` = permanent).
     pub repair_after: Option<Cycle>,
-    /// In-flight handling for every failure.
-    pub policy: FaultPolicy,
 }
 
 impl RandomFaults {
@@ -276,7 +245,7 @@ impl RandomFaults {
             let (s, p) = cables.swap_remove(i);
             let span = self.window_end.saturating_sub(self.window_start).max(1);
             let at = self.window_start + rng.random_range(0..span);
-            schedule.link_down(at, s, p, self.policy);
+            schedule.link_down(at, s, p);
             if let Some(repair) = self.repair_after {
                 schedule.link_up(at + repair, s, p);
             }
@@ -306,9 +275,9 @@ mod tests {
     #[test]
     fn push_keeps_events_sorted_and_stable() {
         let mut s = FaultSchedule::new();
-        s.link_down(500, SwitchId(0), PortId(2), FaultPolicy::FailStop);
+        s.link_down(500, SwitchId(0), PortId(2));
         s.link_up(100, SwitchId(0), PortId(2));
-        s.switch_down(500, SwitchId(3), FaultPolicy::Graceful);
+        s.switch_down(500, SwitchId(3));
         let ats: Vec<Cycle> = s.events().iter().map(|e| e.at).collect();
         assert_eq!(ats, vec![100, 500, 500]);
         // Same-cycle events keep insertion order.
@@ -325,8 +294,8 @@ mod tests {
     fn validate_accepts_trunk_cables() {
         let t = tree();
         let mut s = FaultSchedule::new();
-        s.link_down(10, SwitchId(0), PortId(2), FaultPolicy::FailStop);
-        s.switch_down(20, SwitchId(5), FaultPolicy::Graceful);
+        s.link_down(10, SwitchId(0), PortId(2));
+        s.switch_down(20, SwitchId(5));
         s.validate(&t).unwrap();
     }
 
@@ -334,11 +303,11 @@ mod tests {
     fn validate_rejects_bad_targets() {
         let t = tree();
         let mut s = FaultSchedule::new();
-        s.link_down(10, SwitchId(99), PortId(0), FaultPolicy::FailStop);
+        s.link_down(10, SwitchId(99), PortId(0));
         assert_eq!(s.validate(&t), Err(FaultError::UnknownSwitch(SwitchId(99))));
 
         let mut s = FaultSchedule::new();
-        s.link_down(10, SwitchId(0), PortId(99), FaultPolicy::FailStop);
+        s.link_down(10, SwitchId(0), PortId(99));
         assert!(matches!(
             s.validate(&t),
             Err(FaultError::PortOutOfRange(..))
@@ -346,7 +315,7 @@ mod tests {
 
         // Port 0 of a leaf switch is a node cable.
         let mut s = FaultSchedule::new();
-        s.link_down(10, SwitchId(0), PortId(0), FaultPolicy::FailStop);
+        s.link_down(10, SwitchId(0), PortId(0));
         assert!(matches!(s.validate(&t), Err(FaultError::NodeCable(..))));
     }
 
@@ -359,7 +328,6 @@ mod tests {
             window_start: 1000,
             window_end: 5000,
             repair_after: Some(2000),
-            policy: FaultPolicy::FailStop,
         };
         let a = cfg.schedule(&t);
         let b = cfg.schedule(&t);
@@ -390,7 +358,6 @@ mod tests {
             window_start: 0,
             window_end: 100,
             repair_after: None,
-            policy: FaultPolicy::Graceful,
         };
         let s = cfg.schedule(&t);
         assert_eq!(s.len(), 16);
@@ -405,7 +372,7 @@ mod tests {
     fn serde_round_trip() {
         let t = tree();
         let mut s = FaultSchedule::new();
-        s.link_down(10, SwitchId(0), PortId(2), FaultPolicy::FailStop)
+        s.link_down(10, SwitchId(0), PortId(2))
             .link_up(30, SwitchId(0), PortId(2));
         s.validate(&t).unwrap();
         let json = serde_json::to_string(&s).unwrap();

@@ -32,17 +32,19 @@
 //! at = 120000
 //! switch = 0
 //! port = 4
-//! policy = "fail-stop"
 //!
 //! [matrix.workload]      # optional sized-flow workload; replaces each
 //! kind = "incast"        # config's traffic pattern (see parse_workload)
 //! senders = 4
 //! bytes = 65536
 //! ```
+//!
+//! A key no table knows is an error with its line, in every table:
+//! a typo would otherwise run the default under a valid cache key.
 
 use ccfit::engine::ids::{PortId, SwitchId};
 use ccfit::engine::units::Cycle;
-use ccfit::faults::{FaultError, FaultPolicy, FaultSchedule, NetworkEvent};
+use ccfit::faults::{FaultError, FaultSchedule, NetworkEvent};
 use ccfit::traffic::parse_trace;
 use ccfit::{BecnTransport, ConfigId, Mechanism, SimConfig, Workload};
 use serde::{Deserialize, Serialize, Value};
@@ -80,18 +82,7 @@ impl ExperimentMatrix {
             .get("matrix")
             .ok_or("missing [matrix] table".to_string())?;
         let at = |key: &str| at_key(text, &["matrix"], 0, key);
-        if let Value::Object(pairs) = m {
-            if let Some((key, _)) = pairs
-                .iter()
-                .find(|(k, _)| !MATRIX_KEYS.contains(&k.as_str()))
-            {
-                return Err(format!(
-                    "{}unknown key `{key}` in [matrix]; known: {}",
-                    at(key),
-                    MATRIX_KEYS.join(", ")
-                ));
-            }
-        }
+        reject_unknown_keys(m, &MATRIX_KEYS, "[matrix]", at)?;
         let name = get_str(m, "name")?;
         let mut mechanisms = get_array(m, "mechanisms")?
             .iter()
@@ -137,10 +128,12 @@ impl ExperimentMatrix {
                 Ok(config)
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let events = (get_array(m, "event")?.iter())
-            .map(parse_event)
+        let events = (get_array(m, "event")?.iter().enumerate())
+            .map(|(j, table)| parse_event(table, |key| at_key(text, &["matrix", "event"], j, key)))
             .collect::<Result<Vec<_>, _>>()?;
-        let workload = m.get("workload").map(parse_workload).transpose()?;
+        let workload = (m.get("workload"))
+            .map(|table| parse_workload(table, |key| at_key(text, &["matrix", "workload"], 0, key)))
+            .transpose()?;
         if mechanisms.is_empty() || seeds.is_empty() || configs.is_empty() {
             return Err("matrix resolves to zero runs".to_string());
         }
@@ -230,6 +223,27 @@ const MATRIX_KEYS: [&str; 9] = [
     "event",
     "workload",
 ];
+
+/// `Err` naming the first key of `table` that is not in `known`, with
+/// its line (`at(key)`); `what` names the table.
+fn reject_unknown_keys(
+    table: &Value,
+    known: &[&str],
+    what: &str,
+    at: impl Fn(&str) -> String,
+) -> Result<(), String> {
+    let Value::Object(pairs) = table else {
+        return Ok(());
+    };
+    match pairs.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        None => Ok(()),
+        Some((key, _)) => Err(format!(
+            "{}unknown key `{key}` in {what}; known: {}",
+            at(key),
+            known.join(", ")
+        )),
+    }
+}
 
 /// `"line N: "` for where `key` enters the `nth` table at `path` (`[path]`
 /// or the `nth` `[[path]]`): its `key = …` line or a `[path.key…]` /
@@ -386,105 +400,137 @@ fn opt_f64_or(table: &Value, key: &str, default: f64) -> Result<f64, String> {
 fn parse_config(table: &Value, at: impl Fn(&str) -> String) -> Result<ConfigId, String> {
     let kind = get_str(table, "kind")?;
     let what = format!("[[matrix.config]] kind={kind}");
-    match kind.as_str() {
-        "config1/case1" => Ok(ConfigId::Config1Case1 {
-            scale: opt_f64_or(table, "scale", 1.0)?,
-        }),
-        "config2/case2" => Ok(ConfigId::Config2Case2 {
-            scale: opt_f64_or(table, "scale", 1.0)?,
-        }),
-        "config2/case3" => Ok(ConfigId::Config2Case3 {
-            scale: opt_f64_or(table, "scale", 1.0)?,
-        }),
-        "config3/case4" => Ok(ConfigId::Config3Case4 {
-            hotspots: req_u64(table, "hotspots", &what)? as usize,
-            duration_ms: opt_f64_or(table, "duration_ms", 4.0)?,
-            scale: opt_f64_or(table, "scale", 1.0)?,
-        }),
-        "uniform-tree" => Ok(ConfigId::UniformTree {
-            ary: req_u64(table, "ary", &what)? as usize,
-            levels: req_u64(table, "levels", &what)? as usize,
-            load: req_f64(table, "load", &what)?,
-            duration_ns: req_f64(table, "duration_ns", &what)?,
-        }),
-        other => Err(format!(
-            "{}unknown config kind {other:?}; known: config1/case1, config2/case2, \
-             config2/case3, config3/case4, uniform-tree",
-            at("kind")
-        )),
-    }
+    let scale = || opt_f64_or(table, "scale", 1.0);
+    let (config, keys): (_, &[&str]) = match kind.as_str() {
+        "config1/case1" => (
+            ConfigId::Config1Case1 { scale: scale()? },
+            &["kind", "scale"],
+        ),
+        "config2/case2" => (
+            ConfigId::Config2Case2 { scale: scale()? },
+            &["kind", "scale"],
+        ),
+        "config2/case3" => (
+            ConfigId::Config2Case3 { scale: scale()? },
+            &["kind", "scale"],
+        ),
+        "config3/case4" => (
+            ConfigId::Config3Case4 {
+                hotspots: req_u64(table, "hotspots", &what)? as usize,
+                duration_ms: opt_f64_or(table, "duration_ms", 4.0)?,
+                scale: scale()?,
+            },
+            &["kind", "hotspots", "duration_ms", "scale"],
+        ),
+        "uniform-tree" => (
+            ConfigId::UniformTree {
+                ary: req_u64(table, "ary", &what)? as usize,
+                levels: req_u64(table, "levels", &what)? as usize,
+                load: req_f64(table, "load", &what)?,
+                duration_ns: req_f64(table, "duration_ns", &what)?,
+            },
+            &["kind", "ary", "levels", "load", "duration_ns"],
+        ),
+        other => {
+            return Err(format!(
+                "{}unknown config kind {other:?}; known: config1/case1, config2/case2, \
+                 config2/case3, config3/case4, uniform-tree",
+                at("kind")
+            ))
+        }
+    };
+    reject_unknown_keys(table, keys, &what, at)?;
+    Ok(config)
 }
 
 /// The `[matrix.workload]` table → [`Workload`], keyed by `kind`.
 /// `kind = "trace"` reads and parses `file` at matrix-parse time, so
-/// the resolved specs embed the trace content (and hash it).
-fn parse_workload(table: &Value) -> Result<Workload, String> {
+/// the resolved specs embed the trace content (and hash it). `at(key)`
+/// is the `"line N: "` prefix of an error about `key`.
+fn parse_workload(table: &Value, at: impl Fn(&str) -> String) -> Result<Workload, String> {
     let kind = get_str(table, "kind")?;
     let what = format!("[matrix.workload] kind={kind}");
-    match kind.as_str() {
-        "incast" => Ok(Workload::Incast {
-            senders: req_u64(table, "senders", &what)? as usize,
-            bytes: req_u64(table, "bytes", &what)?,
-        }),
-        "all-to-all" => Ok(Workload::AllToAll {
-            bytes: req_u64(table, "bytes", &what)?,
-        }),
-        "permutation-shift" => Ok(Workload::PermutationShift {
-            shift: req_u64(table, "shift", &what)? as usize,
-            bytes: req_u64(table, "bytes", &what)?,
-        }),
-        "mpi-phase-bursts" => Ok(Workload::MpiPhaseBursts {
-            phases: req_u64(table, "phases", &what)? as usize,
-            bytes: req_u64(table, "bytes", &what)?,
-            gap_ns: req_f64(table, "gap_ns", &what)?,
-        }),
+    let bytes = || req_u64(table, "bytes", &what);
+    let (workload, keys): (_, &[&str]) = match kind.as_str() {
+        "incast" => (
+            Workload::Incast {
+                senders: req_u64(table, "senders", &what)? as usize,
+                bytes: bytes()?,
+            },
+            &["kind", "senders", "bytes"],
+        ),
+        "all-to-all" => (Workload::AllToAll { bytes: bytes()? }, &["kind", "bytes"]),
+        "permutation-shift" => (
+            Workload::PermutationShift {
+                shift: req_u64(table, "shift", &what)? as usize,
+                bytes: bytes()?,
+            },
+            &["kind", "shift", "bytes"],
+        ),
+        "mpi-phase-bursts" => (
+            Workload::MpiPhaseBursts {
+                phases: req_u64(table, "phases", &what)? as usize,
+                bytes: bytes()?,
+                gap_ns: req_f64(table, "gap_ns", &what)?,
+            },
+            &["kind", "phases", "bytes", "gap_ns"],
+        ),
         "trace" => {
             let file = get_str(table, "file")?;
             let text = std::fs::read_to_string(&file)
                 .map_err(|e| format!("{what}: cannot read {file:?}: {e}"))?;
             let flows = parse_trace(&text).map_err(|e| format!("{what}: {file}: {e}"))?;
-            Ok(Workload::Trace { flows })
+            (Workload::Trace { flows }, &["kind", "file"])
         }
-        other => Err(format!(
-            "unknown workload kind {other:?}; known: incast, all-to-all, \
-             permutation-shift, mpi-phase-bursts, trace"
-        )),
-    }
+        other => {
+            return Err(format!(
+                "unknown workload kind {other:?}; known: incast, all-to-all, \
+                 permutation-shift, mpi-phase-bursts, trace"
+            ))
+        }
+    };
+    reject_unknown_keys(table, keys, &what, at)?;
+    Ok(workload)
 }
 
 /// One `[[matrix.event]]` table → the event and the cycle it fires at.
-fn parse_event(table: &Value) -> Result<(Cycle, NetworkEvent), String> {
+/// `line(key)` is the `"line N: "` prefix of an error about `key`.
+fn parse_event(
+    table: &Value,
+    line: impl Fn(&str) -> String,
+) -> Result<(Cycle, NetworkEvent), String> {
     let kind = get_str(table, "kind")?;
     let what = format!("[[matrix.event]] kind={kind}");
     let at = req_u64(table, "at", &what)?;
     let switch = SwitchId(req_u64(table, "switch", &what)? as u32);
     let port = || req_u64(table, "port", &what).map(|p| PortId(p as u16));
-    let policy = match table.get("policy") {
-        None => FaultPolicy::FailStop,
-        Some(v) => match as_str(v, "policy")? {
-            "fail-stop" => FaultPolicy::FailStop,
-            "graceful" => FaultPolicy::Graceful,
-            other => return Err(format!("{what}: unknown policy {other:?}")),
-        },
-    };
-    let event = match kind.as_str() {
-        "link_down" => NetworkEvent::LinkDown {
-            switch,
-            port: port()?,
-            policy,
-        },
-        "link_up" => NetworkEvent::LinkUp {
-            switch,
-            port: port()?,
-        },
-        "switch_down" => NetworkEvent::SwitchDown { switch, policy },
-        "switch_up" => NetworkEvent::SwitchUp { switch },
+    let (event, keys): (_, &[&str]) = match kind.as_str() {
+        "link_down" => (
+            NetworkEvent::LinkDown {
+                switch,
+                port: port()?,
+            },
+            &["kind", "at", "switch", "port"],
+        ),
+        "link_up" => (
+            NetworkEvent::LinkUp {
+                switch,
+                port: port()?,
+            },
+            &["kind", "at", "switch", "port"],
+        ),
+        "switch_down" => (
+            NetworkEvent::SwitchDown { switch },
+            &["kind", "at", "switch"],
+        ),
+        "switch_up" => (NetworkEvent::SwitchUp { switch }, &["kind", "at", "switch"]),
         other => {
             return Err(format!(
                 "unknown event kind {other:?}; known: link_down, link_up, switch_down, switch_up"
             ))
         }
     };
+    reject_unknown_keys(table, keys, &what, line)?;
     Ok((at, event))
 }
 
@@ -571,6 +617,59 @@ duration_ns = 600000.0
         }
     }
 
+    #[test]
+    fn unknown_keys_in_nested_tables_are_rejected_with_their_line() {
+        // A misspelt parameter would run its default under a valid cache
+        // key; a key one kind has is unknown to a kind without it. `#!`
+        // marks the line the error must name.
+        let event = "\n[[matrix.event]]\nkind = \"link_down\"\nat = 1\nswitch = 0\nport = 3\n";
+        let workload = "\n[matrix.workload]\nkind = \"incast\"\nsenders = 2\nbytes = 64\n";
+        let trace = concat!(env!("CARGO_MANIFEST_DIR"), "/../../traces/incast4.trace");
+        for (key, table, doc) in [
+            (
+                "scal",
+                "[[matrix.config]] kind=config1/case1; known: kind, scale",
+                DOC.replace("scale = 0.5", "scal = 0.1 #!"),
+            ),
+            (
+                "hotspots",
+                "[[matrix.config]] kind=uniform-tree; known: kind, ary, levels, load, duration_ns",
+                DOC.replace("levels = 3", "levels = 3\nhotspots = 4 #!"),
+            ),
+            (
+                "policy",
+                "[[matrix.event]] kind=link_down; known: kind, at, switch, port",
+                format!("{DOC}{event}policy = \"fail-stop\" #!\n"),
+            ),
+            (
+                "port",
+                "[[matrix.event]] kind=switch_down; known: kind, at, switch",
+                // The second event table, so its line is not the first's.
+                format!(
+                    "{DOC}{event}\n[[matrix.event]]\nkind = \"switch_down\"\nat = 1\n\
+                     switch = 0\nport = 3 #!\n"
+                ),
+            ),
+            (
+                "sender",
+                "[matrix.workload] kind=incast; known: kind, senders, bytes",
+                format!("{DOC}{workload}sender = 3 #!\n"),
+            ),
+            (
+                "bytes",
+                "[matrix.workload] kind=trace; known: kind, file",
+                format!(
+                    "{DOC}\n[matrix.workload]\nkind = \"trace\"\nfile = \"{trace}\"\n\
+                     bytes = 1 #!\n"
+                ),
+            ),
+        ] {
+            let err = ExperimentMatrix::from_toml_str(&doc).unwrap_err();
+            let n = doc.lines().position(|l| l.ends_with("#!")).unwrap() + 1;
+            assert_eq!(err, format!("line {n}: unknown key `{key}` in {table}"));
+        }
+    }
+
     /// `matrices/paper.toml` has no other parse check in tier-1 (the
     /// benchmark's own tests parse `benchmark/matrices/`).
     #[test]
@@ -588,14 +687,14 @@ duration_ns = 600000.0
     fn events_build_a_schedule() {
         // Port 3 of switch 0 is a trunk in both of `DOC`'s networks.
         let doc = format!(
-            "{DOC}\n[[matrix.event]]\nkind = \"link_down\"\nat = 120000\nswitch = 0\nport = 3\n\
-             policy = \"graceful\"\n\n[[matrix.event]]\nkind = \"link_up\"\nat = 220000\n\
+            "{DOC}\n[[matrix.event]]\nkind = \"link_down\"\nat = 120000\nswitch = 0\nport = 3\n\n\
+             [[matrix.event]]\nkind = \"link_up\"\nat = 220000\n\
              switch = 0\nport = 3\n"
         );
         let matrix = ExperimentMatrix::from_toml_str(&doc).unwrap();
         let mut expected = FaultSchedule::new();
         expected
-            .link_down(120000, SwitchId(0), PortId(3), FaultPolicy::Graceful)
+            .link_down(120000, SwitchId(0), PortId(3))
             .link_up(220000, SwitchId(0), PortId(3));
         assert_eq!(matrix.faults, Some(expected));
         assert!(matrix.resolve().iter().all(|s| s.faults.is_some()));

@@ -5,7 +5,7 @@
 
 use ccfit::engine::ids::{NodeId, PortId, SwitchId};
 use ccfit::traffic::incast;
-use ccfit::{BecnTransport, ConfigId, FaultPolicy, FaultSchedule, Mechanism, SizedFlow, Workload};
+use ccfit::{BecnTransport, ConfigId, FaultSchedule, Mechanism, SizedFlow, Workload};
 use ccfit_orchestrator::{RunSpec, ENGINE_SALT, SCHEMA_VERSION};
 use proptest::prelude::*;
 
@@ -83,7 +83,7 @@ fn canonical_bytes_cover_exactly_the_documented_fields() {
 fn every_field_flip_changes_the_cache_key() {
     let base = paper_spec(ConfigId::config1_case1());
     let mut faulty = FaultSchedule::new();
-    faulty.link_down(100, SwitchId(0), PortId(1), FaultPolicy::FailStop);
+    faulty.link_down(100, SwitchId(0), PortId(1));
 
     let mut schema_flip = base.clone();
     schema_flip.schema = SCHEMA_VERSION + 1;

@@ -11,7 +11,7 @@ use ccfit::params::CctProfile::{Exponential, Linear};
 use ccfit::params::{IsolationParams as Iso, ThrottleParams as Thr};
 use ccfit::topology::Endpoint;
 use ccfit::traffic::incast;
-use ccfit::{BecnTransport, ConfigId, FaultPolicy, FaultSchedule, Mechanism as M};
+use ccfit::{BecnTransport, ConfigId, FaultSchedule, Mechanism as M};
 use ccfit_orchestrator::{ExperimentMatrix, RunSpec};
 
 fn committed(name: &str) -> Vec<RunSpec> {
@@ -169,7 +169,7 @@ fn fault_storms() {
     let storm = |config: ConfigId, fail_ns, repair_ns, bin_ns| {
         let mut schedule = FaultSchedule::new();
         schedule
-            .link_down(at(fail_ns), SwitchId(0), PortId(4), FaultPolicy::FailStop)
+            .link_down(at(fail_ns), SwitchId(0), PortId(4))
             .link_up(at(repair_ns), SwitchId(0), PortId(4));
         let mut runs = grid(&[config], &M::paper_set(), 0xFA017, bin_ns);
         runs.iter_mut()

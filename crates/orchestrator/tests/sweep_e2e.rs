@@ -179,7 +179,9 @@ const MATRIX: &str = "[matrix]\nname = \"bad\"\nmechanisms = [\"1Q\"]\nseeds = [
 /// `MATRIX`; `#!` marks the line its message must name.
 #[test]
 fn bad_matrix_values_exit_2_with_their_line() {
-    let tree = "kind = \"uniform-tree\"\nary = 2";
+    // The whole tree table, so a case that swaps in another kind leaves
+    // no key that kind does not know.
+    let tree = "kind = \"uniform-tree\"\nary = 2\nlevels = 2\nload = 0.5\nduration_ns = 5e4";
     let load = |kind: &str| format!("[matrix.workload]\nkind = \"{kind}\"\nbytes = 64\n");
     let cases = [
         (
@@ -233,6 +235,18 @@ fn bad_matrix_values_exit_2_with_their_line() {
             "{extra}",
             "[[matrix.event]]\nkind = \"switch_up\"\nat = 1\nswitch = 99 #!".into(),
             "unknown switch",
+        ),
+        (
+            "{extra}",
+            "[[matrix.event]]\nkind = \"link_down\"\nat = 1\nswitch = 0\nport = 2\n\
+             policy = \"fail-stop\" #!"
+                .into(),
+            "unknown key `policy` in [[matrix.event]] kind=link_down",
+        ),
+        (
+            "load = 0.5",
+            "load = 0.5\nscal = 0.1 #!".into(),
+            "unknown key `scal` in [[matrix.config]] kind=uniform-tree",
         ),
         (
             "{extra}",

@@ -14,9 +14,7 @@
 //! (`oracle_is_exhaustive_and_the_engine_is_not`) checks that directly
 //! from the work-list occupancy counters.
 
-use ccfit::{
-    ConfigId, ExperimentSpec, FaultPolicy, FaultSchedule, Mechanism, SimConfig, Simulator,
-};
+use ccfit::{ConfigId, ExperimentSpec, FaultSchedule, Mechanism, SimConfig, Simulator};
 use ccfit_engine::ids::NodeId;
 use ccfit_topology::Endpoint;
 
@@ -63,7 +61,7 @@ fn faulty_config2() -> (ExperimentSpec, FaultSchedule) {
         .expect("leaf has an up-link");
     let mut schedule = FaultSchedule::new();
     schedule
-        .link_down(40_000, leaf, trunk, FaultPolicy::FailStop)
+        .link_down(40_000, leaf, trunk)
         .link_up(120_000, leaf, trunk);
     (spec, schedule)
 }

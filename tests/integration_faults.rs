@@ -8,9 +8,9 @@
 //!
 //! `injected == delivered + resident + packets_lost`
 //!
-//! must hold under every mechanism and either fault policy.
+//! must hold under every mechanism.
 
-use ccfit::{FaultPolicy, FaultSchedule, Mechanism, SimBuilder, SimConfig};
+use ccfit::{FaultSchedule, Mechanism, SimBuilder, SimConfig};
 use ccfit_engine::ids::{NodeId, PortId, SwitchId};
 use ccfit_topology::{Endpoint, KAryNTree, LinkParams, Topology};
 use ccfit_traffic::{FlowSpec, TrafficPattern};
@@ -80,7 +80,7 @@ fn all_flows_survive_a_mid_run_link_failure() {
         let topo = tree.build(LinkParams::default());
         let (s, p) = first_trunk_cable(&topo);
         let mut schedule = FaultSchedule::new();
-        schedule.link_down(2_000, s, p, FaultPolicy::FailStop);
+        schedule.link_down(2_000, s, p);
 
         let mut sim = build(mech, schedule);
         sim.run_cycles(sim.end_cycle());
@@ -128,7 +128,7 @@ fn orphaned_destination_is_refused_and_survivors_deliver() {
         let topo = tree.build(LinkParams::default());
         let leaf = topo.node_attachment(NodeId(7)).0;
         let mut schedule = FaultSchedule::new();
-        schedule.switch_down(2_000, leaf, FaultPolicy::Graceful);
+        schedule.switch_down(2_000, leaf);
 
         let mut sim = build(mech, schedule);
         sim.run_cycles(sim.end_cycle());
@@ -162,30 +162,4 @@ fn orphaned_destination_is_refused_and_survivors_deliver() {
             );
         }
     }
-}
-
-#[test]
-fn graceful_link_cycle_loses_nothing_on_the_wire() {
-    // Graceful drains the wire before cutting it, so a down/up cycle
-    // must not destroy a single in-flight flit.
-    let tree = KAryNTree::new(2, 3);
-    let topo = tree.build(LinkParams::default());
-    let (s, p) = first_trunk_cable(&topo);
-    let mut schedule = FaultSchedule::new();
-    schedule
-        .link_down(2_000, s, p, FaultPolicy::Graceful)
-        .link_up(8_000, s, p);
-
-    let mut sim = build(Mechanism::ccfit(), schedule);
-    sim.run_cycles(sim.end_cycle());
-    let injected = sim.injected();
-    let delivered = sim.delivered();
-    let resident = sim.resident_packets() as u64;
-    let report = sim.finish();
-    let f = report.faults.as_ref().expect("fault summary present");
-    assert_eq!(f.events_applied, 2);
-    assert_eq!(f.reroutes, 2, "down and up each trigger a re-route");
-    assert_eq!(f.packets_lost_wire, 0, "graceful policy drains the wire");
-    assert_eq!(injected, delivered + resident + f.packets_lost());
-    assert!(delivered > 0);
 }

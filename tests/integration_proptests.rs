@@ -254,7 +254,6 @@ proptest! {
             window_start: 400,
             window_end: 2400,
             repair_after: Some(700),
-            policy: if seed % 2 == 0 { ccfit::FaultPolicy::FailStop } else { ccfit::FaultPolicy::Graceful },
         };
         let build = || {
             let topo = tree.build(LinkParams::default());
