@@ -325,9 +325,6 @@ pub struct Switch {
     /// `resident_packets()`, maintained incrementally for the active-set
     /// scheduler).
     buffered: usize,
-    /// CFQs allocated across all input ports (mirror of
-    /// `cfqs_allocated()`).
-    cfq_count: usize,
     /// Output ports currently in the congestion state.
     congested_count: usize,
     /// Packets buffered at each input port (sums to `buffered`).
@@ -549,7 +546,6 @@ impl Switch {
             marking_rng,
             num_dests,
             buffered: 0,
-            cfq_count: 0,
             congested_count: 0,
             port_packets: vec![0; num_ports],
             occupied: BitSet::new(num_ports),
@@ -946,7 +942,6 @@ impl Switch {
                         // Locally detected => this switch is 1 hop from
                         // the congestion point: a root CFQ.
                         cfqs[free].state = Some(CfqState::new(dst, out, true));
-                        self.cfq_count += 1;
                         self.port_changed(port);
                         quiet = false;
                         metrics.record(
@@ -1002,7 +997,6 @@ impl Switch {
                                 unreachable!()
                             };
                             cfqs[free].state = Some(CfqState::new(dst, out, false));
-                            self.cfq_count += 1;
                             metrics.record(
                                 now,
                                 CcEventKind::CfqAlloc {
@@ -1251,7 +1245,6 @@ impl Switch {
             self.outputs[st.out_port].over_high_count -= 1;
             self.over_high_dirty = true;
         }
-        self.cfq_count -= 1;
         self.port_changed(port);
         self.sync_live(port);
         metrics.record(
@@ -1883,13 +1876,6 @@ impl Switch {
         }
     }
 
-    /// CFQs currently allocated, O(1) (incremental mirror of
-    /// [`Self::cfqs_allocated`]).
-    pub fn cfq_count(&self) -> usize {
-        debug_assert_eq!(self.cfq_count, self.cfqs_allocated());
-        self.cfq_count
-    }
-
     /// Fault subsystem: the whole switch failed. Wipe every queue, RAM
     /// and congestion state — its buffers are gone with it. Returns what
     /// was destroyed.
@@ -1929,7 +1915,6 @@ impl Switch {
         drained.clear();
         self.purge_scratch = drained;
         self.buffered = 0;
-        self.cfq_count = 0;
         self.congested_count = 0;
         self.port_packets.fill(0);
         self.occupied.clear();
@@ -2094,14 +2079,13 @@ impl Switch {
     /// occupancy, so such a switch never counts as quiescent.
     pub fn is_quiescent(&self) -> bool {
         debug_assert_eq!(self.buffered, self.resident_packets());
-        debug_assert_eq!(self.cfq_count, self.cfqs_allocated());
         debug_assert_eq!(
             self.congested_count,
             self.outputs.iter().filter(|o| o.congested).count()
         );
         debug_assert!(self.live_state_matches_a_recount());
         self.buffered == 0
-            && self.cfq_count == 0
+            && self.cfqs_allocated() == 0
             && self.exhausted.is_empty()
             && self.congested_count == 0
             && self.cfg.thr.is_none_or(|t| t.high_flits > 0)
@@ -3451,7 +3435,7 @@ mod tests {
         // Go, and the only clock is the linger of a CFQ below the
         // propagation threshold, calm since its allocation at 10.
         let mut fx = stopped_cfq_fixture();
-        assert_eq!(fx.sw.cfq_count, 1);
+        assert_eq!(fx.sw.cfqs_allocated(), 1);
         assert_eq!(
             fx.sw.park_bound(),
             None,
@@ -4294,7 +4278,7 @@ mod twin_tests {
         fn congestion_state(&self) -> (usize, usize, usize, Vec<(bool, u32)>) {
             (
                 self.sw.buffered,
-                self.sw.cfq_count,
+                self.sw.cfqs_allocated(),
                 self.sw.congested_count,
                 self.sw
                     .outputs

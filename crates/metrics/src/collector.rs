@@ -87,9 +87,8 @@ pub struct MetricsCollector {
     hot: [Option<u64>; HOT_COUNTERS.len()],
     /// Every other counter; [`Self::finish`] merges `hot` into it.
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, TimeSeries>,
-    /// Reused buffer for built names: a per-site counter of
-    /// [`Self::record`], the `<name>_samples` key of [`Self::gauge`].
+    /// Reused buffer for the per-site counter names [`Self::record`]
+    /// builds.
     key_buf: String,
     delivered_packets: u64,
     delivered_bytes: u64,
@@ -111,7 +110,6 @@ impl MetricsCollector {
             latency_hist: LatencyHistogram::new(),
             hot: [None; HOT_COUNTERS.len()],
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
             key_buf: String::new(),
             delivered_packets: 0,
             delivered_bytes: 0,
@@ -235,34 +233,6 @@ impl MetricsCollector {
         .unwrap_or(0)
     }
 
-    /// Record an instantaneous gauge sample (e.g. buffered flits
-    /// network-wide, CFQs allocated). Samples landing in the same bin
-    /// accumulate; pair each gauge with a `<name>_samples` gauge if a
-    /// per-bin mean is needed — [`SimReport::gauge_mean_per_bin`] does
-    /// this automatically.
-    pub fn gauge(&mut self, name: &str, at_ns: f64, value: f64) {
-        self.gauge_add(name, at_ns, value);
-        let mut key = std::mem::take(&mut self.key_buf);
-        key.clear();
-        key.push_str(name);
-        key.push_str("_samples");
-        self.gauge_add(&key, at_ns, 1.0);
-        self.key_buf = key;
-    }
-
-    /// Add to the series of gauge `name`, creating it on first use (the
-    /// only time the key is allocated).
-    fn gauge_add(&mut self, name: &str, at_ns: f64, value: f64) {
-        match self.gauges.get_mut(name) {
-            Some(series) => series.add(at_ns, value),
-            None => {
-                let mut series = TimeSeries::new(self.bin_ns);
-                series.add(at_ns, value);
-                self.gauges.insert(name.to_string(), series);
-            }
-        }
-    }
-
     /// Total delivered data packets so far.
     pub fn delivered_packets(&self) -> u64 {
         self.delivered_packets
@@ -320,7 +290,6 @@ impl MetricsCollector {
             latency_sum_ns: self.latency_sum_ns,
             latency_count: self.latency_count,
             latency_hist: self.latency_hist,
-            gauges: self.gauges,
             reception_capacity_bytes_per_ns,
             counters: self.counters,
             delivered_packets: self.delivered_packets,
@@ -448,51 +417,28 @@ mod tests {
         );
     }
 
-    /// `count` / `gauge` as they were before the lookup-first rewrite:
+    /// `count` as it was before the lookup-first rewrite:
     /// `entry(name.to_string())` on every call.
     fn entry_count(map: &mut BTreeMap<String, u64>, name: &str, delta: u64) {
         *map.entry(name.to_string()).or_insert(0) += delta;
     }
 
-    fn entry_gauge(map: &mut BTreeMap<String, TimeSeries>, name: &str, at_ns: f64, value: f64) {
-        map.entry(name.to_string())
-            .or_insert_with(|| TimeSeries::new(1000.0))
-            .add(at_ns, value);
-        map.entry(format!("{name}_samples"))
-            .or_insert_with(|| TimeSeries::new(1000.0))
-            .add(at_ns, 1.0);
-    }
-
     #[test]
-    fn lookup_first_count_and_gauge_build_the_same_maps_as_entry() {
-        // New names, repeated names, a name that is a prefix of another,
-        // and a gauge whose own name ends in `_samples`.
+    fn lookup_first_count_builds_the_same_map_as_entry() {
+        // New names, repeated names and a name that is a prefix of
+        // another.
         let counts = [("b", 1), ("a", 2), ("b", 3), ("ab", 4), ("a", 0), ("b", 5)];
-        let gauges = [
-            ("g", 100.0, 1.5),
-            ("g", 1500.0, 2.5),
-            ("g_samples", 100.0, 7.0),
-            ("f", 2500.0, -1.0),
-            ("g", 120.0, 4.0),
-        ];
         let mut c = MetricsCollector::new(UnitModel::default(), 1000.0);
         let mut want_counters = BTreeMap::new();
-        let mut want_gauges = BTreeMap::new();
         for (name, delta) in counts {
             c.count(name, delta);
             entry_count(&mut want_counters, name, delta);
         }
-        for (name, at_ns, value) in gauges {
-            c.gauge(name, at_ns, value);
-            entry_gauge(&mut want_gauges, name, at_ns, value);
-        }
         assert_eq!(c.counters, want_counters);
-        assert_eq!(c.gauges, want_gauges);
 
-        // Same report JSON as a collector fed the reference maps.
+        // Same report JSON as a collector fed the reference map.
         let mut reference = MetricsCollector::new(UnitModel::default(), 1000.0);
         reference.counters = want_counters;
-        reference.gauges = want_gauges;
         let labels = BTreeMap::new();
         assert_eq!(
             c.finish("t", 3000.0, 1.0, &labels).to_json(),

@@ -41,9 +41,6 @@ pub struct SimReport {
     pub latency_count: TimeSeries,
     /// Whole-run latency distribution (log-bucketed).
     pub latency_hist: LatencyHistogram,
-    /// Sampled gauge series (sum per bin; `<name>_samples` counts the
-    /// samples per bin).
-    pub gauges: BTreeMap<String, TimeSeries>,
     /// Aggregate reception capacity in bytes per nanosecond (Σ node-link
     /// bandwidths); normalization denominator for network throughput.
     pub reception_capacity_bytes_per_ns: f64,
@@ -96,11 +93,6 @@ impl SimReport {
             .scaled(1.0 / (self.bin_ns * self.reception_capacity_bytes_per_ns))
     }
 
-    /// Per-bin aggregate throughput in GB/s.
-    pub fn network_throughput_gbps(&self) -> Vec<f64> {
-        self.total_bytes.scaled(1.0 / self.bin_ns)
-    }
-
     /// Mean normalized network throughput over a time window in ns.
     pub fn mean_normalized_throughput(&self, from_ns: f64, to_ns: f64) -> f64 {
         let from = self.total_bytes.bin_of(from_ns);
@@ -116,19 +108,6 @@ impl SimReport {
             .zip(&self.latency_count.bins)
             .map(|(&s, &c)| if c > 0.0 { s / c } else { 0.0 })
             .collect()
-    }
-
-    /// Per-bin mean of a sampled gauge (None if never sampled).
-    pub fn gauge_mean_per_bin(&self, name: &str) -> Option<Vec<f64>> {
-        let sums = self.gauges.get(name)?;
-        let counts = self.gauges.get(&format!("{name}_samples"))?;
-        Some(
-            sums.bins
-                .iter()
-                .zip(&counts.bins)
-                .map(|(&s, &c)| if c > 0.0 { s / c } else { 0.0 })
-                .collect(),
-        )
     }
 
     /// Latency percentile summary `(p50, p95, p99)` in ns.
@@ -183,11 +162,6 @@ impl SimReport {
         None
     }
 
-    /// All flow ids present in the report.
-    pub fn flow_ids(&self) -> Vec<FlowId> {
-        self.flows.iter().map(|f| f.id).collect()
-    }
-
     /// Serialize to pretty JSON (for archiving runs).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("reports always serialize")
@@ -230,7 +204,6 @@ mod tests {
             latency_sum_ns: TimeSeries::new(bin),
             latency_count: TimeSeries::new(bin),
             latency_hist: LatencyHistogram::new(),
-            gauges: BTreeMap::new(),
             reception_capacity_bytes_per_ns: 5.0, // two 2.5 GB/s sinks
             counters: BTreeMap::new(),
             delivered_packets: 20,
@@ -256,8 +229,6 @@ mod tests {
         let nt = r.network_throughput_normalized();
         // 3.75 GB/s of 5 GB/s capacity.
         assert!((nt[0] - 0.75).abs() < 1e-9);
-        let g = r.network_throughput_gbps();
-        assert!((g[0] - 3.75).abs() < 1e-9);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! through the cache), ends its stderr with a `done: N runs in Ts (H
 //! hits, M simulated)` line and prints the matrix's report on stdout
 //! (`ccfit_orchestrator::report`); a run that panics is named once the
-//! others finish, and `run` exits 1. `gc` prunes stale-salt and corrupt
-//! entries. `hash` prints each resolved run's cache key and canonical
-//! bytes. An unknown flag exits 2 with the usage text. What a cold and
-//! a warm pass cost is the benchmark's `paper-matrix` /
+//! others finish, and `run` exits 1. `gc` prunes stale-salt, orphaned
+//! and corrupt entries. `hash` prints each resolved run's cache key and
+//! canonical bytes. An unknown flag exits 2 with the usage text. What a
+//! cold and a warm pass cost is the benchmark's `paper-matrix` /
 //! `paper-matrix-warm` workloads (`benchmark/README.md`).
 
 use std::io::Write;

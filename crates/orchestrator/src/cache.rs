@@ -7,7 +7,9 @@
 //! requested spec (a belt-and-braces guard against hash collisions and
 //! hand-edited files). Anything that fails to parse or verify is
 //! logged to stderr and treated as a miss; the subsequent store
-//! overwrites it. Writes go through a tempfile in the cache directory
+//! overwrites it. `gc` prunes what no load can hit: stale salts,
+//! orphans whose spec no longer hashes to their key, and corrupt
+//! entries. Writes go through a tempfile in the cache directory
 //! followed by an atomic rename, so an interrupted sweep can leave a
 //! stray `*.tmp*` file but never a torn `<key>.json`.
 
@@ -45,9 +47,13 @@ pub struct Cache {
 /// What `gc` did.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct GcStats {
-    /// Entries whose salt still matches [`ENGINE_SALT`].
+    /// Entries a load can still hit: their salt matches
+    /// [`ENGINE_SALT`] and their spec hashes to their key and file name.
     pub kept: usize,
-    /// Entries removed for a stale salt.
+    /// Entries removed because no load can hit them: a stale salt, or a
+    /// spec that no longer hashes to the stored key or the file name
+    /// (an orphan left by a spec type that changed shape under the same
+    /// salt).
     pub stale: usize,
     /// Unparseable entries and leftover tempfiles removed.
     pub corrupt: usize,
@@ -166,8 +172,10 @@ impl Cache {
         result
     }
 
-    /// Prune entries whose salt no longer matches [`ENGINE_SALT`],
-    /// unparseable entries and abandoned tempfiles.
+    /// Prune entries no load can hit — a salt other than
+    /// [`ENGINE_SALT`], or a spec whose re-derived key differs from the
+    /// stored key or the file stem — unparseable entries and abandoned
+    /// tempfiles.
     pub fn gc(&self) -> std::io::Result<GcStats> {
         let mut stats = GcStats::default();
         let entries = match std::fs::read_dir(&self.dir) {
@@ -186,20 +194,20 @@ impl Cache {
                 }
                 continue;
             }
-            let salt = std::fs::read_to_string(&path)
+            let parsed = std::fs::read_to_string(&path)
                 .ok()
-                .and_then(|t| serde_json::from_str::<CacheEntry>(&t).ok())
-                .map(|e| e.salt);
-            match salt {
-                Some(s) if s == ENGINE_SALT => stats.kept += 1,
-                Some(_) => {
-                    std::fs::remove_file(&path)?;
-                    stats.stale += 1;
-                }
-                None => {
-                    std::fs::remove_file(&path)?;
-                    stats.corrupt += 1;
-                }
+                .and_then(|t| serde_json::from_str::<CacheEntry>(&t).ok());
+            let Some(e) = parsed else {
+                std::fs::remove_file(&path)?;
+                stats.corrupt += 1;
+                continue;
+            };
+            let stem = &name[..name.len() - ".json".len()];
+            if e.salt == ENGINE_SALT && e.key == stem && e.spec.cache_key() == e.key {
+                stats.kept += 1;
+            } else {
+                std::fs::remove_file(&path)?;
+                stats.stale += 1;
             }
         }
         Ok(stats)
@@ -320,17 +328,52 @@ mod tests {
             let path = dir.join(format!("{}.json", digit.repeat(64)));
             std::fs::write(path, good.replacen(from, to, 1)).unwrap();
         }
+        // An orphan: a current-salt entry whose stored spec changed (here
+        // its seed) but kept its old key and file name, so no spec hashes
+        // to where it lies.
+        let moved = RunSpec {
+            seed: 2,
+            ..spec.clone()
+        };
+        let moved_key = moved.cache_key();
+        let orphan = CacheEntry {
+            salt: ENGINE_SALT.to_string(),
+            key: moved_key.clone(),
+            spec: RunSpec {
+                seed: 3,
+                ..spec.clone()
+            },
+            report: report.clone(),
+        };
+        cache.store_entry(&moved_key, &orphan).unwrap();
+        assert_eq!(cache.load(&moved_key, &moved), None);
+        // An entry as written before the report lost its `gauges` block:
+        // the unknown field is ignored, so it still parses, hits and stays.
+        let older = RunSpec {
+            seed: 4,
+            ..spec.clone()
+        };
+        let older_key = older.cache_key();
+        cache.store(&older_key, &older, &report);
+        let path = cache.entry_path(&older_key);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let field = r#","reception_capacity_bytes_per_ns""#;
+        assert!(text.contains(field), "{field} not in {text}");
+        let gauges = r#","gauges":{"cfqs_allocated":{"bin_ns":20000.0,"bins":[0.0,1.0]},"cfqs_allocated_samples":{"bin_ns":20000.0,"bins":[4.0,4.0]}}"#;
+        std::fs::write(&path, text.replacen(field, &format!("{gauges}{field}"), 1)).unwrap();
+        assert_eq!(cache.load(&older_key, &older).as_ref(), Some(&report));
         let stats = cache.gc().unwrap();
         assert_eq!(
             stats,
             GcStats {
-                kept: 1,
-                stale: 1,
+                kept: 2,
+                stale: 2,
                 corrupt: 4
             }
         );
-        // The good entry survived.
+        // The good entries survived.
         assert_eq!(cache.load(&key, &spec).as_ref(), Some(&report));
+        assert_eq!(cache.load(&older_key, &older).as_ref(), Some(&report));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -51,8 +51,11 @@ fn cached_reports_are_byte_identical_to_fresh() {
 /// serves all four from it. The
 /// counts come from the binary's own `done:` line on stderr; on both
 /// passes stdout carries the report, with one scorecard row per run,
-/// and the warm report is the cold one byte for byte. What the two
-/// passes cost is the benchmark's `paper-matrix` / `paper-matrix-warm`.
+/// and the warm report is the cold one byte for byte. Between the
+/// passes `ccfit-sweep gc` keeps all four entries, then prunes exactly
+/// an orphaned copy of one (a file name its spec does not hash to, so
+/// no load can hit it). What the two passes cost is the benchmark's
+/// `paper-matrix` / `paper-matrix-warm`.
 #[test]
 fn sweep_bench_smoke_is_cache_dominated_when_warm() {
     let dir = std::env::temp_dir().join(format!("ccfit-e2e-sweep-{}", std::process::id()));
@@ -76,9 +79,36 @@ fn sweep_bench_smoke_is_cache_dominated_when_warm() {
         assert_eq!(rows.count(), 4, "one row per run under a header:\n{stdout}");
         (done[done.find('(').expect("counts")..].to_string(), stdout)
     };
+    let gc = || {
+        let out = Command::new(env!("CARGO_BIN_EXE_ccfit-sweep"))
+            .args(["gc", "--cache-dir"])
+            .arg(&dir)
+            .output()
+            .expect("spawn ccfit-sweep");
+        assert!(out.status.success(), "ccfit-sweep gc failed");
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
     let (cold, cold_report) = pass();
-    let (warm, warm_report) = pass();
     assert_eq!(cold, "(0 hits, 4 simulated)", "cold pass");
+    let kept = gc();
+    assert!(
+        kept.contains("kept 4, pruned 0 stale + 0 corrupt"),
+        "{kept}"
+    );
+    let entry = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "json"))
+        .expect("a stored entry");
+    let copy = dir.join(format!("{}.json", "f".repeat(64)));
+    std::fs::copy(&entry, &copy).unwrap();
+    let pruned = gc();
+    assert!(
+        pruned.contains("kept 4, pruned 1 stale + 0 corrupt"),
+        "{pruned}"
+    );
+    assert!(!copy.exists() && entry.exists(), "gc pruned the copy only");
+    let (warm, warm_report) = pass();
     assert_eq!(warm, "(4 hits, 0 simulated)", "warm pass");
     assert_eq!(
         cold_report, warm_report,

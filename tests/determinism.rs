@@ -8,7 +8,7 @@
 //! re-fills every work-list every cycle, bypasses every gate and never
 //! jumps. The tests here run real paper scenarios on the engine and on
 //! the oracle, and compare the full serialized `SimReport`s, which
-//! capture every counter, histogram, gauge series and per-flow curve.
+//! capture every counter, histogram and per-flow curve.
 //! Equal reports cannot show that the oracle is exhaustive (a bypassed
 //! gate is a no-op by construction), so a unit test
 //! (`oracle_is_exhaustive_and_the_engine_is_not`) checks that directly
@@ -268,7 +268,7 @@ fn sized_flow_workloads_are_bit_identical_across_engines() {
 
 /// Byte-identity must also hold with a dynamic fault schedule in play:
 /// fault events invalidate every activation assumption, so the scheduler
-/// re-seeds all work-lists (and resyncs the SoA occupancy mirror).
+/// re-seeds all work-lists and every switch drops its memos.
 #[test]
 fn engine_is_bit_identical_under_faults() {
     let (spec, schedule) = faulty_config2();
