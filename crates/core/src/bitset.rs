@@ -206,7 +206,7 @@ impl<T> DestMap<T> {
 
     /// Members below `key` — the slot `key` has, or would be inserted at.
     #[inline]
-    fn rank_of(&self, key: usize) -> usize {
+    pub fn rank(&self, key: usize) -> usize {
         let w = key / 64;
         let mut below = (self.member[w] & ((1u64 << (key % 64)) - 1)).count_ones();
         if w % 2 == 1 {
@@ -218,14 +218,14 @@ impl<T> DestMap<T> {
     /// The slot of `key`, if it holds a value.
     #[inline]
     pub fn slot(&self, key: usize) -> Option<usize> {
-        (self.member[key / 64] & (1 << (key % 64)) != 0).then(|| self.rank_of(key))
+        (self.member[key / 64] & (1 << (key % 64)) != 0).then(|| self.rank(key))
     }
 
     /// Give the absent `key` a value and return its slot. Every slot at
     /// or above the returned one has moved up by one.
     pub fn insert(&mut self, key: usize, val: T) -> usize {
         debug_assert!(self.slot(key).is_none(), "key {key} inserted twice");
-        let slot = self.rank_of(key);
+        let slot = self.rank(key);
         self.member[key / 64] |= 1 << (key % 64);
         for r in &mut self.rank[key / RANK_BLOCK + 1..] {
             *r += 1;
@@ -284,7 +284,8 @@ mod tests {
 
     proptest! {
         /// Random insert / find sequences against a dense
-        /// `Vec<Option<T>>`: same answers, slots in key order, and a
+        /// `Vec<Option<T>>`: same answers, slots in key order, every
+        /// key's rank the number of members below it, and a
         /// slot-indexed side set that follows `insert_gap` names the
         /// same keys before and after every insertion.
         #[test]
@@ -324,6 +325,11 @@ mod tests {
                 prop_assert_eq!(walked, expect);
                 let named: Vec<usize> = marked_slots.iter().map(|s| map.key(s)).collect();
                 prop_assert_eq!(named, marked_keys.iter().collect::<Vec<_>>());
+                let mut below = 0;
+                for (k, v) in dense.iter().enumerate() {
+                    prop_assert_eq!(map.rank(k), below, "rank of {}", k);
+                    below += usize::from(v.is_some());
+                }
             }
             for (key, v) in dense.iter().enumerate() {
                 prop_assert_eq!(map.get(key), v.as_ref());

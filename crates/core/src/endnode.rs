@@ -182,10 +182,9 @@ pub struct Adapter {
     /// arbiters walk its members, so a blocked adapter pays per
     /// backlogged destination, not per destination.
     backlogged: BitSet,
-    /// Round-robin pointer, a destination.
+    /// Round-robin pointer, a destination. The walks start at its slot,
+    /// `peers.rank(rr)`.
     rr: usize,
-    /// `rr` as a slot: the number of peers below destination `rr`.
-    rr_slot: usize,
     nfq: PacketQueue,
     cfqs: Vec<CfqSlot>,
     /// Congestion info received from the attached switch, keyed by
@@ -210,11 +209,6 @@ pub struct Adapter {
     /// before it, so [`Self::expire_timers`] skips its scan until then.
     /// Exact after each scan; BECNs re-arming a timer only lower it.
     earliest_deadline: Cycle,
-    // ---- active-set bookkeeping (incremental mirrors) ----
-    /// Packets buffered in AdVOQs + NFQ + CFQs (`resident_packets()`).
-    resident: usize,
-    /// CFQ slots currently allocated.
-    cfq_count: usize,
     /// Per-call control-event scratch.
     ctrl_scratch: Vec<CtrlEvent>,
     /// Why an AdVOQ walk that moved nothing will keep moving nothing
@@ -260,7 +254,6 @@ impl Adapter {
             peers: DestMap::new(num_nodes),
             backlogged: BitSet::new(0),
             rr: 0,
-            rr_slot: 0,
             nfq: PacketQueue::new(),
             cfqs: (0..num_cfqs).map(|_| CfqSlot::default()).collect(),
             cam: Cam::new(cam_lines),
@@ -270,8 +263,6 @@ impl Adapter {
             cnp_gate: Vec::new(),
             hpcc_flows: Vec::new(),
             earliest_deadline: Cycle::MAX,
-            resident: 0,
-            cfq_count: 0,
             ctrl_scratch: Vec::new(),
             idle: IdleBound::default(),
         }
@@ -293,8 +284,8 @@ impl Adapter {
 
     /// Insert a fresh entry for destination `d` — a transparent flow
     /// (full rate / initial window, open gate) under modern CC — keeping
-    /// everything else that is indexed by slot, `backlogged` and
-    /// `rr_slot`, in step with the slots that moved up.
+    /// everything else that is indexed by slot, `backlogged` among
+    /// them, in step with the slots that moved up.
     #[cold]
     fn add_peer(&mut self, d: usize) -> usize {
         let slot = self.peers.insert(d, DestState::default());
@@ -307,20 +298,13 @@ impl Adapter {
             self.hpcc_flows.insert(slot, HpccFlow::new(hc));
         }
         self.backlogged.insert_gap(slot, self.peers.len());
-        if d < self.rr {
-            self.rr_slot += 1;
-        }
         slot
     }
 
     /// Move the round-robin pointer past the destination in `slot`.
     fn advance_rr(&mut self, slot: usize) {
         let next = self.peers.key(slot) + 1;
-        (self.rr, self.rr_slot) = if next == self.num_nodes {
-            (0, 0)
-        } else {
-            (next, slot + 1)
-        };
+        self.rr = if next == self.num_nodes { 0 } else { next };
     }
 
     /// Admit a generated packet into its AdVOQ; `false` = admittance
@@ -348,7 +332,6 @@ impl Adapter {
         }
         q.push(pkt, now, now);
         self.backlogged.insert(slot);
-        self.resident += 1;
         true
     }
 
@@ -638,7 +621,7 @@ impl Adapter {
                 return;
             }
         }
-        let mut walk = RoundRobin::new(self.rr_slot, self.peers.len());
+        let mut walk = RoundRobin::new(self.peers.rank(self.rr), self.peers.len());
         while let Some(s) = walk.next(&self.backlogged) {
             let p = &self.peers[s];
             let Some(head) = p.queue.head_visible(now) else {
@@ -652,7 +635,6 @@ impl Adapter {
                 continue;
             }
             let entry = self.pop_advoq(s);
-            self.resident -= 1;
             if let Some(vn) = voqnet.as_deref_mut() {
                 vn.sub(self.inject_link.0, entry.packet.dst.0, size);
             }
@@ -773,7 +755,7 @@ impl Adapter {
     fn advoq_walk(&mut self, now: Cycle, metrics: &mut MetricsCollector) {
         let mut idle = IdleBound::default();
         idle.open();
-        let mut walk = RoundRobin::new(self.rr_slot, self.peers.len());
+        let mut walk = RoundRobin::new(self.peers.rank(self.rr), self.peers.len());
         while let Some(s) = walk.next(&self.backlogged) {
             let target = match self.head_fate(s, now) {
                 Fate::NotBefore(at) => {
@@ -825,7 +807,6 @@ impl Adapter {
             Target::Cfq(c) => self.cfqs[c].queue.push(entry.packet, now, now),
             Target::NewCfq(c) => {
                 self.cfqs[c].state = Some(CfqState::new(dst, 0, false));
-                self.cfq_count += 1;
                 metrics.record(
                     now,
                     CcEventKind::IaCfqAlloc {
@@ -874,9 +855,6 @@ impl Adapter {
     /// tree (our CAM line was removed by its CfqDealloc).
     fn cfq_linger(&mut self, now: Cycle, metrics: &mut MetricsCollector) {
         let Some(iso) = self.cfg.iso else { return };
-        if self.cfq_count == 0 {
-            return;
-        }
         let calm_flits = iso.propagate_threshold_mtus * self.cfg.mtu_flits;
         for c in 0..self.cfqs.len() {
             let Some(mut st) = self.cfqs[c].state else {
@@ -892,7 +870,6 @@ impl Adapter {
                     .is_some_and(|s| now.saturating_sub(s) >= iso.dealloc_linger_cycles);
                 if occ == 0 && lingered && self.cam.lookup(st.dst).is_none() {
                     self.cfqs[c].state = None;
-                    self.cfq_count -= 1;
                     self.idle.clear(); // a free CFQ slot
                     metrics.record(
                         now,
@@ -985,7 +962,6 @@ impl Adapter {
         };
         // Room below the NFQ gate, or below a CFQ's Stop threshold.
         self.idle.clear();
-        self.resident -= 1;
         if let Some(vn) = voqnet {
             vn.sub(
                 self.inject_link.0,
@@ -1024,28 +1000,31 @@ impl Adapter {
         self.idle.clear();
     }
 
-    /// O(1) idleness check for the active-set scheduler: no packet
+    /// Idleness check for the active-set scheduler: no packet
     /// buffered anywhere, no outgoing BECN, and no allocated CFQ (an
     /// allocated-but-empty CFQ still needs per-cycle linger/dealloc
     /// bookkeeping). Armed CCTI timers do *not* block quietness — expiry
     /// is deadline-driven, so ticking at `next_timer_deadline()` is
     /// equivalent to ticking every cycle.
     pub fn is_quiet(&self) -> bool {
-        debug_assert_eq!(self.resident, self.resident_packets());
-        debug_assert_eq!(
-            self.cfq_count,
-            self.cfqs.iter().filter(|c| c.state.is_some()).count()
-        );
         debug_assert!(
             self.backlogged_matches_the_advoqs(),
             "backlogged set out of step with the AdVOQs at {}",
             self.node
         );
-        debug_assert_eq!(
-            self.rr_slot,
-            self.peers.iter().filter(|&(d, _)| d < self.rr).count()
-        );
-        self.resident == 0 && self.becn_out.is_empty() && self.cfq_count == 0
+        self.holds_no_packet() && self.becn_out.is_empty() && !self.holds_a_cfq()
+    }
+
+    /// Whether no AdVOQ is backlogged and the NFQ and every CFQ are empty.
+    fn holds_no_packet(&self) -> bool {
+        self.backlogged.is_empty()
+            && self.nfq.is_empty()
+            && self.cfqs.iter().all(|c| c.queue.is_empty())
+    }
+
+    /// Whether some CFQ slot is allocated.
+    fn holds_a_cfq(&self) -> bool {
+        self.cfqs.iter().any(|c| c.state.is_some())
     }
 
     /// The recount `backlogged` mirrors: slot `s` is a member ⇔ its AdVOQ
@@ -1144,12 +1123,12 @@ impl Adapter {
         walk: &IdleBound,
         sink_awaited: bool,
     ) -> Option<Cycle> {
-        if self.cfq_count > 0 {
+        if self.holds_a_cfq() {
             return None;
         }
         let mut until = self.next_timer_deadline();
         if self.cfg.per_dest_output {
-            let holds_nothing = self.resident == 0 && self.becn_out.is_empty();
+            let holds_nothing = self.holds_no_packet() && self.becn_out.is_empty();
             return (holds_nothing && !sink_awaited).then_some(until);
         }
         if !self.backlogged.is_empty() || sink_awaited {
@@ -1218,7 +1197,6 @@ impl Adapter {
         for e in scratch.iter().skip(advoq_purged) {
             self.out_ram.release(e.packet.size_flits);
         }
-        self.resident -= scratch.len();
         let becns_before = self.becn_out.len();
         self.becn_out.retain(|b| !unreachable(b.dst));
         stats.ctrl_packets += (becns_before - self.becn_out.len()) as u64;
@@ -1566,6 +1544,11 @@ mod idle_bound_tests {
             self.a.advoq_occupancy(NodeId(dst)) / 32
         }
 
+        /// Allocated CFQ slots.
+        fn cfqs(&self) -> usize {
+            self.a.cfqs.iter().filter(|c| c.state.is_some()).count()
+        }
+
         /// Fill the NFQ to its gate with one packet for each of
         /// destinations 1–4, over a link without credits; returns the
         /// next cycle.
@@ -1722,15 +1705,19 @@ mod idle_bound_tests {
         f.ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(4) });
         assert!(f.inject(1, 4));
         f.tick(1);
-        assert_eq!((f.a.cfq_count, f.a.resident), (1, 0), "isolated and sent");
+        assert_eq!(
+            (f.cfqs(), f.a.resident_packets()),
+            (1, 0),
+            "isolated and sent"
+        );
         f.ctrl(2, CtrlEvent::CfqDealloc { dst: NodeId(4) });
         // Calm since cycle 1: one packet is below the calm threshold.
         let linger = IsolationParams::default().dealloc_linger_cycles;
         f.tick(linger);
-        assert_eq!(f.a.cfq_count, 1);
+        assert_eq!(f.cfqs(), 1);
         assert!(f.a.idle_bound_holds(1 + linger), "nothing backlogged");
         f.tick(1 + linger);
-        assert_eq!(f.a.cfq_count, 0);
+        assert_eq!(f.cfqs(), 0);
         assert_eq!(f.a.idle.current(), None);
     }
 
@@ -1798,7 +1785,7 @@ mod idle_bound_tests {
         for now in 1..=6 {
             f.tick(now);
         }
-        assert_eq!((f.a.cfq_count, f.a.nfq.len(), f.backlog(7)), (2, 4, 1));
+        assert_eq!((f.cfqs(), f.a.nfq.len(), f.backlog(7)), (2, 4, 1));
         let counted = f.m.counter("ia_cfq_exhausted");
         for now in 7..17 {
             f.tick(now);
@@ -1992,7 +1979,7 @@ mod idle_bound_tests {
         f.ctrl(0, CtrlEvent::CfqAlloc { dst: NodeId(4) });
         assert!(f.inject(1, 4));
         assert!(f.tick(1).is_some(), "through a fresh CFQ onto the wire");
-        assert_eq!(f.a.cfq_count, 1);
+        assert_eq!(f.cfqs(), 1);
         assert!(f.a.backlogged.is_empty() && f.a.nfq.is_empty());
         assert_eq!(f.park_bound(1), None, "its linger clock runs every cycle");
     }
@@ -2477,7 +2464,7 @@ mod walk_tests {
                 prop_assert!(new.a.backlogged_matches_the_advoqs());
                 prop_assert_eq!(new.a.is_quiet(), old.a.is_quiet());
                 prop_assert_eq!(new.a.rr, old.a.rr);
-                prop_assert_eq!(old.a.rr_slot, old.a.rr, "dense: slot = destination");
+                prop_assert_eq!(old.a.peers.rank(old.a.rr), old.a.rr, "dense: slot = destination");
                 prop_assert_eq!(&new.out, &old.out);
                 for d in 0..n {
                     prop_assert_eq!(peer_view(&new.a, d), peer_view(&old.a, d), "dst {}", d);

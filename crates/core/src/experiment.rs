@@ -104,18 +104,6 @@ impl ExperimentSpec {
         self.name = format!("{}+{}", self.name, workload.name());
         self
     }
-
-    /// Run with a dynamic network-event schedule on top of the workload
-    /// (see [`Self::build_sim_with_faults`]).
-    pub fn run_with_faults(
-        &self,
-        mech: Mechanism,
-        seed: u64,
-        cfg: SimConfig,
-        schedule: ccfit_faults::FaultSchedule,
-    ) -> SimReport {
-        self.build_sim_with_faults(mech, seed, cfg, schedule).run()
-    }
 }
 
 /// A declarative, serializable name for one of the repo's experiment

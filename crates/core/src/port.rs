@@ -150,6 +150,20 @@ impl InputQueues {
         }
     }
 
+    /// Whether no queue of the port holds a packet; stops at the first
+    /// one that does.
+    pub fn is_empty(&self) -> bool {
+        match self {
+            InputQueues::Single(q) => q.is_empty(),
+            InputQueues::PerOutput(qs) | InputQueues::PerDest(qs) => {
+                qs.iter().all(|q| q.is_empty())
+            }
+            InputQueues::Isolating { nfq, cfqs } => {
+                nfq.is_empty() && cfqs.iter().all(|c| c.queue.is_empty())
+            }
+        }
+    }
+
     /// Buffered *data* packets (conservation checks exclude in-band
     /// control notifications such as BECNs).
     pub fn total_data_packets(&self) -> usize {

@@ -530,11 +530,6 @@ impl ActiveSetStats {
     pub fn avg_adapters(&self) -> f64 {
         self.node_sum as f64 / (self.ticks.max(1)) as f64
     }
-
-    /// Mean active links per recorded tick.
-    pub fn avg_links(&self) -> f64 {
-        self.link_sum as f64 / (self.ticks.max(1)) as f64
-    }
 }
 
 /// The assembled network, ready to run.
@@ -567,7 +562,6 @@ pub struct Simulator {
     end: Cycle,
     next_packet_id: u64,
     injected: u64,
-    delivered: u64,
     /// Injection link of each node (node → switch).
     inject_link: Vec<LinkId>,
     /// Reception link of each node (switch → node).
@@ -960,7 +954,6 @@ impl Simulator {
             end,
             next_packet_id: 0,
             injected: 0,
-            delivered: 0,
             inject_link,
             recv_link,
             node_sink_credits,
@@ -1002,7 +995,7 @@ impl Simulator {
 
     /// Data packets delivered to their destinations so far.
     pub fn delivered(&self) -> u64 {
-        self.delivered
+        self.metrics.delivered_packets()
     }
 
     /// Data packets currently buffered in adapters, switches, or on
@@ -2089,31 +2082,28 @@ impl Simulator {
             ccfit_engine::packet::PacketKind::Data => {}
         }
         self.metrics.record_delivery(d.ready_at, &d.packet);
-        if d.packet.is_data() {
-            self.delivered += 1;
-            if self.cc_wire {
-                // Byte accounting at reception, consistent across data
-                // and control traffic: wire = payload + scheme overhead.
-                self.metrics
-                    .count("wire_bytes_delivered", d.packet.wire_bytes());
-                self.metrics
-                    .count("payload_bytes_delivered", u64::from(d.packet.size_bytes));
-                self.metrics.count(
-                    "overhead_bytes_delivered",
-                    u64::from(d.packet.overhead_bytes),
-                );
-            }
-            self.metrics.record(
-                d.ready_at,
-                CcEventKind::Delivered {
-                    node: node.0,
-                    flow: d.packet.flow.0,
-                    bytes: d.packet.size_bytes,
-                    latency_cycles: d.ready_at.saturating_sub(d.packet.injected_at),
-                    fecn: d.packet.fecn,
-                },
+        if self.cc_wire {
+            // Byte accounting at reception, consistent across data
+            // and control traffic: wire = payload + scheme overhead.
+            self.metrics
+                .count("wire_bytes_delivered", d.packet.wire_bytes());
+            self.metrics
+                .count("payload_bytes_delivered", u64::from(d.packet.size_bytes));
+            self.metrics.count(
+                "overhead_bytes_delivered",
+                u64::from(d.packet.overhead_bytes),
             );
         }
+        self.metrics.record(
+            d.ready_at,
+            CcEventKind::Delivered {
+                node: node.0,
+                flow: d.packet.flow.0,
+                bytes: d.packet.size_bytes,
+                latency_cycles: d.ready_at.saturating_sub(d.packet.injected_at),
+                fecn: d.packet.fecn,
+            },
+        );
         // FECN → BECN (§III-B): the destination returns a congestion
         // notification to the packet's source.
         if d.packet.fecn && self.mech.throttle().is_some() {
@@ -2244,7 +2234,7 @@ impl Simulator {
             sw.close_exhaustion(self.now, &mut m);
         }
         m.count("injected_packets", self.injected);
-        m.count("delivered_packets_total", self.delivered);
+        m.count("delivered_packets_total", m.delivered_packets());
         if let Some(mut frt) = self.faults {
             // Close the availability windows still open at the end of
             // the run.
@@ -2632,7 +2622,7 @@ mod tests {
         }
         let refused = sim.faults.as_ref().map_or(0, |frt| frt.packets_refused);
         let ids = sim.next_packet_id;
-        write!(out, "{} {} {ids} {refused}", sim.injected, sim.delivered).unwrap();
+        write!(out, "{} {} {ids} {refused}", sim.injected, sim.delivered()).unwrap();
         out
     }
 

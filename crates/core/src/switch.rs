@@ -133,8 +133,6 @@ pub struct OutCamState {
 /// One input port.
 #[derive(Debug, Clone)]
 pub struct InputPort {
-    /// Cabled?
-    pub connected: bool,
     /// Link delivering packets into this port (this switch is receiver).
     pub in_link: Option<LinkId>,
     /// The shared, dynamically partitioned port memory.
@@ -148,8 +146,6 @@ pub struct InputPort {
 /// One output port.
 #[derive(Debug, Clone)]
 pub struct OutputPort {
-    /// Cabled?
-    pub connected: bool,
     /// Link this port transmits on (this switch is sender).
     pub out_link: Option<LinkId>,
     /// Congestion info from downstream, keyed by congested destination.
@@ -321,14 +317,6 @@ pub struct Switch {
     queue_rr: Vec<usize>,
     marking_rng: SmallRng,
     num_dests: usize,
-    /// Packets buffered across all input queues (mirror of
-    /// `resident_packets()`, maintained incrementally for the active-set
-    /// scheduler).
-    buffered: usize,
-    /// Output ports currently in the congestion state.
-    congested_count: usize,
-    /// Packets buffered at each input port (sums to `buffered`).
-    port_packets: Vec<u32>,
     /// Input ports holding at least one packet: the only ports the
     /// arbitration gather visits (DESIGN.md §12).
     occupied: BitSet,
@@ -513,7 +501,6 @@ impl Switch {
         let inputs = wiring
             .iter()
             .map(|&(in_link, _)| InputPort {
-                connected: in_link.is_some(),
                 in_link,
                 ram: PortRam::new(ram_flits),
                 queues: InputQueues::new(cfg.scheme, num_ports, num_dests, num_cfqs),
@@ -524,7 +511,6 @@ impl Switch {
         let outputs = wiring
             .iter()
             .map(|&(_, out_link)| OutputPort {
-                connected: out_link.is_some(),
                 out_link,
                 cam: Cam::new(out_cam_lines),
                 congested: false,
@@ -545,9 +531,6 @@ impl Switch {
             queue_rr: vec![0; num_ports],
             marking_rng,
             num_dests,
-            buffered: 0,
-            congested_count: 0,
-            port_packets: vec![0; num_ports],
             occupied: BitSet::new(num_ports),
             iso_live: BitSet::new(num_ports),
             over_high_dirty: false,
@@ -576,8 +559,6 @@ impl Switch {
     /// packets travel the normal data path but only ever use the NFQ
     /// (§III-B).
     pub fn accept_delivery(&mut self, port: usize, d: Delivery, routing: &RoutingTable) {
-        self.buffered += 1;
-        self.port_packets[port] += 1;
         self.occupied.insert(port);
         self.iso_live.insert(port);
         self.port_changed(port);
@@ -889,7 +870,7 @@ impl Switch {
                 );
                 continue;
             }
-            if self.inputs[port].connected {
+            if self.inputs[port].in_link.is_some() {
                 self.visit_port(port, now, routing, links, metrics);
             }
         }
@@ -1389,11 +1370,6 @@ impl Switch {
                     let congested = self.outputs[o].over_high_count > 0;
                     if congested != self.outputs[o].congested {
                         self.outputs[o].congested = congested;
-                        if congested {
-                            self.congested_count += 1;
-                        } else {
-                            self.congested_count -= 1;
-                        }
                         let occupancy_flits = self.root_cfq_occupancy_flits(o);
                         let kind = if congested {
                             CcEventKind::CongestionEnter {
@@ -1414,7 +1390,7 @@ impl Switch {
             }
             MarkingSource::VoqOccupancy => {
                 for o in 0..self.outputs.len() {
-                    if !self.outputs[o].connected {
+                    if self.outputs[o].out_link.is_none() {
                         continue;
                     }
                     let occ = self.output_voq_occupancy_flits(o);
@@ -1428,7 +1404,6 @@ impl Switch {
                             .is_some_and(|l| links[l.index()].credits() >= self.cfg.mtu_flits);
                         if occ >= thr.high_flits && has_credits {
                             out.congested = true;
-                            self.congested_count += 1;
                             metrics.record(
                                 now,
                                 CcEventKind::CongestionEnter {
@@ -1440,7 +1415,6 @@ impl Switch {
                         }
                     } else if occ <= thr.low_flits {
                         out.congested = false;
-                        self.congested_count -= 1;
                         metrics.record(
                             now,
                             CcEventKind::CongestionLeave {
@@ -1482,7 +1456,7 @@ impl Switch {
     /// CFQ is only allocated, an episode only opened, at a port holding
     /// the NFQ packet that triggered it.)
     fn sync_live(&mut self, port: usize) {
-        let held = self.port_packets[port] > 0;
+        let held = !self.inputs[port].queues.is_empty();
         self.occupied.set(port, held);
         self.iso_live.set(
             port,
@@ -1637,8 +1611,6 @@ impl Switch {
 
     /// Pop the head of a queue.
     fn pop_queue(&mut self, port: usize, key: QueueKey) -> QueuedPacket {
-        self.buffered -= 1;
-        self.port_packets[port] -= 1;
         let input = &mut self.inputs[port];
         let entry = match (&mut input.queues, key) {
             (InputQueues::Single(q), QueueKey::Single) => q.pop(),
@@ -1677,7 +1649,7 @@ impl Switch {
         metrics: &mut MetricsCollector,
         releases: &mut Vec<PendingRelease>,
     ) {
-        if self.buffered == 0 {
+        if self.occupied.is_empty() {
             // No packet anywhere: no candidates, no requests, and iSLIP
             // with an empty request set makes no matches and moves no
             // pointers, so skipping it outright is behavior-identical.
@@ -1914,9 +1886,6 @@ impl Switch {
         }
         drained.clear();
         self.purge_scratch = drained;
-        self.buffered = 0;
-        self.congested_count = 0;
-        self.port_packets.fill(0);
         self.occupied.clear();
         // The open exhaustion episodes stay, and keep their ports in the
         // walk: the next visit finds the port empty and closes them.
@@ -1971,8 +1940,6 @@ impl Switch {
                     inp.ram.release(e.packet.size_flits);
                 }
             }
-            self.buffered -= scratch.len();
-            self.port_packets[port] -= scratch.len() as u32;
             self.sync_live(port);
             for e in scratch.drain(..) {
                 out.push((port, e));
@@ -2062,8 +2029,7 @@ impl Switch {
     fn live_state_matches_a_recount(&self) -> bool {
         self.inputs.iter().enumerate().all(|(p, inp)| {
             let packets = inp.queues.total_packets();
-            self.port_packets[p] as usize == packets
-                && self.occupied.contains(p) == (packets > 0)
+            self.occupied.contains(p) == (packets > 0)
                 && self.iso_live.contains(p)
                     == (packets > 0 || inp.queues.cfqs_allocated() > 0 || self.exhausting(p))
         }) && (0..self.outputs.len()).all(|o| self.voq_occ[o] == self.summed_voq_occupancy_flits(o))
@@ -2078,16 +2044,11 @@ impl Switch {
     /// `High = 0` threshold could enter the congestion state with zero
     /// occupancy, so such a switch never counts as quiescent.
     pub fn is_quiescent(&self) -> bool {
-        debug_assert_eq!(self.buffered, self.resident_packets());
-        debug_assert_eq!(
-            self.congested_count,
-            self.outputs.iter().filter(|o| o.congested).count()
-        );
         debug_assert!(self.live_state_matches_a_recount());
-        self.buffered == 0
+        self.occupied.is_empty()
             && self.cfqs_allocated() == 0
             && self.exhausted.is_empty()
-            && self.congested_count == 0
+            && self.outputs.iter().all(|o| !o.congested)
             && self.cfg.thr.is_none_or(|t| t.high_flits > 0)
     }
 
@@ -2142,8 +2103,8 @@ impl Switch {
         if let Some(thr) = self.cfg.thr {
             let marks_on_voqs = thr.source == MarkingSource::VoqOccupancy;
             if marks_on_voqs
-                && (self.congested_count > 0
-                    || self.voq_occ.iter().any(|&occ| occ >= thr.high_flits))
+                && (self.outputs.iter().zip(&self.voq_occ))
+                    .any(|(o, &occ)| o.congested || occ >= thr.high_flits)
             {
                 return None;
             }
@@ -2154,7 +2115,7 @@ impl Switch {
                 until = until.min(port_quiet(port)?);
             }
         }
-        if self.buffered > 0 {
+        if !self.occupied.is_empty() {
             let (idle, watched) = arbiter();
             until = until.min(idle.current().filter(|_| watched.is_empty())?);
         }
@@ -2190,7 +2151,7 @@ impl Switch {
         let mut out = String::new();
         writeln!(out, "{} :", self.id).unwrap();
         for (p, inp) in self.inputs.iter().enumerate() {
-            if !inp.connected {
+            if inp.in_link.is_none() {
                 continue;
             }
             match &inp.queues {
@@ -2233,7 +2194,7 @@ impl Switch {
             }
         }
         for (p, o) in self.outputs.iter().enumerate() {
-            if !o.connected {
+            if o.out_link.is_none() {
                 continue;
             }
             let credits = o.out_link.map(|l| links[l.index()].credits()).unwrap_or(0);
@@ -4209,7 +4170,7 @@ mod twin_tests {
             self.sw
                 .isolation_tick(now, routing, &mut self.links, &mut self.m);
             self.sw.congestion_state_tick(now, &self.links, &mut self.m);
-            if self.sw.buffered > 0 {
+            if !self.sw.occupied.is_empty() {
                 let mut rel = Vec::new();
                 self.sw.arbitrate_and_transmit(
                     now,
@@ -4277,9 +4238,9 @@ mod twin_tests {
 
         fn congestion_state(&self) -> (usize, usize, usize, Vec<(bool, u32)>) {
             (
-                self.sw.buffered,
+                self.sw.resident_packets(),
                 self.sw.cfqs_allocated(),
-                self.sw.congested_count,
+                self.sw.outputs.iter().filter(|o| o.congested).count(),
                 self.sw
                     .outputs
                     .iter()

@@ -173,11 +173,6 @@ impl FaultSchedule {
         self.events.is_empty()
     }
 
-    /// Cycle of the first event, if any.
-    pub fn first_at(&self) -> Option<Cycle> {
-        self.events.first().map(|e| e.at)
-    }
-
     /// Check every event against the *pristine* topology: switches and
     /// ports exist, and link events target switch-to-switch cables.
     /// (Temporal consistency — e.g. a `LinkUp` for a cable that is not
@@ -286,7 +281,6 @@ mod tests {
             s.events()[2].event,
             NetworkEvent::SwitchDown { .. }
         ));
-        assert_eq!(s.first_at(), Some(100));
         assert_eq!(s.len(), 3);
     }
 

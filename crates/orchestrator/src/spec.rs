@@ -138,9 +138,9 @@ impl RunSpec {
             ..SimConfig::default()
         };
         match &self.faults {
-            Some(schedule) => {
-                experiment.run_with_faults(self.mechanism.clone(), self.seed, cfg, schedule.clone())
-            }
+            Some(schedule) => experiment
+                .build_sim_with_faults(self.mechanism.clone(), self.seed, cfg, schedule.clone())
+                .run(),
             None => experiment.run_with(self.mechanism.clone(), self.seed, cfg),
         }
     }

@@ -75,11 +75,6 @@ impl TrafficPattern {
         }
     }
 
-    /// All rate-window flow ids, in declaration order.
-    pub fn flow_ids(&self) -> Vec<FlowId> {
-        self.flows.iter().map(|f| f.id).collect()
-    }
-
     /// Label for a flow id (either kind), if declared.
     pub fn label(&self, id: FlowId) -> Option<&str> {
         self.flows
@@ -177,7 +172,6 @@ mod tests {
                 FlowSpec::hotspot(5, NodeId(5), NodeId(4), 0.0, None),
             ],
         );
-        assert_eq!(p.flow_ids(), vec![FlowId(0), FlowId(5)]);
         assert_eq!(p.label(FlowId(5)), Some("F5"));
         assert_eq!(p.label(FlowId(9)), None);
         assert_eq!(p.max_node_index(), 5);

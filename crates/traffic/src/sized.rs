@@ -9,12 +9,11 @@
 //! (tracked by the metrics collector, reported as FCT).
 
 use ccfit_engine::ids::{FlowId, NodeId};
-use ccfit_engine::units::MTU_BYTES;
 use serde::{Deserialize, Serialize};
 
 /// One closed-loop flow: `bytes` of payload from `src` to `dst`,
 /// injected at line rate from `start_ns` until drained, in MTU packets
-/// ([`MTU_BYTES`]) whose last carries the remainder, so a flow's
+/// ([`ccfit_engine::units::MTU_BYTES`]) whose last carries the remainder, so a flow's
 /// delivered bytes sum exactly to [`SizedFlow::bytes`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SizedFlow {
@@ -58,12 +57,6 @@ impl SizedFlow {
         self.priority = priority;
         self
     }
-
-    /// Number of wire packets the flow is chopped into (full
-    /// [`MTU_BYTES`] packets plus a possibly-smaller tail).
-    pub fn num_packets(&self) -> u64 {
-        self.bytes.div_ceil(MTU_BYTES as u64)
-    }
 }
 
 #[cfg(test)]
@@ -77,16 +70,6 @@ mod tests {
         assert_eq!(f.label, "S3 1->4");
         assert_eq!(f.priority, 0);
         assert_eq!(f.with_priority(2).priority, 2);
-    }
-
-    #[test]
-    fn packet_count_rounds_up() {
-        let f = |b: u64| SizedFlow::new(0, NodeId(0), NodeId(1), b, 0.0).num_packets();
-        assert_eq!(f(1), 1);
-        assert_eq!(f(2048), 1);
-        assert_eq!(f(2049), 2);
-        assert_eq!(f(4096), 2);
-        assert_eq!(f(65_536), 32);
     }
 
     #[test]
