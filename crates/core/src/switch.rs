@@ -2101,10 +2101,18 @@ impl Switch {
             return None;
         }
         if let Some(thr) = self.cfg.thr {
+            // The VoqOccupancy arm flips an output on its own only where
+            // it is not congested at High (it enters the cycle credits
+            // return, which activates nobody) or congested at Low (this
+            // tick's pops brought it there after the arm ran). Between
+            // them only a delivery or a fault moves `voq_occ`, and both
+            // activate the switch.
             let marks_on_voqs = thr.source == MarkingSource::VoqOccupancy;
             if marks_on_voqs
-                && (self.outputs.iter().zip(&self.voq_occ))
-                    .any(|(o, &occ)| o.congested || occ >= thr.high_flits)
+                && (self.outputs.iter().zip(&self.voq_occ)).any(|(o, &occ)| match o.congested {
+                    false => occ >= thr.high_flits,
+                    true => occ <= thr.low_flits,
+                })
             {
                 return None;
             }
@@ -3410,7 +3418,7 @@ mod tests {
     }
 
     #[test]
-    fn voq_marking_forbids_parking_at_high_and_while_congested() {
+    fn voq_marking_forbids_parking_only_where_the_state_can_flip() {
         let thr = default_thr(MarkingSource::VoqOccupancy);
         let mut fx = fixture(QueueingScheme::PerOutput, None, Some(thr));
         fx.links[2] = Link::new(LinkConfig::default(), MTU + 8);
@@ -3437,7 +3445,13 @@ mod tests {
         assert_eq!(full_tick(&mut fx, 5), 0);
         assert!(fx.sw.outputs[2].congested, "entered with the credits");
 
+        // Congested, the output leaves only at Low, and above Low only a
+        // delivery (an activation) or the switch's own pop moves its
+        // backlog: it parks at High and between Low and High, and not the
+        // cycle a pop brought it to Low, before the arm has seen it.
         let mut fx = fixture(QueueingScheme::PerOutput, None, Some(thr));
+        let rederived =
+            |fx: &Fixture, now| (fx.sw).park_bound_rederived(now, &fx.routing, &fx.links, None);
         for id in 0..5 {
             deliver(&mut fx, 0, pkt(id, 6));
         }
@@ -3445,13 +3459,23 @@ mod tests {
         assert!(fx.sw.outputs[2].congested);
         assert_eq!(full_tick(&mut fx, 1), 0);
         assert_eq!(fx.sw.voq_occ[2], thr.high_flits);
-        assert!(fx.sw.arb.idle.current().is_some());
-        assert_eq!(fx.sw.park_bound(), None, "at High");
+        assert_eq!(fx.sw.park_bound(), Some(32), "congested at High");
+        assert_eq!(rederived(&fx, 2), Some(32));
         assert_eq!(full_tick(&mut fx, 32), 1);
         assert_eq!(full_tick(&mut fx, 33), 0);
         assert!(fx.sw.voq_occ[2] < thr.high_flits && fx.sw.voq_occ[2] > thr.low_flits);
-        assert_eq!(fx.sw.park_bound(), None, "below High, still congested");
+        assert!(fx.sw.outputs[2].congested);
+        assert_eq!(
+            fx.sw.park_bound(),
+            Some(64),
+            "congested between Low and High"
+        );
+        assert_eq!(rederived(&fx, 34), Some(64));
         assert_eq!(full_tick(&mut fx, 64), 1);
+        assert_eq!(fx.sw.voq_occ[2], thr.low_flits);
+        assert!(fx.sw.outputs[2].congested, "the arm ran before the pop");
+        assert_eq!(fx.sw.park_bound(), None, "a leave is due");
+        assert_eq!(rederived(&fx, 65), None);
         assert_eq!(full_tick(&mut fx, 65), 0);
         assert!(!fx.sw.outputs[2].congested, "left at Low");
         assert_eq!(fx.sw.park_bound(), Some(96));

@@ -278,16 +278,15 @@ fn registry(name: &str) -> Result<Mechanism, String> {
 
 /// One `[[matrix.mechanism]]` table → the registry mechanism `name`
 /// with each other key overriding the parameter field of that serde
-/// name. The registry default goes out through [`Serialize`], the
-/// overrides are merged into its [`Value`], and the result comes back
-/// through [`Deserialize`] — so no field has a parser of its own, and
-/// a field added to a parameter struct is a matrix key at once.
-/// `at(key)` is the `"line N: "` prefix of an error about `key`.
+/// name. The registry default goes out through [`Serialize`] and is
+/// read back as a [`Value`], the overrides are merged into it, and the
+/// result comes back through [`Deserialize`] — so no field has a parser
+/// of its own, and a field added to a parameter struct is a matrix key
+/// at once. `at(key)` is the `"line N: "` prefix of an error about
+/// `key`.
 fn parse_mechanism(table: &Value, at: impl Fn(&str) -> String) -> Result<Mechanism, String> {
     let name = get_str(table, "name").map_err(|e| format!("[[matrix.mechanism]]: {e}"))?;
-    let mut value = registry(&name)
-        .map_err(|e| format!("{}{e}", at("name")))?
-        .to_value();
+    let mut value = as_value(&registry(&name).map_err(|e| format!("{}{e}", at("name")))?);
     let Value::Object(keys) = table else {
         unreachable!("a [[matrix.mechanism]] element is a table")
     };
@@ -302,9 +301,9 @@ fn parse_mechanism(table: &Value, at: impl Fn(&str) -> String) -> Result<Mechani
             ));
         };
         field.1 = v.clone();
-        Mechanism::from_value(&value).map_err(|e| format!("{}{name}: {}", at(key), e.0))?;
+        retype::<Mechanism>(&value).map_err(|e| format!("{}{name}: {}", at(key), e.0))?;
     }
-    let mech = Mechanism::from_value(&value).expect("checked after every override");
+    let mech: Mechanism = retype(&value).expect("checked after every override");
     mech.validate()
         .map_err(|e| format!("{}{name}: {e}", at("name")))?;
     Ok(mech)
@@ -338,7 +337,7 @@ fn param_fields(mech: &mut Value) -> Vec<&mut (String, Value)> {
 /// e.g. `CCFIT num_cfqs=1 out_cam_lines=2`.
 pub(crate) fn mechanism_label(mech: &Mechanism) -> String {
     let default = registry(mech.name()).expect("every mechanism is registered");
-    let (mut ours, mut base) = (mech.to_value(), default.to_value());
+    let (mut ours, mut base) = (as_value(mech), as_value(&default));
     let mut label = mech.name().to_string();
     for (field, _) in (param_fields(&mut ours).into_iter())
         .zip(param_fields(&mut base))
@@ -348,6 +347,17 @@ pub(crate) fn mechanism_label(mech: &Mechanism) -> String {
         label += &format!(" {}={value}", field.0);
     }
     label
+}
+
+/// `mech` as a tree whose fields can be edited.
+fn as_value(mech: &Mechanism) -> Value {
+    retype(mech).expect("a mechanism's JSON reads back as a Value")
+}
+
+/// `x` written as JSON and read back as a `T`: how a mechanism becomes
+/// a [`Value`], and an edited tree a mechanism again.
+fn retype<T: Deserialize>(x: &impl Serialize) -> Result<T, serde_json::Error> {
+    serde_json::from_str(&serde_json::to_string(x)?)
 }
 
 fn as_str<'a>(v: &'a Value, what: &str) -> Result<&'a str, String> {

@@ -6,7 +6,9 @@
 use ccfit::engine::ids::{NodeId, PortId, SwitchId};
 use ccfit::traffic::incast;
 use ccfit::{BecnTransport, ConfigId, FaultSchedule, Mechanism, SizedFlow, Workload};
-use ccfit_orchestrator::{RunSpec, ENGINE_SALT, SCHEMA_VERSION};
+use ccfit_orchestrator::{
+    Cache, CacheEntry, ExperimentMatrix, RunSpec, ENGINE_SALT, SCHEMA_VERSION,
+};
 use proptest::prelude::*;
 
 const BIN_NS: f64 = 100_000.0;
@@ -177,6 +179,35 @@ fn config_strategy() -> impl Strategy<Value = ConfigId> {
                 duration_ns,
             },
         })
+}
+
+/// A committed cache entry — `matrices/smoke.toml`'s CCFIT seed-1 run,
+/// as an earlier build stored it — reads into a [`CacheEntry`] and
+/// writes back to the same bytes (compact), its spec still hashes to
+/// its file name, and the cache serves it as a hit: caches filled
+/// before a change to the JSON codec stay valid after it.
+#[test]
+fn a_committed_cache_entry_round_trips_and_hits() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data");
+    let key = "b846960be3eac2933c2aa57e85632b6f3763a8094f75f9b79b4b9903a890ca8c";
+    let text = std::fs::read_to_string(format!("{dir}/{key}.json")).unwrap();
+    let entry: CacheEntry = serde_json::from_str(&text).unwrap();
+    assert!(
+        serde_json::to_string(&entry).unwrap() == text,
+        "the entry does not re-render byte for byte"
+    );
+    assert_eq!(
+        (entry.salt.as_str(), entry.key.as_str()),
+        (ENGINE_SALT, key)
+    );
+    assert_eq!(entry.spec.cache_key(), key);
+    let smoke = include_str!("../../../matrices/smoke.toml");
+    let specs = ExperimentMatrix::from_toml_str(smoke).unwrap().resolve();
+    assert!(
+        specs.contains(&entry.spec),
+        "smoke.toml still makes this run"
+    );
+    assert_eq!(Cache::new(dir).load(key, &entry.spec), Some(entry.report));
 }
 
 proptest! {

@@ -186,3 +186,36 @@ fn fault_storms() {
     let smoke = storm(smoke, 1.2e5, 2.2e5, 10_000.0);
     assert_eq!(committed("faultstorm-smoke"), smoke);
 }
+
+/// The cache key of every spec of every committed matrix, pinned in
+/// `committed-keys.txt` (`<matrix> <key> <label>`, one line per run):
+/// a user's cache is filed under these keys, so they may change only
+/// with a matrix edit or an `ENGINE_SALT` bump, never with the JSON
+/// writer. Regenerate with `UPDATE_SNAPSHOTS=1` and review the diff.
+#[test]
+fn every_committed_key_is_pinned() {
+    let dir = format!("{}/../../matrices", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter_map(|file| file.strip_suffix(".toml").map(str::to_string))
+        .collect();
+    names.sort();
+    let mut actual = String::new();
+    for name in &names {
+        for spec in committed(name) {
+            actual += &format!("{name} {} {}\n", spec.cache_key(), spec.label());
+        }
+    }
+    let path = format!("{}/tests/committed-keys.txt", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("UPDATE_SNAPSHOTS").is_some() {
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let pinned = std::fs::read_to_string(&path).unwrap();
+    let first_change = (actual.lines().zip(pinned.lines())).find(|(a, p)| a != p);
+    assert!(
+        actual == pinned,
+        "committed keys moved; first change (now, pinned): {first_change:?}"
+    );
+}

@@ -120,7 +120,9 @@ fn fast_path_is_bit_identical_to_slow_path() {
 /// 4-ary 3-tree under hotspot congestion — with one tree, and with the
 /// four of Fig. 8b, which exhaust FBICM's and CCFIT's CFQs: the engine
 /// then skips the quiet visits of exhausted ports and parks their
-/// switches, and counts `cfq_exhausted` from the episodes.
+/// switches, and counts `cfq_exhausted` from the episodes. ITh's
+/// VOQ-occupancy marking lets a switch park with a congested output, so
+/// it runs on the single switch and on the four-tree storm too.
 #[test]
 fn engine_is_bit_identical_to_oracle_on_paper_configs() {
     let cases = [
@@ -129,6 +131,8 @@ fn engine_is_bit_identical_to_oracle_on_paper_configs() {
         (storm(1, 0.01), Mechanism::ccfit()),
         (storm(4, 0.02), Mechanism::fbicm()),
         (storm(4, 0.02), Mechanism::ccfit()),
+        (storm(4, 0.02), Mechanism::ith()),
+        (ConfigId::Config1Case1 { scale: 0.02 }, Mechanism::ith()),
     ];
     for (config, mech) in &cases {
         let spec = &config.resolve();

@@ -16,7 +16,9 @@
 //!
 //! then review the snapshot diff like any other code change.
 
+use ccfit::metrics::{EventLogReport, FctReport, SimReport};
 use ccfit::{ConfigId, EventClass, EventConfig, Mechanism, SimConfig};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 fn snapshot_path(file: &str) -> PathBuf {
@@ -173,5 +175,39 @@ fn config3_case4_h4_counters_match_golden_snapshots() {
             &file,
             &serde_json::to_string_pretty(&report.counters).unwrap(),
         );
+    }
+}
+
+/// `text` read into a `T` and written again, pretty.
+fn reread<T: serde::Serialize + serde::Deserialize>(text: &str) -> String {
+    let value: T = serde_json::from_str(text).unwrap();
+    serde_json::to_string_pretty(&value).unwrap()
+}
+
+/// Every golden reads back into the type it was written from and
+/// renders to the same bytes: the JSON codec loses nothing a snapshot
+/// pins, so what the cache stores is what a run reported.
+#[test]
+fn every_snapshot_round_trips_through_its_type() {
+    let dir = snapshot_path("");
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".json"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 17, "{files:?}");
+    for file in &files {
+        let text = std::fs::read_to_string(dir.join(file)).unwrap();
+        let again = if file.ends_with("_counters.json") {
+            reread::<BTreeMap<String, u64>>(&text)
+        } else if file.ends_with("_events.json") {
+            reread::<EventLogReport>(&text)
+        } else if file.starts_with("fct_") {
+            reread::<FctReport>(&text)
+        } else {
+            reread::<SimReport>(&text)
+        };
+        assert!(again == text, "{file} does not re-render byte for byte");
     }
 }
