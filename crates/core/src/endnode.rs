@@ -34,12 +34,14 @@ use ccfit_engine::ram::PortRam;
 use ccfit_engine::units::{Cycle, UnitModel};
 use ccfit_metrics::{CcEventKind, MetricsCollector};
 use ccfit_traffic::GenPacket;
+use std::sync::Arc;
 
 /// Adapter-side throttling configuration, pre-converted to cycles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdapterThrottle {
     /// CCT: IRD (extra inter-packet delay) in cycles, indexed by CCTI.
-    pub cct: Vec<Cycle>,
+    /// Every adapter of a run shares one table.
+    pub cct: Arc<[Cycle]>,
     /// `CCTI_Timer` in cycles.
     pub ccti_timer_cycles: Cycle,
     /// CCTI increment per BECN.

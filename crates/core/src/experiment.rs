@@ -23,7 +23,8 @@ pub struct ExperimentSpec {
     pub name: String,
     /// The network.
     pub topology: Topology,
-    /// Routing tables (DET for the fat trees).
+    /// Routing tables (DET for the fat trees), shared with every
+    /// simulator built from this spec.
     pub routing: RoutingTable,
     /// The workload.
     pub pattern: TrafficPattern,

@@ -2290,9 +2290,12 @@ mod tests {
         let links = (0..3)
             .map(|_| Link::new(LinkConfig::default(), 1024))
             .collect();
-        let routing = RoutingTable::from_tables(vec![(0..8)
-            .map(|d| if d < 4 { PortId(1) } else { PortId(2) })
-            .collect()]);
+        let routing = RoutingTable::from_rows(
+            8,
+            (0..8)
+                .map(|d| if d < 4 { PortId(1) } else { PortId(2) })
+                .collect(),
+        );
         let metrics = MetricsCollector::new(UnitModel::default(), 100_000.0);
         Fixture {
             sw,
@@ -3815,7 +3818,7 @@ mod tests {
                 write: |fx, now| {
                     // dst 2 moves to output 2, which has credits.
                     let to = |d: usize| PortId(if d < 2 || d == 3 { 1 } else { 2 });
-                    fx.routing = RoutingTable::from_tables(vec![(0..8).map(to).collect()]);
+                    fx.routing = RoutingTable::from_rows(8, (0..8).map(to).collect());
                     fx.sw.on_routing_changed(&fx.routing);
                     now
                 },
@@ -4072,9 +4075,12 @@ mod twin_tests {
                 .map(|_| Link::new(LinkConfig::default(), OUT_CREDITS))
                 .collect();
             let table = |shift: usize| {
-                RoutingTable::from_tables(vec![(0..DESTS)
-                    .map(|d| PortId(((d + shift) % PORTS) as u16))
-                    .collect()])
+                RoutingTable::from_rows(
+                    DESTS,
+                    (0..DESTS)
+                        .map(|d| PortId(((d + shift) % PORTS) as u16))
+                        .collect(),
+                )
             };
             let vn = voqnet.then(|| {
                 let mut vn = VoqNetCredits::new(2 * PORTS, DESTS);

@@ -23,6 +23,7 @@
 
 use crate::ids::NodeId;
 use crate::packet::Packet;
+use crate::queue::reserve_one;
 use crate::units::Cycle;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -258,6 +259,7 @@ impl Link {
         self.tx_free_at = now + ser;
         let header_at = now + self.cfg.delay_cycles + 1;
         let tail_at = now + self.cfg.delay_cycles + ser;
+        reserve_one(&mut self.in_flight);
         self.in_flight.push_back(InFlight {
             packet,
             header_at,
@@ -308,6 +310,7 @@ impl Link {
                     return;
                 }
             }
+            reserve_one(&mut self.credit_returns);
             self.credit_returns.push_back((at, flits));
         }
     }
@@ -338,6 +341,7 @@ impl Link {
     /// the dead cable is quiesced by the fault subsystem instead).
     pub fn send_ctrl(&mut self, now: Cycle, ev: CtrlEvent) {
         if self.up {
+            reserve_one(&mut self.ctrl_in_flight);
             self.ctrl_in_flight
                 .push_back((now + self.cfg.delay_cycles, ev));
         }

@@ -17,6 +17,18 @@ use crate::packet::Packet;
 use crate::units::Cycle;
 use std::collections::VecDeque;
 
+/// Make room for one more element under the engine's FIFO growth rule:
+/// the first push allocates exactly one slot and a full queue doubles
+/// from there. `VecDeque`'s own rule starts at four slots, which most of
+/// a large network's queues never fill — they rarely hold a second
+/// packet at a time. Every FIFO of the engine (the [`PacketQueue`]s and
+/// a link's three channels) grows through this.
+pub(crate) fn reserve_one<T>(fifo: &mut VecDeque<T>) {
+    if fifo.len() == fifo.capacity() {
+        fifo.reserve_exact(fifo.capacity().max(1));
+    }
+}
+
 /// An entry in a queue: the packet plus its cut-through timing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueuedPacket {
@@ -47,6 +59,7 @@ impl PacketQueue {
     pub fn push(&mut self, packet: Packet, visible_at: Cycle, ready_at: Cycle) {
         debug_assert!(visible_at <= ready_at);
         self.occupancy_flits += packet.size_flits;
+        reserve_one(&mut self.entries);
         self.entries.push_back(QueuedPacket {
             packet,
             visible_at,
@@ -58,6 +71,7 @@ impl PacketQueue {
     /// move has to be undone; not part of the normal data path).
     pub fn push_front(&mut self, entry: QueuedPacket) {
         self.occupancy_flits += entry.packet.size_flits;
+        reserve_one(&mut self.entries);
         self.entries.push_front(entry);
     }
 
@@ -136,16 +150,15 @@ impl PacketQueue {
         mut pred: impl FnMut(&QueuedPacket) -> bool,
         out: &mut Vec<QueuedPacket>,
     ) {
-        let mut kept: VecDeque<QueuedPacket> = VecDeque::with_capacity(self.entries.len());
-        for e in self.entries.drain(..) {
-            if pred(&e) {
-                self.occupancy_flits -= e.packet.size_flits;
-                out.push(e);
-            } else {
-                kept.push_back(e);
+        let occupancy = &mut self.occupancy_flits;
+        self.entries.retain(|e| {
+            let purge = pred(e);
+            if purge {
+                *occupancy -= e.packet.size_flits;
+                out.push(*e);
             }
-        }
-        self.entries = kept;
+            !purge
+        });
     }
 }
 
@@ -239,6 +252,21 @@ mod tests {
         assert_eq!(q.occupancy_flits(), 8);
         assert_eq!(q.pop().unwrap().packet.id, PacketId(1));
         assert_eq!(q.pop().unwrap().packet.id, PacketId(3));
+    }
+
+    #[test]
+    fn a_queue_grows_from_one_slot_by_doubling() {
+        let mut q = PacketQueue::new();
+        assert_eq!(q.entries.capacity(), 0, "an unused queue owns nothing");
+        let mut caps = Vec::new();
+        for id in 0..5 {
+            q.push(pkt(id, 1), 0, 0);
+            caps.push(q.entries.capacity());
+        }
+        assert_eq!(caps, [1, 2, 4, 4, 8]);
+        let head = q.pop().unwrap();
+        q.push_front(head);
+        assert_eq!(q.entries.capacity(), 8, "room left: no growth");
     }
 
     #[test]

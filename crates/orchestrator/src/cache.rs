@@ -143,20 +143,13 @@ impl Cache {
         if !self.enabled {
             return;
         }
-        let entry = CacheEntry {
-            salt: ENGINE_SALT.to_string(),
-            key: key.to_string(),
-            spec: spec.clone(),
-            report: report.clone(),
-        };
-        if let Err(e) = self.store_entry(key, &entry) {
+        if let Err(e) = self.write_entry(key, &entry_json(key, spec, report)) {
             eprintln!("cache: failed to store {key}: {e}");
         }
     }
 
-    fn store_entry(&self, key: &str, entry: &CacheEntry) -> std::io::Result<()> {
+    fn write_entry(&self, key: &str, json: &str) -> std::io::Result<()> {
         std::fs::create_dir_all(&self.dir)?;
-        let json = serde_json::to_string(entry).expect("CacheEntry serializes infallibly");
         // The tempfile lives in the cache directory so the rename stays
         // within one filesystem (atomic on POSIX); `n` keeps two of the
         // runner's threads that store the same key apart.
@@ -214,6 +207,24 @@ impl Cache {
     }
 }
 
+/// The JSON text of the [`CacheEntry`] for this run, written from
+/// borrows: a store copies neither the spec nor the report.
+fn entry_json(key: &str, spec: &RunSpec, report: &SimReport) -> String {
+    let mut json = String::new();
+    let mut w = serde::Writer::new(&mut json, None, 0);
+    w.begin_object();
+    w.field("salt");
+    ENGINE_SALT.serialize(&mut w);
+    w.field("key");
+    key.serialize(&mut w);
+    w.field("spec");
+    spec.serialize(&mut w);
+    w.field("report");
+    report.serialize(&mut w);
+    w.end_object();
+    json
+}
+
 /// Shared `--no-cache` / `--cache-dir <dir>` CLI parsing, so
 /// `ccfit-sweep run` and `ccfit-sweep gc` spell caching the same way.
 pub fn cache_from_args(args: &[String]) -> Cache {
@@ -247,6 +258,32 @@ mod tests {
             1,
             10_000.0,
         )
+    }
+
+    /// Write `entry` under its own key, as a store would.
+    fn store_entry(cache: &Cache, entry: &CacheEntry) -> std::io::Result<()> {
+        cache.write_entry(&entry.key, &serde_json::to_string(entry).unwrap())
+    }
+
+    /// A store writes the four members from borrows; the file is the
+    /// same text the derived writer of the owned entry produces.
+    #[test]
+    fn a_stored_file_is_the_serialised_cache_entry() {
+        let dir = tmpdir("bytes");
+        let cache = Cache::new(&dir);
+        let spec = small_spec();
+        let key = spec.cache_key();
+        let report = spec.execute();
+        cache.store(&key, &spec, &report);
+        let stored = std::fs::read_to_string(cache.entry_path(&key)).unwrap();
+        let entry = CacheEntry {
+            salt: ENGINE_SALT.to_string(),
+            key: key.clone(),
+            spec,
+            report,
+        };
+        assert_eq!(stored, serde_json::to_string(&entry).unwrap());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -307,7 +344,7 @@ mod tests {
             spec: spec.clone(),
             report: report.clone(),
         };
-        cache.store_entry(&forged_key, &entry).unwrap();
+        store_entry(&cache, &entry).unwrap();
         assert_eq!(cache.load(&forged_key, &spec), None);
         // And a corrupt one plus an abandoned tempfile.
         std::fs::write(dir.join(format!("{}.json", "1".repeat(64))), "not json").unwrap();
@@ -345,7 +382,7 @@ mod tests {
             },
             report: report.clone(),
         };
-        cache.store_entry(&moved_key, &orphan).unwrap();
+        store_entry(&cache, &orphan).unwrap();
         assert_eq!(cache.load(&moved_key, &moved), None);
         // An entry as written before the report lost its `gauges` block:
         // the unknown field is ignored, so it still parses, hits and stays.
@@ -396,13 +433,14 @@ mod tests {
             spec: spec.clone(),
             report: report.clone(),
         };
+        let json = serde_json::to_string(&entry).unwrap();
         let round = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..50 {
                         round.wait();
-                        cache.store_entry(&key, &entry).unwrap();
+                        cache.write_entry(&key, &json).unwrap();
                     }
                 });
             }

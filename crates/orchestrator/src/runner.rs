@@ -1,7 +1,8 @@
 //! The sweep runner: cache read-through + parallel fan-out.
 //!
 //! Every pending spec is first looked up in the [`Cache`]; misses are
-//! simulated on a pool of OS threads inside this process and stored.
+//! simulated inside this process — on the calling thread and `jobs − 1`
+//! more — and stored.
 //! A run that panics is caught (the release profile unwinds) and named
 //! in the sweep's error; every other run still finishes and is stored,
 //! so a re-run simulates only the runs that failed. There is no retry
@@ -106,25 +107,28 @@ pub fn run_matrix(specs: &[RunSpec], opts: &RunnerOptions) -> Result<MatrixRun, 
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let jobs = opts.jobs.clamp(1, specs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = specs.get(i) else { return };
-                let outcome = run_one(spec, &opts.cache);
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if !opts.quiet {
-                    let label = spec.label();
-                    let status = match &outcome {
-                        Ok(o) if o.cached => format!("hit  {label} ({:.1}s)", o.wall_s),
-                        Ok(o) => format!("run  {label} ({:.1}s)", o.wall_s),
-                        Err(_) => format!("FAIL {label}"),
-                    };
-                    eprintln!("[{finished}/{}] {status}", specs.len());
-                }
-                *slots[i].lock().unwrap() = Some(outcome);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(spec) = specs.get(i) else { return };
+        let outcome = run_one(spec, &opts.cache);
+        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+        if !opts.quiet {
+            let label = spec.label();
+            let status = match &outcome {
+                Ok(o) if o.cached => format!("hit  {label} ({:.1}s)", o.wall_s),
+                Ok(o) => format!("run  {label} ({:.1}s)", o.wall_s),
+                Err(_) => format!("FAIL {label}"),
+            };
+            eprintln!("[{finished}/{}] {status}", specs.len());
         }
+        *slots[i].lock().unwrap() = Some(outcome);
+    };
+    // The caller is the first worker: `jobs = 1` starts no thread.
+    std::thread::scope(|scope| {
+        for _ in 1..jobs {
+            scope.spawn(work);
+        }
+        work();
     });
     let (mut outputs, mut failed) = (Vec::with_capacity(specs.len()), Vec::new());
     for slot in slots {

@@ -159,22 +159,19 @@ impl KAryNTree {
     /// inside runs of `p·k` sharing `d / (p·k)`: a row is filled run by
     /// run, without a division per entry.
     pub fn det_routing(&self) -> RoutingTable {
-        let k = self.k as usize;
-        let table = (0..self.num_switches())
-            .map(|s| {
-                let (level, w) = self.switch_coords(SwitchId::from(s));
-                let p = k.pow(level);
-                let mut row = Vec::with_capacity(self.num_nodes());
-                for high in 0..self.num_nodes() / (p * k) {
-                    let up = if high == w / p { 0 } else { k };
-                    for digit in 0..k {
-                        row.extend(std::iter::repeat_n(PortId((up + digit) as u16), p));
-                    }
+        let (k, num_nodes) = (self.k as usize, self.num_nodes());
+        let mut ports = Vec::with_capacity(self.num_switches() * num_nodes);
+        for s in 0..self.num_switches() {
+            let (level, w) = self.switch_coords(SwitchId::from(s));
+            let p = k.pow(level);
+            for high in 0..num_nodes / (p * k) {
+                let up = if high == w / p { 0 } else { k };
+                for digit in 0..k {
+                    ports.extend(std::iter::repeat_n(PortId((up + digit) as u16), p));
                 }
-                row
-            })
-            .collect();
-        RoutingTable::from_tables(table)
+            }
+        }
+        RoutingTable::from_rows(num_nodes, ports)
     }
 }
 

@@ -11,29 +11,40 @@ use crate::graph::{Endpoint, Topology, TopologyError};
 use ccfit_engine::ids::{NodeId, PortId, SwitchId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-/// Per-switch, destination-indexed output-port tables.
+/// Per-switch, destination-indexed output ports: one flat
+/// `switch × destination` array behind an [`Arc`]. A run holds one copy
+/// however many owners it has — the experiment spec, the builder and the
+/// simulator — because `Clone` only bumps a count; re-routing after a
+/// fault builds a new table and replaces the old one whole.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoutingTable {
-    /// `tables[switch][destination]` = output port.
-    tables: Vec<Vec<PortId>>,
+    /// Destinations per switch: the length of a switch's row.
+    num_dests: usize,
+    /// `ports[switch * num_dests + destination]` = output port.
+    ports: Arc<Vec<PortId>>,
 }
 
 impl RoutingTable {
-    /// Wrap precomputed tables (used by the k-ary n-tree DET generator).
-    pub fn from_tables(tables: Vec<Vec<PortId>>) -> Self {
-        Self { tables }
+    /// Wrap precomputed rows, switch by switch, each `num_dests` ports
+    /// long (the k-ary n-tree DET generator fills them in place).
+    pub fn from_rows(num_dests: usize, ports: Vec<PortId>) -> Self {
+        assert!(
+            ports.len().is_multiple_of(num_dests),
+            "a routing table is whole rows of {num_dests} destinations"
+        );
+        Self {
+            num_dests,
+            ports: Arc::new(ports),
+        }
     }
 
     /// Output port for packets to `dst` at switch `s`.
     #[inline]
     pub fn route(&self, s: SwitchId, dst: NodeId) -> PortId {
-        self.tables[s.index()][dst.index()]
-    }
-
-    /// Number of switches covered.
-    pub fn num_switches(&self) -> usize {
-        self.tables.len()
+        debug_assert!(dst.index() < self.num_dests);
+        self.ports[s.index() * self.num_dests + dst.index()]
     }
 
     /// Deterministic shortest-path routing for an arbitrary topology.
@@ -46,7 +57,7 @@ impl RoutingTable {
     pub fn shortest_path(topo: &Topology) -> Self {
         let ns = topo.num_switches();
         let nd = topo.num_nodes();
-        let mut tables = vec![vec![PortId(0); nd]; ns];
+        let mut ports = vec![PortId(0); ns * nd];
         for d in 0..nd {
             let dst = NodeId::from(d);
             let (root, root_port, _) = topo.node_attachment(dst);
@@ -68,7 +79,7 @@ impl RoutingTable {
             for s in 0..ns {
                 let sid = SwitchId::from(s);
                 if sid == root {
-                    tables[s][d] = root_port;
+                    ports[s * nd + d] = root_port;
                     continue;
                 }
                 if dist[s] == u32::MAX {
@@ -85,10 +96,10 @@ impl RoutingTable {
                     }
                 }
                 debug_assert!(!candidates.is_empty());
-                tables[s][d] = candidates[d % candidates.len()];
+                ports[s * nd + d] = candidates[d % candidates.len()];
             }
         }
-        Self { tables }
+        Self::from_rows(nd, ports)
     }
 
     /// Follow the tables from `src` to `dst`; returns the sequence of

@@ -1,0 +1,134 @@
+//! What a run holds (DESIGN.md §12, "What a run holds"): one copy of
+//! each shared table and one queue slot per queued packet. A counting
+//! global allocator measures the live heap; this file is its own test
+//! binary, so no other test shares the allocator, and each thread keeps
+//! its own count, so the tests in this file do not share it either.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ccfit::endnode::AdapterThrottle;
+use ccfit::engine::ids::{FlowId, NodeId, PacketId};
+use ccfit::engine::queue::QueuedPacket;
+use ccfit::engine::{Packet, PacketQueue, UnitModel};
+use ccfit::topology::{KAryNTree, LinkParams};
+use ccfit::traffic::uniform_all;
+use ccfit::{ExperimentSpec, Mechanism, SimConfig, ThrottleParams};
+
+/// Counts the bytes each thread has allocated and not yet freed, and
+/// the high-water mark of that count.
+struct Counting;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn count(delta: isize) {
+    // `try_with`: a thread's last frees can come after its locals die.
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+// SAFETY: every method hands its arguments unchanged to `System`, whose
+// guarantees are then the caller's; the count reads only `Layout` sizes
+// and thread-locals that are const-initialised and never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            count(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            count(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        count(-(layout.size() as isize));
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            count(new_size as isize - layout.size() as isize);
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// This thread's live heap in bytes, and a fresh high-water mark.
+fn live_and_reset_peak() -> isize {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
+    live
+}
+
+/// The benchmark's `scale4096` case — a 16-ary 3-tree under uniform 0.1
+/// load and CCFIT for 50 µs — built through its spec, which stays alive
+/// beside the simulator as it does in every caller, and run to the end.
+/// Its live heap peaked at ~73 MB when the spec and the simulator each
+/// held a routing table, every adapter its own CCT and every queue four
+/// slots from its first packet; it peaks at ~45 MB now.
+#[test]
+fn scale4096_peaks_under_52_mb_of_live_heap() {
+    let base = live_and_reset_peak();
+    let tree = KAryNTree::new(16, 3);
+    let topology = tree.build(LinkParams::default());
+    let spec = ExperimentSpec {
+        name: "scale4096".into(),
+        routing: tree.det_routing(),
+        pattern: uniform_all(topology.num_nodes(), 0.1),
+        topology,
+        duration_ns: 50_000.0,
+        crossbar_bw_flits_per_cycle: 1,
+    };
+    let mut sim = spec.build_sim(Mechanism::ccfit(), 1, SimConfig::default());
+    sim.run_to_end();
+    assert!(sim.delivered() > 0, "traffic flowed");
+    let peak_mb = (PEAK.with(Cell::get) - base) as f64 / 1e6;
+    drop((sim, spec));
+    assert!(
+        peak_mb <= 52.0,
+        "scale4096 peaked at {peak_mb:.1} MB of live heap"
+    );
+}
+
+/// The tables a run shares are shared, not copied, by every clone.
+#[test]
+fn cloning_a_shared_table_allocates_nothing() {
+    let routing = KAryNTree::new(4, 3).det_routing();
+    let throttle = AdapterThrottle::from_params(&ThrottleParams::default(), &UnitModel::default());
+    let base = live_and_reset_peak();
+    let copies = (routing.clone(), throttle.clone());
+    assert_eq!(PEAK.with(Cell::get) - base, 0, "a clone allocated");
+    assert_eq!(copies, (routing, throttle));
+}
+
+/// A queue grows from one slot: once it has held one packet it owns
+/// exactly one entry's worth of heap.
+#[test]
+fn a_queue_that_held_one_packet_owns_one_slot() {
+    let packet = Packet::data(PacketId(1), NodeId(0), NodeId(1), 32, 2048, FlowId(0), 0);
+    let base = live_and_reset_peak();
+    let mut queue = PacketQueue::new();
+    queue.push(packet, 0, 31);
+    queue.pop().expect("the packet comes back");
+    assert_eq!(
+        LIVE.with(Cell::get) - base,
+        std::mem::size_of::<QueuedPacket>() as isize
+    );
+    drop(queue);
+}
