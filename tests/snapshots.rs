@@ -86,6 +86,58 @@ fn config1_case1_modern_cc_reports_match_golden_snapshots() {
     }
 }
 
+/// The three static queue organisations (1Q, VOQsw, VOQnet) under link
+/// failures on the Fig. 8 storm (`faultstorm-smoke.toml`'s network,
+/// burst and schedule, plus one more failure):
+/// - switch 0's port 4, an up-link, fails mid-burst and is repaired, as
+///   in the matrix. Each re-route moves packets queued at switch 0 to
+///   new VOQsw queues, and the repair re-derives VOQnet's
+///   per-destination credits from what the receiver still holds;
+/// - node 4's leaf switch fails later in the burst and comes back. The
+///   failure wipes its queues, and until it returns its four nodes are
+///   unreachable, so the re-route purges every packet queued for them
+///   elsewhere, and VOQsw debits each queue's share of the per-output
+///   occupancy.
+///
+/// The fault-free goldens take none of these paths.
+#[test]
+fn faulted_static_scheme_reports_match_golden_snapshots() {
+    use ccfit::FaultSchedule;
+    use ccfit_engine::ids::{NodeId, PortId, SwitchId};
+
+    let spec = ConfigId::Config3Case4 {
+        hotspots: 1,
+        duration_ms: 4.0,
+        scale: 0.1,
+    }
+    .resolve();
+    let (up_sw, up_port) = (SwitchId(0), PortId(4));
+    let leaf = spec.topology.node_attachment(NodeId(4)).0;
+    assert_ne!(leaf, up_sw);
+    let mut schedule = FaultSchedule::new();
+    schedule
+        .link_down(4688, up_sw, up_port)
+        .switch_down(6000, leaf)
+        .switch_up(7500, leaf)
+        .link_up(8594, up_sw, up_port);
+    let cfg = SimConfig {
+        metrics_bin_ns: 10_000.0,
+        ..SimConfig::default()
+    };
+    for mech in [Mechanism::OneQ, Mechanism::VoqSw, Mechanism::voqnet()] {
+        let file = format!("faulted_{}.json", mech.name().to_ascii_lowercase());
+        let report = spec
+            .build_sim_with_faults(mech, 0xFA017, cfg.clone(), schedule.clone())
+            .run();
+        let faults = report
+            .faults
+            .as_ref()
+            .expect("a faulted run reports faults");
+        assert!(faults.packets_purged > 0, "{file}: nothing purged");
+        check_snapshot(&file, &report.to_json());
+    }
+}
+
 /// Flow-completion-time golden pins (DESIGN.md §15): incast and
 /// permutation sized-flow workloads on the 8-node tree, under CCFIT and
 /// both modern mechanisms. Only the FCT block is pinned — it contains
