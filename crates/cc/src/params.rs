@@ -10,8 +10,11 @@
 
 use serde::{Deserialize, Serialize};
 
-/// How an input port's RAM is organised into queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// How an input port's RAM is organised into queues. The first three are
+/// static maps from a packet to a queue; the switch builds all three as
+/// one organisation, keyed by output port or by destination modulo the
+/// queue count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueingScheme {
     /// One FIFO per input port ("1Q") — no HoL-blocking reduction at all.
     Single,

@@ -3,7 +3,7 @@
 //! per-cycle phase loop (DESIGN.md §6).
 
 use crate::endnode::{Adapter, AdapterCfg, AdapterThrottle};
-use crate::params::{Mechanism, QueueingScheme};
+use crate::params::Mechanism;
 use crate::switch::{
     MarkingSource, PurgeStats, Switch, SwitchCcMode, SwitchCfg, SwitchThrottle, VoqNetCredits,
 };
@@ -655,15 +655,13 @@ impl Simulator {
         let seeds = SeedSplitter::new(cfg.seed);
 
         // ---- mechanism-derived static configs ----
-        let per_dest_queue_flits = match mech {
-            Mechanism::VoqNet { per_queue_flits } => per_queue_flits,
-            _ => 0,
+        // VOQnet reserves each destination's queue space at every switch
+        // input: the port RAM is the reservation times the destinations.
+        let voqnet_queue_flits = match mech {
+            Mechanism::VoqNet { per_queue_flits } => Some(per_queue_flits),
+            _ => None,
         };
-
-        let switch_ram_flits = match mech.queueing() {
-            QueueingScheme::PerDest => per_dest_queue_flits * num_nodes as u32,
-            _ => ram_flits,
-        };
+        let switch_ram_flits = voqnet_queue_flits.map_or(ram_flits, |q| q * num_nodes as u32);
         let thr_cfg = mech.throttle().map(|t| SwitchThrottle {
             marking_rate: t.marking_rate,
             packet_size_threshold_bytes: t.packet_size_threshold_bytes,
@@ -702,8 +700,7 @@ impl Simulator {
             iso: mech.isolation().copied(),
             thr: thr_cfg,
             mtu_flits,
-            ram_flits,
-            per_dest_queue_flits,
+            ram_flits: switch_ram_flits,
             islip_iterations: ISLIP_ITERATIONS,
             move_budget: MOVE_BUDGET,
             crossbar_bw_flits_per_cycle: cfg.crossbar_bw_flits_per_cycle,
@@ -819,20 +816,17 @@ impl Simulator {
             .collect();
 
         // ---- VOQnet per-destination reserved credits ----
-        let voqnet = match mech.queueing() {
-            QueueingScheme::PerDest => {
-                let mut vn = VoqNetCredits::new(links.len(), num_nodes);
-                for (li, dst) in link_dst.iter().enumerate() {
-                    if matches!(dst, LinkDst::SwitchIn(..)) {
-                        for d in 0..num_nodes {
-                            vn.set(li as u32, d as u32, per_dest_queue_flits);
-                        }
+        let voqnet = voqnet_queue_flits.map(|queue_flits| {
+            let mut vn = VoqNetCredits::new(links.len(), num_nodes);
+            for (li, dst) in link_dst.iter().enumerate() {
+                if matches!(dst, LinkDst::SwitchIn(..)) {
+                    for d in 0..num_nodes {
+                        vn.set(li as u32, d as u32, queue_flits);
                     }
                 }
-                Some(vn)
             }
-            _ => None,
-        };
+            vn
+        });
 
         // ---- switches ----
         let mut switches: Vec<Switch> = topo
@@ -876,7 +870,7 @@ impl Simulator {
                     out_ram_flits: ram_flits,
                     advoq_cap_flits: cfg.advoq_cap_mtus * mtu_flits,
                     nfq_gate_flits: NFQ_GATE_MTUS * mtu_flits,
-                    per_dest_output: mech.queueing() == QueueingScheme::PerDest,
+                    per_dest_output: voqnet_queue_flits.is_some(),
                     dcqcn: dcqcn_cfg.clone(),
                     hpcc: hpcc_cfg.clone(),
                     data_overhead_bytes: mech.hpcc_params().map_or(0, |p| p.int_overhead_bytes),

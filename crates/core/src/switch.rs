@@ -21,7 +21,7 @@ use crate::arbiter::Islip;
 use crate::bitset::BitSet;
 use crate::idle::IdleBound;
 use crate::params::{IsolationParams, QueueingScheme};
-use crate::port::{CfqState, InputQueues};
+use crate::port::{CfqSlot, CfqState, InputQueues, StaticKey};
 use ccfit_engine::cam::Cam;
 use ccfit_engine::ids::{LinkId, NodeId, SwitchId};
 use ccfit_engine::link::{CtrlEvent, Delivery, Link};
@@ -102,10 +102,9 @@ pub struct SwitchCfg {
     pub thr: Option<SwitchThrottle>,
     /// MTU in flits (threshold unit).
     pub mtu_flits: u32,
-    /// Input-port RAM in flits.
+    /// Input-port RAM in flits (under VOQnet, the per-destination
+    /// reservation times the destination count).
     pub ram_flits: u32,
-    /// Reserved per-destination queue capacity in flits (VOQnet only).
-    pub per_dest_queue_flits: u32,
     /// Crossbar bandwidth in flits per cycle (Table I: 5 GB/s = 2 for
     /// Config #1, 2.5 GB/s = 1 for Configs #2/#3). An input port is busy
     /// for `size / crossbar_bw` cycles per transfer, so with speedup it
@@ -172,12 +171,8 @@ pub struct OutputPort {
 /// Identifies a queue within an input port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKey {
-    /// The single queue (1Q).
-    Single,
-    /// VOQsw queue for an output.
-    PerOutput(usize),
-    /// VOQnet queue for a destination.
-    PerDest(usize),
+    /// A static organisation's queue, by index.
+    Static(usize),
     /// The normal flow queue.
     Nfq,
     /// A congested flow queue slot.
@@ -328,7 +323,7 @@ pub struct Switch {
     /// compare the counts with the `congested` flags.
     over_high_dirty: bool,
     /// Flits queued for each output across the input ports' VOQs
-    /// (`PerOutput` scheme; all zero otherwise).
+    /// (output-keyed static queues; all zero otherwise).
     voq_occ: Vec<u32>,
     /// Arbitration scratch; between calls it keeps the idle bound of the
     /// last gather.
@@ -494,15 +489,11 @@ impl Switch {
     ) -> Self {
         let num_ports = wiring.len();
         let num_cfqs = cfg.iso.map_or(0, |i| i.num_cfqs);
-        let ram_flits = match cfg.scheme {
-            QueueingScheme::PerDest => cfg.per_dest_queue_flits * num_dests as u32,
-            _ => cfg.ram_flits,
-        };
         let inputs = wiring
             .iter()
             .map(|&(in_link, _)| InputPort {
                 in_link,
-                ram: PortRam::new(ram_flits),
+                ram: PortRam::new(cfg.ram_flits),
                 queues: InputQueues::new(cfg.scheme, num_ports, num_dests, num_cfqs),
                 busy_until: 0,
             })
@@ -568,14 +559,12 @@ impl Switch {
             .reserve(d.packet.size_flits)
             .expect("credit flow control guarantees RAM space");
         match &mut input.queues {
-            InputQueues::Single(q) => q.push(d.packet, d.visible_at, d.ready_at),
-            InputQueues::PerOutput(qs) => {
-                let out = routing.route(self.id, d.packet.dst).index();
-                qs[out].push(d.packet, d.visible_at, d.ready_at);
-                self.voq_occ[out] += d.packet.size_flits;
-            }
-            InputQueues::PerDest(qs) => {
-                qs[d.packet.dst.index()].push(d.packet, d.visible_at, d.ready_at)
+            InputQueues::Static { queues, key } => {
+                let i = key.queue(self.id, d.packet.dst, queues.len(), routing);
+                queues[i].push(d.packet, d.visible_at, d.ready_at);
+                if *key == StaticKey::Output {
+                    self.voq_occ[i] += d.packet.size_flits;
+                }
             }
             InputQueues::Isolating { nfq, .. } => nfq.push(d.packet, d.visible_at, d.ready_at),
         }
@@ -753,14 +742,10 @@ impl Switch {
     /// and the arbiter (a stopped CFQ does not compete).
     fn wake_drainers(&mut self, out: usize, dst: NodeId) {
         self.arb.idle.clear();
+        let drains = |c: &CfqSlot| matches!(c.state, Some(s) if s.dst == dst && s.out_port == out);
         for (input, quiet) in self.inputs.iter().zip(&mut self.iso_quiet) {
-            if let InputQueues::Isolating { cfqs, .. } = &input.queues {
-                if cfqs
-                    .iter()
-                    .any(|c| matches!(c.state, Some(s) if s.dst == dst && s.out_port == out))
-                {
-                    *quiet = 0;
-                }
+            if input.queues.cfqs().iter().any(drains) {
+                *quiet = 0;
             }
         }
     }
@@ -916,13 +901,10 @@ impl Switch {
                 let out = routing.route(self.id, dst).index();
                 match self.inputs[port].queues.cfq_free_slot() {
                     Some(free) => {
-                        let InputQueues::Isolating { cfqs, .. } = &mut self.inputs[port].queues
-                        else {
-                            unreachable!()
-                        };
                         // Locally detected => this switch is 1 hop from
                         // the congestion point: a root CFQ.
-                        cfqs[free].state = Some(CfqState::new(dst, out, true));
+                        self.inputs[port].queues.cfqs_mut()[free].state =
+                            Some(CfqState::new(dst, out, true));
                         self.port_changed(port);
                         quiet = false;
                         metrics.record(
@@ -973,11 +955,8 @@ impl Switch {
                     // isolate its packets here too (non-root CFQ).
                     match self.inputs[port].queues.cfq_free_slot() {
                         Some(free) => {
-                            let InputQueues::Isolating { cfqs, .. } = &mut self.inputs[port].queues
-                            else {
-                                unreachable!()
-                            };
-                            cfqs[free].state = Some(CfqState::new(dst, out, false));
+                            self.inputs[port].queues.cfqs_mut()[free].state =
+                                Some(CfqState::new(dst, out, false));
                             metrics.record(
                                 now,
                                 CcEventKind::CfqAlloc {
@@ -1019,13 +998,9 @@ impl Switch {
         // dealloc -------
         let upstream = self.inputs[port].in_link.is_some();
         for c in 0..iso.num_cfqs {
-            let (occ, st) = {
-                let InputQueues::Isolating { cfqs, .. } = &self.inputs[port].queues else {
-                    unreachable!()
-                };
-                let Some(st) = cfqs[c].state else { continue };
-                (cfqs[c].queue.occupancy_flits(), st)
-            };
+            let slot = &self.inputs[port].queues.cfqs()[c];
+            let Some(st) = slot.state else { continue };
+            let occ = slot.queue.occupancy_flits();
             let step = self.cfq_step(st, occ, now, upstream);
             if step == (st, Upstream::default(), false) {
                 until = until.min(self.cfq_deadline(&st, now));
@@ -1033,10 +1008,7 @@ impl Switch {
             }
             quiet = false;
             let (next, _, release) = step;
-            let InputQueues::Isolating { cfqs, .. } = &mut self.inputs[port].queues else {
-                unreachable!()
-            };
-            cfqs[c].state = (!release).then_some(next);
+            self.inputs[port].queues.cfqs_mut()[c].state = (!release).then_some(next);
             self.apply_cfq_step(port, st, step, now, links, metrics);
         }
         self.iso_quiet[port] = if quiet { until } else { 0 };
@@ -1334,14 +1306,9 @@ impl Switch {
     fn root_cfq_occupancy_flits(&self, out: usize) -> u32 {
         self.inputs
             .iter()
-            .map(|inp| match &inp.queues {
-                InputQueues::Isolating { cfqs, .. } => cfqs
-                    .iter()
-                    .filter(|c| matches!(c.state, Some(st) if st.root && st.out_port == out))
-                    .map(|c| c.queue.occupancy_flits())
-                    .sum(),
-                _ => 0,
-            })
+            .flat_map(|inp| inp.queues.cfqs())
+            .filter(|c| matches!(c.state, Some(st) if st.root && st.out_port == out))
+            .map(|c| c.queue.occupancy_flits())
             .sum()
     }
 
@@ -1431,9 +1398,10 @@ impl Switch {
 
     /// Aggregate VOQ backlog for output `out` across the input ports —
     /// what the ITh congestion detector, DCQCN's ECN marker and HPCC's
-    /// INT stamp read. All three run on [`QueueingScheme::PerOutput`], so
-    /// other queue organisations contribute zero. Kept as a counter per
-    /// output, moved by every VOQ push, pop and purge.
+    /// INT stamp read. All three run on static queues keyed by output
+    /// port ([`StaticKey::Output`]), so other queue organisations
+    /// contribute zero. Kept as a counter per output, moved by every VOQ
+    /// push, pop, purge and re-bin.
     fn output_voq_occupancy_flits(&self, out: usize) -> u32 {
         debug_assert_eq!(self.voq_occ[out], self.summed_voq_occupancy_flits(out));
         self.voq_occ[out]
@@ -1444,7 +1412,10 @@ impl Switch {
         self.inputs
             .iter()
             .map(|inp| match &inp.queues {
-                InputQueues::PerOutput(qs) => qs[out].occupancy_flits(),
+                InputQueues::Static {
+                    queues,
+                    key: StaticKey::Output,
+                } => queues[out].occupancy_flits(),
                 _ => 0,
             })
             .sum()
@@ -1543,24 +1514,15 @@ impl Switch {
                 );
             };
         match &input.queues {
-            InputQueues::Single(q) => {
-                if let Some(h) = visible_head(q, now, &mut arb.idle) {
-                    let o = routing.route(self.id, h.packet.dst).index();
-                    consider(QueueKey::Single, h, o, arb);
-                }
-            }
-            InputQueues::PerOutput(qs) => {
-                for (o, q) in qs.iter().enumerate() {
+            InputQueues::Static { queues, key } => {
+                for (i, q) in queues.iter().enumerate() {
                     if let Some(h) = visible_head(q, now, &mut arb.idle) {
-                        consider(QueueKey::PerOutput(o), h, o, arb);
-                    }
-                }
-            }
-            InputQueues::PerDest(qs) => {
-                for (d, q) in qs.iter().enumerate() {
-                    if let Some(h) = visible_head(q, now, &mut arb.idle) {
-                        let o = routing.route(self.id, NodeId::from(d)).index();
-                        consider(QueueKey::PerDest(d), h, o, arb);
+                        // An output-keyed queue's index is its output.
+                        let o = match key {
+                            StaticKey::Output => i,
+                            StaticKey::Dest => routing.route(self.id, h.packet.dst).index(),
+                        };
+                        consider(QueueKey::Static(i), h, o, arb);
                     }
                 }
             }
@@ -1611,26 +1573,26 @@ impl Switch {
 
     /// Pop the head of a queue.
     fn pop_queue(&mut self, port: usize, key: QueueKey) -> QueuedPacket {
-        let input = &mut self.inputs[port];
-        let entry = match (&mut input.queues, key) {
-            (InputQueues::Single(q), QueueKey::Single) => q.pop(),
-            (InputQueues::PerOutput(qs), QueueKey::PerOutput(o)) => {
-                let entry = qs[o].pop();
-                self.voq_occ[o] -= entry.map_or(0, |e| e.packet.size_flits);
+        let entry = match &mut self.inputs[port].queues {
+            InputQueues::Static { queues, key: by } => {
+                let QueueKey::Static(i) = key else {
+                    unreachable!("{key:?} at a static port")
+                };
+                let entry = queues[i].pop();
+                if *by == StaticKey::Output {
+                    self.voq_occ[i] -= entry.map_or(0, |e| e.packet.size_flits);
+                }
                 entry
             }
-            (InputQueues::PerDest(qs), QueueKey::PerDest(d)) => qs[d].pop(),
-            (InputQueues::Isolating { nfq, .. }, QueueKey::Nfq) => {
-                let entry = nfq.pop();
+            InputQueues::Isolating { nfq, cfqs } => {
+                let entry = match key {
+                    QueueKey::Nfq => nfq.pop(),
+                    QueueKey::Cfq(c) => cfqs[c].queue.pop(),
+                    QueueKey::Static(_) => unreachable!("{key:?} at an isolating port"),
+                };
                 self.port_changed(port);
                 entry
             }
-            (InputQueues::Isolating { cfqs, .. }, QueueKey::Cfq(c)) => {
-                let entry = cfqs[c].queue.pop();
-                self.port_changed(port);
-                entry
-            }
-            _ => unreachable!("queue key does not match the scheme"),
         };
         self.sync_live(port);
         entry.expect("candidate queue cannot be empty")
@@ -1713,10 +1675,8 @@ impl Switch {
 
             let mut entry = self.pop_queue(port, pick.queue);
             if let QueueKey::Cfq(c) = pick.queue {
-                if let InputQueues::Isolating { cfqs, .. } = &mut self.inputs[port].queues {
-                    if let Some(st) = &mut cfqs[c].state {
-                        st.granted_window += entry.packet.size_flits;
-                    }
+                if let Some(st) = &mut self.inputs[port].queues.cfqs_mut()[c].state {
+                    st.granted_window += entry.packet.size_flits;
                 }
             }
             // FECN marking at a congested output (§III-C event #7).
@@ -1855,20 +1815,11 @@ impl Switch {
         let mut stats = PurgeStats::default();
         let mut drained = std::mem::take(&mut self.purge_scratch);
         for inp in &mut self.inputs {
-            match &mut inp.queues {
-                InputQueues::Single(q) => q.drain_all_into(&mut drained),
-                InputQueues::PerOutput(qs) | InputQueues::PerDest(qs) => {
-                    for q in qs {
-                        q.drain_all_into(&mut drained);
-                    }
-                }
-                InputQueues::Isolating { nfq, cfqs } => {
-                    nfq.drain_all_into(&mut drained);
-                    for c in cfqs {
-                        c.queue.drain_all_into(&mut drained);
-                        c.state = None;
-                    }
-                }
+            for q in inp.queues.iter_mut() {
+                q.drain_all_into(&mut drained);
+            }
+            for c in inp.queues.cfqs_mut() {
+                c.state = None;
             }
             inp.ram = PortRam::new(inp.ram.capacity());
             inp.busy_until = 0;
@@ -1912,28 +1863,18 @@ impl Switch {
             scratch.clear();
             {
                 let inp = &mut self.inputs[port];
-                match &mut inp.queues {
-                    InputQueues::Single(q) => {
-                        q.drain_where_into(|e| unreachable(e.packet.dst), &mut scratch)
+                let voqs = matches!(
+                    inp.queues,
+                    InputQueues::Static {
+                        key: StaticKey::Output,
+                        ..
                     }
-                    InputQueues::PerOutput(qs) => {
-                        for (o, q) in qs.iter_mut().enumerate() {
-                            let before = q.occupancy_flits();
-                            q.drain_where_into(|e| unreachable(e.packet.dst), &mut scratch);
-                            self.voq_occ[o] -= before - q.occupancy_flits();
-                        }
-                    }
-                    InputQueues::PerDest(qs) => {
-                        for q in qs {
-                            q.drain_where_into(|e| unreachable(e.packet.dst), &mut scratch);
-                        }
-                    }
-                    InputQueues::Isolating { nfq, cfqs } => {
-                        nfq.drain_where_into(|e| unreachable(e.packet.dst), &mut scratch);
-                        for c in cfqs {
-                            c.queue
-                                .drain_where_into(|e| unreachable(e.packet.dst), &mut scratch);
-                        }
+                );
+                for (i, q) in inp.queues.iter_mut().enumerate() {
+                    let before = q.occupancy_flits();
+                    q.drain_where_into(|e| unreachable(e.packet.dst), &mut scratch);
+                    if voqs {
+                        self.voq_occ[i] -= before - q.occupancy_flits();
                     }
                 }
                 for e in &scratch {
@@ -1961,29 +1902,33 @@ impl Switch {
     /// lost that state, so the protocol must re-propagate it after a
     /// repair (fail-stop quiesce).
     pub fn reset_upstream_ctrl_flags(&mut self, port: usize) {
-        if let InputQueues::Isolating { cfqs, .. } = &mut self.inputs[port].queues {
-            for c in cfqs {
-                if let Some(st) = &mut c.state {
-                    st.alloc_sent = false;
-                    st.stop_sent = false;
-                }
+        for c in self.inputs[port].queues.cfqs_mut() {
+            if let Some(st) = &mut c.state {
+                st.alloc_sent = false;
+                st.stop_sent = false;
             }
         }
         self.port_changed(port);
     }
 
-    /// Occupancy (flits) of the VOQnet per-destination queue `dst` at
-    /// input `port` (0 for other queue schemes). Used to re-derive
-    /// remote per-destination credits when a cable is repaired.
+    /// Occupancy (flits) of the destination-keyed queue that packets for
+    /// `dst` join at input `port` (0 at output-keyed and isolating
+    /// ports). Under VOQnet that queue holds `dst`'s packets alone; it
+    /// re-derives the remote per-destination credits when a cable is
+    /// repaired.
     pub fn per_dest_occupancy_flits(&self, port: usize, dst: usize) -> u32 {
         match &self.inputs[port].queues {
-            InputQueues::PerDest(qs) => qs[dst].occupancy_flits(),
+            InputQueues::Static {
+                queues,
+                key: StaticKey::Dest,
+            } => queues[dst % queues.len()].occupancy_flits(),
             _ => 0,
         }
     }
 
-    /// Routing tables changed (live re-route): re-bin VOQsw queues — a
-    /// packet's queue is its *output port*, chosen at acceptance — and
+    /// Routing tables changed (live re-route): re-bin output-keyed static
+    /// queues (VOQsw) — a packet's queue is its *output port*, chosen at
+    /// acceptance — and
     /// re-point allocated CFQs at their destination's new output,
     /// migrating the over-High accounting with them. Queue contents are
     /// re-binned in input-port, then queue, order, preserving FIFO order
@@ -1991,34 +1936,33 @@ impl Switch {
     pub fn on_routing_changed(&mut self, routing: &RoutingTable) {
         let mut rebin: Vec<QueuedPacket> = Vec::new();
         for port in 0..self.inputs.len() {
-            match &mut self.inputs[port].queues {
-                InputQueues::PerOutput(qs) => {
-                    rebin.clear();
-                    for (o, q) in qs.iter_mut().enumerate() {
-                        self.voq_occ[o] -= q.occupancy_flits();
-                        q.drain_all_into(&mut rebin);
-                    }
-                    for e in rebin.drain(..) {
-                        let o = routing.route(self.id, e.packet.dst).index();
-                        qs[o].push(e.packet, e.visible_at, e.ready_at);
-                        self.voq_occ[o] += e.packet.size_flits;
-                    }
+            if let InputQueues::Static {
+                queues,
+                key: StaticKey::Output,
+            } = &mut self.inputs[port].queues
+            {
+                rebin.clear();
+                for (o, q) in queues.iter_mut().enumerate() {
+                    self.voq_occ[o] -= q.occupancy_flits();
+                    q.drain_all_into(&mut rebin);
                 }
-                InputQueues::Isolating { cfqs, .. } => {
-                    for c in cfqs.iter_mut() {
-                        let Some(st) = &mut c.state else { continue };
-                        let new_out = routing.route(self.id, st.dst).index();
-                        if new_out != st.out_port {
-                            if st.over_high {
-                                self.outputs[st.out_port].over_high_count -= 1;
-                                self.outputs[new_out].over_high_count += 1;
-                                self.over_high_dirty = true;
-                            }
-                            st.out_port = new_out;
-                        }
-                    }
+                for e in rebin.drain(..) {
+                    let o = routing.route(self.id, e.packet.dst).index();
+                    queues[o].push(e.packet, e.visible_at, e.ready_at);
+                    self.voq_occ[o] += e.packet.size_flits;
                 }
-                _ => {}
+            }
+            for c in self.inputs[port].queues.cfqs_mut() {
+                let Some(st) = &mut c.state else { continue };
+                let new_out = routing.route(self.id, st.dst).index();
+                if new_out != st.out_port {
+                    if st.over_high {
+                        self.outputs[st.out_port].over_high_count -= 1;
+                        self.outputs[new_out].over_high_count += 1;
+                        self.over_high_dirty = true;
+                    }
+                    st.out_port = new_out;
+                }
             }
         }
         self.all_ports_changed();
@@ -2268,8 +2212,12 @@ mod tests {
             iso,
             thr,
             mtu_flits: MTU,
-            ram_flits: 1024,
-            per_dest_queue_flits: 64,
+            // VOQnet: 64 flits reserved for each of the 8 destinations.
+            ram_flits: if scheme == QueueingScheme::PerDest {
+                64 * 8
+            } else {
+                1024
+            },
             islip_iterations: 2,
             move_budget: 4,
             crossbar_bw_flits_per_cycle: 1,
@@ -2361,18 +2309,37 @@ mod tests {
         }
     }
 
+    /// Each static scheme reserves a delivery's RAM and files it in the
+    /// queue its key names; only the output key moves the VOQ occupancy,
+    /// and only the destination key answers the per-destination read.
     #[test]
     fn accept_delivery_reserves_ram_per_scheme() {
-        for scheme in [
-            QueueingScheme::Single,
-            QueueingScheme::PerOutput,
-            QueueingScheme::PerDest,
+        // Destination 2 leaves by output 1, destination 6 by output 2.
+        for (scheme, joins, voq_occ, dst6_flits) in [
+            (QueueingScheme::Single, [0, 0], [0; 3], 2 * MTU),
+            (QueueingScheme::PerOutput, [1, 2], [0, MTU, MTU], 0),
+            (QueueingScheme::PerDest, [2, 6], [0; 3], MTU),
         ] {
             let mut fx = fixture(scheme, None, None);
             deliver(&mut fx, 0, pkt(1, 2));
             deliver(&mut fx, 0, pkt(2, 6));
             assert_eq!(fx.sw.inputs[0].ram.used(), 2 * MTU, "{scheme:?}");
             assert_eq!(fx.sw.resident_packets(), 2);
+            let InputQueues::Static { queues, .. } = &fx.sw.inputs[0].queues else {
+                panic!("{scheme:?} is static");
+            };
+            for (dst, i) in [2, 6].into_iter().zip(joins) {
+                assert!(
+                    queues[i].iter().any(|e| e.packet.dst == NodeId(dst)),
+                    "{scheme:?}: destination {dst} is not in queue {i}"
+                );
+            }
+            assert_eq!(fx.sw.voq_occ, voq_occ, "{scheme:?}");
+            assert_eq!(
+                fx.sw.per_dest_occupancy_flits(0, 6),
+                dst6_flits,
+                "{scheme:?}"
+            );
         }
     }
 
@@ -3951,6 +3918,8 @@ mod twin_tests {
     const OUT_CREDITS: u32 = 3 * MTU;
     /// Per-destination VOQnet credits: two MTU packets.
     const VN_CREDITS: u32 = 2 * MTU;
+    /// Per-destination VOQnet queue reservation: three MTU packets.
+    const VN_QUEUE_FLITS: u32 = 3 * MTU;
 
     /// The switch shapes under test: every queueing scheme, the marking
     /// sources and modern-CC modes that read the VOQ occupancy counters,
@@ -4019,8 +3988,11 @@ mod twin_tests {
             iso,
             thr,
             mtu_flits: MTU,
-            ram_flits: 24 * MTU,
-            per_dest_queue_flits: 3 * MTU,
+            ram_flits: if scheme == QueueingScheme::PerDest {
+                VN_QUEUE_FLITS * DESTS as u32
+            } else {
+                24 * MTU
+            },
             crossbar_bw_flits_per_cycle: 2,
             islip_iterations: 2,
             move_budget: 2,
@@ -4105,12 +4077,11 @@ mod twin_tests {
         }
 
         fn deliver(&mut self, port: usize, p: Packet, visible_at: Cycle) {
-            let fits = match &self.sw.inputs[port].queues {
-                InputQueues::PerDest(qs) => {
-                    qs[p.dst.index()].occupancy_flits() + p.size_flits
-                        <= self.sw.cfg.per_dest_queue_flits
-                }
-                _ => self.sw.inputs[port].ram.can_reserve(p.size_flits),
+            let fits = if self.sw.cfg.scheme == QueueingScheme::PerDest {
+                self.sw.per_dest_occupancy_flits(port, p.dst.index()) + p.size_flits
+                    <= VN_QUEUE_FLITS
+            } else {
+                self.sw.inputs[port].ram.can_reserve(p.size_flits)
             };
             if fits {
                 let d = Delivery {
