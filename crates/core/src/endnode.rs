@@ -599,6 +599,31 @@ impl Adapter {
         self.output_arbitration(now, links, voqnet)
     }
 
+    /// Congestion notifications first, with absolute priority (§III-B):
+    /// send the oldest pending BECN if the link and its per-destination
+    /// credits admit it. Returns whether it sent.
+    fn send_becn(
+        &mut self,
+        now: Cycle,
+        links: &mut [Link],
+        voqnet: Option<&mut VoqNetCredits>,
+    ) -> bool {
+        let Some(b) = self.becn_out.front() else {
+            return false;
+        };
+        if !links[self.inject_link.index()].can_send(now, b.size_flits)
+            || !Self::voqnet_ok(voqnet.as_deref(), self.inject_link, b.dst, b.size_flits)
+        {
+            return false;
+        }
+        let b = self.becn_out.pop_front().expect("front exists");
+        if let Some(vn) = voqnet {
+            vn.sub(self.inject_link.0, b.dst.0, b.size_flits);
+        }
+        links[self.inject_link.index()].send(now, b);
+        true
+    }
+
     /// VOQnet injection: round-robin directly over the AdVOQs, gated by
     /// the per-destination reserved credits of the injection link.
     fn direct_output_arbitration(
@@ -607,22 +632,12 @@ impl Adapter {
         links: &mut [Link],
         mut voqnet: Option<&mut VoqNetCredits>,
     ) {
-        let link = &links[self.inject_link.index()];
-        if !link.tx_idle(now) {
+        if !links[self.inject_link.index()].tx_idle(now)
+            || self.send_becn(now, links, voqnet.as_deref_mut())
+        {
             return;
         }
-        if let Some(b) = self.becn_out.front() {
-            if link.can_send(now, b.size_flits)
-                && Self::voqnet_ok(voqnet.as_deref(), self.inject_link, b.dst, b.size_flits)
-            {
-                let b = self.becn_out.pop_front().expect("front exists");
-                if let Some(vn) = voqnet.as_deref_mut() {
-                    vn.sub(self.inject_link.0, b.dst.0, b.size_flits);
-                }
-                links[self.inject_link.index()].send(now, b);
-                return;
-            }
-        }
+        let link = &links[self.inject_link.index()];
         let mut walk = RoundRobin::new(self.peers.rank(self.rr), self.peers.len());
         while let Some(s) = walk.next(&self.backlogged) {
             let p = &self.peers[s];
@@ -896,23 +911,13 @@ impl Adapter {
         links: &mut [Link],
         mut voqnet: Option<&mut VoqNetCredits>,
     ) -> Option<AdapterRelease> {
-        let link = &links[self.inject_link.index()];
-        if !link.tx_idle(now) {
+        // BECNs bypass the output RAM entirely.
+        if !links[self.inject_link.index()].tx_idle(now)
+            || self.send_becn(now, links, voqnet.as_deref_mut())
+        {
             return None;
         }
-        // Congestion notifications first: absolute priority (§III-B).
-        if let Some(b) = self.becn_out.front() {
-            if link.can_send(now, b.size_flits)
-                && Self::voqnet_ok(voqnet.as_deref(), self.inject_link, b.dst, b.size_flits)
-            {
-                let b = self.becn_out.pop_front().expect("front exists");
-                if let Some(vn) = voqnet.as_deref_mut() {
-                    vn.sub(self.inject_link.0, b.dst.0, b.size_flits);
-                }
-                links[self.inject_link.index()].send(now, b);
-                return None; // BECNs bypass the output RAM entirely
-            }
-        }
+        let link = &links[self.inject_link.index()];
         // Candidates: the NFQ plus every allocated, unstopped CFQ, in
         // slot order. Count-then-select keeps the hot path allocation
         // free; the candidate list used to be materialized as a Vec.
@@ -2083,7 +2088,7 @@ mod voqnet_tests {
         let (mut a, mut links) = direct_adapter();
         let mut m = MetricsCollector::new(UnitModel::default(), 1000.0);
         // Per-destination credits: dst 4 has none, dst 3 plenty.
-        let mut vn = VoqNetCredits::new(1, 8);
+        let mut vn = VoqNetCredits::new(1, 8, 256);
         vn.set(0, 4, 0);
         vn.set(0, 3, 256);
         assert!(a.try_inject(0, gp(4), PacketId(0)));
@@ -2293,7 +2298,7 @@ mod walk_tests {
                 data_overhead_bytes: 0,
             };
             let vn = direct.then(|| {
-                let mut vn = VoqNetCredits::new(1, n);
+                let mut vn = VoqNetCredits::new(1, n, VN_CREDITS);
                 for d in 0..n {
                     vn.set(0, d as u32, VN_CREDITS);
                 }

@@ -817,7 +817,7 @@ impl Simulator {
 
         // ---- VOQnet per-destination reserved credits ----
         let voqnet = voqnet_queue_flits.map(|queue_flits| {
-            let mut vn = VoqNetCredits::new(links.len(), num_nodes);
+            let mut vn = VoqNetCredits::new(links.len(), num_nodes, queue_flits);
             for (li, dst) in link_dst.iter().enumerate() {
                 if matches!(dst, LinkDst::SwitchIn(..)) {
                     for d in 0..num_nodes {
@@ -1928,13 +1928,9 @@ impl Simulator {
         let Some(vn) = self.voqnet.as_mut() else {
             return;
         };
-        let per_q = match self.mech {
-            Mechanism::VoqNet { per_queue_flits } => per_queue_flits,
-            _ => return,
-        };
         for d in 0..self.num_nodes {
             let held = self.switches[sw.index()].per_dest_occupancy_flits(port, d);
-            vn.set(link.0, d as u32, per_q.saturating_sub(held));
+            vn.set(link.0, d as u32, vn.reservation().saturating_sub(held));
         }
     }
 

@@ -236,6 +236,7 @@ impl PurgeStats {
 #[derive(Debug, Clone)]
 pub struct VoqNetCredits {
     num_dests: usize,
+    reservation: u32,
     table: Vec<u32>,
 }
 
@@ -243,12 +244,19 @@ impl VoqNetCredits {
     /// Sentinel for an untracked `(link, dst)` pair.
     const UNTRACKED: u32 = u32::MAX;
 
-    /// Build a table covering `num_links × num_dests`, all untracked.
-    pub fn new(num_links: usize, num_dests: usize) -> Self {
+    /// Build a table covering `num_links × num_dests`, all untracked,
+    /// for queues that reserve `reservation` flits each.
+    pub fn new(num_links: usize, num_dests: usize, reservation: u32) -> Self {
         Self {
             num_dests,
+            reservation,
             table: vec![Self::UNTRACKED; num_links * num_dests],
         }
+    }
+
+    /// The flits each destination's queue reserves at a switch input.
+    pub(crate) fn reservation(&self) -> u32 {
+        self.reservation
     }
 
     fn idx(&self, link: u32, dst: u32) -> usize {
@@ -3249,7 +3257,7 @@ mod tests {
     #[test]
     fn voqnet_credits_and_downed_links_leave_no_bound() {
         let mut fx = fixture(QueueingScheme::PerDest, None, None);
-        let mut vn = VoqNetCredits::new(3, 8);
+        let mut vn = VoqNetCredits::new(3, 8, MTU);
         vn.set(1, 2, 0);
         deliver(&mut fx, 0, pkt(1, 2));
         let arb = |fx: &mut Fixture, vn: &mut VoqNetCredits, now| {
@@ -4055,7 +4063,7 @@ mod twin_tests {
                 )
             };
             let vn = voqnet.then(|| {
-                let mut vn = VoqNetCredits::new(2 * PORTS, DESTS);
+                let mut vn = VoqNetCredits::new(2 * PORTS, DESTS, VN_CREDITS);
                 for l in PORTS..2 * PORTS {
                     for d in 0..DESTS {
                         vn.set(l as u32, d as u32, VN_CREDITS);

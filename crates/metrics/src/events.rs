@@ -542,80 +542,6 @@ pub struct CcEvent {
     pub kind: CcEventKind,
 }
 
-/// A bounded FIFO of events with explicit drop accounting: once `cap`
-/// events are held, the *oldest* is dropped to admit a newer one, and
-/// the drop counter advances — truncation is never silent. The
-/// invariant `dropped() == offered() − len()` is property-tested.
-#[derive(Debug, Clone)]
-pub struct EventRing {
-    cap: usize,
-    buf: VecDeque<CcEvent>,
-    offered: u64,
-    dropped: u64,
-}
-
-impl EventRing {
-    /// An empty ring holding at most `cap` events.
-    pub fn new(cap: usize) -> Self {
-        Self {
-            cap,
-            buf: VecDeque::new(),
-            offered: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Admit an event, evicting the oldest (and counting the drop) when
-    /// full.
-    pub fn push(&mut self, ev: CcEvent) {
-        self.offered += 1;
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(ev);
-    }
-
-    /// Events currently held, oldest first.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing is held.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Configured capacity.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Total events ever pushed.
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Drain into a `Vec`, oldest first.
-    pub fn into_vec(self) -> Vec<CcEvent> {
-        self.buf.into_iter().collect()
-    }
-
-    /// Iterate the held events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &CcEvent> {
-        self.buf.iter()
-    }
-}
-
 /// Event-log configuration: the `SimBuilder` knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventConfig {
@@ -635,15 +561,20 @@ impl Default for EventConfig {
     }
 }
 
-/// The collector-side event log: mask → bounded ring.
+/// The collector-side event log: a class mask in front of a bounded
+/// FIFO with explicit drop accounting. Once `cap` events are held, the
+/// *oldest* is dropped to admit a newer one and the drop counter
+/// advances, so truncation is never silent: `dropped_cap() == seen() −`
+/// the events held, which is property-tested.
 ///
 /// The class mask and the capacity bound are applied *only here*, on
 /// the single event stream.
 #[derive(Debug, Clone)]
 pub struct EventLog {
     cfg: EventConfig,
-    ring: EventRing,
+    buf: VecDeque<CcEvent>,
     seen: u64,
+    dropped_cap: u64,
 }
 
 impl EventLog {
@@ -651,19 +582,28 @@ impl EventLog {
     pub fn new(cfg: EventConfig) -> Self {
         Self {
             cfg,
-            ring: EventRing::new(cfg.cap),
+            buf: VecDeque::new(),
             seen: 0,
+            dropped_cap: 0,
         }
     }
 
-    /// Offer an event: drop it if masked, otherwise push it into the
-    /// ring.
+    /// Offer an event: drop it if masked, otherwise admit it, evicting
+    /// the oldest (and counting the drop) when full.
     pub fn offer(&mut self, ev: CcEvent) {
         if !self.cfg.classes.contains(ev.kind.class()) {
             return;
         }
         self.seen += 1;
-        self.ring.push(ev);
+        if self.cfg.cap == 0 {
+            self.dropped_cap += 1;
+            return;
+        }
+        if self.buf.len() == self.cfg.cap {
+            self.buf.pop_front();
+            self.dropped_cap += 1;
+        }
+        self.buf.push_back(ev);
     }
 
     /// Events that passed the class mask so far.
@@ -673,12 +613,12 @@ impl EventLog {
 
     /// Events evicted by the capacity bound so far.
     pub fn dropped_cap(&self) -> u64 {
-        self.ring.dropped()
+        self.dropped_cap
     }
 
     /// Iterate the held events, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &CcEvent> {
-        self.ring.iter()
+        self.buf.iter()
     }
 
     /// Freeze into the serializable report section.
@@ -687,8 +627,8 @@ impl EventLog {
             classes: self.cfg.classes.0,
             cap: self.cfg.cap as u64,
             seen: self.seen,
-            dropped_cap: self.ring.dropped(),
-            events: self.ring.into_vec(),
+            dropped_cap: self.dropped_cap,
+            events: self.buf.into(),
         }
     }
 }
@@ -795,26 +735,34 @@ mod tests {
         }
     }
 
+    /// A log recording every class, holding at most `cap` events.
+    fn log_of_all(cap: usize) -> EventLog {
+        EventLog::new(EventConfig {
+            classes: EventClass::ALL,
+            cap,
+        })
+    }
+
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let mut r = EventRing::new(3);
+        let mut log = log_of_all(3);
         for i in 0..5 {
-            r.push(ev(i));
+            log.offer(ev(i));
         }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.offered(), 5);
-        assert_eq!(r.dropped(), 2);
-        let kept: Vec<Cycle> = r.into_vec().iter().map(|e| e.at).collect();
+        assert_eq!(log.iter().count(), 3);
+        assert_eq!(log.seen(), 5);
+        assert_eq!(log.dropped_cap(), 2);
+        let kept: Vec<Cycle> = log.iter().map(|e| e.at).collect();
         assert_eq!(kept, vec![2, 3, 4], "oldest events were evicted");
     }
 
     #[test]
     fn zero_cap_ring_keeps_nothing_but_counts() {
-        let mut r = EventRing::new(0);
-        r.push(ev(0));
-        assert_eq!(r.len(), 0);
-        assert_eq!(r.offered(), 1);
-        assert_eq!(r.dropped(), 1);
+        let mut log = log_of_all(0);
+        log.offer(ev(0));
+        assert_eq!(log.iter().count(), 0);
+        assert_eq!(log.seen(), 1);
+        assert_eq!(log.dropped_cap(), 1);
     }
 
     #[test]

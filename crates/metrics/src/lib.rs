@@ -29,8 +29,7 @@ pub mod series;
 
 pub use collector::MetricsCollector;
 pub use events::{
-    CcEvent, CcEventKind, EventClass, EventConfig, EventLog, EventLogReport, EventRing, FaultKind,
-    SiteCounter,
+    CcEvent, CcEventKind, EventClass, EventConfig, EventLog, EventLogReport, FaultKind, SiteCounter,
 };
 pub use fairness::jain_index;
 pub use faults::FaultSummary;

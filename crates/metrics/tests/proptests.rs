@@ -69,7 +69,7 @@ proptest! {
 // ---- observability-layer properties (DESIGN.md §10) ----
 
 use ccfit_engine::units::Cycle;
-use ccfit_metrics::{CcEvent, CcEventKind, EventRing};
+use ccfit_metrics::{CcEvent, CcEventKind, EventClass, EventConfig, EventLog};
 
 fn fecn_ev(at: Cycle) -> CcEvent {
     CcEvent {
@@ -153,22 +153,24 @@ proptest! {
         }
     }
 
-    /// The event ring's drop accounting is exact for every (cap, load):
-    /// dropped == offered − kept, the ring never exceeds its cap, and
-    /// the survivors are precisely the newest `kept` events in order.
+    /// The event log's drop accounting is exact for every (cap, load)
+    /// with every class recorded: dropped_cap == seen − held, the log
+    /// never holds more than its cap, and the survivors are precisely
+    /// the newest `held` events in order.
     #[test]
     fn event_ring_cap_accounting_is_exact(
         cap in 0usize..40,
         offered in 0u64..200,
     ) {
-        let mut r = EventRing::new(cap);
+        let mut log = EventLog::new(EventConfig { classes: EventClass::ALL, cap });
         for at in 0..offered {
-            r.push(fecn_ev(at));
+            log.offer(fecn_ev(at));
         }
-        prop_assert!(r.len() <= r.cap());
-        prop_assert_eq!(r.offered(), offered);
-        prop_assert_eq!(r.dropped(), offered - r.len() as u64);
-        let kept: Vec<Cycle> = r.iter().map(|e| e.at).collect();
+        let held = log.iter().count();
+        prop_assert!(held <= cap);
+        prop_assert_eq!(log.seen(), offered);
+        prop_assert_eq!(log.dropped_cap(), offered - held as u64);
+        let kept: Vec<Cycle> = log.iter().map(|e| e.at).collect();
         let expect: Vec<Cycle> =
             (offered.saturating_sub(cap as u64)..offered).collect();
         prop_assert_eq!(kept, expect, "oldest events are evicted first");
