@@ -12,10 +12,10 @@
 //!   this switch is the congestion root, and the upstream-notification
 //!   flags.
 
-use ccfit_engine::ids::{NodeId, SwitchId};
+use ccfit_engine::ids::NodeId;
 use ccfit_engine::queue::PacketQueue;
 use ccfit_engine::units::Cycle;
-use ccfit_topology::RoutingTable;
+use ccfit_topology::RouteRow;
 
 /// CAM-line state of one allocated CFQ.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,17 +99,11 @@ pub enum StaticKey {
 }
 
 impl StaticKey {
-    /// The queue, of `count`, that a packet for `dst` joins at switch
-    /// `sw`.
-    pub(crate) fn queue(
-        self,
-        sw: SwitchId,
-        dst: NodeId,
-        count: usize,
-        routing: &RoutingTable,
-    ) -> usize {
+    /// The queue, of `count`, that a packet for `dst` joins at the
+    /// switch whose routes are `routes`.
+    pub(crate) fn queue(self, dst: NodeId, count: usize, routes: RouteRow<'_>) -> usize {
         match self {
-            StaticKey::Output => routing.route(sw, dst).index(),
+            StaticKey::Output => routes.port(dst).index(),
             // 1Q's one queue and VOQnet's one per destination need no
             // division, which costs the paper matrix ~1 % of its cycle
             // rate.
@@ -251,8 +245,9 @@ impl InputQueues {
 mod tests {
     use super::*;
     use crate::params::QueueingScheme;
-    use ccfit_engine::ids::{FlowId, PacketId, PortId};
+    use ccfit_engine::ids::{FlowId, PacketId, PortId, SwitchId};
     use ccfit_engine::packet::Packet;
+    use ccfit_topology::RoutingTable;
 
     fn pkt(dst: u32, flits: u32) -> Packet {
         Packet::data(
@@ -290,12 +285,12 @@ mod tests {
             };
             assert_eq!(queues.len(), count, "{scheme:?}");
             for d in 0..8 {
-                let i = key.queue(SwitchId(0), NodeId(d), count, &routing);
+                let i = key.queue(NodeId(d), count, routing.row(SwitchId(0)));
                 assert_eq!(i, joins[d as usize], "{scheme:?}: destination {d}");
             }
         }
         // Fewer queues than destinations: the destination modulo the count.
-        let modulo = |d| StaticKey::Dest.queue(SwitchId(0), NodeId(d), 3, &routing);
+        let modulo = |d| StaticKey::Dest.queue(NodeId(d), 3, routing.row(SwitchId(0)));
         assert_eq!(
             (0..8).map(modulo).collect::<Vec<_>>(),
             [0, 1, 2, 0, 1, 2, 0, 1]
@@ -319,7 +314,7 @@ mod tests {
                 panic!("{scheme:?} is static");
             };
             for d in 0..8 {
-                let i = key.queue(SwitchId(0), NodeId(d), count, &routing);
+                let i = key.queue(NodeId(d), count, routing.row(SwitchId(0)));
                 queues[i].push(pkt(d, d + 1), 0, 0);
             }
             assert!(!q.is_empty(), "{scheme:?}");

@@ -29,7 +29,7 @@ use ccfit_engine::queue::{PacketQueue, QueuedPacket};
 use ccfit_engine::ram::PortRam;
 use ccfit_engine::units::Cycle;
 use ccfit_metrics::{CcEventKind, MetricsCollector};
-use ccfit_topology::RoutingTable;
+use ccfit_topology::{RouteRow, RoutingTable};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -568,7 +568,7 @@ impl Switch {
             .expect("credit flow control guarantees RAM space");
         match &mut input.queues {
             InputQueues::Static { queues, key } => {
-                let i = key.queue(self.id, d.packet.dst, queues.len(), routing);
+                let i = key.queue(d.packet.dst, queues.len(), routing.row(self.id));
                 queues[i].push(d.packet, d.visible_at, d.ready_at);
                 if *key == StaticKey::Output {
                     self.voq_occ[i] += d.packet.size_flits;
@@ -684,7 +684,7 @@ impl Switch {
     fn scan_unisolated(
         &self,
         port: usize,
-        routing: &RoutingTable,
+        routes: RouteRow<'_>,
         tally: &mut Vec<(NodeId, u32)>,
     ) -> DetectScan {
         let InputQueues::Isolating { nfq, cfqs } = &self.inputs[port].queues else {
@@ -703,7 +703,7 @@ impl Switch {
             {
                 continue;
             }
-            let out = routing.route(self.id, dst).index();
+            let out = routes.port(dst).index();
             if self.outputs[out].cam.lookup(dst).is_some() {
                 continue;
             }
@@ -778,7 +778,7 @@ impl Switch {
     /// reads only changes through an event that drops the bound (see
     /// `iso_quiet`). The walk and the park rule's re-derivation check
     /// every skip against this.
-    fn quiet_until(&self, port: usize, now: Cycle, routing: &RoutingTable) -> Option<Cycle> {
+    fn quiet_until(&self, port: usize, now: Cycle, routes: RouteRow<'_>) -> Option<Cycle> {
         let iso = self.cfg.iso?;
         let InputQueues::Isolating { nfq, cfqs } = &self.inputs[port].queues else {
             return None;
@@ -788,7 +788,7 @@ impl Switch {
         if free
             && nfq.occupancy_flits() >= detect_flits
             && self
-                .scan_unisolated(port, routing, &mut Vec::new())
+                .scan_unisolated(port, routes, &mut Vec::new())
                 .unmatched_total
                 >= detect_flits
         {
@@ -800,7 +800,7 @@ impl Switch {
             Some(head) if head.visible_at > now => until = head.visible_at,
             Some(head) if head.packet.is_data() => {
                 let dst = head.packet.dst;
-                let out = routing.route(self.id, dst).index();
+                let out = routes.port(dst).index();
                 if cfqs
                     .iter()
                     .any(|c| matches!(c.state, Some(s) if s.dst == dst))
@@ -845,6 +845,7 @@ impl Switch {
         if self.cfg.iso.is_none() {
             return;
         }
+        let routes = routing.row(self.id);
         // A port outside `iso_live` has an empty NFQ, no CFQ and no open
         // exhaustion episode: nothing to detect, move, propagate,
         // deallocate or close. A port inside it whose last visit was quiet
@@ -856,7 +857,7 @@ impl Switch {
             let quiet_until = self.iso_quiet[port];
             if now < quiet_until {
                 debug_assert_eq!(
-                    self.quiet_until(port, now, routing),
+                    self.quiet_until(port, now, routes),
                     Some(quiet_until),
                     "stale quiet bound at {} in{port} cycle {now}",
                     self.id
@@ -864,7 +865,7 @@ impl Switch {
                 continue;
             }
             if self.inputs[port].in_link.is_some() {
-                self.visit_port(port, now, routing, links, metrics);
+                self.visit_port(port, now, routes, links, metrics);
             }
         }
     }
@@ -878,7 +879,7 @@ impl Switch {
         &mut self,
         port: usize,
         now: Cycle,
-        routing: &RoutingTable,
+        routes: RouteRow<'_>,
         links: &mut [Link],
         metrics: &mut MetricsCollector,
     ) {
@@ -900,13 +901,13 @@ impl Switch {
         let mut exhausted = None;
         if nfq_occ >= detect_flits {
             let mut tally = std::mem::take(&mut self.detect_tally);
-            let scan = self.scan_unisolated(port, routing, &mut tally);
+            let scan = self.scan_unisolated(port, routes, &mut tally);
             self.detect_tally = tally;
             if scan.unmatched_total >= detect_flits {
                 let dst = scan
                     .dominant
                     .expect("unmatched_total > 0 implies a tally entry");
-                let out = routing.route(self.id, dst).index();
+                let out = routes.port(dst).index();
                 match self.inputs[port].queues.cfq_free_slot() {
                     Some(free) => {
                         // Locally detected => this switch is 1 hop from
@@ -953,7 +954,7 @@ impl Switch {
                 }
                 head.packet.dst
             };
-            let out = routing.route(self.id, dst).index();
+            let out = routes.port(dst).index();
             let existing = self.inputs[port].queues.cfq_lookup(dst);
             let out_cam_hit = self.outputs[out].cam.lookup(dst).is_some();
             let slot = match existing {
@@ -1454,14 +1455,14 @@ impl Switch {
     fn gather(
         &self,
         now: Cycle,
-        routing: &RoutingTable,
+        routes: RouteRow<'_>,
         links: &[Link],
         voqnet: Option<&VoqNetCredits>,
         arb: &mut ArbScratch,
     ) {
         arb.reset();
         for port in self.occupied.iter() {
-            self.candidates_into(port, now, routing, links, voqnet, arb);
+            self.candidates_into(port, now, routes, links, voqnet, arb);
         }
     }
 
@@ -1470,7 +1471,7 @@ impl Switch {
         &self,
         port: usize,
         now: Cycle,
-        routing: &RoutingTable,
+        routes: RouteRow<'_>,
         links: &[Link],
         voqnet: Option<&VoqNetCredits>,
         arb: &mut ArbScratch,
@@ -1528,7 +1529,7 @@ impl Switch {
                         // An output-keyed queue's index is its output.
                         let o = match key {
                             StaticKey::Output => i,
-                            StaticKey::Dest => routing.route(self.id, h.packet.dst).index(),
+                            StaticKey::Dest => routes.port(h.packet.dst).index(),
                         };
                         consider(QueueKey::Static(i), h, o, arb);
                     }
@@ -1549,7 +1550,7 @@ impl Switch {
                             .iter()
                             .any(|c| matches!(c.state, Some(s) if s.dst == h.packet.dst));
                     if !awaiting_move {
-                        let o = routing.route(self.id, h.packet.dst).index();
+                        let o = routes.port(h.packet.dst).index();
                         consider(QueueKey::Nfq, h, o, arb);
                     }
                 }
@@ -1626,11 +1627,12 @@ impl Switch {
             debug_assert_eq!(self.resident_packets(), 0);
             return;
         }
+        let routes = routing.row(self.id);
         if self.idle_bound_holds(now, links) {
             debug_assert!(
                 {
                     let mut fresh = ArbScratch::new(self.inputs.len());
-                    self.gather(now, routing, links, voqnet.as_deref(), &mut fresh);
+                    self.gather(now, routes, links, voqnet.as_deref(), &mut fresh);
                     fresh.in_free.is_empty()
                 },
                 "stale arbitration idle bound at {} cycle {now}",
@@ -1641,7 +1643,7 @@ impl Switch {
         // Borrow-split: take the scratch out of `self` so `self` stays
         // free for `gather` / `islip` below; put it back at the end.
         let mut arb = std::mem::take(&mut self.arb);
-        self.gather(now, routing, links, voqnet.as_deref(), &mut arb);
+        self.gather(now, routes, links, voqnet.as_deref(), &mut arb);
         if arb.in_free.is_empty() {
             // Nothing to schedule: iSLIP over an empty request set makes
             // no match and moves no pointer. Keep what the gather learnt
@@ -1942,6 +1944,7 @@ impl Switch {
     /// re-binned in input-port, then queue, order, preserving FIFO order
     /// within each source queue, so the result is deterministic.
     pub fn on_routing_changed(&mut self, routing: &RoutingTable) {
+        let routes = routing.row(self.id);
         let mut rebin: Vec<QueuedPacket> = Vec::new();
         for port in 0..self.inputs.len() {
             if let InputQueues::Static {
@@ -1955,14 +1958,14 @@ impl Switch {
                     q.drain_all_into(&mut rebin);
                 }
                 for e in rebin.drain(..) {
-                    let o = routing.route(self.id, e.packet.dst).index();
+                    let o = routes.port(e.packet.dst).index();
                     queues[o].push(e.packet, e.visible_at, e.ready_at);
                     self.voq_occ[o] += e.packet.size_flits;
                 }
             }
             for c in self.inputs[port].queues.cfqs_mut() {
                 let Some(st) = &mut c.state else { continue };
-                let new_out = routing.route(self.id, st.dst).index();
+                let new_out = routes.port(st.dst).index();
                 if new_out != st.out_port {
                     if st.over_high {
                         self.outputs[st.out_port].over_high_count -= 1;
@@ -2033,13 +2036,14 @@ impl Switch {
         links: &[Link],
         voqnet: Option<&VoqNetCredits>,
     ) -> Option<Cycle> {
+        let routes = routing.row(self.id);
         let mut fresh = ArbScratch::new(self.inputs.len());
-        self.gather(now, routing, links, voqnet, &mut fresh);
+        self.gather(now, routes, links, voqnet, &mut fresh);
         if !fresh.in_free.is_empty() {
             fresh.idle.clear();
         }
         self.park_bound_from(
-            |port| self.quiet_until(port, now, routing),
+            |port| self.quiet_until(port, now, routes),
             || (&fresh.idle, &fresh.watched),
         )
     }
@@ -2963,7 +2967,10 @@ mod tests {
         }
         iso_tick(fx, now);
         assert!(settled(fx), "fixture: the visit at {now} settles the port");
-        assert_eq!(fx.sw.quiet_until(0, now, &fx.routing), Some(Cycle::MAX));
+        assert_eq!(
+            fx.sw.quiet_until(0, now, fx.routing.row(fx.sw.id)),
+            Some(Cycle::MAX)
+        );
     }
 
     #[test]
@@ -2996,7 +3003,10 @@ mod tests {
             iso_tick(&mut fx, now);
             assert!(!settled(&fx), "cycle {now}");
             assert_eq!(fx.sw.iso_quiet[0], 50, "quiet until it lands");
-            assert_eq!(fx.sw.quiet_until(0, now, &fx.routing), Some(50));
+            assert_eq!(
+                fx.sw.quiet_until(0, now, fx.routing.row(fx.sw.id)),
+                Some(50)
+            );
         }
         iso_tick(&mut fx, 50);
         assert_eq!(fx.metrics.counter("packets_isolated"), 1);

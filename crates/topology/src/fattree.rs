@@ -21,8 +21,10 @@
 //! ## DET routing (paper ref. \[33\])
 //!
 //! Packets first climb toward a least common ancestor, then descend. Both
-//! phases are a function of the **destination only**, so the route fits a
-//! destination-indexed table (distributed deterministic routing):
+//! phases are a function of the **destination only** (distributed
+//! deterministic routing), and of the switch's digits, so the route is
+//! computed from them rather than read from a `switch × destination`
+//! table ([`KAryNTree::det_routing`]):
 //!
 //! * At `⟨w, λ⟩`, the switch is an ancestor of destination `d` iff
 //!   `w_i = d_{i+1}` for all `i ∈ [λ, n-2]`.
@@ -149,29 +151,18 @@ impl KAryNTree {
             .expect("k-ary n-tree construction is always valid")
     }
 
-    /// DET deterministic routing table for this tree.
+    /// DET deterministic routing for this tree, in closed form.
     ///
     /// With `p = k^λ`, the digits `(w_{n-2}, …, w_λ)` of switch `⟨w, λ⟩`
     /// are `w / p` and the digits `(d_{n-1}, …, d_{λ+1})` of destination
     /// `d` are `d / (p·k)`, so the ancestor test of the module docs is
     /// `w / p == d / (p·k)`, and the port is `d_λ = (d / p) % k`, plus `k`
-    /// going up. Destinations in order come in runs of `p` sharing `d_λ`
-    /// inside runs of `p·k` sharing `d / (p·k)`: a row is filled run by
-    /// run, without a division per entry.
+    /// going up. The table keeps both quotients of every destination
+    /// once per level and `w / p` once per switch — O(n·k^n) words where
+    /// a `switch × destination` array holds O(n·k^(2n-1)) — and
+    /// [`RoutingTable::route`] compares them: no division per lookup.
     pub fn det_routing(&self) -> RoutingTable {
-        let (k, num_nodes) = (self.k as usize, self.num_nodes());
-        let mut ports = Vec::with_capacity(self.num_switches() * num_nodes);
-        for s in 0..self.num_switches() {
-            let (level, w) = self.switch_coords(SwitchId::from(s));
-            let p = k.pow(level);
-            for high in 0..num_nodes / (p * k) {
-                let up = if high == w / p { 0 } else { k };
-                for digit in 0..k {
-                    ports.extend(std::iter::repeat_n(PortId((up + digit) as u16), p));
-                }
-            }
-        }
-        RoutingTable::from_rows(num_nodes, ports)
+        RoutingTable::det(self)
     }
 }
 
@@ -270,6 +261,33 @@ mod tests {
                             "{k}-ary {n}-tree, switch ⟨{w}, {level}⟩, destination {d}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// The closed form on the widest trees a matrix may build, at
+    /// sampled pairs: for every switch, 64 destinations strided across
+    /// the tree and 16 below it (which it routes down).
+    #[test]
+    fn det_closed_form_matches_the_digit_loop_on_16_and_32_ary_trees() {
+        for k in [16u32, 32] {
+            let t = KAryNTree::new(k, 3);
+            let routing = t.det_routing();
+            let n = t.num_nodes();
+            for s in 0..t.num_switches() {
+                let sid = SwitchId::from(s);
+                let (level, w) = t.switch_coords(sid);
+                let subtree = (k as usize).pow(level + 1);
+                let first_below = w / (subtree / k as usize) * subtree;
+                let strided = (0..64).map(|i| (s * 7919 + i * 331) % n);
+                let below = (0..16).map(|i| first_below + (s + i * 97) % subtree);
+                for d in strided.chain(below) {
+                    assert_eq!(
+                        routing.route(sid, NodeId::from(d)),
+                        digit_loop_port(&t, level, w, d),
+                        "{k}-ary 3-tree, switch ⟨{w}, {level}⟩, destination {d}"
+                    );
                 }
             }
         }

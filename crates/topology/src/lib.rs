@@ -28,4 +28,4 @@ pub use adhoc::config1_topology;
 pub use builder::TopologyBuilder;
 pub use fattree::KAryNTree;
 pub use graph::{Endpoint, LinkParams, Topology, TopologyError};
-pub use routing::RoutingTable;
+pub use routing::{RouteRow, RoutingTable};

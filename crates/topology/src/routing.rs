@@ -2,33 +2,86 @@
 //!
 //! CCFIT targets networks with **distributed deterministic routing**
 //! (InfiniBand-style): a packet carries only its destination, and every
-//! switch holds a table `destination → output port`. This module provides
-//! the table representation, a generic deterministic shortest-path
-//! constructor for arbitrary topologies, and verification/tracing helpers
-//! used throughout the test suite.
+//! switch maps `destination → output port`. This module provides the
+//! table representation — a flat array, or a fat tree's DET rule in
+//! closed form — a generic deterministic shortest-path constructor for
+//! arbitrary topologies, and verification/tracing helpers used
+//! throughout the test suite.
 
 use crate::graph::{Endpoint, Topology, TopologyError};
+use crate::KAryNTree;
 use ccfit_engine::ids::{NodeId, PortId, SwitchId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Per-switch, destination-indexed output ports: one flat
-/// `switch × destination` array behind an [`Arc`]. A run holds one copy
-/// however many owners it has — the experiment spec, the builder and the
-/// simulator — because `Clone` only bumps a count; re-routing after a
-/// fault builds a new table and replaces the old one whole.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Per-switch, destination-indexed output ports, in one of two row
+/// forms behind one [`Self::route`]: a flat `switch × destination`
+/// array (any topology, and every re-route after a fault), or a k-ary
+/// n-tree's DET rule in closed form ([`KAryNTree::det_routing`]),
+/// which holds O(levels × destinations + switches) words instead. Either
+/// sits behind an [`Arc`]: a run holds one copy however many owners it
+/// has — the experiment spec, the builder and the simulator — because
+/// `Clone` only bumps a count; re-routing after a fault builds a new
+/// table and replaces the old one whole.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTable {
     /// Destinations per switch: the length of a switch's row.
     num_dests: usize,
+    rows: Rows,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Rows {
     /// `ports[switch * num_dests + destination]` = output port.
-    ports: Arc<Vec<PortId>>,
+    Flat(Arc<Vec<PortId>>),
+    /// DET in closed form.
+    Det(Arc<DetRows>),
+}
+
+/// DET on a k-ary n-tree: at switch `⟨w, λ⟩`, with `p = k^λ`, the port
+/// to destination `d` is the digit `(d / p) % k`, plus `k` unless
+/// `w / p == d / (p·k)` (the switch is one of `d`'s ancestors). Both
+/// quotients are looked up, not divided.
+#[derive(Debug, PartialEq, Eq)]
+struct DetRows {
+    k: u16,
+    /// Per switch: `(λ · num_dests, w / p)` — where its level's
+    /// destination words start, and its ancestor key.
+    switches: Vec<(u32, u32)>,
+    /// Per level `λ`, then destination `d`: `(d / (p·k)) << 8 | (d / p) % k`.
+    /// A digit fits the low 8 bits because the arity is at most 256.
+    dests: Vec<u32>,
+}
+
+/// One switch's routes, fetched once by [`RoutingTable::row`] for a walk
+/// that routes many packets at the same switch.
+#[derive(Debug, Clone, Copy)]
+pub struct RouteRow<'a>(RowForm<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum RowForm<'a> {
+    Flat(&'a [PortId]),
+    Det { dests: &'a [u32], high: u32, k: u16 },
+}
+
+impl RouteRow<'_> {
+    /// Output port for packets to `dst`.
+    #[inline]
+    pub fn port(self, dst: NodeId) -> PortId {
+        match self.0 {
+            RowForm::Flat(ports) => ports[dst.index()],
+            RowForm::Det { dests, high, k } => {
+                let v = dests[dst.index()];
+                let up = if v >> 8 == high { 0 } else { k };
+                PortId(up + (v & 0xff) as u16)
+            }
+        }
+    }
 }
 
 impl RoutingTable {
     /// Wrap precomputed rows, switch by switch, each `num_dests` ports
-    /// long (the k-ary n-tree DET generator fills them in place).
+    /// long.
     pub fn from_rows(num_dests: usize, ports: Vec<PortId>) -> Self {
         assert!(
             ports.len().is_multiple_of(num_dests),
@@ -36,15 +89,69 @@ impl RoutingTable {
         );
         Self {
             num_dests,
-            ports: Arc::new(ports),
+            rows: Rows::Flat(Arc::new(ports)),
         }
+    }
+
+    /// `tree`'s DET routing in closed form, by the rule
+    /// [`KAryNTree::det_routing`] documents.
+    pub(crate) fn det(tree: &KAryNTree) -> Self {
+        let (k, num_dests) = (tree.k as usize, tree.num_nodes());
+        assert!(k <= 256, "a DET digit is packed into 8 bits");
+        assert!(
+            tree.n as usize * num_dests <= u32::MAX as usize && num_dests / k < 1 << 24,
+            "a DET word fits 32 bits"
+        );
+        // Destinations in order come in runs of `p` sharing `(d / p) % k`
+        // inside runs of `p·k` sharing `d / (p·k)`, and switches of a level
+        // in runs of `p` sharing `w / p`: both are filled run by run,
+        // without a division per entry.
+        let per_level = tree.switches_per_stage();
+        let mut dests = Vec::with_capacity(tree.n as usize * num_dests);
+        let mut switches = Vec::with_capacity(tree.num_switches());
+        for level in 0..tree.n {
+            let p = k.pow(level);
+            for high in 0..num_dests / (p * k) {
+                for digit in 0..k {
+                    dests.extend(std::iter::repeat_n(((high << 8) | digit) as u32, p));
+                }
+            }
+            let start = (level as usize * num_dests) as u32;
+            for high in 0..per_level / p {
+                switches.extend(std::iter::repeat_n((start, high as u32), p));
+            }
+        }
+        Self {
+            num_dests,
+            rows: Rows::Det(Arc::new(DetRows {
+                k: k as u16,
+                switches,
+                dests,
+            })),
+        }
+    }
+
+    /// Switch `s`'s routes.
+    #[inline]
+    pub fn row(&self, s: SwitchId) -> RouteRow<'_> {
+        let n = self.num_dests;
+        RouteRow(match &self.rows {
+            Rows::Flat(ports) => RowForm::Flat(&ports[s.index() * n..][..n]),
+            Rows::Det(det) => {
+                let (start, high) = det.switches[s.index()];
+                RowForm::Det {
+                    dests: &det.dests[start as usize..][..n],
+                    high,
+                    k: det.k,
+                }
+            }
+        })
     }
 
     /// Output port for packets to `dst` at switch `s`.
     #[inline]
     pub fn route(&self, s: SwitchId, dst: NodeId) -> PortId {
-        debug_assert!(dst.index() < self.num_dests);
-        self.ports[s.index() * self.num_dests + dst.index()]
+        self.row(s).port(dst)
     }
 
     /// Deterministic shortest-path routing for an arbitrary topology.
@@ -252,15 +359,6 @@ mod tests {
         let a = r.trace(&t, NodeId(0), NodeId(3)).unwrap();
         let b = r.trace(&t, NodeId(1), NodeId(3)).unwrap();
         assert_eq!(a.last(), b.last());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let t = dumbbell();
-        let r = RoutingTable::shortest_path(&t);
-        let json = serde_json::to_string(&r).unwrap();
-        let r2: RoutingTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(r, r2);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //!
 //! must hold under every mechanism.
 
-use ccfit::{FaultSchedule, Mechanism, SimBuilder, SimConfig};
+use ccfit::{ExperimentSpec, FaultSchedule, Mechanism, SimBuilder, SimConfig};
 use ccfit_engine::ids::{NodeId, PortId, SwitchId};
-use ccfit_topology::{Endpoint, KAryNTree, LinkParams, Topology};
-use ccfit_traffic::{FlowSpec, TrafficPattern};
+use ccfit_topology::{Endpoint, KAryNTree, LinkParams, RoutingTable, Topology};
+use ccfit_traffic::{case4, FlowSpec, TrafficPattern};
 
 /// The five mechanisms the resilience tests cover: both queueing
 /// families, both isolation schemes, and injection throttling.
@@ -162,4 +162,47 @@ fn orphaned_destination_is_refused_and_survivors_deliver() {
             );
         }
     }
+}
+
+/// DET in closed form and the same routes written out as a flat
+/// `switch × destination` table are one routing: a 64-node storm whose
+/// trunk fails mid-burst — so the re-route swaps in a flat
+/// shortest-path table — reports the same bytes under either.
+#[test]
+fn closed_form_det_and_its_flat_table_report_identically() {
+    let tree = KAryNTree::new(4, 3);
+    let topology = tree.build(LinkParams::default());
+    let det = tree.det_routing();
+    let rows = topology
+        .switch_ids()
+        .flat_map(|s| topology.node_ids().map(move |d| (s, d)))
+        .map(|(s, d)| det.route(s, d))
+        .collect();
+    let flat = RoutingTable::from_rows(topology.num_nodes(), rows);
+    let (s, p) = first_trunk_cable(&topology);
+    let run = |routing: RoutingTable| {
+        let spec = ExperimentSpec {
+            name: "storm64".into(),
+            topology: topology.clone(),
+            routing,
+            pattern: case4(64, 4),
+            duration_ns: 4_000_000.0,
+            crossbar_bw_flits_per_cycle: 1,
+        }
+        .scaled(0.05);
+        let mut schedule = FaultSchedule::new();
+        schedule.link_down(2_500, s, p);
+        let mut sim =
+            spec.build_sim_with_faults(Mechanism::ccfit(), 1, SimConfig::default(), schedule);
+        sim.run_to_end();
+        sim.finish()
+    };
+    let (closed, table) = (run(det), run(flat));
+    let faults = closed.faults.as_ref().expect("fault summary present");
+    assert_eq!(faults.reroutes, 1, "the trunk failure re-routed");
+    assert!(
+        closed.counters["packets_isolated"] > 0,
+        "the storm isolated"
+    );
+    assert_eq!(closed.to_json(), table.to_json());
 }

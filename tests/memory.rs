@@ -76,23 +76,20 @@ fn live_and_reset_peak() -> isize {
     live
 }
 
-/// The benchmark's `scale4096` case — a 16-ary 3-tree under uniform 0.1
-/// load and CCFIT for 50 µs — built through its spec, which stays alive
-/// beside the simulator as it does in every caller, and run to the end.
-/// Its live heap peaked at ~73 MB when the spec and the simulator each
-/// held a routing table, every adapter its own CCT and every queue four
-/// slots from its first packet; it peaks at ~45 MB now.
-#[test]
-fn scale4096_peaks_under_52_mb_of_live_heap() {
+/// The live-heap peak, in MB, of a `k`-ary 3-tree under uniform 0.1
+/// load and CCFIT (seed 1) for `duration_ns`, built through its spec —
+/// which stays alive beside the simulator, as it does in every caller —
+/// and run to the end.
+fn tree_peak_mb(k: u32, duration_ns: f64) -> f64 {
     let base = live_and_reset_peak();
-    let tree = KAryNTree::new(16, 3);
+    let tree = KAryNTree::new(k, 3);
     let topology = tree.build(LinkParams::default());
     let spec = ExperimentSpec {
-        name: "scale4096".into(),
+        name: format!("{k}-ary 3-tree"),
         routing: tree.det_routing(),
         pattern: uniform_all(topology.num_nodes(), 0.1),
         topology,
-        duration_ns: 50_000.0,
+        duration_ns,
         crossbar_bw_flits_per_cycle: 1,
     };
     let mut sim = spec.build_sim(Mechanism::ccfit(), 1, SimConfig::default());
@@ -100,9 +97,38 @@ fn scale4096_peaks_under_52_mb_of_live_heap() {
     assert!(sim.delivered() > 0, "traffic flowed");
     let peak_mb = (PEAK.with(Cell::get) - base) as f64 / 1e6;
     drop((sim, spec));
+    peak_mb
+}
+
+/// The benchmark's `scale4096` case — a 16-ary 3-tree for 50 µs. Its
+/// live heap peaked at ~73 MB when the spec and the simulator each held
+/// a 6.3 MB routing table, every adapter its own CCT and every queue
+/// four slots from its first packet, and at ~44.5 MB with one routing
+/// table; it peaks at ~37 MB now that DET routes in closed form and
+/// `DestMap` allocates its index by the page.
+#[test]
+fn scale4096_peaks_under_42_mb_of_live_heap() {
+    let peak_mb = tree_peak_mb(16, 50_000.0);
     assert!(
-        peak_mb <= 52.0,
+        peak_mb <= 42.0,
         "scale4096 peaked at {peak_mb:.1} MB of live heap"
+    );
+}
+
+/// The 32 768-node tree of `tests/integration_scale.rs` — a 32-ary
+/// 3-tree for 20 µs. Its live heap held a 201 MB DET table and a 5 KB
+/// `DestMap` index in each adapter (168 MB), 623 MB in all; without
+/// them it peaks at ~280 MB.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release only: building 3072 64-port switches takes minutes unoptimised"
+)]
+fn tree_of_32768_nodes_peaks_under_300_mb_of_live_heap() {
+    let peak_mb = tree_peak_mb(32, 20_000.0);
+    assert!(
+        peak_mb <= 300.0,
+        "the 32 768-node tree peaked at {peak_mb:.1} MB of live heap"
     );
 }
 
