@@ -5,33 +5,90 @@
 //! question on the hot paths: the adapter's backlogged AdVOQs, the
 //! switch's occupied / isolation-live input ports, the arbitration
 //! request sets and the iSLIP grant walk (DESIGN.md §12). Any length
-//! works — a set spans `len.div_ceil(64)` words. [`DestMap`] answers the
-//! companion question "what do I hold *for* thing `k`" when only a few
-//! of the N things ever get an answer (the adapter's per-destination
-//! state).
+//! works — a set spans `len.div_ceil(64)` words, held inline (no heap
+//! block) up to 64 indices. [`DestMap`] answers the companion question
+//! "what do I hold *for* thing `k`" when only a few of the N things ever
+//! get an answer (the adapter's per-destination state).
 
-/// Word-bitset over the indices `0..len`.
+/// Word-bitset over the indices `0..len`. A set over at most 64 indices
+/// — every port set of a switch of up to 64 ports — keeps its one word
+/// inline and allocates nothing; a larger one keeps all its words on the
+/// heap. An index past the set's last word is the caller's error: a
+/// heap set panics on it, an inline one only in debug builds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitSet {
-    words: Vec<u64>,
+    /// The word of a set over at most 64 indices; 0 for a larger one, so
+    /// that equal sets compare equal field by field.
+    inline: u64,
+    /// Every word of a set over more than 64 indices; empty otherwise.
+    heap: Vec<u64>,
 }
 
 impl BitSet {
     /// An empty set over `0..len`.
     pub fn new(len: usize) -> Self {
+        let words = len.div_ceil(64);
         Self {
-            words: vec![0; len.div_ceil(64)],
+            inline: 0,
+            heap: if words > 1 {
+                vec![0; words]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    #[inline]
+    fn words(&self) -> &[u64] {
+        if self.heap.is_empty() {
+            std::slice::from_ref(&self.inline)
+        } else {
+            &self.heap
+        }
+    }
+
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        if self.heap.is_empty() {
+            std::slice::from_mut(&mut self.inline)
+        } else {
+            &mut self.heap
+        }
+    }
+
+    /// The word that holds index `i`: one branch, and no bounds check on
+    /// the inline path — reading it through [`Self::words`] cost the
+    /// 64-node workloads about 1 % of their cycle rate (DESIGN.md §12).
+    #[inline]
+    fn word(&self, i: usize) -> u64 {
+        if self.heap.is_empty() {
+            debug_assert!(i < 64);
+            self.inline
+        } else {
+            self.heap[i / 64]
+        }
+    }
+
+    #[inline]
+    fn word_mut(&mut self, i: usize) -> &mut u64 {
+        if self.heap.is_empty() {
+            debug_assert!(i < 64);
+            &mut self.inline
+        } else {
+            &mut self.heap[i / 64]
         }
     }
 
     /// Add `i`.
+    #[inline]
     pub fn insert(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
+        *self.word_mut(i) |= 1 << (i % 64);
     }
 
     /// Remove `i`.
+    #[inline]
     pub fn remove(&mut self, i: usize) {
-        self.words[i / 64] &= !(1 << (i % 64));
+        *self.word_mut(i) &= !(1 << (i % 64));
     }
 
     /// Make `i` a member iff `on`.
@@ -44,36 +101,46 @@ impl BitSet {
     }
 
     /// Whether `i` is a member.
+    #[inline]
     pub fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] & (1 << (i % 64)) != 0
+        self.word(i) & (1 << (i % 64)) != 0
     }
 
     /// Whether the set has no member.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// Remove every member.
     pub fn clear(&mut self) {
-        self.words.fill(0);
+        self.words_mut().fill(0);
     }
 
     /// Become a copy of `other` (a set over the same range).
     pub fn copy_from(&mut self, other: &BitSet) {
-        self.words.copy_from_slice(&other.words);
+        self.words_mut().copy_from_slice(other.words());
     }
 
     /// Renumber for an index inserted at `at`: every member `i >= at`
     /// becomes `i + 1` and `at` itself is not a member. `len` is the
-    /// index range after the insertion; the set grows to span it.
+    /// index range after the insertion; the set grows to span it, and
+    /// moves to the heap when that range passes 64.
     pub fn insert_gap(&mut self, at: usize, len: usize) {
         debug_assert!(at < len);
-        self.words.resize(len.div_ceil(64), 0);
+        let words = len.div_ceil(64);
+        if words > 1 && self.heap.is_empty() {
+            self.heap = vec![std::mem::take(&mut self.inline)];
+        }
+        if !self.heap.is_empty() {
+            self.heap.resize(words, 0);
+        }
+        let words = self.words_mut();
         let below = (1u64 << (at % 64)) - 1;
-        let first = &mut self.words[at / 64];
+        let first = &mut words[at / 64];
         let mut carry = *first >> 63;
         *first = (*first & below) | ((*first & !below) << 1);
-        for w in &mut self.words[at / 64 + 1..] {
+        for w in &mut words[at / 64 + 1..] {
             let out = *w >> 63;
             *w = (*w << 1) | carry;
             carry = out;
@@ -90,7 +157,7 @@ impl BitSet {
             return None;
         }
         let mut w = from / 64;
-        let mut bits = self.words[w] & (!0 << (from % 64));
+        let mut bits = self.word(from) & (!0 << (from % 64));
         loop {
             if bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
@@ -100,7 +167,7 @@ impl BitSet {
             if w * 64 >= to {
                 return None;
             }
-            bits = self.words[w];
+            bits = self.word(w * 64);
         }
     }
 
@@ -108,7 +175,7 @@ impl BitSet {
     /// (or its owner) between steps, call [`Self::next_in`] from one past
     /// the previous member instead.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let end = self.words.len() * 64;
+        let end = self.words().len() * 64;
         let mut from = 0;
         std::iter::from_fn(move || {
             let i = self.next_in(from, end)?;
@@ -452,6 +519,95 @@ mod tests {
         absent(&map, &[2 * PAGE, 3 * PAGE - 1, 3 * PAGE], 4);
         assert_eq!(map.slot(PAGE + 7), Some(2));
         assert_eq!(map.slot(3 * PAGE + 4), Some(4));
+    }
+
+    /// Universes around the inline word's edge.
+    const SMALL_UNIVERSES: [usize; 5] = [0, 1, 63, 64, 65];
+
+    proptest! {
+        /// Random operation sequences against a `Vec<bool>`: after every
+        /// step each method answers as the model does, and an insertion
+        /// gap grows the set — across the inline word's edge when it
+        /// reaches 65 indices.
+        #[test]
+        fn bitset_matches_a_vector_of_flags(
+            universe in 0usize..SMALL_UNIVERSES.len(),
+            ops in prop::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 1..120),
+        ) {
+            let mut model = vec![false; SMALL_UNIVERSES[universe]];
+            let mut set = BitSet::new(model.len());
+            for (op, a, b) in ops {
+                let n = model.len();
+                let (a, b) = (a as usize, b as usize);
+                match op {
+                    0..=2 if n > 0 => {
+                        let (i, on) = (a % n, op == 0 || (op == 2 && b % 2 == 0));
+                        match op {
+                            0 => set.insert(i),
+                            1 => set.remove(i),
+                            _ => set.set(i, on),
+                        }
+                        model[i] = on;
+                    }
+                    3 if b % 8 == 0 => {
+                        set.clear();
+                        model.fill(false);
+                    }
+                    4 => {
+                        // The members of a fresh set over the same range.
+                        let mut other = BitSet::new(n);
+                        for (i, flag) in model.iter_mut().enumerate() {
+                            *flag = (a >> (i % 32)) & 1 == 1;
+                            other.set(i, *flag);
+                        }
+                        set.copy_from(&other);
+                        prop_assert_eq!(&set, &other);
+                    }
+                    5 if n < 130 => {
+                        let at = a % (n + 1);
+                        set.insert_gap(at, n + 1);
+                        model.insert(at, false);
+                    }
+                    _ => {}
+                }
+                let n = model.len();
+                let members: Vec<usize> = (0..n).filter(|&i| model[i]).collect();
+                for (i, &flag) in model.iter().enumerate() {
+                    prop_assert_eq!(set.contains(i), flag, "contains({})", i);
+                }
+                prop_assert_eq!(set.is_empty(), members.is_empty());
+                prop_assert_eq!(set.iter().collect::<Vec<_>>(), members.clone());
+                for from in 0..=n {
+                    let next = members.iter().copied().find(|&i| i >= from);
+                    prop_assert_eq!(set.next_in(from, n), next, "next_in({}, {})", from, n);
+                }
+                let (from, to) = (a % (n + 1), b % (n + 1));
+                let next = members.iter().copied().find(|&i| i >= from && i < to);
+                prop_assert_eq!(set.next_in(from, to), next, "next_in({}, {})", from, to);
+                prop_assert_eq!(set.heap.is_empty(), n <= 64, "words on the heap at {}", n);
+            }
+        }
+    }
+
+    /// A 64-index set keeps its word inline; the insertion that makes it
+    /// 65 moves every member, shifted past the gap, to the heap.
+    #[test]
+    fn insert_gap_moves_a_full_word_to_the_heap() {
+        let mut set = BitSet::new(64);
+        for i in [0, 5, 62, 63] {
+            set.insert(i);
+        }
+        assert!(set.heap.is_empty(), "64 indices fit the inline word");
+        set.insert_gap(6, 65);
+        assert_eq!(set.iter().collect::<Vec<_>>(), [0, 5, 63, 64]);
+        let mut fresh = BitSet::new(65);
+        for i in [0, 5, 63, 64] {
+            fresh.insert(i);
+        }
+        assert_eq!(
+            set, fresh,
+            "the moved set holds exactly a fresh one's words"
+        );
     }
 
     /// The gap shift carries across words: members at 62..=65 around an

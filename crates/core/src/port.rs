@@ -131,8 +131,12 @@ pub enum InputQueues {
     Isolating {
         /// Non-congested traffic.
         nfq: PacketQueue,
-        /// The small set of congested flow queues.
+        /// The small set of congested flow queues: empty until the
+        /// port's first CFQ allocation, `num_cfqs` slots from then on,
+        /// so a port that never isolates holds no heap block for them.
         cfqs: Vec<CfqSlot>,
+        /// The number of CFQ slots.
+        num_cfqs: usize,
     },
 }
 
@@ -155,7 +159,8 @@ impl InputQueues {
             S::PerDest => fixed(num_dests, StaticKey::Dest),
             S::Isolating => InputQueues::Isolating {
                 nfq: PacketQueue::new(),
-                cfqs: (0..num_cfqs).map(|_| CfqSlot::default()).collect(),
+                cfqs: Vec::new(),
+                num_cfqs,
             },
         }
     }
@@ -190,7 +195,7 @@ impl InputQueues {
     pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut PacketQueue> {
         let (plain, cfqs): (&mut [PacketQueue], &mut [CfqSlot]) = match self {
             InputQueues::Static { queues, .. } => (queues, &mut []),
-            InputQueues::Isolating { nfq, cfqs } => (std::slice::from_mut(nfq), cfqs),
+            InputQueues::Isolating { nfq, cfqs, .. } => (std::slice::from_mut(nfq), cfqs),
         };
         plain
             .iter_mut()
@@ -230,9 +235,29 @@ impl InputQueues {
             .position(|c| matches!(c.state, Some(s) if s.dst == dst))
     }
 
-    /// Index of a free CFQ slot, if any.
-    pub fn cfq_free_slot(&self) -> Option<usize> {
-        self.cfqs().iter().position(|c| c.state.is_none())
+    /// Whether [`Self::cfq_allocate`] would find a free slot.
+    pub(crate) fn cfq_free(&self) -> bool {
+        match self {
+            InputQueues::Static { .. } => false,
+            InputQueues::Isolating { cfqs, num_cfqs, .. } => {
+                cfqs.len() < *num_cfqs || cfqs.iter().any(|c| c.state.is_none())
+            }
+        }
+    }
+
+    /// Give the first free CFQ slot the CAM line `state` and return its
+    /// index; `None` when every slot is allocated (or there are none).
+    pub fn cfq_allocate(&mut self, state: CfqState) -> Option<usize> {
+        let InputQueues::Isolating { cfqs, num_cfqs, .. } = self else {
+            return None;
+        };
+        if cfqs.is_empty() {
+            cfqs.reserve_exact(*num_cfqs);
+            cfqs.resize_with(*num_cfqs, CfqSlot::default);
+        }
+        let free = cfqs.iter().position(|c| c.state.is_none())?;
+        cfqs[free].state = Some(state);
+        Some(free)
     }
 
     /// Number of currently allocated CFQs.
@@ -295,11 +320,11 @@ mod tests {
             (0..8).map(modulo).collect::<Vec<_>>(),
             [0, 1, 2, 0, 1, 2, 0, 1]
         );
-        let iso = InputQueues::new(QueueingScheme::Isolating, 4, 8, 2);
-        match &iso {
-            InputQueues::Isolating { cfqs, .. } => assert_eq!(cfqs.len(), 2),
-            _ => panic!(),
-        }
+        // The CFQ slots come with the first allocation.
+        let mut iso = InputQueues::new(QueueingScheme::Isolating, 4, 8, 2);
+        assert!(iso.cfqs().is_empty());
+        iso.cfq_allocate(CfqState::new(NodeId(4), 1, true));
+        assert_eq!(iso.cfqs().len(), 2);
     }
 
     /// One packet per destination, of `d + 1` flits, in the queue it
@@ -324,22 +349,26 @@ mod tests {
         }
     }
 
+    /// Allocation takes the first free slot, a freed slot is taken
+    /// again, and a port with every slot allocated takes no more.
     #[test]
     fn cfq_lookup_and_free_slot() {
         let mut q = InputQueues::new(QueueingScheme::Isolating, 4, 8, 2);
         assert_eq!(q.cfq_lookup(NodeId(4)), None);
-        assert_eq!(q.cfq_free_slot(), Some(0));
-        if let InputQueues::Isolating { cfqs, .. } = &mut q {
-            cfqs[0].state = Some(CfqState::new(NodeId(4), 1, true));
-        }
+        assert!(q.cfq_free(), "no slot allocated yet: both are free");
+        assert_eq!(q.cfq_allocate(CfqState::new(NodeId(4), 1, true)), Some(0));
+        assert!(q.cfq_free());
         assert_eq!(q.cfq_lookup(NodeId(4)), Some(0));
         assert_eq!(q.cfq_lookup(NodeId(5)), None);
-        assert_eq!(q.cfq_free_slot(), Some(1));
         assert_eq!(q.cfqs_allocated(), 1);
-        if let InputQueues::Isolating { cfqs, .. } = &mut q {
-            cfqs[1].state = Some(CfqState::new(NodeId(5), 1, false));
-        }
-        assert_eq!(q.cfq_free_slot(), None);
+        assert_eq!(q.cfq_allocate(CfqState::new(NodeId(5), 1, false)), Some(1));
+        assert!(!q.cfq_free());
+        assert_eq!(q.cfq_allocate(CfqState::new(NodeId(6), 1, false)), None);
+        assert_eq!(q.cfqs_allocated(), 2);
+        q.cfqs_mut()[0].state = None;
+        assert_eq!(q.cfq_allocate(CfqState::new(NodeId(6), 1, false)), Some(0));
+        assert_eq!(q.cfq_lookup(NodeId(6)), Some(0));
+        assert_eq!(q.cfq_lookup(NodeId(4)), None);
     }
 
     #[test]
@@ -347,7 +376,13 @@ mod tests {
         for (scheme, _, _) in STATIC_SCHEMES {
             let q = InputQueues::new(scheme, 4, 8, 2);
             assert_eq!(q.cfq_lookup(NodeId(0)), None, "{scheme:?}");
-            assert_eq!(q.cfq_free_slot(), None, "{scheme:?}");
+            assert!(!q.cfq_free(), "{scheme:?}");
+            let mut q = q;
+            assert_eq!(
+                q.cfq_allocate(CfqState::new(NodeId(0), 0, true)),
+                None,
+                "{scheme:?}"
+            );
             assert_eq!(q.cfqs_allocated(), 0, "{scheme:?}");
         }
     }

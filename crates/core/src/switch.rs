@@ -402,9 +402,13 @@ struct DetectScan {
 /// the duration of a call (borrow-splitting) and put back after.
 #[derive(Debug, Clone, Default)]
 struct ArbScratch {
-    /// Eligible heads per input port; non-empty exactly for the members
-    /// of `in_free`.
-    all_candidates: Vec<Vec<Candidate>>,
+    /// Eligible heads of every input port, port by port: a gather visits
+    /// the ports in ascending order, so each port's heads sit side by
+    /// side.
+    candidates: Vec<Candidate>,
+    /// Per input port, the `start..end` of its heads in `candidates`;
+    /// meaningful exactly for the members of `in_free`.
+    spans: Vec<(u32, u32)>,
     /// Per output, the inputs with a candidate for it; non-empty exactly
     /// for the members of `out_free`.
     requesters: Vec<BitSet>,
@@ -436,7 +440,8 @@ struct ArbScratch {
 impl ArbScratch {
     fn new(num_ports: usize) -> Self {
         Self {
-            all_candidates: vec![Vec::new(); num_ports],
+            candidates: Vec::new(),
+            spans: vec![(0, 0); num_ports],
             requesters: vec![BitSet::new(num_ports); num_ports],
             in_free: BitSet::new(num_ports),
             out_free: BitSet::new(num_ports),
@@ -449,9 +454,7 @@ impl ArbScratch {
 
     /// Empty the gather results (only what the last gather filled).
     fn reset(&mut self) {
-        for port in self.in_free.iter() {
-            self.all_candidates[port].clear();
-        }
+        self.candidates.clear();
         for out in self.out_free.iter() {
             self.requesters[out].clear();
         }
@@ -462,11 +465,24 @@ impl ArbScratch {
         self.watched.clear();
     }
 
+    /// Add a head of input `port`, which is the last port given one.
     fn push(&mut self, port: usize, cand: Candidate) {
-        self.all_candidates[port].push(cand);
+        let end = self.candidates.len() as u32;
+        if !self.in_free.contains(port) {
+            self.in_free.insert(port);
+            self.spans[port].0 = end;
+        }
+        debug_assert!(self.in_free.next_in(port + 1, self.spans.len()).is_none());
+        self.candidates.push(cand);
+        self.spans[port].1 = end + 1;
         self.requesters[cand.out].insert(port);
-        self.in_free.insert(port);
         self.out_free.insert(cand.out);
+    }
+
+    /// The heads input `port` offered.
+    fn of(&self, port: usize) -> &[Candidate] {
+        let (start, end) = self.spans[port];
+        &self.candidates[start as usize..end as usize]
     }
 }
 
@@ -687,7 +703,7 @@ impl Switch {
         routes: RouteRow<'_>,
         tally: &mut Vec<(NodeId, u32)>,
     ) -> DetectScan {
-        let InputQueues::Isolating { nfq, cfqs } = &self.inputs[port].queues else {
+        let InputQueues::Isolating { nfq, cfqs, .. } = &self.inputs[port].queues else {
             unreachable!("detection scan on non-isolating scheme")
         };
         tally.clear();
@@ -780,10 +796,10 @@ impl Switch {
     /// every skip against this.
     fn quiet_until(&self, port: usize, now: Cycle, routes: RouteRow<'_>) -> Option<Cycle> {
         let iso = self.cfg.iso?;
-        let InputQueues::Isolating { nfq, cfqs } = &self.inputs[port].queues else {
+        let InputQueues::Isolating { nfq, cfqs, .. } = &self.inputs[port].queues else {
             return None;
         };
-        let free = cfqs.iter().any(|c| c.state.is_none());
+        let free = self.inputs[port].queues.cfq_free();
         let detect_flits = iso.detect_threshold_mtus * self.cfg.mtu_flits;
         if free
             && nfq.occupancy_flits() >= detect_flits
@@ -908,12 +924,13 @@ impl Switch {
                     .dominant
                     .expect("unmatched_total > 0 implies a tally entry");
                 let out = routes.port(dst).index();
-                match self.inputs[port].queues.cfq_free_slot() {
-                    Some(free) => {
-                        // Locally detected => this switch is 1 hop from
-                        // the congestion point: a root CFQ.
-                        self.inputs[port].queues.cfqs_mut()[free].state =
-                            Some(CfqState::new(dst, out, true));
+                // Locally detected => this switch is 1 hop from the
+                // congestion point: a root CFQ.
+                match self.inputs[port]
+                    .queues
+                    .cfq_allocate(CfqState::new(dst, out, true))
+                {
+                    Some(_) => {
                         self.port_changed(port);
                         quiet = false;
                         metrics.record(
@@ -962,10 +979,11 @@ impl Switch {
                 None if out_cam_hit => {
                     // A congestion tree propagated from downstream:
                     // isolate its packets here too (non-root CFQ).
-                    match self.inputs[port].queues.cfq_free_slot() {
+                    match self.inputs[port]
+                        .queues
+                        .cfq_allocate(CfqState::new(dst, out, false))
+                    {
                         Some(free) => {
-                            self.inputs[port].queues.cfqs_mut()[free].state =
-                                Some(CfqState::new(dst, out, false));
                             metrics.record(
                                 now,
                                 CcEventKind::CfqAlloc {
@@ -987,7 +1005,7 @@ impl Switch {
             };
             // Otherwise the head is non-congested, or unisolatable.
             let Some(s) = slot else { break };
-            let InputQueues::Isolating { nfq, cfqs } = &mut self.inputs[port].queues else {
+            let InputQueues::Isolating { nfq, cfqs, .. } = &mut self.inputs[port].queues else {
                 unreachable!()
             };
             let entry = nfq.pop().expect("head exists");
@@ -1006,7 +1024,7 @@ impl Switch {
         // ------- per-CFQ protocol: propagate / stop / go / high-low /
         // dealloc -------
         let upstream = self.inputs[port].in_link.is_some();
-        for c in 0..iso.num_cfqs {
+        for c in 0..self.inputs[port].queues.cfqs().len() {
             let slot = &self.inputs[port].queues.cfqs()[c];
             let Some(st) = slot.state else { continue };
             let occ = slot.queue.occupancy_flits();
@@ -1535,7 +1553,7 @@ impl Switch {
                     }
                 }
             }
-            InputQueues::Isolating { nfq, cfqs } => {
+            InputQueues::Isolating { nfq, cfqs, .. } => {
                 if let Some(h) = visible_head(nfq, now, &mut arb.idle) {
                     // Post-processing guarantees only non-congested heads
                     // compete from the NFQ (§III-C): a head matching an
@@ -1593,7 +1611,7 @@ impl Switch {
                 }
                 entry
             }
-            InputQueues::Isolating { nfq, cfqs } => {
+            InputQueues::Isolating { nfq, cfqs, .. } => {
                 let entry = match key {
                     QueueKey::Nfq => nfq.pop(),
                     QueueKey::Cfq(c) => cfqs[c].queue.pop(),
@@ -1665,7 +1683,7 @@ impl Switch {
             // BECNs have transmission priority (§III-B); otherwise round
             // robin over the port's queues. Two passes over the (tiny)
             // candidate list avoid collecting the matching subset.
-            let port_cands = &arb.all_candidates[port];
+            let port_cands = arb.of(port);
             let count = port_cands.iter().filter(|c| c.out == out).count();
             debug_assert!(count > 0);
             let pick = port_cands
@@ -2119,7 +2137,7 @@ impl Switch {
                 continue;
             }
             match &inp.queues {
-                InputQueues::Isolating { nfq, cfqs } => {
+                InputQueues::Isolating { nfq, cfqs, .. } => {
                     write!(
                         out,
                         "  in{p}: ram={}/{} nfq={}f",
@@ -2990,6 +3008,30 @@ mod tests {
         deliver(&mut fx, 10, becn);
         iso_tick(&mut fx, 10);
         assert!(settled(&fx), "a control head, CAM line or not");
+    }
+
+    /// A port that has never held a CFQ has every slot free, though it
+    /// holds none yet: an NFQ over the detection threshold, or a head of
+    /// a tree propagated from downstream, makes its next visit act.
+    #[test]
+    fn a_port_that_never_isolated_is_not_quiet_before_it_must() {
+        let mut fx = iso_fixture(2);
+        deliver_n_at(&mut fx, 0, &mut 0, 9, 6);
+        assert_eq!(
+            fx.sw.quiet_until(0, 0, fx.routing.row(fx.sw.id)),
+            None,
+            "detection allocates a root CFQ"
+        );
+        let mut fx = iso_fixture(2);
+        downstream_says(&mut fx, 2, 0, CtrlEvent::CfqAlloc { dst: NodeId(6) });
+        deliver(&mut fx, 10, pkt(1, 6));
+        assert_eq!(
+            fx.sw.quiet_until(0, 10, fx.routing.row(fx.sw.id)),
+            None,
+            "the head moves into a new CFQ"
+        );
+        iso_tick(&mut fx, 10);
+        assert_eq!(fx.metrics.counter("packets_isolated"), 1);
     }
 
     #[test]
@@ -4137,7 +4179,8 @@ mod twin_tests {
             let quiet = (0..PORTS)
                 .filter(|&p| self.sw.iso_live.contains(p) && self.sw.iso_quiet[p] > 0)
                 .map(|port| {
-                    let InputQueues::Isolating { nfq, cfqs } = &self.sw.inputs[port].queues else {
+                    let InputQueues::Isolating { nfq, cfqs, .. } = &self.sw.inputs[port].queues
+                    else {
                         unreachable!("only an isolating port is quiet")
                     };
                     let head = nfq.head().map(|h| h.packet.dst);

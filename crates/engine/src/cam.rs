@@ -24,23 +24,28 @@ pub struct CamLine<K, V> {
     pub value: V,
 }
 
-/// A fixed-capacity content-addressable memory.
+/// A fixed-capacity content-addressable memory. Its lines are allocated
+/// by its first [`Cam::allocate`], so a CAM that never holds a line —
+/// every port of a network without congestion — holds no heap block.
 #[derive(Debug, Clone)]
 pub struct Cam<K, V> {
+    /// Empty until the first allocation, `capacity` lines from then on.
     lines: Vec<Option<CamLine<K, V>>>,
+    capacity: usize,
 }
 
 impl<K: Eq + Copy, V> Cam<K, V> {
     /// Create a CAM with `lines` lines, all free.
     pub fn new(lines: usize) -> Self {
         Self {
-            lines: (0..lines).map(|_| None).collect(),
+            lines: Vec::new(),
+            capacity: lines,
         }
     }
 
     /// Total number of lines.
     pub fn capacity(&self) -> usize {
-        self.lines.len()
+        self.capacity
     }
 
     /// Number of occupied lines.
@@ -51,7 +56,7 @@ impl<K: Eq + Copy, V> Cam<K, V> {
     /// True when no line is free — the resource-exhaustion condition that
     /// makes pure congested-flow isolation lose to CCFIT in Fig. 8b/c.
     pub fn is_full(&self) -> bool {
-        self.lines.iter().all(|l| l.is_some())
+        self.lines.len() == self.capacity && self.lines.iter().all(|l| l.is_some())
     }
 
     /// Index of the line matching `key`, if any.
@@ -70,6 +75,10 @@ impl<K: Eq + Copy, V> Cam<K, V> {
     /// must look up before allocating.
     pub fn allocate(&mut self, key: K, value: V) -> Result<usize, EngineError> {
         debug_assert!(self.lookup(key).is_none(), "duplicate CAM allocation");
+        if self.lines.is_empty() {
+            self.lines.reserve_exact(self.capacity);
+            self.lines.resize_with(self.capacity, || None);
+        }
         match self.lines.iter().position(|l| l.is_none()) {
             Some(idx) => {
                 self.lines[idx] = Some(CamLine { key, value });

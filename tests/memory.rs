@@ -7,6 +7,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use ccfit::bitset::BitSet;
 use ccfit::endnode::AdapterThrottle;
 use ccfit::engine::ids::{FlowId, NodeId, PacketId};
 use ccfit::engine::queue::QueuedPacket;
@@ -103,14 +104,16 @@ fn tree_peak_mb(k: u32, duration_ns: f64) -> f64 {
 /// The benchmark's `scale4096` case — a 16-ary 3-tree for 50 µs. Its
 /// live heap peaked at ~73 MB when the spec and the simulator each held
 /// a 6.3 MB routing table, every adapter its own CCT and every queue
-/// four slots from its first packet, and at ~44.5 MB with one routing
-/// table; it peaks at ~37 MB now that DET routes in closed form and
-/// `DestMap` allocates its index by the page.
+/// four slots from its first packet, at ~44.5 MB with one routing table,
+/// and at ~37 MB once DET routed in closed form and `DestMap` allocated
+/// its index by the page. It peaks at ~29 MB now that a switch's port
+/// sets are inline words, its arbitration candidates one array, and a
+/// port's CFQ slots and CAM lines allocated by their first use.
 #[test]
-fn scale4096_peaks_under_42_mb_of_live_heap() {
+fn scale4096_peaks_under_32_mb_of_live_heap() {
     let peak_mb = tree_peak_mb(16, 50_000.0);
     assert!(
-        peak_mb <= 42.0,
+        peak_mb <= 32.0,
         "scale4096 peaked at {peak_mb:.1} MB of live heap"
     );
 }
@@ -118,18 +121,32 @@ fn scale4096_peaks_under_42_mb_of_live_heap() {
 /// The 32 768-node tree of `tests/integration_scale.rs` — a 32-ary
 /// 3-tree for 20 µs. Its live heap held a 201 MB DET table and a 5 KB
 /// `DestMap` index in each adapter (168 MB), 623 MB in all; without
-/// them it peaks at ~280 MB.
+/// them it peaked at ~277 MB, and with the switch's sets, candidates,
+/// CFQ slots and CAM lines folded as in `scale4096` at ~213 MB.
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "release only: building 3072 64-port switches takes minutes unoptimised"
 )]
-fn tree_of_32768_nodes_peaks_under_300_mb_of_live_heap() {
+fn tree_of_32768_nodes_peaks_under_235_mb_of_live_heap() {
     let peak_mb = tree_peak_mb(32, 20_000.0);
     assert!(
-        peak_mb <= 300.0,
+        peak_mb <= 235.0,
         "the 32 768-node tree peaked at {peak_mb:.1} MB of live heap"
     );
+}
+
+/// A set over at most 64 indices — every port set of a switch of up to
+/// 64 ports — keeps its word inline; one over 65 holds its two words on
+/// the heap.
+#[test]
+fn a_bitset_allocates_only_past_64_indices() {
+    for (len, bytes) in [(0, 0), (64, 0), (65, 16)] {
+        let base = live_and_reset_peak();
+        let set = BitSet::new(len);
+        assert_eq!(LIVE.with(Cell::get) - base, bytes, "BitSet::new({len})");
+        drop(set);
+    }
 }
 
 /// The tables a run shares are shared, not copied, by every clone.
