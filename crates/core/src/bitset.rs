@@ -8,7 +8,8 @@
 //! works — a set spans `len.div_ceil(64)` words, held inline (no heap
 //! block) up to 64 indices. [`DestMap`] answers the companion question
 //! "what do I hold *for* thing `k`" when only a few of the N things ever
-//! get an answer (the adapter's per-destination state).
+//! get an answer (the adapter's per-destination state), by binary search
+//! over the keys it holds.
 
 /// Word-bitset over the indices `0..len`. A set over at most 64 indices
 /// — every port set of a switch of up to 64 ports — keeps its one word
@@ -224,89 +225,38 @@ impl RoundRobin {
     }
 }
 
-/// Keys per [`DestMap`] rank block: two membership words.
-const RANK_BLOCK: usize = 128;
-
-/// Keys per [`DestMap`] index page: four rank blocks.
-const PAGE: usize = 512;
-
-/// One page of a [`DestMap`]'s index: which of its `PAGE` keys are
-/// members, and per rank block how many members of the page lie below
-/// that block.
-#[derive(Debug, Clone)]
-struct Page {
-    member: [u64; PAGE / 64],
-    rank: [u16; PAGE / RANK_BLOCK],
-}
-
-impl Page {
-    const EMPTY: Page = Page {
-        member: [0; PAGE / 64],
-        rank: [0; PAGE / RANK_BLOCK],
-    };
-
-    /// Whether key `k` of the page is a member.
-    #[inline]
-    fn contains(&self, k: usize) -> bool {
-        self.member[k / 64] & (1 << (k % 64)) != 0
-    }
-
-    /// Members of the page below its key `k`.
-    #[inline]
-    fn rank(&self, k: usize) -> usize {
-        let w = k / 64;
-        let mut below = (self.member[w] & ((1u64 << (k % 64)) - 1)).count_ones();
-        if w % 2 == 1 {
-            below += self.member[w - 1].count_ones();
-        }
-        self.rank[k / RANK_BLOCK] as usize + below as usize
-    }
-}
-
-/// A sparse map from an index in `0..universe` to a `T`, for the case
-/// where few of the indices ever hold a value: the values live in a slab
-/// sorted by key, so a *slot* (position in the slab) orders like its key
-/// and walking the slab visits keys ascending.
+/// A sparse map from a small index to a `T`, for the case where few of
+/// the indices ever hold a value: the keys and values live in two slabs
+/// sorted by key, so a *slot* (position in the slabs) orders like its
+/// key and walking the slabs visits keys ascending.
 ///
-/// A point lookup is O(1) and search-free: membership is a word-bitset
-/// over the universe, and the slot of a member is its rank — a prefix
-/// count stored per page of 512 keys, one per 128 keys inside the page,
-/// plus at most two popcounts. The bitset and the in-page counts of the
-/// first page are held inline; every further page is allocated on the
-/// first insert into it, and a key in a page that holds nothing ranks
-/// at its page's prefix count. Cost per map: 72 bytes inline, then
-/// `universe / 64` bytes of page directory and 72 bytes per further
-/// page that holds a key, then one `T` and one `u32` per key actually
-/// inserted. Entries are never removed, so a slot only ever moves up
-/// (when a smaller key is inserted below it).
+/// A point lookup is a binary search over the sorted keys — an adapter
+/// meets 2 to 63 destinations, so it takes at most six probes. Cost per
+/// map: one `u32` and one `T` per key actually inserted, nothing per key
+/// it could hold. Entries are never removed, so a slot only ever moves
+/// up (when a smaller key is inserted below it).
 #[derive(Debug, Clone)]
 pub struct DestMap<T> {
-    /// The page of keys `0..PAGE`, held inline: a universe of one page —
-    /// every network of the paper — looks its keys up with no
-    /// indirection.
-    first: Page,
-    /// Per further page `i + 1` of `PAGE` keys: the members below its
-    /// first key, and its index in `pages` plus one (0: the page holds
-    /// no member).
-    dir: Vec<(u32, u32)>,
-    /// The pages that hold a member, in the order they got their first.
-    pages: Vec<Page>,
     /// Slot → key, ascending.
     keys: Vec<u32>,
     /// Slot → value.
     vals: Vec<T>,
 }
 
-impl<T> DestMap<T> {
-    /// An empty map over the keys `0..universe`.
-    pub fn new(universe: usize) -> Self {
+/// Written out, not derived: a derive would bound `T: Default`.
+impl<T> Default for DestMap<T> {
+    fn default() -> Self {
         Self {
-            first: Page::EMPTY,
-            dir: vec![(0, 0); universe.div_ceil(PAGE).saturating_sub(1)],
-            pages: Vec::new(),
             keys: Vec::new(),
             vals: Vec::new(),
         }
+    }
+}
+
+impl<T> DestMap<T> {
+    /// An empty map.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of keys that hold a value (= number of slots).
@@ -319,32 +269,17 @@ impl<T> DestMap<T> {
         self.vals.is_empty()
     }
 
-    /// The members below `key`'s page, and the page if it holds any.
-    #[inline]
-    fn page(&self, key: usize) -> (usize, Option<&Page>) {
-        let Some(i) = (key / PAGE).checked_sub(1) else {
-            return (0, Some(&self.first));
-        };
-        let (below_page, page) = self.dir[i];
-        let page = page.checked_sub(1).map(|p| &self.pages[p as usize]);
-        (below_page as usize, page)
-    }
-
     /// Members below `key` — the slot `key` has, or would be inserted at.
     #[inline]
     pub fn rank(&self, key: usize) -> usize {
-        match self.page(key) {
-            (below_page, Some(page)) => below_page + page.rank(key % PAGE),
-            (below_page, None) => below_page,
-        }
+        self.keys.partition_point(|&k| (k as usize) < key)
     }
 
     /// The slot of `key`, if it holds a value.
     #[inline]
     pub fn slot(&self, key: usize) -> Option<usize> {
-        let (below_page, page) = self.page(key);
-        let (page, k) = (page?, key % PAGE);
-        page.contains(k).then(|| below_page + page.rank(k))
+        let slot = self.rank(key);
+        (self.keys.get(slot).map(|&k| k as usize) == Some(key)).then_some(slot)
     }
 
     /// Give the absent `key` a value and return its slot. Every slot at
@@ -352,28 +287,6 @@ impl<T> DestMap<T> {
     pub fn insert(&mut self, key: usize, val: T) -> usize {
         debug_assert!(self.slot(key).is_none(), "key {key} inserted twice");
         let slot = self.rank(key);
-        let page = match (key / PAGE).checked_sub(1) {
-            None => &mut self.first,
-            Some(i) => {
-                if self.dir[i].1 == 0 {
-                    // A page at a time, so no capacity sits unused.
-                    self.pages.reserve_exact(1);
-                    self.pages.push(Page::EMPTY);
-                    self.dir[i].1 = self.pages.len() as u32;
-                }
-                &mut self.pages[self.dir[i].1 as usize - 1]
-            }
-        };
-        let k = key % PAGE;
-        page.member[k / 64] |= 1 << (k % 64);
-        for r in &mut page.rank[k / RANK_BLOCK + 1..] {
-            *r += 1;
-        }
-        // `dir[i]` is page `i + 1`: the pages above `key`'s start at
-        // `dir[key / PAGE]`.
-        for (below_page, _) in &mut self.dir[key / PAGE..] {
-            *below_page += 1;
-        }
         self.keys.insert(slot, key as u32);
         self.vals.insert(slot, val);
         slot
@@ -423,22 +336,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Universes around the membership-word, rank-block and page
-    /// boundaries.
-    const UNIVERSES: [usize; 12] = [
-        1,
-        63,
-        64,
-        65,
-        127,
-        128,
-        129,
-        300,
-        PAGE - 1,
-        PAGE,
-        PAGE + 1,
-        3 * PAGE + 5,
-    ];
+    /// Universes from one key to 1 541, across the side set's word
+    /// boundaries and past 512 keys.
+    const UNIVERSES: [usize; 12] = [1, 63, 64, 65, 127, 128, 129, 300, 511, 512, 513, 1541];
 
     proptest! {
         /// Random insert / find sequences against a dense
@@ -452,7 +352,7 @@ mod tests {
             ops in prop::collection::vec((any::<bool>(), any::<u32>(), any::<bool>()), 1..200),
         ) {
             let n = UNIVERSES[universe];
-            let mut map = DestMap::new(n);
+            let mut map = DestMap::new();
             let mut dense: Vec<Option<u32>> = vec![None; n];
             // A set over slots (the adapter's `backlogged`) and the set
             // of keys it is meant to name.
@@ -493,32 +393,6 @@ mod tests {
                 prop_assert_eq!(map.get(key), v.as_ref());
             }
         }
-    }
-
-    /// A key in a page that holds nothing has no slot and ranks at the
-    /// members of the pages below it; only pages that hold a key are
-    /// allocated.
-    #[test]
-    fn keys_in_absent_pages_rank_at_the_members_below_their_page() {
-        let mut map = DestMap::new(3 * PAGE + 5);
-        for key in [PAGE + 7, 2 * PAGE - 1, PAGE] {
-            map.insert(key, ());
-        }
-        assert_eq!(map.pages.len(), 1, "page 1 is on the heap");
-        let absent = |map: &DestMap<()>, keys: &[usize], rank: usize| {
-            for &key in keys {
-                assert_eq!(map.slot(key), None, "key {key}");
-                assert_eq!(map.rank(key), rank, "rank of {key}");
-            }
-        };
-        absent(&map, &[0, 1, PAGE - 1], 0);
-        absent(&map, &[2 * PAGE, 3 * PAGE - 1, 3 * PAGE, 3 * PAGE + 4], 3);
-        assert_eq!(map.insert(0, ()), 0);
-        assert_eq!(map.insert(3 * PAGE + 4, ()), 4);
-        assert_eq!(map.pages.len(), 2, "page 0 is inline");
-        absent(&map, &[2 * PAGE, 3 * PAGE - 1, 3 * PAGE], 4);
-        assert_eq!(map.slot(PAGE + 7), Some(2));
-        assert_eq!(map.slot(3 * PAGE + 4), Some(4));
     }
 
     /// Universes around the inline word's edge.

@@ -22,7 +22,7 @@ use crate::bitset::{BitSet, DestMap, RoundRobin};
 use crate::idle::IdleBound;
 use crate::params::{IsolationParams, ThrottleParams};
 
-use crate::port::{CfqSlot, CfqState};
+use crate::port::{CfqSlot, CfqSlots, CfqState};
 use crate::switch::{OutCamState, PurgeStats, VoqNetCredits};
 use ccfit_cc::{DcqcnCfg, DcqcnFlow, HpccCfg, HpccFlow};
 use ccfit_engine::cam::Cam;
@@ -144,8 +144,8 @@ enum Target {
     Nfq,
     /// The CFQ already allocated to the packet's destination.
     Cfq(usize),
-    /// A free CFQ slot, allocated to the destination by the move.
-    NewCfq(usize),
+    /// The first free CFQ slot, allocated to the destination by the move.
+    NewCfq,
 }
 
 /// What the AdVOQ arbiter makes of the head of one AdVOQ at one cycle.
@@ -188,7 +188,7 @@ pub struct Adapter {
     /// `peers.rank(rr)`.
     rr: usize,
     nfq: PacketQueue,
-    cfqs: Vec<CfqSlot>,
+    cfqs: CfqSlots,
     /// Congestion info received from the attached switch, keyed by
     /// congested destination (plays the role of an output-port CAM).
     cam: Cam<NodeId, OutCamState>,
@@ -253,11 +253,11 @@ impl Adapter {
             inject_link,
             inject_bw,
             num_nodes,
-            peers: DestMap::new(num_nodes),
+            peers: DestMap::new(),
             backlogged: BitSet::new(0),
             rr: 0,
             nfq: PacketQueue::new(),
-            cfqs: (0..num_cfqs).map(|_| CfqSlot::default()).collect(),
+            cfqs: CfqSlots::new(num_cfqs),
             cam: Cam::new(cam_lines),
             becn_out: std::collections::VecDeque::new(),
             throttle: Vec::new(),
@@ -568,12 +568,6 @@ impl Adapter {
         self.peers.len()
     }
 
-    fn cfq_lookup(&self, dst: NodeId) -> Option<usize> {
-        self.cfqs
-            .iter()
-            .position(|c| matches!(c.state, Some(s) if s.dst == dst))
-    }
-
     fn stopped(&self, dst: NodeId) -> bool {
         self.cam
             .lookup(dst)
@@ -722,7 +716,7 @@ impl Adapter {
             // Congested destination: goes to (or allocates) its CFQ,
             // honouring the Stop threshold as per-destination
             // backpressure into the AdVOQ.
-            Some(iso) if self.cam.lookup(dst).is_some() => match self.cfq_lookup(dst) {
+            Some(iso) if self.cam.lookup(dst).is_some() => match self.cfqs.lookup(dst) {
                 Some(c) => {
                     let stop_flits = iso.stop_mtus * self.cfg.mtu_flits;
                     if self.cfqs[c].queue.occupancy_flits() + size <= stop_flits {
@@ -731,12 +725,10 @@ impl Adapter {
                         Fate::Held // CFQ full past Stop: hold in AdVOQ
                     }
                 }
-                None => match self.cfqs.iter().position(|c| c.state.is_none()) {
-                    Some(c) => Fate::Move(Target::NewCfq(c)),
-                    // No CFQ left: fall back to the NFQ (the HoL risk the
-                    // paper accepts when isolation resources run out).
-                    None => Fate::CfqExhausted { moves: nfq_open },
-                },
+                None if self.cfqs.free() => Fate::Move(Target::NewCfq),
+                // No CFQ left: fall back to the NFQ (the HoL risk the
+                // paper accepts when isolation resources run out).
+                None => Fate::CfqExhausted { moves: nfq_open },
             },
             _ if nfq_open => Fate::Move(Target::Nfq),
             _ => Fate::Held,
@@ -822,8 +814,11 @@ impl Adapter {
         match target {
             Target::Nfq => self.nfq.push(entry.packet, now, now),
             Target::Cfq(c) => self.cfqs[c].queue.push(entry.packet, now, now),
-            Target::NewCfq(c) => {
-                self.cfqs[c].state = Some(CfqState::new(dst, 0, false));
+            Target::NewCfq => {
+                let c = self
+                    .cfqs
+                    .allocate(CfqState::new(dst, 0, false))
+                    .expect("the head's fate checked");
                 metrics.record(
                     now,
                     CcEventKind::IaCfqAlloc {
@@ -1031,7 +1026,7 @@ impl Adapter {
 
     /// Whether some CFQ slot is allocated.
     fn holds_a_cfq(&self) -> bool {
-        self.cfqs.iter().any(|c| c.state.is_some())
+        self.cfqs.allocated() > 0
     }
 
     /// The recount `backlogged` mirrors: slot `s` is a member ⇔ its AdVOQ
@@ -1194,7 +1189,7 @@ impl Adapter {
         let advoq_purged = scratch.len();
         self.nfq
             .drain_where_into(|e| unreachable(e.packet.dst), scratch);
-        for c in &mut self.cfqs {
+        for c in self.cfqs.iter_mut() {
             c.queue
                 .drain_where_into(|e| unreachable(e.packet.dst), scratch);
         }
@@ -1603,7 +1598,7 @@ mod idle_bound_tests {
         // Ten packets fill the CFQ to its Stop threshold; the eleventh
         // is held in the AdVOQ, also once its injection gap has run.
         let mut now = 1;
-        while f.a.cfqs[0].queue.len() < 10 || f.backlog(4) == 0 {
+        while f.a.cfqs.first().map_or(0, |c| c.queue.len()) < 10 || f.backlog(4) == 0 {
             f.inject(now, 4);
             f.tick(now);
             now += 1;

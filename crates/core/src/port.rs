@@ -87,6 +87,73 @@ pub struct CfqSlot {
     pub state: Option<CfqState>,
 }
 
+/// The CFQ slots of an isolating input port or an adapter: none until
+/// the first allocation, `num` from then on, so a port or adapter that
+/// never isolates holds no heap block for them. Reads the slots as a
+/// slice, by index.
+#[derive(Debug, Clone)]
+pub struct CfqSlots {
+    slots: Vec<CfqSlot>,
+    num: usize,
+}
+
+/// The slots of a port that has none: a static port's.
+static NO_CFQS: CfqSlots = CfqSlots::new(0);
+
+impl CfqSlots {
+    /// `num` slots, every one free and none allocated yet.
+    pub(crate) const fn new(num: usize) -> Self {
+        Self {
+            slots: Vec::new(),
+            num,
+        }
+    }
+
+    /// Index of the allocated CFQ isolating `dst`, if any (the CAM
+    /// lookup).
+    pub(crate) fn lookup(&self, dst: NodeId) -> Option<usize> {
+        self.slots
+            .iter()
+            .position(|c| matches!(c.state, Some(s) if s.dst == dst))
+    }
+
+    /// Whether [`Self::allocate`] would find a free slot.
+    pub(crate) fn free(&self) -> bool {
+        self.slots.len() < self.num || self.slots.iter().any(|c| c.state.is_none())
+    }
+
+    /// Give the first free slot the CAM line `state` and return its
+    /// index; `None` when every slot is allocated (or there are none).
+    pub(crate) fn allocate(&mut self, state: CfqState) -> Option<usize> {
+        if self.slots.is_empty() {
+            self.slots.reserve_exact(self.num);
+            self.slots.resize_with(self.num, CfqSlot::default);
+        }
+        let free = self.slots.iter().position(|c| c.state.is_none())?;
+        self.slots[free].state = Some(state);
+        Some(free)
+    }
+
+    /// Number of currently allocated CFQs.
+    pub(crate) fn allocated(&self) -> usize {
+        self.slots.iter().filter(|c| c.state.is_some()).count()
+    }
+}
+
+impl std::ops::Deref for CfqSlots {
+    type Target = [CfqSlot];
+
+    fn deref(&self) -> &[CfqSlot] {
+        &self.slots
+    }
+}
+
+impl std::ops::DerefMut for CfqSlots {
+    fn deref_mut(&mut self) -> &mut [CfqSlot] {
+        &mut self.slots
+    }
+}
+
 /// Which of a static organisation's queues a packet joins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StaticKey {
@@ -131,12 +198,8 @@ pub enum InputQueues {
     Isolating {
         /// Non-congested traffic.
         nfq: PacketQueue,
-        /// The small set of congested flow queues: empty until the
-        /// port's first CFQ allocation, `num_cfqs` slots from then on,
-        /// so a port that never isolates holds no heap block for them.
-        cfqs: Vec<CfqSlot>,
-        /// The number of CFQ slots.
-        num_cfqs: usize,
+        /// The small set of congested flow queues.
+        cfqs: CfqSlots,
     },
 }
 
@@ -159,16 +222,15 @@ impl InputQueues {
             S::PerDest => fixed(num_dests, StaticKey::Dest),
             S::Isolating => InputQueues::Isolating {
                 nfq: PacketQueue::new(),
-                cfqs: Vec::new(),
-                num_cfqs,
+                cfqs: CfqSlots::new(num_cfqs),
             },
         }
     }
 
-    /// The CFQ slots, by index; none at a static port.
-    pub(crate) fn cfqs(&self) -> &[CfqSlot] {
+    /// The CFQ slots; none at a static port.
+    pub(crate) fn cfqs(&self) -> &CfqSlots {
         match self {
-            InputQueues::Static { .. } => &[],
+            InputQueues::Static { .. } => &NO_CFQS,
             InputQueues::Isolating { cfqs, .. } => cfqs,
         }
     }
@@ -227,42 +289,12 @@ impl InputQueues {
             .count()
     }
 
-    /// Index of the allocated CFQ isolating `dst`, if any (the CAM
-    /// lookup).
-    pub fn cfq_lookup(&self, dst: NodeId) -> Option<usize> {
-        self.cfqs()
-            .iter()
-            .position(|c| matches!(c.state, Some(s) if s.dst == dst))
-    }
-
-    /// Whether [`Self::cfq_allocate`] would find a free slot.
-    pub(crate) fn cfq_free(&self) -> bool {
+    /// [`CfqSlots::allocate`]; `None` at a static port.
+    pub(crate) fn cfq_allocate(&mut self, state: CfqState) -> Option<usize> {
         match self {
-            InputQueues::Static { .. } => false,
-            InputQueues::Isolating { cfqs, num_cfqs, .. } => {
-                cfqs.len() < *num_cfqs || cfqs.iter().any(|c| c.state.is_none())
-            }
+            InputQueues::Static { .. } => None,
+            InputQueues::Isolating { cfqs, .. } => cfqs.allocate(state),
         }
-    }
-
-    /// Give the first free CFQ slot the CAM line `state` and return its
-    /// index; `None` when every slot is allocated (or there are none).
-    pub fn cfq_allocate(&mut self, state: CfqState) -> Option<usize> {
-        let InputQueues::Isolating { cfqs, num_cfqs, .. } = self else {
-            return None;
-        };
-        if cfqs.is_empty() {
-            cfqs.reserve_exact(*num_cfqs);
-            cfqs.resize_with(*num_cfqs, CfqSlot::default);
-        }
-        let free = cfqs.iter().position(|c| c.state.is_none())?;
-        cfqs[free].state = Some(state);
-        Some(free)
-    }
-
-    /// Number of currently allocated CFQs.
-    pub fn cfqs_allocated(&self) -> usize {
-        self.cfqs().iter().filter(|c| c.state.is_some()).count()
     }
 }
 
@@ -353,37 +385,36 @@ mod tests {
     /// again, and a port with every slot allocated takes no more.
     #[test]
     fn cfq_lookup_and_free_slot() {
-        let mut q = InputQueues::new(QueueingScheme::Isolating, 4, 8, 2);
-        assert_eq!(q.cfq_lookup(NodeId(4)), None);
-        assert!(q.cfq_free(), "no slot allocated yet: both are free");
-        assert_eq!(q.cfq_allocate(CfqState::new(NodeId(4), 1, true)), Some(0));
-        assert!(q.cfq_free());
-        assert_eq!(q.cfq_lookup(NodeId(4)), Some(0));
-        assert_eq!(q.cfq_lookup(NodeId(5)), None);
-        assert_eq!(q.cfqs_allocated(), 1);
-        assert_eq!(q.cfq_allocate(CfqState::new(NodeId(5), 1, false)), Some(1));
-        assert!(!q.cfq_free());
-        assert_eq!(q.cfq_allocate(CfqState::new(NodeId(6), 1, false)), None);
-        assert_eq!(q.cfqs_allocated(), 2);
-        q.cfqs_mut()[0].state = None;
-        assert_eq!(q.cfq_allocate(CfqState::new(NodeId(6), 1, false)), Some(0));
-        assert_eq!(q.cfq_lookup(NodeId(6)), Some(0));
-        assert_eq!(q.cfq_lookup(NodeId(4)), None);
+        let mut q = CfqSlots::new(2);
+        assert_eq!(q.lookup(NodeId(4)), None);
+        assert!(q.free(), "no slot allocated yet: both are free");
+        assert_eq!(q.allocate(CfqState::new(NodeId(4), 1, true)), Some(0));
+        assert!(q.free());
+        assert_eq!(q.lookup(NodeId(4)), Some(0));
+        assert_eq!(q.lookup(NodeId(5)), None);
+        assert_eq!(q.allocated(), 1);
+        assert_eq!(q.allocate(CfqState::new(NodeId(5), 1, false)), Some(1));
+        assert!(!q.free());
+        assert_eq!(q.allocate(CfqState::new(NodeId(6), 1, false)), None);
+        assert_eq!(q.allocated(), 2);
+        q[0].state = None;
+        assert_eq!(q.allocate(CfqState::new(NodeId(6), 1, false)), Some(0));
+        assert_eq!(q.lookup(NodeId(6)), Some(0));
+        assert_eq!(q.lookup(NodeId(4)), None);
     }
 
     #[test]
     fn non_isolating_schemes_have_no_cfqs() {
         for (scheme, _, _) in STATIC_SCHEMES {
-            let q = InputQueues::new(scheme, 4, 8, 2);
-            assert_eq!(q.cfq_lookup(NodeId(0)), None, "{scheme:?}");
-            assert!(!q.cfq_free(), "{scheme:?}");
-            let mut q = q;
+            let mut q = InputQueues::new(scheme, 4, 8, 2);
+            assert_eq!(q.cfqs().lookup(NodeId(0)), None, "{scheme:?}");
+            assert!(!q.cfqs().free(), "{scheme:?}");
             assert_eq!(
                 q.cfq_allocate(CfqState::new(NodeId(0), 0, true)),
                 None,
                 "{scheme:?}"
             );
-            assert_eq!(q.cfqs_allocated(), 0, "{scheme:?}");
+            assert_eq!(q.cfqs().allocated(), 0, "{scheme:?}");
         }
     }
 

@@ -713,10 +713,7 @@ impl Switch {
                 continue;
             }
             let dst = e.packet.dst;
-            if cfqs
-                .iter()
-                .any(|c| matches!(c.state, Some(s) if s.dst == dst))
-            {
+            if cfqs.lookup(dst).is_some() {
                 continue;
             }
             let out = routes.port(dst).index();
@@ -793,13 +790,13 @@ impl Switch {
     /// the deadlines of [`Self::cfq_deadline`]; everything else the visit
     /// reads only changes through an event that drops the bound (see
     /// `iso_quiet`). The walk and the park rule's re-derivation check
-    /// every skip against this.
+    /// every skip against this, and debug builds every visit.
     fn quiet_until(&self, port: usize, now: Cycle, routes: RouteRow<'_>) -> Option<Cycle> {
         let iso = self.cfg.iso?;
         let InputQueues::Isolating { nfq, cfqs, .. } = &self.inputs[port].queues else {
             return None;
         };
-        let free = self.inputs[port].queues.cfq_free();
+        let free = cfqs.free();
         let detect_flits = iso.detect_threshold_mtus * self.cfg.mtu_flits;
         if free
             && nfq.occupancy_flits() >= detect_flits
@@ -817,9 +814,7 @@ impl Switch {
             Some(head) if head.packet.is_data() => {
                 let dst = head.packet.dst;
                 let out = routes.port(dst).index();
-                if cfqs
-                    .iter()
-                    .any(|c| matches!(c.state, Some(s) if s.dst == dst))
+                if cfqs.lookup(dst).is_some()
                     || (free && self.outputs[out].cam.lookup(dst).is_some())
                 {
                     return None; // the head moves
@@ -828,7 +823,7 @@ impl Switch {
             _ => {}
         }
         let upstream = self.inputs[port].in_link.is_some();
-        for slot in cfqs {
+        for slot in cfqs.iter() {
             let Some(st) = slot.state else { continue };
             let step = self.cfq_step(st, slot.queue.occupancy_flits(), now, upstream);
             if step != (st, Upstream::default(), false) {
@@ -890,7 +885,9 @@ impl Switch {
     /// protocol. A visit that changes nothing records in `iso_quiet` the
     /// bound [`Self::quiet_until`] states; one that changes anything
     /// leaves the port to be visited again. Each of the two exhaustion
-    /// sites extends, opens or closes its episode.
+    /// sites extends, opens or closes its episode. In debug builds the
+    /// visit asserts that [`Self::quiet_until`] foretold what it did, so
+    /// a port wrongly called quiet panics on the visit that acts.
     fn visit_port(
         &mut self,
         port: usize,
@@ -899,6 +896,8 @@ impl Switch {
         links: &mut [Link],
         metrics: &mut MetricsCollector,
     ) {
+        #[cfg(debug_assertions)]
+        let foretold = self.quiet_until(port, now, routes);
         let iso = self.cfg.iso.expect("only an isolating switch visits");
         let detect_flits = iso.detect_threshold_mtus * self.cfg.mtu_flits;
         let mut quiet = true;
@@ -972,7 +971,7 @@ impl Switch {
                 head.packet.dst
             };
             let out = routes.port(dst).index();
-            let existing = self.inputs[port].queues.cfq_lookup(dst);
+            let existing = self.inputs[port].queues.cfqs().lookup(dst);
             let out_cam_hit = self.outputs[out].cam.lookup(dst).is_some();
             let slot = match existing {
                 Some(s) => Some(s),
@@ -1038,6 +1037,13 @@ impl Switch {
             self.inputs[port].queues.cfqs_mut()[c].state = (!release).then_some(next);
             self.apply_cfq_step(port, st, step, now, links, metrics);
         }
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            foretold,
+            quiet.then_some(until),
+            "quiet_until foretold another visit at {} in{port} cycle {now}",
+            self.id
+        );
         self.iso_quiet[port] = if quiet { until } else { 0 };
     }
 
@@ -1333,7 +1339,7 @@ impl Switch {
     fn root_cfq_occupancy_flits(&self, out: usize) -> u32 {
         self.inputs
             .iter()
-            .flat_map(|inp| inp.queues.cfqs())
+            .flat_map(|inp| inp.queues.cfqs().iter())
             .filter(|c| matches!(c.state, Some(st) if st.root && st.out_port == out))
             .map(|c| c.queue.occupancy_flits())
             .sum()
@@ -1458,7 +1464,7 @@ impl Switch {
         self.occupied.set(port, held);
         self.iso_live.set(
             port,
-            held || self.inputs[port].queues.cfqs_allocated() > 0 || self.exhausting(port),
+            held || self.inputs[port].queues.cfqs().allocated() > 0 || self.exhausting(port),
         );
     }
 
@@ -1563,10 +1569,7 @@ impl Switch {
                     // measurement). Heads that *cannot* be isolated (CFQs
                     // exhausted) do compete — that is FBICM's HoL failure
                     // mode.
-                    let awaiting_move = h.packet.is_data()
-                        && cfqs
-                            .iter()
-                            .any(|c| matches!(c.state, Some(s) if s.dst == h.packet.dst));
+                    let awaiting_move = h.packet.is_data() && cfqs.lookup(h.packet.dst).is_some();
                     if !awaiting_move {
                         let o = routes.port(h.packet.dst).index();
                         consider(QueueKey::Nfq, h, o, arb);
@@ -2004,7 +2007,7 @@ impl Switch {
             let packets = inp.queues.total_packets();
             self.occupied.contains(p) == (packets > 0)
                 && self.iso_live.contains(p)
-                    == (packets > 0 || inp.queues.cfqs_allocated() > 0 || self.exhausting(p))
+                    == (packets > 0 || inp.queues.cfqs().allocated() > 0 || self.exhausting(p))
         }) && (0..self.outputs.len()).all(|o| self.voq_occ[o] == self.summed_voq_occupancy_flits(o))
     }
 
@@ -2119,7 +2122,10 @@ impl Switch {
 
     /// Number of CFQs currently allocated across all input ports.
     pub fn cfqs_allocated(&self) -> usize {
-        self.inputs.iter().map(|i| i.queues.cfqs_allocated()).sum()
+        self.inputs
+            .iter()
+            .map(|i| i.queues.cfqs().allocated())
+            .sum()
     }
 
     /// Number of destinations this switch routes (for VOQnet sizing).
@@ -2455,15 +2461,13 @@ mod tests {
         }
         fx.sw
             .isolation_tick(0, &fx.routing, &mut fx.links, &mut fx.metrics);
-        let q = &fx.sw.inputs[0].queues;
-        let cfq = q.cfq_lookup(NodeId(6)).expect("hot destination isolated");
-        if let InputQueues::Isolating { cfqs, .. } = q {
-            let st = cfqs[cfq].state.unwrap();
-            assert!(st.root, "locally detected => root");
-            assert_eq!(st.out_port, 2);
-        }
+        let cfqs = fx.sw.inputs[0].queues.cfqs();
+        let cfq = cfqs.lookup(NodeId(6)).expect("hot destination isolated");
+        let st = cfqs[cfq].state.unwrap();
+        assert!(st.root, "locally detected => root");
+        assert_eq!(st.out_port, 2);
         assert_eq!(
-            q.cfq_lookup(NodeId(2)),
+            cfqs.lookup(NodeId(2)),
             None,
             "minority destination not isolated"
         );
@@ -2551,13 +2555,11 @@ mod tests {
         fx.sw
             .isolation_tick(10, &fx.routing, &mut fx.links, &mut fx.metrics);
         // The hot packet was isolated (out-CAM hit) into a *non-root* CFQ.
-        let q = &fx.sw.inputs[0].queues;
-        let c = q
-            .cfq_lookup(NodeId(6))
+        let cfqs = fx.sw.inputs[0].queues.cfqs();
+        let c = cfqs
+            .lookup(NodeId(6))
             .expect("isolated via propagated info");
-        if let InputQueues::Isolating { cfqs, .. } = q {
-            assert!(!cfqs[c].state.unwrap().root);
-        }
+        assert!(!cfqs[c].state.unwrap().root);
         // Arbitration: only the dst-2 packet may go (dst 6 is stopped).
         let rel = arbitrate(&mut fx, 10);
         assert_eq!(rel.len(), 1);
@@ -3108,7 +3110,7 @@ mod tests {
         downstream_says(&mut fx, 2, 0, ev);
         deliver(&mut fx, 10, pkt(1, 6));
         iso_tick(&mut fx, 10);
-        let c = fx.sw.inputs[0].queues.cfq_lookup(NodeId(6)).unwrap();
+        let c = fx.sw.inputs[0].queues.cfqs().lookup(NodeId(6)).unwrap();
         let e = fx.sw.pop_queue(0, QueueKey::Cfq(c));
         fx.sw.release_ram(0, e.packet.size_flits);
         fx
@@ -3685,7 +3687,7 @@ mod tests {
                 primed: ALL,
                 write: |fx, now| {
                     // Six departures take it down to Go.
-                    let c = fx.sw.inputs[0].queues.cfq_lookup(NodeId(6)).unwrap();
+                    let c = fx.sw.inputs[0].queues.cfqs().lookup(NodeId(6)).unwrap();
                     for _ in 0..6 {
                         let e = fx.sw.pop_queue(0, QueueKey::Cfq(c));
                         fx.sw.release_ram(0, e.packet.size_flits);
@@ -4421,11 +4423,7 @@ mod twin_tests {
                         // A departure from a quiet port's CFQ.
                         35 => {
                             if let Some((c, _)) = q_cfq {
-                                let InputQueues::Isolating { cfqs, .. } = &rig.sw.inputs[q_port].queues
-                                else {
-                                    unreachable!()
-                                };
-                                if !cfqs[c].queue.is_empty() {
+                                if !rig.sw.inputs[q_port].queues.cfqs()[c].queue.is_empty() {
                                     rig.depart(q_port, QueueKey::Cfq(c));
                                 }
                             }

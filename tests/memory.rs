@@ -8,13 +8,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ccfit::bitset::BitSet;
-use ccfit::endnode::AdapterThrottle;
-use ccfit::engine::ids::{FlowId, NodeId, PacketId};
+use ccfit::endnode::{Adapter, AdapterCfg, AdapterThrottle};
+use ccfit::engine::ids::{FlowId, LinkId, NodeId, PacketId};
 use ccfit::engine::queue::QueuedPacket;
 use ccfit::engine::{Packet, PacketQueue, UnitModel};
 use ccfit::topology::{KAryNTree, LinkParams};
 use ccfit::traffic::uniform_all;
-use ccfit::{ExperimentSpec, Mechanism, SimConfig, ThrottleParams};
+use ccfit::{ExperimentSpec, IsolationParams, Mechanism, SimConfig, ThrottleParams};
 
 /// Counts the bytes each thread has allocated and not yet freed, and
 /// the high-water mark of that count.
@@ -105,15 +105,17 @@ fn tree_peak_mb(k: u32, duration_ns: f64) -> f64 {
 /// live heap peaked at ~73 MB when the spec and the simulator each held
 /// a 6.3 MB routing table, every adapter its own CCT and every queue
 /// four slots from its first packet, at ~44.5 MB with one routing table,
-/// and at ~37 MB once DET routed in closed form and `DestMap` allocated
-/// its index by the page. It peaks at ~29 MB now that a switch's port
-/// sets are inline words, its arbitration candidates one array, and a
-/// port's CFQ slots and CAM lines allocated by their first use.
+/// at ~37 MB once DET routed in closed form and `DestMap` allocated its
+/// index by the page, and at ~29 MB once a switch's port sets were
+/// inline words, its arbitration candidates one array, and a port's CFQ
+/// slots and CAM lines allocated by their first use. It peaks at
+/// ~26.3 MB now that `DestMap` keeps no index beside its sorted keys and
+/// an adapter too takes its CFQ slots with its first CFQ.
 #[test]
-fn scale4096_peaks_under_32_mb_of_live_heap() {
+fn scale4096_peaks_under_29_mb_of_live_heap() {
     let peak_mb = tree_peak_mb(16, 50_000.0);
     assert!(
-        peak_mb <= 32.0,
+        peak_mb <= 29.0,
         "scale4096 peaked at {peak_mb:.1} MB of live heap"
     );
 }
@@ -121,17 +123,19 @@ fn scale4096_peaks_under_32_mb_of_live_heap() {
 /// The 32 768-node tree of `tests/integration_scale.rs` — a 32-ary
 /// 3-tree for 20 µs. Its live heap held a 201 MB DET table and a 5 KB
 /// `DestMap` index in each adapter (168 MB), 623 MB in all; without
-/// them it peaked at ~277 MB, and with the switch's sets, candidates,
-/// CFQ slots and CAM lines folded as in `scale4096` at ~213 MB.
+/// them it peaked at ~277 MB, with the switch's sets, candidates, CFQ
+/// slots and CAM lines folded as in `scale4096` at ~213 MB, and with no
+/// `DestMap` index and no adapter CFQ slots before the first CFQ at
+/// ~182 MB.
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "release only: building 3072 64-port switches takes minutes unoptimised"
 )]
-fn tree_of_32768_nodes_peaks_under_235_mb_of_live_heap() {
+fn tree_of_32768_nodes_peaks_under_200_mb_of_live_heap() {
     let peak_mb = tree_peak_mb(32, 20_000.0);
     assert!(
-        peak_mb <= 235.0,
+        peak_mb <= 200.0,
         "the 32 768-node tree peaked at {peak_mb:.1} MB of live heap"
     );
 }
@@ -174,4 +178,35 @@ fn a_queue_that_held_one_packet_owns_one_slot() {
         std::mem::size_of::<QueuedPacket>() as isize
     );
     drop(queue);
+}
+
+/// An adapter takes its CFQ slots with its first CFQ, as a switch port
+/// does: an isolating adapter that has not isolated holds no more heap
+/// than one that cannot isolate.
+#[test]
+fn an_adapter_that_never_isolates_holds_no_cfq_slots() {
+    let live_bytes = |iso: Option<IsolationParams>| {
+        let cfg = AdapterCfg {
+            iso,
+            thr: None,
+            mtu_flits: 32,
+            out_ram_flits: 1024,
+            advoq_cap_flits: 1024,
+            nfq_gate_flits: 64,
+            per_dest_output: false,
+            dcqcn: None,
+            hpcc: None,
+            data_overhead_bytes: 0,
+        };
+        let base = live_and_reset_peak();
+        let adapter = Adapter::new(NodeId(0), cfg, LinkId(0), 1, 64);
+        let bytes = LIVE.with(Cell::get) - base;
+        drop(adapter);
+        bytes
+    };
+    assert_eq!(
+        live_bytes(Some(IsolationParams::default())),
+        live_bytes(None),
+        "a CFQ-slot block before the first CFQ"
+    );
 }
