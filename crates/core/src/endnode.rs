@@ -22,10 +22,9 @@ use crate::bitset::{BitSet, DestMap, RoundRobin};
 use crate::idle::IdleBound;
 use crate::params::{IsolationParams, ThrottleParams};
 
-use crate::port::{CfqSlot, CfqSlots, CfqState};
-use crate::switch::{OutCamState, PurgeStats, VoqNetCredits};
+use crate::port::{CfqSlot, CfqSlots, CfqState, Change, OutCam};
+use crate::switch::{PurgeStats, VoqNetCredits};
 use ccfit_cc::{DcqcnCfg, DcqcnFlow, HpccCfg, HpccFlow};
-use ccfit_engine::cam::Cam;
 use ccfit_engine::ids::{LinkId, NodeId, PacketId};
 use ccfit_engine::link::{CtrlEvent, Link};
 use ccfit_engine::packet::Packet;
@@ -191,7 +190,7 @@ pub struct Adapter {
     cfqs: CfqSlots,
     /// Congestion info received from the attached switch, keyed by
     /// congested destination (plays the role of an output-port CAM).
-    cam: Cam<NodeId, OutCamState>,
+    cam: OutCam,
     out_ram: PortRam,
     /// Outgoing congestion notification packets (BECNs): transmitted with
     /// absolute priority, bypassing the NFQ/CFQ output buffer (§III-B).
@@ -258,7 +257,7 @@ impl Adapter {
             rr: 0,
             nfq: PacketQueue::new(),
             cfqs: CfqSlots::new(num_cfqs),
-            cam: Cam::new(cam_lines),
+            cam: OutCam::new(cam_lines),
             becn_out: std::collections::VecDeque::new(),
             throttle: Vec::new(),
             dcqcn_flows: Vec::new(),
@@ -351,55 +350,17 @@ impl Adapter {
         }
         // CAM lines come and go, and with them where a head is headed.
         self.idle.clear();
-        let scratch = std::mem::take(&mut self.ctrl_scratch);
-        for &ev in scratch.iter() {
-            match ev {
-                CtrlEvent::CfqAlloc { dst } => {
-                    if self.cam.lookup(dst).is_none()
-                        && self
-                            .cam
-                            .allocate(dst, OutCamState { stopped: false })
-                            .is_err()
-                    {
-                        metrics.record(
-                            now,
-                            CcEventKind::IaCamExhausted {
-                                node: self.node.0,
-                                dst: dst.0,
-                            },
-                        );
-                    }
-                }
-                CtrlEvent::CfqDealloc { dst } => {
-                    if let Some(i) = self.cam.lookup(dst) {
-                        self.cam.free(i);
-                    }
-                }
-                CtrlEvent::Stop { dst } => {
-                    if let Some(line) = self.cam.lookup(dst).and_then(|i| self.cam.get_mut(i)) {
-                        line.value.stopped = true;
-                    } else if self
-                        .cam
-                        .allocate(dst, OutCamState { stopped: true })
-                        .is_err()
-                    {
-                        metrics.record(
-                            now,
-                            CcEventKind::IaCamExhausted {
-                                node: self.node.0,
-                                dst: dst.0,
-                            },
-                        );
-                    }
-                }
-                CtrlEvent::Go { dst } => {
-                    if let Some(line) = self.cam.lookup(dst).and_then(|i| self.cam.get_mut(i)) {
-                        line.value.stopped = false;
-                    }
-                }
+        for &ev in &self.ctrl_scratch {
+            if self.cam.apply(ev) == Change::Full {
+                metrics.record(
+                    now,
+                    CcEventKind::IaCamExhausted {
+                        node: self.node.0,
+                        dst: ev.dst().0,
+                    },
+                );
             }
         }
-        self.ctrl_scratch = scratch;
     }
 
     /// Queue an outgoing control packet generated by this node's receive
@@ -568,13 +529,6 @@ impl Adapter {
         self.peers.len()
     }
 
-    fn stopped(&self, dst: NodeId) -> bool {
-        self.cam
-            .lookup(dst)
-            .and_then(|i| self.cam.get(i))
-            .is_some_and(|line| line.value.stopped)
-    }
-
     /// One cycle of adapter work. Returns the RAM release to schedule if
     /// a packet started injecting.
     pub fn tick(
@@ -716,7 +670,7 @@ impl Adapter {
             // Congested destination: goes to (or allocates) its CFQ,
             // honouring the Stop threshold as per-destination
             // backpressure into the AdVOQ.
-            Some(iso) if self.cam.lookup(dst).is_some() => match self.cfqs.lookup(dst) {
+            Some(iso) if self.cam.contains(dst) => match self.cfqs.lookup(dst) {
                 Some(c) => {
                     let stop_flits = iso.stop_mtus * self.cfg.mtu_flits;
                     if self.cfqs[c].queue.occupancy_flits() + size <= stop_flits {
@@ -867,35 +821,20 @@ impl Adapter {
     /// tree (our CAM line was removed by its CfqDealloc).
     fn cfq_linger(&mut self, now: Cycle, metrics: &mut MetricsCollector) {
         let Some(iso) = self.cfg.iso else { return };
-        let calm_flits = iso.propagate_threshold_mtus * self.cfg.mtu_flits;
-        for c in 0..self.cfqs.len() {
-            let Some(mut st) = self.cfqs[c].state else {
-                continue;
-            };
-            let occ = self.cfqs[c].queue.occupancy_flits();
-            if occ < calm_flits {
-                if st.calm_since.is_none() {
-                    st.calm_since = Some(now);
-                }
-                let lingered = st
-                    .calm_since
-                    .is_some_and(|s| now.saturating_sub(s) >= iso.dealloc_linger_cycles);
-                if occ == 0 && lingered && self.cam.lookup(st.dst).is_none() {
-                    self.cfqs[c].state = None;
-                    self.idle.clear(); // a free CFQ slot
-                    metrics.record(
-                        now,
-                        CcEventKind::IaCfqDealloc {
-                            node: self.node.0,
-                            dst: st.dst.0,
-                        },
-                    );
-                    continue;
-                }
-            } else {
-                st.calm_since = None;
+        for CfqSlot { queue, state } in self.cfqs.iter_mut() {
+            let Some(st) = state else { continue };
+            let occ = queue.occupancy_flits();
+            if st.releasable(occ, now, &iso, self.cfg.mtu_flits) && !self.cam.contains(st.dst) {
+                metrics.record(
+                    now,
+                    CcEventKind::IaCfqDealloc {
+                        node: self.node.0,
+                        dst: st.dst.0,
+                    },
+                );
+                *state = None;
+                self.idle.clear(); // a free CFQ slot
             }
-            self.cfqs[c].state = Some(st);
         }
     }
 
@@ -927,7 +866,7 @@ impl Adapter {
         });
         let cfq_ok = |slot: &CfqSlot| {
             let Some(st) = slot.state else { return false };
-            if self.stopped(st.dst) {
+            if self.cam.stopped(st.dst) {
                 return false;
             }
             slot.queue.head_visible(now).is_some_and(|h| {

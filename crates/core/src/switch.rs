@@ -21,8 +21,7 @@ use crate::arbiter::Islip;
 use crate::bitset::BitSet;
 use crate::idle::IdleBound;
 use crate::params::{IsolationParams, QueueingScheme};
-use crate::port::{CfqSlot, CfqState, InputQueues, StaticKey};
-use ccfit_engine::cam::Cam;
+use crate::port::{CfqSlot, CfqState, Change, InputQueues, OutCam, StaticKey};
 use ccfit_engine::ids::{LinkId, NodeId, SwitchId};
 use ccfit_engine::link::{CtrlEvent, Delivery, Link};
 use ccfit_engine::queue::{PacketQueue, QueuedPacket};
@@ -122,13 +121,6 @@ pub struct SwitchCfg {
     pub cc: Option<SwitchCcMode>,
 }
 
-/// Output-port CAM payload: congestion info propagated from downstream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OutCamState {
-    /// Downstream CFQ asked us to pause this congested flow.
-    pub stopped: bool,
-}
-
 /// One input port.
 #[derive(Debug, Clone)]
 pub struct InputPort {
@@ -148,7 +140,7 @@ pub struct OutputPort {
     /// Link this port transmits on (this switch is sender).
     pub out_link: Option<LinkId>,
     /// Congestion info from downstream, keyed by congested destination.
-    pub cam: Cam<NodeId, OutCamState>,
+    pub cam: OutCam,
     /// Port is in the congestion state: crossing packets get FECN-marked.
     pub congested: bool,
     /// CCFIT: number of root CFQs above High draining through this port.
@@ -527,7 +519,7 @@ impl Switch {
             .iter()
             .map(|&(_, out_link)| OutputPort {
                 out_link,
-                cam: Cam::new(out_cam_lines),
+                cam: OutCam::new(out_cam_lines),
                 congested: false,
                 over_high_count: 0,
                 link_bw: 1,
@@ -620,65 +612,38 @@ impl Switch {
             links[link.index()].poll_ctrl_into(now, &mut scratch);
             let port = o as u32;
             for &ev in &scratch {
-                let cam = &mut self.outputs[o].cam;
-                match ev {
-                    CtrlEvent::CfqAlloc { dst } | CtrlEvent::Stop { dst } => {
-                        let stop = matches!(ev, CtrlEvent::Stop { .. });
-                        match cam.lookup(dst).and_then(|i| cam.get_mut(i)) {
-                            Some(line) => {
-                                if stop && !line.value.stopped {
-                                    line.value.stopped = true;
-                                    self.wake_drainers(o, dst);
-                                }
-                            }
-                            None => {
-                                if cam.allocate(dst, OutCamState { stopped: stop }).is_ok() {
-                                    cam_keys_changed = true;
-                                } else {
-                                    metrics.record(
-                                        now,
-                                        CcEventKind::CamExhausted {
-                                            sw,
-                                            port,
-                                            dst: dst.0,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                        if stop {
-                            metrics.record(
-                                now,
-                                CcEventKind::StopReceived {
-                                    sw,
-                                    port,
-                                    dst: dst.0,
-                                },
-                            );
-                        }
-                    }
-                    CtrlEvent::CfqDealloc { dst } => {
-                        if let Some(i) = cam.lookup(dst) {
-                            cam.free(i);
-                            cam_keys_changed = true;
-                        }
-                    }
-                    CtrlEvent::Go { dst } => {
-                        if let Some(line) = cam.lookup(dst).and_then(|i| cam.get_mut(i)) {
-                            if line.value.stopped {
-                                line.value.stopped = false;
-                                self.wake_drainers(o, dst);
-                            }
-                        }
-                        metrics.record(
-                            now,
-                            CcEventKind::GoReceived {
-                                sw,
-                                port,
-                                dst: dst.0,
-                            },
-                        );
-                    }
+                let dst = ev.dst();
+                match self.outputs[o].cam.apply(ev) {
+                    Change::Nothing => {}
+                    Change::Keys => cam_keys_changed = true,
+                    Change::Flip => self.wake_drainers(o, dst),
+                    Change::Full => metrics.record(
+                        now,
+                        CcEventKind::CamExhausted {
+                            sw,
+                            port,
+                            dst: dst.0,
+                        },
+                    ),
+                }
+                if ev == (CtrlEvent::Stop { dst }) {
+                    metrics.record(
+                        now,
+                        CcEventKind::StopReceived {
+                            sw,
+                            port,
+                            dst: dst.0,
+                        },
+                    );
+                } else if ev == (CtrlEvent::Go { dst }) {
+                    metrics.record(
+                        now,
+                        CcEventKind::GoReceived {
+                            sw,
+                            port,
+                            dst: dst.0,
+                        },
+                    );
                 }
             }
         }
@@ -717,7 +682,7 @@ impl Switch {
                 continue;
             }
             let out = routes.port(dst).index();
-            if self.outputs[out].cam.lookup(dst).is_some() {
+            if self.outputs[out].cam.contains(dst) {
                 continue;
             }
             unmatched_total += e.packet.size_flits;
@@ -814,9 +779,7 @@ impl Switch {
             Some(head) if head.packet.is_data() => {
                 let dst = head.packet.dst;
                 let out = routes.port(dst).index();
-                if cfqs.lookup(dst).is_some()
-                    || (free && self.outputs[out].cam.lookup(dst).is_some())
-                {
+                if cfqs.lookup(dst).is_some() || (free && self.outputs[out].cam.contains(dst)) {
                     return None; // the head moves
                 }
             }
@@ -832,15 +795,6 @@ impl Switch {
             until = until.min(self.cfq_deadline(&st, now));
         }
         Some(until)
-    }
-
-    /// Is the congested flow `dst` draining through `out` currently
-    /// stopped by the downstream hop?
-    fn downstream_stopped(&self, out: usize, dst: NodeId) -> bool {
-        let cam = &self.outputs[out].cam;
-        cam.lookup(dst)
-            .and_then(|i| cam.get(i))
-            .is_some_and(|line| line.value.stopped)
     }
 
     /// The isolation duties of the post-processing stage (§III-C): runs
@@ -972,7 +926,7 @@ impl Switch {
             };
             let out = routes.port(dst).index();
             let existing = self.inputs[port].queues.cfqs().lookup(dst);
-            let out_cam_hit = self.outputs[out].cam.lookup(dst).is_some();
+            let out_cam_hit = self.outputs[out].cam.contains(dst);
             let slot = match existing {
                 Some(s) => Some(s),
                 None if out_cam_hit => {
@@ -1062,11 +1016,10 @@ impl Switch {
     ) -> (CfqState, Upstream, bool) {
         let iso = self.cfg.iso.expect("only an isolating switch holds CFQs");
         let mtu = self.cfg.mtu_flits;
-        let propagate_flits = iso.propagate_threshold_mtus * mtu;
         let mut up = Upstream::default();
         // Congestion-information propagation upstream.
         if upstream {
-            if !st.alloc_sent && occ >= propagate_flits {
+            if !st.alloc_sent && occ >= iso.propagate_threshold_mtus * mtu {
                 st.alloc_sent = true;
                 up.propagate = true;
             }
@@ -1113,16 +1066,9 @@ impl Switch {
         // stayed calm (below the propagation threshold) for the linger
         // period; release at a moment it is empty and in Go status both
         // ways.
-        if occ < propagate_flits {
-            let since = *st.calm_since.get_or_insert(now);
-            let lingered = now.saturating_sub(since) >= iso.dealloc_linger_cycles;
-            if occ == 0 && lingered && !self.downstream_stopped(st.out_port, st.dst) {
-                return (st, up, true);
-            }
-        } else {
-            st.calm_since = None;
-        }
-        (st, up, false)
+        let release =
+            st.releasable(occ, now, &iso, mtu) && !self.outputs[st.out_port].cam.stopped(st.dst);
+        (st, up, release)
     }
 
     /// The marking thresholds when root CFQs drive the congestion state
@@ -1577,7 +1523,7 @@ impl Switch {
                 }
                 for (c, slot) in cfqs.iter().enumerate() {
                     let Some(st) = slot.state else { continue };
-                    if self.downstream_stopped(st.out_port, st.dst) {
+                    if self.outputs[st.out_port].cam.stopped(st.dst) {
                         continue; // Stop/Go flow control pauses this CFQ.
                     }
                     if let Some(h) = visible_head(&slot.queue, now, &mut arb.idle) {
@@ -2161,7 +2107,7 @@ impl Switch {
                                 slot.queue.occupancy_flits(),
                                 st.root,
                                 st.stop_sent,
-                                self.downstream_stopped(st.out_port, st.dst)
+                                self.outputs[st.out_port].cam.stopped(st.dst)
                             )
                             .unwrap();
                         }
@@ -2192,13 +2138,8 @@ impl Switch {
                 o.congested, o.over_high_count, credits
             )
             .unwrap();
-            for (_, line) in o.cam.iter() {
-                write!(
-                    out,
-                    " cam[dst={} stopped={}]",
-                    line.key.0, line.value.stopped
-                )
-                .unwrap();
+            for (dst, stopped) in o.cam.iter() {
+                write!(out, " cam[dst={} stopped={stopped}]", dst.0).unwrap();
             }
             writeln!(out).unwrap();
         }
@@ -2866,7 +2807,7 @@ mod tests {
             1,
             "no new exhaustion"
         );
-        assert!(fx.sw.outputs[2].cam.lookup(NodeId(7)).is_some());
+        assert!(fx.sw.outputs[2].cam.contains(NodeId(7)));
     }
 
     // ---- congestion detection's verdict ----

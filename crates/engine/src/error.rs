@@ -6,8 +6,7 @@ use std::fmt;
 ///
 /// The engine is used in an embedded, pre-validated context, so most hot
 /// paths use debug assertions instead; `EngineError` covers the
-/// configuration-time and capacity-exhaustion cases a caller can
-/// meaningfully react to.
+/// capacity exhaustion a caller can meaningfully react to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// An allocation was requested from a [`crate::ram::PortRam`] that does
@@ -18,13 +17,6 @@ pub enum EngineError {
         /// Flits currently free.
         free: u32,
     },
-    /// A CAM allocation was requested but every line is in use.
-    CamFull {
-        /// Total number of lines in the CAM.
-        capacity: usize,
-    },
-    /// A configuration parameter was invalid (message explains which).
-    InvalidConfig(String),
 }
 
 impl fmt::Display for EngineError {
@@ -34,10 +26,6 @@ impl fmt::Display for EngineError {
                 f,
                 "port RAM exhausted: requested {requested} flits but only {free} free"
             ),
-            EngineError::CamFull { capacity } => {
-                write!(f, "CAM full: all {capacity} lines in use")
-            }
-            EngineError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
 }
@@ -84,9 +72,5 @@ mod tests {
         };
         assert!(e.to_string().contains("32"));
         assert!(e.to_string().contains("4"));
-        let e = EngineError::CamFull { capacity: 2 };
-        assert!(e.to_string().contains("2"));
-        let e = EngineError::InvalidConfig("bad".into());
-        assert!(e.to_string().contains("bad"));
     }
 }

@@ -13,8 +13,6 @@
 //!   (FECN/BECN) used by InfiniBand-style congestion control,
 //! * flit-accounted **packet queues** ([`queue`]) and a dynamically-shared
 //!   **port RAM** ([`ram`]) from which queues allocate,
-//! * a small **content-addressable memory** ([`cam`]) used to track
-//!   congested destinations, modelled after the CAMs of RECN/FBICM/CCFIT,
 //! * lossless **links** ([`link`]) with serialization latency, propagation
 //!   delay, credit-based flow control, and a reverse control channel,
 //! * deterministic **seed splitting** ([`rng`]) so every component draws
@@ -29,7 +27,6 @@
 
 pub mod active;
 pub mod calq;
-pub mod cam;
 pub mod error;
 pub mod ids;
 pub mod link;
@@ -41,7 +38,6 @@ pub mod units;
 
 pub use active::ActiveSet;
 pub use calq::CalendarQueue;
-pub use cam::{Cam, CamLine};
 pub use error::{BadParam, EngineError};
 pub use ids::{FlowId, LinkId, NodeId, PacketId, PortId, SwitchId};
 pub use link::{CtrlEvent, Link, LinkConfig, WireLoss};

@@ -77,6 +77,18 @@ pub enum CtrlEvent {
     },
 }
 
+impl CtrlEvent {
+    /// The congested destination the event is about.
+    pub fn dst(self) -> NodeId {
+        match self {
+            CtrlEvent::CfqAlloc { dst }
+            | CtrlEvent::CfqDealloc { dst }
+            | CtrlEvent::Stop { dst }
+            | CtrlEvent::Go { dst } => dst,
+        }
+    }
+}
+
 /// A packet on the wire.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {

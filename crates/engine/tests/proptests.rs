@@ -1,6 +1,5 @@
 //! Property-based tests for the engine substrate invariants.
 
-use ccfit_engine::cam::Cam;
 use ccfit_engine::ids::{FlowId, NodeId, PacketId};
 use ccfit_engine::link::{Link, LinkConfig};
 use ccfit_engine::packet::Packet;
@@ -76,30 +75,6 @@ proptest! {
             prop_assert!(ram.used() <= ram.capacity());
             prop_assert_eq!(ram.used(), outstanding.iter().sum::<u32>());
             prop_assert_eq!(ram.free(), ram.capacity() - ram.used());
-        }
-    }
-
-    /// CAM: lookup finds exactly the allocated keys; occupancy equals
-    /// allocations minus frees; allocation fails only when full.
-    #[test]
-    fn cam_tracks_active_keys(capacity in 1usize..9, keys in prop::collection::vec(0u32..16, 1..64)) {
-        let mut cam: Cam<u32, usize> = Cam::new(capacity);
-        let mut active: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-        for (i, k) in keys.into_iter().enumerate() {
-            if let Some(&idx) = active.get(&k) {
-                // Toggle: free it.
-                cam.free(idx);
-                active.remove(&k);
-            } else {
-                match cam.allocate(k, i) {
-                    Ok(idx) => { active.insert(k, idx); }
-                    Err(_) => prop_assert!(cam.is_full()),
-                }
-            }
-            for (&k, &idx) in &active {
-                prop_assert_eq!(cam.lookup(k), Some(idx));
-            }
-            prop_assert_eq!(cam.occupied(), active.len());
         }
     }
 
