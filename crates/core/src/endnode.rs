@@ -22,7 +22,8 @@ use crate::bitset::{BitSet, DestMap, RoundRobin};
 use crate::idle::IdleBound;
 use crate::params::{IsolationParams, ThrottleParams};
 
-use crate::port::{CfqSlot, CfqSlots, CfqState, Change, OutCam};
+use crate::cam::{Change, OutCam};
+use crate::port::{CfqSlot, CfqSlots, CfqState};
 use crate::switch::{PurgeStats, VoqNetCredits};
 use ccfit_cc::{DcqcnCfg, DcqcnFlow, HpccCfg, HpccFlow};
 use ccfit_engine::ids::{LinkId, NodeId, PacketId};

@@ -42,6 +42,7 @@
 
 pub mod arbiter;
 pub mod bitset;
+pub mod cam;
 pub mod endnode;
 pub mod experiment;
 mod idle;

@@ -12,13 +12,11 @@
 //!   this switch is the congestion root, and the upstream-notification
 //!   flags.
 //!
-//! A switch output port and an adapter's output buffer each hold an
-//! [`OutCam`]: the congested destinations the downstream hop reported,
-//! and which of them it has stopped.
+//! The output-side CAM, the congested destinations the downstream hop
+//! reported, is [`crate::cam::OutCam`].
 
 use crate::params::IsolationParams;
 use ccfit_engine::ids::NodeId;
-use ccfit_engine::link::CtrlEvent;
 use ccfit_engine::queue::PacketQueue;
 use ccfit_engine::units::Cycle;
 use ccfit_topology::RouteRow;
@@ -178,93 +176,6 @@ impl std::ops::DerefMut for CfqSlots {
     }
 }
 
-/// What one control event did to an [`OutCam`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Change {
-    /// Nothing: a `CfqAlloc` for a held key, a `Go` or `CfqDealloc` for
-    /// a missing one, a Stop/Go to the status the line has.
-    Nothing,
-    /// A key was added or removed.
-    Keys,
-    /// A held line flipped between Stop and Go.
-    Flip,
-    /// A new key found every line taken.
-    Full,
-}
-
-/// The output CAM of a switch output port or of an adapter's output
-/// buffer: the congested destinations the downstream hop reported
-/// (`CfqAlloc` / `CfqDealloc`), each with whether it is stopped
-/// (`Stop` / `Go`). Its lines come with the first key, so a CAM that
-/// never holds one — every port of a network without congestion —
-/// holds no heap block. Lookups are linear scans: hardware CAMs are
-/// fully associative and the line counts are tiny (2–8).
-#[derive(Debug, Clone)]
-pub struct OutCam {
-    /// The held lines: a destination and whether it is stopped.
-    lines: Vec<(NodeId, bool)>,
-    capacity: usize,
-}
-
-impl OutCam {
-    /// `capacity` lines, none allocated yet.
-    pub(crate) const fn new(capacity: usize) -> Self {
-        Self {
-            lines: Vec::new(),
-            capacity,
-        }
-    }
-
-    /// Whether a line holds `dst`.
-    pub(crate) fn contains(&self, dst: NodeId) -> bool {
-        self.lines.iter().any(|&(d, _)| d == dst)
-    }
-
-    /// Whether a line holds `dst` and the downstream hop stopped it.
-    pub(crate) fn stopped(&self, dst: NodeId) -> bool {
-        self.lines.contains(&(dst, true))
-    }
-
-    /// Apply a control event from downstream: `CfqAlloc` adds a running
-    /// line for a missing key, `Stop` stops a held line or adds a
-    /// stopped one, `Go` runs a held line, `CfqDealloc` frees one.
-    pub(crate) fn apply(&mut self, ev: CtrlEvent) -> Change {
-        let dst = ev.dst();
-        let stop = ev == CtrlEvent::Stop { dst };
-        let held = self.lines.iter().position(|&(d, _)| d == dst);
-        match (ev, held) {
-            (CtrlEvent::CfqDealloc { .. }, Some(i)) => {
-                self.lines.remove(i);
-                Change::Keys
-            }
-            (CtrlEvent::Stop { .. } | CtrlEvent::Go { .. }, Some(i)) if self.lines[i].1 != stop => {
-                self.lines[i].1 = stop;
-                Change::Flip
-            }
-            (CtrlEvent::CfqAlloc { .. } | CtrlEvent::Stop { .. }, None) => {
-                if self.lines.len() == self.capacity {
-                    return Change::Full;
-                }
-                self.lines.reserve_exact(self.capacity - self.lines.len());
-                self.lines.push((dst, stop));
-                Change::Keys
-            }
-            _ => Change::Nothing,
-        }
-    }
-
-    /// Free every line: a fail-stop fault took the cable whose
-    /// congestion the lines describe.
-    pub(crate) fn clear(&mut self) {
-        self.lines.clear();
-    }
-
-    /// The held lines, `(destination, stopped)`.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, bool)> + '_ {
-        self.lines.iter().copied()
-    }
-}
-
 /// Which of a static organisation's queues a packet joins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StaticKey {
@@ -416,8 +327,6 @@ mod tests {
     use ccfit_engine::ids::{FlowId, PacketId, PortId, SwitchId};
     use ccfit_engine::packet::Packet;
     use ccfit_topology::RoutingTable;
-    use proptest::prelude::*;
-    use std::collections::BTreeMap;
 
     fn pkt(dst: u32, flits: u32) -> Packet {
         Packet::data(
@@ -528,61 +437,6 @@ mod tests {
                 "{scheme:?}"
             );
             assert_eq!(q.cfqs().allocated(), 0, "{scheme:?}");
-        }
-    }
-
-    proptest! {
-        /// Random control events (and fail-stop clears) against a map
-        /// from destination to stopped: every event returns the change
-        /// the map sees, a new key is refused only when every line is
-        /// taken, and the CAM then holds exactly the map's lines.
-        #[test]
-        fn out_cam_follows_a_map_of_lines(
-            capacity in 1usize..9,
-            ops in prop::collection::vec((0u8..5, 0u32..16), 1..96),
-        ) {
-            let mut cam = OutCam::new(capacity);
-            let mut model = BTreeMap::<NodeId, bool>::new();
-            for (op, d) in ops {
-                let dst = NodeId(d);
-                if op == 4 {
-                    cam.clear();
-                    model.clear();
-                    continue;
-                }
-                let ev = [
-                    CtrlEvent::CfqAlloc { dst },
-                    CtrlEvent::Stop { dst },
-                    CtrlEvent::Go { dst },
-                    CtrlEvent::CfqDealloc { dst },
-                ][op as usize];
-                let held = model.get(&dst).copied();
-                let want = match (op, held) {
-                    (0 | 1, None) if model.len() == capacity => Change::Full,
-                    (0 | 1, None) => {
-                        model.insert(dst, op == 1);
-                        Change::Keys
-                    }
-                    (1, Some(false)) | (2, Some(true)) => {
-                        model.insert(dst, op == 1);
-                        Change::Flip
-                    }
-                    (3, Some(_)) => {
-                        model.remove(&dst);
-                        Change::Keys
-                    }
-                    _ => Change::Nothing,
-                };
-                prop_assert_eq!(cam.apply(ev), want, "{:?}", ev);
-                for d in 0..16 {
-                    let dst = NodeId(d);
-                    prop_assert_eq!(cam.contains(dst), model.contains_key(&dst));
-                    prop_assert_eq!(cam.stopped(dst), model.get(&dst) == Some(&true));
-                }
-                let mut lines: Vec<_> = cam.iter().collect();
-                lines.sort();
-                prop_assert_eq!(lines, model.iter().map(|(&d, &s)| (d, s)).collect::<Vec<_>>());
-            }
         }
     }
 

@@ -19,9 +19,10 @@
 
 use crate::arbiter::Islip;
 use crate::bitset::BitSet;
+use crate::cam::{Change, OutCam};
 use crate::idle::IdleBound;
 use crate::params::{IsolationParams, QueueingScheme};
-use crate::port::{CfqSlot, CfqState, Change, InputQueues, OutCam, StaticKey};
+use crate::port::{CfqSlot, CfqState, InputQueues, StaticKey};
 use ccfit_engine::ids::{LinkId, NodeId, SwitchId};
 use ccfit_engine::link::{CtrlEvent, Delivery, Link};
 use ccfit_engine::queue::{PacketQueue, QueuedPacket};
